@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: lint fmt vet tpvet test test-race test-invariants
+.PHONY: lint fmt vet tpvet bench-check test test-race test-invariants
 
-lint: fmt vet tpvet
+lint: fmt vet tpvet bench-check
 
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
@@ -16,6 +16,13 @@ vet:
 
 tpvet:
 	$(GO) run ./cmd/tpvet ./...
+
+# The standing benchmark is its own module (benchmark/go.mod), so
+# ./... from the root never compiles it. A change to a signature that
+# benchmark/layers.go calls shows up here, not in tier-1.
+bench-check:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./... && \
+		$(GO) run github.com/tpset/tpset/cmd/tpvet ./...
 
 test:
 	$(GO) test ./...

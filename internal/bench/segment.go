@@ -60,7 +60,7 @@ func coldStart(seed func(*server.Server)) (time.Duration, int) {
 	if err != nil {
 		panic(fmt.Sprintf("bench: segment-vs-heap: cold query: %v", err))
 	}
-	return time.Since(start), len(resp.Result.Tuples)
+	return time.Since(start), resp.Relation.Len()
 }
 
 // drainOnce drains one sequential ∩Tp engine stream over db.

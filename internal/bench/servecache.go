@@ -49,7 +49,7 @@ func ServeCache(cfg Config) Result {
 		XLabel:   "|r|+|s|",
 		Series:   []Series{cold, cached},
 		Scale:    cfg.Scale,
-		Footnote: "service latency incl. JSON encoding; cache keyed on (canonical query, sorted relation versions)",
+		Footnote: "RunQuery latency (evaluation or cache lookup; response encoding excluded); cache keyed on (canonical query, sorted relation versions)",
 	}
 }
 
@@ -69,9 +69,9 @@ func measureServe(s *Series, x float64, cfg Config, srv *server.Server, req serv
 	if resp.Cached != wantCached {
 		panic(fmt.Sprintf("bench: serve-cache: cached = %v, want %v (cache keying broken?)", resp.Cached, wantCached))
 	}
-	s.Cells = append(s.Cells, Cell{X: x, Duration: d, Output: len(resp.Result.Tuples)})
+	s.Cells = append(s.Cells, Cell{X: x, Duration: d, Output: resp.Relation.Len()})
 	if cfg.Progress != nil {
 		fmt.Fprintf(cfg.Progress, "  %-8s %-10.0f %12s  out=%d\n",
-			s.Approach, x, d.Round(time.Microsecond), len(resp.Result.Tuples))
+			s.Approach, x, d.Round(time.Microsecond), resp.Relation.Len())
 	}
 }

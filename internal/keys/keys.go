@@ -195,6 +195,20 @@ func (in *Interner) Name(id VarID) string {
 	return in.names[id]
 }
 
+// Names returns the id → name table as of the call: names[id] is valid
+// for every id assigned before it. The arena is append-only — a slot,
+// once written under the write lock, is never rewritten, and growth
+// either fills capacity beyond the returned length or moves to a new
+// array — so the snapshot is indexed without the lock: one RLock
+// round-trip resolves every leaf of a formula instead of one per leaf.
+// The slice is shared and must not be modified.
+func (in *Interner) Names() []string {
+	in.mu.RLock()
+	names := in.names
+	in.mu.RUnlock()
+	return names
+}
+
 // Len returns the number of interned names.
 func (in *Interner) Len() int {
 	in.mu.RLock()

@@ -88,3 +88,30 @@ func TestInternerStableAndConcurrent(t *testing.T) {
 		t.Fatalf("Len=%d, want 101", in.Len())
 	}
 }
+
+// TestInternerNamesSnapshot pins the lock-free read side: a Names
+// snapshot taken after an id was assigned resolves it without the lock,
+// while other goroutines keep growing the arena (run under -race: the
+// appends land beyond every earlier snapshot's length).
+func TestInternerNamesSnapshot(t *testing.T) {
+	in := NewInterner()
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 2000; i++ {
+				name := fmt.Sprintf("g%d.v%d", g, i)
+				id := in.Intern(name)
+				if names := in.Names(); names[id] != name {
+					t.Errorf("snapshot resolves id %d to %q, want %q", id, names[id], name)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if names := in.Names(); len(names) != in.Len() || len(names) != 8000 {
+		t.Fatalf("snapshot of %d names, Len %d, want 8000", len(names), in.Len())
+	}
+}

@@ -4,6 +4,28 @@ import (
 	"testing"
 )
 
+// parseSeeds is the in-code seed corpus of FuzzLineageParse (the
+// checked-in one lives under testdata/fuzz); the append-API tests walk
+// both.
+var parseSeeds = []string{
+	"",
+	"null",
+	"x1",
+	"x1 ∧ x2",
+	"x1 ∨ ¬x2",
+	"(a ∨ b) ∧ ¬c",
+	"a & b | !c",
+	"a * b + ~c",
+	"a.b-c_1",
+	"((a))",
+	"¬¬a",
+	"a ∧ b ∧ c ∧ d",
+	"a ∨ (b ∧ (c ∨ ¬d))",
+	"x ∧",     // truncated: must error
+	") a (",   // mangled: must error
+	"a ∨ | b", // doubled operator: must error
+}
+
 // FuzzLineageParse pins the parser/renderer round trip on arbitrary
 // input: whatever Parse accepts must render to a string that re-parses
 // to a syntactically equivalent formula, and the rendering must be a
@@ -11,24 +33,7 @@ import (
 // need to be rejected cleanly — no panic, no acceptance of garbage that
 // a re-parse would then mangle.
 func FuzzLineageParse(f *testing.F) {
-	for _, seed := range []string{
-		"",
-		"null",
-		"x1",
-		"x1 ∧ x2",
-		"x1 ∨ ¬x2",
-		"(a ∨ b) ∧ ¬c",
-		"a & b | !c",
-		"a * b + ~c",
-		"a.b-c_1",
-		"((a))",
-		"¬¬a",
-		"a ∧ b ∧ c ∧ d",
-		"a ∨ (b ∧ (c ∨ ¬d))",
-		"x ∧",     // truncated: must error
-		") a (",   // mangled: must error
-		"a ∨ | b", // doubled operator: must error
-	} {
+	for _, seed := range parseSeeds {
 		f.Add(seed)
 	}
 	probs := func(string) (float64, error) { return 0.5, nil }

@@ -1,8 +1,10 @@
 package lineage
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -295,51 +297,50 @@ func containsAny(e *Expr, ids []keys.VarID) bool {
 // String renders the formula with the paper's connective symbols, fully
 // parenthesized for unambiguity, e.g. "c1∧¬(a1∨b1)".
 func (e *Expr) String() string {
-	if e == nil {
-		return "null"
-	}
-	var b strings.Builder
-	e.render(&b)
-	return b.String()
+	var buf [64]byte // typical formulas render without regrowth
+	return string(e.AppendString(buf[:0]))
 }
 
-func (e *Expr) render(b *strings.Builder) {
+// AppendString appends the rendering of e — the bytes of String() — to
+// dst and returns the extended slice. Variable names resolve through
+// one snapshot of the intern arena per call (keys.Interner.Names), so
+// rendering into a reused buffer neither allocates nor takes the arena
+// lock per leaf.
+func (e *Expr) AppendString(dst []byte) []byte {
+	if e == nil {
+		return append(dst, "null"...)
+	}
+	return e.appendRender(dst, vars.Names())
+}
+
+func (e *Expr) appendRender(dst []byte, names []string) []byte {
 	switch e.kind {
 	case KindVar:
-		b.WriteString(e.idName())
+		return append(dst, names[e.id]...)
 	case KindNot:
-		b.WriteString("¬")
-		if e.left.kind == KindVar {
-			e.left.render(b)
-		} else {
-			b.WriteByte('(')
-			e.left.render(b)
-			b.WriteByte(')')
-		}
+		dst = append(dst, "¬"...)
+		return e.left.appendOperand(dst, names, e.left.kind != KindVar)
 	case KindAnd:
-		e.renderChild(b, e.left, KindAnd)
-		b.WriteString("∧")
-		e.renderChild(b, e.right, KindAnd)
-	case KindOr:
-		e.renderChild(b, e.left, KindOr)
-		b.WriteString("∨")
-		e.renderChild(b, e.right, KindOr)
+		dst = e.left.appendOperand(dst, names, e.left.kind == KindOr)
+		dst = append(dst, "∧"...)
+		return e.right.appendOperand(dst, names, e.right.kind == KindOr)
+	default: // KindOr
+		dst = e.left.appendOperand(dst, names, e.left.kind == KindAnd)
+		dst = append(dst, "∨"...)
+		return e.right.appendOperand(dst, names, e.right.kind == KindAnd)
 	}
 }
 
-func (e *Expr) renderChild(b *strings.Builder, c *Expr, parent Kind) {
-	need := false
-	switch c.kind {
-	case KindAnd, KindOr:
-		need = c.kind != parent
+// appendOperand renders e as an operand, parenthesized when the parent
+// connective needs it: a negated non-variable, or a ∧/∨ operand of the
+// other binary kind.
+func (e *Expr) appendOperand(dst []byte, names []string, paren bool) []byte {
+	if !paren {
+		return e.appendRender(dst, names)
 	}
-	if need {
-		b.WriteByte('(')
-		c.render(b)
-		b.WriteByte(')')
-	} else {
-		c.render(b)
-	}
+	dst = append(dst, '(')
+	dst = e.appendRender(dst, names)
+	return append(dst, ')')
 }
 
 // Canonical returns a canonical syntactic rendering: associativity is
@@ -650,6 +651,51 @@ func (e *Expr) varProbs(probs map[string]float64) {
 	default:
 		e.left.varProbs(probs)
 		e.right.varProbs(probs)
+	}
+}
+
+// VarProb is one variable of a formula with its marginal probability.
+type VarProb struct {
+	Name string
+	Prob float64
+}
+
+// AppendVarProbs appends the distinct variables of the formula with
+// their marginals to dst, sorted by name in byte order, and returns the
+// extended slice: the content of the VarProbs map in the order
+// encoding/json writes a map, without building one. A variable that
+// occurs with differing marginals keeps its last occurrence in
+// left-to-right order, as repeated map assignment does. Names resolve
+// through one arena snapshot per call; a nil receiver appends nothing.
+func (e *Expr) AppendVarProbs(dst []VarProb) []VarProb {
+	if e == nil {
+		return dst
+	}
+	start := len(dst)
+	dst = e.appendLeaves(dst, vars.Names())
+	vps := dst[start:]
+	// Stable, so equal names stay in occurrence order and "last wins"
+	// is the last element of each run.
+	slices.SortStableFunc(vps, func(a, b VarProb) int { return cmp.Compare(a.Name, b.Name) })
+	n := 0
+	for i := range vps {
+		if i+1 < len(vps) && vps[i+1].Name == vps[i].Name {
+			continue
+		}
+		vps[n] = vps[i]
+		n++
+	}
+	return dst[:start+n]
+}
+
+func (e *Expr) appendLeaves(dst []VarProb, names []string) []VarProb {
+	switch e.kind {
+	case KindVar:
+		return append(dst, VarProb{Name: names[e.id], Prob: e.prob})
+	case KindNot:
+		return e.left.appendLeaves(dst, names)
+	default:
+		return e.right.appendLeaves(e.left.appendLeaves(dst, names), names)
 	}
 }
 

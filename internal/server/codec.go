@@ -23,6 +23,13 @@ import (
 // every variable occurring in the formula; it may be omitted when the
 // lineage is a single bare variable, in which case the tuple's own p is
 // the variable's marginal.
+//
+// The structs below define the format — the bytes are what encoding/json
+// (HTML escaping off) writes for them — and are its decode side. The
+// server's responses are written by the appender in wire.go, which
+// produces those same bytes without going through the structs; the
+// Encode* conversions remain for callers that want the struct form
+// (tpset.MarshalRelationJSON, the bench experiments, tests).
 
 // TupleJSON is the wire form of one TP tuple (F, λ, T, p).
 type TupleJSON struct {
@@ -61,9 +68,8 @@ func EncodeRelation(r *relation.Relation, version uint64) RelationJSON {
 	return rj
 }
 
-// EncodeTuple converts one tuple to its wire form — the per-line payload
-// of the NDJSON streaming endpoint, and the element encoder of
-// EncodeRelation.
+// EncodeTuple converts one tuple to its wire form: one NDJSON line of
+// the streaming endpoint, one element of EncodeRelation.
 func EncodeTuple(t *relation.Tuple) TupleJSON {
 	var tj TupleJSON
 	EncodeTupleInto(&tj, t, nil)
@@ -71,12 +77,12 @@ func EncodeTuple(t *relation.Tuple) TupleJSON {
 }
 
 // EncodeTupleInto fills tj with the wire form of t, reusing probs (when
-// non-nil) as the VarProbs map — the allocation-free form the batched
-// NDJSON stream uses: one TupleJSON and one marginals map serve a whole
-// stream instead of being reallocated per tuple. The encoded bytes are
-// identical to EncodeTuple's (JSON maps serialize key-sorted). tj and
-// probs must not be retained across calls by the consumer; pass probs
-// nil to allocate a fresh map (EncodeTuple's escape-safe behaviour).
+// non-nil) as the VarProbs map, so a loop can serve many tuples from one
+// TupleJSON and one marginals map (the rendered lineage string is still
+// allocated per tuple). The encoded bytes are identical to EncodeTuple's
+// (JSON maps serialize key-sorted). tj and probs must not be retained
+// across calls by the consumer; pass probs nil to allocate a fresh map
+// (EncodeTuple's escape-safe behaviour).
 func EncodeTupleInto(tj *TupleJSON, t *relation.Tuple, probs map[string]float64) {
 	tj.Fact = []string(t.Fact)
 	tj.Lineage = t.Lineage.String()
@@ -88,10 +94,9 @@ func EncodeTupleInto(tj *TupleJSON, t *relation.Tuple, probs map[string]float64)
 }
 
 // EncodeBatchInto fills tj with the wire form of row i of b, reading
-// the interval, probability and lineage from the batch's packed columns
-// — the NDJSON stream's read side when the execution stack delivers
-// columnar blocks. The fact values still come from the payload row (the
-// wire format ships strings), and the encoded bytes are identical to
+// the interval, probability and lineage from the batch's packed columns.
+// The fact values still come from the payload row (the wire format
+// ships strings), and the encoded bytes are identical to
 // EncodeTupleInto over the same row. A batch without columns
 // (Batch.HasCols false) falls back to the row path; tj/probs reuse
 // rules are as for EncodeTupleInto.

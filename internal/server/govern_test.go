@@ -5,6 +5,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
+	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -13,7 +16,9 @@ import (
 	"testing"
 	"time"
 
+	"github.com/tpset/tpset/internal/core"
 	"github.com/tpset/tpset/internal/datagen"
+	"github.com/tpset/tpset/internal/relation"
 )
 
 // waitFor polls cond until it holds or the deadline passes.
@@ -262,7 +267,7 @@ func TestPanicRecoveryMaterialized(t *testing.T) {
 // the last one is an error trailer, not a severed connection.
 func TestPanicRecoveryMidStream(t *testing.T) {
 	srv, ts := newGovTestServer(t, Config{Workers: 1})
-	testHookStreamBatch = func(shipped int) {
+	testHookStreamBatch = func(shipped int, _ *core.Batch) {
 		if shipped > 0 {
 			panic("mid-stream kaboom")
 		}
@@ -403,4 +408,161 @@ func lastTrailer(t *testing.T, body []byte) StreamTrailer {
 	t.Helper()
 	_, trailer := parseStream(t, body)
 	return trailer
+}
+
+// streamDirect runs one /query/stream request against the handler
+// in-process, so the handler's deferred accounting has run by the time
+// it returns.
+func streamDirect(srv *Server, w http.ResponseWriter, req QueryRequest) {
+	blob, _ := json.Marshal(req)
+	srv.Handler().ServeHTTP(w, httptest.NewRequest("POST", "/query/stream", bytes.NewReader(blob)))
+}
+
+// droppingWriter accepts ok writes, then fails like a closed
+// connection, counting the bytes it accepted.
+type droppingWriter struct {
+	hdr      http.Header
+	ok       int
+	accepted int64
+}
+
+func (w *droppingWriter) Header() http.Header {
+	if w.hdr == nil {
+		w.hdr = http.Header{}
+	}
+	return w.hdr
+}
+func (w *droppingWriter) WriteHeader(int) {}
+func (w *droppingWriter) Write(p []byte) (int, error) {
+	if w.ok == 0 {
+		return 0, errors.New("client gone")
+	}
+	w.ok--
+	w.accepted += int64(len(p))
+	return len(p), nil
+}
+
+// Every way a stream can end accounts it once: the tuples and bytes the
+// client was actually sent, one drain-time and one encode-time
+// observation. The early exits used to skip parts of that.
+func TestStreamMetricsOnEarlyExits(t *testing.T) {
+	check := func(t *testing.T, srv *Server, tuples int, bytes int64) {
+		t.Helper()
+		m := srv.snapshotMetrics()
+		if m.Streams != 1 || m.Phases.Stream.Count != 1 || m.Phases.Encode.Count != 1 {
+			t.Fatalf("streams %d, stream observations %d, encode observations %d; want 1 each",
+				m.Streams, m.Phases.Stream.Count, m.Phases.Encode.Count)
+		}
+		if m.TuplesStreamed != uint64(tuples) || m.BytesStreamed != uint64(bytes) {
+			t.Fatalf("tuplesStreamed %d, bytesStreamed %d; the client was sent %d tuples in %d bytes",
+				m.TuplesStreamed, m.BytesStreamed, tuples, bytes)
+		}
+	}
+	t.Run("complete", func(t *testing.T) {
+		srv, _ := newGovTestServer(t, Config{Workers: 1})
+		rec := httptest.NewRecorder()
+		streamDirect(srv, rec, QueryRequest{Query: "r | s"})
+		tuples, trailer := parseStream(t, rec.Body.Bytes())
+		if !trailer.Done || tuples <= streamRampBatch+streamBatchTuples {
+			t.Fatalf("trailer %+v after %d tuples; want a complete multi-batch stream", trailer, tuples)
+		}
+		check(t, srv, tuples, int64(rec.Body.Len()))
+		if m := srv.snapshotMetrics(); m.Phases.Encode.SumMicros > m.Phases.Stream.SumMicros {
+			t.Fatalf("encode time %dµs exceeds the stream's %dµs", m.Phases.Encode.SumMicros, m.Phases.Stream.SumMicros)
+		}
+	})
+	t.Run("budget abort", func(t *testing.T) {
+		srv, _ := newGovTestServer(t, Config{Workers: 1, MaxResultTuples: 100})
+		rec := httptest.NewRecorder()
+		streamDirect(srv, rec, QueryRequest{Query: "r"})
+		tuples, trailer := parseStream(t, rec.Body.Bytes())
+		if trailer.Done || trailer.Tuples != tuples || tuples != streamRampBatch {
+			t.Fatalf("trailer %+v after %d tuples; want the ramp batch, then the abort", trailer, tuples)
+		}
+		check(t, srv, tuples, int64(rec.Body.Len()))
+	})
+	t.Run("deadline", func(t *testing.T) {
+		srv, _ := newGovTestServer(t, Config{Workers: 1})
+		// Park the drain after the first batch until the deadline fires.
+		var qctx context.Context
+		testHookEvalStart = func(ctx context.Context) { qctx = ctx }
+		testHookStreamBatch = func(shipped int, _ *core.Batch) {
+			if shipped > 0 {
+				<-qctx.Done()
+			}
+		}
+		t.Cleanup(func() { testHookEvalStart, testHookStreamBatch = nil, nil })
+		rec := httptest.NewRecorder()
+		streamDirect(srv, rec, QueryRequest{Query: "r | s", TimeoutMillis: 30})
+		tuples, trailer := parseStream(t, rec.Body.Bytes())
+		if trailer.Done || !strings.Contains(trailer.Error, "deadline") || trailer.Tuples != tuples || tuples == 0 {
+			t.Fatalf("trailer %+v after %d tuples; want a mid-stream deadline", trailer, tuples)
+		}
+		check(t, srv, tuples, int64(rec.Body.Len()))
+		if got := srv.snapshotMetrics().QueriesTimedOut; got != 1 {
+			t.Fatalf("QueriesTimedOut = %d, want 1", got)
+		}
+	})
+	t.Run("client disconnect", func(t *testing.T) {
+		srv, _ := newGovTestServer(t, Config{Workers: 1})
+		w := &droppingWriter{ok: 3} // meta line, ramp batch, one steady batch
+		streamDirect(srv, w, QueryRequest{Query: "r | s"})
+		check(t, srv, streamRampBatch+streamBatchTuples, w.accepted)
+	})
+}
+
+// JSON cannot carry NaN or ±Inf. A result tuple with a non-finite
+// probability used to end a stream with no trailer (the encoder error
+// was taken for a vanished client); now every path refuses the tuple by
+// index and keeps its framing: an error trailer on the stream, a 500 on
+// the materialized responses.
+func TestNonFiniteProbabilityIsRefused(t *testing.T) {
+	t.Run("mid-stream", func(t *testing.T) {
+		_, ts := newGovTestServer(t, Config{Workers: 1})
+		const bad = 5 // row of the second batch
+		testHookStreamBatch = func(shipped int, b *core.Batch) {
+			if shipped == streamRampBatch {
+				// "r | s" batches are operator output the stream owns.
+				b.Tuples[bad].Prob = math.NaN()
+				if b.HasCols() {
+					b.Prob[bad] = math.NaN()
+				}
+			}
+		}
+		t.Cleanup(func() { testHookStreamBatch = nil })
+		resp, body := do(t, "POST", ts.URL+"/query/stream", QueryRequest{Query: "r | s"})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("status %d", resp.StatusCode)
+		}
+		tuples, trailer := parseStream(t, body)
+		want := streamRampBatch + bad
+		if tuples != want || trailer.Done || trailer.Tuples != want ||
+			!strings.Contains(trailer.Error, fmt.Sprintf("result tuple %d: probability NaN", want)) {
+			t.Fatalf("%d tuple lines, trailer %+v; want %d lines and the refused tuple named", tuples, trailer, want)
+		}
+	})
+	t.Run("materialized", func(t *testing.T) {
+		srv, ts := newGovTestServer(t, Config{Workers: 1})
+		rel := relation.New(relation.NewSchema("bad", "F"))
+		rel.AddBase(relation.NewFact("a"), "b1", 0, 5, 0.5)
+		rel.AddBase(relation.NewFact("b"), "b2", 0, 5, 0.5)
+		rel.Tuples[1].Prob = math.Inf(1)
+		if _, err := srv.Load("bad", rel); err != nil {
+			t.Fatal(err)
+		}
+		for _, call := range []struct{ method, path string }{
+			{"POST", "/query"}, {"GET", "/relations/bad"},
+		} {
+			resp, body := do(t, call.method, ts.URL+call.path, QueryRequest{Query: "bad", NoCache: true})
+			if resp.StatusCode != http.StatusInternalServerError ||
+				!strings.Contains(string(body), "tuple 1: probability +Inf") || !json.Valid(body) {
+				t.Fatalf("%s %s: status %d, body %s; want a 500 naming tuple 1", call.method, call.path, resp.StatusCode, body)
+			}
+		}
+		_, body := do(t, "POST", ts.URL+"/query/stream", QueryRequest{Query: "bad"})
+		if tuples, trailer := parseStream(t, body); tuples != 1 || trailer.Done ||
+			!strings.Contains(trailer.Error, "result tuple 1: probability +Inf") {
+			t.Fatalf("%d tuple lines, trailer %+v; want one line and the refused tuple named", tuples, trailer)
+		}
+	})
 }

@@ -40,8 +40,8 @@ type serverMetrics struct {
 
 	parseHist   obs.Histogram // parse + optimize + catalog snapshot (prepare)
 	executeHist obs.Histogram // evaluation (cache lookup or engine drain)
-	encodeHist  obs.Histogram // response encoding (materialized path)
-	streamHist  obs.Histogram // full stream drain, meta line to trailer
+	encodeHist  obs.Histogram // wire encoding: one observation per /query or relation body, and per stream (its batches summed)
+	streamHist  obs.Histogram // stream drain, meta line to trailer or abort; one observation per stream
 }
 
 // BatchPoolMetrics mirrors core.BatchPoolStats for the JSON body.
@@ -231,8 +231,8 @@ func (s *Server) writeMetricsProm(w http.ResponseWriter) {
 
 	m.parseHist.WritePrometheus(w, "tpset_query_parse_seconds", "Query parse, optimize and catalog-snapshot latency.")
 	m.executeHist.WritePrometheus(w, "tpset_query_execute_seconds", "Query evaluation latency (cache lookup or engine drain).")
-	m.encodeHist.WritePrometheus(w, "tpset_query_encode_seconds", "Materialized-response encoding latency.")
-	m.streamHist.WritePrometheus(w, "tpset_query_stream_seconds", "Stream drain latency, meta line to trailer.")
+	m.encodeHist.WritePrometheus(w, "tpset_query_encode_seconds", "Wire-encoding time per response (per stream: summed over its batches).")
+	m.streamHist.WritePrometheus(w, "tpset_query_stream_seconds", "Stream drain latency, meta line to trailer or abort.")
 
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)

@@ -78,8 +78,8 @@ func TestRestartServesBitIdenticalResults(t *testing.T) {
 			if err != nil {
 				t.Fatalf("restored RunQuery(%q, w=%d): %v", q, workers, err)
 			}
-			wj, _ := json.Marshal(want.Result)
-			gj, _ := json.Marshal(got.Result)
+			wj, _ := json.Marshal(EncodeRelation(want.Relation, 0))
+			gj, _ := json.Marshal(EncodeRelation(got.Relation, 0))
 			if !bytes.Equal(wj, gj) {
 				t.Fatalf("restart result diverged for %q workers=%d:\nheap     %.200s\nrestored %.200s",
 					q, workers, wj, gj)

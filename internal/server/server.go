@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"runtime"
@@ -416,7 +417,9 @@ type QueryRequest struct {
 	TimeoutMillis int64 `json:"timeoutMillis,omitempty"`
 }
 
-// QueryResponse is the body of a successful POST /query.
+// QueryResponse is the body of a successful POST /query, as a client
+// decodes it. The server does not build one: it writes the same bytes
+// from a QueryResult through the wire encoder (wire.go).
 type QueryResponse struct {
 	// Query is the canonical form of the optimized query — the first half
 	// of the cache key.
@@ -437,6 +440,21 @@ type QueryResponse struct {
 	// set trace (absent keys keep the untraced wire format byte-identical
 	// to previous releases).
 	Trace *obs.SpanStats `json:"trace,omitempty"`
+}
+
+// QueryResult is what RunQuery returns: the QueryResponse envelope
+// fields beside the result relation itself, before any encoding.
+type QueryResult struct {
+	Query         string
+	Complexity    string
+	Inputs        []RelVersion
+	Cached        bool
+	ElapsedMicros int64
+	// Relation is the output relation. It may be shared with the result
+	// cache and must be treated as read-only.
+	Relation *relation.Relation
+	// Trace is set only when the request asked for it.
+	Trace *obs.SpanStats
 }
 
 // preparedQuery is the outcome of the shared request prologue: parsed and
@@ -494,8 +512,9 @@ func (s *Server) prepare(req QueryRequest) (*preparedQuery, error) {
 // RunQuery is the evaluation path of POST /query, exposed for the
 // benchmark harness and tests: parse → push down selections → snapshot
 // catalog versions → cache lookup → cursor-executor evaluation
-// (materialized only at the top) → cache store.
-func (s *Server) RunQuery(req QueryRequest) (*QueryResponse, error) {
+// (materialized only at the top) → cache store. Encoding the result is
+// the handler's job, not part of it.
+func (s *Server) RunQuery(req QueryRequest) (*QueryResult, error) {
 	return s.RunQueryCtx(context.Background(), req)
 }
 
@@ -512,14 +531,14 @@ func (s *Server) RunQuery(req QueryRequest) (*QueryResponse, error) {
 // with Retry-After), and the result-tuple budget (overflow answers 422
 // and is never cached). Cache hits bypass the gate — they do no
 // evaluation work.
-func (s *Server) RunQueryCtx(ctx context.Context, req QueryRequest) (*QueryResponse, error) {
+func (s *Server) RunQueryCtx(ctx context.Context, req QueryRequest) (*QueryResult, error) {
 	pq, err := s.prepare(req)
 	if err != nil {
 		return nil, err
 	}
 	canonical := pq.canonical
 
-	resp := &QueryResponse{
+	resp := &QueryResult{
 		Query:      canonical,
 		Complexity: query.Classify(pq.optimized).String(),
 		Inputs:     pq.versions,
@@ -541,7 +560,7 @@ func (s *Server) RunQueryCtx(ctx context.Context, req QueryRequest) (*QueryRespo
 			s.metrics.executeHist.Observe(elapsed)
 			resp.Cached = true
 			resp.ElapsedMicros = elapsed.Microseconds()
-			resp.Result = s.encodeTimed(out, 0)
+			resp.Relation = out
 			return resp, nil
 		}
 	}
@@ -586,7 +605,7 @@ func (s *Server) RunQueryCtx(ctx context.Context, req QueryRequest) (*QueryRespo
 	elapsed := time.Since(start)
 	s.metrics.executeHist.Observe(elapsed)
 	resp.ElapsedMicros = elapsed.Microseconds()
-	resp.Result = s.encodeTimed(out, 0)
+	resp.Relation = out
 	if span != nil {
 		resp.Trace = span.Snapshot()
 	}
@@ -627,13 +646,23 @@ func (s *Server) evalContextError(err error) error {
 // and panic tests use to hold slots occupied or to blow up evaluation.
 var testHookEvalStart func(ctx context.Context)
 
-// encodeTimed encodes a result relation, charging the encode-phase
-// histogram.
-func (s *Server) encodeTimed(out *relation.Relation, version uint64) RelationJSON {
+// writeEncoded runs encode against a pooled wire encoder, charging the
+// encode-phase histogram, and writes the bytes as a 200 JSON body. The
+// whole body is encoded before the status line goes out, so a value
+// JSON cannot carry (a non-finite probability) is still a clean 500.
+func (s *Server) writeEncoded(w http.ResponseWriter, encode func(*wireEncoder) error) {
+	e := getWireEncoder()
+	defer e.release()
 	t0 := time.Now()
-	rj := EncodeRelation(out, version)
+	err := encode(e)
 	s.metrics.encodeHist.Observe(time.Since(t0))
-	return rj
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, err.Error())
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(e.buf) // write errors mean a gone client; nothing to do
 }
 
 // engineOptions maps per-request knobs onto the set-operation drivers.
@@ -741,7 +770,13 @@ func (s *Server) handleGetRelation(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, fmt.Sprintf("unknown relation %q", name))
 		return
 	}
-	writeJSON(w, http.StatusOK, EncodeRelation(rel, version))
+	s.writeEncoded(w, func(e *wireEncoder) error {
+		if err := e.relation(rel, version); err != nil {
+			return fmt.Errorf("relation %q: %w", name, err)
+		}
+		e.buf = append(e.buf, '\n')
+		return nil
+	})
 }
 
 func (s *Server) handleDeleteRelation(w http.ResponseWriter, r *http.Request) {
@@ -780,12 +815,12 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeError(w, he.status, he.msg)
 		return
 	}
-	resp, err := s.RunQueryCtx(r.Context(), req)
+	res, err := s.RunQueryCtx(r.Context(), req)
 	if err != nil {
 		writeErrStatus(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	s.writeEncoded(w, func(e *wireEncoder) error { return e.queryResult(res) })
 }
 
 // ExplainResponse is the body of POST /query/explain: the optimized
@@ -883,9 +918,16 @@ func writeErrStatus(w http.ResponseWriter, err error) {
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
+	_ = encodeJSON(w, v) // write errors mean a gone client; nothing to do
+}
+
+// encodeJSON writes v as one newline-terminated JSON value, in a single
+// Write, with HTML escaping off — the form of every reflected value this
+// server sends.
+func encodeJSON(w io.Writer, v any) error {
 	enc := json.NewEncoder(w)
 	enc.SetEscapeHTML(false)
-	_ = enc.Encode(v) // write errors mean a gone client; nothing to do
+	return enc.Encode(v)
 }
 
 func writeError(w http.ResponseWriter, status int, msg string) {

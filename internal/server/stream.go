@@ -1,16 +1,12 @@
 package server
 
 import (
-	"bufio"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"net/http"
 	"runtime/debug"
-	"sync"
 	"time"
 
 	"github.com/tpset/tpset/internal/core"
@@ -27,19 +23,17 @@ import (
 //	last line:   StreamTrailer — {"done":true, tuples, elapsedMicros}
 //
 // Tuples are written as the cursor plan produces them, a batch at a
-// time, through one pooled encoder over a sized bufio.Writer: the write
-// path costs one buffered memcpy per tuple and one syscall per
-// buffered-up flush instead of one encoder allocation and one
-// ResponseWriter write per tuple. The buffer is flushed after the meta
-// line (so the client learns the schema at µs-scale TTFT) and on every
-// batch boundary — the first batch is deliberately small
-// (streamRampBatch, so the first results reach the client after a
-// handful of sweep outputs; the engine's shard producers ramp the same
-// way), later ones are streamBatchTuples, matching the promptness of
-// the previous per-256-tuple flush cadence while writes stay amortized
-// through the buffer; the trailer flush completes the stream. A batch
-// fill itself runs at sweep speed, so between flushes the client waits
-// on computation, not on buffering. The server never materializes the
+// time: the wire encoder (wire.go) appends the whole batch into one
+// pooled buffer and the handler issues one Write and one Flush per
+// batch — no per-tuple write, no reflection, and in steady state no
+// allocation. The meta and trailer lines, written once per stream,
+// go through encoding/json. The meta line is flushed on its own (so the
+// client learns the schema at µs-scale TTFT); the first batch is
+// deliberately small (streamRampBatch, so the first results reach the
+// client after a handful of sweep outputs; the engine's shard producers
+// ramp the same way), later ones are streamBatchTuples. A batch fill
+// itself runs at sweep speed, so between flushes the client waits on
+// computation, not on buffering. The server never materializes the
 // result relation. The trailer marks a complete stream: clients that do
 // not see it must treat the result as truncated (once streaming starts,
 // HTTP offers no other way to signal a broken transfer).
@@ -48,58 +42,15 @@ import (
 // a stream has no materialized relation to cache, and caching would
 // defeat its O(tree depth) memory bound.
 
-// streamBufSize is the bufio.Writer size of the NDJSON stream: large
-// enough to hold several hundred encoded tuples per underlying write,
-// small enough to be cheap to pool per concurrent stream.
-const streamBufSize = 64 << 10
-
 // streamRampBatch is the capacity of the first tuple batch of a
 // stream: small, so the first results ship after a few windows instead
 // of after a full core.BatchSize fill on highly selective queries.
 const streamRampBatch = 64
 
-// streamBatchTuples is the capacity of every later batch — the flush
-// cadence of the stream. 256 keeps buffered tuples exactly as fresh as
-// the previous handler's flush-every-256-tuples behaviour; the
-// syscall amortization comes from the buffer, not the batch size.
+// streamBatchTuples is the capacity of every later batch — the write
+// and flush cadence of the stream: at most this many tuples are encoded
+// before the client sees them.
 const streamBatchTuples = 256
-
-// streamEncoder is the pooled per-stream write state: the sized buffer
-// and the tuple/marginals scratch that EncodeTupleInto reuses so a
-// steady-state stream allocates only the rendered lineage strings. The
-// json.Encoder is NOT pooled: it latches its first write error forever
-// (a disconnected client would poison the pool entry and break later
-// healthy streams), so a fresh one is bound per stream — a single
-// small allocation.
-type streamEncoder struct {
-	bw      *bufio.Writer
-	enc     *json.Encoder
-	scratch TupleJSON
-	probs   map[string]float64
-}
-
-var streamEncoderPool = sync.Pool{
-	New: func() any {
-		return &streamEncoder{
-			bw:    bufio.NewWriterSize(io.Discard, streamBufSize),
-			probs: make(map[string]float64),
-		}
-	},
-}
-
-func getStreamEncoder(w io.Writer) *streamEncoder {
-	se := streamEncoderPool.Get().(*streamEncoder)
-	se.bw.Reset(w)
-	se.enc = json.NewEncoder(se.bw)
-	se.enc.SetEscapeHTML(false)
-	return se
-}
-
-func (se *streamEncoder) release() {
-	se.bw.Reset(io.Discard) // drop the response writer reference (and any write error)
-	se.enc = nil            // per-stream; see the type comment
-	streamEncoderPool.Put(se)
-}
 
 // StreamMeta is the first NDJSON line of a /query/stream response.
 type StreamMeta struct {
@@ -181,25 +132,51 @@ func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
 	cw := &countingWriter{w: w}
-	defer func() { s.metrics.bytesStreamed.Add(uint64(cw.n)) }()
-	se := getStreamEncoder(cw)
-	defer se.release()
+	enc := getWireEncoder()
+	defer enc.release()
+
+	// Every exit — complete, aborted, client gone, panic — accounts the
+	// stream once: bytes and tuples the client was sent, the drain time,
+	// and the encode time summed over its batches.
+	var (
+		start    = time.Now()
+		count    int
+		encoding time.Duration
+	)
+	defer func() {
+		s.metrics.bytesStreamed.Add(uint64(cw.n))
+		s.metrics.tuplesStreamed.Add(uint64(count))
+		s.metrics.streamHist.Observe(time.Since(start))
+		s.metrics.encodeHist.Observe(encoding)
+	}()
+
 	flush := func() {
-		_ = se.bw.Flush()
 		if flusher != nil {
 			flusher.Flush()
 		}
 	}
-	// se.enc writes into the sized buffer; Encode terminates every value
-	// with '\n': NDJSON framing.
+	// writeLine sends one reflected value (meta, trailer) as its own
+	// NDJSON line and flushes it; false means the Write failed — the
+	// client is gone.
+	writeLine := func(v any) bool {
+		err := encodeJSON(cw, v)
+		flush()
+		return err == nil
+	}
+	abort := func(reason string) {
+		writeLine(StreamTrailer{
+			Tuples:        count,
+			ElapsedMicros: time.Since(start).Microseconds(),
+			Error:         reason,
+		})
+	}
 
 	// Mid-stream panic net: the 200 and part of the body are already on
 	// the wire, so the outer recoverPanics middleware could not keep the
-	// framing valid. Recovering here can — resetting the bufio.Writer
-	// discards any half-encoded line still in the buffer, so the error
-	// trailer lands on a fresh line and the stream terminates as valid
-	// NDJSON with done:false. Registered after the encoder defers, so it
-	// runs before them (LIFO) and still owns a live encoder.
+	// framing valid. Recovering here can — lines reach the client only
+	// in whole-batch writes, so whatever was being encoded is still in
+	// the buffer and is dropped, and the error trailer lands on a fresh
+	// line: the stream terminates as valid NDJSON with done:false.
 	defer func() {
 		p := recover()
 		if p == nil {
@@ -215,13 +192,10 @@ func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request) {
 				slog.Any("panic", p),
 				slog.String("stack", string(debug.Stack())))
 		}
-		se.bw.Reset(cw)
-		_ = se.enc.Encode(StreamTrailer{Error: "internal error: evaluation panicked mid-stream"})
-		flush()
+		writeLine(StreamTrailer{Error: "internal error: evaluation panicked mid-stream"})
 	}()
 
 	schema := cur.Schema()
-	start := time.Now()
 	meta := StreamMeta{
 		Query:      pq.canonical,
 		Complexity: query.Classify(pq.optimized).String(),
@@ -232,64 +206,44 @@ func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request) {
 	if meta.Attrs == nil {
 		meta.Attrs = []string{}
 	}
-	if err := se.enc.Encode(meta); err != nil {
+	// Flushed on its own — time-to-first-byte: the client learns the
+	// schema immediately.
+	if !writeLine(meta) {
 		return // client gone
 	}
-	flush() // time-to-first-byte: the client learns the schema immediately
 
-	count := 0
-	first := true
 	limit := s.cfg.MaxResultTuples
 	b := core.NewBatch(streamRampBatch) // unpooled: stream-local cadence sizes
 	for cur.NextBatch(b) {
 		if testHookStreamBatch != nil {
-			testHookStreamBatch(count)
+			testHookStreamBatch(count, b)
 		}
 		if limit > 0 && count+len(b.Tuples) > limit {
 			// The batch in hand proves the result exceeds the budget;
 			// abort without shipping the overflow. Done stays false.
-			_ = se.enc.Encode(StreamTrailer{
-				Tuples:        count,
-				ElapsedMicros: time.Since(start).Microseconds(),
-				Error:         fmt.Sprintf("result exceeds the server's maxResultTuples budget (%d); stream aborted", limit),
-			})
-			flush()
-			s.metrics.tuplesStreamed.Add(uint64(count))
+			abort(fmt.Sprintf("result exceeds the server's maxResultTuples budget (%d); stream aborted", limit))
 			return
 		}
-		if b.HasCols() {
-			// Columnar block: the encoder's read side runs over the
-			// packed Ts/Te/Prob/Lam columns instead of walking tuple
-			// structs. Byte-identical output either way.
-			for i := range b.Tuples {
-				EncodeBatchInto(&se.scratch, b, i, se.probs)
-				if err := se.enc.Encode(&se.scratch); err != nil {
-					return // client gone; Close (deferred) releases the producers
-				}
-			}
-		} else {
-			for i := range b.Tuples {
-				EncodeTupleInto(&se.scratch, &b.Tuples[i], se.probs)
-				if err := se.enc.Encode(&se.scratch); err != nil {
-					return // client gone; Close (deferred) releases the producers
-				}
-			}
-		}
-		count += len(b.Tuples)
-		if first {
-			// Ship the ramp batch immediately (time to first tuple),
-			// then switch to the steady cadence size.
-			first = false
-			b = core.NewBatch(streamBatchTuples)
+		t0 := time.Now()
+		enc.buf = enc.buf[:0]
+		n, encErr := enc.batchLines(b)
+		encoding += time.Since(t0)
+		if _, err := cw.Write(enc.buf); err != nil {
+			return // client gone; Close (deferred) releases the producers
 		}
 		flush()
-	}
-	elapsed := time.Since(start)
-	s.metrics.streamHist.Observe(elapsed)
-	s.metrics.tuplesStreamed.Add(uint64(count))
-	trailer := StreamTrailer{
-		Tuples:        count,
-		ElapsedMicros: elapsed.Microseconds(),
+		count += n
+		if encErr != nil {
+			// The rows before the bad one are on the wire; the stream
+			// ends here with a reason instead of an invalid line.
+			abort(fmt.Sprintf("result tuple %d: %v; stream truncated", count, encErr))
+			return
+		}
+		if b.Cap() == streamRampBatch {
+			// The ramp batch has shipped (time to first tuple); switch
+			// to the steady cadence size.
+			b = core.NewBatch(streamBatchTuples)
+		}
 	}
 	if err := qctx.Err(); err != nil {
 		// The drain ended because the deadline fired (or the client
@@ -297,23 +251,25 @@ func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request) {
 		// so instead of claiming done.
 		if errors.Is(err, context.DeadlineExceeded) {
 			s.metrics.queriesTimedOut.Inc()
-			trailer.Error = "query deadline exceeded; stream truncated"
+			abort("query deadline exceeded; stream truncated")
 		} else {
-			trailer.Error = "request cancelled; stream truncated"
+			abort("request cancelled; stream truncated")
 		}
-		_ = se.enc.Encode(trailer)
-		flush()
 		return
 	}
-	trailer.Done = true
+	trailer := StreamTrailer{
+		Done:          true,
+		Tuples:        count,
+		ElapsedMicros: time.Since(start).Microseconds(),
+	}
 	if span != nil {
 		trailer.Trace = span.Snapshot()
 	}
-	_ = se.enc.Encode(trailer)
-	flush()
+	writeLine(trailer)
 }
 
 // testHookStreamBatch, when non-nil, runs once per drained batch with
-// the tuple count shipped so far — the seam the mid-stream panic test
-// uses to blow up after framing has started.
-var testHookStreamBatch func(shipped int)
+// the tuple count shipped so far and the batch about to be encoded —
+// the seam the mid-stream tests use to blow up after framing has
+// started or to plant a value the encoder must refuse.
+var testHookStreamBatch func(shipped int, b *core.Batch)

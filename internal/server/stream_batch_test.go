@@ -3,7 +3,6 @@ package server
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -16,10 +15,10 @@ import (
 // TestStreamBytesUnchangedByBatching pins the wire format of the
 // batched stream handler: for a fixed catalog and query, every meta and
 // tuple line must be byte-identical to encoding the materialized result
-// tuple-by-tuple with a plain json.Encoder — the pre-batching write
-// path — and the trailer must carry the exact tuple count. Batching,
-// the pooled encoder and the reused TupleJSON/varProbs scratch are
-// transport changes only; the bytes on the wire do not move.
+// tuple-by-tuple with a plain json.Encoder over the TupleJSON structs —
+// the original write path — and the trailer must carry the exact tuple
+// count. Batching and the append-style encoder are transport changes
+// only; the bytes on the wire do not move.
 func TestStreamBytesUnchangedByBatching(t *testing.T) {
 	s, ts := newTestServer(t)
 	// A larger relation so multiple batches and buffer fills happen.
@@ -46,6 +45,7 @@ func TestStreamBytesUnchangedByBatching(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		result := EncodeRelation(ref.Relation, 0)
 		var want bytes.Buffer
 		enc := json.NewEncoder(&want)
 		enc.SetEscapeHTML(false)
@@ -53,14 +53,14 @@ func TestStreamBytesUnchangedByBatching(t *testing.T) {
 			Query:      ref.Query,
 			Complexity: ref.Complexity,
 			Inputs:     ref.Inputs,
-			Name:       ref.Result.Name,
-			Attrs:      ref.Result.Attrs,
+			Name:       result.Name,
+			Attrs:      result.Attrs,
 		}
 		if err := enc.Encode(meta); err != nil {
 			t.Fatal(err)
 		}
-		for i := range ref.Result.Tuples {
-			if err := enc.Encode(ref.Result.Tuples[i]); err != nil {
+		for i := range result.Tuples {
+			if err := enc.Encode(result.Tuples[i]); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -78,8 +78,8 @@ func TestStreamBytesUnchangedByBatching(t *testing.T) {
 		if err := json.Unmarshal(lines[len(lines)-1], &trailer); err != nil {
 			t.Fatalf("%s: trailer: %v", q, err)
 		}
-		if !trailer.Done || trailer.Tuples != len(ref.Result.Tuples) {
-			t.Fatalf("%s: trailer %+v, want done with %d tuples", q, trailer, len(ref.Result.Tuples))
+		if !trailer.Done || trailer.Tuples != len(result.Tuples) {
+			t.Fatalf("%s: trailer %+v, want done with %d tuples", q, trailer, len(result.Tuples))
 		}
 	}
 }
@@ -99,9 +99,8 @@ func (w *countingResponseWriter) Write(p []byte) (int, error) {
 }
 
 // TestStreamWriteCount asserts the batched stream handler performs far
-// fewer ResponseWriter writes than tuples streamed: the sized
-// bufio.Writer turns the old one-write-per-tuple pattern into one write
-// per ~streamBufSize bytes plus the meta/trailer flushes.
+// fewer ResponseWriter writes than tuples streamed: one per batch plus
+// the meta and trailer lines, not one per tuple.
 func TestStreamWriteCount(t *testing.T) {
 	s, _ := newTestServer(t)
 	big := datagen.Synthetic(datagen.SyntheticConfig{
@@ -133,33 +132,10 @@ func TestStreamWriteCount(t *testing.T) {
 	}
 }
 
-// brokenResponseWriter fails every write after the first — a client
-// that disconnected mid-stream.
-type brokenResponseWriter struct {
-	hdr    http.Header
-	writes int
-}
-
-func (w *brokenResponseWriter) Header() http.Header {
-	if w.hdr == nil {
-		w.hdr = http.Header{}
-	}
-	return w.hdr
-}
-func (w *brokenResponseWriter) WriteHeader(int) {}
-func (w *brokenResponseWriter) Write(p []byte) (int, error) {
-	w.writes++
-	if w.writes > 1 {
-		return 0, fmt.Errorf("client gone")
-	}
-	return len(p), nil
-}
-
 // TestStreamSurvivesBrokenClient pins that a stream aborted by a dead
 // client cannot poison the pooled write state for later streams: the
-// json.Encoder latches its first write error, so it must be per-stream.
-// Without that, the healthy follow-up request below would come back
-// with an empty body.
+// pooled encoder holds bytes only, never the writer or its error, so
+// the healthy follow-up request below comes back whole.
 func TestStreamSurvivesBrokenClient(t *testing.T) {
 	s, _ := newTestServer(t)
 	big := datagen.Synthetic(datagen.SyntheticConfig{
@@ -173,7 +149,7 @@ func TestStreamSurvivesBrokenClient(t *testing.T) {
 	// Enough broken streams to cycle the pool entries.
 	for i := 0; i < 8; i++ {
 		req := httptest.NewRequest("POST", "/query/stream", bytes.NewReader(body))
-		s.Handler().ServeHTTP(&brokenResponseWriter{}, req)
+		s.Handler().ServeHTTP(&droppingWriter{ok: 1}, req) // the meta line lands, then the client is gone
 	}
 
 	req := httptest.NewRequest("POST", "/query/stream", bytes.NewReader(body))

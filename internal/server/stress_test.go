@@ -127,7 +127,7 @@ func TestCachedResultStableAcrossConcurrentRepeats(t *testing.T) {
 				t.Errorf("query: %v", err)
 				return
 			}
-			results[i] = fmt.Sprint(resp.Result)
+			results[i] = fmt.Sprint(EncodeRelation(resp.Relation, 0))
 		}(i)
 	}
 	wg.Wait()

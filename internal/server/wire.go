@@ -1,0 +1,284 @@
+package server
+
+import (
+	"fmt"
+	"math"
+	"strconv"
+	"sync"
+	"unicode/utf8"
+
+	"github.com/tpset/tpset/internal/core"
+	"github.com/tpset/tpset/internal/lineage"
+	"github.com/tpset/tpset/internal/relation"
+)
+
+// wireEncoder is the one encoder of the tuple wire format (see
+// codec.go): every response that carries tuples — the NDJSON stream,
+// the POST /query body, GET /relations/{name} — is appended into buf by
+// the methods below, with no reflection, no intermediate TupleJSON and
+// no marginals map. The bytes are identical to what encoding/json with
+// SetEscapeHTML(false) writes for the TupleJSON / RelationJSON /
+// QueryResponse structs, which stay the decode side of the format;
+// FuzzWireEncode holds the two together.
+//
+// buf accumulates output until the caller writes it; lam and vps are
+// per-tuple scratch. A warmed encoder appends a tuple without
+// allocating.
+type wireEncoder struct {
+	buf []byte
+	lam []byte            // one rendered formula, before escaping
+	vps []lineage.VarProb // one formula's sorted marginals
+}
+
+var wireEncoderPool = sync.Pool{New: func() any { return new(wireEncoder) }}
+
+func getWireEncoder() *wireEncoder {
+	e := wireEncoderPool.Get().(*wireEncoder)
+	e.buf = e.buf[:0]
+	return e
+}
+
+func (e *wireEncoder) release() { wireEncoderPool.Put(e) }
+
+// tuple appends one TupleJSON object. JSON has no encoding for NaN or
+// ±Inf: on a non-finite probability or marginal it returns an error and
+// leaves buf as it was before the call, so the caller's framing stays
+// valid.
+func (e *wireEncoder) tuple(fact relation.Fact, lam *lineage.Expr, ts, te int64, p float64) error {
+	start := len(e.buf)
+	b := e.buf
+	if fact == nil {
+		b = append(b, `{"fact":null`...)
+	} else {
+		b = append(b, `{"fact":[`...)
+		for i, v := range fact {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = appendJSONString(b, v)
+		}
+		b = append(b, ']')
+	}
+	b = append(b, `,"lineage":`...)
+	e.lam = lam.AppendString(e.lam[:0])
+	b = appendJSONString(b, e.lam)
+	b = append(b, `,"ts":`...)
+	b = strconv.AppendInt(b, ts, 10)
+	b = append(b, `,"te":`...)
+	b = strconv.AppendInt(b, te, 10)
+	b = append(b, `,"p":`...)
+	b, ok := appendJSONFloat(b, p)
+	if !ok {
+		e.buf = b[:start]
+		return fmt.Errorf("probability %v has no JSON encoding", p)
+	}
+	// A bare variable whose marginal is the tuple's own p needs no
+	// varProbs; anything else (a real formula, or a lazily unvaluated
+	// tuple) ships explicit marginals.
+	if lam != nil && !(lam.Kind() == lineage.KindVar && p == lam.VarProb()) {
+		e.vps = lam.AppendVarProbs(e.vps[:0])
+		b = append(b, `,"varProbs":{`...)
+		for i, vp := range e.vps {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = appendJSONString(b, vp.Name)
+			b = append(b, ':')
+			if b, ok = appendJSONFloat(b, vp.Prob); !ok {
+				e.buf = b[:start]
+				return fmt.Errorf("marginal %v of variable %q has no JSON encoding", vp.Prob, vp.Name)
+			}
+		}
+		b = append(b, '}')
+	}
+	e.buf = append(b, '}')
+	return nil
+}
+
+// batchLines appends the rows of b as NDJSON lines, reading interval,
+// probability and lineage from the packed columns when the batch has
+// them (the fact values always come from the payload row — the wire
+// ships strings). It returns the number of rows appended; with an error
+// that is the index of the row that could not be encoded, and buf ends
+// after the line before it.
+func (e *wireEncoder) batchLines(b *core.Batch) (int, error) {
+	for i := range b.Tuples {
+		t := &b.Tuples[i]
+		var err error
+		if b.HasCols() {
+			err = e.tuple(t.Fact, b.Lam[i], b.Ts[i], b.Te[i], b.Prob[i])
+		} else {
+			err = e.tuple(t.Fact, t.Lineage, t.T.Ts, t.T.Te, t.Prob)
+		}
+		if err != nil {
+			return i, err
+		}
+		e.buf = append(e.buf, '\n')
+	}
+	return len(b.Tuples), nil
+}
+
+// relation appends one RelationJSON object; version 0 omits the version
+// field.
+func (e *wireEncoder) relation(r *relation.Relation, version uint64) error {
+	b := append(e.buf, `{"name":`...)
+	b = appendJSONString(b, r.Schema.Name)
+	b = append(b, `,"attrs":[`...)
+	for i, a := range r.Schema.Attrs {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = appendJSONString(b, a)
+	}
+	b = append(b, ']')
+	if version != 0 {
+		b = append(b, `,"version":`...)
+		b = strconv.AppendUint(b, version, 10)
+	}
+	e.buf = append(b, `,"tuples":[`...)
+	for i := range r.Tuples {
+		if i > 0 {
+			e.buf = append(e.buf, ',')
+		}
+		t := &r.Tuples[i]
+		if err := e.tuple(t.Fact, t.Lineage, t.T.Ts, t.T.Te, t.Prob); err != nil {
+			return fmt.Errorf("tuple %d: %w", i, err)
+		}
+	}
+	e.buf = append(e.buf, "]}"...)
+	return nil
+}
+
+// queryResult appends the POST /query body, newline-terminated: the
+// QueryResponse envelope around the result relation. Inputs and the
+// trace are small and written once per response, so they go through
+// encoding/json.
+func (e *wireEncoder) queryResult(res *QueryResult) error {
+	b := append(e.buf, `{"query":`...)
+	b = appendJSONString(b, res.Query)
+	b = append(b, `,"complexity":`...)
+	b = appendJSONString(b, res.Complexity)
+	b = append(b, `,"inputs":`...)
+	b, err := appendJSONValue(b, res.Inputs)
+	if err != nil {
+		return err
+	}
+	b = append(b, `,"cached":`...)
+	b = strconv.AppendBool(b, res.Cached)
+	b = append(b, `,"elapsedMicros":`...)
+	b = strconv.AppendInt(b, res.ElapsedMicros, 10)
+	e.buf = append(b, `,"result":`...)
+	if err := e.relation(res.Relation, 0); err != nil {
+		return fmt.Errorf("result %w", err)
+	}
+	if res.Trace != nil {
+		e.buf = append(e.buf, `,"trace":`...)
+		if e.buf, err = appendJSONValue(e.buf, res.Trace); err != nil {
+			return err
+		}
+	}
+	e.buf = append(e.buf, "}\n"...)
+	return nil
+}
+
+// appendJSONValue appends v as encodeJSON renders it, without the
+// terminating newline.
+func appendJSONValue(dst []byte, v any) ([]byte, error) {
+	w := sliceWriter{dst}
+	if err := encodeJSON(&w, v); err != nil {
+		return dst, err
+	}
+	return w.b[:len(w.b)-1], nil
+}
+
+type sliceWriter struct{ b []byte }
+
+func (w *sliceWriter) Write(p []byte) (int, error) {
+	w.b = append(w.b, p...)
+	return len(p), nil
+}
+
+const hexDigits = "0123456789abcdef"
+
+// jsonSafe marks the ASCII bytes a JSON string carries verbatim:
+// everything from space up except the quote and the backslash (DEL
+// included, as in encoding/json).
+var jsonSafe = func() (t [utf8.RuneSelf]bool) {
+	for c := ' '; c < utf8.RuneSelf; c++ {
+		t[c] = c != '"' && c != '\\'
+	}
+	return t
+}()
+
+// appendJSONString appends src as a JSON string literal, escaping
+// exactly as encoding/json does with HTML escaping off: quote and
+// backslash, \b \f \n \r \t, other control bytes as \u00XX, invalid
+// UTF-8 as the six bytes \ufffd, and U+2028/U+2029 as \u2028/\u2029.
+func appendJSONString[S string | []byte](dst []byte, src S) []byte {
+	dst = append(dst, '"')
+	start := 0
+	for i := 0; i < len(src); {
+		c := src[i]
+		if c < utf8.RuneSelf {
+			if jsonSafe[c] {
+				i++
+				continue
+			}
+			dst = append(dst, src[start:i]...)
+			switch c {
+			case '"', '\\':
+				dst = append(dst, '\\', c)
+			case '\b':
+				dst = append(dst, '\\', 'b')
+			case '\f':
+				dst = append(dst, '\\', 'f')
+			case '\n':
+				dst = append(dst, '\\', 'n')
+			case '\r':
+				dst = append(dst, '\\', 'r')
+			case '\t':
+				dst = append(dst, '\\', 't')
+			default:
+				dst = append(dst, '\\', 'u', '0', '0', hexDigits[c>>4], hexDigits[c&0xF])
+			}
+			i++
+			start = i
+			continue
+		}
+		// The conversion of at most UTFMax bytes stays on the stack.
+		r, size := utf8.DecodeRuneInString(string(src[i:min(i+utf8.UTFMax, len(src))]))
+		switch {
+		case r == utf8.RuneError && size == 1:
+			dst = append(dst, src[start:i]...)
+			dst = append(dst, `\ufffd`...)
+			start = i + size
+		case r == '\u2028' || r == '\u2029':
+			dst = append(dst, src[start:i]...)
+			dst = append(dst, '\\', 'u', '2', '0', '2', hexDigits[r&0xF])
+			start = i + size
+		}
+		i += size
+	}
+	dst = append(dst, src[start:]...)
+	return append(dst, '"')
+}
+
+// appendJSONFloat appends f as encoding/json formats a float64:
+// shortest round-trip digits, exponent form below 1e-6 and from 1e21,
+// with a two-digit exponent's leading zero dropped (e-07 → e-7). It
+// reports false, appending nothing, for NaN and ±Inf.
+func appendJSONFloat(dst []byte, f float64) ([]byte, bool) {
+	if math.IsNaN(f) || math.IsInf(f, 0) {
+		return dst, false
+	}
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	dst = strconv.AppendFloat(dst, f, format, -1, 64)
+	if n := len(dst); format == 'e' && dst[n-4] == 'e' && dst[n-2] == '0' {
+		dst[n-2] = dst[n-1]
+		dst = dst[:n-1]
+	}
+	return dst, true
+}

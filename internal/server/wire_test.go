@@ -1,0 +1,329 @@
+package server
+
+import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"math"
+	"math/rand"
+	"strings"
+	"testing"
+
+	"github.com/tpset/tpset/internal/core"
+	"github.com/tpset/tpset/internal/lineage"
+	"github.com/tpset/tpset/internal/obs"
+	"github.com/tpset/tpset/internal/relation"
+)
+
+// The differential pin of the wire encoder: whatever tuple it is
+// handed, its bytes equal encoding/json's (HTML escaping off) over the
+// TupleJSON / RelationJSON / QueryResponse structs — the reflection
+// path the server used to run and clients still decode with.
+
+// reflectLine is the reference: v through a json.Encoder as writeJSON
+// configures it, newline included.
+func reflectLine(v any) (string, error) {
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetEscapeHTML(false)
+	err := enc.Encode(v)
+	return buf.String(), err
+}
+
+// plainNames decode back to themselves: identifiers of the lineage
+// parser, valid as fact values. wireNames adds strings chosen to hit
+// every branch of JSON string escaping.
+var (
+	plainNames = []string{"x1", "y.2", "z-3", "w_4", "é变量"}
+	wireNames  = append([]string{
+		`q"uote`, `back\slash`, "new\nline", "ctl\x01", "del\x7f", "bad\xffutf",
+		"<&>", "ls\u2028ps\u2029", "\b\f\r\t", "trunc\xe2\x80", "", "null",
+	}, plainNames...)
+)
+
+var wireMarginals = []float64{1, 1e-7, 1e-6, 0.1 + 0.2, 5e-324, 0.5, 0.999999999999}
+
+var wireTimes = []int64{0, 1, -1, 7, math.MinInt64, math.MaxInt64, 1<<53 + 1, -1 << 40}
+
+// wireCase is one generated relation. clean reports that every tuple is
+// admissible on the decode side (parseable names, non-empty valid-UTF-8
+// fact values, valid interval, p in [0,1]), so the encoded form must
+// decode back to the source.
+type wireCase struct {
+	rel   *relation.Relation
+	clean bool
+}
+
+// genWireCase builds a relation of n tuples from rng: half the cases
+// clean, the other half drawing on wireNames, names (the fuzzer's own
+// strings), ps (extra tuple probabilities), extreme and empty
+// intervals, nil facts and null lineage.
+func genWireCase(rng *rand.Rand, n int, names []string, ps []float64) wireCase {
+	clean := rng.Intn(2) == 0
+	pool := plainNames
+	if !clean {
+		pool = append(append([]string{}, wireNames...), names...)
+	} else {
+		ps = nil
+	}
+	pick := func() string { return pool[rng.Intn(len(pool))] }
+
+	var gen func(depth int) *lineage.Expr
+	gen = func(depth int) *lineage.Expr {
+		k := rng.Intn(4)
+		if depth == 0 {
+			k = 0
+		}
+		switch k {
+		case 0:
+			return lineage.Var(pick(), wireMarginals[rng.Intn(len(wireMarginals))])
+		case 1:
+			return lineage.Not(gen(depth - 1))
+		case 2:
+			return lineage.And(gen(depth-1), gen(depth-1))
+		default:
+			return lineage.Or(gen(depth-1), gen(depth-1))
+		}
+	}
+
+	nattrs := 1 + rng.Intn(3)
+	attrs := make([]string, nattrs)
+	for i := range attrs {
+		attrs[i] = pick()
+	}
+	rel := relation.New(relation.NewSchema(pick(), attrs...))
+	for i := 0; i < n; i++ {
+		var t relation.Tuple
+		// Distinct facts keep the canonical order of source and decoded
+		// relation unambiguous.
+		t.Fact = relation.NewFact(fmt.Sprintf("%s#%d", pick(), i))
+		for len(t.Fact) < nattrs {
+			t.Fact = append(t.Fact, pick())
+		}
+		t.Lineage = gen(rng.Intn(7))
+		t.T.Ts = rng.Int63n(1000)
+		t.T.Te = t.T.Ts + 1 + rng.Int63n(50)
+		switch c := rng.Intn(5 + len(ps)); {
+		case c == 0:
+			t.Prob = 0
+		case c == 1:
+			t.Prob = wireMarginals[rng.Intn(len(wireMarginals))]
+		case c == 2 && t.Lineage.Kind() == lineage.KindVar:
+			t.Prob = t.Lineage.VarProb() // the varProbs-omitted form
+		case c <= 4:
+			if t.Lineage.NumVarOccurrences() <= 12 { // keep Shannon expansion cheap
+				t.Prob = t.Lineage.Prob()
+			}
+		default:
+			t.Prob = ps[c-5]
+		}
+		if !clean {
+			switch rng.Intn(20) {
+			case 0:
+				t.Fact = nil // "fact":null
+			case 1:
+				t.Lineage = nil // "lineage":"null"
+			case 2, 3, 4, 5:
+				t.T.Ts = wireTimes[rng.Intn(len(wireTimes))]
+				t.T.Te = wireTimes[rng.Intn(len(wireTimes))]
+			}
+		}
+		rel.Tuples = append(rel.Tuples, t)
+	}
+	return wireCase{rel: rel, clean: clean}
+}
+
+// checkWireCase holds the appender to the reflection encoder on one
+// relation: tuple by tuple, as a relation body, as a /query body, and
+// batch by batch through both read sides of batchLines.
+func checkWireCase(t *testing.T, rng *rand.Rand, wc wireCase) {
+	t.Helper()
+	rel := wc.rel
+	enc := getWireEncoder()
+	defer enc.release()
+
+	encodable := true
+	var wantLines strings.Builder
+	for i := range rel.Tuples {
+		tup := &rel.Tuples[i]
+		var tj TupleJSON
+		EncodeTupleInto(&tj, tup, nil)
+		want, wantErr := reflectLine(&tj)
+		enc.buf = append(enc.buf[:0], "prefix"...)
+		gotErr := enc.tuple(tup.Fact, tup.Lineage, tup.T.Ts, tup.T.Te, tup.Prob)
+		if (wantErr != nil) != (gotErr != nil) {
+			t.Fatalf("tuple %d %v: encoding/json error %v, appender error %v", i, tup, wantErr, gotErr)
+		}
+		if gotErr != nil {
+			encodable = false
+			if string(enc.buf) != "prefix" {
+				t.Fatalf("tuple %d: a refused tuple left %q in the buffer", i, enc.buf)
+			}
+			continue
+		}
+		if got := string(enc.buf[len("prefix"):]) + "\n"; got != want {
+			t.Fatalf("tuple %d:\n got %s\nwant %s", i, got, want)
+		}
+		wantLines.WriteString(want)
+	}
+
+	version := uint64(rng.Intn(3))
+	wantRel, wantErr := reflectLine(EncodeRelation(rel, version))
+	enc.buf = enc.buf[:0]
+	gotErr := enc.relation(rel, version)
+	if (wantErr != nil) != (gotErr != nil) || (gotErr != nil) == encodable {
+		t.Fatalf("relation: encoding/json error %v, appender error %v, tuples encodable %v", wantErr, gotErr, encodable)
+	}
+	if !encodable {
+		return
+	}
+	if got := string(enc.buf) + "\n"; got != wantRel {
+		t.Fatalf("relation:\n got %s\nwant %s", got, wantRel)
+	}
+
+	res := &QueryResult{
+		Query:         "(" + rel.Schema.Name + " & <x>)",
+		Complexity:    "PTIME",
+		Inputs:        []RelVersion{{Name: rel.Schema.Name, Version: 3}},
+		Cached:        rng.Intn(2) == 0,
+		ElapsedMicros: rng.Int63n(1e6),
+		Relation:      rel,
+	}
+	if rng.Intn(2) == 0 {
+		res.Trace = &obs.SpanStats{Op: "a & <b>", TuplesOut: 4, Children: []*obs.SpanStats{{Op: "scan"}}}
+	}
+	wantBody, err := reflectLine(QueryResponse{
+		Query: res.Query, Complexity: res.Complexity, Inputs: res.Inputs, Cached: res.Cached,
+		ElapsedMicros: res.ElapsedMicros, Result: EncodeRelation(rel, 0), Trace: res.Trace,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc.buf = enc.buf[:0]
+	if err := enc.queryResult(res); err != nil {
+		t.Fatal(err)
+	}
+	if got := string(enc.buf); got != wantBody {
+		t.Fatalf("/query body:\n got %s\nwant %s", got, wantBody)
+	}
+
+	if wc.clean {
+		var rj RelationJSON
+		if err := json.Unmarshal([]byte(wantRel), &rj); err != nil {
+			t.Fatal(err)
+		}
+		back, err := DecodeRelation(rj, "")
+		if err != nil {
+			t.Fatalf("clean case does not decode: %v\n%s", err, wantRel)
+		}
+		if d := relation.Diff(back, rel); d != "" {
+			t.Fatalf("decoded relation differs from the source: %s", d)
+		}
+	}
+
+	// The stream's read sides: row batches over the relation as built,
+	// then — where the relation can be interned and sorted — columnar
+	// batches, whose lines must equal the per-tuple ones in sorted order.
+	scanLines := func(r *relation.Relation, cols bool) string {
+		cur := core.NewScanCursor(r)
+		if !cols {
+			cur.DisableCols()
+		}
+		var out []byte
+		for b := core.NewBatch(3); cur.NextBatch(b); {
+			if b.HasCols() != cols {
+				t.Fatalf("scan batch HasCols = %v, want %v", b.HasCols(), cols)
+			}
+			enc.buf = enc.buf[:0]
+			if n, err := enc.batchLines(b); err != nil || n != len(b.Tuples) {
+				t.Fatalf("batchLines = %d, %v on an encodable batch of %d", n, err, len(b.Tuples))
+			}
+			out = append(out, enc.buf...)
+		}
+		return string(out)
+	}
+	if got := scanLines(rel, false); got != wantLines.String() {
+		t.Fatalf("row batches:\n got %s\nwant %s", got, wantLines.String())
+	}
+	for i := range rel.Tuples {
+		if rel.Tuples[i].Fact == nil {
+			return // no fact key to intern
+		}
+	}
+	sorted := rel.Clone()
+	sorted.Intern()
+	sorted.Sort()
+	sorted.BuildCols()
+	if got, want := scanLines(sorted, true), scanLines(sorted, false); got != want {
+		t.Fatalf("columnar batches:\n got %s\nwant %s", got, want)
+	}
+}
+
+// TestWireEncodeMatchesReflection is the seeded table form of
+// FuzzWireEncode, plus the non-finite values a fuzzed float rarely is.
+func TestWireEncodeMatchesReflection(t *testing.T) {
+	extra := []float64{math.NaN(), math.Inf(1), math.Inf(-1), -0.0, 1e21, 1e-300, 2, -0.25}
+	for seed := int64(0); seed < 300; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		var ps []float64
+		if seed%4 == 0 {
+			ps = extra
+		}
+		checkWireCase(t, rng, genWireCase(rng, 1+rng.Intn(8), nil, ps))
+	}
+}
+
+// FuzzWireEncode drives the same differential with fuzzer-chosen names,
+// probability bits and shape seed.
+func FuzzWireEncode(f *testing.F) {
+	f.Add(int64(1), "x", "a b", uint64(0x3fe0000000000000))
+	f.Add(int64(2), "\xff\xfe", "\u2028", math.Float64bits(1e-7))
+	f.Add(int64(3), `"`, `\`, math.Float64bits(math.NaN()))
+	f.Add(int64(4), "<script>&", "\x00\x1f", math.Float64bits(5e-324))
+	f.Add(int64(5), "null", "", math.Float64bits(1e21))
+	f.Fuzz(func(t *testing.T, seed int64, name1, name2 string, pbits uint64) {
+		if len(name1)+len(name2) > 1<<10 {
+			return
+		}
+		rng := rand.New(rand.NewSource(seed))
+		wc := genWireCase(rng, 1+rng.Intn(4), []string{name1, name2}, []float64{math.Float64frombits(pbits)})
+		checkWireCase(t, rng, wc)
+	})
+}
+
+// TestHTTPBodiesAreReflectionBytes checks the two materialized
+// responses end to end: the body a client receives re-encodes, through
+// the structs it decodes into, to exactly the bytes it received.
+func TestHTTPBodiesAreReflectionBytes(t *testing.T) {
+	_, ts := newTestServer(t)
+
+	_, body := do(t, "GET", ts.URL+"/relations/c", nil)
+	var rj RelationJSON
+	if err := json.Unmarshal(body, &rj); err != nil {
+		t.Fatal(err)
+	}
+	if want, _ := reflectLine(rj); want != string(body) {
+		t.Fatalf("GET /relations/c:\n got %s\nwant %s", body, want)
+	}
+	if rj.Version == 0 || len(rj.Tuples) == 0 {
+		t.Fatalf("GET /relations/c carries no version or tuples: %s", body)
+	}
+
+	for _, req := range []QueryRequest{
+		{Query: "c - (a | b)"},
+		{Query: "c - (a | b)"}, // the cached form
+		{Query: "(a | b) & c", Trace: true, LazyProb: true},
+	} {
+		_, body := do(t, "POST", ts.URL+"/query", req)
+		var qr QueryResponse
+		if err := json.Unmarshal(body, &qr); err != nil {
+			t.Fatal(err)
+		}
+		if want, _ := reflectLine(qr); want != string(body) {
+			t.Fatalf("POST /query %+v:\n got %s\nwant %s", req, body, want)
+		}
+		if len(qr.Result.Tuples) == 0 || (req.Trace && qr.Trace == nil) {
+			t.Fatalf("POST /query %+v: empty result or missing trace: %s", req, body)
+		}
+	}
+}
