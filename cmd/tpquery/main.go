@@ -7,11 +7,13 @@
 //	tpquery -rel a=bought.csv -rel b=ordered.csv -rel c=stock.csv \
 //	        -q "c - (a | b)"
 //
-// Flags select the execution algorithm (lawa or norm), the worker budget
-// (-workers above one evaluates on the partition-parallel engine),
-// streaming execution (-stream evaluates through a cursor plan in
-// O(tree depth) memory, writing rows as they are produced) and whether to
-// print the query's complexity classification (Theorem 1 / Corollary 1).
+// Every query runs on the execution engine's cursor plan. Flags select
+// the worker budget (-workers above one partitions large inputs by fact
+// and evaluates the shards concurrently), streaming output (-stream
+// writes rows as they are produced, in O(tree depth) memory, instead of
+// materializing the result first), the per-operator execution trace
+// (-trace) and whether to print the query's complexity classification
+// (Theorem 1 / Corollary 1).
 package main
 
 import (
@@ -46,11 +48,10 @@ func main() {
 	flag.Var(rels, "rel", "name=path.csv (repeatable)")
 	var (
 		q       = flag.String("q", "", "TP set query, e.g. \"c - (a | b)\"")
-		algo    = flag.String("algo", "lawa", "execution algorithm: lawa | norm")
 		explain = flag.Bool("explain", false, "print the parsed tree and complexity class")
-		workers = flag.Int("workers", 1, "evaluate on the partition-parallel engine with this many workers (lawa only; 0 = GOMAXPROCS)")
-		stream  = flag.Bool("stream", false, "evaluate through a streaming cursor plan (lawa only): no materialized result, rows written as produced")
-		trace   = flag.Bool("trace", false, "print the per-operator execution trace to stderr after the result (lawa only)")
+		workers = flag.Int("workers", 1, "worker budget of the execution engine (above one partitions large inputs by fact; 0 = GOMAXPROCS)")
+		stream  = flag.Bool("stream", false, "write rows as the plan produces them instead of materializing the result first")
+		trace   = flag.Bool("trace", false, "print the per-operator execution trace to stderr after the result")
 	)
 	flag.Parse()
 	if *q == "" || len(rels) == 0 {
@@ -88,35 +89,19 @@ func main() {
 	}
 	relation.InternAll(all...)
 
-	// Tracing evaluates through the cursor plan (the traced execution
-	// stack); the trace tree is printed to stderr after the result so
-	// stdout stays a clean CSV.
-	var span *obs.Span
-	opts := core.Options{}
+	// The trace tree is printed to stderr after the result so stdout stays
+	// a clean CSV.
+	var opts core.Options
 	if *trace {
-		if query.Algorithm(*algo) != query.AlgoLAWA {
-			fatal("-trace supports only -algo lawa")
-		}
-		span = obs.NewSpan("")
-		opts.Span = span
+		opts.Span = obs.NewSpan("")
 	}
-	printTrace := func() {
-		if span != nil {
-			fmt.Fprintln(os.Stderr, "trace:")
-			span.Snapshot().WriteIndented(os.Stderr)
-		}
+	cur, err := engine.New(engine.Config{Workers: *workers}).Cursor(node, db, opts)
+	if err != nil {
+		fatal("%v", err)
 	}
+	defer cur.Close()
 
 	if *stream {
-		if query.Algorithm(*algo) != query.AlgoLAWA {
-			fatal("-stream supports only -algo lawa")
-		}
-		cur, err := engine.New(engine.Config{Workers: *workers}).
-			Cursor(node, db, opts)
-		if err != nil {
-			fatal("%v", err)
-		}
-		defer cur.Close()
 		sw, err := csvio.NewStreamWriter(os.Stdout, cur.Schema())
 		if err != nil {
 			fatal("%v", err)
@@ -133,30 +118,13 @@ func main() {
 		if err := sw.Close(); err != nil {
 			fatal("%v", err)
 		}
-		printTrace()
-		return
-	}
-
-	var out *relation.Relation
-	switch {
-	case span != nil:
-		// Traced: the engine's cursor executor carries the span through
-		// every plan (sequential below the partitioning threshold,
-		// sharded above it).
-		out, err = engine.New(engine.Config{Workers: *workers}).EvalCursor(node, db, opts)
-	case (*workers > 1 || *workers == 0) && query.Algorithm(*algo) == query.AlgoLAWA:
-		out, err = engine.Eval(node, db, engine.Config{Workers: *workers})
-	default:
-		out, err = query.EvaluateWith(node, db, query.Algorithm(*algo))
-	}
-	if err != nil {
+	} else if err := csvio.Write(os.Stdout, core.Materialize(cur)); err != nil {
 		fatal("%v", err)
 	}
-	out.Sort()
-	if err := csvio.Write(os.Stdout, out); err != nil {
-		fatal("%v", err)
+	if opts.Span != nil {
+		fmt.Fprintln(os.Stderr, "trace:")
+		opts.Span.Snapshot().WriteIndented(os.Stderr)
 	}
-	printTrace()
 }
 
 func fatal(format string, args ...any) {

@@ -39,10 +39,12 @@
 //
 // Two extension tiers wrap the reproduction for production-shaped use:
 //
-//   - the partition-parallel execution engine (Options.Parallelism,
-//     EvalParallel, SetParallelism) hash-partitions every operation by
-//     fact across a bounded worker pool with results bit-identical to the
-//     sequential path;
+//   - the partition-parallel execution engine runs every query: Eval
+//     and Apply default to a worker budget of runtime.GOMAXPROCS(0),
+//     EvalParallel and Options.Parallelism set one explicitly. Above one
+//     worker, inputs large enough to be worth it are hash-partitioned by
+//     fact, the whole query runs per shard and the shard streams merge
+//     back into canonical order — the same result at every budget;
 //   - the HTTP/JSON query service (cmd/tpserve) serves a versioned
 //     relation catalog with an LRU query-result cache keyed on
 //     (CanonicalQuery, relation versions); MarshalRelationJSON and

@@ -22,8 +22,7 @@ func Example() {
 	q, _ := tpset.ParseQuery("c - (a | b)")
 	out, _ := tpset.Eval(q, map[string]*tpset.Relation{
 		"a": bought, "b": ordered, "c": stock,
-	})
-	out.Sort()
+	}) // in canonical (fact, Ts, Te) order
 	for _, t := range out.Tuples {
 		fmt.Println(t)
 	}

@@ -97,13 +97,6 @@ type Cell struct {
 	// Mallocs is the number of heap allocations during the run (memstats
 	// Mallocs delta); filled alongside AllocBytes.
 	Mallocs uint64
-	// Writes counts sink writes (network-write stand-ins) during the
-	// run; only the batch-vs-tuple serve pipelines fill it.
-	Writes int
-	// FirstTuple is the time until the first output tuple was available;
-	// only the streaming experiments fill it (a materializing run's first
-	// tuple arrives with its last).
-	FirstTuple time.Duration
 }
 
 // Series is one approach's measurements over a sweep.

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 	"time"
@@ -101,8 +102,7 @@ func TestExperimentsRegistryComplete(t *testing.T) {
 	wantNames := []string{
 		"table2", "fig7a", "fig7b", "fig7c", "fig8", "table3", "fig9a",
 		"fig9b", "table4", "fig10a", "fig10b", "fig10c", "fig11a", "fig11b", "fig11c",
-		"par-size", "par-workers", "serve-cache", "stream-vs-materialize",
-		"intern-vs-string", "batch-vs-tuple", "soa-vs-aos", "trace-overhead", "segment-vs-heap",
+		"par-size", "par-workers", "serve-cache", "trace-overhead", "segment-vs-heap",
 	}
 	got := Names()
 	if strings.Join(got, ",") != strings.Join(wantNames, ",") {
@@ -123,7 +123,7 @@ func TestExperimentsRegistryComplete(t *testing.T) {
 // every code path executes and renders.
 func TestTinyEndToEnd(t *testing.T) {
 	cfg := tinyCfg()
-	for _, name := range []string{"table2", "table3", "fig7a", "fig9b", "intern-vs-string", "trace-overhead"} {
+	for _, name := range []string{"table2", "table3", "fig7a", "fig9b", "trace-overhead"} {
 		exp, ok := ExperimentByName(name)
 		if !ok {
 			t.Fatalf("missing %s", name)
@@ -136,6 +136,15 @@ func TestTinyEndToEnd(t *testing.T) {
 		}
 		var csv bytes.Buffer
 		res.PrintCSV(&csv)
+		if name == "trace-overhead" {
+			// Tracing must never change the result stream.
+			off, on := res.Series[0].Cells, res.Series[1].Cells
+			for i := range off {
+				if off[i].Output != on[i].Output {
+					t.Errorf("trace-overhead %s: %d tuples untraced, %d traced", off[i].Label, off[i].Output, on[i].Output)
+				}
+			}
+		}
 		if name == "fig7a" {
 			if !strings.HasPrefix(csv.String(), "tuples,LAWA_ms") {
 				t.Errorf("csv header: %q", csv.String())
@@ -144,5 +153,28 @@ func TestTinyEndToEnd(t *testing.T) {
 				t.Error("speedup digest empty")
 			}
 		}
+	}
+}
+
+// TestWriteJSON pins the machine-readable output shape tpbench -json
+// and the CI bench gate consume.
+func TestWriteJSON(t *testing.T) {
+	cfg := tinyCfg()
+	res := Table2(cfg)
+	var buf bytes.Buffer
+	if err := WriteJSON(&buf, []Result{res}); err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		Experiments []ResultJSON `json:"experiments"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatalf("output is not valid JSON: %v\n%s", err, buf.String())
+	}
+	if len(doc.Experiments) != 1 || doc.Experiments[0].Name != "table2" {
+		t.Fatalf("round-trip: %+v", doc)
+	}
+	if doc.Experiments[0].Series == nil {
+		t.Fatal("series must be [] rather than null for downstream jq")
 	}
 }

@@ -6,8 +6,14 @@
 // magnitude slower), and plain-text/CSV series printers.
 //
 // Beyond the paper it adds the extension-tier experiments: par-size and
-// par-workers (partition-parallel engine speedup curves) and serve-cache
-// (query-service result cache, cold evaluation vs cache hit).
+// par-workers (partition-parallel engine speedup curves), serve-cache
+// (query-service result cache, cold evaluation vs cache hit),
+// trace-overhead (the execution trace, off vs on) and segment-vs-heap
+// (mmap segment store vs heap catalog). Every LAWA measurement runs the
+// module's one execution path — core.Apply for the paper's two-relation
+// experiments, the engine's cursor plan for the rest; the A/B
+// experiments that compared it with the stacks it replaced went with
+// those stacks. Speed claims are measured in benchmark/, not here.
 //
 // Scaling: the paper's largest runs (50M tuples on a 64 GB Xeon box) are
 // parameterized down by a scale factor (Config.Scale; cmd/tpbench -scale),

@@ -66,10 +66,6 @@ func Experiments() []Experiment {
 		{"par-size", "Partition-parallel engine vs sequential LAWA: size sweep (∩Tp)", ParSize},
 		{"par-workers", "Partition-parallel engine: worker-count sweep at fixed size (∩Tp)", ParWorkers},
 		{"serve-cache", "Query service: cold evaluation vs result-cache hit (∩Tp)", ServeCache},
-		{"stream-vs-materialize", "Cursor executor vs materializing evaluator: depth sweep (alloc + TTFT)", StreamVsMaterialize},
-		{"intern-vs-string", "Interned (FactID) vs string tuple keys: sort + LAWA wall time and allocations", InternVsString},
-		{"batch-vs-tuple", "Batched vs tuple-at-a-time execution: engine stream + NDJSON serve pipelines", BatchVsTuple},
-		{"soa-vs-aos", "Structure-of-arrays vs tuple-struct batches: engine stream + NDJSON serve pipelines", SoAVsAoS},
 		{"trace-overhead", "Execution-trace instrumentation overhead: drain with tracing off vs on", TraceOverhead},
 		{"segment-vs-heap", "Durable mmap segment store vs heap catalog: cold start + steady-state drain", SegmentVsHeap},
 	}

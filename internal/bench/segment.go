@@ -10,7 +10,6 @@ import (
 	"github.com/tpset/tpset/internal/core"
 	"github.com/tpset/tpset/internal/csvio"
 	"github.com/tpset/tpset/internal/datagen"
-	"github.com/tpset/tpset/internal/engine"
 	"github.com/tpset/tpset/internal/query"
 	"github.com/tpset/tpset/internal/relation"
 	"github.com/tpset/tpset/internal/segment"
@@ -66,18 +65,8 @@ func coldStart(seed func(*server.Server)) (time.Duration, int) {
 // drainOnce drains one sequential ∩Tp engine stream over db.
 func drainOnce(node query.Node, db map[string]*relation.Relation) (time.Duration, int) {
 	start := time.Now()
-	cur, err := engine.New(engine.Config{Workers: 1}).Cursor(node, db, core.Options{AssumeSorted: true, LazyProb: true})
-	if err != nil {
-		panic(fmt.Sprintf("bench: segment-vs-heap: %v", err))
-	}
-	defer cur.Close()
-	count := 0
-	b := core.GetBatch()
-	for cur.NextBatch(b) {
-		count += len(b.Tuples)
-	}
-	core.PutBatch(b)
-	return time.Since(start), count
+	n := drainStream(1, node, db, core.Options{AssumeSorted: true, LazyProb: true})
+	return time.Since(start), n
 }
 
 // bestOf runs f reps times and keeps the fastest (duration, count). Each
@@ -102,7 +91,7 @@ func bestOf(reps int, f func() (time.Duration, int)) (time.Duration, int) {
 // columns.
 func SegmentVsHeap(cfg Config) Result {
 	n := cfg.scaled(1000000)
-	facts := internFacts(n)
+	facts := parFacts(n)
 	node := query.MustParse("r & s")
 
 	names := []string{"cold-csv", "cold-mmap", "heap", "mmap"}

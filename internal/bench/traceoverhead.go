@@ -2,10 +2,12 @@ package bench
 
 import (
 	"fmt"
+	"runtime"
 	"time"
 
 	"github.com/tpset/tpset/internal/core"
 	"github.com/tpset/tpset/internal/datagen"
+	"github.com/tpset/tpset/internal/engine"
 	"github.com/tpset/tpset/internal/obs"
 	"github.com/tpset/tpset/internal/query"
 	"github.com/tpset/tpset/internal/relation"
@@ -14,29 +16,86 @@ import (
 // The trace-overhead experiment pins the cost of the instrumentation
 // layer on the hot drain path, in both states:
 //
-//   - off: the batched engine-stream drain with tracing disabled — the
-//     exact pipeline of batch-vs-tuple's "batch" series, now running
-//     through code that *carries* the tracing hooks (nil-span checks in
-//     the plan builders, the context case in the producer selects, the
-//     always-on advancer counters). The PR contract is that this stays
-//     within 2% of the pre-instrumentation baseline; CI enforces it by
-//     comparing this series against batch-vs-tuple's "batch" series from
-//     the same run (identical drain, identically generated inputs), under
-//     the repo's standing 15% shared-runner noise tolerance.
+//   - off: the engine-stream drain with tracing disabled — the serving
+//     path, running through code that *carries* the tracing hooks
+//     (nil-span checks in the plan builders, the context case in the
+//     producer selects, the always-on advancer counters);
 //   - on: the same drain under a full span tree — what a trace:true
-//     request or /query/explain costs. Reported, not gated: tracing is
-//     opt-in per request, so its price is informational.
+//     request or /query/explain costs. Tracing is opt-in per request, so
+//     its price is informational.
 //
+// Both variants must report identical output cardinalities (CI-gated).
 // Points are an overlap-0.6 Table-III shape and the disjoint-fact pair
 // (the run-skipping fast path, where per-pull timer overhead would show
 // up most against the little remaining work).
 
-// TraceOverhead measures the batched ∩Tp engine-stream drain with
-// tracing off vs on.
+// streamWorkers resolves the worker budget of the experiment: at least
+// two, so the engine actually builds the partition-parallel stream
+// (shard goroutines + channels + merge) whose per-block hooks the
+// experiment measures.
+func streamWorkers(cfg Config) int {
+	if cfg.Workers > 2 {
+		return cfg.Workers
+	}
+	return 2
+}
+
+// disjointPair generates a Table-III-shaped pair whose fact universes
+// are disjoint (r holds f..., s holds g...), bound to one shared
+// dictionary — the shape Shifted/Subset workloads and low-overlap
+// catalogs produce, where ∩Tp discards every window.
+func disjointPair(n, facts int, seed int64) (*relation.Relation, *relation.Relation) {
+	r, s := datagen.Pair(datagen.PairConfig{
+		NumTuples: n, NumFacts: facts,
+		MaxLenR: 3, MaxLenS: 3, MaxGap: 3, Seed: seed,
+	})
+	out := relation.New(s.Schema)
+	for i := range s.Tuples {
+		t := s.Tuples[i]
+		t.Fact = relation.NewFact("g" + t.Fact[0][1:])
+		out.Add(relation.NewBase(t.Fact, fmt.Sprintf("s%d", i), t.T.Ts, t.T.Te, t.Prob))
+	}
+	relation.InternAll(r, out)
+	return r, out
+}
+
+// drainStream builds the engine stream plan, drains it block-wise and
+// returns the output cardinality.
+func drainStream(workers int, node query.Node, db map[string]*relation.Relation, opts core.Options) int {
+	cur, err := engine.New(engine.Config{Workers: workers}).Cursor(node, db, opts)
+	if err != nil {
+		panic(fmt.Sprintf("bench: draining %s: %v", node, err))
+	}
+	defer cur.Close()
+	count := 0
+	b := core.GetBatch()
+	for cur.NextBatch(b) {
+		count += len(b.Tuples)
+	}
+	core.PutBatch(b)
+	return count
+}
+
+// measureAlloc runs f and returns its duration, allocated bytes and
+// allocation count (cumulative heap deltas, which are exact regardless
+// of GC timing).
+func measureAlloc(f func()) (time.Duration, uint64, uint64) {
+	var m0, m1 runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&m0)
+	start := time.Now()
+	f()
+	d := time.Since(start)
+	runtime.ReadMemStats(&m1)
+	return d, m1.TotalAlloc - m0.TotalAlloc, m1.Mallocs - m0.Mallocs
+}
+
+// TraceOverhead measures the ∩Tp engine-stream drain with tracing off
+// vs on.
 func TraceOverhead(cfg Config) Result {
 	n := cfg.scaled(1000000)
-	facts := internFacts(n)
-	workers := batchVsTupleWorkers(cfg)
+	facts := parFacts(n)
+	workers := streamWorkers(cfg)
 
 	type variant struct {
 		name   string
@@ -84,18 +143,19 @@ func TraceOverhead(cfg Config) Result {
 				series[i].Cells = append(series[i].Cells, Cell{X: pt.x, Label: pt.label, Skipped: true})
 				continue
 			}
-			// Best of five: the gate hunts a 2% effect, so per-run noise
-			// needs more suppression than the transport benches' 3 reps.
+			// Best of five: the effect hunted is a few percent, so per-run
+			// noise needs more suppression than the other benches' 3 reps.
 			const reps = 5
 			var best Cell
 			for rep := 0; rep < reps; rep++ {
+				// Pre-sorted inputs: what catalog admission hands the service.
 				opts := core.Options{AssumeSorted: true}
 				if v.traced {
 					opts.Span = obs.NewSpan("")
 				}
 				var out int
 				d, alloc, mallocs := measureAlloc(func() {
-					out, _ = runBatchPipeline(batchPipeline{name: v.name, opts: opts}, workers, node, db)
+					out = drainStream(workers, node, db, opts)
 				})
 				if rep == 0 || d < best.Duration {
 					best = Cell{
@@ -108,7 +168,7 @@ func TraceOverhead(cfg Config) Result {
 			if cfg.Progress != nil {
 				fmt.Fprintf(cfg.Progress, "  %-4s %-9s %12s  %8.1fMB  %8d allocs  out=%d\n",
 					v.name, pt.label, best.Duration.Round(time.Microsecond),
-					mb(best.AllocBytes), best.Mallocs, best.Output)
+					float64(best.AllocBytes)/(1<<20), best.Mallocs, best.Output)
 			}
 		}
 
@@ -122,10 +182,10 @@ func TraceOverhead(cfg Config) Result {
 
 	return Result{
 		Name:     "trace-overhead",
-		Title:    "execution-trace overhead: batched engine-stream drain, tracing off vs on (∩Tp)",
+		Title:    "execution-trace overhead: engine-stream drain, tracing off vs on (∩Tp)",
 		XLabel:   "shape",
 		Series:   series,
 		Scale:    cfg.Scale,
-		Footnote: fmt.Sprintf("%d tuples/relation, %d facts, workers=%d, best of 5; off = trace-capable code with nil span (pinned ≤1.02x of batch-vs-tuple's batch series); on/off: %s", n, facts, workers, note),
+		Footnote: fmt.Sprintf("%d tuples/relation, %d facts, workers=%d, best of 5; off = trace-capable code with nil span; on/off: %s", n, facts, workers, note),
 	}
 }

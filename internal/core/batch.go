@@ -42,10 +42,10 @@ const BatchSize = 1024
 // tuple order. Hot loops (the advancer's window compares, the merge's
 // frontier compares, galloping skips, the encoder's read side) run on
 // the packed columns and fall back to the payload view whenever Dict is
-// nil: a batch whose tuples span dictionaries, or are unbound, or whose
-// producer pinned the AoS path (Options.NoSoA), simply carries no
-// columns. Like the payload view, the columns either alias a relation's
-// cached projection (relation.Cols) or the batch's own pooled arrays.
+// nil: a batch whose tuples span dictionaries, or are unbound, simply
+// carries no columns. Like the payload view, the columns either alias a
+// relation's cached projection (relation.Cols) or the batch's own pooled
+// arrays.
 type Batch struct {
 	Tuples []relation.Tuple
 
@@ -187,12 +187,6 @@ func (b *Batch) Append(t relation.Tuple) {
 	}
 }
 
-// AppendRow is Append without column maintenance — the AoS-pinned fill
-// (Options.NoSoA) and the pre-SoA behaviour byte-for-byte.
-func (b *Batch) AppendRow(t relation.Tuple) {
-	b.Tuples = append(b.Tuples, t)
-}
-
 // AppendRange bulk-appends rows [i, j) of src, carrying the columnar
 // view along when it stays coherent: src columnar and this batch empty
 // (adopt src's dictionary) or already on the same dictionary. Any other
@@ -295,8 +289,7 @@ func PutBatch(b *Batch) {
 // tuples or the stream ends, reporting whether it produced any — the
 // one batch-fill loop behind every tuple-pulling NextBatch
 // implementation (operator cursors, adapters, fallbacks). The columnar
-// view is maintained through Append; fillBatchRows is the AoS-pinned
-// variant.
+// view is maintained through Append.
 func FillBatch(b *Batch, next func() (relation.Tuple, bool)) bool {
 	b.Reset()
 	max := b.Cap()
@@ -306,21 +299,6 @@ func FillBatch(b *Batch, next func() (relation.Tuple, bool)) bool {
 			break
 		}
 		b.Append(t)
-	}
-	return len(b.Tuples) > 0
-}
-
-// fillBatchRows is FillBatch without column maintenance — the
-// Options.NoSoA fill, identical to the pre-SoA loop.
-func fillBatchRows(b *Batch, next func() (relation.Tuple, bool)) bool {
-	b.Reset()
-	max := b.Cap()
-	for len(b.Tuples) < max {
-		t, ok := next()
-		if !ok {
-			break
-		}
-		b.AppendRow(t)
 	}
 	return len(b.Tuples) > 0
 }
@@ -364,7 +342,7 @@ func (c *ScanCursor) NextBatch(b *Batch) bool {
 	}
 	i, j := c.i, c.i+n
 	b.Tuples = c.r.Tuples[i:j]
-	if cols := c.cols(); cols != nil {
+	if cols := c.r.Cols(); cols != nil {
 		b.Fid = cols.Fid[i:j]
 		b.Ts = cols.Ts[i:j]
 		b.Te = cols.Te[i:j]
@@ -386,7 +364,7 @@ func (c *ScanCursor) NextBatch(b *Batch) bool {
 // compare, so skipping an absent run of m tuples costs O(log m) instead
 // of the O(m) pops of the tuple-at-a-time sweep.
 func (c *ScanCursor) SkipTo(k relation.FactKey) {
-	if cols := c.cols(); cols != nil {
+	if cols := c.r.Cols(); cols != nil {
 		if id, ok := k.IDIn(c.r.Dict()); ok {
 			c.i += relation.SkipToFid(cols.Fid[c.i:], id)
 			return
@@ -403,15 +381,12 @@ func (c *ScanCursor) SkipTo(k relation.FactKey) {
 // inherit the window key's binding), so the batch comes out columnar
 // whenever the operation's inputs share one dictionary.
 func (c *OpCursor) NextBatch(b *Batch) bool {
-	if c.opts.NoSoA {
-		return fillBatchRows(b, c.Next)
-	}
 	return FillBatch(b, c.Next)
 }
 
 // tupleAdapter lifts any Cursor to a BatchCursor by filling batches
-// through Next — the compatibility shim for cursors outside this
-// package that have not grown a native NextBatch.
+// through Next. Every cursor the plan builders produce streams batches
+// natively; the shim serves cursors implemented outside them.
 type tupleAdapter struct{ Cursor }
 
 func (a tupleAdapter) NextBatch(b *Batch) bool {
@@ -419,9 +394,10 @@ func (a tupleAdapter) NextBatch(b *Batch) bool {
 }
 
 // AsBatchCursor returns c itself when it already streams batches, and a
-// batching adapter over Next otherwise — callers that want blocks
-// (engine shard producers, the NDJSON stream) use it to pick batched
-// plans transparently.
+// batching adapter over Next otherwise. Everything that consumes a
+// cursor — the advancer's sources, Materialize, selections, tracing,
+// the engine's shard producers — pulls blocks through it, so there is
+// one pull protocol below the public Cursor.Next.
 func AsBatchCursor(c Cursor) BatchCursor {
 	if bc, ok := c.(BatchCursor); ok {
 		return bc

@@ -6,7 +6,6 @@ import (
 	"runtime"
 	"testing"
 
-	"github.com/tpset/tpset/internal/lineage"
 	"github.com/tpset/tpset/internal/relation"
 )
 
@@ -29,22 +28,36 @@ func sortedTestRelation(name string, n, facts int, seed int64) *relation.Relatio
 }
 
 // TestScanBatchZeroCopy pins that scan batches alias the relation's own
-// tuple storage (two slice-header writes per block, no copying) and
-// that the sub-windows tile the relation exactly.
+// tuple storage and — once it is projected — its columns (a handful of
+// slice-header writes per block, no copying), that the sub-windows tile
+// the relation exactly, and that a relation without a projection yields
+// row-only blocks.
 func TestScanBatchZeroCopy(t *testing.T) {
 	r := sortedTestRelation("r", 2*BatchSize+100, 7, 1)
-	c := NewScanCursor(r)
-	b := GetBatch()
-	defer PutBatch(b)
-	seen := 0
-	for c.NextBatch(b) {
-		if &b.Tuples[0] != &r.Tuples[seen] {
-			t.Fatalf("batch at offset %d does not alias the relation storage", seen)
+	for _, project := range []bool{false, true} {
+		var cols *relation.Cols
+		if project {
+			cols = r.BuildCols()
 		}
-		seen += len(b.Tuples)
-	}
-	if seen != r.Len() {
-		t.Fatalf("batches covered %d tuples, want %d", seen, r.Len())
+		c := NewScanCursor(r)
+		b := GetBatch()
+		seen := 0
+		for c.NextBatch(b) {
+			if &b.Tuples[0] != &r.Tuples[seen] {
+				t.Fatalf("batch at offset %d does not alias the relation storage", seen)
+			}
+			if b.HasCols() != project {
+				t.Fatalf("batch at offset %d: HasCols = %v over a relation with projection = %v", seen, b.HasCols(), project)
+			}
+			if project && (&b.Fid[0] != &cols.Fid[seen] || &b.Lam[0] != &cols.Lam[seen] || len(b.Fid) != len(b.Tuples)) {
+				t.Fatalf("batch at offset %d does not alias the column projection", seen)
+			}
+			seen += len(b.Tuples)
+		}
+		PutBatch(b)
+		if seen != r.Len() {
+			t.Fatalf("batches covered %d tuples, want %d", seen, r.Len())
+		}
 	}
 }
 
@@ -170,53 +183,6 @@ func TestSteadyStateBatchAllocations(t *testing.T) {
 	// must contribute ~nothing. Without pooling/batching this is O(n).
 	if allocs > 100 {
 		t.Fatalf("steady-state batched drain: %.0f allocs per run for %d windows; want near-zero per window", allocs, n)
-	}
-}
-
-// TestSteadyStateConsReuseAcrossDrains pins that a shared lineage
-// hash-consing table turns repeated drains into pure table hits: the
-// first union drain over overlapping inputs populates the table (no
-// pair recurs within one operation), every later drain re-derives the
-// same (LamR, LamS) pairs and must resolve them without allocating a
-// single new lineage node — zero lineage-arena churn in steady state.
-func TestSteadyStateConsReuseAcrossDrains(t *testing.T) {
-	const n = 3000
-	r := sortedTestRelation("r", n, 30, 6)
-	s := sortedTestRelation("s", n, 30, 7)
-	relation.InternAll(r, s)
-	r.Sort()
-	s.Sort()
-	r.BuildCols()
-	s.BuildCols()
-
-	cons := lineage.NewCons()
-	drain := func() {
-		c, err := NewOpCursor(OpUnion, NewScanCursor(r), NewScanCursor(s),
-			Options{LazyProb: true, LineageCons: cons})
-		if err != nil {
-			t.Fatal(err)
-		}
-		b := GetBatch()
-		total := 0
-		for c.NextBatch(b) {
-			total += len(b.Tuples)
-		}
-		PutBatch(b)
-		if total == 0 {
-			t.Fatal("union over overlapping inputs must emit output")
-		}
-	}
-	drain() // populates the table
-	if cons.Size() == 0 {
-		t.Fatal("overlapping union windows must cons ∨-nodes")
-	}
-	before := cons.Hits()
-	allocs := testing.AllocsPerRun(10, drain)
-	if cons.Hits() <= before {
-		t.Fatalf("repeated drains produced no cons hits (size %d)", cons.Size())
-	}
-	if allocs > 100 {
-		t.Fatalf("consed re-drain: %.0f allocs per run; want near-zero (plan construction only)", allocs)
 	}
 }
 

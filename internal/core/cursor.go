@@ -55,27 +55,11 @@ func ReleaseCursor(c Cursor) {
 type ScanCursor struct {
 	r *relation.Relation
 	i int
-	// noCols pins the scan to the AoS payload view: batches carry no
-	// column aliases and skips gallop over tuple structs even when the
-	// relation has a columnar projection (Options.NoSoA benchmarks).
-	noCols bool
 }
 
 // NewScanCursor returns a scan over r. Sortedness is a precondition, as
 // for NewAdvancer; relation.Relation.Sort establishes it.
 func NewScanCursor(r *relation.Relation) *ScanCursor { return &ScanCursor{r: r} }
-
-// DisableCols pins the scan to the AoS payload view (Options.NoSoA).
-func (c *ScanCursor) DisableCols() { c.noCols = true }
-
-// cols returns the relation's columnar projection unless the scan is
-// pinned to the payload view.
-func (c *ScanCursor) cols() *relation.Cols {
-	if c.noCols {
-		return nil
-	}
-	return c.r.Cols()
-}
 
 // Schema returns the scanned relation's schema.
 func (c *ScanCursor) Schema() relation.Schema { return c.r.Schema }
@@ -93,24 +77,14 @@ func (c *ScanCursor) Next() (relation.Tuple, bool) {
 // OpCursor evaluates one TP set operation as a stream: it runs the LAWA
 // advancer directly over its children's tuple streams, applies the
 // operation's λ-filter to each candidate window and finalizes output
-// lineage with its Table I concatenation function. It is the streaming
-// form of the Fig. 5 pipeline — same windows, same tuples, same order as
-// the materializing drivers (which are themselves implemented on top of
-// it; see Union/Intersect/Except).
+// lineage with its Table I concatenation function. It is the Fig. 5
+// pipeline in streaming form, and the only implementation of it: Apply
+// drains one OpCursor, cursor plans stack them.
 type OpCursor struct {
 	op     Op
 	a      *Advancer
 	schema relation.Schema
 	opts   Options
-	// cons hash-conses the operation's lineage concatenations: windows
-	// that recombine the same operand pointers reuse one DAG node
-	// instead of allocating per window. It is Options.LineageCons —
-	// query.BuildCursor seeds one per plan that can actually share
-	// subterms (two or more set operations); nil otherwise, in which
-	// case the nil-receiver methods fall back to the plain constructors
-	// (within one operation over duplicate-free inputs no ∧/∨ pair
-	// recurs, so a table would only grow, never hit). Single-goroutine.
-	cons *lineage.Cons
 }
 
 // NewOpCursor streams op(left, right). The children must satisfy the
@@ -124,38 +98,18 @@ func NewOpCursor(op Op, left, right Cursor, opts Options) (*OpCursor, error) {
 		return nil, fmt.Errorf("core: incompatible schemas %q (%d attrs) and %q (%d attrs)",
 			ls.Name, len(ls.Attrs), rs.Name, len(rs.Attrs))
 	}
-	var a *Advancer
-	if opts.NoBatch {
-		a = newTupleStreamAdvancer(left, right)
-	} else {
-		a = NewStreamAdvancer(left, right)
-	}
-	if !opts.NoRunSkip {
-		a.enableSkip(op)
-	}
-	return &OpCursor{
-		op:     op,
-		a:      a,
-		schema: OutSchemaOf(op, ls, rs),
-		opts:   opts,
-		cons:   opts.LineageCons,
-	}, nil
+	a := NewStreamAdvancer(left, right)
+	a.enableSkip(op)
+	return &OpCursor{op: op, a: a, schema: OutSchemaOf(op, ls, rs), opts: opts}, nil
 }
 
 // newOpCursorSorted builds an OpCursor over two pre-sorted relations via
-// slice-backed sources — the materializing drivers' entry point, which
-// skips the cursorSource buffering of the general path.
+// slice-backed sources — Apply's entry point, which skips the block
+// buffering of the general path.
 func newOpCursorSorted(op Op, r, s *relation.Relation, schema relation.Schema, opts Options) *OpCursor {
-	var a *Advancer
-	if opts.NoSoA {
-		a = newAdvancerAoS(r, s)
-	} else {
-		a = NewAdvancer(r, s)
-	}
-	if !opts.NoRunSkip {
-		a.enableSkip(op)
-	}
-	return &OpCursor{op: op, a: a, schema: schema, opts: opts, cons: opts.LineageCons}
+	a := NewAdvancer(r, s)
+	a.enableSkip(op)
+	return &OpCursor{op: op, a: a, schema: schema, opts: opts}
 }
 
 // Schema returns the output schema of the operation.
@@ -189,18 +143,18 @@ func (c *OpCursor) Next() (relation.Tuple, bool) {
 		}
 		var lam *lineage.Expr
 		keep := false
-		switch c.op { // λ-filter, then λ-function (Table I), hash-consed
+		switch c.op { // λ-filter, then λ-function (Table I)
 		case OpIntersect:
 			if w.LamR != nil && w.LamS != nil {
-				keep, lam = true, c.cons.And(w.LamR, w.LamS)
+				keep, lam = true, lineage.And(w.LamR, w.LamS)
 			}
 		case OpUnion:
 			if w.LamR != nil || w.LamS != nil {
-				keep, lam = true, c.cons.Or(w.LamR, w.LamS)
+				keep, lam = true, lineage.Or(w.LamR, w.LamS)
 			}
 		case OpExcept:
 			if w.LamR != nil {
-				keep, lam = true, c.cons.AndNot(w.LamR, w.LamS)
+				keep, lam = true, lineage.AndNot(w.LamR, w.LamS)
 			}
 		}
 		if !keep {
@@ -218,28 +172,11 @@ func (c *OpCursor) Next() (relation.Tuple, bool) {
 // cursor plan gives up its O(tree depth) memory bound. When every output
 // tuple carries one shared interning dictionary (the same-dict-inputs
 // case), the materialized relation comes out bound to it, so downstream
-// sorts and set operations stay on the integer-compare path. Cursors
-// that stream batches are drained block-at-a-time (one bulk append per
-// ~BatchSize tuples); the result is identical either way.
+// sorts and set operations stay on the integer-compare path. The drain
+// is block-at-a-time (one bulk append per ~BatchSize tuples).
 func Materialize(c Cursor) *relation.Relation {
-	out := relation.New(c.Schema())
-	if bc, ok := c.(BatchCursor); ok {
-		b := GetBatch()
-		for bc.NextBatch(b) {
-			out.Tuples = append(out.Tuples, b.Tuples...)
-		}
-		PutBatch(b)
-		out.AdoptBinding()
-		return out
-	}
-	for {
-		t, ok := c.Next()
-		if !ok {
-			out.AdoptBinding()
-			return out
-		}
-		out.Tuples = append(out.Tuples, t)
-	}
+	out, _ := MaterializeLimit(c, 0)
+	return out
 }
 
 // MaterializeLimit is Materialize with a result-size budget: the drain
@@ -249,32 +186,16 @@ func Materialize(c Cursor) *relation.Relation {
 // can report how far the drain got, and must not be served or cached as
 // the query's answer. max <= 0 means no budget.
 func MaterializeLimit(c Cursor, max int) (*relation.Relation, bool) {
-	if max <= 0 {
-		return Materialize(c), true
-	}
 	out := relation.New(c.Schema())
-	if bc, ok := c.(BatchCursor); ok {
-		b := GetBatch()
-		for bc.NextBatch(b) {
-			out.Tuples = append(out.Tuples, b.Tuples...)
-			if len(out.Tuples) > max {
-				PutBatch(b)
-				return out, false
-			}
-		}
-		PutBatch(b)
-		out.AdoptBinding()
-		return out, true
-	}
-	for {
-		t, ok := c.Next()
-		if !ok {
-			out.AdoptBinding()
-			return out, true
-		}
-		out.Tuples = append(out.Tuples, t)
-		if len(out.Tuples) > max {
+	bc := AsBatchCursor(c)
+	b := GetBatch()
+	defer PutBatch(b)
+	for bc.NextBatch(b) {
+		out.Tuples = append(out.Tuples, b.Tuples...)
+		if max > 0 && len(out.Tuples) > max {
 			return out, false
 		}
 	}
+	out.AdoptBinding()
+	return out, true
 }

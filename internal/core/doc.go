@@ -27,22 +27,22 @@
 //     exclusive ownership (the sweep's lazy key caching would race on
 //     shared relations — see internal/engine for the cloning rules).
 //
-// The pipeline also exists in pull-based streaming form: Cursor is a
-// tuple stream in canonical order, ScanCursor streams a sorted relation,
-// and OpCursor runs the advancer directly over two child cursors — the
-// materializing drivers are themselves Materialize(OpCursor), so the two
-// executors share one λ-filter/λ-function implementation. Cursor plans
-// (built by internal/query) evaluate whole query trees in O(tree depth)
-// additional memory.
+// The pipeline is pull-based: Cursor is a tuple stream in canonical
+// order, ScanCursor streams a sorted relation, and OpCursor runs the
+// advancer directly over two child cursors. Apply — the one two-relation
+// driver — is prepare + Materialize(OpCursor), and cursor plans (built by
+// internal/query, run by internal/engine) stack the same OpCursor into
+// whole query trees that evaluate in O(tree depth) additional memory, so
+// there is one λ-filter/λ-function implementation in the module.
 //
-// Execution is batched (vectorized) by default: BatchCursor moves pooled
+// Execution is batched (vectorized): BatchCursor moves pooled
 // ~BatchSize-tuple blocks through the stack (zero-copy scan sub-windows,
 // block-draining operators), amortizing per-tuple interface, channel and
-// encoder costs ~1000x, and the advancer skips runs of facts whose
+// encoder costs ~1000x, and the advancer always skips runs of facts whose
 // windows the operation discards by galloping over the packed
-// (FactID, Ts, Te) order (see Options.NoBatch/NoRunSkip and DESIGN.md
-// "Batched execution & run skipping"). Output is bit-identical across
-// all paths.
+// (FactID, Ts, Te) order (DESIGN.md "Batched execution & run skipping").
+// Correctness is pinned against the Def. 3 oracle (internal/ref), not
+// against a sibling executor: see internal/ref/reftest.
 //
 // Paper map: Def. 3 (the three TP set operations), Alg. 1 (Advancer),
 // Algs. 2–4 (drivers), Fig. 5 (pipeline), Example 3 (window stream). See

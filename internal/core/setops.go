@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"runtime"
 
-	"github.com/tpset/tpset/internal/lineage"
 	"github.com/tpset/tpset/internal/obs"
 	"github.com/tpset/tpset/internal/relation"
 )
@@ -23,43 +22,11 @@ type Options struct {
 	// before running (O(n log n)); intended for data of unknown provenance.
 	Validate bool
 	// Parallelism requests partition-parallel execution with this many
-	// workers. The sequential drivers in this package ignore it; the
-	// dispatch layers (tpset.Apply, internal/engine) route operations
-	// through the partitioned execution engine when the resolved count
-	// (see Workers) is above one. 0 — the zero value — resolves to
-	// runtime.GOMAXPROCS(0); 1 or below means sequential.
+	// workers. Apply in this package is sequential and ignores it;
+	// tpset.Apply routes the operation through internal/engine when the
+	// resolved count (see Workers) is above one. 0 — the zero value —
+	// resolves to runtime.GOMAXPROCS(0); 1 or below means sequential.
 	Parallelism int
-	// NoIntern skips building a shared fact dictionary over the cloned
-	// inputs, so every comparison falls back to the key-string path —
-	// the pre-interning representation. Exists for the cross-validation
-	// suite and the intern-vs-string benchmark; leave it unset otherwise.
-	NoIntern bool
-	// NoBatch pins the streaming execution paths to tuple-at-a-time:
-	// operator cursors pull children through one-tuple buffers and the
-	// engine's shard channels carry single tuples — the pre-batching
-	// execution stack. Exists for the cross-validation suite and the
-	// batch-vs-tuple benchmark; leave it unset otherwise.
-	NoBatch bool
-	// NoRunSkip disables the advancer's run-skipping (galloping past
-	// runs of facts whose windows the operation discards), forcing the
-	// tuple-by-tuple pop behaviour of the plain Algorithm 1 sweep.
-	// Exists for the cross-validation suite and the batch-vs-tuple
-	// benchmark; leave it unset otherwise.
-	NoRunSkip bool
-	// NoSoA pins execution to the tuple-struct (AoS) view: leaves skip
-	// building columnar projections, scans alias no columns into their
-	// batches, and the sorted-input advancer reads keys through tuple
-	// structs — the pre-SoA execution stack. Exists for the
-	// cross-validation suite and the soa-vs-aos benchmark; leave it
-	// unset otherwise.
-	NoSoA bool
-	// LineageCons, when set, is the hash-consing table every OpCursor of
-	// the plan draws its lineage concatenations from, so shared ∧/∨/¬
-	// subterms across the plan's operators dedupe into one DAG node.
-	// query.BuildCursor seeds one per plan; the engine clears it per
-	// shard goroutine (a Cons is single-goroutine). When nil each
-	// OpCursor uses a private table.
-	LineageCons *lineage.Cons
 	// Span attaches an execution-trace node to the plan being built:
 	// query.BuildCursor labels it with the root operator, hangs one
 	// child span per sub-operator under it and wraps every cursor so
@@ -73,9 +40,9 @@ type Options struct {
 
 // Workers resolves Parallelism to an effective worker count: 0 (unset)
 // selects runtime.GOMAXPROCS(0) — scale with the hardware by default —
-// and anything below one is sequential. The dispatch layers (tpset.Apply,
-// internal/engine) route operations through the partition-parallel
-// engine exactly when the resolved count is above one.
+// and anything below one is sequential. tpset.Apply routes operations
+// through the partition-parallel engine exactly when the resolved count
+// is above one; tpset.Eval uses the same default.
 func (o Options) Workers() int {
 	if o.Parallelism == 0 {
 		return runtime.GOMAXPROCS(0)
@@ -109,17 +76,20 @@ func (op Op) String() string {
 	return fmt.Sprintf("Op(%d)", int(op))
 }
 
-// Apply dispatches to Union, Intersect or Except.
+// Apply computes op(r, s) and materializes the result — the one
+// two-relation driver: prepare (schema check, optional validation,
+// clone + intern + sort + column projection), then drain the streaming
+// OpCursor. It therefore shares its λ-filter/λ-function implementation
+// with every cursor plan and cannot diverge from them.
 func Apply(op Op, r, s *relation.Relation, opts Options) (*relation.Relation, error) {
-	switch op {
-	case OpUnion:
-		return Union(r, s, opts)
-	case OpIntersect:
-		return Intersect(r, s, opts)
-	case OpExcept:
-		return Except(r, s, opts)
+	if op != OpUnion && op != OpIntersect && op != OpExcept {
+		return nil, fmt.Errorf("core: unknown operation %v", op)
 	}
-	return nil, fmt.Errorf("core: unknown operation %v", op)
+	rr, ss, err := prepare(r, s, opts)
+	if err != nil {
+		return nil, err
+	}
+	return Materialize(newOpCursorSorted(op, rr, ss, OutSchemaOf(op, r.Schema, s.Schema), opts)), nil
 }
 
 func prepare(r, s *relation.Relation, opts Options) (rr, ss *relation.Relation, err error) {
@@ -143,32 +113,16 @@ func prepare(r, s *relation.Relation, opts Options) (rr, ss *relation.Relation, 
 	// already have one (ingest-aligned inputs, intermediate results over
 	// same-dict leaves): the sort below and the advancer sweep then run
 	// on packed (FactID, Ts, Te) integer compares.
-	if !opts.NoIntern && (rr.Dict() == nil || rr.Dict() != ss.Dict()) {
+	if relation.SharedDict(rr, ss) == nil {
 		relation.InternAll(rr, ss)
 	}
 	rr.Sort()
 	ss.Sort()
-	if !opts.NoSoA {
-		// Project the sorted clones into columns: the advancer's window
-		// compares and run-skip gallops then run over packed int64
-		// slices, and scans alias the columns into their batches.
-		rr.BuildCols()
-		ss.BuildCols()
-	}
+	// Project the sorted clones into columns: the advancer's window
+	// compares and run-skip gallops then run over packed int64 slices.
+	rr.BuildCols()
+	ss.BuildCols()
 	return rr, ss, nil
-}
-
-// driver runs one set operation to completion through the streaming
-// OpCursor: prepare (schema check, optional validation, sort), then drain
-// the cursor into a materialized relation. The materializing drivers and
-// the streaming execution layer therefore share one λ-filter/λ-function
-// implementation and cannot diverge.
-func driver(op Op, r, s *relation.Relation, opts Options) (*relation.Relation, error) {
-	rr, ss, err := prepare(r, s, opts)
-	if err != nil {
-		return nil, err
-	}
-	return Materialize(newOpCursorSorted(op, rr, ss, OutSchema(op, r, s), opts)), nil
 }
 
 // Intersect computes r ∩Tp s (Algorithm 2): at each time point, the facts
@@ -177,7 +131,7 @@ func driver(op Op, r, s *relation.Relation, opts Options) (*relation.Relation, e
 // one side can no longer contribute a valid tuple, no further window can
 // pass the λ-filter λr ≠ null ∧ λs ≠ null.
 func Intersect(r, s *relation.Relation, opts Options) (*relation.Relation, error) {
-	return driver(OpIntersect, r, s, opts)
+	return Apply(OpIntersect, r, s, opts)
 }
 
 // Union computes r ∪Tp s (Algorithm 3): at each time point, the facts with
@@ -185,7 +139,7 @@ func Intersect(r, s *relation.Relation, opts Options) (*relation.Relation, error
 // candidate window passes the filter (the advancer never emits a window
 // without a valid tuple), so the loop drains both inputs.
 func Union(r, s *relation.Relation, opts Options) (*relation.Relation, error) {
-	return driver(OpUnion, r, s, opts)
+	return Apply(OpUnion, r, s, opts)
 }
 
 // Except computes r −Tp s (Algorithm 4): at each time point, the facts with
@@ -195,7 +149,7 @@ func Union(r, s *relation.Relation, opts Options) (*relation.Relation, error) {
 // with probability < 1). Windows are consumed until the left input is
 // exhausted.
 func Except(r, s *relation.Relation, opts Options) (*relation.Relation, error) {
-	return driver(OpExcept, r, s, opts)
+	return Apply(OpExcept, r, s, opts)
 }
 
 // OutSchemaOf composes the output schema of op over two input schemas:
@@ -203,13 +157,6 @@ func Except(r, s *relation.Relation, opts Options) (*relation.Relation, error) {
 // it to carry schemas without materialized relations.
 func OutSchemaOf(op Op, ls, rs relation.Schema) relation.Schema {
 	return relation.Schema{Name: ls.Name + op.String() + rs.Name, Attrs: ls.Attrs}
-}
-
-// OutSchema returns the output schema op(r, s) produces. Exported for the
-// partition-parallel engine, whose merged result must carry the same
-// schema as the sequential drivers.
-func OutSchema(op Op, r, s *relation.Relation) relation.Schema {
-	return OutSchemaOf(op, r.Schema, s.Schema)
 }
 
 // Windows runs the advancer to completion and returns every candidate

@@ -13,78 +13,50 @@ import (
 // windows-popped and gallops-taken counters. Wrappers exist only when a
 // trace is requested (plan builders call Traced with the plan's span;
 // with a nil span the cursor is returned unchanged), so the untraced
-// execution stack is byte-for-byte the stack of the previous PRs: no
-// wrapper in the cursor tree, no time.Now calls, no atomic traffic.
+// plan has no wrapper in the cursor tree, no time.Now calls and no
+// atomic traffic.
 //
-// Wrapping is transparent to the execution machinery: a BatchCursor
-// stays a BatchCursor (block pulls keep their zero-copy and pooling
-// behaviour), and SkipTo keeps forwarding so run-skipping gallops
-// through traced plans exactly as through untraced ones — the wrapper
-// only counts the skips it forwards. Output is therefore bit-identical
-// with tracing on or off; the golden trace tests pin this.
+// Wrapping is transparent to the execution machinery: block pulls keep
+// their zero-copy and pooling behaviour, and SkipTo keeps forwarding so
+// run-skipping gallops through traced plans exactly as through untraced
+// ones — the wrapper only counts the skips it forwards. Output is
+// therefore bit-identical with tracing on or off; the golden trace tests
+// pin this.
 
 // Traced wraps c to record into sp; it returns c unchanged when sp is
-// nil. The wrapper preserves the BatchCursor capability of the wrapped
-// cursor.
+// nil.
 func Traced(c Cursor, sp *obs.Span) Cursor {
 	if sp == nil {
 		return c
 	}
-	tc := tracedCore{c: c, sp: sp}
+	tc := &tracedBatchCursor{bc: AsBatchCursor(c), sp: sp}
 	if oc, ok := c.(*OpCursor); ok {
 		tc.adv = oc.a
 	}
-	if bc, ok := c.(BatchCursor); ok {
-		return &tracedBatchCursor{tracedCore: tc, bc: bc}
-	}
-	return &tracedCursor{tracedCore: tc}
+	return tc
 }
 
-// tracedCore is the shared recording state of the two wrapper shapes.
-type tracedCore struct {
-	c   Cursor
+// tracedBatchCursor is the recording wrapper around one plan node.
+type tracedBatchCursor struct {
+	bc  BatchCursor
 	sp  *obs.Span
-	adv *Advancer // non-nil when c is an OpCursor: publish sweep counters
+	adv *Advancer // non-nil when bc is an OpCursor: publish sweep counters
 }
 
-func (t *tracedCore) Schema() relation.Schema { return t.c.Schema() }
+func (t *tracedBatchCursor) Schema() relation.Schema { return t.bc.Schema() }
+
+// ReleaseCursor forwards plan teardown through the tracing wrapper.
+func (t *tracedBatchCursor) ReleaseCursor() { ReleaseCursor(t.bc) }
 
 // publishSweep pushes the advancer's window/gallop counters into the
 // span after a pull (stores, not adds: the advancer owns the running
 // totals).
-func (t *tracedCore) publishSweep() {
+func (t *tracedBatchCursor) publishSweep() {
 	if t.adv != nil {
 		t.sp.SetWindows(t.adv.Windows())
 		t.sp.SetGallops(t.adv.Gallops())
 	}
 }
-
-// tracedCursor wraps a tuple-only cursor.
-type tracedCursor struct{ tracedCore }
-
-// ReleaseCursor forwards plan teardown through the tracing wrapper.
-func (t *tracedCursor) ReleaseCursor() { ReleaseCursor(t.c) }
-
-func (t *tracedCursor) Next() (relation.Tuple, bool) {
-	start := time.Now()
-	tu, ok := t.c.Next()
-	t.sp.AddWall(time.Since(start))
-	if ok {
-		t.sp.AddTuples(1)
-	}
-	t.publishSweep()
-	return tu, ok
-}
-
-// tracedBatchCursor wraps a batch-capable cursor, preserving block
-// pulls and run-skip forwarding.
-type tracedBatchCursor struct {
-	tracedCore
-	bc BatchCursor
-}
-
-// ReleaseCursor forwards plan teardown through the tracing wrapper.
-func (t *tracedBatchCursor) ReleaseCursor() { ReleaseCursor(t.bc) }
 
 func (t *tracedBatchCursor) Next() (relation.Tuple, bool) {
 	start := time.Now()

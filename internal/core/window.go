@@ -44,11 +44,10 @@ func (w Window) String() string {
 }
 
 // tupleSource is the advancer's view of one input: a one-tuple-lookahead
-// stream in (fact, Ts) order. Three implementations exist — a slice over
-// a sorted relation (the classic materialized input), a buffered pull
-// from a Cursor (the tuple-at-a-time streaming path) and a block pull
-// from a BatchCursor (the batched streaming path). peek returns the next
-// unconsumed tuple (nil when drained) and is stable until pop; pop
+// stream in (fact, Ts) order. Two implementations exist — a slice over
+// a sorted relation (Apply's materialized input) and a block pull from
+// a BatchCursor (the streaming path). peek returns the next unconsumed
+// tuple (nil when drained) and is stable until pop; pop
 // consumes it. The pointer peek returns may be invalidated by pop, so
 // callers that need the tuple beyond the next pop must copy it. The
 // peeked tuple may alias storage shared with concurrent readers, so
@@ -128,58 +127,6 @@ func (s *sliceSource) skipTo(k relation.FactKey) {
 
 // release is a no-op: slice sources alias relation storage.
 func (s *sliceSource) release() {}
-
-// cursorSource streams a Cursor through a one-tuple buffer. The key of
-// the buffered tuple is computed once per tuple and cached until pop —
-// the advancer reads it up to three times per window.
-type cursorSource struct {
-	c         Cursor
-	buf       relation.Tuple
-	key       relation.FactKey
-	keyed     bool
-	has, done bool
-}
-
-func (s *cursorSource) peek() *relation.Tuple {
-	if !s.has && !s.done {
-		t, ok := s.c.Next()
-		if !ok {
-			s.done = true
-			return nil
-		}
-		s.buf, s.has, s.keyed = t, true, false
-	}
-	if !s.has {
-		return nil
-	}
-	return &s.buf
-}
-
-func (s *cursorSource) peekKey() relation.FactKey {
-	if !s.keyed {
-		s.key, s.keyed = s.buf.FactKeyRO(), true
-	}
-	return s.key
-}
-
-func (s *cursorSource) pop() { s.has, s.keyed = false, false }
-
-// release holds no pooled blocks itself; the child plan might.
-func (s *cursorSource) release() {
-	s.done = true
-	ReleaseCursor(s.c)
-}
-
-// skipTo on a plain cursor can only pop tuple-by-tuple — the child
-// stream is computed, so there is nothing to gallop over.
-func (s *cursorSource) skipTo(k relation.FactKey) {
-	for {
-		if s.peek() == nil || !s.peekKey().Less(k) {
-			return
-		}
-		s.pop()
-	}
-}
 
 // batchSource streams a BatchCursor through a pooled block buffer: one
 // interface call per ~BatchSize tuples instead of one per tuple. The
@@ -309,8 +256,8 @@ type Advancer struct {
 	// one-sided window never passes λr ≠ null ∧ λs ≠ null; difference:
 	// the right side — an s-only window never has λr ≠ null; union:
 	// neither — every window is output). The skipped windows are
-	// exactly those the operation discards, so the filtered output is
-	// bit-identical with skipping on or off.
+	// exactly those the operation discards, so skipping never changes
+	// the filtered output.
 	skipR, skipS bool
 
 	// windows/gallops count produced candidate windows and run-skip
@@ -351,37 +298,18 @@ func NewAdvancer(r, s *relation.Relation) *Advancer {
 	return &Advancer{r: newSliceSource(r), s: newSliceSource(s), prevWinTe: -1}
 }
 
-// newAdvancerAoS is NewAdvancer pinned to the tuple-struct view — the
-// pre-SoA execution stack, kept selectable (Options.NoSoA) for the
-// soa-vs-aos benchmark and the cross-validation suite.
-func newAdvancerAoS(r, s *relation.Relation) *Advancer {
-	return &Advancer{r: &sliceSource{ts: r.Tuples}, s: &sliceSource{ts: s.Tuples}, prevWinTe: -1}
-}
-
 // NewStreamAdvancer returns an advancer pulling from two cursors that must
 // yield tuples in canonical (fact, Ts) order — the streaming form of the
 // sort precondition. Operator cursors and relation scans both satisfy it,
 // so advancers stack: a whole query tree evaluates with one lookahead
-// buffer per tree edge and no materialized intermediates. Children that
-// stream batches are pulled block-at-a-time (one interface call per
-// ~BatchSize tuples); plain cursors fall back to the one-tuple buffer.
+// buffer per tree edge and no materialized intermediates. Children are
+// pulled block-at-a-time (one interface call per ~BatchSize tuples).
 func NewStreamAdvancer(r, s Cursor) *Advancer {
-	return &Advancer{r: streamSource(r), s: streamSource(s), prevWinTe: -1}
-}
-
-func streamSource(c Cursor) tupleSource {
-	if bc, ok := c.(BatchCursor); ok {
-		return newBatchSource(bc)
+	return &Advancer{
+		r:         newBatchSource(AsBatchCursor(r)),
+		s:         newBatchSource(AsBatchCursor(s)),
+		prevWinTe: -1,
 	}
-	return &cursorSource{c: c}
-}
-
-// newTupleStreamAdvancer is NewStreamAdvancer pinned to the
-// tuple-at-a-time sources — the pre-batching execution stack, kept
-// selectable (Options.NoBatch) for the batch-vs-tuple benchmark and the
-// cross-validation suite.
-func newTupleStreamAdvancer(r, s Cursor) *Advancer {
-	return &Advancer{r: &cursorSource{c: r}, s: &cursorSource{c: s}, prevWinTe: -1}
 }
 
 // enableSkip turns on run-skipping for the sides whose one-sided

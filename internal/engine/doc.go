@@ -1,46 +1,47 @@
 // Package engine is the partition-parallel, pipelined execution engine for
-// the TP set operations — an extension beyond the paper, exploiting the
-// key property of the LAWA sweep (Algorithm 1): the window advancer for a
-// fact group never inspects another fact's tuples, so ∪Tp, ∩Tp and −Tp
-// decompose into independent per-fact subproblems.
+// TP set queries — an extension beyond the paper, exploiting the key
+// property of the LAWA sweep (Algorithm 1): the window advancer for a fact
+// group never inspects another fact's tuples, so ∪Tp, ∩Tp and −Tp — and
+// whole query trees of them — decompose into independent per-fact
+// subproblems.
 //
-// The engine runs the four-step pipeline of Fig. 5 in partitioned form:
+// There is one execution path, CursorCtx, and every entry point of the
+// module runs it: the query service, tpset.Eval/EvalParallel/Apply,
+// cmd/tpquery, internal/bench. It runs the four-step pipeline of Fig. 5
+// in partitioned form:
 //
-//	hash-partition by fact → per-shard sort → per-shard LAWA+λ → merge
+//	hash-partition leaves by fact → per-shard sort → per-shard cursor plan → merge
 //
-// Both inputs are hash-partitioned by fact key into K shards (every fact
-// group lands wholly in one shard, so per-shard LAWA output is identical
-// to the sequential computation restricted to those facts). Shards are
-// sorted and swept concurrently on a bounded worker pool, and the sorted
-// shard outputs are k-way merged back into the canonical (fact, Ts) order
-// — the exact order the sequential drivers produce. Results are therefore
-// tuple-for-tuple identical to core.Apply: same facts, same intervals,
-// same lineage trees, same probabilities.
+// The leaf relations are hash-partitioned by fact into K shards (every
+// fact group lands wholly in one shard, so a shard plan's output is the
+// query's result restricted to those facts). Each shard evaluates the
+// whole tree as an independent query.BuildCursor plan on its own
+// goroutine, feeding a bounded channel of blocks, and mergeBatchStream
+// k-way merges the shard outputs back into canonical (fact, Ts, Te)
+// order incrementally — no intermediate relations (see DESIGN.md,
+// "Streaming execution"). Inputs below the partitioning threshold, a
+// worker budget of one, and unsorted inputs that share no dictionary run
+// the sequential BuildCursor plan instead; the stream is the same either
+// way. Apply is the two-leaf plan "r op s" on this path, and EvalCursor
+// materializes a plan's final result.
 //
-// Beyond single operations, Eval/EvalWith schedule independent subtrees of
-// a parsed query.Node concurrently, replacing the strictly sequential
-// post-order evaluation of package query; the engine registers itself as
-// query's parallel evaluator at init time, so query.Evaluate routes
-// through it whenever query.SetDefaultParallelism is above one. The query
-// service (internal/server) drives EvalWith directly with per-request
-// options.
-//
-// The streaming counterpart is Cursor/EvalCursor: the leaf relations are
-// partitioned once, the whole query tree is evaluated per shard as an
-// independent cursor plan on its own goroutine, and a k-way merge over
-// bounded channels restores canonical order incrementally — no
-// intermediate relations, same bit-identical output (see DESIGN.md,
-// "Streaming execution").
+// Correctness is pinned against the Def. 3 oracle (internal/ref) by the
+// differential harness in oracle_test.go — random trees × random
+// catalogs × worker counts, batch capacities, dictionary bindings — not
+// against a sibling executor: there is none.
 //
 // Concurrency invariants:
 //
 //   - Input relations are strictly read-only; partitioning hashes the
-//     interned FactID (a side-effect-free read) when an operation's
-//     inputs share one fact dictionary, and otherwise recomputes fact
-//     keys rather than going through the lazily-caching Tuple.Key.
-//   - An Engine is safe for concurrent use: all shard tasks and
-//     sequential fallbacks of all concurrent operations share one bounded
-//     semaphore, so a bushy tree cannot oversubscribe Config.Workers.
+//     interned FactID (a side-effect-free read) when the plan's leaves
+//     share one fact dictionary, and otherwise recomputes fact keys
+//     rather than going through the lazily-caching Tuple.Key.
+//   - An Engine holds nothing but its Config and the package holds no
+//     mutable state, so engines are safe for concurrent use and free to
+//     construct per request. One plan runs at most shardCount producer
+//     goroutines (sized from Config.Workers) plus the caller's; nothing
+//     bounds the sum over concurrent plans — the query service's
+//     admission gate does that.
 //
 // See DESIGN.md ("The partition-parallel engine") and docs/PAPER_MAP.md.
 package engine

@@ -1,18 +1,17 @@
 package engine
 
 import (
-	"fmt"
 	"runtime"
-	"sync"
 
 	"github.com/tpset/tpset/internal/core"
 	"github.com/tpset/tpset/internal/keys"
+	"github.com/tpset/tpset/internal/query"
 	"github.com/tpset/tpset/internal/relation"
 )
 
 // DefaultMinPartitionSize is the smallest average shard size worth the
 // partitioning and goroutine overhead; inputs that cannot fill at least
-// two shards of this size run on the sequential drivers unchanged.
+// two shards of this size run the sequential cursor plan.
 const DefaultMinPartitionSize = 2048
 
 // shardsPerWorker over-partitions relative to the worker count so that
@@ -26,9 +25,10 @@ const shardsPerWorker = 4
 // touching one cache line per eight tuples instead of a ~100-byte
 // struct stride — only materializes once the partition outgrows the
 // cache levels that make the struct walk free. Below the threshold the
-// shard sweeps run on the AoS view (interned compares are integer
-// compares either way), and operator output batches still come out
-// columnar for the encoder's read side, so serving loses nothing.
+// shard sweeps read keys through the tuple structs (interned compares
+// are integer compares either way), and operator output batches still
+// come out columnar for the encoder's read side, so serving loses
+// nothing.
 const DefaultMinColsRows = 16 << 10
 
 // Config tunes the engine.
@@ -42,7 +42,7 @@ type Config struct {
 	// one select DefaultMinPartitionSize.
 	MinPartitionSize int
 	// MinColsRows is the minimum partition size worth the columnar
-	// projection pass; smaller partitions sweep on the AoS view. Values
+	// projection pass; smaller partitions sweep on the tuple structs. Values
 	// below one select DefaultMinColsRows (tests force 1 to pin the
 	// columnar shard path on small inputs).
 	MinColsRows int
@@ -70,139 +70,26 @@ func (c Config) minColsRows() int {
 }
 
 // Engine executes TP set operations and query trees with partition
-// parallelism. An Engine is safe for concurrent use; the shard tasks and
-// sequential fallbacks of all concurrent operations share one bounded
-// worker pool, so the sweep work cannot oversubscribe the configured
-// budget (only the partition and merge phases run unpooled on the
-// calling goroutines).
+// parallelism. It is a value of its configuration: it holds no pool, no
+// goroutine and no other state between calls, so an Engine is safe for
+// concurrent use and free to construct per request. The parallelism of
+// one plan is bounded by its shard count, which shardCount sizes from
+// Config.Workers.
 type Engine struct {
 	cfg Config
-	sem chan struct{}
 }
 
 // New returns an engine with the given configuration.
-func New(cfg Config) *Engine {
-	return &Engine{cfg: cfg, sem: make(chan struct{}, cfg.workers())}
-}
+func New(cfg Config) *Engine { return &Engine{cfg: cfg} }
 
-// Apply computes op(r, s) with partition parallelism. The result is
-// tuple-for-tuple identical to core.Apply(op, r, s, opts), in the same
-// canonical (fact, Ts) order. Inputs below the partitioning threshold run
-// on the sequential drivers directly.
+// Apply computes op(r, s) as the two-leaf plan "r op s" on the engine's
+// one execution path (EvalCursor): sequential below the partitioning
+// threshold, sharded above it. The result is tuple-for-tuple identical
+// to core.Apply(op, r, s, opts), in the same canonical (fact, Ts) order
+// and under the same output schema.
 func (e *Engine) Apply(op core.Op, r, s *relation.Relation, opts core.Options) (*relation.Relation, error) {
-	if op != core.OpUnion && op != core.OpIntersect && op != core.OpExcept {
-		return nil, fmt.Errorf("engine: unknown operation %v", op)
-	}
-	if !r.Schema.Compatible(s.Schema) {
-		return nil, fmt.Errorf("engine: incompatible schemas %q (%d attrs) and %q (%d attrs)",
-			r.Schema.Name, len(r.Schema.Attrs), s.Schema.Name, len(s.Schema.Attrs))
-	}
-	if opts.Validate {
-		if err := r.ValidateDuplicateFree(); err != nil {
-			return nil, err
-		}
-		if err := s.ValidateDuplicateFree(); err != nil {
-			return nil, err
-		}
-		opts.Validate = false // already done; don't repeat per shard
-	}
-
-	// Both inputs bound to one fact dictionary means partitioning can
-	// hash the interned FactID — an integer mix instead of a string hash
-	// per tuple — while still landing every fact of r and s in aligned
-	// shards.
-	byID := r.Dict() != nil && r.Dict() == s.Dict()
-
-	shards := e.shardCount(r.Len() + s.Len())
-	if shards < 2 {
-		if opts.AssumeSorted {
-			// The sequential drivers run the advancer directly over
-			// AssumeSorted inputs, and the advancer's lazy tuple-key
-			// caching would race when concurrent operations share a
-			// relation; hand them private copies instead.
-			r, s = r.Clone(), s.Clone()
-		}
-		// Run under a pool slot: a query tree of many small operations
-		// must not oversubscribe the Workers budget just because each one
-		// falls back to the sequential driver. Safe to block here — the
-		// calling goroutine never already holds a slot.
-		e.sem <- struct{}{}
-		defer func() { <-e.sem }()
-		return core.Apply(op, r, s, opts)
-	}
-
-	rParts := partition(r, shards, byID)
-	sParts := partition(s, shards, byID)
-
-	outs := make([]*relation.Relation, shards)
-	errs := make([]error, shards)
-	var wg sync.WaitGroup
-	for i := 0; i < shards; i++ {
-		rp, sp := rParts[i], sParts[i]
-		if skipShard(op, rp, sp) {
-			continue
-		}
-		wg.Add(1)
-		go func(i int, rp, sp *relation.Relation) {
-			defer wg.Done()
-			e.sem <- struct{}{}
-			defer func() { <-e.sem }()
-			if !opts.AssumeSorted {
-				rp.Sort()
-				sp.Sort()
-			}
-			if !opts.NoSoA {
-				// The partitions are engine-private and sorted; project
-				// them into columns so the shard sweep runs on packed
-				// int64 compares (prepare skips this under AssumeSorted).
-				// Partitions below the amortization threshold sweep on
-				// the AoS view instead — the projection pass would cost
-				// more than the compares it accelerates.
-				if rp.Len() >= e.cfg.minColsRows() {
-					rp.BuildCols()
-				}
-				if sp.Len() >= e.cfg.minColsRows() {
-					sp.BuildCols()
-				}
-			}
-			shardOpts := opts
-			shardOpts.AssumeSorted = true
-			// A lineage.Cons is single-goroutine; shard sweeps run
-			// concurrently, so none is shared across them.
-			shardOpts.LineageCons = nil
-			outs[i], errs[i] = core.Apply(op, rp, sp, shardOpts)
-		}(i, rp, sp)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	merged := mergeSorted(core.OutSchema(op, r, s), outs)
-	merged.AdoptBinding()
-	return merged, nil
-}
-
-// Union computes r ∪Tp s with partition parallelism.
-func (e *Engine) Union(r, s *relation.Relation) (*relation.Relation, error) {
-	return e.Apply(core.OpUnion, r, s, core.Options{})
-}
-
-// Intersect computes r ∩Tp s with partition parallelism.
-func (e *Engine) Intersect(r, s *relation.Relation) (*relation.Relation, error) {
-	return e.Apply(core.OpIntersect, r, s, core.Options{})
-}
-
-// Except computes r −Tp s with partition parallelism.
-func (e *Engine) Except(r, s *relation.Relation) (*relation.Relation, error) {
-	return e.Apply(core.OpExcept, r, s, core.Options{})
-}
-
-// Apply is a convenience wrapper constructing a one-shot engine. The
-// worker budget is taken from opts.Parallelism.
-func Apply(op core.Op, r, s *relation.Relation, opts core.Options) (*relation.Relation, error) {
-	return New(Config{Workers: opts.Parallelism}).Apply(op, r, s, opts)
+	plan := &query.SetOp{Op: op, Left: &query.Rel{Name: "r"}, Right: &query.Rel{Name: "s"}}
+	return e.EvalCursor(plan, map[string]*relation.Relation{"r": r, "s": s}, opts)
 }
 
 // shardCount picks the number of shards for an input of total tuples:
@@ -272,59 +159,4 @@ func fnv32a(s string) uint32 {
 		h *= 16777619
 	}
 	return h
-}
-
-// skipShard reports whether a shard can be skipped without running the
-// advancer: its λ-filter can never pass. Union needs at least one side,
-// intersection both, difference the left.
-func skipShard(op core.Op, rp, sp *relation.Relation) bool {
-	switch op {
-	case core.OpIntersect:
-		return rp.Len() == 0 || sp.Len() == 0
-	case core.OpExcept:
-		return rp.Len() == 0
-	default:
-		return rp.Len() == 0 && sp.Len() == 0
-	}
-}
-
-// mergeSorted k-way merges shard outputs — each already in (fact, Ts)
-// order, with pairwise disjoint fact sets — into one relation in global
-// canonical order, the order the sequential drivers emit. Comparison is
-// relation.Less, the same comparator relation.Sort uses (shard-output
-// tuples are engine-private, so its lazy key caching cannot race); a
-// linear scan over the shard heads suffices for the modest shard counts
-// the engine uses.
-func mergeSorted(schema relation.Schema, outs []*relation.Relation) *relation.Relation {
-	merged := relation.New(schema)
-	total := 0
-	heads := make([]int, len(outs))
-	live := outs[:0:0]
-	for _, o := range outs {
-		if o != nil && o.Len() > 0 {
-			live = append(live, o)
-			total += o.Len()
-		}
-	}
-	merged.Tuples = make([]relation.Tuple, 0, total)
-	heads = heads[:len(live)]
-	for len(live) > 0 {
-		best := 0
-		bt := &live[0].Tuples[heads[0]]
-		for i := 1; i < len(live); i++ {
-			t := &live[i].Tuples[heads[i]]
-			if relation.Less(t, bt) {
-				best, bt = i, t
-			}
-		}
-		merged.Tuples = append(merged.Tuples, *bt)
-		heads[best]++
-		if heads[best] == live[best].Len() {
-			live[best] = live[len(live)-1]
-			heads[best] = heads[len(live)-1]
-			live = live[:len(live)-1]
-			heads = heads[:len(heads)-1]
-		}
-	}
-	return merged
 }

@@ -7,42 +7,31 @@ import (
 
 	"github.com/tpset/tpset/internal/core"
 	"github.com/tpset/tpset/internal/engine"
-	"github.com/tpset/tpset/internal/interval"
 	"github.com/tpset/tpset/internal/query"
+	"github.com/tpset/tpset/internal/ref/reftest"
 	"github.com/tpset/tpset/internal/relation"
 )
 
 var allOps = []core.Op{core.OpUnion, core.OpIntersect, core.OpExcept}
 
-// randomRelations builds a random duplicate-free pair over a configurable
-// number of facts, exercising gaps, adjacency, containment and
-// exact-boundary coincidences (the same distribution as the core
-// cross-validation suite, widened to multi-fact inputs so partitioning
-// actually scatters work).
-func randomRelations(rng *rand.Rand, maxTuples, numFacts int) (r, s *relation.Relation) {
-	facts := make([]string, numFacts)
-	for i := range facts {
-		facts[i] = fmt.Sprintf("f%02d", i)
-	}
-	build := func(name string) *relation.Relation {
-		rel := relation.New(relation.NewSchema(name, "F"))
-		n := 1 + rng.Intn(maxTuples)
-		cursors := make(map[string]interval.Time)
-		for i := 0; i < n; i++ {
-			f := facts[rng.Intn(len(facts))]
-			ts := cursors[f] + interval.Time(rng.Intn(4))
-			te := ts + 1 + interval.Time(rng.Intn(5))
-			cursors[f] = te
-			rel.AddBase(relation.NewFact(f), fmt.Sprintf("%s%d", name, i), ts, te, 0.05+0.9*rng.Float64())
-		}
-		return rel
-	}
-	return build("x"), build("y")
+// randomPair generates two unsorted, un-interned relations r0 and r1
+// (multi-fact, so partitioning actually scatters work) and the database
+// holding them.
+func randomPair(rng *rand.Rand, maxTuples, facts int) (r, s *relation.Relation, db map[string]*relation.Relation) {
+	db = reftest.DB(rng, reftest.Shape{Relations: 2, MaxTuples: maxTuples, Facts: facts})
+	return db["r0"], db["r1"], db
+}
+
+// pairPlan is "r0 op r1", the tree the oracle evaluates for Apply(op, r0, r1).
+func pairPlan(op core.Op) query.Node {
+	return &query.SetOp{Op: op, Left: &query.Rel{Name: "r0"}, Right: &query.Rel{Name: "r1"}}
 }
 
 // mustIdentical asserts got is tuple-for-tuple identical to want: same
-// order, same facts, same intervals, same rendered canonical lineage and
-// bit-identical probabilities.
+// schema, same order, same facts, same intervals, same rendered lineage
+// and bit-identical probabilities — the "Apply equals core.Apply"
+// contract, asserted only after one side has been checked against the
+// oracle.
 func mustIdentical(t *testing.T, label string, got, want *relation.Relation) {
 	t.Helper()
 	if got.Schema.Name != want.Schema.Name {
@@ -53,37 +42,33 @@ func mustIdentical(t *testing.T, label string, got, want *relation.Relation) {
 	}
 	for i := range want.Tuples {
 		g, w := &got.Tuples[i], &want.Tuples[i]
-		switch {
-		case !g.Fact.Equal(w.Fact):
-			t.Fatalf("%s: tuple %d fact %s vs %s", label, i, g.Fact, w.Fact)
-		case g.T != w.T:
-			t.Fatalf("%s: tuple %d (%s) interval %s vs %s", label, i, g.Fact, g.T, w.T)
-		case g.Lineage.String() != w.Lineage.String():
-			t.Fatalf("%s: tuple %d (%s %s) lineage %s vs %s", label, i, g.Fact, g.T, g.Lineage, w.Lineage)
-		case g.Prob != w.Prob:
-			t.Fatalf("%s: tuple %d (%s %s) prob %v vs %v", label, i, g.Fact, g.T, g.Prob, w.Prob)
+		if !g.Fact.Equal(w.Fact) || g.T != w.T || g.Lineage.String() != w.Lineage.String() || g.Prob != w.Prob {
+			t.Fatalf("%s: tuple %d: got %s, want %s", label, i, g, w)
 		}
 	}
 }
 
-// TestParallelMatchesSequential cross-validates the partitioned engine
-// against sequential core.Apply on randomized relation pairs: ≥ 100 pairs
-// per operation, bit-identical output required.
-func TestParallelMatchesSequential(t *testing.T) {
+// TestApplyMatchesOracle checks the two-relation drivers — the sharded
+// engine.Apply and the sequential core.Apply — against the oracle on
+// randomized pairs, ≥ 100 per operation, and against each other bit for
+// bit.
+func TestApplyMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	e := engine.New(engine.Config{Workers: 4, MinPartitionSize: 1})
 	for trial := 0; trial < 150; trial++ {
-		r, s := randomRelations(rng, 60, 1+rng.Intn(12))
+		r, s, db := randomPair(rng, 60, 1+rng.Intn(12))
 		for _, op := range allOps {
-			want, err := core.Apply(op, r, s, core.Options{})
+			ctx := fmt.Sprintf("trial %d %v", trial, op)
+			seq, err := core.Apply(op, r, s, core.Options{})
 			if err != nil {
-				t.Fatalf("trial %d %v: sequential: %v", trial, op, err)
+				t.Fatalf("%s: sequential: %v", ctx, err)
 			}
+			reftest.Check(t, ctx+" core.Apply", seq, pairPlan(op), db)
 			got, err := e.Apply(op, r, s, core.Options{})
 			if err != nil {
-				t.Fatalf("trial %d %v: parallel: %v", trial, op, err)
+				t.Fatalf("%s: parallel: %v", ctx, err)
 			}
-			mustIdentical(t, fmt.Sprintf("trial %d %v", trial, op), got, want)
+			mustIdentical(t, ctx, got, seq)
 		}
 	}
 }
@@ -91,13 +76,9 @@ func TestParallelMatchesSequential(t *testing.T) {
 // TestDeterminismAcrossWorkerCounts asserts identical output across
 // Workers = 1, 2, 8 and across repeated runs with the same configuration.
 func TestDeterminismAcrossWorkerCounts(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	r, s := randomRelations(rng, 400, 23)
+	r, s, db := randomPair(rand.New(rand.NewSource(11)), 400, 23)
 	for _, op := range allOps {
-		want, err := core.Apply(op, r, s, core.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
+		var first *relation.Relation
 		for _, workers := range []int{1, 2, 8} {
 			e := engine.New(engine.Config{Workers: workers, MinPartitionSize: 1})
 			for run := 0; run < 3; run++ {
@@ -105,17 +86,20 @@ func TestDeterminismAcrossWorkerCounts(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%v workers=%d run=%d: %v", op, workers, run, err)
 				}
-				mustIdentical(t, fmt.Sprintf("%v workers=%d run=%d", op, workers, run), got, want)
+				if first == nil {
+					first = got
+					reftest.Check(t, op.String(), got, pairPlan(op), db)
+				}
+				mustIdentical(t, fmt.Sprintf("%v workers=%d run=%d", op, workers, run), got, first)
 			}
 		}
 	}
 }
 
-// TestApplyOptionsRespected checks LazyProb and Validate behave as in the
-// sequential drivers, and that AssumeSorted inputs are handled.
+// TestApplyOptionsRespected checks LazyProb, Validate and AssumeSorted on
+// the sharded path.
 func TestApplyOptionsRespected(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	r, s := randomRelations(rng, 200, 9)
+	r, s, db := randomPair(rand.New(rand.NewSource(13)), 200, 9)
 	e := engine.New(engine.Config{Workers: 4, MinPartitionSize: 1})
 
 	lazy, err := e.Apply(core.OpUnion, r, s, core.Options{LazyProb: true})
@@ -127,10 +111,14 @@ func TestApplyOptionsRespected(t *testing.T) {
 			t.Fatalf("LazyProb: tuple %d has prob %v, want 0", i, lazy.Tuples[i].Prob)
 		}
 	}
+	lazy.ComputeProbs()
+	reftest.Check(t, "LazyProb", lazy, pairPlan(core.OpUnion), db)
 
-	if _, err := e.Apply(core.OpUnion, r, s, core.Options{Validate: true}); err != nil {
+	valid, err := e.Apply(core.OpUnion, r, s, core.Options{Validate: true})
+	if err != nil {
 		t.Fatalf("Validate over valid inputs: %v", err)
 	}
+	reftest.Check(t, "Validate", valid, pairPlan(core.OpUnion), db)
 	bad := r.Clone()
 	bad.AddBase(bad.Tuples[0].Fact, "dup", bad.Tuples[0].T.Ts, bad.Tuples[0].T.Te, 0.5)
 	if _, err := e.Apply(core.OpUnion, bad, s, core.Options{Validate: true}); err == nil {
@@ -140,106 +128,42 @@ func TestApplyOptionsRespected(t *testing.T) {
 	rs, ss := r.Clone(), s.Clone()
 	rs.Sort()
 	ss.Sort()
-	want, err := core.Apply(core.OpExcept, rs, ss, core.Options{AssumeSorted: true})
-	if err != nil {
-		t.Fatal(err)
-	}
 	got, err := e.Apply(core.OpExcept, rs, ss, core.Options{AssumeSorted: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	mustIdentical(t, "AssumeSorted", got, want)
-}
+	reftest.Check(t, "AssumeSorted", got, pairPlan(core.OpExcept), db)
 
-// TestEmptyInputs covers the degenerate shapes partitioning must not
-// mishandle.
-func TestEmptyInputs(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	r, _ := randomRelations(rng, 50, 5)
-	empty := relation.New(relation.NewSchema("e", "F"))
-	e := engine.New(engine.Config{Workers: 4, MinPartitionSize: 1})
-	for _, op := range allOps {
-		for _, pair := range [][2]*relation.Relation{{r, empty}, {empty, r}, {empty, empty}} {
-			want, err := core.Apply(op, pair[0], pair[1], core.Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := e.Apply(op, pair[0], pair[1], core.Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			mustIdentical(t, fmt.Sprintf("%v empty case", op), got, want)
-		}
+	if _, err := e.Apply(core.Op(9), r, s, core.Options{}); err == nil {
+		t.Fatal("unknown operation: want error, got nil")
+	}
+	wide := relation.New(relation.NewSchema("wide", "A", "B"))
+	if _, err := e.Apply(core.OpUnion, r, wide, core.Options{}); err == nil {
+		t.Fatal("incompatible schemas: want error, got nil")
 	}
 }
 
-// TestEvalMatchesSequentialEvaluate cross-validates the concurrent
-// query-tree executor against the sequential evaluator, including
-// selections and repeating queries.
-func TestEvalMatchesSequentialEvaluate(t *testing.T) {
-	rng := rand.New(rand.NewSource(19))
-	db := map[string]*relation.Relation{}
-	for _, name := range []string{"a", "b", "c", "d"} {
-		rel, _ := randomRelations(rng, 120, 8)
-		rel.Schema.Name = name
-		db[name] = rel
-	}
-	queries := []string{
-		"a | b",
-		"(a | b) & c",
-		"((a | b) & c) - d",
-		"(a - b) | (c - d)",
-		"(a & b) | (a & c)", // repeating
-		"sigma[F='f03'](a) | b",
-	}
+// TestEvalCursorQueries runs fixed query shapes — nested, repeating, with
+// a selection — through the sharded plan, and pins plan-time errors.
+func TestEvalCursorQueries(t *testing.T) {
+	db := reftest.DB(rand.New(rand.NewSource(19)), reftest.Shape{Relations: 4, MaxTuples: 120, Facts: 8})
 	e := engine.New(engine.Config{Workers: 4, MinPartitionSize: 1})
-	for _, src := range queries {
+	for _, src := range []string{
+		"r0 | r1",
+		"(r0 | r1) & r2",
+		"((r0 | r1) & r2) - r3",
+		"(r0 - r1) | (r2 - r3)",
+		"(r0 & r1) | (r0 & r2)", // repeating
+		"sigma[F='f003'](r0) | r1",
+	} {
 		q := query.MustParse(src)
-		want, err := query.Evaluate(q, db)
+		got, err := e.EvalCursor(q, db, core.Options{})
 		if err != nil {
-			t.Fatalf("%s: sequential: %v", src, err)
+			t.Fatalf("%s: %v", src, err)
 		}
-		got, err := e.Eval(q, db)
-		if err != nil {
-			t.Fatalf("%s: parallel: %v", src, err)
-		}
-		if d := relation.Diff(got, want); d != "" {
-			t.Fatalf("%s: parallel vs sequential: %s", src, d)
-		}
+		reftest.Check(t, src, got, q, db)
 	}
-
-	if _, err := e.Eval(query.MustParse("a | nosuch"), db); err == nil {
+	if _, err := e.EvalCursor(query.MustParse("r0 | nosuch"), db, core.Options{}); err == nil {
 		t.Fatal("unknown relation: want error, got nil")
-	}
-}
-
-// TestQueryEvaluateRoutesThroughEngine checks the query-package hook: with
-// the default parallelism raised above one, query.Evaluate must route
-// through the registered engine and still produce the sequential result.
-func TestQueryEvaluateRoutesThroughEngine(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	db := map[string]*relation.Relation{}
-	for _, name := range []string{"a", "b", "c"} {
-		rel, _ := randomRelations(rng, 150, 10)
-		rel.Schema.Name = name
-		db[name] = rel
-	}
-	q := query.MustParse("(a | b) - c")
-	want, err := query.Evaluate(q, db)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	query.SetDefaultParallelism(4)
-	defer query.SetDefaultParallelism(1)
-	if got := query.DefaultParallelism(); got != 4 {
-		t.Fatalf("DefaultParallelism = %d, want 4", got)
-	}
-	got, err := query.Evaluate(q, db)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := relation.Diff(got, want); d != "" {
-		t.Fatalf("routed vs sequential: %s", d)
 	}
 }

@@ -1,0 +1,249 @@
+package engine_test
+
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"github.com/tpset/tpset/internal/core"
+	"github.com/tpset/tpset/internal/engine"
+	"github.com/tpset/tpset/internal/query"
+	"github.com/tpset/tpset/internal/ref/reftest"
+	"github.com/tpset/tpset/internal/relation"
+)
+
+// The differential harness: the engine's execution path — sequential
+// plan and sharded plan, at every batch capacity, worker count, leaf
+// binding and option the path has — checked against the Def. 3 oracle on
+// random query trees over random catalogs and on the paper's Fig. 1
+// fixtures. Runs under -race and -tags tpinvariants in CI.
+
+// shardingEngine partitions even the small harness catalogs and projects
+// every partition into columns, so the sharded, columnar plan is what
+// runs above one worker.
+func shardingEngine(workers int) *engine.Engine {
+	return engine.New(engine.Config{Workers: workers, MinPartitionSize: 1, MinColsRows: 1})
+}
+
+// drain pulls a plan dry through NextBatch at the given block capacity
+// and returns the tuples in stream order. Every block must respect the
+// capacity and, when it carries columns, mirror its rows exactly; with
+// wantCols every block must carry them.
+func drain(t *testing.T, ctx string, cur *engine.StreamCursor, capacity int, wantCols bool) *relation.Relation {
+	t.Helper()
+	defer cur.Close()
+	out := relation.New(cur.Schema())
+	b := core.NewBatch(capacity)
+	for cur.NextBatch(b) {
+		if len(b.Tuples) == 0 || len(b.Tuples) > capacity {
+			t.Fatalf("%s: NextBatch put %d tuples into a capacity-%d batch", ctx, len(b.Tuples), capacity)
+		}
+		if wantCols && !b.HasCols() {
+			t.Fatalf("%s: block at offset %d carries no columns", ctx, out.Len())
+		}
+		requireColsMirrorRows(t, ctx, b)
+		out.Tuples = append(out.Tuples, b.Tuples...)
+	}
+	if cur.NextBatch(b) {
+		t.Fatalf("%s: NextBatch true after exhaustion", ctx)
+	}
+	return out
+}
+
+// requireColsMirrorRows checks the columnar view of one block: Dict
+// non-nil implies every column is row-aligned with Tuples and mirrors it
+// field for field.
+func requireColsMirrorRows(t *testing.T, ctx string, b *core.Batch) {
+	t.Helper()
+	if !b.HasCols() {
+		if len(b.Fid)+len(b.Ts)+len(b.Te)+len(b.Prob)+len(b.Lam) != 0 {
+			t.Fatalf("%s: column slices non-empty on a batch without a dictionary", ctx)
+		}
+		return
+	}
+	n := len(b.Tuples)
+	if len(b.Fid) != n || len(b.Ts) != n || len(b.Te) != n || len(b.Prob) != n || len(b.Lam) != n {
+		t.Fatalf("%s: column lengths (%d,%d,%d,%d,%d) misaligned with %d rows",
+			ctx, len(b.Fid), len(b.Ts), len(b.Te), len(b.Prob), len(b.Lam), n)
+	}
+	for i := range b.Tuples {
+		tp := &b.Tuples[i]
+		if k := relation.KeyIn(b.Dict, b.Fid[i]); !k.Equal(tp.FactKeyRO()) {
+			t.Fatalf("%s: row %d: fid column decodes to %s, row key %s", ctx, i, k, tp.FactKeyRO())
+		}
+		if b.Ts[i] != tp.T.Ts || b.Te[i] != tp.T.Te || b.Prob[i] != tp.Prob || b.Lam[i] != tp.Lineage {
+			t.Fatalf("%s: row %d: columns ([%d,%d) p=%v) differ from row %s", ctx, i, b.Ts[i], b.Te[i], b.Prob[i], tp)
+		}
+	}
+}
+
+// TestEngineMatchesOracle is the main sweep. Per trial: one catalog
+// (un-interned, interned into one dictionary, or mixed; sorted or in
+// generation order; fact pools aligned or offset) and one tree with
+// selections and repeats, run at Workers 1/2/8 × batch capacity
+// 1/2/BatchSize × AssumeSorted off/on (on only over sorted catalogs),
+// alternating eager and lazy probability valuation.
+func TestEngineMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(71))
+	for trial := 0; trial < 120; trial++ {
+		sh := reftest.Shape{
+			Relations: 2 + rng.Intn(3), MaxTuples: 120, Facts: 24,
+			OffsetFacts: trial%2 == 0,
+			Binding:     reftest.Binding(trial % 3),
+			Sorted:      trial%4 < 2,
+		}
+		db := reftest.DB(rng, sh)
+		tree := reftest.Tree(rng, query.DBKeys(db), 1+rng.Intn(4))
+		_, isOp := tree.(*query.SetOp)
+		run := 0
+		for _, workers := range []int{1, 2, 8} {
+			for _, capacity := range []int{1, 2, core.BatchSize} {
+				for _, assumeSorted := range []bool{false, true} {
+					if assumeSorted && !sh.Sorted {
+						continue
+					}
+					run++
+					opts := core.Options{AssumeSorted: assumeSorted, LazyProb: run%2 == 0}
+					ctx := fmt.Sprintf("trial %d (%s) binding=%d workers=%d cap=%d %+v",
+						trial, tree, sh.Binding, workers, capacity, opts)
+					cur, err := shardingEngine(workers).Cursor(tree, db, opts)
+					if err != nil {
+						t.Fatalf("%s: %v", ctx, err)
+					}
+					// Without AssumeSorted the plan interns its private
+					// leaf clones, so every block is columnar whatever
+					// the catalog's binding.
+					got := drain(t, ctx, cur, capacity, !assumeSorted)
+					if opts.LazyProb {
+						for i := range got.Tuples {
+							if isOp && got.Tuples[i].Prob != 0 {
+								t.Fatalf("%s: lazy tuple %d carries probability %v", ctx, i, got.Tuples[i].Prob)
+							}
+						}
+						got.ComputeProbs()
+					}
+					reftest.Check(t, ctx, got, tree, db)
+				}
+			}
+		}
+	}
+}
+
+// TestEngineFig1MatchesOracle runs the paper's own queries over the
+// Fig. 1 relations through both plans.
+func TestEngineFig1MatchesOracle(t *testing.T) {
+	db, queries := reftest.Fig1()
+	for _, src := range queries {
+		tree := query.MustParse(src)
+		for _, workers := range []int{1, 4} {
+			got, err := shardingEngine(workers).EvalCursor(tree, db, core.Options{Validate: true})
+			if err != nil {
+				t.Fatalf("%s workers=%d: %v", src, workers, err)
+			}
+			reftest.Check(t, fmt.Sprintf("%s workers=%d", src, workers), got, tree, db)
+		}
+	}
+}
+
+// TestEngineEmptyInputsMatchOracle pins the degenerate shapes: empty
+// relations on either or both sides of every operation.
+func TestEngineEmptyInputsMatchOracle(t *testing.T) {
+	empty := relation.New(relation.NewSchema("e", "F"))
+	full := relation.New(relation.NewSchema("f", "F"))
+	full.AddBase(relation.NewFact("a"), "x1", 0, 5, 0.5)
+	full.AddBase(relation.NewFact("b"), "x2", 2, 9, 0.7)
+	db := map[string]*relation.Relation{"e": empty, "f": full}
+	for _, src := range []string{"e & f", "f & e", "e | f", "f | e", "e - f", "f - e", "e & e", "e | e", "e - e", "e"} {
+		tree := query.MustParse(src)
+		for _, workers := range []int{1, 4} {
+			for _, assumeSorted := range []bool{false, true} {
+				ctx := fmt.Sprintf("%s workers=%d assumeSorted=%v", src, workers, assumeSorted)
+				cur, err := shardingEngine(workers).Cursor(tree, db, core.Options{AssumeSorted: assumeSorted})
+				if err != nil {
+					t.Fatalf("%s: %v", ctx, err)
+				}
+				reftest.Check(t, ctx, drain(t, ctx, cur, 4, false), tree, db)
+			}
+		}
+	}
+}
+
+// TestEngineInterleavedPullsMatchOracle pins that Next and NextBatch draw
+// from one stream: randomly alternating pulls see every tuple exactly
+// once, in order.
+func TestEngineInterleavedPullsMatchOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(72))
+	for trial := 0; trial < 40; trial++ {
+		db := reftest.DB(rng, reftest.Shape{Relations: 2, MaxTuples: 150, Facts: 16,
+			OffsetFacts: trial%2 == 0, Binding: reftest.Binding(trial % 3)})
+		tree := reftest.Tree(rng, query.DBKeys(db), 2)
+		for _, workers := range []int{1, 2} {
+			cur, err := shardingEngine(workers).Cursor(tree, db, core.Options{})
+			if err != nil {
+				t.Fatalf("trial %d: %v", trial, err)
+			}
+			got := relation.New(cur.Schema())
+			b := core.NewBatch(3)
+			for {
+				if rng.Intn(2) == 0 {
+					tup, ok := cur.Next()
+					if !ok {
+						break
+					}
+					got.Tuples = append(got.Tuples, tup)
+				} else {
+					if !cur.NextBatch(b) {
+						break
+					}
+					got.Tuples = append(got.Tuples, b.Tuples...)
+				}
+			}
+			cur.Close()
+			reftest.Check(t, fmt.Sprintf("trial %d (%s) interleaved workers=%d", trial, tree, workers), got, tree, db)
+		}
+	}
+}
+
+// TestEngineEarlyCloseBalancesPool abandons plans mid-drain across worker
+// counts and pull styles. Close must release the shard producers without
+// deadlock (-race additionally proves the teardown race-free), be
+// idempotent, and hand every pooled block back: Close drains until the
+// producers close their channels, so the gets taken since the cursor was
+// built all come back as puts the moment it returns (ramp and test
+// blocks are unpooled and leave through the drop counter).
+func TestEngineEarlyCloseBalancesPool(t *testing.T) {
+	rng := rand.New(rand.NewSource(73))
+	for trial := 0; trial < 30; trial++ {
+		db := reftest.DB(rng, reftest.Shape{Relations: 3, MaxTuples: 2000, Facts: 48, Binding: reftest.Binding(trial % 3)})
+		tree := reftest.Tree(rng, query.DBKeys(db), 3)
+		for _, workers := range []int{1, 2, 8} {
+			for _, pull := range []string{"none", "tuple", "batch", "all"} {
+				gets0, puts0, _, _ := core.BatchPoolStats()
+				cur, err := shardingEngine(workers).Cursor(tree, db, core.Options{})
+				if err != nil {
+					t.Fatalf("trial %d: %v", trial, err)
+				}
+				switch pull {
+				case "tuple":
+					for i := 0; i < 5; i++ {
+						cur.Next()
+					}
+				case "batch":
+					b := core.GetBatch()
+					for i := 1 + rng.Intn(3); i > 0 && cur.NextBatch(b); i-- {
+					}
+					core.PutBatch(b)
+				case "all":
+					core.Materialize(cur)
+				}
+				cur.Close()
+				cur.Close() // idempotent, including the pool drain
+				gets1, puts1, _, _ := core.BatchPoolStats()
+				if gets1-gets0 != puts1-puts0 {
+					t.Fatalf("trial %d (%s) workers=%d pull=%s: pool unbalanced after Close: %d gets vs %d puts",
+						trial, tree, workers, pull, gets1-gets0, puts1-puts0)
+				}
+			}
+		}
+	}
+}

@@ -8,37 +8,29 @@ import (
 	"time"
 
 	"github.com/tpset/tpset/internal/core"
-	"github.com/tpset/tpset/internal/keys"
 	"github.com/tpset/tpset/internal/obs"
 	"github.com/tpset/tpset/internal/query"
 	"github.com/tpset/tpset/internal/relation"
 )
 
-// Streaming (cursor-plan) execution. The engine composes with the cursor
-// layer by partitioning the *leaf* relations once, by fact hash — exactly
-// the Apply partitioning — and evaluating the whole query tree per
+// Streaming (cursor-plan) execution — the engine's one execution path.
+// The engine composes with the cursor layer by partitioning the *leaf*
+// relations once, by fact hash, and evaluating the whole query tree per
 // partition as an independent streaming cursor plan: every TP set
 // operation and selection is per-fact, so the query restricted to one
 // fact partition equals the restriction of the query's result to those
 // facts. Shard plans run on their own goroutines, feeding bounded
-// channels, and a k-way merge over the channel heads (relation.Less, the
-// Apply merge comparator) restores global canonical order incrementally.
+// channels of blocks, and a k-way merge over the blocks' frontiers
+// (mergeBatchStream) restores global canonical order incrementally.
 //
 // Memory: each shard plan is O(tree depth); the one materialized cost is
 // the partitioned copy of the leaf relations (O(input), paid before any
 // output). Inputs below the partitioning threshold skip that too and run
 // the purely sequential cursor plan, which is O(tree depth) end to end.
 
-// streamChanBuf is the per-shard channel buffer of the tuple-at-a-time
-// path (Options.NoBatch): enough to decouple producer and consumer
-// bursts, small enough that a stalled consumer bounds the tuples in
-// flight to shards × streamChanBuf.
-const streamChanBuf = 128
-
-// batchChanBuf is the per-shard channel buffer of the batched path, in
-// batches: two full blocks per shard decouple producer and consumer
-// while bounding the tuples in flight to
-// shards × batchChanBuf × core.BatchSize.
+// batchChanBuf is the per-shard channel buffer, in batches: two full
+// blocks per shard decouple producer and consumer while bounding the
+// tuples in flight to shards × batchChanBuf × core.BatchSize.
 const batchChanBuf = 2
 
 // rampBatchSize is the capacity of each shard's first block: small, so
@@ -47,19 +39,18 @@ const batchChanBuf = 2
 // tuple is not delayed by full-block fills (see the producer loop).
 const rampBatchSize = 64
 
-// StreamCursor is a core.Cursor (and core.BatchCursor) over a whole
-// query tree, evaluated sequentially or partition-parallel. Callers that
-// do not drain it must Close it to release the shard goroutines; Close
-// is idempotent and safe after full drains too.
+// StreamCursor is a core.BatchCursor over a whole query tree, evaluated
+// sequentially or partition-parallel. Callers that do not drain it must
+// Close it to release the shard goroutines; Close is idempotent and safe
+// after full drains too.
 type StreamCursor struct {
 	schema    relation.Schema
-	next      func() (relation.Tuple, bool) // nil on the batch-merge plan
-	nextBatch func(*core.Batch) bool        // nil on the tuple-merge plan
+	nextBatch func(*core.Batch) bool
 	stop      func()
 
-	// Adapter state: Next over a batch-producing plan drains blocks
-	// through cur; NextBatch over a partially drained block serves the
-	// remainder tuple-wise so the two pull styles can interleave.
+	// Adapter state: Next drains blocks through cur; NextBatch over a
+	// partially drained block serves the remainder tuple-wise so the two
+	// pull styles can interleave.
 	cur  *core.Batch
 	ci   int
 	done bool
@@ -70,9 +61,6 @@ func (c *StreamCursor) Schema() relation.Schema { return c.schema }
 
 // Next returns the next result tuple in canonical (fact, Ts, Te) order.
 func (c *StreamCursor) Next() (relation.Tuple, bool) {
-	if c.next != nil {
-		return c.next()
-	}
 	for {
 		if c.cur != nil && c.ci < len(c.cur.Tuples) {
 			t := c.cur.Tuples[c.ci]
@@ -99,17 +87,17 @@ func (c *StreamCursor) Next() (relation.Tuple, bool) {
 // core.BatchCursor, so Materialize and the NDJSON stream drain engine
 // plans block-at-a-time.
 func (c *StreamCursor) NextBatch(b *core.Batch) bool {
-	if c.nextBatch != nil && (c.cur == nil || c.ci >= len(c.cur.Tuples)) {
+	if c.cur == nil || c.ci >= len(c.cur.Tuples) {
 		return c.nextBatch(b)
 	}
 	return core.FillBatch(b, c.Next)
 }
 
 // Close releases the plan's resources: shard producer goroutines and —
-// on a partially drained batched plan — every pooled block still in
-// flight (the adapter's current block, the merge's per-lane heads, and
-// blocks the producers had queued on the shard channels). After Close,
-// Next must not be called again.
+// on a partially drained plan — every pooled block still in flight (the
+// adapter's current block, operator buffers, the merge's per-lane heads,
+// and blocks the producers had queued on the shard channels). After
+// Close, Next must not be called again.
 func (c *StreamCursor) Close() {
 	if c.stop != nil {
 		c.stop()
@@ -125,8 +113,8 @@ func (c *StreamCursor) Close() {
 // large enough to partition and a worker budget above one, the plan
 // evaluates fact-hash shards of the query concurrently and merges their
 // ordered outputs on the fly; otherwise it is the sequential cursor plan.
-// Either way the stream is bit-identical to Eval's result, in the same
-// canonical order, with no intermediate relation materialized.
+// Either way the stream is the same — Def. 3's result in canonical order
+// — with no intermediate relation materialized.
 func (e *Engine) Cursor(n query.Node, db map[string]*relation.Relation, opts core.Options) (*StreamCursor, error) {
 	return e.CursorCtx(context.Background(), n, db, opts)
 }
@@ -147,38 +135,50 @@ func (e *Engine) Cursor(n query.Node, db map[string]*relation.Relation, opts cor
 // block.
 func (e *Engine) CursorCtx(ctx context.Context, n query.Node, db map[string]*relation.Relation, opts core.Options) (*StreamCursor, error) {
 	names := query.Relations(n)
+	var rels []*relation.Relation
 	total := 0
 	for _, name := range names {
 		if r, ok := db[name]; ok {
+			rels = append(rels, r)
 			total += r.Len()
 		}
 	}
+	// Partitioning hashes interned fact ids only when every referenced
+	// relation is bound to one shared dictionary — otherwise the shard of
+	// a fact would differ between relations and the per-shard plans would
+	// no longer compute the query's restriction to disjoint fact sets.
+	byID := relation.SharedDict(rels...) != nil
 	shards := e.shardCount(total)
+	if !opts.AssumeSorted && !byID {
+		// Unsorted inputs without a common dictionary are interned once
+		// by the sequential plan's leaf preparation; partitioning them
+		// first would sort and sweep every shard on key strings.
+		shards = 1
+	}
 	if shards < 2 {
 		c, err := query.BuildCursor(n, db, opts)
 		if err != nil {
 			return nil, err
 		}
-		sc := &StreamCursor{
+		// The partitioned plan observes cancellation for free — its
+		// producers select on ctx.Done — but the sequential plan runs
+		// entirely on the caller's goroutine and would otherwise sweep to
+		// completion after the deadline fired. A batch is already an
+		// amortization unit, so check once per block.
+		pull := core.AsBatchCursor(c).NextBatch
+		return &StreamCursor{
 			schema:    c.Schema(),
-			next:      c.Next,
-			nextBatch: core.AsBatchCursor(c).NextBatch,
+			nextBatch: func(b *core.Batch) bool { return ctx.Err() == nil && pull(b) },
 			// Close on an abandoned sequential plan releases the pooled
 			// blocks its operator buffers still hold.
 			stop: func() { core.ReleaseCursor(c) },
-		}
-		if ctx.Done() != nil {
-			sequentialCheckpoints(ctx, sc)
-		}
-		return sc, nil
+		}, nil
 	}
 
 	if opts.Validate {
-		for _, name := range names {
-			if r, ok := db[name]; ok {
-				if err := r.ValidateDuplicateFree(); err != nil {
-					return nil, err
-				}
+		for _, r := range rels {
+			if err := r.ValidateDuplicateFree(); err != nil {
+				return nil, err
 			}
 		}
 		opts.Validate = false // validated once; not per shard
@@ -189,31 +189,10 @@ func (e *Engine) CursorCtx(ctx context.Context, n query.Node, db map[string]*rel
 	// the shard plans cover pairwise disjoint fact sets. The partitions
 	// are freshly built and private, so unsorted inputs are handled by
 	// sorting each shard's partitions in place — on the shard's own
-	// goroutine, parallelizing the dominant sort cost exactly like
-	// Apply — rather than letting BuildCursor clone every leaf a second
-	// time (partitioning is stable, so sorted inputs yield sorted shards
-	// and the sort pass is skipped entirely).
-	// Partitioning hashes interned fact ids only when every referenced
-	// relation is bound to one shared dictionary — otherwise the shard of
-	// a fact would differ between relations and the per-shard plans would
-	// no longer compute the query's restriction to disjoint fact sets.
-	byID := true
-	var shared *keys.Dict
-	for _, name := range names {
-		r, ok := db[name]
-		if !ok {
-			continue
-		}
-		if shared == nil {
-			shared = r.Dict()
-		}
-		if r.Dict() == nil || r.Dict() != shared {
-			byID = false
-			break
-		}
-	}
-	byID = byID && shared != nil
-
+	// goroutine, parallelizing the dominant sort cost — rather than
+	// letting BuildCursor clone every leaf a second time (partitioning is
+	// stable, so sorted inputs yield sorted shards and the sort pass is
+	// skipped entirely).
 	shardDBs := make([]map[string]*relation.Relation, shards)
 	for i := range shardDBs {
 		shardDBs[i] = make(map[string]*relation.Relation, len(names))
@@ -239,9 +218,6 @@ func (e *Engine) CursorCtx(ctx context.Context, n query.Node, db map[string]*rel
 	shardSpans := make([]*obs.Span, shards)
 	for i := range curs {
 		shardOpts := opts
-		// A lineage.Cons is single-goroutine; shard plans run concurrently,
-		// so each gets its own (BuildCursor seeds one when the field is nil).
-		shardOpts.LineageCons = nil
 		if rootSp != nil {
 			shardSpans[i] = rootSp.NewChild("")
 			shardOpts.Span = shardSpans[i]
@@ -261,83 +237,18 @@ func (e *Engine) CursorCtx(ctx context.Context, n query.Node, db map[string]*rel
 	lg := obs.Logger(ctx)
 	ctxDone := ctx.Done() // nil without a cancellable ctx: select case never fires
 
-	// Producers run on dedicated goroutines rather than the engine's
-	// pooled semaphore: the merge needs every shard's head tuple, so
+	// Every shard producer gets its own goroutine rather than a slot in
+	// a Workers-sized pool: the merge needs every shard's head block, so
 	// admitting only Workers shards at a time could deadlock (a running
 	// shard blocks on its full channel while an unstarted shard starves
 	// the merge). The shard count is already sized from the worker budget,
 	// and the bounded channels provide backpressure.
 	done := make(chan struct{})
-	var once sync.Once
-	stop := func() { once.Do(func() { close(done) }) }
 
-	if opts.NoBatch {
-		// Tuple-at-a-time shard channels — the pre-batching execution
-		// stack, kept selectable for the batch-vs-tuple benchmark and
-		// the cross-validation suite.
-		chans := make([]chan relation.Tuple, shards)
-		for i := range curs {
-			ch := make(chan relation.Tuple, streamChanBuf)
-			chans[i] = ch
-			go func(i int, c core.Cursor, sdb map[string]*relation.Relation, ch chan relation.Tuple) {
-				defer close(ch)
-				defer core.ReleaseCursor(c) // symmetric with the batched path
-				sp := shardSpans[i]
-				start := time.Now()
-				sent := 0
-				if needSort {
-					// Scans hold the partition pointers, so sorting in
-					// place before the first Next is safe and feeds them
-					// sorted.
-					for _, part := range sdb {
-						part.Sort()
-					}
-				}
-				for {
-					t, ok := c.Next()
-					if !ok {
-						logShardDrained(lg, ctx, i, sent, start)
-						return
-					}
-					var sendStart time.Time
-					if sp != nil {
-						sendStart = time.Now()
-					}
-					select {
-					case ch <- t:
-						if sp != nil {
-							sp.AddStall(time.Since(sendStart))
-						}
-						sent++
-					case <-done:
-						return
-					case <-ctxDone:
-						return
-					}
-				}
-			}(i, curs[i], shardDBs[i], ch)
-		}
-		m := &mergeStream{chans: chans, sp: rootSp}
-		next := m.next
-		if rootSp != nil {
-			next = func() (relation.Tuple, bool) {
-				t0 := time.Now()
-				t, ok := m.next()
-				rootSp.AddWall(time.Since(t0))
-				if ok {
-					rootSp.AddTuples(1)
-				}
-				return t, ok
-			}
-		}
-		return &StreamCursor{schema: curs[0].Schema(), next: next, stop: stop}, nil
-	}
-
-	// Batched shard channels: each producer fills pooled blocks of up to
-	// core.BatchSize tuples and sends the block — one channel operation
-	// (and at most one goroutine wakeup) per block instead of per tuple,
-	// ~1000x fewer synchronization points on large streams. The merge
-	// advances over the shard blocks' frontiers and emits blocks itself.
+	// Each producer fills pooled blocks of up to core.BatchSize tuples and
+	// sends the block — one channel operation (and at most one goroutine
+	// wakeup) per ~1000 tuples. The merge advances over the shard blocks'
+	// frontiers and emits blocks itself.
 	chans := make([]chan *core.Batch, shards)
 	for i := range curs {
 		ch := make(chan *core.Batch, batchChanBuf)
@@ -361,16 +272,14 @@ func (e *Engine) CursorCtx(ctx context.Context, n query.Node, db map[string]*rel
 					part.Sort()
 				}
 			}
-			if !opts.NoSoA {
-				// Project the shard's private partitions into columns on
-				// the shard's own goroutine, before the first pull: leaf
-				// scans then alias packed columns into their batches.
-				// Partitions below the amortization threshold sweep on
-				// the AoS view — see DefaultMinColsRows.
-				for _, part := range sdb {
-					if part.Len() >= e.cfg.minColsRows() {
-						part.BuildCols()
-					}
+			// Project the shard's private partitions into columns on the
+			// shard's own goroutine, before the first pull: leaf scans
+			// then alias packed columns into their batches. Partitions
+			// below the amortization threshold are swept through their
+			// tuple structs — see DefaultMinColsRows.
+			for _, part := range sdb {
+				if part.Len() >= e.cfg.minColsRows() {
+					part.BuildCols()
 				}
 			}
 			// The first block is deliberately small: the downstream
@@ -426,12 +335,13 @@ func (e *Engine) CursorCtx(ctx context.Context, n query.Node, db map[string]*rel
 		}(i, core.AsBatchCursor(curs[i]), shardDBs[i], ch)
 	}
 	m := &mergeBatchStream{chans: chans, sp: rootSp}
-	// Close on the batched plan also reclaims pooled blocks: the ones
-	// the merge holds as lane heads and the ones the producers queued
-	// or manage to send before observing done. The producers close
-	// their channels on exit, which bounds the drain.
-	stopBatch := func() {
-		stop()
+	// Close stops the producers and reclaims pooled blocks: the ones the
+	// merge holds as lane heads and the ones the producers queued or
+	// manage to send before observing done. The producers close their
+	// channels on exit, which bounds the drain.
+	var once sync.Once
+	stop := func() {
+		once.Do(func() { close(done) })
 		m.release()
 	}
 	nextBatch := m.nextBatch
@@ -447,43 +357,7 @@ func (e *Engine) CursorCtx(ctx context.Context, n query.Node, db map[string]*rel
 			return ok
 		}
 	}
-	return &StreamCursor{schema: curs[0].Schema(), nextBatch: nextBatch, stop: stopBatch}, nil
-}
-
-// ctxCheckEvery is how many tuple-wise pulls pass between context
-// checks on the sequential plan: frequent enough that a cancelled
-// request stops within microseconds of real work, rare enough that the
-// check is invisible next to the per-tuple sweep cost.
-const ctxCheckEvery = 256
-
-// sequentialCheckpoints threads cancellation into the sequential plan.
-// The partitioned plan observes cancellation for free — its producers
-// select on ctx.Done — but the sequential plan runs entirely on the
-// caller's goroutine and would otherwise sweep to completion after the
-// deadline fired. Checked once per NextBatch (a batch is already an
-// amortization unit) and every ctxCheckEvery Next calls.
-func sequentialCheckpoints(ctx context.Context, c *StreamCursor) {
-	next, nextBatch := c.next, c.nextBatch
-	if next != nil {
-		calls := 0
-		c.next = func() (relation.Tuple, bool) {
-			if calls++; calls >= ctxCheckEvery {
-				calls = 0
-				if ctx.Err() != nil {
-					return relation.Tuple{}, false
-				}
-			}
-			return next()
-		}
-	}
-	if nextBatch != nil {
-		c.nextBatch = func(b *core.Batch) bool {
-			if ctx.Err() != nil {
-				return false
-			}
-			return nextBatch(b)
-		}
-	}
+	return &StreamCursor{schema: curs[0].Schema(), nextBatch: nextBatch, stop: stop}, nil
 }
 
 // logShardDrained emits the per-shard completion record of a producer
@@ -499,73 +373,15 @@ func logShardDrained(lg *slog.Logger, ctx context.Context, shard, tuples int, st
 		slog.Duration("elapsed", time.Since(start)))
 }
 
-// mergeStream k-way merges the shard channels by relation.Less. Each
-// shard stream is itself in canonical order and the shards' fact sets are
-// disjoint, so the merged sequence is the one global canonical order —
-// exactly what mergeSorted produces for materialized shard outputs. A
-// linear scan over the heads suffices for the engine's modest shard
-// counts (cf. mergeSorted).
-type mergeStream struct {
-	chans  []chan relation.Tuple
-	heads  []relation.Tuple
-	primed bool
-	sp     *obs.Span // nil unless traced: records merge-side channel stall
-}
-
-// recv pulls from ch, charging time blocked on the receive to the merge
-// span's stall counter when traced.
-func (m *mergeStream) recv(ch chan relation.Tuple) (relation.Tuple, bool) {
-	if m.sp == nil {
-		t, ok := <-ch
-		return t, ok
-	}
-	start := time.Now()
-	t, ok := <-ch
-	m.sp.AddStall(time.Since(start))
-	return t, ok
-}
-
-func (m *mergeStream) next() (relation.Tuple, bool) {
-	if !m.primed {
-		m.primed = true
-		live := m.chans[:0]
-		for _, ch := range m.chans {
-			if t, ok := m.recv(ch); ok {
-				live = append(live, ch)
-				m.heads = append(m.heads, t)
-			}
-		}
-		m.chans = live
-	}
-	if len(m.chans) == 0 {
-		return relation.Tuple{}, false
-	}
-	best := 0
-	for i := 1; i < len(m.chans); i++ {
-		if relation.Less(&m.heads[i], &m.heads[best]) {
-			best = i
-		}
-	}
-	out := m.heads[best]
-	if t, ok := m.recv(m.chans[best]); ok {
-		m.heads[best] = t
-	} else {
-		last := len(m.chans) - 1
-		m.chans[best] = m.chans[last]
-		m.heads[best] = m.heads[last]
-		m.chans = m.chans[:last]
-		m.heads = m.heads[:last]
-	}
-	return out, true
-}
-
-// mergeBatchStream k-way merges the shard batch channels by
-// relation.Less, advancing over the frontiers of the shards' current
-// blocks. Tuple-wise it computes exactly the mergeStream order (the
-// shards' fact sets are disjoint and each shard stream is sorted), but
-// it touches a channel only once per consumed block and emits its
-// output in blocks too, so the per-tuple cost of the merge is a
-// three-integer compare plus a struct copy.
+// mergeBatchStream k-way merges the shard batch channels — the one
+// place shard outputs are merged — advancing over the frontiers of the
+// shards' current blocks. Each shard stream is in canonical order and
+// the shards' fact sets are disjoint, so the merged sequence is the one
+// global canonical order. A linear scan over the lane heads suffices
+// for the engine's modest shard counts; the merge touches a channel
+// only once per consumed block and emits its output in blocks too, so
+// its per-tuple cost is a three-integer compare (core.BatchLess) plus a
+// struct copy.
 type mergeBatchStream struct {
 	chans  []chan *core.Batch
 	bs     []*core.Batch // current block per live shard
@@ -677,8 +493,8 @@ func (m *mergeBatchStream) nextBatch(out *core.Batch) bool {
 }
 
 // EvalCursor evaluates the query through the streaming plan and
-// materializes only the final result — the cursor-executor form of
-// EvalWith, used by the query service's non-streaming path.
+// materializes only the final result — what tpset.Eval, cmd/tpquery and
+// Apply return.
 func (e *Engine) EvalCursor(n query.Node, db map[string]*relation.Relation, opts core.Options) (*relation.Relation, error) {
 	return e.EvalCursorCtx(context.Background(), n, db, opts)
 }

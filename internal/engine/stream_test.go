@@ -1,181 +1,37 @@
 package engine
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 
 	"github.com/tpset/tpset/internal/core"
 	"github.com/tpset/tpset/internal/datagen"
-	"github.com/tpset/tpset/internal/interval"
 	"github.com/tpset/tpset/internal/query"
+	"github.com/tpset/tpset/internal/ref/reftest"
 	"github.com/tpset/tpset/internal/relation"
 )
 
-// streamRandomDB mirrors the query package's cross-validation generator:
-// random duplicate-free relations over a shared fact pool.
-func streamRandomDB(rng *rand.Rand, k, maxTuples, facts int) map[string]*relation.Relation {
-	db := make(map[string]*relation.Relation, k)
-	for ri := 0; ri < k; ri++ {
-		name := fmt.Sprintf("r%d", ri)
-		rel := relation.New(relation.NewSchema(name, "F"))
-		n := 1 + rng.Intn(maxTuples)
-		cursors := make(map[string]interval.Time)
-		for i := 0; i < n; i++ {
-			f := fmt.Sprintf("f%03d", rng.Intn(facts))
-			ts := cursors[f] + interval.Time(rng.Intn(4))
-			te := ts + 1 + interval.Time(rng.Intn(5))
-			cursors[f] = te
-			rel.AddBase(relation.NewFact(f), fmt.Sprintf("%s_%d", name, i), ts, te, 0.05+0.9*rng.Float64())
-		}
-		rel.Sort()
-		db[name] = rel
-	}
-	return db
-}
-
-func streamRandomTree(rng *rand.Rand, names []string, leaves int) query.Node {
-	if leaves <= 1 {
-		return &query.Rel{Name: names[rng.Intn(len(names))]}
-	}
-	l := 1 + rng.Intn(leaves-1)
-	return &query.SetOp{
-		Op:    core.Op(rng.Intn(3)),
-		Left:  streamRandomTree(rng, names, l),
-		Right: streamRandomTree(rng, names, leaves-l),
-	}
-}
-
-func requireIdenticalStreams(t *testing.T, ctx string, got, want *relation.Relation) {
-	t.Helper()
-	if got.Len() != want.Len() {
-		t.Fatalf("%s: cardinality %d, want %d", ctx, got.Len(), want.Len())
-	}
-	for i := range want.Tuples {
-		g, w := &got.Tuples[i], &want.Tuples[i]
-		if !g.Fact.Equal(w.Fact) || g.T != w.T ||
-			g.Lineage.String() != w.Lineage.String() || g.Prob != w.Prob {
-			t.Fatalf("%s: tuple %d: got %s, want %s", ctx, i, g, w)
-		}
-	}
-}
-
-// TestStreamCursorMatchesEval cross-validates the partitioned streaming
-// plan against the materializing evaluator across worker counts: output
-// must be bit-identical, in the same canonical order. MinPartitionSize is
-// forced low so modest inputs actually take the partition-parallel path.
-func TestStreamCursorMatchesEval(t *testing.T) {
-	rng := rand.New(rand.NewSource(51))
-	for trial := 0; trial < 60; trial++ {
-		db := streamRandomDB(rng, 2+rng.Intn(3), 120, 24)
-		names := query.DBKeys(db)
-		tree := streamRandomTree(rng, names, 1+rng.Intn(4))
-		want, err := query.EvaluateWith(tree, db, query.AlgoLAWA)
-		if err != nil {
-			t.Fatalf("trial %d (%s): %v", trial, tree, err)
-		}
-		for _, workers := range []int{1, 2, 8} {
-			e := New(Config{Workers: workers, MinPartitionSize: 8})
-			got, err := e.EvalCursor(tree, db, core.Options{})
-			if err != nil {
-				t.Fatalf("trial %d (%s) workers=%d: %v", trial, tree, workers, err)
-			}
-			requireIdenticalStreams(t,
-				fmt.Sprintf("trial %d (%s) workers=%d", trial, tree, workers), got, want)
-		}
-	}
-}
-
-// TestStreamCursorAssumeSorted pins the query-service path: pre-sorted
-// catalog relations streamed with AssumeSorted must match EvalWith.
+// TestStreamCursorAssumeSorted pins the query-service path at the
+// engine's default thresholds (the oracle harness forces them to 1):
+// pre-sorted catalog-style relations, large enough to partition on their
+// own, streamed with AssumeSorted.
 func TestStreamCursorAssumeSorted(t *testing.T) {
 	r, s := datagen.FixedOverlapPair(6000, 40, 7)
 	r.Sort()
 	s.Sort()
 	db := map[string]*relation.Relation{"r": r, "s": s}
 	tree := query.MustParse("(r & s) | (r - s)")
-	e := New(Config{Workers: 4})
-	want, err := e.EvalWith(tree, db, core.Options{AssumeSorted: true})
+	got, err := New(Config{Workers: 4}).EvalCursor(tree, db, core.Options{AssumeSorted: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := e.EvalCursor(tree, db, core.Options{AssumeSorted: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireIdenticalStreams(t, "assume-sorted", got, want)
-}
-
-// TestStreamCursorEarlyClose abandons a partitioned stream after a few
-// tuples; Close must release the shard producers without deadlock (the
-// -race build additionally checks the shutdown for races), and a second
-// Close must be a no-op.
-func TestStreamCursorEarlyClose(t *testing.T) {
-	db := streamRandomDB(rand.New(rand.NewSource(52)), 2, 4000, 64)
-	tree := query.MustParse("(r0 | r1) & r0")
-	e := New(Config{Workers: 4, MinPartitionSize: 8})
-	cur, err := e.Cursor(tree, db, core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 5; i++ {
-		if _, ok := cur.Next(); !ok {
-			t.Fatal("stream ended before 5 tuples")
-		}
-	}
-	cur.Close()
-	cur.Close()
-}
-
-// TestStreamCursorClosePoolBalance pins the teardown side of the batch
-// pool's ownership discipline: abandoning a partitioned batched stream
-// mid-drain must return every pooled block to the pool — the adapter's
-// current block, the merge's lane heads, the blocks queued on shard
-// channels, and the producers' in-flight blocks. Close drains until the
-// producers close their channels, so the pool account must balance the
-// moment it returns: the gets taken since the cursor was built all come
-// back as puts (full-capacity blocks) — ramp blocks enter as news-free
-// NewBatch allocations and leave through the drop counter, never
-// through gets.
-func TestStreamCursorClosePoolBalance(t *testing.T) {
-	db := streamRandomDB(rand.New(rand.NewSource(54)), 2, 6000, 64)
-	tree := query.MustParse("(r0 | r1) & r0")
-	e := New(Config{Workers: 4, MinPartitionSize: 8})
-
-	for _, pull := range []string{"tuple", "batch", "none"} {
-		gets0, puts0, _, _ := core.BatchPoolStats()
-		cur, err := e.Cursor(tree, db, core.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		switch pull {
-		case "tuple":
-			for i := 0; i < 5; i++ {
-				if _, ok := cur.Next(); !ok {
-					t.Fatal("stream ended before 5 tuples")
-				}
-			}
-		case "batch":
-			b := core.GetBatch()
-			if !cur.NextBatch(b) {
-				t.Fatal("stream produced no batch")
-			}
-			core.PutBatch(b)
-		}
-		cur.Close()
-		cur.Close() // idempotent, including the pool drain
-		gets1, puts1, _, _ := core.BatchPoolStats()
-		if gets1-gets0 != puts1-puts0 {
-			t.Fatalf("pull=%s: pool unbalanced after Close: %d gets vs %d puts",
-				pull, gets1-gets0, puts1-puts0)
-		}
-	}
+	reftest.Check(t, "assume-sorted", got, tree, db)
 }
 
 // TestStreamCursorBuildErrors pins synchronous plan-error surfacing on
 // the partitioned path.
 func TestStreamCursorBuildErrors(t *testing.T) {
-	db := streamRandomDB(rand.New(rand.NewSource(53)), 1, 50, 8)
+	db := reftest.DB(rand.New(rand.NewSource(53)), reftest.Shape{Relations: 1, MaxTuples: 50, Facts: 8})
 	e := New(Config{Workers: 4, MinPartitionSize: 8})
 	if _, err := e.Cursor(query.MustParse("r0 & zz"), db, core.Options{}); err == nil {
 		t.Fatal("unknown relation must fail at plan time")

@@ -10,29 +10,24 @@ import (
 	"github.com/tpset/tpset/internal/engine"
 	"github.com/tpset/tpset/internal/interval"
 	"github.com/tpset/tpset/internal/query"
+	"github.com/tpset/tpset/internal/ref"
 	"github.com/tpset/tpset/internal/relation"
 )
 
-// TestConcurrentEvalStress runs many concurrent Apply and Eval calls over
-// shared input relations through one shared engine. It is the -race canary
-// for the subsystem: inputs must be treated as read-only, and the shared
-// worker pool must serve interleaved operations without cross-talk.
-// Outputs are checked against precomputed sequential results.
+// TestConcurrentEvalStress runs many concurrent Apply and EvalCursor
+// calls over shared input relations through one shared engine. It is the
+// -race canary for the subsystem: inputs must be treated as read-only,
+// and interleaved plans must not cross-talk. Outputs are checked against
+// the oracle's precomputed answers.
 func TestConcurrentEvalStress(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	r, s := randomRelations(rng, 2000, 37)
-	db := map[string]*relation.Relation{"r": r, "s": s}
-	q := query.MustParse("(r | s) - (r & s)")
+	r, s, db := randomPair(rand.New(rand.NewSource(31)), 2000, 37)
+	q := query.MustParse("(r0 | r1) - (r0 & r1)")
 
 	want := map[core.Op]*relation.Relation{}
 	for _, op := range allOps {
-		w, err := core.Apply(op, r, s, core.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[op] = w
+		want[op] = ref.Apply(op, r, s)
 	}
-	wantQ, err := query.Evaluate(q, db)
+	wantQ, err := ref.Eval(q, db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +41,7 @@ func TestConcurrentEvalStress(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			// Odd goroutines use their own engine so pool sharing and
+			// Odd goroutines use their own engine so engine sharing and
 			// engine construction are both exercised concurrently.
 			e := shared
 			if g%2 == 1 {
@@ -64,7 +59,7 @@ func TestConcurrentEvalStress(t *testing.T) {
 					return
 				}
 				if i%3 == 0 {
-					gotQ, err := e.Eval(q, db)
+					gotQ, err := e.EvalCursor(q, db, core.Options{})
 					if err != nil {
 						errc <- fmt.Errorf("g%d i%d eval: %v", g, i, err)
 						return

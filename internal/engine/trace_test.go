@@ -7,11 +7,36 @@ import (
 	"github.com/tpset/tpset/internal/core"
 	"github.com/tpset/tpset/internal/obs"
 	"github.com/tpset/tpset/internal/query"
+	"github.com/tpset/tpset/internal/ref/reftest"
+	"github.com/tpset/tpset/internal/relation"
 )
 
 // Golden trace-correctness tests: the per-operator counts of a traced
 // plan must equal the operators' actual output, and tracing must never
-// change the result stream itself.
+// change the result stream itself — the traced stream is checked against
+// the Def. 3 oracle like the untraced one.
+
+// traceDB generates the catalog of the golden tests as the query service
+// holds one: sorted, interned into one dictionary.
+func traceDB(seed int64, relations, maxTuples, facts int) map[string]*relation.Relation {
+	return reftest.DB(rand.New(rand.NewSource(seed)), reftest.Shape{
+		Relations: relations, MaxTuples: maxTuples, Facts: facts, Binding: reftest.Shared, Sorted: true})
+}
+
+// evalTraced runs tree through e under a fresh span and checks the
+// traced result against the oracle.
+func evalTraced(t *testing.T, e *Engine, tree query.Node, db map[string]*relation.Relation) (*relation.Relation, *obs.SpanStats) {
+	t.Helper()
+	span := obs.NewSpan("")
+	got, err := e.EvalCursor(tree, db, core.Options{AssumeSorted: true, Span: span})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reftest.Check(t, "traced "+tree.String(), got, tree, db)
+	st := span.Snapshot()
+	checkSpanInvariants(t, st)
+	return got, st
+}
 
 // checkSpanInvariants walks a stats tree checking the structural
 // invariants that hold for every traced plan: TuplesIn equals the sum
@@ -35,70 +60,52 @@ func checkSpanInvariants(t *testing.T, st *obs.SpanStats) {
 
 // TestTraceGoldenSequential pins exact per-node counts on a fixed
 // union-only tree — unions drain both inputs completely, so every
-// node's emission equals its subtree's full result — across the tuple
-// and batch executors.
+// node's emission equals its subtree's full result.
 func TestTraceGoldenSequential(t *testing.T) {
-	rng := rand.New(rand.NewSource(71))
-	db := streamRandomDB(rng, 3, 200, 24)
+	db := traceDB(71, 3, 200, 24)
 	tree := &query.SetOp{
 		Op:    core.OpUnion,
 		Left:  &query.SetOp{Op: core.OpUnion, Left: &query.Rel{Name: "r0"}, Right: &query.Rel{Name: "r1"}},
 		Right: &query.Rel{Name: "r2"},
 	}
-	want, err := query.EvaluateWith(tree, db, query.AlgoLAWA)
+	e := New(Config{Workers: 1})
+	inner, err := e.EvalCursor(tree.Left, db, core.Options{AssumeSorted: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	inner, err := query.EvaluateWith(tree.Left, db, query.AlgoLAWA)
-	if err != nil {
-		t.Fatal(err)
+	reftest.Check(t, "inner union", inner, tree.Left, db)
+
+	got, st := evalTraced(t, e, tree, db)
+	if st.Op != "∪Tp" {
+		t.Fatalf("root op = %q, want ∪Tp", st.Op)
 	}
-
-	for _, noBatch := range []bool{false, true} {
-		span := obs.NewSpan("")
-		got, err := New(Config{Workers: 1}).EvalCursor(tree, db,
-			core.Options{Span: span, NoBatch: noBatch})
-		if err != nil {
-			t.Fatal(err)
+	if st.TuplesOut != int64(got.Len()) {
+		t.Fatalf("root tuplesOut = %d, want %d", st.TuplesOut, got.Len())
+	}
+	if len(st.Children) != 2 {
+		t.Fatalf("root children = %d, want 2", len(st.Children))
+	}
+	left, right := st.Children[0], st.Children[1]
+	if left.TuplesOut != int64(inner.Len()) {
+		t.Fatalf("inner union tuplesOut = %d, want %d", left.TuplesOut, inner.Len())
+	}
+	if right.Op != "scan(r2)" || right.TuplesOut != int64(db["r2"].Len()) {
+		t.Fatalf("scan(r2) = %q/%d, want %d tuples", right.Op, right.TuplesOut, db["r2"].Len())
+	}
+	for i, name := range []string{"r0", "r1"} {
+		if sc := left.Children[i]; sc.TuplesOut != int64(db[name].Len()) {
+			t.Fatalf("scan(%s) tuplesOut = %d, want %d", name, sc.TuplesOut, db[name].Len())
 		}
-		requireIdenticalStreams(t, "traced sequential", got, want)
-
-		st := span.Snapshot()
-		checkSpanInvariants(t, st)
-		if st.Op != "∪Tp" {
-			t.Fatalf("root op = %q, want ∪Tp", st.Op)
-		}
-		if st.TuplesOut != int64(want.Len()) {
-			t.Fatalf("noBatch=%v: root tuplesOut = %d, want %d", noBatch, st.TuplesOut, want.Len())
-		}
-		if len(st.Children) != 2 {
-			t.Fatalf("root children = %d, want 2", len(st.Children))
-		}
-		left, right := st.Children[0], st.Children[1]
-		if left.TuplesOut != int64(inner.Len()) {
-			t.Fatalf("noBatch=%v: inner union tuplesOut = %d, want %d", noBatch, left.TuplesOut, inner.Len())
-		}
-		if right.Op != "scan(r2)" || right.TuplesOut != int64(db["r2"].Len()) {
-			t.Fatalf("noBatch=%v: scan(r2) = %q/%d, want %d tuples", noBatch, right.Op, right.TuplesOut, db["r2"].Len())
-		}
-		for i, name := range []string{"r0", "r1"} {
-			sc := left.Children[i]
-			if sc.TuplesOut != int64(db[name].Len()) {
-				t.Fatalf("noBatch=%v: scan(%s) tuplesOut = %d, want %d", noBatch, name, sc.TuplesOut, db[name].Len())
-			}
-		}
-		if st.Windows == 0 || left.Windows == 0 {
-			t.Fatalf("noBatch=%v: union nodes report no windows (%d, %d)", noBatch, st.Windows, left.Windows)
-		}
+	}
+	if st.Windows == 0 || left.Windows == 0 {
+		t.Fatalf("union nodes report no windows (%d, %d)", st.Windows, left.Windows)
 	}
 }
 
 // TestTraceGoldenMixedOps runs a fixed tree with all three operations
-// plus a selection: exact root count against the materializing
-// evaluator, structural invariants everywhere, across executors.
+// plus a selection: exact root count, structural invariants everywhere.
 func TestTraceGoldenMixedOps(t *testing.T) {
-	rng := rand.New(rand.NewSource(72))
-	db := streamRandomDB(rng, 3, 300, 24)
+	db := traceDB(72, 3, 300, 24)
 	tree := &query.SetOp{
 		Op: core.OpExcept,
 		Left: &query.SetOp{
@@ -108,26 +115,12 @@ func TestTraceGoldenMixedOps(t *testing.T) {
 		},
 		Right: &query.SetOp{Op: core.OpIntersect, Left: &query.Rel{Name: "r1"}, Right: &query.Rel{Name: "r2"}},
 	}
-	want, err := query.EvaluateWith(tree, db, query.AlgoLAWA)
-	if err != nil {
-		t.Fatal(err)
+	got, st := evalTraced(t, New(Config{Workers: 1}), tree, db)
+	if st.Op != "−Tp" {
+		t.Fatalf("root op = %q, want −Tp", st.Op)
 	}
-	for _, noBatch := range []bool{false, true} {
-		span := obs.NewSpan("")
-		got, err := New(Config{Workers: 1}).EvalCursor(tree, db,
-			core.Options{Span: span, NoBatch: noBatch})
-		if err != nil {
-			t.Fatal(err)
-		}
-		requireIdenticalStreams(t, "traced mixed", got, want)
-		st := span.Snapshot()
-		checkSpanInvariants(t, st)
-		if st.Op != "−Tp" {
-			t.Fatalf("root op = %q, want −Tp", st.Op)
-		}
-		if st.TuplesOut != int64(want.Len()) {
-			t.Fatalf("noBatch=%v: root tuplesOut = %d, want %d", noBatch, st.TuplesOut, want.Len())
-		}
+	if st.TuplesOut != int64(got.Len()) {
+		t.Fatalf("root tuplesOut = %d, want %d", st.TuplesOut, got.Len())
 	}
 }
 
@@ -137,41 +130,24 @@ func TestTraceGoldenMixedOps(t *testing.T) {
 // the shards' root emissions sum to the result cardinality (shard fact
 // sets are disjoint and exhaustive).
 func TestTraceGoldenSharded(t *testing.T) {
-	rng := rand.New(rand.NewSource(73))
-	db := streamRandomDB(rng, 3, 400, 32)
+	db := traceDB(73, 3, 400, 32)
 	tree := &query.SetOp{
 		Op:    core.OpUnion,
 		Left:  &query.SetOp{Op: core.OpExcept, Left: &query.Rel{Name: "r0"}, Right: &query.Rel{Name: "r1"}},
 		Right: &query.Rel{Name: "r2"},
 	}
-	want, err := query.EvaluateWith(tree, db, query.AlgoLAWA)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, workers := range []int{2, 8} {
-		for _, noBatch := range []bool{false, true} {
-			span := obs.NewSpan("")
-			e := New(Config{Workers: workers, MinPartitionSize: 8})
-			got, err := e.EvalCursor(tree, db, core.Options{Span: span, NoBatch: noBatch})
-			if err != nil {
-				t.Fatal(err)
-			}
-			requireIdenticalStreams(t, "traced sharded", got, want)
-			st := span.Snapshot()
-			checkSpanInvariants(t, st)
-			if st.TuplesOut != int64(want.Len()) {
-				t.Fatalf("workers=%d noBatch=%v: merge tuplesOut = %d, want %d",
-					workers, noBatch, st.TuplesOut, want.Len())
-			}
-			if len(st.Children) < 2 {
-				t.Fatalf("workers=%d: merge has %d shard subtrees, want >= 2", workers, len(st.Children))
-			}
-			// The merge's input is the shards' output: disjoint fact
-			// partitions covering the whole result.
-			if st.TuplesIn != int64(want.Len()) {
-				t.Fatalf("workers=%d noBatch=%v: shard outputs sum to %d, want %d",
-					workers, noBatch, st.TuplesIn, want.Len())
-			}
+		got, st := evalTraced(t, New(Config{Workers: workers, MinPartitionSize: 8}), tree, db)
+		if st.TuplesOut != int64(got.Len()) {
+			t.Fatalf("workers=%d: merge tuplesOut = %d, want %d", workers, st.TuplesOut, got.Len())
+		}
+		if len(st.Children) < 2 {
+			t.Fatalf("workers=%d: merge has %d shard subtrees, want >= 2", workers, len(st.Children))
+		}
+		// The merge's input is the shards' output: disjoint fact
+		// partitions covering the whole result.
+		if st.TuplesIn != int64(got.Len()) {
+			t.Fatalf("workers=%d: shard outputs sum to %d, want %d", workers, st.TuplesIn, got.Len())
 		}
 	}
 }
@@ -180,16 +156,10 @@ func TestTraceGoldenSharded(t *testing.T) {
 // gallop counts in the trace: a highly fact-disjoint intersection takes
 // SkipToKey gallops, and the trace must show them on the operator node.
 func TestTraceGallopsRecorded(t *testing.T) {
-	rng := rand.New(rand.NewSource(74))
-	db := streamRandomDB(rng, 2, 400, 200) // many facts, sparse overlap
+	db := traceDB(74, 2, 400, 200) // many facts, sparse overlap
 	tree := &query.SetOp{Op: core.OpIntersect,
 		Left: &query.Rel{Name: "r0"}, Right: &query.Rel{Name: "r1"}}
-	span := obs.NewSpan("")
-	if _, err := New(Config{Workers: 1}).EvalCursor(tree, db, core.Options{Span: span}); err != nil {
-		t.Fatal(err)
-	}
-	st := span.Snapshot()
-	if st.Gallops == 0 {
+	if _, st := evalTraced(t, New(Config{Workers: 1}), tree, db); st.Gallops == 0 {
 		t.Fatal("sparse intersection recorded no gallops")
 	}
 }

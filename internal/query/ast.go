@@ -3,7 +3,6 @@ package query
 import (
 	"fmt"
 	"sort"
-	"strings"
 
 	"github.com/tpset/tpset/internal/core"
 	"github.com/tpset/tpset/internal/relation"
@@ -107,101 +106,8 @@ func Classify(n Node) Complexity {
 	return SharpPHard
 }
 
-// Algorithm selects the execution strategy of the evaluator.
-type Algorithm string
-
-// Available execution algorithms. LAWA supports all operations; the
-// baselines cover the subsets of Table II and exist for comparison.
-const (
-	AlgoLAWA Algorithm = "lawa"
-	AlgoNorm Algorithm = "norm"
-)
-
-// Evaluate executes the query over the named relations in db using LAWA.
-func Evaluate(n Node, db map[string]*relation.Relation) (*relation.Relation, error) {
-	return EvaluateWith(n, db, AlgoLAWA)
-}
-
-// EvaluateWith executes the query with the chosen algorithm. When a
-// parallel evaluator has been registered (see RegisterParallelEvaluator)
-// and the package-level default parallelism is above one, LAWA queries are
-// routed through the partition-parallel execution engine instead of the
-// strictly sequential post-order walk below.
-func EvaluateWith(n Node, db map[string]*relation.Relation, algo Algorithm) (*relation.Relation, error) {
-	if algo == AlgoLAWA {
-		if eval, workers := parallelEvaluator(); eval != nil && workers > 1 {
-			return eval(n, db, workers)
-		}
-	}
-	return evaluateSequential(n, db, algo)
-}
-
-func evaluateSequential(n Node, db map[string]*relation.Relation, algo Algorithm) (*relation.Relation, error) {
-	switch q := n.(type) {
-	case *Rel:
-		r, ok := db[q.Name]
-		if !ok {
-			return nil, fmt.Errorf("query: unknown relation %q (have %s)",
-				q.Name, strings.Join(DBKeys(db), ", "))
-		}
-		return r, nil
-	case *Select:
-		in, err := evaluateSequential(q.Input, db, algo)
-		if err != nil {
-			return nil, err
-		}
-		return applySelect(q, in)
-	case *SetOp:
-		l, err := evaluateSequential(q.Left, db, algo)
-		if err != nil {
-			return nil, err
-		}
-		r, err := evaluateSequential(q.Right, db, algo)
-		if err != nil {
-			return nil, err
-		}
-		switch algo {
-		case AlgoNorm:
-			return applyNorm(q.Op, l, r)
-		default:
-			return core.Apply(q.Op, l, r, core.Options{})
-		}
-	}
-	return nil, fmt.Errorf("query: unknown node type %T", n)
-}
-
-// ApplySelect applies a selection node to a materialized relation. It is
-// exported for the partition-parallel execution engine, which walks query
-// trees itself but reuses this package's selection semantics.
-func ApplySelect(q *Select, in *relation.Relation) (*relation.Relation, error) {
-	return applySelect(q, in)
-}
-
-func applySelect(q *Select, in *relation.Relation) (*relation.Relation, error) {
-	idx := -1
-	for i, a := range in.Schema.Attrs {
-		if a == q.Attr {
-			idx = i
-			break
-		}
-	}
-	if idx < 0 {
-		return nil, fmt.Errorf("query: relation %q has no attribute %q (have %s)",
-			in.Schema.Name, q.Attr, strings.Join(in.Schema.Attrs, ", "))
-	}
-	out := relation.New(in.Schema)
-	for i := range in.Tuples {
-		t := &in.Tuples[i]
-		if idx < len(t.Fact) && t.Fact[idx] == q.Value {
-			out.Tuples = append(out.Tuples, *t)
-		}
-	}
-	return out, nil
-}
-
-// DBKeys returns the sorted relation names of a query database; shared
-// with the engine's tree executor so "unknown relation" errors render the
-// available names identically everywhere.
+// DBKeys returns the sorted relation names of a query database, as
+// "unknown relation" errors list them.
 func DBKeys(db map[string]*relation.Relation) []string {
 	ks := make([]string, 0, len(db))
 	for k := range db {

@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"github.com/tpset/tpset/internal/core"
-	"github.com/tpset/tpset/internal/lineage"
 	"github.com/tpset/tpset/internal/relation"
 )
 
@@ -14,18 +13,18 @@ import (
 // set-operation cursors above them — that evaluates the whole query in
 // O(tree depth) additional memory. The advancer of every set operation
 // pulls directly from its children's streams; no node materializes an
-// intermediate relation. Draining the root cursor (EvaluateCursor) yields
-// output bit-identical to the materializing evaluator: same tuples, same
-// lineage, same probabilities, same canonical order.
+// intermediate relation. BuildCursor is the one function in the module
+// that walks a query tree to execute it: the engine runs its plans
+// (whole, or one per fact shard), and every other entry point runs the
+// engine.
 
 // BuildCursor compiles the query into a streaming cursor plan over the
 // named relations in db. All plan errors (unknown relation, incompatible
 // schemas, unknown attribute) surface here, at build time: cursors
 // themselves cannot fail. Options apply to every set operation of the
-// tree; AssumeSorted refers to the db's leaf relations — when unset,
-// every leaf is cloned and sorted at build time (streams themselves are
-// always sorted by the cursor ordering invariant). Validate checks each
-// referenced leaf for duplicate-freeness once.
+// tree; AssumeSorted and Validate refer to the db's leaf relations and
+// are discharged once per plan (see prepareLeaves) — streams themselves
+// are always sorted by the cursor ordering invariant.
 //
 // When opts.Span is set, the plan is built traced: the span is labeled
 // with this node's operator, one child span is hung under it per
@@ -33,50 +32,25 @@ import (
 // stats (core.Traced). The traced plan's output is bit-identical to the
 // untraced one. With a nil Span no wrapper exists anywhere in the tree.
 func BuildCursor(n Node, db map[string]*relation.Relation, opts core.Options) (core.Cursor, error) {
-	if opts.LineageCons == nil && countSetOps(n) > 1 {
-		// One hash-consing table per plan: every OpCursor of the tree
-		// draws its lineage concatenations from it, so subterms shared
-		// across operators — stacked operations recombining one input's
-		// lineages, repeated subtrees — dedupe into one DAG node. A
-		// single-operation plan deliberately gets none: within one
-		// operation over duplicate-free inputs no concatenation recurs,
-		// so the table would grow per window and never hit. opts is
-		// passed by value, so the seeded table flows down the recursion
-		// but never escapes to the caller.
-		opts.LineageCons = lineage.NewCons()
+	if opts.Validate || !opts.AssumeSorted {
+		var err error
+		if db, err = prepareLeaves(n, db, opts); err != nil {
+			return nil, err
+		}
+		// The recursion below sees validated, sorted leaves.
+		opts.Validate, opts.AssumeSorted = false, true
 	}
 	sp := opts.Span
 	switch q := n.(type) {
 	case *Rel:
-		r, ok := db[q.Name]
-		if !ok {
-			return nil, fmt.Errorf("query: unknown relation %q (have %s)",
-				q.Name, strings.Join(DBKeys(db), ", "))
-		}
-		if opts.Validate {
-			if err := r.ValidateDuplicateFree(); err != nil {
-				return nil, err
-			}
-		}
-		if !opts.AssumeSorted {
-			r = r.Clone()
-			r.Sort()
-			if !opts.NoSoA {
-				// The clone is plan-private and sorted: project it into
-				// columns so the scan aliases packed columns into its
-				// batches (AssumeSorted leaves are the caller's — catalog
-				// admission builds their columns once at bind time).
-				r.BuildCols()
-			}
+		r, err := lookup(db, q.Name)
+		if err != nil {
+			return nil, err
 		}
 		if sp != nil {
 			sp.SetOp("scan(" + q.Name + ")")
 		}
-		sc := core.NewScanCursor(r)
-		if opts.NoSoA {
-			sc.DisableCols()
-		}
-		return core.Traced(sc, sp), nil
+		return core.Traced(core.NewScanCursor(r), sp), nil
 	case *Select:
 		childOpts := opts
 		if sp != nil {
@@ -101,7 +75,7 @@ func BuildCursor(n Node, db map[string]*relation.Relation, opts core.Options) (c
 		if sp != nil {
 			sp.SetOp(fmt.Sprintf("σ[%s=%s]", q.Attr, q.Value))
 		}
-		return core.Traced(&selectCursor{in: in, idx: idx, value: q.Value, noCols: opts.NoSoA}, sp), nil
+		return core.Traced(&selectCursor{in: core.AsBatchCursor(in), idx: idx, value: q.Value}, sp), nil
 	case *SetOp:
 		lOpts, rOpts := opts, opts
 		if sp != nil {
@@ -128,47 +102,70 @@ func BuildCursor(n Node, db map[string]*relation.Relation, opts core.Options) (c
 	return nil, fmt.Errorf("query: unknown node type %T", n)
 }
 
-// countSetOps counts the set-operation nodes of a query tree — the
-// seeding condition for the plan-wide lineage hash-consing table.
-func countSetOps(n Node) int {
-	switch q := n.(type) {
-	case *Select:
-		return countSetOps(q.Input)
-	case *SetOp:
-		return 1 + countSetOps(q.Left) + countSetOps(q.Right)
+func lookup(db map[string]*relation.Relation, name string) (*relation.Relation, error) {
+	r, ok := db[name]
+	if !ok {
+		return nil, fmt.Errorf("query: unknown relation %q (have %s)",
+			name, strings.Join(DBKeys(db), ", "))
 	}
-	return 0
+	return r, nil
 }
 
-// EvaluateCursor executes the query through a cursor plan and
-// materializes only the final result — the streaming counterpart of
-// EvaluateWith(n, db, AlgoLAWA).
-func EvaluateCursor(n Node, db map[string]*relation.Relation, opts core.Options) (*relation.Relation, error) {
-	c, err := BuildCursor(n, db, opts)
-	if err != nil {
-		return nil, err
+// prepareLeaves discharges Validate and AssumeSorted for a whole plan:
+// it returns the database the plan's scans read, holding each referenced
+// relation once however often the query repeats it. Validate checks
+// every leaf for duplicate-freeness. Without AssumeSorted every leaf is
+// cloned, the private clones are bound to one shared fact dictionary
+// unless the inputs already share one — so the whole tree sweeps on
+// packed (FactID, Ts, Te) integer compares, as core.Apply arranges for
+// a single operation — then sorted and projected into columns, which the
+// scans alias into their batches. (AssumeSorted leaves are the
+// caller's: catalog admission builds their columns once at bind time.)
+func prepareLeaves(n Node, db map[string]*relation.Relation, opts core.Options) (map[string]*relation.Relation, error) {
+	names := Relations(n)
+	leaves := make(map[string]*relation.Relation, len(names))
+	var clones []*relation.Relation
+	for _, name := range names {
+		r, err := lookup(db, name)
+		if err != nil {
+			return nil, err
+		}
+		if opts.Validate {
+			if err := r.ValidateDuplicateFree(); err != nil {
+				return nil, err
+			}
+		}
+		if !opts.AssumeSorted {
+			r = r.Clone()
+			clones = append(clones, r)
+		}
+		leaves[name] = r
 	}
-	return core.Materialize(c), nil
+	if len(clones) > 0 && relation.SharedDict(clones...) == nil {
+		relation.InternAll(clones...)
+	}
+	for _, r := range clones {
+		r.Sort()
+		r.BuildCols()
+	}
+	return leaves, nil
 }
 
 // selectCursor streams σ[Attr=Value] over its input. Filtering preserves
 // order and duplicate-freeness, so the cursor ordering invariant holds
-// trivially. It is batch-capable: input blocks are filtered into the
-// output batch (matches copied out, so downstream owns its tuples), and
-// SkipTo forwards run-skipping to the input — a selection commutes with
-// skipping because it only ever drops tuples.
+// trivially. Input blocks are filtered into the output batch (matches
+// copied out, so downstream owns its tuples), and SkipTo forwards
+// run-skipping to the input — a selection commutes with skipping because
+// it only ever drops tuples.
 type selectCursor struct {
-	in    core.Cursor
+	in    core.BatchCursor
 	idx   int
 	value string
-	// noCols pins output batches to the payload view (Options.NoSoA).
-	noCols bool
 
-	// buf/bi buffer the current input block on the batched path; Next
-	// serves any buffered remainder first so tuple- and batch-pulls can
-	// interleave without loss or duplication. done marks input
-	// exhaustion, after which the pooled block has been returned and
-	// buf holds an empty placeholder.
+	// buf/bi buffer the current input block; Next serves any buffered
+	// remainder first so tuple- and batch-pulls can interleave without
+	// loss or duplication. done marks input exhaustion, after which the
+	// pooled block has been returned and buf holds an empty placeholder.
 	buf  *core.Batch
 	bi   int
 	done bool
@@ -215,17 +212,13 @@ func (c *selectCursor) nextInput() (relation.Tuple, bool) {
 // NextBatch filters input blocks into b until b is full or the input is
 // exhausted.
 func (c *selectCursor) NextBatch(b *core.Batch) bool {
-	bin, ok := c.in.(core.BatchCursor)
-	if !ok {
-		return core.FillBatch(b, c.Next)
-	}
 	b.Reset()
 	if c.buf == nil && !c.done {
 		c.buf = core.GetBatch()
 	}
 	for len(b.Tuples) < b.Cap() {
 		if c.buf == nil || c.bi >= len(c.buf.Tuples) {
-			if c.done || !bin.NextBatch(c.buf) {
+			if c.done || !c.in.NextBatch(c.buf) {
 				if !c.done {
 					// Input exhausted: hand the pooled block back (cf.
 					// batchSource) and keep an empty placeholder so the
@@ -241,11 +234,7 @@ func (c *selectCursor) NextBatch(b *core.Batch) bool {
 		t := &c.buf.Tuples[c.bi]
 		c.bi++
 		if c.idx < len(t.Fact) && t.Fact[c.idx] == c.value {
-			if c.noCols {
-				b.AppendRow(*t)
-			} else {
-				b.Append(*t)
-			}
+			b.Append(*t)
 		}
 	}
 	return len(b.Tuples) > 0

@@ -1,159 +1,99 @@
 package query_test
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 
 	"github.com/tpset/tpset/internal/core"
-	"github.com/tpset/tpset/internal/interval"
+	"github.com/tpset/tpset/internal/keys"
 	"github.com/tpset/tpset/internal/query"
+	"github.com/tpset/tpset/internal/ref/reftest"
 	"github.com/tpset/tpset/internal/relation"
 )
 
-// randomDB builds k random duplicate-free relations over a small shared
-// fact pool, in the style of internal/core's cross-validation machinery:
-// the distribution exercises gaps, adjacency, containment and
-// exact-boundary coincidences.
-func randomDB(rng *rand.Rand, k, maxTuples int) map[string]*relation.Relation {
-	facts := []string{"alpha", "beta", "gamma", "delta"}
-	db := make(map[string]*relation.Relation, k)
-	for ri := 0; ri < k; ri++ {
-		name := fmt.Sprintf("r%d", ri)
-		rel := relation.New(relation.NewSchema(name, "F"))
-		n := 1 + rng.Intn(maxTuples)
-		cursors := make(map[string]interval.Time)
-		for i := 0; i < n; i++ {
-			f := facts[rng.Intn(len(facts))]
-			ts := cursors[f] + interval.Time(rng.Intn(4))
-			te := ts + 1 + interval.Time(rng.Intn(5))
-			cursors[f] = te
-			rel.AddBase(relation.NewFact(f), fmt.Sprintf("%s_%d", name, i), ts, te, 0.05+0.9*rng.Float64())
-		}
-		rel.Sort()
-		db[name] = rel
-	}
-	return db
-}
+// The sweep of BuildCursor plans against the Def. 3 oracle lives in
+// internal/engine/oracle_test.go (the engine's sequential path is the
+// BuildCursor plan); the tests here pin what is specific to plan
+// building.
 
-// randomTree builds a random query tree of the given leaf count over the
-// db's relation names, with occasional selections sprinkled in.
-func randomTree(rng *rand.Rand, names []string, leaves int) query.Node {
-	var build func(leaves int) query.Node
-	build = func(leaves int) query.Node {
-		var n query.Node
-		if leaves <= 1 {
-			n = &query.Rel{Name: names[rng.Intn(len(names))]}
-		} else {
-			l := 1 + rng.Intn(leaves-1)
-			n = &query.SetOp{
-				Op:    core.Op(rng.Intn(3)),
-				Left:  build(l),
-				Right: build(leaves - l),
-			}
+// TestBuildCursorPreparesLeavesOncePerPlan pins leaf preparation without
+// AssumeSorted: a repeating query over relations that share no
+// dictionary must still sweep on interned columns — every block of the
+// plan carries them — because the plan binds its private leaf clones to
+// one dictionary, and it must leave the caller's relations as they were.
+func TestBuildCursorPreparesLeavesOncePerPlan(t *testing.T) {
+	tree := query.MustParse("(r0 | r1) - (r0 & r2)")
+	for _, binding := range []reftest.Binding{reftest.Unbound, reftest.Mixed} {
+		db := reftest.DB(rand.New(rand.NewSource(48)),
+			reftest.Shape{Relations: 3, MaxTuples: 300, Facts: 16, Binding: binding})
+		dicts := map[string]*keys.Dict{}
+		firsts := map[string]relation.Tuple{}
+		for name, r := range db {
+			dicts[name], firsts[name] = r.Dict(), r.Tuples[0]
 		}
-		if rng.Intn(4) == 0 {
-			vals := []string{"alpha", "beta", "gamma", "delta"}
-			n = &query.Select{Attr: "F", Value: vals[rng.Intn(len(vals))], Input: n}
-		}
-		return n
-	}
-	return build(leaves)
-}
 
-// requireBitIdentical asserts that two relations are identical tuple for
-// tuple, in order — same facts, intervals, rendered lineage and
-// bit-equal probabilities — which is strictly stronger than
-// relation.Equal's order-insensitive comparison.
-func requireBitIdentical(t *testing.T, ctx string, got, want *relation.Relation) {
-	t.Helper()
-	if got.Schema.Name != want.Schema.Name {
-		t.Fatalf("%s: schema %q, want %q", ctx, got.Schema.Name, want.Schema.Name)
-	}
-	if got.Len() != want.Len() {
-		t.Fatalf("%s: cardinality %d, want %d\ngot=%s\nwant=%s", ctx, got.Len(), want.Len(), got, want)
-	}
-	for i := range want.Tuples {
-		g, w := &got.Tuples[i], &want.Tuples[i]
-		if !g.Fact.Equal(w.Fact) || g.T != w.T ||
-			g.Lineage.String() != w.Lineage.String() || g.Prob != w.Prob {
-			t.Fatalf("%s: tuple %d: got %s, want %s", ctx, i, g, w)
-		}
-	}
-}
-
-// TestCursorExecutorMatchesEvaluator cross-validates the streaming cursor
-// executor against the materializing evaluator on ~100 randomized query
-// trees: the output must be bit-identical — same tuples, same lineage,
-// same probabilities, same canonical order.
-func TestCursorExecutorMatchesEvaluator(t *testing.T) {
-	rng := rand.New(rand.NewSource(48))
-	for trial := 0; trial < 120; trial++ {
-		db := randomDB(rng, 2+rng.Intn(4), 14)
-		names := query.DBKeys(db)
-		tree := randomTree(rng, names, 1+rng.Intn(5))
-		want, err := query.EvaluateWith(tree, db, query.AlgoLAWA)
-		if err != nil {
-			t.Fatalf("trial %d (%s): evaluator: %v", trial, tree, err)
-		}
-		got, err := query.EvaluateCursor(tree, db, core.Options{})
-		if err != nil {
-			t.Fatalf("trial %d (%s): cursor: %v", trial, tree, err)
-		}
-		requireBitIdentical(t, fmt.Sprintf("trial %d (%s)", trial, tree), got, want)
-
-		// AssumeSorted over the pre-sorted db must agree too (the query
-		// service path).
-		got2, err := query.EvaluateCursor(tree, db, core.Options{AssumeSorted: true})
-		if err != nil {
-			t.Fatalf("trial %d (%s): cursor assume-sorted: %v", trial, tree, err)
-		}
-		requireBitIdentical(t, fmt.Sprintf("trial %d assume-sorted (%s)", trial, tree), got2, want)
-	}
-}
-
-// TestCursorLazyProbMatchesEvaluator pins the LazyProb knob: the cursor
-// path must leave probabilities unvaluated exactly like the drivers do.
-func TestCursorLazyProbMatchesEvaluator(t *testing.T) {
-	rng := rand.New(rand.NewSource(49))
-	for trial := 0; trial < 30; trial++ {
-		db := randomDB(rng, 3, 12)
-		tree := randomTree(rng, query.DBKeys(db), 3)
-		got, err := query.EvaluateCursor(tree, db, core.Options{LazyProb: true})
+		c, err := query.BuildCursor(tree, db, core.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := range got.Tuples {
-			tp := &got.Tuples[i]
-			if _, isOp := tree.(*query.SetOp); isOp && tp.Prob != 0 {
-				t.Fatalf("trial %d: lazy tuple %d carries probability %v", trial, i, tp.Prob)
+		got := relation.New(c.Schema())
+		bc := core.AsBatchCursor(c)
+		for b := core.NewBatch(64); bc.NextBatch(b); {
+			if !b.HasCols() {
+				t.Fatalf("binding %d: block at offset %d carries no columns", binding, got.Len())
+			}
+			got.Tuples = append(got.Tuples, b.Tuples...)
+		}
+		reftest.Check(t, tree.String(), got, tree, db)
+
+		for name, r := range db {
+			if r.Dict() != dicts[name] || r.Cols() != nil || r.Tuples[0].Lineage != firsts[name].Lineage {
+				t.Fatalf("binding %d: plan building modified input relation %s", binding, name)
 			}
 		}
-		eager, err := query.EvaluateCursor(tree, db, core.Options{})
+	}
+}
+
+// TestPushDownComputesTheOriginalQuery: the rewritten plan's result is
+// the oracle's answer for the query as written, on the paper's data, for
+// every operation shape.
+func TestPushDownComputesTheOriginalQuery(t *testing.T) {
+	db, _ := reftest.Fig1()
+	for _, src := range []string{
+		"sigma[Product='milk'](c - (a | b))",
+		"sigma[Product='chips'](a & c)",
+		"sigma[Product='milk'](a - c)",
+		"sigma[Product='dates'](a | b | c)",
+		"sigma[Product='milk'](sigma[Product='milk'](c) - a)",
+		"sigma[Product='nonexistent'](a | c)",
+	} {
+		orig := query.MustParse(src)
+		rewritten := query.PushDownSelections(orig)
+		c, err := query.BuildCursor(rewritten, db, core.Options{})
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%s rewritten to %s: %v", src, rewritten, err)
 		}
-		got.ComputeProbs()
-		requireBitIdentical(t, fmt.Sprintf("trial %d lazy+ComputeProbs (%s)", trial, tree), got, eager)
+		reftest.Check(t, src+" rewritten to "+rewritten.String(), core.Materialize(c), orig, db)
 	}
 }
 
 // TestBuildCursorErrors pins the build-time error surface: unknown
-// relations and unknown selection attributes fail at plan construction,
-// with the evaluator's error text.
+// relations, unknown selection attributes and incompatible schemas fail
+// at plan construction, sorted inputs or not.
 func TestBuildCursorErrors(t *testing.T) {
-	db := randomDB(rand.New(rand.NewSource(50)), 2, 5)
-	if _, err := query.BuildCursor(&query.Rel{Name: "zz"}, db, core.Options{}); err == nil {
-		t.Fatal("unknown relation must fail at build time")
-	}
-	sel := &query.Select{Attr: "Nope", Value: "x", Input: &query.Rel{Name: "r0"}}
-	if _, err := query.BuildCursor(sel, db, core.Options{}); err == nil {
-		t.Fatal("unknown attribute must fail at build time")
-	}
-	mixed := &query.SetOp{Op: core.OpUnion, Left: &query.Rel{Name: "r0"}, Right: &query.Rel{Name: "wide"}}
-	wide := relation.New(relation.NewSchema("wide", "A", "B"))
-	db["wide"] = wide
-	if _, err := query.BuildCursor(mixed, db, core.Options{}); err == nil {
-		t.Fatal("incompatible schemas must fail at build time")
+	db := reftest.DB(rand.New(rand.NewSource(50)), reftest.Shape{Relations: 2, MaxTuples: 5, Facts: 4, Sorted: true})
+	db["wide"] = relation.New(relation.NewSchema("wide", "A", "B"))
+	for _, opts := range []core.Options{{}, {AssumeSorted: true}} {
+		if _, err := query.BuildCursor(&query.Rel{Name: "zz"}, db, opts); err == nil {
+			t.Fatal("unknown relation must fail at build time")
+		}
+		sel := &query.Select{Attr: "Nope", Value: "x", Input: &query.Rel{Name: "r0"}}
+		if _, err := query.BuildCursor(sel, db, opts); err == nil {
+			t.Fatal("unknown attribute must fail at build time")
+		}
+		mixed := &query.SetOp{Op: core.OpUnion, Left: &query.Rel{Name: "r0"}, Right: &query.Rel{Name: "wide"}}
+		if _, err := query.BuildCursor(mixed, db, opts); err == nil {
+			t.Fatal("incompatible schemas must fail at build time")
+		}
 	}
 }

@@ -15,17 +15,16 @@
 //     repeating (#P-hard in general);
 //   - the selection push-down rewriter (selections commute with all three
 //     TP set operations);
-//   - an evaluator with pluggable execution algorithms, plus the
-//     registration hook through which the partition-parallel engine
-//     replaces the sequential post-order walk (the indirection breaks the
-//     query→engine→query import cycle);
-//   - the cursor plan builder (BuildCursor/EvaluateCursor): a query tree
-//     compiles into a tree of core.Cursor values that evaluates in
-//     O(tree depth) memory with no intermediate relations, bit-identical
-//     to the materializing evaluator.
+//   - the cursor plan builder, BuildCursor: a query tree compiles into
+//     a tree of core.Cursor values that evaluates in O(tree depth)
+//     memory with no intermediate relations. It is the only code in the
+//     module that walks a tree to execute it; internal/engine runs its
+//     plans (sequentially, or one per fact shard) and every entry point
+//     — tpset.Eval, cmd/tpquery, the query service — runs the engine.
+//     The package holds no mutable package-level state.
 //
 // Invariant: Node trees are immutable after parsing; rewrites build new
-// trees. Evaluation never mutates input relations.
+// trees. Plans never mutate input relations.
 //
 // Paper map: Def. 4 (queries), §V-A Theorem 1/Corollary 1 (non-repeating
 // analysis), §V-B (complexity classes), Fig. 6 (selection). See

@@ -2,8 +2,6 @@ package query
 
 import (
 	"testing"
-
-	"github.com/tpset/tpset/internal/relation"
 )
 
 func TestPushDownSelections(t *testing.T) {
@@ -36,34 +34,6 @@ func TestPushDownSelections(t *testing.T) {
 		got := PushDownSelections(MustParse(tc.in))
 		if got.String() != tc.want {
 			t.Errorf("PushDown(%q) = %s, want %s", tc.in, got, tc.want)
-		}
-	}
-}
-
-// TestPushDownEquivalence: original and rewritten plans compute the same
-// relation on the paper's data, for every operation shape.
-func TestPushDownEquivalence(t *testing.T) {
-	d := db()
-	queries := []string{
-		"sigma[Product='milk'](c - (a | b))",
-		"sigma[Product='chips'](a & c)",
-		"sigma[Product='milk'](a - c)",
-		"sigma[Product='dates'](a | b | c)",
-		"sigma[Product='milk'](sigma[Product='milk'](c) - a)",
-		"sigma[Product='nonexistent'](a | c)",
-	}
-	for _, q := range queries {
-		orig, err := Evaluate(MustParse(q), d)
-		if err != nil {
-			t.Fatalf("%s: %v", q, err)
-		}
-		rewritten := PushDownSelections(MustParse(q))
-		got, err := Evaluate(rewritten, d)
-		if err != nil {
-			t.Fatalf("%s rewritten: %v", q, err)
-		}
-		if diff := relation.Diff(orig, got); diff != "" {
-			t.Errorf("%s: rewrite changed the result: %s\nrewritten=%s", q, diff, rewritten)
 		}
 	}
 }

@@ -5,9 +5,11 @@
 // time points with syntactically equivalent lineage.
 //
 // Its complexity is O((|r|+|s|) · |ΩT|) — unusable for benchmarks, perfect
-// as the gold standard the fast implementations are validated against:
-// the cross-validation suites of internal/core, internal/engine and the
-// baselines all compare against this package.
+// as the gold standard the production path is validated against. Apply
+// is one operation, Eval a whole query tree (Def. 4); the differential
+// harness (internal/ref/reftest: one random catalog/tree generator and
+// one comparison) drives the engine, the public tpset API and the HTTP
+// service against it.
 //
 // Paper map: Def. 3 read literally (snapshot semantics), Def. 2 (change
 // preservation). See docs/PAPER_MAP.md.

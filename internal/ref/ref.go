@@ -1,13 +1,60 @@
 package ref
 
 import (
+	"fmt"
 	"sort"
 
 	"github.com/tpset/tpset/internal/core"
 	"github.com/tpset/tpset/internal/interval"
 	"github.com/tpset/tpset/internal/lineage"
+	"github.com/tpset/tpset/internal/query"
 	"github.com/tpset/tpset/internal/relation"
 )
+
+// Eval evaluates a query tree (Def. 4) with the oracle: leaves are read
+// from db as they are, a selection keeps the tuples whose attribute
+// equals the value, and every set operation is Apply over the oracle's
+// own results for the two subtrees — no plan, no sort, no sharing with
+// the production evaluator beyond the tree and relation types.
+func Eval(n query.Node, db map[string]*relation.Relation) (*relation.Relation, error) {
+	switch q := n.(type) {
+	case *query.Rel:
+		r, ok := db[q.Name]
+		if !ok {
+			return nil, fmt.Errorf("ref: unknown relation %q", q.Name)
+		}
+		return r, nil
+	case *query.Select:
+		in, err := Eval(q.Input, db)
+		if err != nil {
+			return nil, err
+		}
+		out := relation.New(in.Schema)
+		for idx, a := range in.Schema.Attrs {
+			if a != q.Attr {
+				continue
+			}
+			for _, t := range in.Tuples {
+				if idx < len(t.Fact) && t.Fact[idx] == q.Value {
+					out.Tuples = append(out.Tuples, t)
+				}
+			}
+			return out, nil
+		}
+		return nil, fmt.Errorf("ref: relation %q has no attribute %q", in.Schema.Name, q.Attr)
+	case *query.SetOp:
+		l, err := Eval(q.Left, db)
+		if err != nil {
+			return nil, err
+		}
+		r, err := Eval(q.Right, db)
+		if err != nil {
+			return nil, err
+		}
+		return Apply(q.Op, l, r), nil
+	}
+	return nil, fmt.Errorf("ref: unknown node type %T", n)
+}
 
 // Apply evaluates op(r, s) per snapshot and coalesces maximal intervals.
 func Apply(op core.Op, r, s *relation.Relation) *relation.Relation {

@@ -445,6 +445,23 @@ func InternAll(rels ...*Relation) *keys.Dict {
 	return d
 }
 
+// SharedDict returns the one dictionary every given relation is bound
+// to, or nil when any is unbound or two differ — the condition under
+// which cross-relation compares, partition hashes and merges can run on
+// interned ids.
+func SharedDict(rels ...*Relation) *keys.Dict {
+	var d *keys.Dict
+	for i, r := range rels {
+		if i == 0 {
+			d = r.dict
+		}
+		if r.dict == nil || r.dict != d {
+			return nil
+		}
+	}
+	return d
+}
+
 // AdoptBinding rebinds the relation to d when every tuple is already
 // interned against it (a cheap pointer scan), and unsets the relation
 // dict otherwise. Materialize uses it so operator output over same-dict

@@ -1,0 +1,105 @@
+package server
+
+import (
+	"fmt"
+	"math/rand"
+	"net/http/httptest"
+	"testing"
+
+	"github.com/tpset/tpset/internal/query"
+	"github.com/tpset/tpset/internal/ref/reftest"
+	"github.com/tpset/tpset/internal/relation"
+)
+
+// wireRelation decodes result rows into a relation in the order they
+// arrived on the wire, so the oracle check covers the stream's order too
+// (DecodeRelation would sort them).
+func wireRelation(t *testing.T, name string, attrs []string, rows []TupleJSON) *relation.Relation {
+	t.Helper()
+	rel := relation.New(relation.NewSchema(name, attrs...))
+	for i, tj := range rows {
+		tu, err := decodeTuple(tj, len(attrs))
+		if err != nil {
+			t.Fatalf("result row %d does not decode: %v", i, err)
+		}
+		rel.Tuples = append(rel.Tuples, tu)
+	}
+	return rel
+}
+
+// TestHTTPMatchesOracle drives the differential harness through the
+// service: random catalogs admitted into a server, random query trees
+// (rendered with query.Canonical) sent to POST /query and POST
+// /query/stream at Workers 1/2/8 with eager and lazy valuation, and the
+// decoded rows — in wire order — compared with the Def. 3 oracle. Every
+// fourth trial is large enough that the engine shards it at its default
+// thresholds.
+func TestHTTPMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(91))
+	for trial := 0; trial < 16; trial++ {
+		sh := reftest.Shape{Relations: 2 + rng.Intn(2), MaxTuples: 120, Facts: 24, OffsetFacts: trial%2 == 0}
+		if trial%4 == 3 {
+			sh.MaxTuples, sh.Facts = 6000, 64
+		}
+		db := reftest.DB(rng, sh)
+		srv := New(Config{CacheSize: -1})
+		for name, r := range db {
+			// Admission takes ownership (sorts, interns, binds): hand it
+			// a copy and keep the generated relation for the oracle.
+			if _, err := srv.Load(name, r.Clone()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ts := httptest.NewServer(srv.Handler())
+		for i := 0; i < 3; i++ {
+			tree := reftest.Tree(rng, query.DBKeys(db), 1+rng.Intn(4))
+			_, isOp := tree.(*query.SetOp)
+			for _, workers := range []int{1, 2, 8} {
+				req := QueryRequest{Query: query.Canonical(tree), Workers: workers, LazyProb: (i+workers)%2 == 0}
+				ctx := fmt.Sprintf("trial %d %+v", trial, req)
+
+				qr := queryOnce(t, ts, req)
+				meta, rows, trailer := streamOnce(t, ts, req)
+				if !trailer.Done || trailer.Tuples != len(rows) {
+					t.Fatalf("%s: stream trailer %+v after %d rows", ctx, trailer, len(rows))
+				}
+				for endpoint, got := range map[string]*relation.Relation{
+					"/query":        wireRelation(t, qr.Result.Name, qr.Result.Attrs, qr.Result.Tuples),
+					"/query/stream": wireRelation(t, meta.Name, meta.Attrs, rows),
+				} {
+					if req.LazyProb {
+						for j := range got.Tuples {
+							if isOp && got.Tuples[j].Prob != 0 {
+								t.Fatalf("%s %s: lazy row %d carries p = %v", ctx, endpoint, j, got.Tuples[j].Prob)
+							}
+						}
+						got.ComputeProbs()
+					}
+					reftest.Check(t, ctx+" "+endpoint, got, tree, db)
+				}
+			}
+		}
+		ts.Close()
+	}
+}
+
+// TestHTTPFig1MatchesOracle sends the paper's own queries over the
+// Fig. 1 relations through both endpoints.
+func TestHTTPFig1MatchesOracle(t *testing.T) {
+	db, queries := reftest.Fig1()
+	srv := New(Config{})
+	for name, r := range db {
+		if _, err := srv.Load(name, r.Clone()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	for _, src := range queries {
+		tree := query.MustParse(src)
+		qr := queryOnce(t, ts, QueryRequest{Query: src})
+		reftest.Check(t, src+" /query", wireRelation(t, qr.Result.Name, qr.Result.Attrs, qr.Result.Tuples), tree, db)
+		meta, rows, _ := streamOnce(t, ts, QueryRequest{Query: src})
+		reftest.Check(t, src+" /query/stream", wireRelation(t, meta.Name, meta.Attrs, rows), tree, db)
+	}
+}

@@ -8,10 +8,9 @@ import (
 	"strings"
 	"testing"
 
-	"github.com/tpset/tpset/internal/core"
 	"github.com/tpset/tpset/internal/datagen"
-	"github.com/tpset/tpset/internal/engine"
 	"github.com/tpset/tpset/internal/query"
+	"github.com/tpset/tpset/internal/ref/reftest"
 	"github.com/tpset/tpset/internal/relation"
 	"github.com/tpset/tpset/internal/segment"
 )
@@ -44,7 +43,8 @@ func durableServer(t *testing.T, dir string) (*Server, *segment.Store) {
 // results to a heap-mode server that re-ingested the same inputs — the
 // mmap-backed catalog is observationally invisible, across worker
 // budgets, and the restart never re-ingests (segmentsRestored counts
-// the recovered segments).
+// the recovered segments). The restored server's answer is also checked
+// against the Def. 3 oracle over the inputs as generated.
 func TestRestartServesBitIdenticalResults(t *testing.T) {
 	dir := t.TempDir()
 
@@ -78,56 +78,13 @@ func TestRestartServesBitIdenticalResults(t *testing.T) {
 			if err != nil {
 				t.Fatalf("restored RunQuery(%q, w=%d): %v", q, workers, err)
 			}
+			reftest.Check(t, q, got.Relation, query.MustParse(q), map[string]*relation.Relation{"r": hr, "s": hs})
 			wj, _ := json.Marshal(EncodeRelation(want.Relation, 0))
 			gj, _ := json.Marshal(EncodeRelation(got.Relation, 0))
 			if !bytes.Equal(wj, gj) {
 				t.Fatalf("restart result diverged for %q workers=%d:\nheap     %.200s\nrestored %.200s",
 					q, workers, wj, gj)
 			}
-		}
-	}
-}
-
-// The AoS fallback path (Options.NoSoA ignores the columnar projection
-// and walks tuple structs) must agree with heap mode over mmap-restored
-// relations too — it reads the same tuples the columns alias.
-func TestRestartCrossValNoSoA(t *testing.T) {
-	dir := t.TempDir()
-
-	heap := New(Config{})
-	hr, hs := persistPair(t)
-	mustLoad(t, heap, "r", hr)
-	mustLoad(t, heap, "s", hs)
-
-	first, _ := durableServer(t, dir)
-	dr, ds := persistPair(t)
-	mustLoad(t, first, "r", dr)
-	mustLoad(t, first, "s", ds)
-	restarted, st2 := durableServer(t, dir)
-	defer st2.Close()
-
-	node := query.MustParse("(r & s) | (r - s)")
-	names := query.Relations(node)
-	for _, noSoA := range []bool{false, true} {
-		opts := core.Options{AssumeSorted: true, NoSoA: noSoA}
-		hdb, _, err := heap.catalog.Snapshot(names)
-		if err != nil {
-			t.Fatalf("heap snapshot: %v", err)
-		}
-		rdb, _, err := restarted.catalog.Snapshot(names)
-		if err != nil {
-			t.Fatalf("restored snapshot: %v", err)
-		}
-		want, err := engine.New(engine.Config{Workers: 2}).EvalCursor(node, hdb, opts)
-		if err != nil {
-			t.Fatalf("heap eval (noSoA=%v): %v", noSoA, err)
-		}
-		got, err := engine.New(engine.Config{Workers: 2}).EvalCursor(node, rdb, opts)
-		if err != nil {
-			t.Fatalf("restored eval (noSoA=%v): %v", noSoA, err)
-		}
-		if !relation.Equal(want, got) {
-			t.Fatalf("noSoA=%v diverged over restored catalog: %s", noSoA, relation.Diff(want, got))
 		}
 	}
 }

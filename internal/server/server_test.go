@@ -9,7 +9,6 @@ import (
 	"strings"
 	"testing"
 
-	"github.com/tpset/tpset/internal/query"
 	"github.com/tpset/tpset/internal/relation"
 )
 
@@ -327,28 +326,5 @@ func TestQueryNoCache(t *testing.T) {
 	}
 	if s.metrics.evaluations.Load() != 2 {
 		t.Fatalf("evaluations = %d, want 2", s.metrics.evaluations.Load())
-	}
-}
-
-func TestQueryMatchesLibraryEvaluation(t *testing.T) {
-	s, ts := newTestServer(t)
-	qr := queryOnce(t, ts, QueryRequest{Query: "c - (a | b)", Workers: 4})
-
-	// Re-evaluate through the library on the same catalog relations.
-	db := map[string]*relation.Relation{}
-	for _, rv := range s.Relations() {
-		r, _, _ := s.Relation(rv.Name)
-		db[rv.Name] = r
-	}
-	want, err := query.Evaluate(query.MustParse("c - (a | b)"), db)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecodeRelation(qr.Result, want.Schema.Name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := relation.Diff(want, got); d != "" {
-		t.Fatalf("server result differs from library: %s", d)
 	}
 }

@@ -226,9 +226,6 @@ func checkWireCase(t *testing.T, rng *rand.Rand, wc wireCase) {
 	// batches, whose lines must equal the per-tuple ones in sorted order.
 	scanLines := func(r *relation.Relation, cols bool) string {
 		cur := core.NewScanCursor(r)
-		if !cols {
-			cur.DisableCols()
-		}
 		var out []byte
 		for b := core.NewBatch(3); cur.NextBatch(b); {
 			if b.HasCols() != cols {
@@ -253,8 +250,9 @@ func checkWireCase(t *testing.T, rng *rand.Rand, wc wireCase) {
 	sorted := rel.Clone()
 	sorted.Intern()
 	sorted.Sort()
+	rows := sorted.Clone() // no projection: the scan yields row batches
 	sorted.BuildCols()
-	if got, want := scanLines(sorted, true), scanLines(sorted, false); got != want {
+	if got, want := scanLines(sorted, true), scanLines(rows, false); got != want {
 		t.Fatalf("columnar batches:\n got %s\nwant %s", got, want)
 	}
 }

@@ -1,0 +1,69 @@
+package tpset_test
+
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"github.com/tpset/tpset"
+	"github.com/tpset/tpset/internal/query"
+	"github.com/tpset/tpset/internal/ref/reftest"
+)
+
+// TestPublicAPIMatchesOracle drives the differential harness through the
+// public entry points: random query trees over random catalogs — interned
+// or not, in generation order, as a library user assembles them — through
+// Eval, EvalOptimized and EvalParallel at several budgets, each compared
+// with the Def. 3 oracle; and Apply, sequential and partitioned, on the
+// two-relation trees.
+func TestPublicAPIMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(95))
+	for trial := 0; trial < 60; trial++ {
+		sh := reftest.Shape{Relations: 2 + rng.Intn(3), MaxTuples: 120, Facts: 24,
+			OffsetFacts: trial%2 == 0, Binding: reftest.Binding(trial % 3)}
+		if trial%10 == 9 {
+			sh.MaxTuples, sh.Facts = 6000, 64 // large enough to partition at the default thresholds
+		}
+		db := reftest.DB(rng, sh)
+		tree := reftest.Tree(rng, query.DBKeys(db), 1+rng.Intn(4))
+		evals := map[string]func() (*tpset.Relation, error){
+			"Eval":            func() (*tpset.Relation, error) { return tpset.Eval(tree, db) },
+			"EvalOptimized":   func() (*tpset.Relation, error) { return tpset.EvalOptimized(tree, db) },
+			"EvalParallel(1)": func() (*tpset.Relation, error) { return tpset.EvalParallel(tree, db, 1) },
+			"EvalParallel(8)": func() (*tpset.Relation, error) { return tpset.EvalParallel(tree, db, 8) },
+		}
+		if op, ok := tree.(*query.SetOp); ok {
+			l, lok := op.Left.(*query.Rel)
+			r, rok := op.Right.(*query.Rel)
+			if lok && rok {
+				for _, p := range []int{1, 4} {
+					p := p
+					evals[fmt.Sprintf("Apply(Parallelism %d)", p)] = func() (*tpset.Relation, error) {
+						return tpset.Apply(op.Op, db[l.Name], db[r.Name], tpset.Options{Parallelism: p, Validate: true})
+					}
+				}
+			}
+		}
+		for name, eval := range evals {
+			got, err := eval()
+			if err != nil {
+				t.Fatalf("trial %d (%s) %s: %v", trial, tree, name, err)
+			}
+			reftest.Check(t, fmt.Sprintf("trial %d (%s) %s", trial, tree, name), got, tree, db)
+		}
+	}
+}
+
+// TestPublicAPIFig1MatchesOracle evaluates the paper's own queries over
+// the Fig. 1 relations.
+func TestPublicAPIFig1MatchesOracle(t *testing.T) {
+	db, queries := reftest.Fig1()
+	for _, src := range queries {
+		q := tpset.MustParseQuery(src)
+		got, err := tpset.Eval(q, db)
+		if err != nil {
+			t.Fatalf("%s: %v", src, err)
+		}
+		reftest.Check(t, src, got, q, db)
+	}
+}

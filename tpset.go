@@ -93,8 +93,8 @@ func Except(r, s *Relation) (*Relation, error) { return core.Except(r, s, core.O
 // canonical order); the result is tuple-for-tuple identical to the
 // sequential path.
 func Apply(op Op, r, s *Relation, opts Options) (*Relation, error) {
-	if opts.Workers() > 1 {
-		return engine.Apply(op, r, s, opts)
+	if w := opts.Workers(); w > 1 {
+		return engine.New(engine.Config{Workers: w}).Apply(op, r, s, opts)
 	}
 	return core.Apply(op, r, s, opts)
 }
@@ -125,24 +125,23 @@ func ParseQuery(input string) (Query, error) { return query.Parse(input) }
 // MustParseQuery is ParseQuery panicking on error.
 func MustParseQuery(input string) Query { return query.MustParse(input) }
 
-// Eval evaluates a parsed query over named relations with LAWA. When a
-// process-wide parallelism above one has been set with SetParallelism,
-// evaluation routes through the partition-parallel engine.
-func Eval(q Query, db map[string]*Relation) (*Relation, error) { return query.Evaluate(q, db) }
-
-// EvalParallel evaluates a parsed query on the partition-parallel
-// execution engine with the given worker budget: independent subtrees run
-// concurrently and every set operation is hash-partitioned by fact across
-// a bounded worker pool. workers below one selects runtime.GOMAXPROCS.
-// The result is identical to Eval.
-func EvalParallel(q Query, db map[string]*Relation, workers int) (*Relation, error) {
-	return engine.Eval(q, db, engine.Config{Workers: workers})
+// Eval evaluates a parsed query over named relations with LAWA, on the
+// execution engine with a worker budget of runtime.GOMAXPROCS(0) — the
+// default Apply resolves too. The result is in canonical (fact, Ts, Te)
+// order. The input relations are not modified; they need not be sorted.
+func Eval(q Query, db map[string]*Relation) (*Relation, error) {
+	return EvalParallel(q, db, Options{}.Workers())
 }
 
-// SetParallelism sets the process-wide worker budget used by Eval and
-// EvalOptimized; values above one route query evaluation through the
-// partition-parallel engine. 1 restores strictly sequential evaluation.
-func SetParallelism(workers int) { query.SetDefaultParallelism(workers) }
+// EvalParallel is Eval with an explicit worker budget. Above one, inputs
+// large enough to be worth it are hash-partitioned by fact, the whole
+// query runs per shard concurrently and the shard streams are merged
+// back into canonical order; 1 evaluates sequentially, and workers below
+// one selects runtime.GOMAXPROCS(0). The result is the same at every
+// budget.
+func EvalParallel(q Query, db map[string]*Relation, workers int) (*Relation, error) {
+	return engine.New(engine.Config{Workers: workers}).EvalCursor(q, db, core.Options{})
+}
 
 // IsNonRepeating reports whether every relation occurs at most once in q;
 // such queries have PTIME data complexity (Theorem 1 / Corollary 1).
@@ -178,7 +177,7 @@ func OptimizeQuery(q Query) Query { return query.PushDownSelections(q) }
 
 // EvalOptimized rewrites and evaluates the query with LAWA.
 func EvalOptimized(q Query, db map[string]*Relation) (*Relation, error) {
-	return query.Evaluate(query.PushDownSelections(q), db)
+	return Eval(query.PushDownSelections(q), db)
 }
 
 // SimplifyLineage applies sound syntactic rewrites (double negation,
