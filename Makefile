@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: lint fmt vet tpvet bench-check test test-race test-invariants
+.PHONY: lint fmt vet tpvet bench-check bench-sparse test test-race test-invariants
 
 lint: fmt vet tpvet bench-check
 
@@ -23,6 +23,12 @@ tpvet:
 bench-check:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./... && \
 		$(GO) run github.com/tpset/tpset/cmd/tpvet ./...
+
+# The per-layer budget of the workload the engine's sharding is judged
+# on (plan/drain/alloc per operation, shard count, HTTP residual), one
+# traced run of the standing benchmark; the JSON line comes last.
+bench-sparse:
+	bash benchmark/run.sh --workload sparse-stream --seed 1 --seconds 10 --trace 1
 
 test:
 	$(GO) test ./...

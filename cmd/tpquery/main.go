@@ -8,8 +8,8 @@
 //	        -q "c - (a | b)"
 //
 // Every query runs on the execution engine's cursor plan. Flags select
-// the worker budget (-workers above one partitions large inputs by fact
-// and evaluates the shards concurrently), streaming output (-stream
+// the worker budget (-workers above one cuts large inputs into fact-range
+// shards and evaluates them concurrently, that many at a time), streaming output (-stream
 // writes rows as they are produced, in O(tree depth) memory, instead of
 // materializing the result first), the per-operator execution trace
 // (-trace) and whether to print the query's complexity classification
@@ -49,7 +49,7 @@ func main() {
 	var (
 		q       = flag.String("q", "", "TP set query, e.g. \"c - (a | b)\"")
 		explain = flag.Bool("explain", false, "print the parsed tree and complexity class")
-		workers = flag.Int("workers", 1, "worker budget of the execution engine (above one partitions large inputs by fact; 0 = GOMAXPROCS)")
+		workers = flag.Int("workers", 1, "worker budget of the execution engine (above one cuts large inputs into fact-range shards run that many at a time; 0 = GOMAXPROCS)")
 		stream  = flag.Bool("stream", false, "write rows as the plan produces them instead of materializing the result first")
 		trace   = flag.Bool("trace", false, "print the per-operator execution trace to stderr after the result")
 	)

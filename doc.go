@@ -42,9 +42,10 @@
 //   - the partition-parallel execution engine runs every query: Eval
 //     and Apply default to a worker budget of runtime.GOMAXPROCS(0),
 //     EvalParallel and Options.Parallelism set one explicitly. Above one
-//     worker, inputs large enough to be worth it are hash-partitioned by
-//     fact, the whole query runs per shard and the shard streams merge
-//     back into canonical order — the same result at every budget;
+//     worker, inputs large enough to be worth it are cut at fact
+//     boundaries into fact-range shards, the whole query runs per shard
+//     and the shard streams concatenate, in shard order, into canonical
+//     order — the same result at every budget;
 //   - the HTTP/JSON query service (cmd/tpserve) serves a versioned
 //     relation catalog with an LRU query-result cache keyed on
 //     (CanonicalQuery, relation versions); MarshalRelationJSON and

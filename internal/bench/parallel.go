@@ -14,11 +14,13 @@ import (
 
 // The parallel-engine experiments compare the partition-parallel engine
 // (internal/engine) against the sequential LAWA driver. Inputs are
-// multi-fact (one fact per ~100 tuples): fact-hash partitioning is the
-// engine's unit of parallelism, so single-fact inputs — the hardest case
+// multi-fact (one fact per ~100 tuples): the engine cuts its shards at
+// fact boundaries, so the fact is its unit of parallelism and single-fact
+// inputs — the hardest case
 // for the baselines in Fig. 7–9 — deliberately degenerate to one shard
 // and are not interesting here. Both sides are timed end-to-end including
-// sort, sweep, lineage concatenation and probability valuation.
+// sort (the engine sorts its leaf clones in parallel, one worker per
+// leaf), sweep, lineage concatenation and probability valuation.
 
 // parSizes are the per-relation input sizes of the size sweep before
 // scaling; |r|+|s| spans 100K–800K tuples at scale 1.
@@ -97,7 +99,7 @@ func ParSize(cfg Config) Result {
 		r, s := datagen.FixedOverlapPair(n, parFacts(n), cfg.Seed)
 		x := float64(2 * n)
 		if 2*n < 2*engine.DefaultMinPartitionSize {
-			// Below the partitioning threshold the par-N cells measure the
+			// Below the sharding threshold the par-N cells measure the
 			// engine's sequential fallback, not parallel execution; say so
 			// rather than letting them read as "no speedup".
 			degenerate += fmt.Sprintf(" %.0f", x)
@@ -115,7 +117,7 @@ func ParSize(cfg Config) Result {
 	}
 	note := fmt.Sprintf("GOMAXPROCS=%d; ~100 tuples/fact; end-to-end incl. sort and probability valuation", runtime.GOMAXPROCS(0))
 	if degenerate != "" {
-		note += fmt.Sprintf("; par-N cells at |r|+|s| ∈ {%s } are below the partitioning threshold (%d) and ran the sequential fallback",
+		note += fmt.Sprintf("; par-N cells at |r|+|s| ∈ {%s } are below the sharding threshold (%d) and ran the sequential fallback",
 			degenerate, 2*engine.DefaultMinPartitionSize)
 	}
 	return Result{
@@ -131,7 +133,7 @@ func ParSize(cfg Config) Result {
 // ParWorkers fixes the size at 200K tuples per relation (scaled) and
 // sweeps the worker count from 1 to the budget — the speedup-over-workers
 // curve. The workers=1 cell is the engine's sequential fallback and so
-// also measures the partitioning framework's overhead floor.
+// also measures the engine's overhead floor over core.Apply.
 func ParWorkers(cfg Config) Result {
 	n := cfg.scaled(200000)
 	r, s := datagen.FixedOverlapPair(n, parFacts(n), cfg.Seed)

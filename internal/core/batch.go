@@ -14,7 +14,7 @@ import (
 // canonical (fact, Ts, Te) order — the unit the execution stack moves
 // around instead of single tuples wherever per-tuple costs would
 // otherwise dominate: interface calls inside a cursor plan, channel
-// operations between the engine's shard goroutines and its merge, and
+// operations between the engine's shard producers and its consumer, and
 // encoder/flush calls on the NDJSON stream. Amortizing those costs over
 // ~BatchSize tuples is the MonetDB/X100 observation; the tuple-at-a-time
 // Cursor API stays intact on top of it (every BatchCursor is a Cursor),
@@ -39,8 +39,8 @@ const BatchSize = 1024
 // Dict is non-nil, row i of every column mirrors Tuples[i] — Fid the
 // packed interned id, Ts/Te the interval, Prob the probability, Lam the
 // lineage pointer — and (Fid, Ts, Te) integer compares ARE canonical
-// tuple order. Hot loops (the advancer's window compares, the merge's
-// frontier compares, galloping skips, the encoder's read side) run on
+// tuple order. Hot loops (the advancer's window compares, galloping
+// skips, the encoder's read side) run on
 // the packed columns and fall back to the payload view whenever Dict is
 // nil: a batch whose tuples span dictionaries, or are unbound, simply
 // carries no columns. Like the payload view, the columns either alias a
@@ -190,8 +190,8 @@ func (b *Batch) Append(t relation.Tuple) {
 // AppendRange bulk-appends rows [i, j) of src, carrying the columnar
 // view along when it stays coherent: src columnar and this batch empty
 // (adopt src's dictionary) or already on the same dictionary. Any other
-// combination drops this batch's columns. The merge uses it for its
-// single-lane block copies and frontier emissions.
+// combination drops this batch's columns. The engine's shard
+// concatenation copies blocks out with it.
 func (b *Batch) AppendRange(src *Batch, i, j int) {
 	if i >= j {
 		return
@@ -210,24 +210,6 @@ func (b *Batch) AppendRange(src *Batch, i, j int) {
 	if b.Dict != nil {
 		b.dropCols()
 	}
-}
-
-// BatchLess reports canonical tuple order between row i of a and row j
-// of b. When both batches carry columns over one dictionary the compare
-// is three packed int64 loads — no struct access, no method calls —
-// which is the merge's frontier compare on the SoA path; otherwise it
-// is relation.Less over the payload rows.
-func BatchLess(a *Batch, i int, b *Batch, j int) bool {
-	if a.Dict != nil && a.Dict == b.Dict {
-		if a.Fid[i] != b.Fid[j] {
-			return a.Fid[i] < b.Fid[j]
-		}
-		if a.Ts[i] != b.Ts[j] {
-			return a.Ts[i] < b.Ts[j]
-		}
-		return a.Te[i] < b.Te[j]
-	}
-	return relation.Less(&a.Tuples[i], &b.Tuples[j])
 }
 
 var batchPool = sync.Pool{

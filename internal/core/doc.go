@@ -21,7 +21,7 @@
 //     are maximal, so no post-coalescing is ever needed.
 //   - Output tuples appear in canonical (fact, Ts, Te) order, the same
 //     order relation.Sort establishes; the parallel engine relies on this
-//     to merge shard outputs into a bit-identical result.
+//     to concatenate shard outputs into a bit-identical result.
 //   - With Options.AssumeSorted the drivers run the advancer directly
 //     over the caller's slices; the caller then guarantees sortedness AND
 //     exclusive ownership (the sweep's lazy key caching would race on

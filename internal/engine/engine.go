@@ -2,34 +2,22 @@ package engine
 
 import (
 	"runtime"
+	"sort"
 
 	"github.com/tpset/tpset/internal/core"
-	"github.com/tpset/tpset/internal/keys"
 	"github.com/tpset/tpset/internal/query"
 	"github.com/tpset/tpset/internal/relation"
 )
 
 // DefaultMinPartitionSize is the smallest average shard size worth the
-// partitioning and goroutine overhead; inputs that cannot fill at least
+// goroutine and channel overhead; inputs that cannot fill at least
 // two shards of this size run the sequential cursor plan.
 const DefaultMinPartitionSize = 2048
 
-// shardsPerWorker over-partitions relative to the worker count so that
-// skewed fact-size distributions still balance: a worker that draws a
-// heavy shard is compensated by others draining the light ones.
+// shardsPerWorker over-partitions relative to the worker count: cuts fall
+// on fact edges, so a heavy fact makes its shard heavy, and a worker that
+// draws it is compensated by the others claiming the light ones.
 const shardsPerWorker = 4
-
-// DefaultMinColsRows is the smallest shard partition worth projecting
-// into columns. The projection is an O(rows) pass allocating five
-// arrays per partition per query; its payoff — packed int64 compares
-// touching one cache line per eight tuples instead of a ~100-byte
-// struct stride — only materializes once the partition outgrows the
-// cache levels that make the struct walk free. Below the threshold the
-// shard sweeps read keys through the tuple structs (interned compares
-// are integer compares either way), and operator output batches still
-// come out columnar for the encoder's read side, so serving loses
-// nothing.
-const DefaultMinColsRows = 16 << 10
 
 // Config tunes the engine.
 type Config struct {
@@ -41,11 +29,6 @@ type Config struct {
 	// sequential path when the input cannot fill two shards. Values below
 	// one select DefaultMinPartitionSize.
 	MinPartitionSize int
-	// MinColsRows is the minimum partition size worth the columnar
-	// projection pass; smaller partitions sweep on the tuple structs. Values
-	// below one select DefaultMinColsRows (tests force 1 to pin the
-	// columnar shard path on small inputs).
-	MinColsRows int
 }
 
 func (c Config) workers() int {
@@ -62,19 +45,11 @@ func (c Config) minPartitionSize() int {
 	return DefaultMinPartitionSize
 }
 
-func (c Config) minColsRows() int {
-	if c.MinColsRows > 0 {
-		return c.MinColsRows
-	}
-	return DefaultMinColsRows
-}
-
-// Engine executes TP set operations and query trees with partition
+// Engine executes TP set operations and query trees with fact-range
 // parallelism. It is a value of its configuration: it holds no pool, no
 // goroutine and no other state between calls, so an Engine is safe for
-// concurrent use and free to construct per request. The parallelism of
-// one plan is bounded by its shard count, which shardCount sizes from
-// Config.Workers.
+// concurrent use and free to construct per request. One plan runs at most
+// Config.Workers shard producers at a time.
 type Engine struct {
 	cfg Config
 }
@@ -83,7 +58,7 @@ type Engine struct {
 func New(cfg Config) *Engine { return &Engine{cfg: cfg} }
 
 // Apply computes op(r, s) as the two-leaf plan "r op s" on the engine's
-// one execution path (EvalCursor): sequential below the partitioning
+// one execution path (EvalCursor): sequential below the sharding
 // threshold, sharded above it. The result is tuple-for-tuple identical
 // to core.Apply(op, r, s, opts), in the same canonical (fact, Ts) order
 // and under the same output schema.
@@ -95,7 +70,7 @@ func (e *Engine) Apply(op core.Op, r, s *relation.Relation, opts core.Options) (
 // shardCount picks the number of shards for an input of total tuples:
 // enough to keep every worker busy with slack for skew, but never so many
 // that the average shard drops below the minimum partition size. A count
-// below two means the input is not worth partitioning.
+// below two means the input is not worth sharding.
 func (e *Engine) shardCount(total int) int {
 	workers := e.cfg.workers()
 	if workers <= 1 {
@@ -108,55 +83,77 @@ func (e *Engine) shardCount(total int) int {
 	return shards
 }
 
-// partition splits r into shards by fact hash. Every tuple of a fact
-// lands in one shard, so fact groups stay whole, and the per-shard tuple
-// order preserves the input order (a stable distribution: a sorted input
-// yields sorted shards). With byID the hash is an integer mix of the
-// interned FactID; the caller guarantees both inputs of the operation
-// share one dictionary, so the shard assignment stays fact-aligned
-// across relations.
-//
-// On the string path, fact keys are recomputed from the fact values
-// rather than read through Tuple.Key, which lazily caches into the
-// tuple — a write that would race when concurrent operations share an
-// input relation (InternedID reads are race-free).
-func partition(r *relation.Relation, shards int, byID bool) []*relation.Relation {
-	parts := make([]*relation.Relation, shards)
-	for i := range parts {
-		parts[i] = relation.New(r.Schema)
-	}
-	// Pre-size by an even split to avoid repeated growth; skewed shards
-	// re-grow as needed.
-	per := r.Len()/shards + 1
-	for i := range parts {
-		parts[i].Tuples = make([]relation.Tuple, 0, per)
-	}
-	for i := range r.Tuples {
-		t := &r.Tuples[i]
-		var h uint32
-		if byID {
-			id, _ := t.InternedID()
-			h = uint32(keys.Mix64(uint64(id)))
-		} else {
-			h = fnv32a(t.Fact.Key())
+// cut splits the plan's leaves — sorted by (fid, Ts, Te) and bound to one
+// order-preserving dictionary — into fact-range shards: shard i of the
+// database holds, for every leaf, a zero-copy view (relation.Slice) of
+// the rows whose fact id lies in [f_i, f_i+1). The K−1 cut ids are the
+// combined tuple-count quantiles snapped up to the next fact edge, found
+// by binary search over the id domain with a gallop per leaf per probe,
+// so the cost is O(K · leaves · log facts · log n) compares and O(K ·
+// leaves) small allocations whatever the input size; no tuple is read,
+// hashed or copied. Every fact group lands wholly in one shard and the
+// shards are in ascending fact order, so the shard plans' outputs
+// concatenate into canonical order. A fact heavier than a quantile step
+// makes consecutive cuts coincide; the all-empty shards this yields are
+// dropped. cut returns nil when the plan is not worth sharding, a leaf is
+// missing (BuildCursor reports it) or the leaves share no dictionary.
+func (e *Engine) cut(names []string, db map[string]*relation.Relation) []map[string]*relation.Relation {
+	rels := make([]*relation.Relation, len(names))
+	total := 0
+	for i, name := range names {
+		if rels[i] = db[name]; rels[i] == nil {
+			return nil
 		}
-		p := parts[h%uint32(shards)]
-		p.Tuples = append(p.Tuples, *t)
+		total += rels[i].Len()
 	}
-	for i := range parts {
-		parts[i].AdoptBinding()
+	k := e.shardCount(total)
+	if k < 2 {
+		return nil
 	}
-	return parts
-}
-
-// fnv32a is FNV-1a over the key string, inlined to keep the per-tuple
-// partition loop allocation-free (hash/fnv would heap-allocate a hasher
-// and a byte-slice copy per tuple).
-func fnv32a(s string) uint32 {
-	h := uint32(2166136261)
-	for i := 0; i < len(s); i++ {
-		h ^= uint32(s[i])
-		h *= 16777619
+	d := relation.SharedDict(rels...)
+	if d == nil {
+		return nil
 	}
-	return h
+	facts := int64(d.Len())
+	// row is the number of r's rows whose fact id is below f.
+	row := func(r *relation.Relation, f int64) int {
+		if f >= facts {
+			return r.Len()
+		}
+		if c := r.Cols(); c != nil {
+			return relation.SkipToFid(c.Fid, f)
+		}
+		return relation.SkipToKey(r.Tuples, relation.KeyIn(d, f))
+	}
+	shards := make([]map[string]*relation.Relation, 0, k)
+	lo, hi := make([]int, len(rels)), make([]int, len(rels))
+	f := int64(0)
+	for i := 1; i <= k; i++ {
+		if i == k {
+			f = facts
+		} else {
+			target := total * i / k
+			f += int64(sort.Search(int(facts-f), func(j int) bool {
+				below := 0
+				for _, r := range rels {
+					below += row(r, f+int64(j))
+				}
+				return below >= target
+			}))
+		}
+		live := false
+		for j, r := range rels {
+			hi[j] = row(r, f)
+			live = live || hi[j] > lo[j]
+		}
+		if live {
+			sdb := make(map[string]*relation.Relation, len(rels))
+			for j, r := range rels {
+				sdb[names[j]] = r.Slice(lo[j], hi[j])
+			}
+			shards = append(shards, sdb)
+		}
+		lo, hi = hi, lo
+	}
+	return shards
 }

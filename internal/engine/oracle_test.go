@@ -18,11 +18,11 @@ import (
 // random query trees over random catalogs and on the paper's Fig. 1
 // fixtures. Runs under -race and -tags tpinvariants in CI.
 
-// shardingEngine partitions even the small harness catalogs and projects
-// every partition into columns, so the sharded, columnar plan is what
-// runs above one worker.
+// shardingEngine cuts even the small harness catalogs into one shard per
+// few tuples, so the sharded plan is what runs above one worker whenever
+// the leaves share a dictionary.
 func shardingEngine(workers int) *engine.Engine {
-	return engine.New(engine.Config{Workers: workers, MinPartitionSize: 1, MinColsRows: 1})
+	return engine.New(engine.Config{Workers: workers, MinPartitionSize: 1})
 }
 
 // drain pulls a plan dry through NextBatch at the given block capacity
@@ -129,6 +129,51 @@ func TestEngineMatchesOracle(t *testing.T) {
 	}
 }
 
+// TestEngineSkewedCatalogsMatchOracle aims the harness at the cut: fact
+// runs that dwarf a quantile step (Zipfian, and one fact holding most of
+// a relation, so consecutive cuts coincide and empty shards are dropped),
+// facts present in only one leaf (empty views inside a live shard),
+// relations lying entirely below one another in fact order, selections
+// over sharded leaves and repeated leaves — at Workers 2/3/8 with one
+// tuple per shard allowed, AssumeSorted off and on, every binding.
+func TestEngineSkewedCatalogsMatchOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(75))
+	fixed := []string{"r0 - (r0 & r1)", "sigma[F='f012'](r0) | r1", "(r0 & r2) | (r1 - r2)", "r1"}
+	for trial := 0; trial < 90; trial++ {
+		sh := reftest.Shape{
+			Relations: 3, MaxTuples: 150, Facts: 24,
+			Skew:          reftest.Skew(trial % 3),
+			OffsetFacts:   trial%2 == 0,
+			DisjointFacts: trial%5 == 0,
+			Binding:       reftest.Binding(trial / 3 % 3),
+			Sorted:        trial%4 != 3,
+		}
+		db := reftest.DB(rng, sh)
+		tree := reftest.Tree(rng, query.DBKeys(db), 2+rng.Intn(3))
+		if trial%3 == 0 {
+			tree = query.MustParse(fixed[trial/3%len(fixed)])
+		}
+		run := 0
+		for _, workers := range []int{2, 3, 8} {
+			for _, assumeSorted := range []bool{false, true} {
+				if assumeSorted && !sh.Sorted {
+					continue
+				}
+				run++
+				capacity := []int{1, 7, core.BatchSize}[run%3]
+				opts := core.Options{AssumeSorted: assumeSorted}
+				ctx := fmt.Sprintf("trial %d (%s) skew=%d binding=%d workers=%d cap=%d %+v",
+					trial, tree, sh.Skew, sh.Binding, workers, capacity, opts)
+				cur, err := shardingEngine(workers).Cursor(tree, db, opts)
+				if err != nil {
+					t.Fatalf("%s: %v", ctx, err)
+				}
+				reftest.Check(t, ctx, drain(t, ctx, cur, capacity, !assumeSorted), tree, db)
+			}
+		}
+	}
+}
+
 // TestEngineFig1MatchesOracle runs the paper's own queries over the
 // Fig. 1 relations through both plans.
 func TestEngineFig1MatchesOracle(t *testing.T) {
@@ -175,7 +220,7 @@ func TestEngineInterleavedPullsMatchOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(72))
 	for trial := 0; trial < 40; trial++ {
 		db := reftest.DB(rng, reftest.Shape{Relations: 2, MaxTuples: 150, Facts: 16,
-			OffsetFacts: trial%2 == 0, Binding: reftest.Binding(trial % 3)})
+			OffsetFacts: trial%2 == 0, Skew: reftest.Skew(trial / 3 % 3), Binding: reftest.Binding(trial % 3)})
 		tree := reftest.Tree(rng, query.DBKeys(db), 2)
 		for _, workers := range []int{1, 2} {
 			cur, err := shardingEngine(workers).Cursor(tree, db, core.Options{})
@@ -207,14 +252,15 @@ func TestEngineInterleavedPullsMatchOracle(t *testing.T) {
 // TestEngineEarlyCloseBalancesPool abandons plans mid-drain across worker
 // counts and pull styles. Close must release the shard producers without
 // deadlock (-race additionally proves the teardown race-free), be
-// idempotent, and hand every pooled block back: Close drains until the
-// producers close their channels, so the gets taken since the cursor was
-// built all come back as puts the moment it returns (ramp and test
-// blocks are unpooled and leave through the drop counter).
+// idempotent, and hand every pooled block back: Close drains until every
+// shard channel is closed, so the gets taken since the cursor was built
+// all come back as puts the moment it returns (test blocks are unpooled
+// and leave through the drop counter).
 func TestEngineEarlyCloseBalancesPool(t *testing.T) {
 	rng := rand.New(rand.NewSource(73))
 	for trial := 0; trial < 30; trial++ {
-		db := reftest.DB(rng, reftest.Shape{Relations: 3, MaxTuples: 2000, Facts: 48, Binding: reftest.Binding(trial % 3)})
+		db := reftest.DB(rng, reftest.Shape{Relations: 3, MaxTuples: 2000, Facts: 48,
+			Skew: reftest.Skew(trial / 3 % 3), Binding: reftest.Binding(trial % 3)})
 		tree := reftest.Tree(rng, query.DBKeys(db), 3)
 		for _, workers := range []int{1, 2, 8} {
 			for _, pull := range []string{"none", "tuple", "batch", "all"} {

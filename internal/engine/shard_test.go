@@ -1,0 +1,287 @@
+package engine
+
+import (
+	"context"
+	"math/rand"
+	"runtime"
+	"testing"
+	"unsafe"
+
+	"github.com/tpset/tpset/internal/core"
+	"github.com/tpset/tpset/internal/datagen"
+	"github.com/tpset/tpset/internal/query"
+	"github.com/tpset/tpset/internal/ref/reftest"
+	"github.com/tpset/tpset/internal/relation"
+)
+
+// Tests of the cut itself: what the shard views cover, what they alias
+// and what a plan over them costs. Result correctness is the oracle
+// harness's job (oracle_test.go).
+
+// TestCutCoversLeavesAtFactEdges checks the cut's contract on skewed
+// catalogs: per leaf the views are consecutive and cover every row
+// exactly once, no fact spans two shards, shard fact ranges ascend, no
+// shard is empty across all leaves, and a fact heavier than a quantile
+// step costs shards instead of breaking any of that.
+func TestCutCoversLeavesAtFactEdges(t *testing.T) {
+	rng := rand.New(rand.NewSource(91))
+	for trial := 0; trial < 60; trial++ {
+		sh := reftest.Shape{Relations: 3, MaxTuples: 300, Facts: 20, Binding: reftest.Shared, Sorted: true,
+			Skew: reftest.Skew(trial % 3), OffsetFacts: trial%2 == 0, DisjointFacts: trial%5 == 0}
+		db := reftest.DB(rng, sh)
+		if trial%4 == 0 {
+			for _, r := range db {
+				r.BuildCols() // the gallop runs on the fid column, else on the rows
+			}
+		}
+		names := query.DBKeys(db)
+		e := New(Config{Workers: 8, MinPartitionSize: 1})
+		shards := e.cut(names, db)
+		total := 0
+		for _, r := range db {
+			total += r.Len()
+		}
+		if len(shards) == 0 || len(shards) > e.shardCount(total) {
+			t.Fatalf("trial %d: %d shards for %d tuples (shard count %d)", trial, len(shards), total, e.shardCount(total))
+		}
+		if sh.Skew == reftest.Heavy && len(shards) == e.shardCount(total) && total > 64 {
+			t.Fatalf("trial %d: a fact with most of the tuples dropped no shard (%d)", trial, len(shards))
+		}
+		next := map[string]int{} // rows of each leaf covered so far
+		var prevMax relation.FactKey
+		for i, sdb := range shards {
+			rows := 0
+			var lo, hi relation.FactKey
+			for _, name := range names {
+				v, parent := sdb[name], db[name]
+				if !v.Frozen() || v.Dict() != parent.Dict() {
+					t.Fatalf("trial %d shard %d: view of %s is not a frozen view on the parent's dictionary", trial, i, name)
+				}
+				if (v.Cols() != nil) != (parent.Cols() != nil) {
+					t.Fatalf("trial %d shard %d: view of %s does not mirror the parent's columns", trial, i, name)
+				}
+				if v.Len() == 0 {
+					continue
+				}
+				if &v.Tuples[0] != &parent.Tuples[next[name]] {
+					t.Fatalf("trial %d shard %d: view of %s does not start at parent row %d", trial, i, name, next[name])
+				}
+				next[name] += v.Len()
+				rows += v.Len()
+				first, last := v.Tuples[0].FactKeyRO(), v.Tuples[v.Len()-1].FactKeyRO()
+				if lo.String() == "" || first.Less(lo) {
+					lo = first
+				}
+				if hi.Less(last) {
+					hi = last
+				}
+			}
+			if rows == 0 {
+				t.Fatalf("trial %d: shard %d is empty in every leaf", trial, i)
+			}
+			if i > 0 && !prevMax.Less(lo) {
+				t.Fatalf("trial %d: shard %d starts at fact %s, not after shard %d's %s", trial, i, lo, i-1, prevMax)
+			}
+			prevMax = hi
+		}
+		for _, name := range names {
+			if next[name] != db[name].Len() {
+				t.Fatalf("trial %d: views of %s cover %d of %d rows", trial, name, next[name], db[name].Len())
+			}
+		}
+	}
+}
+
+// TestCutFallsBackToSequential pins when the engine does not shard: a
+// worker budget of one, an input below the threshold, leaves without a
+// common dictionary, a missing leaf.
+func TestCutFallsBackToSequential(t *testing.T) {
+	shared := reftest.DB(rand.New(rand.NewSource(92)), reftest.Shape{Relations: 2, MaxTuples: 200, Facts: 16, Binding: reftest.Shared, Sorted: true})
+	mixed := reftest.DB(rand.New(rand.NewSource(92)), reftest.Shape{Relations: 2, MaxTuples: 200, Facts: 16, Binding: reftest.Mixed, Sorted: true})
+	names := []string{"r0", "r1"}
+	for _, tc := range []struct {
+		label string
+		cfg   Config
+		names []string
+		db    map[string]*relation.Relation
+	}{
+		{"one worker", Config{Workers: 1, MinPartitionSize: 1}, names, shared},
+		{"below threshold", Config{Workers: 4}, names, shared},
+		{"no common dictionary", Config{Workers: 4, MinPartitionSize: 1}, names, mixed},
+		{"missing leaf", Config{Workers: 4, MinPartitionSize: 1}, []string{"r0", "zz"}, shared},
+	} {
+		if shards := New(tc.cfg).cut(tc.names, tc.db); shards != nil {
+			t.Fatalf("%s: cut into %d shards, want the sequential plan", tc.label, len(shards))
+		}
+	}
+	if shards := New(Config{Workers: 4, MinPartitionSize: 1}).cut(names, shared); len(shards) < 2 {
+		t.Fatalf("control: %d shards over a shared-dictionary catalog", len(shards))
+	}
+}
+
+// mapped returns a frozen copy of the sorted, bound relation r whose
+// numeric columns alias one caller-owned slab installed with SetCols —
+// what the segment store hands the catalog after a restore — and the
+// slab.
+func mapped(t *testing.T, r *relation.Relation) (*relation.Relation, []int64) {
+	t.Helper()
+	n := r.Len()
+	slab := make([]int64, 4*n)
+	heap := r.Clone().BuildCols()
+	cols := &relation.Cols{
+		Fid:  slab[0:n:n],
+		Ts:   slab[n : 2*n : 2*n],
+		Te:   slab[2*n : 3*n : 3*n],
+		Prob: unsafe.Slice((*float64)(unsafe.Pointer(&slab[3*n])), n),
+		Lam:  heap.Lam,
+	}
+	copy(cols.Fid, heap.Fid)
+	copy(cols.Ts, heap.Ts)
+	copy(cols.Te, heap.Te)
+	copy(cols.Prob, heap.Prob)
+	m := r.Clone()
+	if err := m.SetCols(cols, unsafe.Slice((*byte)(unsafe.Pointer(&slab[0])), 8*len(slab))); err != nil {
+		t.Fatal(err)
+	}
+	m.Freeze()
+	return m, slab
+}
+
+// inside reports whether p points into the n-element array starting at
+// base whose elements are size bytes wide.
+func inside(p, base unsafe.Pointer, n int, size uintptr) bool {
+	return uintptr(p) >= uintptr(base) && uintptr(p) < uintptr(base)+uintptr(n)*size
+}
+
+// TestShardedPlanScansTheMapping is the zero-copy pin for restored
+// relations: a sharded plan over frozen, SetCols-installed leaves scans
+// the mapping itself. Every shard view is frozen, its scan batches alias
+// the parent's tuple array and the caller's slab, and — under -tags
+// tpinvariants — every Cols read of every view passes checkColsRegion.
+func TestShardedPlanScansTheMapping(t *testing.T) {
+	src := reftest.DB(rand.New(rand.NewSource(93)), reftest.Shape{Relations: 2, MaxTuples: 3000, Facts: 64, Binding: reftest.Shared, Sorted: true})
+	db := map[string]*relation.Relation{}
+	slabs := map[string][]int64{}
+	for name, r := range src {
+		db[name], slabs[name] = mapped(t, r)
+	}
+	e := New(Config{Workers: 4, MinPartitionSize: 1})
+	names := query.DBKeys(db)
+	shards := e.cut(names, db)
+	if len(shards) < 2 {
+		t.Fatalf("cut into %d shards, want a sharded plan", len(shards))
+	}
+	b := core.NewBatch(64)
+	for i, sdb := range shards {
+		for _, name := range names {
+			v, parent, slab := sdb[name], db[name], slabs[name]
+			if !v.Frozen() {
+				t.Fatalf("shard %d: view of %s is not frozen", i, name)
+			}
+			scan, err := query.BuildCursor(&query.Rel{Name: name}, sdb, core.Options{AssumeSorted: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for bc := core.AsBatchCursor(scan); bc.NextBatch(b); {
+				if !b.HasCols() {
+					t.Fatalf("shard %d: scan of %s carries no columns", i, name)
+				}
+				if !inside(unsafe.Pointer(&b.Tuples[0]), unsafe.Pointer(&parent.Tuples[0]), parent.Len(), unsafe.Sizeof(relation.Tuple{})) {
+					t.Fatalf("shard %d: scan of %s copied its tuples", i, name)
+				}
+				for col, p := range map[string]unsafe.Pointer{
+					"Fid": unsafe.Pointer(&b.Fid[0]), "Ts": unsafe.Pointer(&b.Ts[0]),
+					"Te": unsafe.Pointer(&b.Te[0]), "Prob": unsafe.Pointer(&b.Prob[0]),
+				} {
+					if !inside(p, unsafe.Pointer(&slab[0]), len(slab), 8) {
+						t.Fatalf("shard %d: scan of %s: column %s left the mapped region", i, name, col)
+					}
+				}
+			}
+		}
+	}
+	tree := query.MustParse("(r0 & r1) | (r0 - r1)")
+	got, err := e.EvalCursor(tree, db, core.Options{AssumeSorted: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reftest.Check(t, "mapped leaves", got, tree, src)
+	for name, r := range db {
+		if !r.Frozen() || r.Cols() == nil {
+			t.Fatalf("%s: the plan disturbed the restored relation", name)
+		}
+	}
+}
+
+// sparsePair generates the sparse-stream shape (Table III overlap 0.03)
+// as the catalog holds it: one dictionary, sorted, columnar.
+func sparsePair(n int) map[string]*relation.Relation {
+	r, s := datagen.Pair(datagen.PairConfig{NumTuples: n, NumFacts: n / 100, MaxLenR: 100, MaxLenS: 3, MaxGap: 3, Seed: 1000})
+	relation.InternAll(r, s)
+	for _, x := range []*relation.Relation{r, s} {
+		x.Sort()
+		x.BuildCols()
+	}
+	return map[string]*relation.Relation{"r": r, "s": s}
+}
+
+// allocated returns the bytes fn allocates, the least of three runs so a
+// garbage collection emptying the batch pool mid-run does not count.
+func allocated(fn func()) uint64 {
+	least := ^uint64(0)
+	var before, after runtime.MemStats
+	for i := 0; i < 3; i++ {
+		runtime.ReadMemStats(&before)
+		fn()
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	return least
+}
+
+// TestShardedPlanAllocs pins the cost the cut removed: planning and
+// draining a sparse ∩Tp over 2×200K sorted tuples allocates less than
+// 1 MiB however many shards run it (the hash partition copied ~57 MB
+// per query), and the plan step alone does not grow with the input.
+func TestShardedPlanAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops puts at random under -race, so pooled blocks are reallocated")
+	}
+	tree := query.MustParse("r & s")
+	opts := core.Options{AssumeSorted: true}
+	small, large := sparsePair(20000), sparsePair(200000)
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, workers := range []int{2, 8} {
+		e := New(Config{Workers: workers, MinPartitionSize: 1024})
+		drain := func() {
+			got, err := e.EvalCursor(tree, large, opts)
+			if err != nil || got.Len() == 0 {
+				t.Fatalf("workers=%d: %d tuples, err %v", workers, got.Len(), err)
+			}
+		}
+		drain() // warm the batch pool
+		total := allocated(drain)
+		if total >= 1<<20 {
+			t.Fatalf("workers=%d: plan + drain allocated %d bytes, want < 1 MiB", workers, total)
+		}
+		// The plan step alone: under a cancelled context the producers
+		// return at once, so what is measured is cut + shard plans +
+		// channels.
+		plan := func(db map[string]*relation.Relation) func() {
+			return func() {
+				cur, err := e.CursorCtx(cancelled, tree, db, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cur.Close()
+			}
+		}
+		atSmall, atLarge := allocated(plan(small)), allocated(plan(large))
+		if d := float64(atLarge) / float64(atSmall); d < 0.9 || d > 1.1 {
+			t.Fatalf("workers=%d: plan allocates %d bytes at 20K tuples per leaf, %d at 200K; want equal ±10%%",
+				workers, atSmall, atLarge)
+		}
+		t.Logf("workers=%d: plan + drain %d B; plan alone %d B at 20K tuples per leaf, %d B at 200K", workers, total, atSmall, atLarge)
+	}
+}

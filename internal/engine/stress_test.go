@@ -1,12 +1,16 @@
 package engine_test
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"github.com/tpset/tpset/internal/core"
+	"github.com/tpset/tpset/internal/datagen"
 	"github.com/tpset/tpset/internal/engine"
 	"github.com/tpset/tpset/internal/interval"
 	"github.com/tpset/tpset/internal/query"
@@ -118,4 +122,121 @@ func TestConcurrentSharedInputKeyCaching(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// catalogPair prepares a generated pair the way catalog admission does —
+// one dictionary, sorted, columnar — and freezes it, so any write through
+// a shard view panics on top of being a race.
+func catalogPair(r, s *relation.Relation) map[string]*relation.Relation {
+	relation.InternAll(r, s)
+	for _, x := range []*relation.Relation{r, s} {
+		x.Sort()
+		x.BuildCols()
+		x.Freeze()
+	}
+	return map[string]*relation.Relation{"r0": r, "r1": s}
+}
+
+// TestConcurrentShardedPlansShareFrozenLeaves runs many sharded plans at
+// once over one shared pair of frozen catalog relations. Every plan cuts
+// its own views of the same rows and columns; under -race this proves the
+// views never write through to the parent (no key caching, no rebinding),
+// and every result is the oracle's.
+func TestConcurrentShardedPlansShareFrozenLeaves(t *testing.T) {
+	r, s, _ := randomPair(rand.New(rand.NewSource(37)), 3000, 41)
+	db := catalogPair(r, s)
+	trees := []query.Node{
+		query.MustParse("(r0 | r1) - (r0 & r1)"),
+		query.MustParse("r0 - (r0 & r1)"),
+		query.MustParse("sigma[F='f007'](r0) | r1"),
+	}
+	want := make([]*relation.Relation, len(trees))
+	for i, tree := range trees {
+		var err error
+		if want[i], err = ref.Eval(tree, db); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const goroutines = 8
+	var wg sync.WaitGroup
+	errc := make(chan error, goroutines)
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			e := engine.New(engine.Config{Workers: 2 + g%3, MinPartitionSize: 1})
+			for i := 0; i < 12; i++ {
+				k := (g + i) % len(trees)
+				got, err := e.EvalCursor(trees[k], db, core.Options{AssumeSorted: true})
+				if err != nil {
+					errc <- fmt.Errorf("g%d i%d: %v", g, i, err)
+					return
+				}
+				if d := relation.Diff(got, want[k]); d != "" {
+					errc <- fmt.Errorf("g%d i%d %s: %s", g, i, trees[k], d)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errc)
+	for err := range errc {
+		t.Error(err)
+	}
+}
+
+// TestShardProducersBoundedAndReleased pins the producer pool: a sharded
+// plan with many more shards than workers never has more than Workers
+// producers alive (+1 of slack for a goroutine mid-exit), and none once
+// Close returns — after a full drain, after a Close before the first
+// pull, and after the request context is cancelled mid-shard. Every
+// pooled block comes back each time.
+func TestShardProducersBoundedAndReleased(t *testing.T) {
+	r, s := datagen.FixedOverlapPair(40000, 400, 7)
+	db := catalogPair(r, s)
+	tree := query.MustParse("r0 | r1") // ≥ one output tuple per input: producers park on full channels
+	const workers = 3
+	e := engine.New(engine.Config{Workers: workers})
+	base := runtime.NumGoroutine()
+	settle := func(label string) {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: %d goroutines still alive after Close (baseline %d)", label, runtime.NumGoroutine(), base)
+			}
+		}
+	}
+	for _, scenario := range []string{"drain", "close-first", "cancel"} {
+		gets0, puts0, _, _ := core.BatchPoolStats()
+		ctx, cancel := context.WithCancel(context.Background())
+		cur, err := e.CursorCtx(ctx, tree, db, core.Options{AssumeSorted: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		b := core.GetBatch()
+		pulled := 0
+		for scenario != "close-first" && cur.NextBatch(b) {
+			pulled += len(b.Tuples)
+			if n := runtime.NumGoroutine(); n > base+workers+1 {
+				t.Fatalf("%s: %d goroutines during the plan, want at most %d above the baseline %d", scenario, n-base, workers+1, base)
+			}
+			if scenario == "cancel" {
+				cancel() // the producers stop; the stream ends early instead of hanging
+			}
+		}
+		core.PutBatch(b)
+		if scenario == "drain" && pulled < r.Len()+s.Len() {
+			t.Fatalf("drain: %d tuples from a union over %d inputs", pulled, r.Len()+s.Len())
+		}
+		if scenario == "cancel" && pulled >= r.Len() {
+			t.Fatalf("cancel: the stream ran to %d tuples after cancellation", pulled)
+		}
+		cur.Close()
+		cancel()
+		settle(scenario)
+		if gets, puts, _, _ := core.BatchPoolStats(); gets-gets0 != puts-puts0 {
+			t.Fatalf("%s: pool unbalanced after Close: %d gets vs %d puts", scenario, gets-gets0, puts-puts0)
+		}
+	}
 }

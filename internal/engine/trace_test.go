@@ -1,6 +1,11 @@
 package engine
 
 import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"fmt"
+	"log/slog"
 	"math/rand"
 	"testing"
 
@@ -124,11 +129,14 @@ func TestTraceGoldenMixedOps(t *testing.T) {
 	}
 }
 
-// TestTraceGoldenSharded pins the partitioned plan's trace across
-// worker counts: the root (merge) node's emission equals the full
-// result, every shard subtree satisfies the structural invariants, and
-// the shards' root emissions sum to the result cardinality (shard fact
-// sets are disjoint and exhaustive).
+// TestTraceGoldenSharded pins the sharded plan's trace across worker
+// counts: the root is the concat node, labelled with the number of
+// shards that run (all-empty ones are dropped before it is counted), its
+// emission equals the full result and its wall time includes the cut;
+// its children are the shard plans, "shardN: "-prefixed in shard order,
+// every shard subtree satisfies the structural invariants, and the
+// shards' root emissions sum to the result cardinality (shard fact
+// ranges are disjoint and exhaustive).
 func TestTraceGoldenSharded(t *testing.T) {
 	db := traceDB(73, 3, 400, 32)
 	tree := &query.SetOp{
@@ -138,17 +146,59 @@ func TestTraceGoldenSharded(t *testing.T) {
 	}
 	for _, workers := range []int{2, 8} {
 		got, st := evalTraced(t, New(Config{Workers: workers, MinPartitionSize: 8}), tree, db)
+		if want := fmt.Sprintf("concat[%d shards]", len(st.Children)); st.Op != want || len(st.Children) < 2 {
+			t.Fatalf("workers=%d: root op = %q over %d shard subtrees, want %q over >= 2", workers, st.Op, len(st.Children), want)
+		}
+		for i, c := range st.Children {
+			if want := fmt.Sprintf("shard%d: ∪Tp", i); c.Op != want {
+				t.Fatalf("workers=%d: child %d op = %q, want %q", workers, i, c.Op, want)
+			}
+		}
 		if st.TuplesOut != int64(got.Len()) {
-			t.Fatalf("workers=%d: merge tuplesOut = %d, want %d", workers, st.TuplesOut, got.Len())
+			t.Fatalf("workers=%d: concat tuplesOut = %d, want %d", workers, st.TuplesOut, got.Len())
 		}
-		if len(st.Children) < 2 {
-			t.Fatalf("workers=%d: merge has %d shard subtrees, want >= 2", workers, len(st.Children))
-		}
-		// The merge's input is the shards' output: disjoint fact
-		// partitions covering the whole result.
+		// The concat's input is the shards' output: disjoint fact
+		// ranges covering the whole result.
 		if st.TuplesIn != int64(got.Len()) {
 			t.Fatalf("workers=%d: shard outputs sum to %d, want %d", workers, st.TuplesIn, got.Len())
 		}
+		// The consumer's time blocked on the current shard is part of
+		// the concat node's own wall time (which also carries the cut).
+		if st.StallMicros > st.WallMicros {
+			t.Fatalf("workers=%d: concat stalled %dµs of %dµs wall", workers, st.StallMicros, st.WallMicros)
+		}
+	}
+}
+
+// TestShardDrainedRecords pins the per-shard debug record a request
+// logger receives: one per shard, carrying the shard's input rows (they
+// sum to the leaves' rows — the cut covers every row once) and its
+// output tuples (they sum to the result).
+func TestShardDrainedRecords(t *testing.T) {
+	db := traceDB(76, 2, 400, 32)
+	tree := query.MustParse("r0 | r1")
+	var buf bytes.Buffer // the handler serializes the producers' writes
+	lg := slog.New(slog.NewJSONHandler(&buf, &slog.HandlerOptions{Level: slog.LevelDebug}))
+	got, err := New(Config{Workers: 3, MinPartitionSize: 8}).
+		EvalCursorCtx(obs.WithLogger(context.Background(), lg), tree, db, core.Options{AssumeSorted: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	shards, rows, tuples := 0, 0, 0
+	for dec := json.NewDecoder(&buf); dec.More(); shards++ {
+		var rec struct {
+			Msg                 string
+			Shard, Rows, Tuples int
+		}
+		if err := dec.Decode(&rec); err != nil || rec.Msg != "shard drained" {
+			t.Fatalf("record %d: %+v, err %v", shards, rec, err)
+		}
+		rows += rec.Rows
+		tuples += rec.Tuples
+	}
+	if want := db["r0"].Len() + db["r1"].Len(); shards < 2 || rows != want || tuples != got.Len() {
+		t.Fatalf("%d shard records with %d rows and %d tuples, want >= 2 with %d rows and %d tuples",
+			shards, rows, tuples, want, got.Len())
 	}
 }
 

@@ -1,8 +1,8 @@
 // Package keys is the interning/key-codec layer of the execution stack:
 // dictionaries that map variable-length string identity — fact keys and
 // lineage variable names — onto dense integers, so that the hot paths of
-// the LAWA pipeline (sorting, window advancing, k-way merging, fact-hash
-// partitioning, one-occurrence checks) run on integer compares instead of
+// the LAWA pipeline (sorting, window advancing, fact-range shard cuts,
+// one-occurrence checks) run on integer compares instead of
 // string compares.
 //
 // Two codecs with different contracts live here:
@@ -17,7 +17,7 @@
 // The layer is wired through every consumer: package relation binds
 // tuples to a Dict and compares via relation.FactKey, package core
 // threads interned keys through windows and operator cursors, package
-// engine partitions and merges on FactID, the query service's catalog
+// engine cuts its shards at FactID quantiles, the query service's catalog
 // maintains one superset Dict across all admitted relations, and csvio /
 // datagen construct ids at ingest.
 package keys

@@ -17,8 +17,8 @@ type FactID uint64
 // fact key maps to its rank in the sorted key set. Because the mapping is
 // monotone, the canonical tuple order (fact key, Ts, Te) collapses to a
 // three-integer compare (FactID, Ts, Te) for tuples interned against the
-// same Dict — the property the sort, advancer, k-way merge and
-// fact-hash partitioning hot paths rely on.
+// same Dict, and a range of ids is a range of facts — the properties the
+// sort, the advancer and the engine's fact-range shard cuts rely on.
 //
 // A Dict is built once over a closed key set (ingest, catalog admission,
 // operator prepare) and never mutated, so it is safe for concurrent use
@@ -97,7 +97,7 @@ func (d *Dict) Contains(ks []string) bool {
 
 // Mix64 is the splitmix64 finalizer: it spreads dense interned ids over
 // the full 64-bit space, so XOR fingerprints keep their discriminating
-// power and modulo-shards assignments stay balanced.
+// power.
 func Mix64(x uint64) uint64 {
 	x ^= x >> 30
 	x *= 0xbf58476d1ce4e5b9

@@ -10,7 +10,7 @@
 //
 // A Span is one node of a per-query execution trace: it mirrors one
 // operator of the cursor plan (a scan, a selection, a set operation, a
-// shard plan, the engine's k-way merge) and accumulates that operator's
+// shard plan, the engine's shard concatenation) and accumulates that operator's
 // counters — tuples and batches emitted, advancer windows popped and
 // run-skip gallops taken, inclusive wall time and channel-stall time.
 // Spans form a tree mirroring the plan; Snapshot freezes the tree into

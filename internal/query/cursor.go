@@ -3,6 +3,7 @@ package query
 import (
 	"fmt"
 	"strings"
+	"sync"
 
 	"github.com/tpset/tpset/internal/core"
 	"github.com/tpset/tpset/internal/relation"
@@ -23,7 +24,7 @@ import (
 // schemas, unknown attribute) surface here, at build time: cursors
 // themselves cannot fail. Options apply to every set operation of the
 // tree; AssumeSorted and Validate refer to the db's leaf relations and
-// are discharged once per plan (see prepareLeaves) — streams themselves
+// are discharged once per plan (see PrepareLeaves) — streams themselves
 // are always sorted by the cursor ordering invariant.
 //
 // When opts.Span is set, the plan is built traced: the span is labeled
@@ -34,7 +35,7 @@ import (
 func BuildCursor(n Node, db map[string]*relation.Relation, opts core.Options) (core.Cursor, error) {
 	if opts.Validate || !opts.AssumeSorted {
 		var err error
-		if db, err = prepareLeaves(n, db, opts); err != nil {
+		if db, err = PrepareLeaves(n, db, opts, 1); err != nil {
 			return nil, err
 		}
 		// The recursion below sees validated, sorted leaves.
@@ -111,7 +112,7 @@ func lookup(db map[string]*relation.Relation, name string) (*relation.Relation, 
 	return r, nil
 }
 
-// prepareLeaves discharges Validate and AssumeSorted for a whole plan:
+// PrepareLeaves discharges Validate and AssumeSorted for a whole plan:
 // it returns the database the plan's scans read, holding each referenced
 // relation once however often the query repeats it. Validate checks
 // every leaf for duplicate-freeness. Without AssumeSorted every leaf is
@@ -119,9 +120,12 @@ func lookup(db map[string]*relation.Relation, name string) (*relation.Relation, 
 // unless the inputs already share one — so the whole tree sweeps on
 // packed (FactID, Ts, Te) integer compares, as core.Apply arranges for
 // a single operation — then sorted and projected into columns, which the
-// scans alias into their batches. (AssumeSorted leaves are the
+// scans alias into their batches; the per-leaf sort and projection fan
+// out over up to workers goroutines. (AssumeSorted leaves are the
 // caller's: catalog admission builds their columns once at bind time.)
-func prepareLeaves(n Node, db map[string]*relation.Relation, opts core.Options) (map[string]*relation.Relation, error) {
+// The engine calls it once per plan, before it cuts the prepared leaves
+// into shards; BuildCursor calls it for direct callers.
+func PrepareLeaves(n Node, db map[string]*relation.Relation, opts core.Options, workers int) (map[string]*relation.Relation, error) {
 	names := Relations(n)
 	leaves := make(map[string]*relation.Relation, len(names))
 	var clones []*relation.Relation
@@ -144,10 +148,19 @@ func prepareLeaves(n Node, db map[string]*relation.Relation, opts core.Options) 
 	if len(clones) > 0 && relation.SharedDict(clones...) == nil {
 		relation.InternAll(clones...)
 	}
+	// One goroutine per clone, at most workers of them running.
+	sem := make(chan struct{}, max(workers, 1))
+	var wg sync.WaitGroup
 	for _, r := range clones {
-		r.Sort()
-		r.BuildCols()
+		wg.Add(1)
+		sem <- struct{}{}
+		go func() {
+			defer func() { <-sem; wg.Done() }()
+			r.Sort()
+			r.BuildCols()
+		}()
 	}
+	wg.Wait()
 	return leaves, nil
 }
 

@@ -54,6 +54,49 @@ func TestBuildCursorPreparesLeavesOncePerPlan(t *testing.T) {
 	}
 }
 
+// TestPrepareLeavesFansOutAcrossWorkers pins the exported preparation
+// step the engine cuts its shards from: at any worker budget every
+// referenced leaf comes back once, as a private clone that is sorted,
+// columnar and bound to one dictionary shared by all of them; Validate
+// alone hands the caller's relations through untouched; a duplicate or
+// an unknown relation fails.
+func TestPrepareLeavesFansOutAcrossWorkers(t *testing.T) {
+	tree := query.MustParse("(r0 | r1) - (r0 & r2)")
+	db := reftest.DB(rand.New(rand.NewSource(49)),
+		reftest.Shape{Relations: 4, MaxTuples: 300, Facts: 16, Binding: reftest.Mixed})
+	for _, workers := range []int{0, 1, 2, 8} {
+		leaves, err := query.PrepareLeaves(tree, db, core.Options{Validate: true}, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(leaves) != 3 {
+			t.Fatalf("workers=%d: %d leaves prepared for a query over 3 relations", workers, len(leaves))
+		}
+		var prepared []*relation.Relation
+		for name, r := range leaves {
+			if r == db[name] || !r.IsSorted() || r.Cols() == nil || r.Len() != db[name].Len() {
+				t.Fatalf("workers=%d: leaf %s is not a sorted, columnar private clone", workers, name)
+			}
+			prepared = append(prepared, r)
+		}
+		if relation.SharedDict(prepared...) == nil {
+			t.Fatalf("workers=%d: prepared leaves share no dictionary", workers)
+		}
+	}
+	leaves, err := query.PrepareLeaves(tree, db, core.Options{Validate: true, AssumeSorted: true}, 4)
+	if err != nil || leaves["r0"] != db["r0"] {
+		t.Fatalf("AssumeSorted leaves must be the caller's own relations (err %v)", err)
+	}
+	dup := db["r1"].Clone()
+	dup.Add(dup.Tuples[0])
+	if _, err := query.PrepareLeaves(tree, map[string]*relation.Relation{"r0": db["r0"], "r1": dup, "r2": db["r2"]}, core.Options{Validate: true}, 4); err == nil {
+		t.Fatal("Validate over a duplicated leaf: want error")
+	}
+	if _, err := query.PrepareLeaves(query.MustParse("r0 | zz"), db, core.Options{}, 4); err == nil {
+		t.Fatal("unknown relation: want error")
+	}
+}
+
 // TestPushDownComputesTheOriginalQuery: the rewritten plan's result is
 // the oracle's answer for the query as written, on the paper's data, for
 // every operation shape.

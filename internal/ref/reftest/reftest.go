@@ -28,6 +28,16 @@ const (
 	Mixed                  // every other relation interned alone, the rest unbound
 )
 
+// Skew is how a generated relation spreads its tuples over its facts.
+type Skew int
+
+// The three tuples-per-fact distributions.
+const (
+	Uniform Skew = iota
+	Zipf         // Zipfian (s = 1.3): a few long fact runs, a long tail of short ones
+	Heavy        // the middle fact of the pool holds about two thirds of the tuples
+)
+
 // Shape describes a random catalog.
 type Shape struct {
 	Relations int // named r0, r1, …
@@ -37,7 +47,11 @@ type Shape struct {
 	// consecutive relations share only part of their facts — long absent
 	// runs, the run-skipping case.
 	OffsetFacts bool
-	Binding     Binding
+	// DisjointFacts shifts each relation's pool by its whole size, so
+	// relation i lies entirely below relation i+1 in fact order.
+	DisjointFacts bool
+	Skew          Skew
+	Binding       Binding
 	// Sorted leaves the relations in canonical order (what AssumeSorted
 	// needs); otherwise they stay in generation order.
 	Sorted bool
@@ -55,12 +69,28 @@ func DB(rng *rand.Rand, sh Shape) map[string]*relation.Relation {
 		name := fmt.Sprintf("r%d", ri)
 		rel := relation.New(relation.NewSchema(name, "F"))
 		base := 0
-		if sh.OffsetFacts {
+		switch {
+		case sh.DisjointFacts:
+			base = ri * sh.Facts
+		case sh.OffsetFacts:
 			base = ri * sh.Facts / 2
+		}
+		pick := func() int { return rng.Intn(sh.Facts) }
+		switch sh.Skew {
+		case Zipf:
+			z := rand.NewZipf(rng, 1.3, 1, uint64(sh.Facts-1))
+			pick = func() int { return int(z.Uint64()) }
+		case Heavy:
+			pick = func() int {
+				if rng.Intn(3) > 0 {
+					return sh.Facts / 2
+				}
+				return rng.Intn(sh.Facts)
+			}
 		}
 		next := make(map[string]interval.Time)
 		for i, n := 0, 1+rng.Intn(sh.MaxTuples); i < n; i++ {
-			f := fmt.Sprintf("f%03d", base+rng.Intn(sh.Facts))
+			f := fmt.Sprintf("f%03d", base+pick())
 			ts := next[f] + interval.Time(rng.Intn(4))
 			te := ts + 1 + interval.Time(rng.Intn(5))
 			next[f] = te

@@ -31,7 +31,7 @@ type Cols struct {
 // when the relation is unbound — columns exist only over one shared
 // dictionary, since Fid compares are meaningless without it. Callers
 // build columns once per private, sorted relation (operation prepare,
-// cursor-plan leaves, engine shard partitions, catalog admission);
+// cursor-plan leaves, catalog admission); engine shards alias it (Slice);
 // every mutating method invalidates the cache.
 func (r *Relation) BuildCols() *Cols {
 	r.mutable("BuildCols")
@@ -94,6 +94,30 @@ func (r *Relation) SetCols(c *Cols, region []byte) error {
 	}
 	r.cols, r.region = c, region
 	return nil
+}
+
+// Slice returns a frozen zero-copy view of rows [lo, hi): the tuple
+// slice and, when a projection is cached, all five columns are
+// sub-sliced (capacity clipped, so nothing can append into the parent),
+// and the dictionary and the foreign region the columns may alias are
+// carried along — a view of a restored relation still reads the
+// mapping, and the tpinvariants build still bounds-checks it on every
+// Cols read. The view shares the parent's rows, so it is born frozen
+// whether or not the parent is: the engine cuts sorted leaves into
+// per-shard views with it, any number of plans at once.
+func (r *Relation) Slice(lo, hi int) *Relation {
+	v := &Relation{Schema: r.Schema, Tuples: r.Tuples[lo:hi:hi], dict: r.dict, frozen: true}
+	if c := r.Cols(); c != nil {
+		v.cols = &Cols{
+			Fid:  c.Fid[lo:hi:hi],
+			Ts:   c.Ts[lo:hi:hi],
+			Te:   c.Te[lo:hi:hi],
+			Prob: c.Prob[lo:hi:hi],
+			Lam:  c.Lam[lo:hi:hi],
+		}
+		v.region = r.region
+	}
+	return v
 }
 
 // SkipToFid returns the index of the first entry of the sorted id

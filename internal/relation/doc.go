@@ -16,9 +16,11 @@
 //     loads would pay twice); ValidateDuplicateFree checks it, and every
 //     admission path of unknown provenance (CSV reader, query service
 //     PUT) calls it.
-//   - The canonical tuple order is (fact key, Ts, Te) — Less, shared by
-//     Sort and the parallel engine's shard merge, which is what keeps
-//     parallel output bit-identical to sequential output.
+//   - The canonical tuple order is (fact key, Ts, Te) — Less, which Sort
+//     establishes. Dictionary ids are ranks of the sorted key set, so the
+//     parallel engine shards a sorted relation by cutting it at fact
+//     boundaries (Slice) and concatenates shard outputs in shard order,
+//     which keeps parallel output bit-identical to sequential output.
 //   - Tuple.Key caches the fact key lazily; concurrent code must not call
 //     it on shared, never-sorted relations (see the engine's concurrency
 //     notes) — construction through NewBase/NewDerived pre-fills it.

@@ -58,6 +58,47 @@ func TestFrozenMutatorsPanic(t *testing.T) {
 	c.BuildCols()
 }
 
+// Slice hands out frozen zero-copy views: rows and every column alias
+// the parent's arrays with the capacity clipped, the binding is carried,
+// and the view is read-only even over a mutable parent, which stays
+// mutable itself.
+func TestSliceIsFrozenZeroCopyView(t *testing.T) {
+	r := New(NewSchema("sl", "a"))
+	for i, f := range []string{"u", "v", "w", "x"} {
+		r.AddBase(NewFact(f), "i"+f, int64(i), int64(i)+3, 0.5)
+	}
+	r.Intern()
+	r.Sort()
+	pc := r.BuildCols()
+	v := r.Slice(1, 3)
+	if !v.Frozen() || r.Frozen() {
+		t.Fatalf("view frozen = %v, parent frozen = %v; want true, false", v.Frozen(), r.Frozen())
+	}
+	if v.Len() != 2 || &v.Tuples[0] != &r.Tuples[1] || cap(v.Tuples) != 2 || v.Dict() != r.Dict() {
+		t.Fatalf("view does not alias parent rows [1,3) under the parent's dictionary")
+	}
+	vc := v.Cols()
+	if vc == nil || &vc.Fid[0] != &pc.Fid[1] || &vc.Ts[0] != &pc.Ts[1] || &vc.Te[0] != &pc.Te[1] ||
+		&vc.Prob[0] != &pc.Prob[1] || &vc.Lam[0] != &pc.Lam[1] || len(vc.Fid) != 2 || cap(vc.Fid) != 2 {
+		t.Fatalf("view columns do not alias parent columns [1,3)")
+	}
+	if e := r.Slice(2, 2); e.Len() != 0 || e.Cols() == nil || len(e.Cols().Fid) != 0 {
+		t.Fatalf("empty view: %d rows, cols %v", e.Len(), e.Cols())
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Errorf("Sort on a view did not panic")
+			}
+		}()
+		v.Sort()
+	}()
+	r.Unbind() // the parent was never frozen
+	if u := r.Slice(0, 4); u.Cols() != nil || u.Dict() != nil {
+		t.Fatalf("view of an unbound relation carries columns or a dictionary")
+	}
+}
+
 func TestSetColsValidates(t *testing.T) {
 	r := New(NewSchema("v", "a"))
 	r.AddBase(NewFact("x"), "i1", 0, 5, 0.5)

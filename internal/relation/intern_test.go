@@ -113,8 +113,8 @@ func TestBindMaintainsInvariants(t *testing.T) {
 		t.Fatal("Intern did not bind")
 	}
 	for i := range r.Tuples {
-		id, ok := r.Tuples[i].InternedID()
-		if !ok {
+		bound, id := r.Tuples[i].Binding()
+		if bound != d {
 			t.Fatalf("tuple %d unbound after Intern", i)
 		}
 		if d.Key(id) != r.Tuples[i].Key() {

@@ -215,13 +215,6 @@ func (k FactKey) Less(o FactKey) bool {
 	return k.key < o.key
 }
 
-// InternedID returns the tuple's interned fact id and whether the tuple
-// is interned at all. The engine's fact-hash partitioning hashes the id
-// instead of the key string when an operation's inputs share one
-// dictionary; the read is side-effect free, so it is safe on relations
-// shared across concurrent operations.
-func (t *Tuple) InternedID() (keys.FactID, bool) { return t.fid, t.dict != nil }
-
 // SameFact reports whether two tuples hold the same fact, using the
 // interned fast path when available.
 func SameFact(a, b *Tuple) bool {
@@ -429,8 +422,8 @@ func (r *Relation) Intern() *keys.Dict {
 
 // InternAll builds one shared dictionary over the facts of all given
 // relations and binds each to it. Sharing one dictionary is what makes
-// cross-relation comparisons — the window advancer, fact-hash
-// partitioning, k-way merges — integer-only across a whole query tree.
+// cross-relation comparisons — the window advancer, the engine's shard
+// cuts — integer-only across a whole query tree.
 func InternAll(rels ...*Relation) *keys.Dict {
 	var ks []string
 	for _, r := range rels {
@@ -447,7 +440,7 @@ func InternAll(rels ...*Relation) *keys.Dict {
 
 // SharedDict returns the one dictionary every given relation is bound
 // to, or nil when any is unbound or two differ — the condition under
-// which cross-relation compares, partition hashes and merges can run on
+// which cross-relation compares and fact-range shard cuts can run on
 // interned ids.
 func SharedDict(rels ...*Relation) *keys.Dict {
 	var d *keys.Dict
@@ -531,9 +524,8 @@ func SkipToKey(ts []Tuple, k FactKey) int {
 	return lo
 }
 
-// Less is the canonical tuple order (fact key, Ts, Te) used by Sort and by
-// the engine's shard-output merge; sharing one comparator keeps the merged
-// parallel output bit-identical to the sequentially sorted order. When
+// Less is the canonical tuple order (fact key, Ts, Te) that Sort
+// establishes and every stream — sequential or sharded — emits. When
 // both tuples are interned against one dictionary the fact compare is a
 // single integer compare — the packed (FactID, Ts, Te) order — which
 // agrees with the string order because ids are ranks over the sorted keys.

@@ -32,8 +32,8 @@ type RelVersion struct {
 // The catalog additionally maintains one catalog-wide fact dictionary:
 // every stored relation is bound to it at admission, so any query over
 // any subset of relations runs entirely on interned integer compares —
-// the advancer, sorts, fact-hash partitioning and k-way merges never
-// touch a key string. Admission of facts the dictionary has not seen
+// the advancer, sorts and the engine's shard cuts never touch a key
+// string. Admission of facts the dictionary has not seen
 // rebuilds it and rebinds the other relations onto content-identical
 // clones (admission-time cost, query-time benefit); in-flight snapshots
 // keep their previous, mutually consistent pointers. The dictionary may

@@ -83,9 +83,9 @@ type mutGate struct {
 }
 
 // MaxWorkers bounds the per-request worker budget: the engine sizes its
-// shard count (partitions, goroutines, channels) from the budget, so an
-// absurd value would allocate absurdly on any input large enough to
-// partition. Requests beyond it (or below zero) are
+// shard count (views, plans, channels) and its producer pool from the
+// budget, so an absurd value would allocate absurdly on any input large
+// enough to shard. Requests beyond it (or below zero) are
 // rejected with 400 rather than passed through to the engine.
 const MaxWorkers = 4096
 

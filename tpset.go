@@ -66,7 +66,7 @@ func NewInterval(ts, te Time) Interval { return interval.New(ts, te) }
 // InternAll binds the given relations to one shared fact dictionary, so
 // set operations between any of them — and whole query trees over them —
 // compare facts by dense integer id instead of by key string in every
-// sort, sweep, partition and merge. Data loaded through csvio or
+// sort, sweep and shard cut. Data loaded through csvio or
 // generated by datagen arrives interned already; call this after
 // assembling relations from multiple sources (it is what cmd/tpquery
 // does after loading its CSV files). Output is bit-identical either way.
@@ -88,10 +88,11 @@ func Except(r, s *Relation) (*Relation, error) { return core.Except(r, s, core.O
 // When the resolved worker budget is above one — opts.Parallelism, with
 // the zero value defaulting to runtime.GOMAXPROCS(0) so the operation
 // scales with the hardware unless explicitly pinned sequential — the
-// operation runs on the partition-parallel execution engine
-// (hash-partitioned by fact, swept concurrently, merged back into
-// canonical order); the result is tuple-for-tuple identical to the
-// sequential path.
+// operation runs on the partition-parallel execution engine (the inputs
+// are cloned, interned and sorted once, cut at fact boundaries into
+// zero-copy fact-range shards, swept concurrently, and the shard outputs
+// concatenated in shard order — which is canonical order); the result is
+// tuple-for-tuple identical to the sequential path.
 func Apply(op Op, r, s *Relation, opts Options) (*Relation, error) {
 	if w := opts.Workers(); w > 1 {
 		return engine.New(engine.Config{Workers: w}).Apply(op, r, s, opts)
@@ -134,9 +135,11 @@ func Eval(q Query, db map[string]*Relation) (*Relation, error) {
 }
 
 // EvalParallel is Eval with an explicit worker budget. Above one, inputs
-// large enough to be worth it are hash-partitioned by fact, the whole
-// query runs per shard concurrently and the shard streams are merged
-// back into canonical order; 1 evaluates sequentially, and workers below
+// large enough to be worth it are prepared once (cloned, interned into
+// one dictionary, sorted — the leaves in parallel) and cut at fact
+// boundaries into fact-range shards; a pool of workers runs the whole
+// query per shard and the shard streams are concatenated in shard order,
+// which is canonical order; 1 evaluates sequentially, and workers below
 // one selects runtime.GOMAXPROCS(0). The result is the same at every
 // budget.
 func EvalParallel(q Query, db map[string]*Relation, workers int) (*Relation, error) {
