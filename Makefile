@@ -37,7 +37,7 @@ test-race:
 	$(GO) test -race ./...
 
 # Run the suite with the build-tag assertion layer compiled in
-# (internal/invariant): sortedness, duplicate-freeness, column<->row
-# mirror, and pool-capacity accounting all panic on violation.
+# (internal/invariant): sortedness, duplicate-freeness, bound blocks, the fid
+# column<->row mirror, and pool-capacity accounting all panic on violation.
 test-invariants:
 	$(GO) test -tags tpinvariants ./...

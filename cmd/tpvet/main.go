@@ -1,12 +1,9 @@
 // Command tpvet is the repository's analyzer suite — a multichecker
-// (in the `go vet -vettool` mold) running the five repo-specific
+// (in the `go vet -vettool` mold) running the four repo-specific
 // analyzers that machine-check the execution stack's invariants:
 //
 //	batchpool    core.GetBatch/PutBatch discipline: no pool leaks on
 //	             return/error paths, no use of a batch after PutBatch
-//	colness      reads of Batch.Fid/Ts/Te/Prob/Lam and relation.Cols
-//	             columns must be dominated by a Dict != nil / HasCols
-//	             colness check (the SoA fallback contract)
 //	atomicfield  struct fields accessed via sync/atomic anywhere must
 //	             be accessed atomically everywhere
 //	locksnap     catalog state in internal/server is touched only under
@@ -16,7 +13,7 @@
 //
 // Usage:
 //
-//	tpvet [-checks batchpool,colness,...] [packages]
+//	tpvet [-checks batchpool,ctxdone,...] [packages]
 //
 // Packages default to ./... . Exit status is 1 when any analyzer
 // reports a finding, 2 on load/usage errors. Findings can be suppressed

@@ -1,10 +1,9 @@
 // Package analysis is the repository's static-analysis layer: a small,
 // dependency-free implementation of the go/analysis pattern (Analyzer,
-// Pass, Diagnostic) plus the five repo-specific analyzers that
+// Pass, Diagnostic) plus the four repo-specific analyzers that
 // machine-check the execution stack's hand-enforced invariants —
-// batch-pool Get/Put discipline, colness-gated SoA column access,
-// atomic-field access discipline, catalog lock/snapshot discipline and
-// producer cancellation. The suite runs over the whole module via
+// batch-pool Get/Put discipline, atomic-field access discipline,
+// catalog lock/snapshot discipline and producer cancellation. The suite runs over the whole module via
 // cmd/tpvet (a multichecker in the vet mold) and over golden fixtures
 // in the package tests.
 //
@@ -74,7 +73,6 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		NewBatchPool(),
-		NewColness(),
 		NewAtomicField(),
 		NewLockSnap(),
 		NewCtxDone(),

@@ -97,7 +97,6 @@ func itoa(n int) string {
 }
 
 func TestBatchPoolFixture(t *testing.T)   { runFixture(t, NewBatchPool(), "batchpool/a") }
-func TestColnessFixture(t *testing.T)     { runFixture(t, NewColness(), "colness/a") }
 func TestAtomicFieldFixture(t *testing.T) { runFixture(t, NewAtomicField(), "atomicfield/a") }
 func TestLockSnapFixture(t *testing.T)    { runFixture(t, NewLockSnap(), "locksnap/server") }
 func TestCtxDoneFixture(t *testing.T)     { runFixture(t, NewCtxDone(), "ctxdone/a") }

@@ -5,21 +5,13 @@ package core
 
 type Dict struct{ n int }
 
-type Expr struct{ s string }
-
 type Tuple struct{ Fact []string }
 
 type Batch struct {
 	Tuples []Tuple
 	Fid    []int64
-	Ts     []int64
-	Te     []int64
-	Prob   []float64
-	Lam    []*Expr
 	Dict   *Dict
 }
-
-func (b *Batch) HasCols() bool { return b.Dict != nil }
 
 func GetBatch() *Batch      { return &Batch{} }
 func PutBatch(b *Batch)     {}

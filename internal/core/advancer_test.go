@@ -154,10 +154,11 @@ func TestAdvancerEmptySides(t *testing.T) {
 func TestAdvancerExhaustion(t *testing.T) {
 	r := mkRel("r", [3]interface{}{"x", 1, 10})
 	s := mkRel("s", [3]interface{}{"x", 2, 3})
-	rr, ss := r.Clone(), s.Clone()
-	rr.Sort()
-	ss.Sort()
-	a := core.NewAdvancer(rr, ss)
+	leaves, err := core.PrepareLeaves([]*relation.Relation{r, s}, core.Options{}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := core.NewAdvancer(leaves[0], leaves[1])
 	if a.RExhausted() || a.SExhausted() {
 		t.Fatal("exhausted before any window")
 	}

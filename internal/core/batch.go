@@ -1,12 +1,12 @@
 package core
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 
 	"github.com/tpset/tpset/internal/invariant"
 	"github.com/tpset/tpset/internal/keys"
-	"github.com/tpset/tpset/internal/lineage"
 	"github.com/tpset/tpset/internal/relation"
 )
 
@@ -27,50 +27,40 @@ import (
 // tuple remains a sub-millisecond concern.
 const BatchSize = 1024
 
-// Batch is a reusable block of tuples with two coherent views.
+// Batch is a reusable block of rows plus their fid column.
 //
-// Tuples is the universal payload view every consumer can read; it
-// either aliases caller-owned memory (a zero-copy scan sub-window) or
-// the batch's own pooled storage — producers decide per fill, consumers
-// cannot tell the difference and must treat the tuples as read-only
-// until they copy them out.
+// Tuples is the payload every consumer reads; Fid[i] is the packed
+// interned id of Tuples[i] against Dict, the one dictionary of the plan
+// the block travels through. Ids are ranks over the sorted key set, so
+// comparing Fid entries IS comparing facts in canonical order: the
+// advancer's window compares and every run-skip gallop run on the
+// column, and everything else about a row — interval, lineage,
+// probability, fact values — is read from the row itself.
 //
-// Fid/Ts/Te/Prob/Lam are the columnar (structure-of-arrays) view: when
-// Dict is non-nil, row i of every column mirrors Tuples[i] — Fid the
-// packed interned id, Ts/Te the interval, Prob the probability, Lam the
-// lineage pointer — and (Fid, Ts, Te) integer compares ARE canonical
-// tuple order. Hot loops (the advancer's window compares, galloping
-// skips, the encoder's read side) run on
-// the packed columns and fall back to the payload view whenever Dict is
-// nil: a batch whose tuples span dictionaries, or are unbound, simply
-// carries no columns. Like the payload view, the columns either alias a
-// relation's cached projection (relation.Cols) or the batch's own pooled
-// arrays.
+// Both slices either alias caller-owned memory (a zero-copy scan
+// sub-window of a relation and its fid column) or the batch's own
+// pooled storage — producers decide per fill, consumers cannot tell the
+// difference and must treat the block as read-only until they copy rows
+// out.
+//
+// Every block handed across a NextBatch is bound: Dict != nil and
+// len(Fid) == len(Tuples). core.PrepareLeaves establishes that for the
+// leaves of a plan, operator output inherits it from the window key,
+// and the tpinvariants build asserts it at every hop (CheckBound).
 type Batch struct {
 	Tuples []relation.Tuple
+	Fid    []int64
+	Dict   *keys.Dict
 
-	Fid  []int64
-	Ts   []int64
-	Te   []int64
-	Prob []float64
-	Lam  []*lineage.Expr
-	// Dict is non-nil iff the columns are valid: every tuple of the
-	// batch is interned against it and the column rows mirror Tuples.
-	Dict *keys.Dict
-
-	// own* are the pooled backing arrays. Reset points the views at
-	// them; alias fills (ScanCursor) leave them untouched so the pool
+	// own/ownFid are the pooled backing arrays. Reset points the views
+	// at them; alias fills (ScanCursor) leave them untouched so the pool
 	// never loses its storage to a foreign slice.
-	own     []relation.Tuple
-	ownFid  []int64
-	ownTs   []int64
-	ownTe   []int64
-	ownProb []float64
-	ownLam  []*lineage.Expr
+	own    []relation.Tuple
+	ownFid []int64
 
 	// capacity is the fill target, recorded at construction — the one
-	// capacity account for payload and columns alike (cap(own) and the
-	// column caps all equal it; PutBatch checks it, not cap(own)).
+	// capacity account for rows and ids alike (PutBatch checks it, not
+	// cap(own)).
 	capacity int
 }
 
@@ -81,65 +71,40 @@ func NewBatch(capacity int) *Batch {
 	b := &Batch{
 		own:      make([]relation.Tuple, 0, capacity),
 		ownFid:   make([]int64, 0, capacity),
-		ownTs:    make([]int64, 0, capacity),
-		ownTe:    make([]int64, 0, capacity),
-		ownProb:  make([]float64, 0, capacity),
-		ownLam:   make([]*lineage.Expr, 0, capacity),
 		capacity: capacity,
 	}
 	b.Reset()
 	return b
 }
 
-// Reset points both views at the batch's own empty storage; producers
+// Reset points the views at the batch's own empty storage; producers
 // that build output row-by-row call it and Append (capacity is
-// guaranteed, so appends never reallocate). Columns start empty and
-// unbound — the first appended tuple decides whether the batch is
-// columnar.
+// guaranteed, so appends never reallocate).
 func (b *Batch) Reset() {
 	b.Tuples = b.own[:0]
 	b.Fid = b.ownFid[:0]
-	b.Ts = b.ownTs[:0]
-	b.Te = b.ownTe[:0]
-	b.Prob = b.ownProb[:0]
-	b.Lam = b.ownLam[:0]
 	b.Dict = nil
 }
 
-// dropCols abandons the columnar view (mixed-dict or unbound content):
-// consumers fall back to the payload view. The column storage stays
-// owned for the next Reset.
-func (b *Batch) dropCols() {
-	b.Fid = b.ownFid[:0]
-	b.Ts = b.ownTs[:0]
-	b.Te = b.ownTe[:0]
-	b.Prob = b.ownProb[:0]
-	b.Lam = b.ownLam[:0]
-	b.Dict = nil
-}
-
-// checkInvariants asserts the batch representation contracts
-// (tpinvariants builds only): the capacity account covers the pooled
-// backing storage — the single account PutBatch trusts when it decides
-// a block may re-enter the pool — and the columnar view, when bound,
-// mirrors the payload length-for-length (a bound batch with ragged
-// columns would feed stale column rows to every packed-path consumer).
-func (b *Batch) checkInvariants(site string) {
-	invariant.Assertf(cap(b.own) >= b.capacity && cap(b.ownFid) >= b.capacity &&
-		cap(b.ownTs) >= b.capacity && cap(b.ownTe) >= b.capacity &&
-		cap(b.ownProb) >= b.capacity && cap(b.ownLam) >= b.capacity,
-		site, "batch capacity account %d exceeds backing storage (own %d, fid %d, ts %d, te %d, prob %d, lam %d)",
-		b.capacity, cap(b.own), cap(b.ownFid), cap(b.ownTs), cap(b.ownTe), cap(b.ownProb), cap(b.ownLam))
-	if b.Dict != nil {
-		n := len(b.Tuples)
-		invariant.Assertf(len(b.Fid) == n && len(b.Ts) == n && len(b.Te) == n && len(b.Prob) == n && len(b.Lam) == n,
-			site, "bound batch columns (%d/%d/%d/%d/%d) do not mirror %d payload rows",
-			len(b.Fid), len(b.Ts), len(b.Te), len(b.Prob), len(b.Lam), n)
+// CheckBound asserts the block invariant (tpinvariants builds only; a
+// no-op otherwise): a non-empty block carries a dictionary and an fid
+// column that mirrors the rows' interning entry for entry. Every
+// NextBatch implementation and consumer calls it on the blocks it hands
+// over or receives; it is the safety net for the one mirror the block
+// carries.
+func (b *Batch) CheckBound(site string) {
+	if !invariant.Enabled || len(b.Tuples) == 0 {
+		return
+	}
+	invariant.Assertf(b.Dict != nil && len(b.Fid) == len(b.Tuples), site,
+		"block of %d rows is not bound: dict %p, %d ids", len(b.Tuples), b.Dict, len(b.Fid))
+	for i := range b.Tuples {
+		if d, id := b.Tuples[i].Binding(); d != b.Dict || int64(id) != b.Fid[i] { // guarded: no argument boxing per row
+			invariant.Assertf(false, site,
+				"fid column row %d (%d) does not mirror the row's interning (%d, dict %p vs %p)", i, b.Fid[i], id, d, b.Dict)
+		}
 	}
 }
-
-// HasCols reports whether the columnar view is valid.
-func (b *Batch) HasCols() bool { return b.Dict != nil }
 
 // Cap returns the fill target of the batch (aliasing fills use it to
 // size sub-windows consistently). The zero Batch — used as an empty
@@ -154,62 +119,33 @@ func (b *Batch) Cap() int {
 // Len returns the number of tuples currently in the batch.
 func (b *Batch) Len() int { return len(b.Tuples) }
 
-// Append adds one tuple to a Reset-based fill, maintaining the columnar
-// view: the first appended tuple's binding decides the batch dictionary,
-// every same-dict tuple extends the columns, and the first mismatching
-// tuple drops them (the payload view is always complete). Producers
-// that fill by aliasing instead (ScanCursor) never call it.
+// Append adds one interned tuple to a Reset-based fill, extending the
+// fid column with it. Producers that fill by aliasing instead
+// (ScanCursor) never call it.
 func (b *Batch) Append(t relation.Tuple) {
-	if len(b.Tuples) == 0 {
-		b.Tuples = append(b.Tuples, t)
-		if d, id := t.Binding(); d != nil {
-			b.Dict = d
-			b.Fid = append(b.Fid[:0], int64(id))
-			b.Ts = append(b.Ts[:0], t.T.Ts)
-			b.Te = append(b.Te[:0], t.T.Te)
-			b.Prob = append(b.Prob[:0], t.Prob)
-			b.Lam = append(b.Lam[:0], t.Lineage)
-		}
-		return
+	d, id := t.Binding()
+	if invariant.Enabled && (d == nil || (len(b.Tuples) > 0 && d != b.Dict)) {
+		invariant.Assertf(false, "core.Batch.Append",
+			"tuple of fact %s bound to dict %p appended to a block on dict %p", t.Fact, d, b.Dict)
 	}
+	b.Dict = d
 	b.Tuples = append(b.Tuples, t)
-	if b.Dict == nil {
-		return
-	}
-	if d, id := t.Binding(); d == b.Dict {
-		b.Fid = append(b.Fid, int64(id))
-		b.Ts = append(b.Ts, t.T.Ts)
-		b.Te = append(b.Te, t.T.Te)
-		b.Prob = append(b.Prob, t.Prob)
-		b.Lam = append(b.Lam, t.Lineage)
-	} else {
-		b.dropCols()
-	}
+	b.Fid = append(b.Fid, int64(id))
 }
 
-// AppendRange bulk-appends rows [i, j) of src, carrying the columnar
-// view along when it stays coherent: src columnar and this batch empty
-// (adopt src's dictionary) or already on the same dictionary. Any other
-// combination drops this batch's columns. The engine's shard
-// concatenation copies blocks out with it.
+// AppendRange bulk-appends rows [i, j) of src with their ids. The
+// engine's shard concatenation copies blocks out with it.
 func (b *Batch) AppendRange(src *Batch, i, j int) {
 	if i >= j {
 		return
 	}
-	wasEmpty := len(b.Tuples) == 0
+	if invariant.Enabled {
+		invariant.Assertf(src.Dict != nil && (len(b.Tuples) == 0 || src.Dict == b.Dict), "core.Batch.AppendRange",
+			"rows of a block on dict %p appended to a block on dict %p", src.Dict, b.Dict)
+	}
+	b.Dict = src.Dict
 	b.Tuples = append(b.Tuples, src.Tuples[i:j]...)
-	if src.Dict != nil && (b.Dict == src.Dict || (wasEmpty && b.Dict == nil)) {
-		b.Dict = src.Dict
-		b.Fid = append(b.Fid, src.Fid[i:j]...)
-		b.Ts = append(b.Ts, src.Ts[i:j]...)
-		b.Te = append(b.Te, src.Te[i:j]...)
-		b.Prob = append(b.Prob, src.Prob[i:j]...)
-		b.Lam = append(b.Lam, src.Lam[i:j]...)
-		return
-	}
-	if b.Dict != nil {
-		b.dropCols()
-	}
+	b.Fid = append(b.Fid, src.Fid[i:j]...)
 }
 
 var batchPool = sync.Pool{
@@ -247,31 +183,28 @@ func GetBatch() *Batch {
 // batch (or any view slice it handed out) afterwards. Contents are not
 // cleared — a pool entry pins at most one batch worth of rows, and the
 // pool itself is dropped on GC pressure. Odd-sized batches (NewBatch
-// with a capacity other than BatchSize — ramp-up blocks, test batches)
-// and the zero Batch are dropped rather than pooled, so GetBatch always
-// returns full-capacity storage across payload and columns alike (the
-// capacity field is the single account for all of them; checking
-// cap(own) alone predates the columns and would re-pool a batch whose
-// column arrays had been swapped out).
+// with a capacity other than BatchSize — test batches) and the zero
+// Batch are dropped rather than pooled, so GetBatch always returns
+// full-capacity storage for rows and ids alike (the capacity field is
+// the single account for both).
 func PutBatch(b *Batch) {
 	if invariant.Enabled {
-		b.checkInvariants("core.PutBatch")
+		invariant.Assertf(cap(b.own) >= b.capacity && cap(b.ownFid) >= b.capacity, "core.PutBatch",
+			"batch capacity account %d exceeds backing storage (rows %d, ids %d)", b.capacity, cap(b.own), cap(b.ownFid))
 	}
 	if b.capacity != BatchSize {
 		batchPoolDrops.Add(1)
 		return
 	}
 	batchPoolPuts.Add(1)
-	b.Tuples = nil
-	b.Fid, b.Ts, b.Te, b.Prob, b.Lam, b.Dict = nil, nil, nil, nil, nil, nil
+	b.Tuples, b.Fid, b.Dict = nil, nil, nil
 	batchPool.Put(b)
 }
 
 // FillBatch resets b and fills it through next until it holds Cap()
 // tuples or the stream ends, reporting whether it produced any — the
 // one batch-fill loop behind every tuple-pulling NextBatch
-// implementation (operator cursors, adapters, fallbacks). The columnar
-// view is maintained through Append.
+// implementation (operator cursors, the engine's stream adapter).
 func FillBatch(b *Batch, next func() (relation.Tuple, bool)) bool {
 	b.Reset()
 	max := b.Cap()
@@ -298,19 +231,18 @@ type BatchCursor interface {
 
 // keySkipper is implemented by cursors that can advance past a run of
 // facts in sub-linear time: SkipTo discards every upcoming tuple whose
-// fact key is below k. Scans gallop (exponential probe + binary search
-// over the packed (FactID, Ts, Te) order when interned); filters
-// forward to their input. The advancer's run-skipping uses it through
-// batchSource; operator cursors deliberately do not implement it —
-// their output is computed, so "skipping" it would still compute it.
+// packed fact id is below fid. Scans gallop over their fid column
+// (exponential probe + binary search); filters forward to their input.
+// The advancer's run-skipping uses it through batchSource; operator
+// cursors deliberately do not implement it — their output is computed,
+// so "skipping" it would still compute it.
 type keySkipper interface {
-	SkipTo(k relation.FactKey)
+	SkipTo(fid int64)
 }
 
 // NextBatch fills b with the next sub-window of the scanned relation —
-// zero copy: b.Tuples aliases the relation's own storage, and when the
-// relation carries a columnar projection the column views alias it the
-// same way, so a scan batch costs a handful of slice-header writes
+// zero copy: b.Tuples aliases the relation's own storage and b.Fid its
+// fid column, so a scan batch costs three slice-header writes
 // regardless of size. Consumers must treat the rows as read-only (the
 // relation may be shared, e.g. a catalog relation under AssumeSorted).
 func (c *ScanCursor) NextBatch(b *Batch) bool {
@@ -323,66 +255,45 @@ func (c *ScanCursor) NextBatch(b *Batch) bool {
 		n = max
 	}
 	i, j := c.i, c.i+n
-	b.Tuples = c.r.Tuples[i:j]
-	if cols := c.r.Cols(); cols != nil {
-		b.Fid = cols.Fid[i:j]
-		b.Ts = cols.Ts[i:j]
-		b.Te = cols.Te[i:j]
-		b.Prob = cols.Prob[i:j]
-		b.Lam = cols.Lam[i:j]
-		b.Dict = c.r.Dict()
-	} else if b.Dict != nil || len(b.Fid) > 0 {
-		b.dropCols() // a previous alias fill may have left foreign columns
-	}
+	b.Tuples, b.Fid, b.Dict = c.r.Tuples[i:j], c.fid[i:j], c.r.Dict()
 	c.i = j
+	b.CheckBound("core.ScanCursor.NextBatch")
 	return true
 }
 
-// SkipTo advances the scan past every tuple whose fact key is below k,
-// by galloping: exponential probe to bracket the run, then binary
-// search inside the bracket. Over a columnar projection the gallop runs
-// on the packed fid column (one int64 load per probe); otherwise on
-// interned relations every comparison is still a single integer
-// compare, so skipping an absent run of m tuples costs O(log m) instead
-// of the O(m) pops of the tuple-at-a-time sweep.
-func (c *ScanCursor) SkipTo(k relation.FactKey) {
-	if cols := c.r.Cols(); cols != nil {
-		if id, ok := k.IDIn(c.r.Dict()); ok {
-			c.i += relation.SkipToFid(cols.Fid[c.i:], id)
-			return
-		}
-	}
-	c.i += relation.SkipToKey(c.r.Tuples[c.i:], k)
+// SkipTo advances the scan past every tuple whose fact id is below fid,
+// galloping over the fid column: skipping an absent run of m tuples
+// costs O(log m) integer probes instead of the O(m) pops of the
+// tuple-at-a-time sweep.
+func (c *ScanCursor) SkipTo(fid int64) {
+	c.i += relation.SkipToFid(c.fid[c.i:], fid)
 }
 
 // NextBatch drains windows through the operation's λ-filter into the
 // output batch until it is full or the operation terminates — the
 // advancer runs without surfacing an interface call per tuple, and the
 // per-operation termination conditions of Algorithms 2–4 are re-checked
-// between windows exactly as in Next. Output rows are interned (they
-// inherit the window key's binding), so the batch comes out columnar
-// whenever the operation's inputs share one dictionary.
+// between windows exactly as in Next. Output rows inherit the window
+// key's interning, so the block comes out bound to the inputs'
+// dictionary.
 func (c *OpCursor) NextBatch(b *Batch) bool {
-	return FillBatch(b, c.Next)
+	ok := FillBatch(b, c.Next)
+	b.CheckBound("core.OpCursor.NextBatch")
+	return ok
 }
 
-// tupleAdapter lifts any Cursor to a BatchCursor by filling batches
-// through Next. Every cursor the plan builders produce streams batches
-// natively; the shim serves cursors implemented outside them.
-type tupleAdapter struct{ Cursor }
-
-func (a tupleAdapter) NextBatch(b *Batch) bool {
-	return FillBatch(b, a.Next)
-}
-
-// AsBatchCursor returns c itself when it already streams batches, and a
-// batching adapter over Next otherwise. Everything that consumes a
-// cursor — the advancer's sources, Materialize, selections, tracing,
-// the engine's shard producers — pulls blocks through it, so there is
-// one pull protocol below the public Cursor.Next.
+// AsBatchCursor asserts that c streams batches. Every cursor the plan
+// builders produce does (scans, selections, operators, tracing
+// wrappers, the engine's StreamCursor), and nothing else may feed a
+// plan: a block has to arrive bound, which a cursor that only knows
+// Next cannot promise. Everything that consumes a cursor — the
+// advancer's sources, Materialize, selections, tracing, the engine's
+// shard producers — pulls blocks through it, so there is one pull
+// protocol below the public Cursor.Next.
 func AsBatchCursor(c Cursor) BatchCursor {
-	if bc, ok := c.(BatchCursor); ok {
-		return bc
+	bc, ok := c.(BatchCursor)
+	if !ok {
+		panic(fmt.Sprintf("core: cursor %T does not stream batches", c))
 	}
-	return tupleAdapter{c}
+	return bc
 }

@@ -9,8 +9,8 @@ import (
 	"github.com/tpset/tpset/internal/relation"
 )
 
-// sortedTestRelation builds a sorted, interned relation with the given
-// fact runs.
+// sortedTestRelation builds a scannable relation — interned, sorted,
+// fid column built — with the given fact runs.
 func sortedTestRelation(name string, n, facts int, seed int64) *relation.Relation {
 	rng := rand.New(rand.NewSource(seed))
 	r := relation.New(relation.NewSchema(name, "F"))
@@ -24,40 +24,46 @@ func sortedTestRelation(name string, n, facts int, seed int64) *relation.Relatio
 	}
 	r.Intern()
 	r.Sort()
+	r.BuildCols()
 	return r
 }
 
 // TestScanBatchZeroCopy pins that scan batches alias the relation's own
-// tuple storage and — once it is projected — its columns (a handful of
-// slice-header writes per block, no copying), that the sub-windows tile
-// the relation exactly, and that a relation without a projection yields
-// row-only blocks.
+// tuple storage and its fid column (three slice-header writes per block,
+// no copying), that the sub-windows tile the relation exactly and every
+// block is bound, and that a scan over a non-empty relation without the
+// column is refused at construction.
 func TestScanBatchZeroCopy(t *testing.T) {
 	r := sortedTestRelation("r", 2*BatchSize+100, 7, 1)
-	for _, project := range []bool{false, true} {
-		var cols *relation.Cols
-		if project {
-			cols = r.BuildCols()
-		}
-		c := NewScanCursor(r)
-		b := GetBatch()
-		seen := 0
-		for c.NextBatch(b) {
-			if &b.Tuples[0] != &r.Tuples[seen] {
-				t.Fatalf("batch at offset %d does not alias the relation storage", seen)
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("NewScanCursor over a relation without a fid column did not panic")
 			}
-			if b.HasCols() != project {
-				t.Fatalf("batch at offset %d: HasCols = %v over a relation with projection = %v", seen, b.HasCols(), project)
-			}
-			if project && (&b.Fid[0] != &cols.Fid[seen] || &b.Lam[0] != &cols.Lam[seen] || len(b.Fid) != len(b.Tuples)) {
-				t.Fatalf("batch at offset %d does not alias the column projection", seen)
-			}
-			seen += len(b.Tuples)
+		}()
+		NewScanCursor(r.Clone()) // a clone carries the binding but no column
+	}()
+	fid := r.FidCol()
+	c := NewScanCursor(r)
+	b := GetBatch()
+	seen := 0
+	for c.NextBatch(b) {
+		if &b.Tuples[0] != &r.Tuples[seen] {
+			t.Fatalf("batch at offset %d does not alias the relation storage", seen)
 		}
-		PutBatch(b)
-		if seen != r.Len() {
-			t.Fatalf("batches covered %d tuples, want %d", seen, r.Len())
+		if b.Dict != r.Dict() || &b.Fid[0] != &fid[seen] || len(b.Fid) != len(b.Tuples) {
+			t.Fatalf("batch at offset %d is not bound to the relation's dictionary and fid column", seen)
 		}
+		seen += len(b.Tuples)
+	}
+	PutBatch(b)
+	if seen != r.Len() {
+		t.Fatalf("batches covered %d tuples, want %d", seen, r.Len())
+	}
+	// A zero-row relation is vacuously bound: it scans (to nothing)
+	// without a dictionary or a column.
+	if NewScanCursor(relation.New(r.Schema)).NextBatch(NewBatch(4)) {
+		t.Fatal("scan of an empty relation produced a block")
 	}
 }
 
@@ -89,28 +95,29 @@ func TestScanBatchRespectsCapacity(t *testing.T) {
 	}
 }
 
-// TestSkipToKeyMatchesLinearScan is the galloping property test: on
-// random sorted slices and random probe keys, SkipToKey must return
-// exactly the index a linear scan finds — interned and string-keyed.
-func TestSkipToKeyMatchesLinearScan(t *testing.T) {
+// TestSkipToFidMatchesLinearScan is the galloping property test: on
+// random sorted relations and random probe facts of the same
+// dictionary, SkipToFid over the fid column must return exactly the
+// index a linear scan over the rows' key strings finds — the packed
+// order IS the canonical fact order.
+func TestSkipToFidMatchesLinearScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 200; trial++ {
 		r := sortedTestRelation("r", 1+rng.Intn(300), 1+rng.Intn(40), int64(trial))
-		if trial%2 == 1 {
-			r.Unbind() // string-compare path
-		}
 		probe := sortedTestRelation("p", 60, 1+rng.Intn(60), int64(trial)+1000)
+		relation.InternAll(r, probe) // order-preserving: both stay sorted
+		fid := r.BuildCols()
 		for i := range probe.Tuples {
-			k := probe.Tuples[i].FactKeyRO()
+			_, id := probe.Tuples[i].Binding()
+			key := probe.Tuples[i].Key()
 			start := rng.Intn(r.Len())
-			got := relation.SkipToKey(r.Tuples[start:], k)
+			got := relation.SkipToFid(fid[start:], int64(id))
 			want := 0
-			for want < len(r.Tuples[start:]) && r.Tuples[start:][want].FactKeyRO().Less(k) {
+			for start+want < r.Len() && r.Tuples[start+want].Key() < key {
 				want++
 			}
 			if got != want {
-				t.Fatalf("trial %d: SkipToKey from %d for %q: got %d, want %d",
-					trial, start, k, got, want)
+				t.Fatalf("trial %d: SkipToFid from %d for %q: got %d, want %d", trial, start, key, got, want)
 			}
 		}
 	}
@@ -119,20 +126,21 @@ func TestSkipToKeyMatchesLinearScan(t *testing.T) {
 // TestScanSkipToAdvancesCursor pins SkipTo/Next interplay on the scan.
 func TestScanSkipToAdvancesCursor(t *testing.T) {
 	r := sortedTestRelation("r", 500, 25, 4)
+	fid := r.FidCol()
 	c := NewScanCursor(r)
-	// Skip to the key of a tuple in the middle.
-	target := r.Tuples[307].FactKeyRO()
+	// Skip to the fact of a tuple in the middle.
+	target := fid[307]
 	c.SkipTo(target)
 	got, ok := c.Next()
 	if !ok {
 		t.Fatal("cursor exhausted after SkipTo")
 	}
-	if got.FactKeyRO().Less(target) {
-		t.Fatalf("SkipTo left a tuple below the target: %s < %s", got.FactKeyRO(), target)
-	}
-	// No tuple with key >= target may have been skipped: the first
+	// No tuple at or above the target may have been skipped: the first
 	// reachable tuple must be the linear-scan answer.
-	want := relation.SkipToKey(r.Tuples, target)
+	want := 0
+	for fid[want] < target {
+		want++
+	}
 	if !got.Fact.Equal(r.Tuples[want].Fact) || got.T != r.Tuples[want].T {
 		t.Fatalf("SkipTo landed on %s, want %s", got, r.Tuples[want])
 	}
@@ -156,9 +164,6 @@ func TestSteadyStateBatchAllocations(t *testing.T) {
 	relation.InternAll(r, s)
 	r.Sort()
 	s.Sort()
-	// Columnar projections put the drain on the SoA path: packed-fid
-	// gallops and column-aliasing scan blocks, which must be just as
-	// allocation-free as the struct path they replaced.
 	r.BuildCols()
 	s.BuildCols()
 
@@ -189,7 +194,7 @@ func TestSteadyStateBatchAllocations(t *testing.T) {
 // TestBatchPoolRoundTrip pins the pool's capacity account: odd-capacity
 // batches and the zero Batch are dropped (pooling them would hand later
 // GetBatch callers undersized storage), and a full-capacity batch comes
-// back empty with its whole payload and column storage intact.
+// back empty with its whole row and id storage intact.
 func TestBatchPoolRoundTrip(t *testing.T) {
 	_, _, _, drops0 := BatchPoolStats()
 	PutBatch(NewBatch(7)) // odd capacity: dropped
@@ -200,26 +205,24 @@ func TestBatchPoolRoundTrip(t *testing.T) {
 
 	r := sortedTestRelation("r", BatchSize, 9, 8)
 	b := GetBatch()
-	if b.Cap() != BatchSize || b.Len() != 0 || b.HasCols() {
-		t.Fatalf("pooled batch: cap %d len %d cols %v", b.Cap(), b.Len(), b.HasCols())
+	if b.Cap() != BatchSize || b.Len() != 0 || b.Dict != nil {
+		t.Fatalf("pooled batch: cap %d len %d dict %p", b.Cap(), b.Len(), b.Dict)
 	}
 	for i := range r.Tuples {
 		b.Append(r.Tuples[i])
 	}
-	if !b.HasCols() || b.Len() != BatchSize {
-		t.Fatalf("full interned fill: len %d cols %v", b.Len(), b.HasCols())
+	if b.Dict != r.Dict() || b.Len() != BatchSize || len(b.Fid) != BatchSize {
+		t.Fatalf("full fill: len %d, %d ids, dict %p", b.Len(), len(b.Fid), b.Dict)
 	}
 	PutBatch(b)
 
 	b2 := GetBatch()
 	defer PutBatch(b2)
-	if b2.Len() != 0 || b2.HasCols() {
-		t.Fatalf("re-pooled batch not reset: len %d cols %v", b2.Len(), b2.HasCols())
+	if b2.Len() != 0 || len(b2.Fid) != 0 || b2.Dict != nil {
+		t.Fatalf("re-pooled batch not reset: len %d, %d ids, dict %p", b2.Len(), len(b2.Fid), b2.Dict)
 	}
-	if cap(b2.Tuples) != BatchSize || cap(b2.Fid) != BatchSize || cap(b2.Ts) != BatchSize ||
-		cap(b2.Te) != BatchSize || cap(b2.Prob) != BatchSize || cap(b2.Lam) != BatchSize {
-		t.Fatalf("re-pooled batch lost storage: caps %d/%d/%d/%d/%d/%d",
-			cap(b2.Tuples), cap(b2.Fid), cap(b2.Ts), cap(b2.Te), cap(b2.Prob), cap(b2.Lam))
+	if cap(b2.Tuples) != BatchSize || cap(b2.Fid) != BatchSize {
+		t.Fatalf("re-pooled batch lost storage: caps %d/%d", cap(b2.Tuples), cap(b2.Fid))
 	}
 }
 

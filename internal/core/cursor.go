@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"github.com/tpset/tpset/internal/invariant"
 	"github.com/tpset/tpset/internal/lineage"
 	"github.com/tpset/tpset/internal/relation"
 )
@@ -53,13 +54,28 @@ func ReleaseCursor(c Cursor) {
 // (in particular, lazy fact-key caching lands in the copy): a ScanCursor
 // may safely stream a relation shared with concurrent readers.
 type ScanCursor struct {
-	r *relation.Relation
-	i int
+	r   *relation.Relation
+	fid []int64 // r's fid column, aliased into every block
+	i   int
 }
 
-// NewScanCursor returns a scan over r. Sortedness is a precondition, as
-// for NewAdvancer; relation.Relation.Sort establishes it.
-func NewScanCursor(r *relation.Relation) *ScanCursor { return &ScanCursor{r: r} }
+// NewScanCursor returns a scan over r, which must be sorted (as for
+// NewAdvancer; relation.Relation.Sort establishes it) and, unless it is
+// empty, carry its fid column (Relation.BuildCols): the scan hands out
+// bound blocks and has nothing else to bind them with. PrepareLeaves
+// produces such leaves from any input; a relation without the column is
+// a plan-construction bug and panics here rather than mid-sweep.
+func NewScanCursor(r *relation.Relation) *ScanCursor {
+	fid := r.FidCol()
+	if fid == nil && r.Len() > 0 {
+		panic(fmt.Sprintf("core: scan over relation %q (%d tuples) without a fid column", r.Schema.Name, r.Len()))
+	}
+	if invariant.Enabled {
+		invariant.CheckSorted(r, "core.NewScanCursor")
+		invariant.CheckColsMirror(r, "core.NewScanCursor")
+	}
+	return &ScanCursor{r: r, fid: fid}
+}
 
 // Schema returns the scanned relation's schema.
 func (c *ScanCursor) Schema() relation.Schema { return c.r.Schema }
@@ -79,7 +95,7 @@ func (c *ScanCursor) Next() (relation.Tuple, bool) {
 // operation's λ-filter to each candidate window and finalizes output
 // lineage with its Table I concatenation function. It is the Fig. 5
 // pipeline in streaming form, and the only implementation of it: Apply
-// drains one OpCursor, cursor plans stack them.
+// drains one OpCursor over two scans, cursor plans stack them.
 type OpCursor struct {
 	op     Op
 	a      *Advancer
@@ -101,15 +117,6 @@ func NewOpCursor(op Op, left, right Cursor, opts Options) (*OpCursor, error) {
 	a := NewStreamAdvancer(left, right)
 	a.enableSkip(op)
 	return &OpCursor{op: op, a: a, schema: OutSchemaOf(op, ls, rs), opts: opts}, nil
-}
-
-// newOpCursorSorted builds an OpCursor over two pre-sorted relations via
-// slice-backed sources — Apply's entry point, which skips the block
-// buffering of the general path.
-func newOpCursorSorted(op Op, r, s *relation.Relation, schema relation.Schema, opts Options) *OpCursor {
-	a := NewAdvancer(r, s)
-	a.enableSkip(op)
-	return &OpCursor{op: op, a: a, schema: schema, opts: opts}
 }
 
 // Schema returns the output schema of the operation.
@@ -169,10 +176,10 @@ func (c *OpCursor) Next() (relation.Tuple, bool) {
 }
 
 // Materialize drains a cursor into a relation — the single point where a
-// cursor plan gives up its O(tree depth) memory bound. When every output
-// tuple carries one shared interning dictionary (the same-dict-inputs
-// case), the materialized relation comes out bound to it, so downstream
-// sorts and set operations stay on the integer-compare path. The drain
+// cursor plan gives up its O(tree depth) memory bound. Every block of a
+// plan is bound to the plan's one dictionary, so the materialized
+// relation comes out bound to it (an empty result has no tuple to take a
+// dictionary from and stays unbound, which is vacuously fine). The drain
 // is block-at-a-time (one bulk append per ~BatchSize tuples).
 func Materialize(c Cursor) *relation.Relation {
 	out, _ := MaterializeLimit(c, 0)

@@ -22,25 +22,29 @@
 //   - Output tuples appear in canonical (fact, Ts, Te) order, the same
 //     order relation.Sort establishes; the parallel engine relies on this
 //     to concatenate shard outputs into a bit-identical result.
-//   - With Options.AssumeSorted the drivers run the advancer directly
-//     over the caller's slices; the caller then guarantees sortedness AND
-//     exclusive ownership (the sweep's lazy key caching would race on
-//     shared relations — see internal/engine for the cloning rules).
+//   - Every block that crosses a NextBatch is bound: one dictionary per
+//     plan, and an fid column that mirrors the rows (Batch). PrepareLeaves
+//     establishes it for the leaves — with Options.AssumeSorted, leaves
+//     that are already sorted, on one dictionary and projected are read
+//     in place (the caller guarantees sortedness; nothing writes them),
+//     anything else is cloned and bound — and the tpinvariants build
+//     asserts it at every hop.
 //
 // The pipeline is pull-based: Cursor is a tuple stream in canonical
 // order, ScanCursor streams a sorted relation, and OpCursor runs the
 // advancer directly over two child cursors. Apply — the one two-relation
-// driver — is prepare + Materialize(OpCursor), and cursor plans (built by
-// internal/query, run by internal/engine) stack the same OpCursor into
-// whole query trees that evaluate in O(tree depth) additional memory, so
-// there is one λ-filter/λ-function implementation in the module.
+// driver — is PrepareLeaves + Materialize(OpCursor), and cursor plans
+// (built by internal/query, run by internal/engine) stack the same
+// OpCursor into whole query trees that evaluate in O(tree depth)
+// additional memory, so there is one λ-filter/λ-function implementation
+// in the module.
 //
 // Execution is batched (vectorized): BatchCursor moves pooled
 // ~BatchSize-tuple blocks through the stack (zero-copy scan sub-windows,
 // block-draining operators), amortizing per-tuple interface, channel and
 // encoder costs ~1000x, and the advancer always skips runs of facts whose
-// windows the operation discards by galloping over the packed
-// (FactID, Ts, Te) order (DESIGN.md "Batched execution & run skipping").
+// windows the operation discards by galloping over the packed fid
+// column (DESIGN.md "Batched execution & run skipping").
 // Correctness is pinned against the Def. 3 oracle (internal/ref), not
 // against a sibling executor: see internal/ref/reftest.
 //

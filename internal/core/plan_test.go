@@ -1,0 +1,232 @@
+package core_test
+
+// Tests of the cursor plumbing between the advancer and its children:
+// run-skip gallops that cross block boundaries, block concatenation,
+// the tracing wrapper's counters and plan teardown. Plans are built by
+// hand from the core constructors; results are checked against the
+// Def. 3 oracle.
+
+import (
+	"fmt"
+	"testing"
+
+	"github.com/tpset/tpset/internal/core"
+	"github.com/tpset/tpset/internal/obs"
+	"github.com/tpset/tpset/internal/query"
+	"github.com/tpset/tpset/internal/ref/reftest"
+	"github.com/tpset/tpset/internal/relation"
+)
+
+// factRange returns a relation with one tuple for every step-th fact of
+// [lo, hi): enough distinct facts that a scan of it spans several
+// blocks.
+func factRange(name string, lo, hi, step int) *relation.Relation {
+	r := relation.New(relation.NewSchema(name, "F"))
+	for i := lo; i < hi; i += step {
+		r.AddBase(relation.NewFact(fmt.Sprintf("f%05d", i)), fmt.Sprintf("%s%d", name, i), int64(i%7), int64(i%7)+3, 0.5)
+	}
+	return r
+}
+
+// prepared runs the named relations through PrepareLeaves and returns
+// the scannable clones under the same names.
+func prepared(t *testing.T, db map[string]*relation.Relation) map[string]*relation.Relation {
+	t.Helper()
+	names := query.DBKeys(db)
+	rels := make([]*relation.Relation, len(names))
+	for i, name := range names {
+		rels[i] = db[name]
+	}
+	rels, err := core.PrepareLeaves(rels, core.Options{Validate: true}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := map[string]*relation.Relation{}
+	for i, name := range names {
+		out[name] = rels[i]
+	}
+	return out
+}
+
+func opCursor(t *testing.T, op core.Op, l, r core.Cursor) *core.OpCursor {
+	t.Helper()
+	c, err := core.NewOpCursor(op, l, r, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// TestRunSkipGallopsAcrossBlocks intersects 4000 one-tuple facts with
+// two of them, one in the first block and one in the last. Over a scan
+// the advancer gallops the child itself (keySkipper, through the tracing
+// wrapper), so the blocks in between are never handed up; over a
+// computed child — a union, which cannot skip — it discards them whole.
+// Either way the intersection sees a handful of windows instead of
+// thousands, and the result is the oracle's.
+func TestRunSkipGallopsAcrossBlocks(t *testing.T) {
+	const n = 4000 // ~4 blocks per side
+	db := map[string]*relation.Relation{
+		"all":  factRange("all", 0, n, 1),
+		"even": factRange("even", 0, n, 2),
+		"odd":  factRange("odd", 1, n, 2),
+		"few":  factRange("few", 7, n, 3493), // f00007 and f03500
+	}
+	leaves := prepared(t, db)
+	for _, tc := range []struct {
+		tree string
+		left func(sp *obs.Span) core.Cursor
+	}{
+		{"all & few", func(sp *obs.Span) core.Cursor {
+			return core.Traced(core.NewScanCursor(leaves["all"]), sp)
+		}},
+		{"(even | odd) & few", func(sp *obs.Span) core.Cursor {
+			return core.Traced(opCursor(t, core.OpUnion, core.NewScanCursor(leaves["even"]), core.NewScanCursor(leaves["odd"])), sp)
+		}},
+	} {
+		root := obs.NewSpan("")
+		left := root.NewChild("")
+		plan := core.Traced(opCursor(t, core.OpIntersect, tc.left(left), core.NewScanCursor(leaves["few"])), root)
+		got := core.Materialize(plan)
+		reftest.Check(t, tc.tree, got, query.MustParse(tc.tree), db)
+		if got.Len() != db["few"].Len() {
+			t.Fatalf("%s: %d tuples, want %d", tc.tree, got.Len(), db["few"].Len())
+		}
+		st := root.Snapshot()
+		if st.Gallops < int64(got.Len()) || st.Windows > 4*int64(got.Len()) {
+			t.Fatalf("%s: %d gallops, %d windows for %d matches over %d tuples; the absent runs were not skipped",
+				tc.tree, st.Gallops, st.Windows, got.Len(), n)
+		}
+		// A skippable child is galloped in place — the first block and
+		// the tail from f03500 on are all it hands up; a computed child
+		// produces every tuple and the source drops them block by block.
+		childOut := st.Children[0].TuplesOut
+		if scan := tc.tree == "all & few"; scan && (childOut != core.BatchSize+n-3500 || st.Children[0].Gallops == 0) {
+			t.Fatalf("%s: the scan handed up %d of %d tuples with %d gallops", tc.tree, childOut, n, st.Children[0].Gallops)
+		} else if !scan && childOut != n {
+			t.Fatalf("%s: the union produced %d tuples, want all %d", tc.tree, childOut, n)
+		}
+	}
+}
+
+// TestAppendRangeAcrossSourceBlocks concatenates parts of two scan
+// blocks into one output block: rows and ids travel together and the
+// block stays bound to the sources' dictionary.
+func TestAppendRangeAcrossSourceBlocks(t *testing.T) {
+	r := prepared(t, map[string]*relation.Relation{"r": factRange("r", 0, 10, 1)})["r"]
+	scan := core.NewScanCursor(r)
+	b1, b2, out := core.NewBatch(5), core.NewBatch(5), core.NewBatch(8)
+	if !scan.NextBatch(b1) || !scan.NextBatch(b2) {
+		t.Fatal("scan of 10 rows did not fill two blocks of 5")
+	}
+	out.Reset()
+	out.AppendRange(b1, 3, 3) // empty range: nothing happens
+	if out.Len() != 0 || out.Dict != nil {
+		t.Fatalf("empty AppendRange left %d rows, dict %p", out.Len(), out.Dict)
+	}
+	out.AppendRange(b1, 2, 5)
+	out.AppendRange(b2, 0, 4)
+	if out.Len() != 7 || len(out.Fid) != 7 || out.Dict != r.Dict() {
+		t.Fatalf("%d rows, %d ids, dict %p; want 7, 7 and the relation's dictionary", out.Len(), len(out.Fid), out.Dict)
+	}
+	for i := range out.Tuples {
+		if want := &r.Tuples[2+i]; out.Tuples[i].Lineage != want.Lineage || out.Fid[i] != r.FidCol()[2+i] {
+			t.Fatalf("row %d is %s with id %d, want %s with id %d", i, out.Tuples[i], out.Fid[i], want, r.FidCol()[2+i])
+		}
+	}
+}
+
+// TestTracedPlanCountersReconcile runs the two-level plan (a | b) | c
+// traced, pulling by tuple and by block, and reconciles every counter:
+// each node's tuples with what it emitted, a node's input with its
+// children's output, the operators' windows with the window stream of
+// their operands, and the result with the untraced plan's.
+func TestTracedPlanCountersReconcile(t *testing.T) {
+	db := map[string]*relation.Relation{
+		"a": factRange("a", 0, 3000, 2),
+		"b": factRange("b", 0, 3000, 3),
+		"c": factRange("c", 0, 3000, 5),
+	}
+	leaves := prepared(t, db)
+	scan := func(name string) core.Cursor { return core.NewScanCursor(leaves[name]) }
+	want := core.Materialize(opCursor(t, core.OpUnion, opCursor(t, core.OpUnion, scan("a"), scan("b")), scan("c")))
+
+	root := obs.NewSpan("")
+	inner := root.NewChild("")
+	spA, spB, spC := inner.NewChild(""), inner.NewChild(""), root.NewChild("")
+	union := core.Traced(opCursor(t, core.OpUnion, core.Traced(scan("a"), spA), core.Traced(scan("b"), spB)), inner)
+	plan := core.AsBatchCursor(core.Traced(opCursor(t, core.OpUnion, union, core.Traced(scan("c"), spC)), root))
+	if plan.Schema().Name != want.Schema.Name {
+		t.Fatalf("traced schema %q, untraced %q", plan.Schema().Name, want.Schema.Name)
+	}
+	got := relation.New(plan.Schema())
+	for i := 0; i < 10; i++ { // a few single pulls, then blocks
+		tup, ok := plan.Next()
+		if !ok {
+			t.Fatal("plan drained after a few tuples")
+		}
+		got.Tuples = append(got.Tuples, tup)
+	}
+	blocks := int64(0)
+	for b := core.NewBatch(256); plan.NextBatch(b); blocks++ {
+		got.Tuples = append(got.Tuples, b.Tuples...)
+	}
+	reftest.Check(t, "(a | b) | c", got, query.MustParse("(a | b) | c"), db)
+	if d := relation.Diff(got, want); d != "" {
+		t.Fatalf("traced and untraced plans differ: %s", d)
+	}
+
+	st := root.Snapshot()
+	un := st.Children[0]
+	unionOut := core.Materialize(opCursor(t, core.OpUnion, scan("a"), scan("b")))
+	for _, c := range []struct {
+		what      string
+		got, want int64
+	}{
+		{"root tuples out", st.TuplesOut, int64(got.Len())},
+		{"root batches", st.Batches, blocks},
+		{"root tuples in", st.TuplesIn, un.TuplesOut + st.Children[1].TuplesOut},
+		{"union tuples out", un.TuplesOut, int64(unionOut.Len())},
+		{"union tuples in", un.TuplesIn, int64(leaves["a"].Len() + leaves["b"].Len())},
+		{"scan(c) tuples out", st.Children[1].TuplesOut, int64(leaves["c"].Len())},
+		{"union windows", un.Windows, int64(len(core.Windows(db["a"], db["b"])))},
+		{"root windows", st.Windows, int64(len(core.Windows(unionOut, db["c"])))},
+	} {
+		if c.got != c.want {
+			t.Fatalf("%s = %d, want %d\n%+v", c.what, c.got, c.want, st)
+		}
+	}
+}
+
+// TestReleaseHalfDrainedPlanBalancesPool abandons a traced two-level
+// plan after one block: ReleaseCursor must reach every source through
+// the wrappers and the operators and hand each buffered pooled block
+// back, so the pool's gets and puts since the plan was built balance;
+// releasing again, or releasing a drained plan, puts nothing more.
+func TestReleaseHalfDrainedPlanBalancesPool(t *testing.T) {
+	leaves := prepared(t, map[string]*relation.Relation{
+		"a": factRange("a", 0, 5000, 1),
+		"b": factRange("b", 0, 5000, 2),
+		"c": factRange("c", 0, 5000, 3),
+	})
+	scan := func(name string) core.Cursor { return core.NewScanCursor(leaves[name]) }
+	for _, drainFully := range []bool{false, true} {
+		gets0, puts0, _, _ := core.BatchPoolStats()
+		sp := obs.NewSpan("")
+		plan := core.Traced(opCursor(t, core.OpUnion,
+			core.Traced(opCursor(t, core.OpIntersect, scan("a"), scan("b")), sp.NewChild("")), scan("c")), sp)
+		b := core.NewBatch(64) // unpooled: leaves through the drop counter
+		if bc := core.AsBatchCursor(plan); !bc.NextBatch(b) {
+			t.Fatal("plan produced nothing")
+		} else if drainFully {
+			for bc.NextBatch(b) {
+			}
+		}
+		core.ReleaseCursor(plan)
+		core.ReleaseCursor(plan) // idempotent
+		gets, puts, _, _ := core.BatchPoolStats()
+		if gets-gets0 != 4 || puts-puts0 != gets-gets0 {
+			t.Fatalf("drainFully=%v: %d gets (want 4, one per source) vs %d puts after release", drainFully, gets-gets0, puts-puts0)
+		}
+	}
+}

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"runtime"
+	"sync"
 
 	"github.com/tpset/tpset/internal/obs"
 	"github.com/tpset/tpset/internal/relation"
@@ -10,9 +11,11 @@ import (
 
 // Options controls the set-operation drivers.
 type Options struct {
-	// AssumeSorted skips the sort step when the caller guarantees both
-	// inputs are already in (fact, Ts) order. The drivers then run without
-	// copying the inputs.
+	// AssumeSorted skips the sort when the caller guarantees the inputs
+	// are already in (fact, Ts) order. Inputs that also share one
+	// dictionary and carry their fid columns (catalog relations do) are
+	// then read in place; leaves that do not already share a dictionary
+	// and a fid column are cloned and bound in O(n).
 	AssumeSorted bool
 	// LazyProb leaves the probability of output tuples unvaluated (zero).
 	// By default probabilities are computed eagerly, which is linear per
@@ -77,52 +80,84 @@ func (op Op) String() string {
 }
 
 // Apply computes op(r, s) and materializes the result — the one
-// two-relation driver: prepare (schema check, optional validation,
-// clone + intern + sort + column projection), then drain the streaming
-// OpCursor. It therefore shares its λ-filter/λ-function implementation
-// with every cursor plan and cannot diverge from them.
+// two-relation driver: PrepareLeaves, then a drain of the streaming
+// OpCursor (which checks the operation and the schemas) over two scans.
+// It therefore shares its λ-filter/λ-function implementation with every
+// cursor plan and cannot diverge from them.
 func Apply(op Op, r, s *relation.Relation, opts Options) (*relation.Relation, error) {
-	if op != OpUnion && op != OpIntersect && op != OpExcept {
-		return nil, fmt.Errorf("core: unknown operation %v", op)
-	}
-	rr, ss, err := prepare(r, s, opts)
+	leaves, err := PrepareLeaves([]*relation.Relation{r, s}, opts, 1)
 	if err != nil {
 		return nil, err
 	}
-	return Materialize(newOpCursorSorted(op, rr, ss, OutSchemaOf(op, r.Schema, s.Schema), opts)), nil
+	c, err := NewOpCursor(op, NewScanCursor(leaves[0]), NewScanCursor(leaves[1]), opts)
+	if err != nil {
+		return nil, err
+	}
+	return Materialize(c), nil
 }
 
-func prepare(r, s *relation.Relation, opts Options) (rr, ss *relation.Relation, err error) {
-	if !r.Schema.Compatible(s.Schema) {
-		return nil, nil, fmt.Errorf("core: incompatible schemas %q (%d attrs) and %q (%d attrs)",
-			r.Schema.Name, len(r.Schema.Attrs), s.Schema.Name, len(s.Schema.Attrs))
-	}
+// PrepareLeaves is where the block invariant is established: it returns,
+// in order, the relations a plan's scans may read — sorted by
+// (fid, Ts, Te), bound to one shared fact dictionary and carrying their
+// fid columns — so every block of the plan is bound and the whole tree
+// sweeps, gallops and shards on packed integer ids. It is the one
+// prepare routine of the module: Apply calls it for its two inputs, the
+// engine once per plan before it cuts the leaves into shards.
+//
+// Validate checks every leaf for duplicate-freeness first. Leaves that
+// already qualify under AssumeSorted (catalog relations: admission
+// bound and projected them) are returned as they are, untouched.
+// Anything else is cloned — the inputs are never written, rebound or
+// projected, frozen or not — the clones are bound to one dictionary
+// unless they already share one, sorted unless AssumeSorted vouches for
+// the order (rebinding preserves it: dictionaries are order-preserving),
+// and projected; the per-leaf sort and projection fan out over up to
+// workers goroutines.
+func PrepareLeaves(leaves []*relation.Relation, opts Options, workers int) ([]*relation.Relation, error) {
 	if opts.Validate {
-		if err := r.ValidateDuplicateFree(); err != nil {
-			return nil, nil, err
+		for _, r := range leaves {
+			if err := r.ValidateDuplicateFree(); err != nil {
+				return nil, err
+			}
 		}
-		if err := s.ValidateDuplicateFree(); err != nil {
-			return nil, nil, err
+	}
+	if opts.AssumeSorted && bound(leaves) {
+		return leaves, nil
+	}
+	clones := make([]*relation.Relation, len(leaves))
+	for i, r := range leaves {
+		clones[i] = r.Clone()
+	}
+	if relation.SharedDict(clones...) == nil {
+		relation.InternAll(clones...)
+	}
+	// One goroutine per clone, at most workers of them running.
+	sem := make(chan struct{}, max(workers, 1))
+	var wg sync.WaitGroup
+	for _, r := range clones {
+		wg.Add(1)
+		sem <- struct{}{}
+		go func() {
+			defer func() { <-sem; wg.Done() }()
+			if !opts.AssumeSorted {
+				r.Sort()
+			}
+			r.BuildCols()
+		}()
+	}
+	wg.Wait()
+	return clones, nil
+}
+
+// bound reports whether the leaves can be scanned as they are: the
+// non-empty ones share one dictionary and each carries its fid column.
+func bound(leaves []*relation.Relation) bool {
+	for _, r := range leaves {
+		if r.Len() > 0 && r.FidCol() == nil {
+			return false
 		}
 	}
-	if opts.AssumeSorted {
-		return r, s, nil
-	}
-	rr, ss = r.Clone(), s.Clone()
-	// Give the private clones one shared fact dictionary unless they
-	// already have one (ingest-aligned inputs, intermediate results over
-	// same-dict leaves): the sort below and the advancer sweep then run
-	// on packed (FactID, Ts, Te) integer compares.
-	if relation.SharedDict(rr, ss) == nil {
-		relation.InternAll(rr, ss)
-	}
-	rr.Sort()
-	ss.Sort()
-	// Project the sorted clones into columns: the advancer's window
-	// compares and run-skip gallops then run over packed int64 slices.
-	rr.BuildCols()
-	ss.BuildCols()
-	return rr, ss, nil
+	return relation.SharedDict(leaves...) != nil
 }
 
 // Intersect computes r ∩Tp s (Algorithm 2): at each time point, the facts
@@ -163,10 +198,8 @@ func OutSchemaOf(op Op, ls, rs relation.Schema) relation.Schema {
 // window, in order. It exists for tests (Example 3, Proposition 1) and for
 // the ablation benchmark that decouples window production from filtering.
 func Windows(r, s *relation.Relation) []Window {
-	rr, ss := r.Clone(), s.Clone()
-	rr.Sort()
-	ss.Sort()
-	a := NewAdvancer(rr, ss)
+	leaves, _ := PrepareLeaves([]*relation.Relation{r, s}, Options{}, 1) // no Validate: cannot fail
+	a := NewAdvancer(leaves[0], leaves[1])
 	var ws []Window
 	for {
 		w, ok := a.Next()

@@ -73,6 +73,7 @@ func (t *tracedBatchCursor) NextBatch(b *Batch) bool {
 	start := time.Now()
 	ok := t.bc.NextBatch(b)
 	t.sp.AddWall(time.Since(start))
+	b.CheckBound("core.Traced.NextBatch")
 	if ok {
 		t.sp.AddTuples(int64(len(b.Tuples)))
 		t.sp.AddBatches(1)
@@ -85,11 +86,11 @@ func (t *tracedBatchCursor) NextBatch(b *Batch) bool {
 // it, counting the gallop either way. A wrapped cursor without SkipTo
 // (an operator cursor — its output is computed, so there is nothing to
 // gallop over) makes this a no-op, which is semantically equivalent:
-// callers re-filter below-k tuples after every skipTo, skipping only
+// callers re-filter below-fid tuples after every skipTo, skipping only
 // saves work, never changes output.
-func (t *tracedBatchCursor) SkipTo(k relation.FactKey) {
+func (t *tracedBatchCursor) SkipTo(fid int64) {
 	if sk, ok := t.bc.(keySkipper); ok {
 		t.sp.AddGallops(1)
-		sk.SkipTo(k)
+		sk.SkipTo(fid)
 	}
 }

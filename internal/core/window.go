@@ -5,7 +5,6 @@ import (
 
 	"github.com/tpset/tpset/internal/interval"
 	"github.com/tpset/tpset/internal/invariant"
-	"github.com/tpset/tpset/internal/keys"
 	"github.com/tpset/tpset/internal/lineage"
 	"github.com/tpset/tpset/internal/relation"
 )
@@ -20,10 +19,10 @@ import (
 // serves all three set operations: each operation filters windows and
 // combines LamR/LamS with its own lineage-concatenation function.
 //
-// Key is the comparison key of Fact, carried from the input tuple that
-// opened the fact group: output tuples built from the window inherit the
-// inputs' interning through it, which keeps a whole stacked query tree on
-// the integer-compare path.
+// Key is the comparison key of Fact, built from the packed id of the
+// input tuple that opened the fact group: output tuples built from the
+// window inherit the inputs' interning through it, which keeps every
+// block of a stacked query tree bound to the one plan dictionary.
 type Window struct {
 	Fact  relation.Fact
 	Key   relation.FactKey
@@ -43,95 +42,16 @@ func (w Window) String() string {
 	return fmt.Sprintf("(%s,[%d,%d), %s, %s)", w.Fact, w.WinTs, w.WinTe, w.LamR, w.LamS)
 }
 
-// tupleSource is the advancer's view of one input: a one-tuple-lookahead
-// stream in (fact, Ts) order. Two implementations exist — a slice over
-// a sorted relation (Apply's materialized input) and a block pull from
-// a BatchCursor (the streaming path). peek returns the next unconsumed
-// tuple (nil when drained) and is stable until pop; pop
-// consumes it. The pointer peek returns may be invalidated by pop, so
-// callers that need the tuple beyond the next pop must copy it. The
-// peeked tuple may alias storage shared with concurrent readers, so
-// callers must not mutate it — keys are read through peekKey/FactKeyRO.
-//
-// peekKey returns the comparison key of the peeked tuple and is only
-// valid when peek() is non-nil. Columnar sources derive it from the
-// packed fid column (one int64 load plus an O(1) dictionary index —
-// never a struct walk or a key-string rebuild); the others fall back to
-// FactKeyRO. The advancer reads every key through it, so the window
-// compares of Algorithm 1 run branch-light on the SoA path and
-// unchanged on the fallback.
-//
-// skipTo advances the source so that peek returns the first tuple whose
-// fact key is >= k; it is the run-skipping entry point and only called
-// when every tuple below k is known to be filtered out by the operation.
-type tupleSource interface {
-	peek() *relation.Tuple
-	peekKey() relation.FactKey
-	pop()
-	skipTo(k relation.FactKey)
-	// release returns buffered pooled blocks and forwards the teardown
-	// to the child plan — the source-level leg of Cursor teardown
-	// (CursorReleaser). No-op on slice-backed sources.
-	release()
-}
-
-// sliceSource streams a sorted tuple slice, with an optional columnar
-// fast path: when the backing relation carries a columnar projection,
-// fid/dict alias its id column and keys and gallops run on packed
-// integers.
-type sliceSource struct {
-	ts   []relation.Tuple
-	fid  []int64
-	dict *keys.Dict
-	i    int
-}
-
-// newSliceSource builds a source over r's tuples, picking up the
-// columnar projection when one is valid.
-func newSliceSource(r *relation.Relation) *sliceSource {
-	s := &sliceSource{ts: r.Tuples}
-	if c := r.Cols(); c != nil {
-		s.fid, s.dict = c.Fid, r.Dict()
-	}
-	return s
-}
-
-func (s *sliceSource) peek() *relation.Tuple {
-	if s.i < len(s.ts) {
-		return &s.ts[s.i]
-	}
-	return nil
-}
-
-func (s *sliceSource) peekKey() relation.FactKey {
-	if s.dict != nil {
-		return relation.KeyIn(s.dict, s.fid[s.i])
-	}
-	return s.ts[s.i].FactKeyRO()
-}
-
-func (s *sliceSource) pop() { s.i++ }
-
-// skipTo gallops over the fid column when the target is interned
-// against the source's dictionary, and over the tuple slice otherwise
-// (shared with ScanCursor.SkipTo).
-func (s *sliceSource) skipTo(k relation.FactKey) {
-	if s.dict != nil {
-		if id, ok := k.IDIn(s.dict); ok {
-			s.i += relation.SkipToFid(s.fid[s.i:], id)
-			return
-		}
-	}
-	s.i += relation.SkipToKey(s.ts[s.i:], k)
-}
-
-// release is a no-op: slice sources alias relation storage.
-func (s *sliceSource) release() {}
-
-// batchSource streams a BatchCursor through a pooled block buffer: one
-// interface call per ~BatchSize tuples instead of one per tuple. The
-// peeked pointers index straight into the batch, which may alias the
-// scanned relation (zero copy) — hence the read-only contract of peek.
+// batchSource is the advancer's view of one input: a one-tuple-lookahead
+// stream in (fact, Ts) order, pulled from a BatchCursor through a pooled
+// block buffer — one interface call per ~BatchSize tuples instead of one
+// per tuple. peek returns the next unconsumed tuple (nil when drained)
+// and is stable until pop, which consumes it; fid returns its packed
+// fact id from the block's fid column and is only valid while peek is
+// non-nil. The peeked pointer indexes straight into the block, which
+// may alias the scanned relation (zero copy) and so storage shared with
+// concurrent readers: callers must not mutate it, and must copy a tuple
+// they need beyond the next pop.
 type batchSource struct {
 	c    BatchCursor
 	b    *Batch
@@ -148,73 +68,69 @@ func (s *batchSource) peek() *relation.Tuple {
 		if s.i < len(s.b.Tuples) {
 			return &s.b.Tuples[s.i]
 		}
-		if s.done {
+		if !s.pull() {
 			return nil
 		}
-		if !s.c.NextBatch(s.b) {
-			s.done = true
-			PutBatch(s.b)
-			s.b = &Batch{}
-			return nil
-		}
-		s.i = 0
 	}
 }
 
-func (s *batchSource) peekKey() relation.FactKey {
-	if s.b.Dict != nil {
-		return relation.KeyIn(s.b.Dict, s.b.Fid[s.i])
-	}
-	return s.b.Tuples[s.i].FactKeyRO()
-}
+func (s *batchSource) fid() int64 { return s.b.Fid[s.i] }
 
 func (s *batchSource) pop() { s.i++ }
 
-// release hands the buffered block back to the pool (the drain paths
-// swap in an empty placeholder after their own PutBatch, so a release
-// after exhaustion puts only the zero batch, which the pool drops) and
-// forwards the teardown to the child plan.
+// pull replaces the exhausted block with the child's next one, or ends
+// the source when there is none.
+func (s *batchSource) pull() bool {
+	if s.done {
+		return false
+	}
+	s.i = 0
+	if !s.c.NextBatch(s.b) {
+		s.end()
+		return false
+	}
+	s.b.CheckBound("core.batchSource")
+	return true
+}
+
+// end hands the pooled block back and keeps an empty placeholder, so
+// later peeks stay cheap and nothing is put twice.
+func (s *batchSource) end() {
+	s.done = true
+	PutBatch(s.b)
+	s.b, s.i = &Batch{}, 0
+}
+
+// release ends the source early and forwards the teardown to the child
+// plan — the source-level leg of Cursor teardown (CursorReleaser).
 func (s *batchSource) release() {
 	if !s.done {
-		s.done = true
-		PutBatch(s.b)
-		s.b = &Batch{}
+		s.end()
 	}
 	ReleaseCursor(s.c)
 }
 
-// skipTo discards the remainder of the current batch by binary search —
-// a packed-int64 gallop when the batch carries columns — then, when the
-// target is beyond it, delegates to the child's galloping SkipTo
-// (scans, filters) or discards whole batches when the child's output is
-// computed (operator cursors): a batch discard is one comparison
-// against the batch tail, so even the fallback advances in
-// O(n/BatchSize) comparisons instead of O(n) pops.
-func (s *batchSource) skipTo(k relation.FactKey) {
+// skipTo advances the source so that peek returns the first tuple whose
+// fact id is >= fid; it is the run-skipping entry point and only called
+// when every tuple below fid is known to be filtered out by the
+// operation. The remainder of the current block is discarded by a
+// gallop over its fid column; when the target lies beyond it, the child
+// gallops itself (scans, filters — keySkipper) or, when its output is
+// computed (operator cursors), whole blocks are discarded — one gallop
+// that runs off the block's end each, O(log BatchSize) probes instead of
+// BatchSize pops.
+func (s *batchSource) skipTo(fid int64) {
 	for {
-		skipped := false
-		if s.b.Dict != nil {
-			if id, ok := k.IDIn(s.b.Dict); ok {
-				s.i += relation.SkipToFid(s.b.Fid[s.i:], id)
-				skipped = true
-			}
-		}
-		if !skipped {
-			s.i += relation.SkipToKey(s.b.Tuples[s.i:], k)
-		}
+		s.i += relation.SkipToFid(s.b.Fid[s.i:], fid)
 		if s.i < len(s.b.Tuples) || s.done {
 			return
 		}
 		if sk, ok := s.c.(keySkipper); ok {
-			sk.SkipTo(k)
+			sk.SkipTo(fid)
 		}
-		if !s.c.NextBatch(s.b) {
-			s.done = true
-			PutBatch(s.b)
-			s.b = &Batch{}
+		if !s.pull() {
 			return
 		}
-		s.i = 0
 	}
 }
 
@@ -236,9 +152,14 @@ func (s *batchSource) skipTo(k relation.FactKey) {
 // property of §IV that the streaming execution layer (NewStreamAdvancer,
 // OpCursor) relies on.
 type Advancer struct {
-	r, s tupleSource
+	r, s *batchSource
 
 	prevWinTe interval.Time
+	// currFid is the packed id of the fact being processed (-1 before
+	// the first group): every window compare of Algorithm 1 is an
+	// integer compare against it. currKey and currFactV are derived once
+	// per fact group (setFact) to stamp the group's windows.
+	currFid   int64
 	currKey   relation.FactKey
 	currFactV relation.Fact
 	rValid    *relation.Tuple
@@ -281,34 +202,26 @@ func (a *Advancer) Windows() int64 { return a.windows }
 func (a *Advancer) Gallops() int64 { return a.gallops }
 
 // NewAdvancer returns an advancer over two relations that must already be
-// sorted by (fact, Ts) — the sort step of Fig. 5. Sortedness is a
-// precondition; relation.Relation.Sort establishes it. When the inputs
-// carry columnar projections (Relation.BuildCols), keys and run-skip
-// gallops run over the packed fid columns.
+// sorted by (fact, Ts) — the sort step of Fig. 5 — bound to one
+// dictionary and carrying their fid columns; PrepareLeaves establishes
+// all three. It is NewStreamAdvancer over two scans.
 func NewAdvancer(r, s *relation.Relation) *Advancer {
-	if invariant.Enabled {
-		// The sweep's correctness (and every gallop) rides on the sort
-		// precondition; the packed fast path additionally rides on the
-		// projections mirroring the rows.
-		invariant.CheckSorted(r, "core.NewAdvancer")
-		invariant.CheckSorted(s, "core.NewAdvancer")
-		invariant.CheckColsMirror(r, "core.NewAdvancer")
-		invariant.CheckColsMirror(s, "core.NewAdvancer")
-	}
-	return &Advancer{r: newSliceSource(r), s: newSliceSource(s), prevWinTe: -1}
+	return NewStreamAdvancer(NewScanCursor(r), NewScanCursor(s))
 }
 
 // NewStreamAdvancer returns an advancer pulling from two cursors that must
 // yield tuples in canonical (fact, Ts) order — the streaming form of the
-// sort precondition. Operator cursors and relation scans both satisfy it,
-// so advancers stack: a whole query tree evaluates with one lookahead
-// buffer per tree edge and no materialized intermediates. Children are
-// pulled block-at-a-time (one interface call per ~BatchSize tuples).
+// sort precondition — in blocks bound to one shared dictionary.
+// Operator cursors and relation scans both satisfy it, so advancers
+// stack: a whole query tree evaluates with one lookahead buffer per tree
+// edge and no materialized intermediates. Children are pulled
+// block-at-a-time (one interface call per ~BatchSize tuples).
 func NewStreamAdvancer(r, s Cursor) *Advancer {
 	return &Advancer{
 		r:         newBatchSource(AsBatchCursor(r)),
 		s:         newBatchSource(AsBatchCursor(s)),
 		prevWinTe: -1,
+		currFid:   -1,
 	}
 }
 
@@ -353,13 +266,17 @@ func (a *Advancer) Next() (Window, bool) {
 			return Window{}, false
 		case s == nil:
 			winTs = r.T.Ts
-			a.setFact(r, a.r.peekKey())
+			a.setFact(a.r)
 		case r == nil:
 			winTs = s.T.Ts
-			a.setFact(s, a.s.peekKey())
+			a.setFact(a.s)
 		default:
-			rKey, sKey := a.r.peekKey(), a.s.peekKey()
-			rSame, sSame := rKey.Equal(a.currKey), sKey.Equal(a.currKey)
+			rFid, sFid := a.r.fid(), a.s.fid()
+			if invariant.Enabled {
+				invariant.Assertf(a.r.b.Dict == a.s.b.Dict, "core.Advancer.Next",
+					"inputs bound to different dictionaries (%p, %p)", a.r.b.Dict, a.s.b.Dict)
+			}
+			rSame, sSame := rFid == a.currFid, sFid == a.currFid
 			switch {
 			case rSame && !sSame:
 				winTs = r.T.Ts
@@ -371,15 +288,15 @@ func (a *Advancer) Next() (Window, bool) {
 				// Both open a new fact group: take the smaller fact; on
 				// equal facts, the earlier start.
 				switch {
-				case rKey.Less(sKey):
+				case rFid < sFid:
 					winTs = r.T.Ts
-					a.setFact(r, rKey)
-				case sKey.Less(rKey):
+					a.setFact(a.r)
+				case sFid < rFid:
 					winTs = s.T.Ts
-					a.setFact(s, sKey)
+					a.setFact(a.s)
 				default:
 					winTs = interval.Min(r.T.Ts, s.T.Ts)
-					a.setFact(r, rKey)
+					a.setFact(a.r)
 				}
 			}
 		}
@@ -392,13 +309,13 @@ func (a *Advancer) Next() (Window, bool) {
 	// Admit upcoming tuples that become valid exactly at winTs. The tuple
 	// is copied out of the source's lookahead buffer: it must stay valid
 	// after the pop, which may overwrite the buffer on the next peek.
-	if r != nil && a.r.peekKey().Equal(a.currKey) && r.T.Ts == winTs {
+	if r != nil && a.r.fid() == a.currFid && r.T.Ts == winTs {
 		a.rValidBuf = *r
 		a.rValid = &a.rValidBuf
 		a.r.pop()
 		r = a.r.peek()
 	}
-	if s != nil && a.s.peekKey().Equal(a.currKey) && s.T.Ts == winTs {
+	if s != nil && a.s.fid() == a.currFid && s.T.Ts == winTs {
 		a.sValidBuf = *s
 		a.sValid = &a.sValidBuf
 		a.s.pop()
@@ -415,10 +332,10 @@ func (a *Advancer) Next() (Window, bool) {
 	if a.sValid != nil {
 		winTe = interval.Min(winTe, a.sValid.T.Te)
 	}
-	if r != nil && a.r.peekKey().Equal(a.currKey) {
+	if r != nil && a.r.fid() == a.currFid {
 		winTe = interval.Min(winTe, r.T.Ts)
 	}
-	if s != nil && a.s.peekKey().Equal(a.currKey) {
+	if s != nil && a.s.fid() == a.currFid {
 		winTe = interval.Min(winTe, s.T.Ts)
 	}
 
@@ -448,39 +365,29 @@ func (a *Advancer) Next() (Window, bool) {
 // facts differ, the smaller side's windows are one-sided for the whole
 // run up to the larger fact; if the operation discards that side's
 // one-sided windows (skipR/skipS), the run is skipped in O(log run)
-// comparisons — packed (FactID, Ts, Te) integer compares when the
-// inputs are interned — instead of being popped tuple-by-tuple. On
-// low-overlap or disjoint-fact inputs this turns the sweep from O(n)
-// pops into O(runs · log n).
+// integer probes of the fid column instead of being popped
+// tuple-by-tuple. On low-overlap or disjoint-fact inputs this turns the
+// sweep from O(n) pops into O(runs · log n).
 func (a *Advancer) skipRuns() {
-	for {
-		r, s := a.r.peek(), a.s.peek()
-		if r == nil || s == nil {
-			return
-		}
-		rk, sk := a.r.peekKey(), a.s.peekKey()
+	for a.r.peek() != nil && a.s.peek() != nil {
+		rFid, sFid := a.r.fid(), a.s.fid()
 		switch {
-		case rk.Less(sk):
-			if !a.skipR {
-				return
-			}
-			a.r.skipTo(sk)
-			a.gallops++
-		case sk.Less(rk):
-			if !a.skipS {
-				return
-			}
-			a.s.skipTo(rk)
-			a.gallops++
+		case rFid < sFid && a.skipR:
+			a.r.skipTo(sFid)
+		case sFid < rFid && a.skipS:
+			a.s.skipTo(rFid)
 		default:
 			return
 		}
+		a.gallops++
 	}
 }
 
-// setFact opens a new fact group from the peeked tuple t, whose key k
-// the caller already read through peekKey.
-func (a *Advancer) setFact(t *relation.Tuple, k relation.FactKey) {
-	a.currKey = k
-	a.currFactV = t.Fact
+// setFact opens a new fact group at src's peeked tuple: the group's
+// comparison key is built here, once, from the packed id, and stamps
+// every window (and so every output row) of the group.
+func (a *Advancer) setFact(src *batchSource) {
+	a.currFid = src.fid()
+	a.currKey = relation.KeyIn(src.b.Dict, a.currFid)
+	a.currFactV = src.b.Tuples[src.i].Fact
 }

@@ -10,31 +10,30 @@
 // cmd/tpquery, internal/bench. It runs the four-step pipeline of Fig. 5
 // in sharded form:
 //
-//	(sort unsorted leaves once) → cut leaves at fact boundaries → per-shard cursor plan → concatenate
+//	prepare leaves once → cut leaves at fact boundaries → per-shard cursor plan → concatenate
 //
-// The leaves of a plan are sorted by (fid, Ts, Te) and bound to one
-// order-preserving dictionary — catalog relations arrive that way, and
-// unsorted inputs are prepared once per plan (query.PrepareLeaves:
-// private clone, shared dictionary, sort, columns, the leaves in
-// parallel). cut picks K−1 cut ids at the combined tuple-count quantiles,
-// snapped to fact edges by galloping each leaf's fid column, and hands
-// shard i of every leaf a frozen zero-copy view (relation.Slice): no
-// tuple is hashed or copied, so the plan step costs microseconds and a
-// few kilobytes whatever the input size. Every fact group lands wholly
-// in one shard, so a shard plan's output is the query's result
-// restricted to those facts; and because dictionary ids are ranks of the
-// sorted key set, ascending id ranges are ascending fact ranges — the
-// shard outputs, each in canonical (fact, Ts, Te) order, concatenate in
-// shard order into the global canonical order. A Workers-sized pool
-// claims the shards in index order, each an independent
-// query.BuildCursor plan feeding a bounded channel of blocks, and
-// concatStream drains the channels one after the other — no compare, no
-// intermediate relations (see DESIGN.md, "Streaming execution"). Inputs
-// below the sharding threshold, a worker budget of one, and sorted
-// inputs that share no dictionary run the sequential BuildCursor plan
-// instead; the stream is the same either way. Apply is the two-leaf plan
-// "r op s" on this path, and EvalCursor materializes a plan's final
-// result.
+// The leaves of a plan are sorted by (fid, Ts, Te), bound to one
+// order-preserving dictionary and carry their fid columns — catalog
+// relations arrive that way, and anything else is prepared once per plan
+// (core.PrepareLeaves: private clone, shared dictionary, sort unless
+// AssumeSorted, fid column, the leaves in parallel). cut picks K−1 cut
+// ids at the combined tuple-count quantiles, snapped to fact edges by
+// galloping each leaf's fid column, and hands shard i of every leaf a
+// frozen zero-copy view (relation.Slice): no tuple is hashed or copied,
+// so the plan step costs microseconds and a few kilobytes whatever the
+// input size. Every fact group lands wholly in one shard, so a shard
+// plan's output is the query's result restricted to those facts; and
+// because dictionary ids are ranks of the sorted key set, ascending id
+// ranges are ascending fact ranges — the shard outputs, each in
+// canonical (fact, Ts, Te) order, concatenate in shard order into the
+// global canonical order. A Workers-sized pool claims the shards in
+// index order, each an independent query.BuildPrepared plan feeding a
+// bounded channel of blocks, and concatStream drains the channels one
+// after the other — no compare, no intermediate relations (see
+// DESIGN.md, "Streaming execution"). Inputs below the sharding threshold
+// and a worker budget of one run the sequential plan instead; the stream
+// is the same either way. Apply is the two-leaf plan "r op s" on this
+// path, and EvalCursor materializes a plan's final result.
 //
 // Correctness is pinned against the Def. 3 oracle (internal/ref) by the
 // differential harness in oracle_test.go — random trees × random
@@ -44,9 +43,9 @@
 // Concurrency invariants:
 //
 //   - Input relations are strictly read-only: shard views are frozen,
-//     the cut reads fid columns (or keys through the non-caching
-//     FactKeyRO), and nothing rebinds or caches through a view, so any
-//     number of plans may share one catalog relation.
+//     the cut and the sweep read fid columns, and nothing rebinds or
+//     caches through a view, so any number of plans may share one catalog
+//     relation.
 //   - An Engine holds nothing but its Config and the package holds no
 //     mutable state, so engines are safe for concurrent use and free to
 //     construct per request. One plan runs at most Config.Workers

@@ -83,10 +83,11 @@ func (e *Engine) shardCount(total int) int {
 	return shards
 }
 
-// cut splits the plan's leaves — sorted by (fid, Ts, Te) and bound to one
-// order-preserving dictionary — into fact-range shards: shard i of the
-// database holds, for every leaf, a zero-copy view (relation.Slice) of
-// the rows whose fact id lies in [f_i, f_i+1). The K−1 cut ids are the
+// cut splits the plan's prepared leaves — sorted by (fid, Ts, Te), bound
+// to one order-preserving dictionary, fid columns built — into
+// fact-range shards: shard i of the database holds, for every leaf, a
+// zero-copy view (relation.Slice) of the rows whose fact id lies in
+// [f_i, f_i+1). The K−1 cut ids are the
 // combined tuple-count quantiles snapped up to the next fact edge, found
 // by binary search over the id domain with a gallop per leaf per probe,
 // so the cost is O(K · leaves · log facts · log n) compares and O(K ·
@@ -95,36 +96,19 @@ func (e *Engine) shardCount(total int) int {
 // shards are in ascending fact order, so the shard plans' outputs
 // concatenate into canonical order. A fact heavier than a quantile step
 // makes consecutive cuts coincide; the all-empty shards this yields are
-// dropped. cut returns nil when the plan is not worth sharding, a leaf is
-// missing (BuildCursor reports it) or the leaves share no dictionary.
+// dropped. cut returns nil when the plan is not worth sharding.
 func (e *Engine) cut(names []string, db map[string]*relation.Relation) []map[string]*relation.Relation {
 	rels := make([]*relation.Relation, len(names))
 	total := 0
 	for i, name := range names {
-		if rels[i] = db[name]; rels[i] == nil {
-			return nil
-		}
+		rels[i] = db[name]
 		total += rels[i].Len()
 	}
 	k := e.shardCount(total)
 	if k < 2 {
 		return nil
 	}
-	d := relation.SharedDict(rels...)
-	if d == nil {
-		return nil
-	}
-	facts := int64(d.Len())
-	// row is the number of r's rows whose fact id is below f.
-	row := func(r *relation.Relation, f int64) int {
-		if f >= facts {
-			return r.Len()
-		}
-		if c := r.Cols(); c != nil {
-			return relation.SkipToFid(c.Fid, f)
-		}
-		return relation.SkipToKey(r.Tuples, relation.KeyIn(d, f))
-	}
+	facts := int64(relation.SharedDict(rels...).Len())
 	shards := make([]map[string]*relation.Relation, 0, k)
 	lo, hi := make([]int, len(rels)), make([]int, len(rels))
 	f := int64(0)
@@ -136,14 +120,14 @@ func (e *Engine) cut(names []string, db map[string]*relation.Relation) []map[str
 			f += int64(sort.Search(int(facts-f), func(j int) bool {
 				below := 0
 				for _, r := range rels {
-					below += row(r, f+int64(j))
+					below += relation.SkipToFid(r.FidCol(), f+int64(j)) // r's rows below that id
 				}
 				return below >= target
 			}))
 		}
 		live := false
 		for j, r := range rels {
-			hi[j] = row(r, f)
+			hi[j] = relation.SkipToFid(r.FidCol(), f)
 			live = live || hi[j] > lo[j]
 		}
 		if live {

@@ -3,10 +3,13 @@ package engine_test
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"github.com/tpset/tpset/internal/core"
 	"github.com/tpset/tpset/internal/engine"
+	"github.com/tpset/tpset/internal/keys"
+	"github.com/tpset/tpset/internal/obs"
 	"github.com/tpset/tpset/internal/query"
 	"github.com/tpset/tpset/internal/ref/reftest"
 	"github.com/tpset/tpset/internal/relation"
@@ -19,29 +22,40 @@ import (
 // fixtures. Runs under -race and -tags tpinvariants in CI.
 
 // shardingEngine cuts even the small harness catalogs into one shard per
-// few tuples, so the sharded plan is what runs above one worker whenever
-// the leaves share a dictionary.
+// few tuples, so the sharded plan is what runs above one worker.
 func shardingEngine(workers int) *engine.Engine {
 	return engine.New(engine.Config{Workers: workers, MinPartitionSize: 1})
 }
 
 // drain pulls a plan dry through NextBatch at the given block capacity
 // and returns the tuples in stream order. Every block must respect the
-// capacity and, when it carries columns, mirror its rows exactly; with
-// wantCols every block must carry them.
-func drain(t *testing.T, ctx string, cur *engine.StreamCursor, capacity int, wantCols bool) *relation.Relation {
+// capacity and be bound — a dictionary, the plan's one, and an fid
+// column that mirrors its rows — whatever binding, order or option the
+// inputs arrived with.
+func drain(t *testing.T, ctx string, cur *engine.StreamCursor, capacity int) *relation.Relation {
 	t.Helper()
 	defer cur.Close()
 	out := relation.New(cur.Schema())
 	b := core.NewBatch(capacity)
+	var dict *keys.Dict
 	for cur.NextBatch(b) {
 		if len(b.Tuples) == 0 || len(b.Tuples) > capacity {
 			t.Fatalf("%s: NextBatch put %d tuples into a capacity-%d batch", ctx, len(b.Tuples), capacity)
 		}
-		if wantCols && !b.HasCols() {
-			t.Fatalf("%s: block at offset %d carries no columns", ctx, out.Len())
+		if dict == nil {
+			dict = b.Dict
 		}
-		requireColsMirrorRows(t, ctx, b)
+		if b.Dict == nil || b.Dict != dict || len(b.Fid) != len(b.Tuples) {
+			t.Fatalf("%s: block at offset %d is not bound to the plan's dictionary (dict %p, plan %p, %d ids for %d rows)",
+				ctx, out.Len(), b.Dict, dict, len(b.Fid), len(b.Tuples))
+		}
+		for i := range b.Tuples {
+			tp := &b.Tuples[i]
+			if d, id := tp.Binding(); d != dict || int64(id) != b.Fid[i] || dict.Key(id) != tp.Fact.Key() {
+				t.Fatalf("%s: row %d of the block at offset %d: fid column holds %d, row %s is interned as %d",
+					ctx, i, out.Len(), b.Fid[i], tp, id)
+			}
+		}
 		out.Tuples = append(out.Tuples, b.Tuples...)
 	}
 	if cur.NextBatch(b) {
@@ -50,37 +64,10 @@ func drain(t *testing.T, ctx string, cur *engine.StreamCursor, capacity int, wan
 	return out
 }
 
-// requireColsMirrorRows checks the columnar view of one block: Dict
-// non-nil implies every column is row-aligned with Tuples and mirrors it
-// field for field.
-func requireColsMirrorRows(t *testing.T, ctx string, b *core.Batch) {
-	t.Helper()
-	if !b.HasCols() {
-		if len(b.Fid)+len(b.Ts)+len(b.Te)+len(b.Prob)+len(b.Lam) != 0 {
-			t.Fatalf("%s: column slices non-empty on a batch without a dictionary", ctx)
-		}
-		return
-	}
-	n := len(b.Tuples)
-	if len(b.Fid) != n || len(b.Ts) != n || len(b.Te) != n || len(b.Prob) != n || len(b.Lam) != n {
-		t.Fatalf("%s: column lengths (%d,%d,%d,%d,%d) misaligned with %d rows",
-			ctx, len(b.Fid), len(b.Ts), len(b.Te), len(b.Prob), len(b.Lam), n)
-	}
-	for i := range b.Tuples {
-		tp := &b.Tuples[i]
-		if k := relation.KeyIn(b.Dict, b.Fid[i]); !k.Equal(tp.FactKeyRO()) {
-			t.Fatalf("%s: row %d: fid column decodes to %s, row key %s", ctx, i, k, tp.FactKeyRO())
-		}
-		if b.Ts[i] != tp.T.Ts || b.Te[i] != tp.T.Te || b.Prob[i] != tp.Prob || b.Lam[i] != tp.Lineage {
-			t.Fatalf("%s: row %d: columns ([%d,%d) p=%v) differ from row %s", ctx, i, b.Ts[i], b.Te[i], b.Prob[i], tp)
-		}
-	}
-}
-
 // TestEngineMatchesOracle is the main sweep. Per trial: one catalog
 // (un-interned, interned into one dictionary, or mixed; sorted or in
 // generation order; fact pools aligned or offset) and one tree with
-// selections and repeats, run at Workers 1/2/8 × batch capacity
+// selections and repeats, run at Workers 1/2/3/8 × batch capacity
 // 1/2/BatchSize × AssumeSorted off/on (on only over sorted catalogs),
 // alternating eager and lazy probability valuation.
 func TestEngineMatchesOracle(t *testing.T) {
@@ -96,7 +83,7 @@ func TestEngineMatchesOracle(t *testing.T) {
 		tree := reftest.Tree(rng, query.DBKeys(db), 1+rng.Intn(4))
 		_, isOp := tree.(*query.SetOp)
 		run := 0
-		for _, workers := range []int{1, 2, 8} {
+		for _, workers := range []int{1, 2, 3, 8} {
 			for _, capacity := range []int{1, 2, core.BatchSize} {
 				for _, assumeSorted := range []bool{false, true} {
 					if assumeSorted && !sh.Sorted {
@@ -110,10 +97,7 @@ func TestEngineMatchesOracle(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s: %v", ctx, err)
 					}
-					// Without AssumeSorted the plan interns its private
-					// leaf clones, so every block is columnar whatever
-					// the catalog's binding.
-					got := drain(t, ctx, cur, capacity, !assumeSorted)
+					got := drain(t, ctx, cur, capacity)
 					if opts.LazyProb {
 						for i := range got.Tuples {
 							if isOp && got.Tuples[i].Prob != 0 {
@@ -168,7 +152,7 @@ func TestEngineSkewedCatalogsMatchOracle(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: %v", ctx, err)
 				}
-				reftest.Check(t, ctx, drain(t, ctx, cur, capacity, !assumeSorted), tree, db)
+				reftest.Check(t, ctx, drain(t, ctx, cur, capacity), tree, db)
 			}
 		}
 	}
@@ -207,7 +191,7 @@ func TestEngineEmptyInputsMatchOracle(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: %v", ctx, err)
 				}
-				reftest.Check(t, ctx, drain(t, ctx, cur, 4, false), tree, db)
+				reftest.Check(t, ctx, drain(t, ctx, cur, 4), tree, db)
 			}
 		}
 	}
@@ -288,6 +272,67 @@ func TestEngineEarlyCloseBalancesPool(t *testing.T) {
 				if gets1-gets0 != puts1-puts0 {
 					t.Fatalf("trial %d (%s) workers=%d pull=%s: pool unbalanced after Close: %d gets vs %d puts",
 						trial, tree, workers, pull, gets1-gets0, puts1-puts0)
+				}
+			}
+		}
+	}
+}
+
+// TestAssumeSortedLeavesAreBoundAndSharded pins the door PrepareLeaves
+// closes: sorted leaves that arrive under AssumeSorted bound to
+// different dictionaries — one of them unbound, one frozen — are cloned,
+// bound to one dictionary and projected (no sort), so the plan shards
+// like any other and every block is bound; the inputs themselves are
+// neither re-bound, re-projected nor (frozen ones) written.
+func TestAssumeSortedLeavesAreBoundAndSharded(t *testing.T) {
+	rng := rand.New(rand.NewSource(76))
+	for trial := 0; trial < 20; trial++ {
+		db := reftest.DB(rng, reftest.Shape{Relations: 4, MaxTuples: 200, Facts: 24,
+			OffsetFacts: trial%2 == 0, Skew: reftest.Skew(trial % 3), Sorted: true})
+		db["r0"].Intern() // its own dictionary
+		db["r1"].Intern() // another one
+		db["r1"].BuildCols()
+		db["r2"].Intern()
+		db["r2"].Freeze() // a third, frozen; r3 stays unbound
+		type state struct {
+			dict *keys.Dict
+			fid  []int64
+			rows []relation.Tuple
+		}
+		before := map[string]state{}
+		for name, r := range db {
+			before[name] = state{r.Dict(), r.FidCol(), append([]relation.Tuple(nil), r.Tuples...)}
+		}
+		tree := query.MustParse([]string{"(r0 | r1) - (r2 & r3)", "(r0 & r2) | (r3 - r1)", "r0 - (r1 | (r2 - r3))"}[trial%3])
+		for _, workers := range []int{2, 3, 8} {
+			ctx := fmt.Sprintf("trial %d (%s) workers=%d", trial, tree, workers)
+			opts := core.Options{AssumeSorted: true, Span: obs.NewSpan("")}
+			cur, err := shardingEngine(workers).Cursor(tree, db, opts)
+			if err != nil {
+				t.Fatalf("%s: %v", ctx, err)
+			}
+			got := drain(t, ctx, cur, 1+rng.Intn(64))
+			shards := 0
+			for _, c := range opts.Span.Snapshot().Children {
+				if strings.HasPrefix(c.Op, "shard") {
+					shards++
+				}
+			}
+			if shards < 2 {
+				t.Fatalf("%s: %d shards; sorted leaves on different dictionaries must shard like any others", ctx, shards)
+			}
+			reftest.Check(t, ctx, got, tree, db)
+		}
+		for name, r := range db {
+			was := before[name]
+			if r.Dict() != was.dict || (r.FidCol() == nil) != (was.fid == nil) || (was.fid != nil && &r.FidCol()[0] != &was.fid[0]) {
+				t.Fatalf("trial %d: input %s was re-bound or re-projected", trial, name)
+			}
+			for i := range r.Tuples {
+				d, id := r.Tuples[i].Binding()
+				wd, wid := was.rows[i].Binding()
+				if d != wd || id != wid || r.Tuples[i].T != was.rows[i].T || r.Tuples[i].Lineage != was.rows[i].Lineage {
+					t.Fatalf("trial %d: row %d of input %s was written", trial, i, name)
 				}
 			}
 		}

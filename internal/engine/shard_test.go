@@ -29,10 +29,8 @@ func TestCutCoversLeavesAtFactEdges(t *testing.T) {
 		sh := reftest.Shape{Relations: 3, MaxTuples: 300, Facts: 20, Binding: reftest.Shared, Sorted: true,
 			Skew: reftest.Skew(trial % 3), OffsetFacts: trial%2 == 0, DisjointFacts: trial%5 == 0}
 		db := reftest.DB(rng, sh)
-		if trial%4 == 0 {
-			for _, r := range db {
-				r.BuildCols() // the gallop runs on the fid column, else on the rows
-			}
+		for _, r := range db {
+			r.BuildCols() // cut reads prepared leaves: it gallops their fid columns
 		}
 		names := query.DBKeys(db)
 		e := New(Config{Workers: 8, MinPartitionSize: 1})
@@ -48,39 +46,37 @@ func TestCutCoversLeavesAtFactEdges(t *testing.T) {
 			t.Fatalf("trial %d: a fact with most of the tuples dropped no shard (%d)", trial, len(shards))
 		}
 		next := map[string]int{} // rows of each leaf covered so far
-		var prevMax relation.FactKey
+		prevMax := int64(-1)
 		for i, sdb := range shards {
 			rows := 0
-			var lo, hi relation.FactKey
+			lo, hi := int64(-1), int64(-1)
 			for _, name := range names {
 				v, parent := sdb[name], db[name]
 				if !v.Frozen() || v.Dict() != parent.Dict() {
 					t.Fatalf("trial %d shard %d: view of %s is not a frozen view on the parent's dictionary", trial, i, name)
 				}
-				if (v.Cols() != nil) != (parent.Cols() != nil) {
-					t.Fatalf("trial %d shard %d: view of %s does not mirror the parent's columns", trial, i, name)
-				}
 				if v.Len() == 0 {
 					continue
+				}
+				fid := v.FidCol()
+				if fid == nil || &fid[0] != &parent.FidCol()[next[name]] {
+					t.Fatalf("trial %d shard %d: view of %s does not alias the parent's fid column at row %d", trial, i, name, next[name])
 				}
 				if &v.Tuples[0] != &parent.Tuples[next[name]] {
 					t.Fatalf("trial %d shard %d: view of %s does not start at parent row %d", trial, i, name, next[name])
 				}
 				next[name] += v.Len()
 				rows += v.Len()
-				first, last := v.Tuples[0].FactKeyRO(), v.Tuples[v.Len()-1].FactKeyRO()
-				if lo.String() == "" || first.Less(lo) {
+				if first := fid[0]; lo < 0 || first < lo {
 					lo = first
 				}
-				if hi.Less(last) {
-					hi = last
-				}
+				hi = max(hi, fid[len(fid)-1])
 			}
 			if rows == 0 {
 				t.Fatalf("trial %d: shard %d is empty in every leaf", trial, i)
 			}
-			if i > 0 && !prevMax.Less(lo) {
-				t.Fatalf("trial %d: shard %d starts at fact %s, not after shard %d's %s", trial, i, lo, i-1, prevMax)
+			if prevMax >= lo {
+				t.Fatalf("trial %d: shard %d starts at fact %d, not after shard %d's %d", trial, i, lo, i-1, prevMax)
 			}
 			prevMax = hi
 		}
@@ -93,54 +89,40 @@ func TestCutCoversLeavesAtFactEdges(t *testing.T) {
 }
 
 // TestCutFallsBackToSequential pins when the engine does not shard: a
-// worker budget of one, an input below the threshold, leaves without a
-// common dictionary, a missing leaf.
+// worker budget of one, an input below the threshold. (Leaves without a
+// common dictionary are bound by PrepareLeaves before the cut sees them:
+// TestAssumeSortedLeavesAreBoundAndSharded.)
 func TestCutFallsBackToSequential(t *testing.T) {
-	shared := reftest.DB(rand.New(rand.NewSource(92)), reftest.Shape{Relations: 2, MaxTuples: 200, Facts: 16, Binding: reftest.Shared, Sorted: true})
-	mixed := reftest.DB(rand.New(rand.NewSource(92)), reftest.Shape{Relations: 2, MaxTuples: 200, Facts: 16, Binding: reftest.Mixed, Sorted: true})
+	db := reftest.DB(rand.New(rand.NewSource(92)), reftest.Shape{Relations: 2, MaxTuples: 200, Facts: 16, Binding: reftest.Shared, Sorted: true})
+	for _, r := range db {
+		r.BuildCols()
+	}
 	names := []string{"r0", "r1"}
 	for _, tc := range []struct {
 		label string
 		cfg   Config
-		names []string
-		db    map[string]*relation.Relation
 	}{
-		{"one worker", Config{Workers: 1, MinPartitionSize: 1}, names, shared},
-		{"below threshold", Config{Workers: 4}, names, shared},
-		{"no common dictionary", Config{Workers: 4, MinPartitionSize: 1}, names, mixed},
-		{"missing leaf", Config{Workers: 4, MinPartitionSize: 1}, []string{"r0", "zz"}, shared},
+		{"one worker", Config{Workers: 1, MinPartitionSize: 1}},
+		{"below threshold", Config{Workers: 4}},
 	} {
-		if shards := New(tc.cfg).cut(tc.names, tc.db); shards != nil {
+		if shards := New(tc.cfg).cut(names, db); shards != nil {
 			t.Fatalf("%s: cut into %d shards, want the sequential plan", tc.label, len(shards))
 		}
 	}
-	if shards := New(Config{Workers: 4, MinPartitionSize: 1}).cut(names, shared); len(shards) < 2 {
+	if shards := New(Config{Workers: 4, MinPartitionSize: 1}).cut(names, db); len(shards) < 2 {
 		t.Fatalf("control: %d shards over a shared-dictionary catalog", len(shards))
 	}
 }
 
-// mapped returns a frozen copy of the sorted, bound relation r whose
-// numeric columns alias one caller-owned slab installed with SetCols —
-// what the segment store hands the catalog after a restore — and the
-// slab.
+// mapped returns a frozen copy of the sorted, bound relation r whose fid
+// column aliases a caller-owned slab installed with SetFidCol — what the
+// segment store hands the catalog after a restore — and the slab.
 func mapped(t *testing.T, r *relation.Relation) (*relation.Relation, []int64) {
 	t.Helper()
-	n := r.Len()
-	slab := make([]int64, 4*n)
-	heap := r.Clone().BuildCols()
-	cols := &relation.Cols{
-		Fid:  slab[0:n:n],
-		Ts:   slab[n : 2*n : 2*n],
-		Te:   slab[2*n : 3*n : 3*n],
-		Prob: unsafe.Slice((*float64)(unsafe.Pointer(&slab[3*n])), n),
-		Lam:  heap.Lam,
-	}
-	copy(cols.Fid, heap.Fid)
-	copy(cols.Ts, heap.Ts)
-	copy(cols.Te, heap.Te)
-	copy(cols.Prob, heap.Prob)
+	slab := make([]int64, r.Len())
+	copy(slab, r.Clone().BuildCols())
 	m := r.Clone()
-	if err := m.SetCols(cols, unsafe.Slice((*byte)(unsafe.Pointer(&slab[0])), 8*len(slab))); err != nil {
+	if err := m.SetFidCol(slab, unsafe.Slice((*byte)(unsafe.Pointer(&slab[0])), 8*len(slab))); err != nil {
 		t.Fatal(err)
 	}
 	m.Freeze()
@@ -154,10 +136,10 @@ func inside(p, base unsafe.Pointer, n int, size uintptr) bool {
 }
 
 // TestShardedPlanScansTheMapping is the zero-copy pin for restored
-// relations: a sharded plan over frozen, SetCols-installed leaves scans
+// relations: a sharded plan over frozen, SetFidCol-installed leaves scans
 // the mapping itself. Every shard view is frozen, its scan batches alias
 // the parent's tuple array and the caller's slab, and — under -tags
-// tpinvariants — every Cols read of every view passes checkColsRegion.
+// tpinvariants — every FidCol read of every view passes the region check.
 func TestShardedPlanScansTheMapping(t *testing.T) {
 	src := reftest.DB(rand.New(rand.NewSource(93)), reftest.Shape{Relations: 2, MaxTuples: 3000, Facts: 64, Binding: reftest.Shared, Sorted: true})
 	db := map[string]*relation.Relation{}
@@ -178,24 +160,16 @@ func TestShardedPlanScansTheMapping(t *testing.T) {
 			if !v.Frozen() {
 				t.Fatalf("shard %d: view of %s is not frozen", i, name)
 			}
-			scan, err := query.BuildCursor(&query.Rel{Name: name}, sdb, core.Options{AssumeSorted: true})
+			scan, err := query.BuildPrepared(&query.Rel{Name: name}, sdb, core.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
 			for bc := core.AsBatchCursor(scan); bc.NextBatch(b); {
-				if !b.HasCols() {
-					t.Fatalf("shard %d: scan of %s carries no columns", i, name)
-				}
 				if !inside(unsafe.Pointer(&b.Tuples[0]), unsafe.Pointer(&parent.Tuples[0]), parent.Len(), unsafe.Sizeof(relation.Tuple{})) {
 					t.Fatalf("shard %d: scan of %s copied its tuples", i, name)
 				}
-				for col, p := range map[string]unsafe.Pointer{
-					"Fid": unsafe.Pointer(&b.Fid[0]), "Ts": unsafe.Pointer(&b.Ts[0]),
-					"Te": unsafe.Pointer(&b.Te[0]), "Prob": unsafe.Pointer(&b.Prob[0]),
-				} {
-					if !inside(p, unsafe.Pointer(&slab[0]), len(slab), 8) {
-						t.Fatalf("shard %d: scan of %s: column %s left the mapped region", i, name, col)
-					}
+				if b.Dict != parent.Dict() || !inside(unsafe.Pointer(&b.Fid[0]), unsafe.Pointer(&slab[0]), len(slab), 8) {
+					t.Fatalf("shard %d: scan of %s: fid column left the mapped region", i, name)
 				}
 			}
 		}
@@ -207,14 +181,14 @@ func TestShardedPlanScansTheMapping(t *testing.T) {
 	}
 	reftest.Check(t, "mapped leaves", got, tree, src)
 	for name, r := range db {
-		if !r.Frozen() || r.Cols() == nil {
+		if !r.Frozen() || r.FidCol() == nil {
 			t.Fatalf("%s: the plan disturbed the restored relation", name)
 		}
 	}
 }
 
 // sparsePair generates the sparse-stream shape (Table III overlap 0.03)
-// as the catalog holds it: one dictionary, sorted, columnar.
+// as the catalog holds it: one dictionary, sorted, fid columns built.
 func sparsePair(n int) map[string]*relation.Relation {
 	r, s := datagen.Pair(datagen.PairConfig{NumTuples: n, NumFacts: n / 100, MaxLenR: 100, MaxLenS: 3, MaxGap: 3, Seed: 1000})
 	relation.InternAll(r, s)

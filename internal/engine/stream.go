@@ -10,6 +10,7 @@ import (
 
 	"github.com/tpset/tpset/internal/core"
 	"github.com/tpset/tpset/internal/invariant"
+	"github.com/tpset/tpset/internal/keys"
 	"github.com/tpset/tpset/internal/obs"
 	"github.com/tpset/tpset/internal/query"
 	"github.com/tpset/tpset/internal/relation"
@@ -29,10 +30,11 @@ import (
 // bounded channel of blocks per shard (see reorderBlocks).
 //
 // Memory: each shard plan is O(tree depth) and its leaves alias the
-// caller's relations; nothing is O(input) on the AssumeSorted path.
-// Unsorted inputs are prepared once (query.PrepareLeaves: private clone,
-// shared dictionary, sort, columns) and then cut like catalog relations.
-// Inputs below the sharding threshold run the purely sequential plan.
+// caller's relations; nothing is O(input) for catalog relations.
+// Anything else is prepared once (core.PrepareLeaves: private clone,
+// shared dictionary, sort unless AssumeSorted, fid column) and then cut
+// the same way. Inputs below the sharding threshold run the purely
+// sequential plan.
 
 // reorderBlocks is the plan-wide reorder window, in blocks, split evenly
 // over the shard channels of the producers that can run at once. Shard
@@ -63,6 +65,8 @@ type StreamCursor struct {
 	cur  *core.Batch
 	ci   int
 	done bool
+
+	dict *keys.Dict // tpinvariants only: the dictionary of the first block
 }
 
 // Schema returns the plan's output schema.
@@ -96,10 +100,21 @@ func (c *StreamCursor) Next() (relation.Tuple, bool) {
 // core.BatchCursor, so Materialize and the NDJSON stream drain engine
 // plans block-at-a-time.
 func (c *StreamCursor) NextBatch(b *core.Batch) bool {
+	var ok bool
 	if c.cur == nil || c.ci >= len(c.cur.Tuples) {
-		return c.nextBatch(b)
+		ok = c.nextBatch(b)
+	} else {
+		ok = core.FillBatch(b, c.Next)
 	}
-	return core.FillBatch(b, c.Next)
+	if invariant.Enabled && ok {
+		b.CheckBound("engine.StreamCursor.NextBatch")
+		if c.dict == nil {
+			c.dict = b.Dict
+		}
+		invariant.Assertf(b.Dict == c.dict, "engine.StreamCursor.NextBatch",
+			"block bound to dictionary %p in a plan on dictionary %p", b.Dict, c.dict)
+	}
+	return ok
 }
 
 // Close releases the plan's resources: shard producer goroutines and —
@@ -143,20 +158,18 @@ func (e *Engine) Cursor(n query.Node, db map[string]*relation.Relation, opts cor
 // blocked on a full shard channel, consumer time blocked waiting for the
 // current shard's next block.
 func (e *Engine) CursorCtx(ctx context.Context, n query.Node, db map[string]*relation.Relation, opts core.Options) (*StreamCursor, error) {
-	if opts.Validate || !opts.AssumeSorted {
-		// Discharged once per plan, before the cut: unsorted leaves come
-		// back as private, dictionary-sharing, sorted, columnar clones,
-		// so sorted and unsorted inputs shard the same way.
-		var err error
-		if db, err = query.PrepareLeaves(n, db, opts, e.cfg.workers()); err != nil {
-			return nil, err
-		}
-		opts.Validate, opts.AssumeSorted = false, true
+	// Discharged once per plan, before the cut: every leaf comes back
+	// sorted, bound to the plan's one dictionary and carrying its fid
+	// column (catalog relations as they are, anything else as a private
+	// clone), so every input shards the same way.
+	db, err := query.PrepareLeaves(n, db, opts, e.cfg.workers())
+	if err != nil {
+		return nil, err
 	}
 	cutStart := time.Now()
 	shards := e.cut(query.Relations(n), db)
 	if len(shards) < 2 {
-		c, err := query.BuildCursor(n, db, opts)
+		c, err := query.BuildPrepared(n, db, opts)
 		if err != nil {
 			return nil, err
 		}
@@ -187,7 +200,7 @@ func (e *Engine) CursorCtx(ctx context.Context, n query.Node, db map[string]*rel
 			spans[i] = rootSp.NewChild("")
 			shardOpts.Span = spans[i]
 		}
-		c, err := query.BuildCursor(n, sdb, shardOpts)
+		c, err := query.BuildPrepared(n, sdb, shardOpts)
 		if err != nil {
 			return nil, err
 		}
@@ -292,6 +305,7 @@ func produce(ctx context.Context, done <-chan struct{}, i int, c core.BatchCurso
 			logShardDrained(ctx, i, sdb, sent, start)
 			return
 		}
+		b.CheckBound("engine.produce")
 		n := len(b.Tuples)
 		var sendStart time.Time
 		if sp != nil {
@@ -405,6 +419,7 @@ func (s *concatStream) nextBatch(out *core.Batch) bool {
 			s.cur = nil
 		}
 	}
+	out.CheckBound("engine.concatStream")
 	return len(out.Tuples) > 0
 }
 

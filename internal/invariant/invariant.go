@@ -1,9 +1,9 @@
 // Package invariant is the build-tag assertion layer: machine-checked
 // forms of the execution stack's algorithmic preconditions (Algorithms
-// 1–4 assume duplicate-free inputs sorted by (fact, Ts)) and of the SoA
-// representation contracts (a columnar projection mirrors its rows
-// element-for-element; a pooled batch's capacity account matches its
-// backing storage).
+// 1–4 assume duplicate-free inputs sorted by (fact, Ts)) and of the
+// representation contracts (a fid column mirrors the interning of its
+// rows; every block of a plan is bound to the plan's one dictionary; a
+// pooled batch's capacity account matches its backing storage).
 //
 // The checks are compiled in only under the tpinvariants build tag:
 //
@@ -64,30 +64,24 @@ func CheckDuplicateFree(r *relation.Relation, site string) {
 	}
 }
 
-// CheckColsMirror asserts the SoA contract on a relation: a cached
-// columnar projection mirrors the row payload element-for-element.
+// CheckColsMirror asserts the one mirror a relation carries: a cached
+// fid column holds, row for row, the id each tuple is interned with
+// against the relation's dictionary, and that id names the tuple's fact.
 func CheckColsMirror(r *relation.Relation, site string) {
 	if !Enabled || r == nil {
 		return
 	}
-	c := r.Cols()
-	if c == nil {
-		return // no valid projection: nothing to mirror
-	}
-	n := r.Len()
-	if len(c.Fid) != n || len(c.Ts) != n || len(c.Te) != n || len(c.Prob) != n || len(c.Lam) != n {
-		violate(site, "relation %q: column lengths (%d/%d/%d/%d/%d) do not mirror %d rows",
-			r.Schema.Name, len(c.Fid), len(c.Ts), len(c.Te), len(c.Prob), len(c.Lam), n)
+	fid := r.FidCol()
+	if fid == nil {
+		return // no valid column: nothing to mirror
 	}
 	dict := r.Dict()
-	for i := 0; i < n; i++ {
+	for i := range r.Tuples {
 		t := &r.Tuples[i]
-		if c.Ts[i] != t.T.Ts || c.Te[i] != t.T.Te || c.Prob[i] != t.Prob || c.Lam[i] != t.Lineage {
-			violate(site, "relation %q: column row %d diverges from tuple row %d", r.Schema.Name, i, i)
-		}
-		ck, tk := relation.KeyIn(dict, c.Fid[i]), t.FactKeyRO()
-		if ck.Less(tk) || tk.Less(ck) {
-			violate(site, "relation %q: fid column row %d does not mirror the tuple's fact", r.Schema.Name, i)
+		// Fact.Key, not Tuple.Key: the relation may be shared, and the
+		// cached key of Tuple.Key is a write.
+		if d, id := t.Binding(); d != dict || int64(id) != fid[i] || int(id) >= dict.Len() || dict.Key(id) != t.Fact.Key() {
+			violate(site, "relation %q: fid column row %d (%d) does not mirror the tuple's fact %s (interned as %d)", r.Schema.Name, i, fid[i], t.Fact, id)
 		}
 	}
 }

@@ -33,7 +33,6 @@ func TestDisabledChecksAreNoOps(t *testing.T) {
 	torn.AddBase(relation.NewFact("a"), "r1", 1, 3, 0.5)
 	torn.Intern()
 	torn.Sort()
-	torn.BuildCols()
-	torn.Tuples[0].Prob = 0.99
+	torn.BuildCols()[0] = 7
 	CheckColsMirror(torn, "test.site")
 }

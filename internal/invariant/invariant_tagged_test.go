@@ -82,25 +82,33 @@ func TestCheckColsMirror(t *testing.T) {
 		return r
 	}
 
-	CheckColsMirror(build(), "test.mirror") // fresh projection mirrors
+	CheckColsMirror(build(), "test.mirror") // fresh column mirrors
 	CheckColsMirror(nil, "test.mirror")
 
-	// A relation without a cached projection has nothing to mirror.
+	// A relation without a cached column has nothing to mirror.
 	bare := relation.New(relation.NewSchema("r", "F"))
 	bare.AddBase(relation.NewFact("a"), "r1", 1, 3, 0.5)
 	CheckColsMirror(bare, "test.mirror")
 
-	// Mutating a row behind the projection's back is exactly the
-	// corruption the check exists to catch.
+	// Everything but the fact lives only in the row: editing it cannot
+	// diverge from the column.
 	r := build()
 	r.Tuples[0].Prob = 0.99
-	mustPanic(t, "test.mirror", "diverges", func() {
+	r.Tuples[1].T.Te = 42
+	CheckColsMirror(r, "test.mirror")
+
+	// A column entry that names another fact than its row is exactly
+	// the corruption the check exists to catch — whether the column or
+	// the row moved.
+	r = build()
+	r.FidCol()[0] = 1
+	mustPanic(t, "test.mirror", "does not mirror", func() {
 		CheckColsMirror(r, "test.mirror")
 	})
 
 	r = build()
-	r.Tuples[1].T.Te = 42
-	mustPanic(t, "test.mirror", "diverges", func() {
+	r.Tuples[1].Fact = relation.NewFact("a")
+	mustPanic(t, "test.mirror", "does not mirror", func() {
 		CheckColsMirror(r, "test.mirror")
 	})
 }

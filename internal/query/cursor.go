@@ -3,7 +3,6 @@ package query
 import (
 	"fmt"
 	"strings"
-	"sync"
 
 	"github.com/tpset/tpset/internal/core"
 	"github.com/tpset/tpset/internal/relation"
@@ -24,8 +23,8 @@ import (
 // schemas, unknown attribute) surface here, at build time: cursors
 // themselves cannot fail. Options apply to every set operation of the
 // tree; AssumeSorted and Validate refer to the db's leaf relations and
-// are discharged once per plan (see PrepareLeaves) — streams themselves
-// are always sorted by the cursor ordering invariant.
+// are discharged once per plan (PrepareLeaves) — streams themselves are
+// always sorted by the cursor ordering invariant.
 //
 // When opts.Span is set, the plan is built traced: the span is labeled
 // with this node's operator, one child span is hung under it per
@@ -33,14 +32,53 @@ import (
 // stats (core.Traced). The traced plan's output is bit-identical to the
 // untraced one. With a nil Span no wrapper exists anywhere in the tree.
 func BuildCursor(n Node, db map[string]*relation.Relation, opts core.Options) (core.Cursor, error) {
-	if opts.Validate || !opts.AssumeSorted {
-		var err error
-		if db, err = PrepareLeaves(n, db, opts, 1); err != nil {
+	db, err := PrepareLeaves(n, db, opts, 1)
+	if err != nil {
+		return nil, err
+	}
+	return BuildPrepared(n, db, opts)
+}
+
+func lookup(db map[string]*relation.Relation, name string) (*relation.Relation, error) {
+	r, ok := db[name]
+	if !ok {
+		return nil, fmt.Errorf("query: unknown relation %q (have %s)",
+			name, strings.Join(DBKeys(db), ", "))
+	}
+	return r, nil
+}
+
+// PrepareLeaves resolves the relations the plan's scans read — each
+// referenced name once, however often the query repeats it — and runs
+// them through core.PrepareLeaves (validated, sorted, bound to one
+// dictionary, fid columns built, on up to workers goroutines); the
+// result is the database BuildPrepared reads. The engine calls it once
+// per plan, before it cuts the prepared leaves into shards.
+func PrepareLeaves(n Node, db map[string]*relation.Relation, opts core.Options, workers int) (map[string]*relation.Relation, error) {
+	names := Relations(n)
+	rels := make([]*relation.Relation, len(names))
+	for i, name := range names {
+		r, err := lookup(db, name)
+		if err != nil {
 			return nil, err
 		}
-		// The recursion below sees validated, sorted leaves.
-		opts.Validate, opts.AssumeSorted = false, true
+		rels[i] = r
 	}
+	rels, err := core.PrepareLeaves(rels, opts, workers)
+	if err != nil {
+		return nil, err
+	}
+	leaves := make(map[string]*relation.Relation, len(names))
+	for i, name := range names {
+		leaves[name] = rels[i]
+	}
+	return leaves, nil
+}
+
+// BuildPrepared is BuildCursor over a database PrepareLeaves returned,
+// or fact-range views of one: the engine builds one plan per shard with
+// it.
+func BuildPrepared(n Node, db map[string]*relation.Relation, opts core.Options) (core.Cursor, error) {
 	sp := opts.Span
 	switch q := n.(type) {
 	case *Rel:
@@ -57,7 +95,7 @@ func BuildCursor(n Node, db map[string]*relation.Relation, opts core.Options) (c
 		if sp != nil {
 			childOpts.Span = sp.NewChild("")
 		}
-		in, err := BuildCursor(q.Input, db, childOpts)
+		in, err := BuildPrepared(q.Input, db, childOpts)
 		if err != nil {
 			return nil, err
 		}
@@ -83,11 +121,11 @@ func BuildCursor(n Node, db map[string]*relation.Relation, opts core.Options) (c
 			lOpts.Span = sp.NewChild("")
 			rOpts.Span = sp.NewChild("")
 		}
-		l, err := BuildCursor(q.Left, db, lOpts)
+		l, err := BuildPrepared(q.Left, db, lOpts)
 		if err != nil {
 			return nil, err
 		}
-		r, err := BuildCursor(q.Right, db, rOpts)
+		r, err := BuildPrepared(q.Right, db, rOpts)
 		if err != nil {
 			return nil, err
 		}
@@ -101,67 +139,6 @@ func BuildCursor(n Node, db map[string]*relation.Relation, opts core.Options) (c
 		return core.Traced(oc, sp), nil
 	}
 	return nil, fmt.Errorf("query: unknown node type %T", n)
-}
-
-func lookup(db map[string]*relation.Relation, name string) (*relation.Relation, error) {
-	r, ok := db[name]
-	if !ok {
-		return nil, fmt.Errorf("query: unknown relation %q (have %s)",
-			name, strings.Join(DBKeys(db), ", "))
-	}
-	return r, nil
-}
-
-// PrepareLeaves discharges Validate and AssumeSorted for a whole plan:
-// it returns the database the plan's scans read, holding each referenced
-// relation once however often the query repeats it. Validate checks
-// every leaf for duplicate-freeness. Without AssumeSorted every leaf is
-// cloned, the private clones are bound to one shared fact dictionary
-// unless the inputs already share one — so the whole tree sweeps on
-// packed (FactID, Ts, Te) integer compares, as core.Apply arranges for
-// a single operation — then sorted and projected into columns, which the
-// scans alias into their batches; the per-leaf sort and projection fan
-// out over up to workers goroutines. (AssumeSorted leaves are the
-// caller's: catalog admission builds their columns once at bind time.)
-// The engine calls it once per plan, before it cuts the prepared leaves
-// into shards; BuildCursor calls it for direct callers.
-func PrepareLeaves(n Node, db map[string]*relation.Relation, opts core.Options, workers int) (map[string]*relation.Relation, error) {
-	names := Relations(n)
-	leaves := make(map[string]*relation.Relation, len(names))
-	var clones []*relation.Relation
-	for _, name := range names {
-		r, err := lookup(db, name)
-		if err != nil {
-			return nil, err
-		}
-		if opts.Validate {
-			if err := r.ValidateDuplicateFree(); err != nil {
-				return nil, err
-			}
-		}
-		if !opts.AssumeSorted {
-			r = r.Clone()
-			clones = append(clones, r)
-		}
-		leaves[name] = r
-	}
-	if len(clones) > 0 && relation.SharedDict(clones...) == nil {
-		relation.InternAll(clones...)
-	}
-	// One goroutine per clone, at most workers of them running.
-	sem := make(chan struct{}, max(workers, 1))
-	var wg sync.WaitGroup
-	for _, r := range clones {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func() {
-			defer func() { <-sem; wg.Done() }()
-			r.Sort()
-			r.BuildCols()
-		}()
-	}
-	wg.Wait()
-	return leaves, nil
 }
 
 // selectCursor streams σ[Attr=Value] over its input. Filtering preserves
@@ -250,20 +227,22 @@ func (c *selectCursor) NextBatch(b *core.Batch) bool {
 			b.Append(*t)
 		}
 	}
+	b.CheckBound("query.selectCursor.NextBatch")
 	return len(b.Tuples) > 0
 }
 
-// SkipTo discards buffered and upcoming input tuples below k, galloping
-// over the buffered block and delegating the rest to a skip-capable
-// input (scans; nested selections).
-func (c *selectCursor) SkipTo(k relation.FactKey) {
+// SkipTo discards buffered and upcoming input tuples whose fact id is
+// below fid, galloping over the buffered block's fid column and
+// delegating the rest to a skip-capable input (scans; nested
+// selections).
+func (c *selectCursor) SkipTo(fid int64) {
 	if c.buf != nil && c.bi < len(c.buf.Tuples) {
-		c.bi += relation.SkipToKey(c.buf.Tuples[c.bi:], k)
+		c.bi += relation.SkipToFid(c.buf.Fid[c.bi:], fid)
 		if c.bi < len(c.buf.Tuples) {
 			return
 		}
 	}
-	if sk, ok := c.in.(interface{ SkipTo(relation.FactKey) }); ok {
-		sk.SkipTo(k)
+	if sk, ok := c.in.(interface{ SkipTo(int64) }); ok {
+		sk.SkipTo(fid)
 	}
 }

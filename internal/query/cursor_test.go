@@ -18,8 +18,8 @@ import (
 
 // TestBuildCursorPreparesLeavesOncePerPlan pins leaf preparation without
 // AssumeSorted: a repeating query over relations that share no
-// dictionary must still sweep on interned columns — every block of the
-// plan carries them — because the plan binds its private leaf clones to
+// dictionary must still sweep on packed fact ids — every block of the
+// plan is bound — because the plan binds its private leaf clones to
 // one dictionary, and it must leave the caller's relations as they were.
 func TestBuildCursorPreparesLeavesOncePerPlan(t *testing.T) {
 	tree := query.MustParse("(r0 | r1) - (r0 & r2)")
@@ -39,15 +39,15 @@ func TestBuildCursorPreparesLeavesOncePerPlan(t *testing.T) {
 		got := relation.New(c.Schema())
 		bc := core.AsBatchCursor(c)
 		for b := core.NewBatch(64); bc.NextBatch(b); {
-			if !b.HasCols() {
-				t.Fatalf("binding %d: block at offset %d carries no columns", binding, got.Len())
+			if b.Dict == nil || len(b.Fid) != len(b.Tuples) {
+				t.Fatalf("binding %d: block at offset %d is not bound", binding, got.Len())
 			}
 			got.Tuples = append(got.Tuples, b.Tuples...)
 		}
 		reftest.Check(t, tree.String(), got, tree, db)
 
 		for name, r := range db {
-			if r.Dict() != dicts[name] || r.Cols() != nil || r.Tuples[0].Lineage != firsts[name].Lineage {
+			if r.Dict() != dicts[name] || r.FidCol() != nil || r.Tuples[0].Lineage != firsts[name].Lineage {
 				t.Fatalf("binding %d: plan building modified input relation %s", binding, name)
 			}
 		}
@@ -57,9 +57,10 @@ func TestBuildCursorPreparesLeavesOncePerPlan(t *testing.T) {
 // TestPrepareLeavesFansOutAcrossWorkers pins the exported preparation
 // step the engine cuts its shards from: at any worker budget every
 // referenced leaf comes back once, as a private clone that is sorted,
-// columnar and bound to one dictionary shared by all of them; Validate
-// alone hands the caller's relations through untouched; a duplicate or
-// an unknown relation fails.
+// carries its fid column and is bound to one dictionary shared by all of
+// them; AssumeSorted leaves that already are all that come back as the
+// caller's own, others as bound clones in the caller's order; a
+// duplicate or an unknown relation fails.
 func TestPrepareLeavesFansOutAcrossWorkers(t *testing.T) {
 	tree := query.MustParse("(r0 | r1) - (r0 & r2)")
 	db := reftest.DB(rand.New(rand.NewSource(49)),
@@ -74,8 +75,8 @@ func TestPrepareLeavesFansOutAcrossWorkers(t *testing.T) {
 		}
 		var prepared []*relation.Relation
 		for name, r := range leaves {
-			if r == db[name] || !r.IsSorted() || r.Cols() == nil || r.Len() != db[name].Len() {
-				t.Fatalf("workers=%d: leaf %s is not a sorted, columnar private clone", workers, name)
+			if r == db[name] || !r.IsSorted() || r.FidCol() == nil || r.Len() != db[name].Len() {
+				t.Fatalf("workers=%d: leaf %s is not a sorted private clone with its fid column", workers, name)
 			}
 			prepared = append(prepared, r)
 		}
@@ -83,9 +84,29 @@ func TestPrepareLeavesFansOutAcrossWorkers(t *testing.T) {
 			t.Fatalf("workers=%d: prepared leaves share no dictionary", workers)
 		}
 	}
-	leaves, err := query.PrepareLeaves(tree, db, core.Options{Validate: true, AssumeSorted: true}, 4)
-	if err != nil || leaves["r0"] != db["r0"] {
-		t.Fatalf("AssumeSorted leaves must be the caller's own relations (err %v)", err)
+	// Prepared leaves qualify as they are; the mixed catalog's do not,
+	// and come back as clones in the caller's (generation) order.
+	prepared, err := query.PrepareLeaves(tree, db, core.Options{}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := query.PrepareLeaves(tree, prepared, core.Options{Validate: true, AssumeSorted: true}, 4)
+	if err != nil || again["r0"] != prepared["r0"] || again["r2"] != prepared["r2"] {
+		t.Fatalf("bound AssumeSorted leaves must be the caller's own relations (err %v)", err)
+	}
+	bound, err := query.PrepareLeaves(tree, db, core.Options{AssumeSorted: true}, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, r := range bound {
+		if r == db[name] || r.FidCol() == nil || r.Dict() != bound["r0"].Dict() {
+			t.Fatalf("AssumeSorted leaf %s of a mixed catalog is not a bound clone", name)
+		}
+		for i := range r.Tuples {
+			if r.Tuples[i].Lineage != db[name].Tuples[i].Lineage {
+				t.Fatalf("AssumeSorted leaf %s was reordered at row %d", name, i)
+			}
+		}
 	}
 	dup := db["r1"].Clone()
 	dup.Add(dup.Tuples[0])

@@ -7,41 +7,26 @@ import (
 	"unsafe"
 )
 
-// checkColsRegion is the tpinvariants-build body of the Cols accessor
-// hook: when the cached columns were installed by SetCols over a
-// foreign region (an mmap'd segment), every numeric column must still
-// lie entirely inside that region — a column that escaped the mapping
-// means the pointer fixup or a segment replace went wrong, and reading
-// it would fault or serve another relation's bytes. Violations panic
-// with a site-naming diagnostic like the internal/invariant layer (the
-// check lives here because invariant imports relation, so relation
-// cannot import it back).
-func (r *Relation) checkColsRegion() {
-	c, reg := r.cols, r.region
-	if c == nil || reg == nil {
+// checkFidRegion is the tpinvariants-build body of the FidCol accessor
+// hook: when the cached column was installed by SetFidCol over a
+// foreign region (an mmap'd segment), it must still lie entirely inside
+// that region — a column that escaped the mapping means the pointer
+// fixup or a segment replace went wrong, and reading it would fault or
+// serve another relation's bytes. Violations panic with a site-naming
+// diagnostic like the internal/invariant layer (the check lives here
+// because invariant imports relation, so relation cannot import it
+// back).
+func (r *Relation) checkFidRegion() {
+	if len(r.fid) == 0 || r.region == nil {
 		return
 	}
-	lo := uintptr(unsafe.Pointer(unsafe.SliceData(reg)))
-	hi := lo + uintptr(len(reg))
-	checkColSpan(lo, hi, unsafe.Pointer(unsafe.SliceData(c.Fid)), len(c.Fid), "Fid", r.Schema.Name)
-	checkColSpan(lo, hi, unsafe.Pointer(unsafe.SliceData(c.Ts)), len(c.Ts), "Ts", r.Schema.Name)
-	checkColSpan(lo, hi, unsafe.Pointer(unsafe.SliceData(c.Te)), len(c.Te), "Te", r.Schema.Name)
-	checkColSpan(lo, hi, unsafe.Pointer(unsafe.SliceData(c.Prob)), len(c.Prob), "Prob", r.Schema.Name)
-	// Lam is deliberately exempt: lineage pointers are heap objects
-	// decoded from the arena section, never aliases of the mapping.
-}
-
-// checkColSpan panics unless the n-element 8-byte column at p lies
-// within [lo, hi).
-func checkColSpan(lo, hi uintptr, p unsafe.Pointer, n int, col, rel string) {
-	if n == 0 {
-		return
-	}
-	start := uintptr(p)
-	end := start + 8*uintptr(n)
+	lo := uintptr(unsafe.Pointer(unsafe.SliceData(r.region)))
+	hi := lo + uintptr(len(r.region))
+	start := uintptr(unsafe.Pointer(unsafe.SliceData(r.fid)))
+	end := start + 8*uintptr(len(r.fid))
 	if start < lo || end > hi || end < start {
 		panic(fmt.Sprintf(
-			"invariant violation at relation.Cols(%s): column %s spans [%#x,%#x) outside mapped region [%#x,%#x)",
-			rel, col, start, end, lo, hi))
+			"invariant violation at relation.FidCol(%s): fid column spans [%#x,%#x) outside mapped region [%#x,%#x)",
+			r.Schema.Name, start, end, lo, hi))
 	}
 }

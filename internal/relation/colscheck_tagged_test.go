@@ -6,64 +6,51 @@ import (
 	"strings"
 	"testing"
 	"unsafe"
-
-	"github.com/tpset/tpset/internal/lineage"
 )
 
-// Under the tpinvariants tag the Cols accessor re-checks that
-// foreign-memory columns still lie inside the mapped region recorded
-// by SetCols; a projection that escaped its region — a corrupted
-// pointer fixup — must panic with a diagnostic naming the check site
-// and the offending column.
-func TestColsOutsideRegionPanics(t *testing.T) {
+// Under the tpinvariants tag the FidCol accessor re-checks that a
+// foreign-memory column still lies inside the mapped region recorded by
+// SetFidCol; a column that escaped its region — a corrupted pointer
+// fixup — must panic with a diagnostic naming the check site.
+func TestFidColOutsideRegionPanics(t *testing.T) {
 	r := New(NewSchema("mapped", "a"))
 	r.AddBase(NewFact("x"), "i1", 0, 5, 0.5)
 	r.AddBase(NewFact("y"), "i2", 1, 4, 0.25)
 	r.Intern()
 	r.Sort()
-	// A "region" that cannot contain the heap-allocated columns below.
+	// A "region" that cannot contain the heap-allocated column below.
 	region := make([]byte, 8)
-	cols := &Cols{
-		Fid:  []int64{0, 1},
-		Ts:   []int64{0, 1},
-		Te:   []int64{5, 4},
-		Prob: []float64{0.5, 0.25},
-		Lam:  []*lineage.Expr{r.Tuples[0].Lineage, r.Tuples[1].Lineage},
-	}
-	if err := r.SetCols(cols, region); err != nil {
-		t.Fatalf("SetCols: %v", err)
+	if err := r.SetFidCol([]int64{0, 1}, region); err != nil {
+		t.Fatalf("SetFidCol: %v", err)
 	}
 	defer func() {
 		msg, _ := recover().(string)
 		if msg == "" {
-			t.Fatalf("Cols() over an escaped region did not panic")
+			t.Fatalf("FidCol() over an escaped region did not panic")
 		}
-		if !strings.Contains(msg, "invariant violation at relation.Cols(mapped)") {
+		if !strings.Contains(msg, "invariant violation at relation.FidCol(mapped)") {
 			t.Fatalf("panic %q does not name the check site", msg)
 		}
 		if !strings.Contains(msg, "outside mapped region") {
 			t.Fatalf("panic %q does not describe the violation", msg)
 		}
 	}()
-	r.Cols()
+	r.FidCol()
 }
 
-// Columns genuinely inside the recorded region pass the check.
-func TestColsInsideRegionPasses(t *testing.T) {
+// A column genuinely inside the recorded region passes the check.
+func TestFidColInsideRegionPasses(t *testing.T) {
 	r := New(NewSchema("inreg", "a"))
 	r.AddBase(NewFact("x"), "i1", 0, 5, 0.5)
 	r.Intern()
 	r.Sort()
-	slab := make([]int64, 8) // 8-aligned backing, viewed both as bytes and columns
+	slab := make([]int64, 8) // 8-aligned backing, viewed both as bytes and as the column
 	region := unsafe.Slice((*byte)(unsafe.Pointer(&slab[0])), 8*len(slab))
-	fid, ts, te := slab[0:1], slab[1:2], slab[2:3]
-	prob := unsafe.Slice((*float64)(unsafe.Pointer(&slab[3])), 1)
-	fid[0], ts[0], te[0], prob[0] = 0, 0, 5, 0.5
-	cols := &Cols{Fid: fid, Ts: ts, Te: te, Prob: prob, Lam: []*lineage.Expr{r.Tuples[0].Lineage}}
-	if err := r.SetCols(cols, region); err != nil {
-		t.Fatalf("SetCols: %v", err)
+	fid := slab[2:3]
+	if err := r.SetFidCol(fid, region); err != nil {
+		t.Fatalf("SetFidCol: %v", err)
 	}
-	if r.Cols() != cols {
-		t.Fatalf("in-region columns rejected")
+	if got := r.FidCol(); len(got) != 1 || &got[0] != &fid[0] {
+		t.Fatalf("in-region column rejected")
 	}
 }

@@ -2,7 +2,7 @@
 
 package relation
 
-// checkColsRegion is a no-op without the tpinvariants tag; the Cols
+// checkFidRegion is a no-op without the tpinvariants tag; the FidCol
 // accessor call compiles away. See colscheck_tagged.go for the checked
 // body.
-func (r *Relation) checkColsRegion() {}
+func (r *Relation) checkFidRegion() {}

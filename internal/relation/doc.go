@@ -23,7 +23,8 @@
 //     which keeps parallel output bit-identical to sequential output.
 //   - Tuple.Key caches the fact key lazily; concurrent code must not call
 //     it on shared, never-sorted relations (see the engine's concurrency
-//     notes) — construction through NewBase/NewDerived pre-fills it.
+//     notes) — construction through NewBase/NewDerived pre-fills it, and
+//     the execution stack compares fid column entries instead.
 //   - Fact keys are injective: attribute values containing the key
 //     separator (or escape byte) are escaped, so distinct facts can never
 //     alias one key.
@@ -33,6 +34,9 @@
 //     order IS the canonical order; dict != nil implies every tuple is
 //     interned against it (Add maintains this, dropping the binding on
 //     unknown facts).
+//   - The fid column (BuildCols, FidCol) is the one projection a bound
+//     relation carries: row i holds the id of Tuples[i]. Every mutator
+//     invalidates it; Slice views and mmap'd segments alias it.
 //
 // Paper map: Defs. 1–2 (TP relation, duplicate-freeness, change
 // preservation), τ_t^p (§II), Table IV statistics (§VII-C), overlapping

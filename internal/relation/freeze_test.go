@@ -3,8 +3,6 @@ package relation
 import (
 	"strings"
 	"testing"
-
-	"github.com/tpset/tpset/internal/lineage"
 )
 
 func frozenFixture(t *testing.T) *Relation {
@@ -31,7 +29,7 @@ func TestFrozenMutatorsPanic(t *testing.T) {
 		"Sort":         func() { r.Sort() },
 		"ComputeProbs": func() { r.ComputeProbs() },
 		"BuildCols":    func() { r.BuildCols() },
-		"SetCols":      func() { r.SetCols(r.Cols(), nil) },
+		"SetFidCol":    func() { r.SetFidCol(r.FidCol(), nil) },
 	}
 	for name, fn := range cases {
 		func() {
@@ -46,9 +44,9 @@ func TestFrozenMutatorsPanic(t *testing.T) {
 			fn()
 		}()
 	}
-	// Reads stay open: the columnar view and clone both work.
-	if r.Cols() == nil {
-		t.Fatalf("frozen relation lost its columns")
+	// Reads stay open: the fid column and clone both work.
+	if r.FidCol() == nil {
+		t.Fatalf("frozen relation lost its fid column")
 	}
 	c := r.Clone()
 	if c.Frozen() {
@@ -58,7 +56,7 @@ func TestFrozenMutatorsPanic(t *testing.T) {
 	c.BuildCols()
 }
 
-// Slice hands out frozen zero-copy views: rows and every column alias
+// Slice hands out frozen zero-copy views: rows and the fid column alias
 // the parent's arrays with the capacity clipped, the binding is carried,
 // and the view is read-only even over a mutable parent, which stays
 // mutable itself.
@@ -77,13 +75,12 @@ func TestSliceIsFrozenZeroCopyView(t *testing.T) {
 	if v.Len() != 2 || &v.Tuples[0] != &r.Tuples[1] || cap(v.Tuples) != 2 || v.Dict() != r.Dict() {
 		t.Fatalf("view does not alias parent rows [1,3) under the parent's dictionary")
 	}
-	vc := v.Cols()
-	if vc == nil || &vc.Fid[0] != &pc.Fid[1] || &vc.Ts[0] != &pc.Ts[1] || &vc.Te[0] != &pc.Te[1] ||
-		&vc.Prob[0] != &pc.Prob[1] || &vc.Lam[0] != &pc.Lam[1] || len(vc.Fid) != 2 || cap(vc.Fid) != 2 {
-		t.Fatalf("view columns do not alias parent columns [1,3)")
+	vc := v.FidCol()
+	if vc == nil || &vc[0] != &pc[1] || len(vc) != 2 || cap(vc) != 2 {
+		t.Fatalf("view fid column does not alias the parent's [1,3)")
 	}
-	if e := r.Slice(2, 2); e.Len() != 0 || e.Cols() == nil || len(e.Cols().Fid) != 0 {
-		t.Fatalf("empty view: %d rows, cols %v", e.Len(), e.Cols())
+	if e := r.Slice(2, 2); e.Len() != 0 || e.FidCol() == nil || e.Dict() != r.Dict() {
+		t.Fatalf("empty view: %d rows, fid column %v, dict %p", e.Len(), e.FidCol(), e.Dict())
 	}
 	func() {
 		defer func() {
@@ -94,27 +91,27 @@ func TestSliceIsFrozenZeroCopyView(t *testing.T) {
 		v.Sort()
 	}()
 	r.Unbind() // the parent was never frozen
-	if u := r.Slice(0, 4); u.Cols() != nil || u.Dict() != nil {
-		t.Fatalf("view of an unbound relation carries columns or a dictionary")
+	if u := r.Slice(0, 4); u.FidCol() != nil || u.Dict() != nil {
+		t.Fatalf("view of an unbound relation carries a fid column or a dictionary")
 	}
 }
 
-func TestSetColsValidates(t *testing.T) {
+func TestSetFidColValidates(t *testing.T) {
 	r := New(NewSchema("v", "a"))
 	r.AddBase(NewFact("x"), "i1", 0, 5, 0.5)
-	if err := r.SetCols(&Cols{}, nil); err == nil {
-		t.Fatalf("SetCols on unbound relation accepted")
+	if err := r.SetFidCol([]int64{0}, nil); err == nil {
+		t.Fatalf("SetFidCol on unbound relation accepted")
 	}
 	r.Intern()
-	if err := r.SetCols(&Cols{Fid: []int64{1, 2}}, nil); err == nil {
-		t.Fatalf("SetCols with mismatched lengths accepted")
+	if err := r.SetFidCol([]int64{1, 2}, nil); err == nil {
+		t.Fatalf("SetFidCol with a mismatched length accepted")
 	}
-	good := &Cols{Fid: []int64{0}, Ts: []int64{0}, Te: []int64{5}, Prob: []float64{0.5}, Lam: []*lineage.Expr{r.Tuples[0].Lineage}}
-	if err := r.SetCols(good, nil); err != nil {
-		t.Fatalf("SetCols rejected a mirroring projection: %v", err)
+	good := []int64{0}
+	if err := r.SetFidCol(good, nil); err != nil {
+		t.Fatalf("SetFidCol rejected a mirroring column: %v", err)
 	}
-	if r.Cols() != good {
-		t.Fatalf("Cols() did not return the installed projection")
+	if got := r.FidCol(); len(got) != 1 || &got[0] != &good[0] {
+		t.Fatalf("FidCol() did not return the installed column")
 	}
 }
 

@@ -168,8 +168,10 @@ func TestInternAllSharedDict(t *testing.T) {
 			if SameFact(x, y) != (x.Key() == y.Key()) {
 				t.Fatalf("SameFact diverges from key equality for %v vs %v", x, y)
 			}
-			if x.FactKey().Less(y.FactKey()) != (x.Key() < y.Key()) {
-				t.Fatalf("FactKey.Less diverges from key order for %v vs %v", x, y)
+			_, xid := x.Binding()
+			_, yid := y.Binding()
+			if (xid < yid) != (x.Key() < y.Key()) {
+				t.Fatalf("id order diverges from key order for %v vs %v", x, y)
 			}
 		}
 	}

@@ -161,58 +161,15 @@ type Tuple struct {
 	dict *keys.Dict
 }
 
-// FactKey is the comparison key of a tuple's fact: the canonical key
-// string plus, when interned, the dictionary id that collapses ordering
-// to an integer compare. It is a small value type that the window
-// advancer and operator cursors thread through the execution stack so
-// derived tuples inherit their inputs' interning.
+// FactKey is the interned identity of a fact: the canonical key string,
+// the dictionary and the packed id (KeyIn builds one from a fid column
+// entry). It is a small value type that the window advancer builds once
+// per fact group and operator cursors stamp onto derived tuples, so
+// output inherits the inputs' interning.
 type FactKey struct {
 	key  string
 	id   keys.FactID
 	dict *keys.Dict
-}
-
-// FactKey returns the tuple's comparison key.
-func (t *Tuple) FactKey() FactKey {
-	return FactKey{key: t.Key(), id: t.fid, dict: t.dict}
-}
-
-// FactKeyRO is FactKey without the lazy key-cache write: when the key is
-// not cached yet it is recomputed instead of stored. The window advancer
-// reads keys through it because its batched sources peek into tuple
-// blocks that may alias a relation shared with concurrent readers (a
-// zero-copy scan of a catalog relation), where the cache write of
-// Tuple.Key would race. In practice the recompute path never runs hot:
-// every constructor, Sort and Bind leave the key cached.
-func (t *Tuple) FactKeyRO() FactKey {
-	if t.key == "" && len(t.Fact) > 0 {
-		return FactKey{key: t.Fact.Key(), id: t.fid, dict: t.dict}
-	}
-	return FactKey{key: t.key, id: t.fid, dict: t.dict}
-}
-
-// Interned reports whether the key carries a dictionary id.
-func (k FactKey) Interned() bool { return k.dict != nil }
-
-// String returns the canonical key string.
-func (k FactKey) String() string { return k.key }
-
-// Equal reports fact equality: an integer compare when both keys are
-// interned against the same dictionary, a string compare otherwise.
-func (k FactKey) Equal(o FactKey) bool {
-	if k.dict != nil && k.dict == o.dict {
-		return k.id == o.id
-	}
-	return k.key == o.key
-}
-
-// Less reports canonical fact order. Dictionary ids are ranks over the
-// sorted key set, so the integer compare and the string compare agree.
-func (k FactKey) Less(o FactKey) bool {
-	if k.dict != nil && k.dict == o.dict {
-		return k.id < o.id
-	}
-	return k.key < o.key
 }
 
 // SameFact reports whether two tuples hold the same fact, using the
@@ -305,25 +262,24 @@ type Relation struct {
 	Tuples []Tuple
 
 	dict *keys.Dict
-	// cols caches the columnar projection (BuildCols); every mutator
-	// below clears it, and the Cols accessor re-checks validity.
-	cols *Cols
-	// region is the foreign memory (an mmap'd segment) the numeric
-	// columns of cols alias when SetCols installed them; nil for
-	// heap-built columns. The tpinvariants build checks every Cols read
-	// against it.
+	// fid caches the fid column (BuildCols); every mutator below clears
+	// it, and the FidCol accessor re-checks validity.
+	fid []int64
+	// region is the foreign memory (an mmap'd segment) fid aliases when
+	// SetFidCol installed it; nil for a heap-built column. The
+	// tpinvariants build checks every FidCol read against it.
 	region []byte
 	// frozen marks the relation read-only: mutators panic. Set for
-	// relations whose columns alias a shared mapping, where an in-place
-	// mutation would corrupt memory other snapshots still read.
+	// relations whose fid column aliases a shared mapping, where an
+	// in-place mutation would corrupt memory other snapshots still read.
 	frozen bool
 }
 
-// clearCols drops the cached columnar projection together with the
+// clearFidCol drops the cached fid column together with the
 // foreign-memory region it may alias; every mutator goes through it so
-// a stale region can never be checked against freshly built heap
-// columns.
-func (r *Relation) clearCols() { r.cols, r.region = nil, nil }
+// a stale region can never be checked against a freshly built heap
+// column.
+func (r *Relation) clearFidCol() { r.fid, r.region = nil, nil }
 
 // mutable panics when the relation is frozen; every mutator calls it
 // first, so an aliased mapping can never be written through a stale
@@ -335,9 +291,9 @@ func (r *Relation) mutable(op string) {
 }
 
 // Freeze marks the relation read-only: Add, Bind, Unbind, Sort,
-// ComputeProbs, ComputeProbsMonteCarlo, BuildCols and SetCols panic
+// ComputeProbs, ComputeProbsMonteCarlo, BuildCols and SetFidCol panic
 // afterwards. The segment store freezes restored relations because
-// their columns alias the shared file mapping; Clone returns an
+// their fid column aliases the shared file mapping; Clone returns an
 // unfrozen deep copy, so the catalog's rebind-via-clone admission path
 // is unaffected.
 func (r *Relation) Freeze() { r.frozen = true }
@@ -354,7 +310,7 @@ func New(schema Schema) *Relation {
 // duplicate-free; ValidateDuplicateFree checks the invariant.
 func (r *Relation) Add(t Tuple) {
 	r.mutable("Add")
-	r.clearCols()
+	r.clearFidCol()
 	if r.dict != nil && t.dict != r.dict {
 		if id, ok := r.dict.ID(t.Key()); ok {
 			t.fid, t.dict = id, r.dict
@@ -376,7 +332,7 @@ func (r *Relation) Dict() *keys.Dict { return r.dict }
 // order-preserving a sorted relation stays sorted across rebinding.
 func (r *Relation) Bind(d *keys.Dict) bool {
 	r.mutable("Bind")
-	r.clearCols()
+	r.clearFidCol()
 	if d == nil {
 		r.Unbind()
 		return false
@@ -400,7 +356,7 @@ func (r *Relation) Bind(d *keys.Dict) bool {
 // intern-vs-string benchmark exercise through this switch.
 func (r *Relation) Unbind() {
 	r.mutable("Unbind")
-	r.clearCols()
+	r.clearFidCol()
 	r.dict = nil
 	for i := range r.Tuples {
 		r.Tuples[i].fid, r.Tuples[i].dict = 0, nil
@@ -438,19 +394,21 @@ func InternAll(rels ...*Relation) *keys.Dict {
 	return d
 }
 
-// SharedDict returns the one dictionary every given relation is bound
-// to, or nil when any is unbound or two differ — the condition under
-// which cross-relation compares and fact-range shard cuts can run on
-// interned ids.
+// SharedDict returns the one dictionary every given non-empty relation
+// is bound to, or nil when any is unbound, two differ or all are empty —
+// the condition under which cross-relation compares and fact-range shard
+// cuts can run on interned ids. A zero-row relation holds no id, so it
+// is vacuously bound to whatever dictionary the others share.
 func SharedDict(rels ...*Relation) *keys.Dict {
 	var d *keys.Dict
-	for i, r := range rels {
-		if i == 0 {
-			d = r.dict
+	for _, r := range rels {
+		if len(r.Tuples) == 0 {
+			continue
 		}
-		if r.dict == nil || r.dict != d {
+		if r.dict == nil || (d != nil && r.dict != d) {
 			return nil
 		}
+		d = r.dict
 	}
 	return d
 }
@@ -493,37 +451,6 @@ func (r *Relation) Clone() *Relation {
 	return out
 }
 
-// SkipToKey returns the index of the first tuple of the (fact, Ts)-sorted
-// slice whose fact key is >= k, by galloping: an exponential probe
-// brackets the run, then binary search pins the boundary. A run of m
-// skipped tuples costs O(log m) comparisons — single integer compares
-// when the tuples and k are interned against one dictionary. This is the
-// run-skipping primitive of the window advancer and the batched scan.
-func SkipToKey(ts []Tuple, k FactKey) int {
-	if len(ts) == 0 || !ts[0].FactKeyRO().Less(k) {
-		return 0
-	}
-	// Double until ts[hi] >= k or the slice ends. Invariant afterwards:
-	// ts[hi/2] < k, so the answer lies in (hi/2, min(hi, len)].
-	hi := 1
-	for hi < len(ts) && ts[hi].FactKeyRO().Less(k) {
-		hi *= 2
-	}
-	lo := hi/2 + 1
-	if hi > len(ts) {
-		hi = len(ts)
-	}
-	for lo < hi {
-		mid := lo + (hi-lo)/2
-		if ts[mid].FactKeyRO().Less(k) {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
 // Less is the canonical tuple order (fact key, Ts, Te) that Sort
 // establishes and every stream — sequential or sharded — emits. When
 // both tuples are interned against one dictionary the fact compare is a
@@ -548,7 +475,7 @@ func Less(a, b *Tuple) bool {
 // relation sorts with the pure three-integer comparator.
 func (r *Relation) Sort() {
 	r.mutable("Sort")
-	r.clearCols()
+	r.clearFidCol()
 	if r.dict != nil {
 		sort.Slice(r.Tuples, func(i, j int) bool {
 			a, b := &r.Tuples[i], &r.Tuples[j]
@@ -759,7 +686,6 @@ func (r *Relation) String() string {
 // (exact: linear for 1OF lineage, Shannon expansion otherwise).
 func (r *Relation) ComputeProbs() {
 	r.mutable("ComputeProbs")
-	r.clearCols() // the Prob column would go stale
 	for i := range r.Tuples {
 		r.Tuples[i].ComputeProb()
 	}
@@ -772,7 +698,6 @@ func (r *Relation) ComputeProbs() {
 // tuple is at most 0.5/sqrt(n).
 func (r *Relation) ComputeProbsMonteCarlo(n int, rng lineage.RNG) {
 	r.mutable("ComputeProbsMonteCarlo")
-	r.clearCols() // the Prob column would go stale
 	for i := range r.Tuples {
 		r.Tuples[i].Prob = r.Tuples[i].Lineage.ProbMonteCarlo(n, rng)
 	}

@@ -1,9 +1,9 @@
 // Package segment implements the durable columnar tier: an on-disk
 // segment format that mirrors the interned runtime layout
 // byte-for-byte, written atomically through a per-catalog write-ahead
-// log and memory-mapped on open so relation.Cols aliases the mapping
-// directly — opening a catalog is an mmap and a pointer fixup, not an
-// ingest.
+// log and memory-mapped on open so a relation's fid column aliases the
+// mapping directly and its rows are built in one pass over the other
+// sections — no parse, no sort, no validation beyond Decode's.
 //
 // One segment file holds one relation:
 //
@@ -15,10 +15,12 @@
 //	prob:    n × float64, little-endian — cached probabilities
 //	lineage: node arena in canonical post-order + n root indices
 //
-// The fid/ts/te/prob sections are exactly the relation.Cols columns:
-// on a little-endian host they are aliased in place (unsafe.Slice over
-// the mapping), on other hosts or unaligned buffers they are
-// copy-decoded. Every section offset is 8-aligned with zero padding,
+// The fid/ts/te/prob sections are packed 8-byte columns: on a
+// little-endian host they are aliased in place (unsafe.Slice over the
+// mapping), on other hosts or unaligned buffers they are copy-decoded.
+// The fid section is exactly the relation's fid column and stays
+// aliased for the relation's lifetime; ts/te/prob and the lineage roots
+// are read once, into the rows. Every section offset is 8-aligned with zero padding,
 // the layout is fully canonical (offsets, padding, arena order are all
 // forced), and decode validates the semantic admission contract
 // (canonical (fid, Ts, Te) order, duplicate-freeness, interval and
@@ -98,7 +100,8 @@ type File struct {
 
 	// Aliased reports that the numeric columns point into data rather
 	// than heap copies; relations built from this file then record data
-	// as their foreign region for the tpinvariants bounds check.
+	// as the foreign region of their fid column for the tpinvariants
+	// bounds check.
 	Aliased bool
 
 	data   []byte
@@ -485,15 +488,18 @@ func errOrder(at uint64, i int) error {
 
 // Relation materializes the segment as a catalog-ready relation bound
 // to d. When d's ranks coincide with the segment's own dictionary the
-// stored fids are valid under d as-is and the relation's columns alias
-// the decoded sections directly (zero copies; the mapping is recorded
-// as the foreign region for the tagged bounds check). Otherwise — a
-// crash left mixed dictionary generations on disk — the tuples are
-// rebound to d by key and the columns rebuilt on the heap; the result
-// is identical, only the aliasing is lost until the next rewrite.
+// stored fids are valid under d as-is and the relation's fid column
+// aliases the decoded section directly (zero copies; the mapping is
+// recorded as the foreign region for the tagged bounds check).
+// Otherwise — a crash left mixed dictionary generations on disk — the
+// tuples are rebound to d by key and the column rebuilt on the heap; the
+// result is identical, only the aliasing is lost until the next rewrite.
 // Either way the relation comes back sorted, validated (by Decode) and
 // frozen.
 func (f *File) Relation(d *keys.Dict) (*relation.Relation, error) {
+	if len(f.Lam) != f.N {
+		return nil, fmt.Errorf("segment: row sections of %q were released by an earlier Restore", f.Name)
+	}
 	rel := relation.New(relation.NewSchema(f.Name, f.Attrs...))
 	rel.Tuples = make([]relation.Tuple, f.N)
 	if dictMatches(d, f.Keys) {
@@ -513,16 +519,14 @@ func (f *File) Relation(d *keys.Dict) (*relation.Relation, error) {
 		if f.Aliased {
 			region = f.data
 		}
-		cols := &relation.Cols{Fid: f.Fid, Ts: f.Ts, Te: f.Te, Prob: f.Prob, Lam: f.Lam}
-		if err := rel.SetCols(cols, region); err != nil {
+		if err := rel.SetFidCol(f.Fid, region); err != nil {
 			return nil, fmt.Errorf("segment: %v", err)
 		}
 		rel.Freeze()
 		if invariant.Enabled {
-			// Tagged builds re-prove that the aliased columns mirror the
-			// materialized rows — the mmap'd form of the SoA contract —
-			// plus the sort/duplicate-free admission contract Decode
-			// claims to have validated.
+			// Tagged builds re-prove that the aliased fid column mirrors
+			// the materialized rows, plus the sort/duplicate-free
+			// admission contract Decode claims to have validated.
 			invariant.CheckColsMirror(rel, "segment.File.Relation(alias)")
 			invariant.CheckSorted(rel, "segment.File.Relation(alias)")
 			invariant.CheckDuplicateFree(rel, "segment.File.Relation(alias)")

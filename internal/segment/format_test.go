@@ -60,8 +60,8 @@ func TestRoundTripByteIdentical(t *testing.T) {
 		if !rel.Frozen() {
 			t.Fatalf("restored relation not frozen")
 		}
-		if rel.Cols() == nil {
-			t.Fatalf("restored relation has no columnar projection")
+		if rel.FidCol() == nil {
+			t.Fatalf("restored relation has no fid column")
 		}
 		data2, err := Encode(rel)
 		if err != nil {
@@ -202,7 +202,7 @@ func mustPanic(t *testing.T, name string, fn func()) {
 // A crash can interleave segment generations: a relation written under
 // an older, smaller dictionary must still restore correctly against
 // the union dictionary (rebound by key — the heal path), while
-// same-generation segments keep their id-aliased columns.
+// same-generation segments keep their aliased fid columns.
 func TestMixedDictionaryGenerationsHeal(t *testing.T) {
 	r1 := testRelation(t, "old", 9)
 	data1, err := Encode(r1) // r1's private dictionary
@@ -238,8 +238,8 @@ func TestMixedDictionaryGenerationsHeal(t *testing.T) {
 	if !relation.Equal(r2, got2) {
 		t.Fatalf("aliased relation differs: %s", relation.Diff(r2, got2))
 	}
-	if got1.Cols() == nil || got2.Cols() == nil {
-		t.Fatalf("restored relations lack columns")
+	if got1.FidCol() == nil || got2.FidCol() == nil {
+		t.Fatalf("restored relations lack their fid columns")
 	}
 	if got1.Dict() != union || got2.Dict() != union {
 		t.Fatalf("restored relations not bound to the union dictionary")

@@ -53,6 +53,35 @@ func TestWriteSeedCorpus(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	dir = filepath.Join("testdata", "fuzz", "FuzzReplayWAL")
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for name, seed := range walSeeds() {
+		body := fmt.Sprintf("go test fuzz v1\n[]byte(%s)\n[]byte(%s)\n", strconv.Quote(string(seed[0])), strconv.Quote(string(seed[1])))
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// walSeeds returns the FuzzReplayWAL seeds as (log, garbage) pairs: a
+// three-record log with every op, its torn and bit-flipped forms, and a
+// log whose tail breaks the sequence.
+func walSeeds() map[string][2][]byte {
+	put := encodeRecord(1, opPut, "r", []byte("payload-bytes"))
+	drop := encodeRecord(2, opDrop, "gone/with a slash", nil)
+	noop := encodeRecord(3, opNoop, "", nil)
+	log := append(append(append([]byte(nil), put...), drop...), noop...)
+	flipped := append([]byte(nil), log...)
+	flipped[len(put)+9] ^= 0x01 // inside the second record's name length
+	return map[string][2][]byte{
+		"three-records":  {log, []byte("trailing garbage")},
+		"torn-tail":      {log[:len(log)-3], nil},
+		"flipped-middle": {flipped, noop},
+		"stale-sequence": {append(append([]byte(nil), put...), encodeRecord(7, opPut, "s", []byte("x"))...), drop},
+		"empty":          {nil, put},
+	}
 }
 
 func FuzzSegmentOpen(f *testing.F) {
@@ -94,6 +123,41 @@ func FuzzSegmentOpen(f *testing.F) {
 		}
 		if !bytes.Equal(data, out) {
 			t.Fatalf("write→open→write not byte-identical: %d in, %d out", len(data), len(out))
+		}
+	})
+}
+
+// FuzzReplayWAL drives the WAL record framing with arbitrary bytes:
+// replay never panics; what it accepts is exactly a byte prefix of the
+// input — the accepted records, re-encoded, reproduce it, with
+// consecutive sequence numbers from 1 — so nothing past a torn or
+// corrupt record is ever applied; and appending arbitrary garbage to a
+// valid log never changes the records it already held (the garbage may
+// at most happen to be further valid records).
+func FuzzReplayWAL(f *testing.F) {
+	for _, seed := range walSeeds() {
+		f.Add(seed[0], seed[1])
+	}
+	f.Fuzz(func(t *testing.T, data, garbage []byte) {
+		recs := replayWAL(data)
+		var valid []byte
+		for i, r := range recs {
+			if r.seq != uint64(i)+1 {
+				t.Fatalf("record %d carries sequence number %d", i, r.seq)
+			}
+			valid = append(valid, encodeRecord(r.seq, r.op, r.name, r.payload)...)
+		}
+		if !bytes.HasPrefix(data, valid) {
+			t.Fatalf("the %d accepted records re-encode to %d bytes that are not a prefix of the %d-byte input", len(recs), len(valid), len(data))
+		}
+		extended := replayWAL(append(valid[:len(valid):len(valid)], garbage...))
+		if len(extended) < len(recs) {
+			t.Fatalf("%d bytes of garbage after a valid log of %d records left %d", len(garbage), len(recs), len(extended))
+		}
+		for i, r := range recs {
+			if e := extended[i]; e.seq != r.seq || e.op != r.op || e.name != r.name || !bytes.Equal(e.payload, r.payload) {
+				t.Fatalf("record %d changed once garbage followed the log: %+v, was %+v", i, e, r)
+			}
 		}
 	})
 }

@@ -49,7 +49,7 @@ func (e *WALError) Unwrap() error { return e.Err }
 //
 // Mappings opened during Restore stay mapped until Close even when
 // their relation is later replaced or dropped — in-flight query
-// snapshots may still read the aliased columns — so Close must only
+// snapshots may still read the aliased fid columns — so Close must only
 // run once serving has stopped.
 type Store struct {
 	dir  string
@@ -107,7 +107,7 @@ func OpenFileFS(fsys faultfs.FS, path string) (*File, error) {
 }
 
 // Close releases the file's mapping. The decoded views (and any
-// relation columns aliasing them) are invalid afterwards.
+// relation's fid column aliasing them) are invalid afterwards.
 func (f *File) Close() error {
 	if !f.mapped {
 		return nil
@@ -258,10 +258,13 @@ func OpenStoreFS(dir string, fsys faultfs.FS) (*Store, error) {
 // Restore materializes every opened segment as a catalog-ready
 // relation, all bound to one shared dictionary. When every segment
 // carries the same dictionary generation — the invariant every clean
-// shutdown and every complete apply maintains — each relation's
-// columns alias its mapping; after a crash that interleaved a
+// shutdown and every complete apply maintains — each relation's fid
+// column aliases its mapping; after a crash that interleaved a
 // dictionary rebuild, older-generation segments are healed by
-// rebinding (heap columns, same content).
+// rebinding (heap column, same content). Restore is called once per
+// opened store: the rows it builds hold everything the decoded
+// ts/te/prob/lineage sections did, so those are released as it goes and
+// a second call reports an error.
 func (s *Store) Restore() (map[string]*relation.Relation, *keys.Dict, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -292,6 +295,7 @@ func (s *Store) Restore() (map[string]*relation.Relation, *keys.Dict, error) {
 			return nil, nil, err
 		}
 		rels[f.Name] = rel
+		f.Ts, f.Te, f.Prob, f.Lam = nil, nil, nil, nil
 	}
 	return rels, d, nil
 }

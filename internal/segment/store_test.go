@@ -54,8 +54,8 @@ func TestStorePutFlushRestore(t *testing.T) {
 	if !relation.Equal(r, got) {
 		t.Fatalf("restored relation differs: %s", relation.Diff(r, got))
 	}
-	if !got.Frozen() || got.Cols() == nil {
-		t.Fatalf("restored relation not frozen with columns")
+	if !got.Frozen() || got.FidCol() == nil {
+		t.Fatalf("restored relation not frozen with its fid column")
 	}
 }
 

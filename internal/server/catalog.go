@@ -117,10 +117,11 @@ func (c *Catalog) Restore(rels map[string]*relation.Relation, dict *keys.Dict) {
 // are unchanged because the logical relation content is unchanged.
 // Rebinding preserves sortedness: both dictionaries order ids by key.
 //
-// Admitted relations are also projected into columns (BuildCols) once,
-// at bind time: query plans over the catalog run AssumeSorted, so this
-// is the single point where the scanned leaves gain their columnar view
-// (Bind invalidates any previous projection).
+// Admitted relations also get their fid column (BuildCols) once, at
+// bind time: query plans over the catalog run AssumeSorted, and a leaf
+// that is sorted, on the catalog dictionary and carries its column is
+// scanned in place (core.PrepareLeaves) — Bind invalidates any previous
+// column.
 //
 // The returned map holds the rebound sibling clones of the slow path
 // (nil when the fast path ran); see PutRebound.
@@ -129,7 +130,7 @@ func (c *Catalog) admit(name string, rel *relation.Relation) map[string]*relatio
 		// Tagged builds re-prove the admission contract the mutation
 		// paths establish (sorted, duplicate-free — the Algorithm 1–4
 		// preconditions every AssumeSorted plan over the catalog leans
-		// on) and, after the bind below, the freshly built projection's
+		// on) and, after the bind below, the freshly built fid column's
 		// row mirror.
 		invariant.CheckSorted(rel, "server.Catalog.admit")
 		invariant.CheckDuplicateFree(rel, "server.Catalog.admit")

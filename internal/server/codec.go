@@ -93,26 +93,9 @@ func EncodeTupleInto(tj *TupleJSON, t *relation.Tuple, probs map[string]float64)
 	encodeVarProbs(tj, t.Lineage, probs)
 }
 
-// EncodeBatchInto fills tj with the wire form of row i of b, reading
-// the interval, probability and lineage from the batch's packed columns.
-// The fact values still come from the payload row (the wire format
-// ships strings), and the encoded bytes are identical to
-// EncodeTupleInto over the same row. A batch without columns
-// (Batch.HasCols false) falls back to the row path; tj/probs reuse
-// rules are as for EncodeTupleInto.
+// EncodeBatchInto is EncodeTupleInto over row i of b.
 func EncodeBatchInto(tj *TupleJSON, b *core.Batch, i int, probs map[string]float64) {
-	if b.Dict == nil {
-		EncodeTupleInto(tj, &b.Tuples[i], probs)
-		return
-	}
-	lam := b.Lam[i]
-	tj.Fact = []string(b.Tuples[i].Fact)
-	tj.Lineage = lam.String()
-	tj.Ts = b.Ts[i]
-	tj.Te = b.Te[i]
-	tj.Prob = b.Prob[i]
-	tj.VarProbs = nil
-	encodeVarProbs(tj, lam, probs)
+	EncodeTupleInto(tj, &b.Tuples[i], probs)
 }
 
 // encodeVarProbs attaches the formula's variable marginals to tj. A bare

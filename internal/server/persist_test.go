@@ -135,8 +135,8 @@ func TestHandlerMutationsPersistAcrossRestart(t *testing.T) {
 	if !relation.Equal(want, got) {
 		t.Fatalf("restored relation differs: %s", relation.Diff(want, got))
 	}
-	if !got.Frozen() || got.Cols() == nil {
-		t.Fatalf("restored relation not frozen with a columnar projection")
+	if !got.Frozen() || got.FidCol() == nil {
+		t.Fatalf("restored relation not frozen with its fid column")
 	}
 }
 

@@ -192,7 +192,7 @@ func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request) {
 				slog.Any("panic", p),
 				slog.String("stack", string(debug.Stack())))
 		}
-		writeLine(StreamTrailer{Error: "internal error: evaluation panicked mid-stream"})
+		abort("internal error: evaluation panicked mid-stream")
 	}()
 
 	schema := cur.Schema()

@@ -95,22 +95,13 @@ func (e *wireEncoder) tuple(fact relation.Fact, lam *lineage.Expr, ts, te int64,
 	return nil
 }
 
-// batchLines appends the rows of b as NDJSON lines, reading interval,
-// probability and lineage from the packed columns when the batch has
-// them (the fact values always come from the payload row — the wire
-// ships strings). It returns the number of rows appended; with an error
-// that is the index of the row that could not be encoded, and buf ends
-// after the line before it.
+// batchLines appends the rows of b as NDJSON lines. It returns the
+// number of rows appended; with an error that is the index of the row
+// that could not be encoded, and buf ends after the line before it.
 func (e *wireEncoder) batchLines(b *core.Batch) (int, error) {
 	for i := range b.Tuples {
 		t := &b.Tuples[i]
-		var err error
-		if b.HasCols() {
-			err = e.tuple(t.Fact, b.Lam[i], b.Ts[i], b.Te[i], b.Prob[i])
-		} else {
-			err = e.tuple(t.Fact, t.Lineage, t.T.Ts, t.T.Te, t.Prob)
-		}
-		if err != nil {
+		if err := e.tuple(t.Fact, t.Lineage, t.T.Ts, t.T.Te, t.Prob); err != nil {
 			return i, err
 		}
 		e.buf = append(e.buf, '\n')

@@ -135,7 +135,7 @@ func genWireCase(rng *rand.Rand, n int, names []string, ps []float64) wireCase {
 
 // checkWireCase holds the appender to the reflection encoder on one
 // relation: tuple by tuple, as a relation body, as a /query body, and
-// batch by batch through both read sides of batchLines.
+// block by block through batchLines.
 func checkWireCase(t *testing.T, rng *rand.Rand, wc wireCase) {
 	t.Helper()
 	rel := wc.rel
@@ -221,16 +221,14 @@ func checkWireCase(t *testing.T, rng *rand.Rand, wc wireCase) {
 		}
 	}
 
-	// The stream's read sides: row batches over the relation as built,
-	// then — where the relation can be interned and sorted — columnar
-	// batches, whose lines must equal the per-tuple ones in sorted order.
-	scanLines := func(r *relation.Relation, cols bool) string {
-		cur := core.NewScanCursor(r)
+	// The stream's read side: blocks of three rows over the relation as
+	// built — batchLines reads nothing but the rows, so hostile facts and
+	// lineage reach it as they are — then, where the relation can be
+	// interned and sorted, the blocks a scan hands out, whose lines must
+	// equal the per-tuple ones in sorted order.
+	blockLines := func(next func(*core.Batch) bool) string {
 		var out []byte
-		for b := core.NewBatch(3); cur.NextBatch(b); {
-			if b.HasCols() != cols {
-				t.Fatalf("scan batch HasCols = %v, want %v", b.HasCols(), cols)
-			}
+		for b := core.NewBatch(3); next(b); {
 			enc.buf = enc.buf[:0]
 			if n, err := enc.batchLines(b); err != nil || n != len(b.Tuples) {
 				t.Fatalf("batchLines = %d, %v on an encodable batch of %d", n, err, len(b.Tuples))
@@ -239,8 +237,13 @@ func checkWireCase(t *testing.T, rng *rand.Rand, wc wireCase) {
 		}
 		return string(out)
 	}
-	if got := scanLines(rel, false); got != wantLines.String() {
-		t.Fatalf("row batches:\n got %s\nwant %s", got, wantLines.String())
+	at := 0
+	if got := blockLines(func(b *core.Batch) bool {
+		b.Tuples = rel.Tuples[at:min(at+b.Cap(), rel.Len())]
+		at += len(b.Tuples)
+		return len(b.Tuples) > 0
+	}); got != wantLines.String() {
+		t.Fatalf("row blocks:\n got %s\nwant %s", got, wantLines.String())
 	}
 	for i := range rel.Tuples {
 		if rel.Tuples[i].Fact == nil {
@@ -250,10 +253,18 @@ func checkWireCase(t *testing.T, rng *rand.Rand, wc wireCase) {
 	sorted := rel.Clone()
 	sorted.Intern()
 	sorted.Sort()
-	rows := sorted.Clone() // no projection: the scan yields row batches
 	sorted.BuildCols()
-	if got, want := scanLines(sorted, true), scanLines(rows, false); got != want {
-		t.Fatalf("columnar batches:\n got %s\nwant %s", got, want)
+	var want []byte
+	for i := range sorted.Tuples {
+		tup := &sorted.Tuples[i]
+		enc.buf = enc.buf[:0]
+		if err := enc.tuple(tup.Fact, tup.Lineage, tup.T.Ts, tup.T.Te, tup.Prob); err != nil {
+			t.Fatal(err)
+		}
+		want = append(append(want, enc.buf...), '\n')
+	}
+	if got := blockLines(core.NewScanCursor(sorted).NextBatch); got != string(want) {
+		t.Fatalf("scan blocks:\n got %s\nwant %s", got, want)
 	}
 }
 

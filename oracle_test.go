@@ -67,3 +67,39 @@ func TestPublicAPIFig1MatchesOracle(t *testing.T) {
 		reftest.Check(t, src, got, q, db)
 	}
 }
+
+// TestApplyAssumeSortedBindsForeignLeaves is the public-level pin on the
+// AssumeSorted contract: sorted inputs that share no dictionary — one
+// frozen on its own, one unbound — are accepted at every budget, never
+// written, and the result comes back equal to the oracle and bound to
+// one dictionary like any other.
+func TestApplyAssumeSortedBindsForeignLeaves(t *testing.T) {
+	rng := rand.New(rand.NewSource(96))
+	for trial := 0; trial < 12; trial++ {
+		sh := reftest.Shape{Relations: 2, MaxTuples: 150, Facts: 24, OffsetFacts: trial%2 == 0, Sorted: true}
+		if trial%4 == 3 {
+			sh.MaxTuples, sh.Facts = 6000, 64 // large enough to partition at the default thresholds
+		}
+		db := reftest.DB(rng, sh)
+		r, s := db["r0"], db["r1"]
+		dict := r.Intern()
+		r.Freeze() // a write to r panics
+		for _, op := range []tpset.Op{tpset.OpUnion, tpset.OpIntersect, tpset.OpExcept} {
+			tree := &query.SetOp{Op: op, Left: &query.Rel{Name: "r0"}, Right: &query.Rel{Name: "r1"}}
+			for _, p := range []int{1, 4} {
+				ctx := fmt.Sprintf("trial %d %s Parallelism=%d", trial, tree, p)
+				got, err := tpset.Apply(op, r, s, tpset.Options{AssumeSorted: true, Parallelism: p})
+				if err != nil {
+					t.Fatalf("%s: %v", ctx, err)
+				}
+				reftest.Check(t, ctx, got, tree, db)
+				if got.Len() > 0 && got.Dict() == nil {
+					t.Fatalf("%s: result of %d tuples is not bound to one dictionary", ctx, got.Len())
+				}
+			}
+		}
+		if r.Dict() != dict || r.FidCol() != nil || s.Dict() != nil {
+			t.Fatalf("trial %d: Apply re-bound or projected its inputs", trial)
+		}
+	}
+}

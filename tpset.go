@@ -92,7 +92,10 @@ func Except(r, s *Relation) (*Relation, error) { return core.Except(r, s, core.O
 // are cloned, interned and sorted once, cut at fact boundaries into
 // zero-copy fact-range shards, swept concurrently, and the shard outputs
 // concatenated in shard order — which is canonical order); the result is
-// tuple-for-tuple identical to the sequential path.
+// tuple-for-tuple identical to the sequential path. Options.AssumeSorted
+// skips the sort; leaves that do not already share a dictionary and a
+// fid column are cloned and bound in O(n), so the inputs are never
+// written either way.
 func Apply(op Op, r, s *Relation, opts Options) (*Relation, error) {
 	if w := opts.Workers(); w > 1 {
 		return engine.New(engine.Config{Workers: w}).Apply(op, r, s, opts)
