@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: lint fmt vet tpvet bench-check bench-sparse test test-race test-invariants
+.PHONY: lint fmt vet tpvet bench-check bench-sparse bench-lib test test-race test-invariants
 
 lint: fmt vet tpvet bench-check
 
@@ -29,6 +29,14 @@ bench-check:
 # traced run of the standing benchmark; the JSON line comes last.
 bench-sparse:
 	bash benchmark/run.sh --workload sparse-stream --seed 1 --seconds 10 --trace 1
+
+# The per-layer budget of the paper's own metric through the
+# materializing public API. The harness's engine.drain pulls blocks and
+# drops them, so engine.alloc_bytes_per_op excludes the materializing
+# drain: go test -run '^$$' -bench BenchmarkEvalLibShape -benchmem .
+# (B/op) is the instrument for that.
+bench-lib:
+	bash benchmark/run.sh --workload lib-setops --seed 1 --seconds 10 --trace 1
 
 test:
 	$(GO) test ./...

@@ -13,6 +13,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"github.com/tpset/tpset"
 	"github.com/tpset/tpset/internal/bench"
 	"github.com/tpset/tpset/internal/core"
 	"github.com/tpset/tpset/internal/datagen"
@@ -262,4 +263,35 @@ func BenchmarkAblationCountingSort(b *testing.B) {
 			c.SortCounting()
 		}
 	})
+}
+
+// BenchmarkEvalLibShape is the in-tree instrument for the standing
+// benchmark's lib-setops operation: tpset.Eval of "(a | b) - (c & d)"
+// over a Webkit relation and three Shifted copies, unsorted and on no
+// shared dictionary, so one iteration is clone + intern + sort, the
+// sharded sweep and the materializing drain. B/op is the number to
+// watch: the drain is absent from the benchmark's layer budget
+// (engine.alloc_bytes_per_op pulls blocks and drops them), so a
+// materializer that regrows or double-copies its result shows only here.
+func BenchmarkEvalLibShape(b *testing.B) {
+	a := datagen.Webkit(datagen.WebkitConfig{NumTuples: 20000, Seed: 1000})
+	a.Schema.Name = "a"
+	db := map[string]*relation.Relation{"a": a}
+	for i, name := range []string{"b", "c", "d"} {
+		r := datagen.Shifted(a, name, 1001+int64(i))
+		r.Schema.Name = name
+		db[name] = r
+	}
+	q := tpset.MustParseQuery("(a | b) - (c & d)")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		out, err := tpset.Eval(q, db)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if out.Len() == 0 {
+			b.Fatal("empty result")
+		}
+	}
 }

@@ -11,9 +11,9 @@
 // the worker budget (-workers above one cuts large inputs into fact-range
 // shards and evaluates them concurrently, that many at a time), streaming output (-stream
 // writes rows as they are produced, in O(tree depth) memory, instead of
-// materializing the result first), the per-operator execution trace
-// (-trace) and whether to print the query's complexity classification
-// (Theorem 1 / Corollary 1).
+// materializing the result first — one allocation at its exact size), the
+// per-operator execution trace (-trace) and whether to print the query's
+// complexity classification (Theorem 1 / Corollary 1).
 package main
 
 import (

@@ -224,6 +224,12 @@ func FillBatch(b *Batch, next func() (relation.Tuple, bool)) bool {
 // false it keeps returning false. Next and NextBatch draw from the same
 // underlying stream and may be interleaved — every tuple is delivered
 // exactly once, in order, whichever way it is pulled.
+//
+// The block is the consumer's: the cursor keeps no reference to b after
+// NextBatch returns, so a consumer may retain a filled block — pulling
+// the next one into another — until it PutBatches it (Materialize does).
+// The rows stay read-only all the while: a scan fills b by pointing it
+// at the leaf.
 type BatchCursor interface {
 	Cursor
 	NextBatch(b *Batch) bool

@@ -44,7 +44,10 @@
 // block-draining operators), amortizing per-tuple interface, channel and
 // encoder costs ~1000x, and the advancer always skips runs of facts whose
 // windows the operation discards by galloping over the packed fid
-// column (DESIGN.md "Batched execution & run skipping").
+// column (DESIGN.md "Batched execution & run skipping"). Materialize is
+// the one point where a plan becomes a relation: it keeps the pooled
+// blocks it drains until it has counted the result, then allocates the
+// tuple array once at its exact length (DESIGN.md "Materializing a plan").
 // Correctness is pinned against the Def. 3 oracle (internal/ref), not
 // against a sibling executor: see internal/ref/reftest.
 //

@@ -1,0 +1,112 @@
+package core_test
+
+// Tests of the materializing drain (core.MaterializeLimit): what it
+// keeps while it counts the result, what it returns on a budget overrun
+// and on an empty stream, and that the pool balances every time. The
+// allocation pin and the frozen-leaf and cancellation cases run through
+// whole plans in internal/engine.
+
+import (
+	"reflect"
+	"testing"
+
+	"github.com/tpset/tpset/internal/core"
+	"github.com/tpset/tpset/internal/relation"
+)
+
+// owned streams a prepared relation in blocks of the batch's own storage,
+// full until the last — the way an operator fills them, unlike a scan,
+// whose blocks are views — and records the most pooled blocks
+// outstanding at any pull.
+type owned struct {
+	r     *relation.Relation
+	i     int
+	gets0 uint64
+	puts0 uint64
+	held  uint64 // max over pulls of pool gets − puts since gets0/puts0
+}
+
+func newOwned(r *relation.Relation) *owned {
+	c := &owned{r: r}
+	c.gets0, c.puts0, _, _ = core.BatchPoolStats()
+	return c
+}
+
+func (c *owned) Schema() relation.Schema      { return c.r.Schema }
+func (c *owned) Next() (relation.Tuple, bool) { panic("owned: blocks only") }
+
+func (c *owned) NextBatch(b *core.Batch) bool {
+	gets, puts, _, _ := core.BatchPoolStats()
+	c.held = max(c.held, (gets-c.gets0)-(puts-c.puts0))
+	b.Reset()
+	n := min(len(c.r.Tuples)-c.i, b.Cap())
+	for _, t := range c.r.Tuples[c.i : c.i+n] {
+		b.Append(t)
+	}
+	c.i += n
+	return n > 0
+}
+
+// poolBalanced fails the test unless every pooled block taken since the
+// snapshot came back.
+func poolBalanced(t *testing.T, label string, gets0, puts0 uint64) {
+	t.Helper()
+	if gets, puts, _, _ := core.BatchPoolStats(); gets-gets0 != puts-puts0 {
+		t.Fatalf("%s: pool unbalanced: %d gets vs %d puts", label, gets-gets0, puts-puts0)
+	}
+}
+
+// TestMaterializeKeepsAtMostTwiceTheResult drains a stream of owned
+// blocks and a bare scan (blocks that are views of the leaf): the blocks
+// the drain holds while it counts stay within twice the result plus one
+// block, and the relation comes out row for row what the stream
+// delivered, bound, in an array of exactly that length that is not the
+// leaf's.
+func TestMaterializeKeepsAtMostTwiceTheResult(t *testing.T) {
+	leaf := prepared(t, map[string]*relation.Relation{"r": factRange("r", 0, 20000, 1)})["r"]
+	stream := newOwned(leaf)
+	gets0, puts0, _, _ := core.BatchPoolStats()
+	for label, c := range map[string]core.Cursor{"owned blocks": stream, "scan": core.NewScanCursor(leaf)} {
+		out, ok := core.MaterializeLimit(c, 0)
+		if !ok || !reflect.DeepEqual(out.Tuples, leaf.Tuples) || &out.Tuples[0] == &leaf.Tuples[0] {
+			t.Fatalf("%s: ok=%v, %d rows; want a copy of the stream's %d rows in order", label, ok, out.Len(), leaf.Len())
+		}
+		if cap(out.Tuples) != len(out.Tuples) || out.Dict() != leaf.Dict() {
+			t.Fatalf("%s: array of %d for %d rows, dict %p (leaf %p)", label, cap(out.Tuples), len(out.Tuples), out.Dict(), leaf.Dict())
+		}
+		poolBalanced(t, label, gets0, puts0)
+	}
+	if pinned := int(stream.held) * core.BatchSize; pinned > 2*leaf.Len()+core.BatchSize {
+		t.Fatalf("the drain held %d blocks (%d rows of storage) for a %d-row result", stream.held, pinned, leaf.Len())
+	}
+}
+
+// TestMaterializeLimitOverrunAndEmpty pins the return values: a budget
+// hit mid-drain reports ok=false with the rows drained so far — the
+// block that crossed the budget included, nothing after it — and leaves
+// the partial relation unbound; an empty stream yields an empty, unbound
+// relation with no array at all.
+func TestMaterializeLimitOverrunAndEmpty(t *testing.T) {
+	leaf := prepared(t, map[string]*relation.Relation{"r": factRange("r", 0, 5000, 1)})["r"]
+	c := newOwned(leaf)
+	const budget = 2500
+	out, ok := core.MaterializeLimit(c, budget)
+	if ok || out.Len() <= budget || out.Len() > budget+core.BatchSize || c.i != out.Len() {
+		t.Fatalf("ok=%v with %d rows after %d pulled, budget %d", ok, out.Len(), c.i, budget)
+	}
+	if !reflect.DeepEqual(out.Tuples, leaf.Tuples[:out.Len()]) || out.Dict() != nil {
+		t.Fatal("the partial relation is not the unbound prefix of the stream")
+	}
+	poolBalanced(t, "over budget", c.gets0, c.puts0)
+
+	if out, ok := core.MaterializeLimit(newOwned(leaf), leaf.Len()); !ok || out.Len() != leaf.Len() {
+		t.Fatalf("a result of exactly the budget reported ok=%v with %d rows", ok, out.Len())
+	}
+
+	empty := newOwned(relation.New(leaf.Schema))
+	out, ok = core.MaterializeLimit(empty, 10)
+	if !ok || out.Tuples != nil || out.Dict() != nil || out.Schema.Name != leaf.Schema.Name {
+		t.Fatalf("empty stream: ok=%v, tuples %v, dict %p", ok, out.Tuples, out.Dict())
+	}
+	poolBalanced(t, "empty", empty.gets0, empty.puts0)
+}

@@ -131,22 +131,33 @@ func PrepareLeaves(leaves []*relation.Relation, opts Options, workers int) ([]*r
 	if relation.SharedDict(clones...) == nil {
 		relation.InternAll(clones...)
 	}
-	// One goroutine per clone, at most workers of them running.
+	fanOut(len(clones), workers, func(i int) {
+		if !opts.AssumeSorted {
+			clones[i].Sort()
+		}
+		clones[i].BuildCols()
+	})
+	return clones, nil
+}
+
+// fanOut runs f(0) … f(n-1), one goroutine each, at most workers of them
+// running, and returns when all have finished. A panic in f is re-raised
+// on the caller's goroutine then, instead of ending the process.
+func fanOut(n, workers int, f func(i int)) {
 	sem := make(chan struct{}, max(workers, 1))
 	var wg sync.WaitGroup
-	for _, r := range clones {
+	var relay PanicRelay
+	for i := range n {
 		wg.Add(1)
 		sem <- struct{}{}
 		go func() {
 			defer func() { <-sem; wg.Done() }()
-			if !opts.AssumeSorted {
-				r.Sort()
-			}
-			r.BuildCols()
+			defer relay.Capture()
+			f(i)
 		}()
 	}
 	wg.Wait()
-	return clones, nil
+	relay.Reraise()
 }
 
 // bound reports whether the leaves can be scanned as they are: the

@@ -78,6 +78,10 @@ func WriteFile(path string, r *relation.Relation) error {
 	return f.Close()
 }
 
+// readChunkRows is the size of the row chunks Read collects into before
+// it knows how many rows the file holds (a third of a megabyte each).
+const readChunkRows = 4096
+
 // utf8BOM is the UTF-8 encoding of U+FEFF, which Windows tools commonly
 // prepend to exported CSV files.
 var utf8BOM = []byte{0xEF, 0xBB, 0xBF}
@@ -112,6 +116,13 @@ func Read(rd io.Reader, name string) (*relation.Relation, error) {
 	}
 	nf := len(header) - 4
 	rel := relation.New(relation.NewSchema(name, header[:nf]...))
+	// The row count is unknown until EOF, and appending 200K rows to one
+	// slice reallocates and re-copies it some three dozen times. Rows
+	// collect in chunks instead — the first grows to readChunkRows, every
+	// later one is allocated at that size — and rel.Tuples is built once,
+	// at its exact length, when the count is known.
+	var chunks [][]relation.Tuple
+	var chunk []relation.Tuple
 	for line := 2; ; line++ {
 		row, err := cr.Read()
 		if err == io.EOF {
@@ -157,7 +168,17 @@ func Read(rd io.Reader, name string) (*relation.Relation, error) {
 		} else if expr == nil {
 			return nil, fmt.Errorf("csvio: line %d: empty lineage column", line)
 		}
-		rel.AddBase(relation.Fact(row[:nf]), row[nf], ts, te, p)
+		if len(chunk) == readChunkRows {
+			chunks = append(chunks, chunk)
+			chunk = make([]relation.Tuple, 0, readChunkRows)
+		}
+		chunk = append(chunk, relation.NewBase(relation.Fact(row[:nf]), row[nf], ts, te, p))
+	}
+	if n := len(chunks)*readChunkRows + len(chunk); n > 0 {
+		rel.Tuples = make([]relation.Tuple, 0, n)
+		for _, c := range append(chunks, chunk) {
+			rel.Tuples = append(rel.Tuples, c...)
+		}
 	}
 	// Construct interned fact ids at ingest: the duplicate check below and
 	// every later sort/sweep over this relation run on integer compares.

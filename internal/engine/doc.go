@@ -33,7 +33,9 @@
 // DESIGN.md, "Streaming execution"). Inputs below the sharding threshold
 // and a worker budget of one run the sequential plan instead; the stream
 // is the same either way. Apply is the two-leaf plan "r op s" on this
-// path, and EvalCursor materializes a plan's final result.
+// path, and EvalCursor materializes a plan's final result (one exact-size
+// allocation: core.MaterializeLimit). A panic on a producer goroutine is
+// relayed to the goroutine draining the plan (core.PanicRelay).
 //
 // Correctness is pinned against the Def. 3 oracle (internal/ref) by the
 // differential harness in oracle_test.go — random trees × random

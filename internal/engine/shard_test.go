@@ -1,14 +1,22 @@
 package engine
 
 import (
+	"bytes"
 	"context"
+	"errors"
+	"log/slog"
 	"math/rand"
 	"runtime"
+	"slices"
+	"strings"
 	"testing"
+	"time"
 	"unsafe"
 
 	"github.com/tpset/tpset/internal/core"
 	"github.com/tpset/tpset/internal/datagen"
+	"github.com/tpset/tpset/internal/lineage"
+	"github.com/tpset/tpset/internal/obs"
 	"github.com/tpset/tpset/internal/query"
 	"github.com/tpset/tpset/internal/ref/reftest"
 	"github.com/tpset/tpset/internal/relation"
@@ -187,15 +195,21 @@ func TestShardedPlanScansTheMapping(t *testing.T) {
 	}
 }
 
-// sparsePair generates the sparse-stream shape (Table III overlap 0.03)
-// as the catalog holds it: one dictionary, sorted, fid columns built.
-func sparsePair(n int) map[string]*relation.Relation {
-	r, s := datagen.Pair(datagen.PairConfig{NumTuples: n, NumFacts: n / 100, MaxLenR: 100, MaxLenS: 3, MaxGap: 3, Seed: 1000})
-	relation.InternAll(r, s)
-	for _, x := range []*relation.Relation{r, s} {
+// catalogStyle binds the relations to one dictionary, sorts them and
+// builds their fid columns — what admission does to catalog relations.
+func catalogStyle(rels ...*relation.Relation) {
+	relation.InternAll(rels...)
+	for _, x := range rels {
 		x.Sort()
 		x.BuildCols()
 	}
+}
+
+// sparsePair generates the sparse-stream shape (Table III overlap 0.03)
+// as the catalog holds it.
+func sparsePair(n int) map[string]*relation.Relation {
+	r, s := datagen.Pair(datagen.PairConfig{NumTuples: n, NumFacts: n / 100, MaxLenR: 100, MaxLenS: 3, MaxGap: 3, Seed: 1000})
+	catalogStyle(r, s)
 	return map[string]*relation.Relation{"r": r, "s": s}
 }
 
@@ -257,5 +271,181 @@ func TestShardedPlanAllocs(t *testing.T) {
 				workers, atSmall, atLarge)
 		}
 		t.Logf("workers=%d: plan + drain %d B; plan alone %d B at 20K tuples per leaf, %d B at 200K", workers, total, atSmall, atLarge)
+	}
+}
+
+// TestMaterializeAllocatesTheResultOnce pins the materializing drain: a
+// dense r | s over 2×50K catalog-style leaves allocates its result array
+// once, at its exact size — under 1.5× the array plus the lineage nodes
+// the union must create. Appending block by block (the materializer
+// before this pin) regrew the array ~22 times and allocated ≈5× its final
+// size.
+func TestMaterializeAllocatesTheResultOnce(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops puts at random under -race, so pooled blocks are reallocated")
+	}
+	r, s := datagen.FixedOverlapPair(50000, 500, 7)
+	catalogStyle(r, s)
+	db := map[string]*relation.Relation{"r": r, "s": s}
+	tree := query.MustParse("r | s")
+	e := New(Config{Workers: 2})
+	var out *relation.Relation
+	drain := func() {
+		var err error
+		if out, err = e.EvalCursor(tree, db, core.Options{AssumeSorted: true}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	drain() // warm the batch pool: the drain keeps a result's worth of blocks
+	total := allocated(drain)
+	if out.Len() < r.Len() || cap(out.Tuples) != len(out.Tuples) {
+		t.Fatalf("result of %d rows in an array of %d, want a dense result in an exact array", len(out.Tuples), cap(out.Tuples))
+	}
+	derived := 0
+	for i := range out.Tuples {
+		if out.Tuples[i].Lineage.Kind() != lineage.KindVar {
+			derived++
+		}
+	}
+	array := uint64(out.Len()) * uint64(unsafe.Sizeof(relation.Tuple{}))
+	budget := array*3/2 + uint64(derived)*uint64(unsafe.Sizeof(lineage.Expr{}))
+	if total >= budget {
+		t.Fatalf("plan + drain allocated %d bytes for a %d-byte result array and %d lineage nodes, want < %d (1.5× the array + the nodes; the drain that regrew its array block by block allocated 47.6 MB here, ≈5× the array)",
+			total, array, derived, budget)
+	}
+	t.Logf("%d rows: %d B allocated, result array %d B, %d lineage nodes", out.Len(), total, array, derived)
+}
+
+// TestMaterializeLeavesFrozenLeavesUntouched materializes plans whose
+// root blocks are views of the leaves themselves — a bare scan, and a
+// selection over one — over frozen relations whose fid column aliases a
+// caller slab (what the segment store restores). Sequentially the
+// materializer is handed the views and keeps them until it has counted
+// the result; not a byte of the leaf or the slab may change, and the
+// result may not alias either.
+func TestMaterializeLeavesFrozenLeavesUntouched(t *testing.T) {
+	src := reftest.DB(rand.New(rand.NewSource(94)), reftest.Shape{Relations: 1, MaxTuples: 6000, Facts: 64, Binding: reftest.Shared, Sorted: true})
+	leaf, slab := mapped(t, src["r0"])
+	db := map[string]*relation.Relation{"r0": leaf}
+	size := unsafe.Sizeof(relation.Tuple{})
+	rows := func() []byte {
+		return unsafe.Slice((*byte)(unsafe.Pointer(&leaf.Tuples[0])), uintptr(leaf.Len())*size)
+	}
+	rowsBefore, slabBefore := bytes.Clone(rows()), slices.Clone(slab)
+	for _, q := range []string{"r0", "sigma[F='f007'](r0)"} {
+		tree := query.MustParse(q)
+		for _, workers := range []int{1, 4} {
+			got, err := New(Config{Workers: workers, MinPartitionSize: 1}).EvalCursor(tree, db, core.Options{AssumeSorted: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			reftest.Check(t, q, got, tree, src)
+			if got.Len() == 0 || cap(got.Tuples) != len(got.Tuples) {
+				t.Fatalf("%s, workers=%d: %d rows in an array of %d", q, workers, len(got.Tuples), cap(got.Tuples))
+			}
+			if inside(unsafe.Pointer(&got.Tuples[0]), unsafe.Pointer(&leaf.Tuples[0]), leaf.Len(), size) {
+				t.Fatalf("%s, workers=%d: the result aliases the leaf", q, workers)
+			}
+			if !bytes.Equal(rows(), rowsBefore) || !slices.Equal(slab, slabBefore) {
+				t.Fatalf("%s, workers=%d: the drain wrote to the frozen leaf", q, workers)
+			}
+		}
+	}
+}
+
+// shardLogBomb is a log handler that panics on the "shard drained" debug
+// record of one shard. The producer writes that record, so the panic is
+// raised on a producer's goroutine with no hook in the engine.
+type shardLogBomb struct{ shard int64 }
+
+func (h shardLogBomb) Enabled(context.Context, slog.Level) bool { return true }
+func (h shardLogBomb) WithAttrs([]slog.Attr) slog.Handler       { return h }
+func (h shardLogBomb) WithGroup(string) slog.Handler            { return h }
+func (h shardLogBomb) Handle(_ context.Context, r slog.Record) error {
+	r.Attrs(func(a slog.Attr) bool {
+		if a.Key == "shard" && a.Value.Int64() == h.shard {
+			var empty []int
+			_ = empty[h.shard]
+		}
+		return true
+	})
+	return nil
+}
+
+// TestShardProducerPanicSurfacesOnConsumer raises a panic on a shard
+// producer's goroutine while later shards are still being swept. It must
+// reach the goroutine draining the plan — as a *core.PlanPanic carrying
+// the original value and the producer's stack — instead of ending the
+// process; afterwards no producer is left running and every pooled block
+// is back.
+func TestShardProducerPanicSurfacesOnConsumer(t *testing.T) {
+	r, s := datagen.FixedOverlapPair(20000, 200, 7)
+	catalogStyle(r, s)
+	db := map[string]*relation.Relation{"r": r, "s": s}
+	tree := query.MustParse("r | s")
+	ctx := obs.WithLogger(context.Background(), slog.New(shardLogBomb{shard: 1}))
+	for _, workers := range []int{2, 3} {
+		base := runtime.NumGoroutine()
+		gets0, puts0, _, _ := core.BatchPoolStats()
+		var raised any
+		func() {
+			defer func() { raised = recover() }()
+			out, err := New(Config{Workers: workers, MinPartitionSize: 1}).EvalCursorCtx(ctx, tree, db, core.Options{AssumeSorted: true})
+			t.Errorf("workers=%d: EvalCursorCtx returned (%d rows, %v), want the producer's panic", workers, out.Len(), err)
+		}()
+		p, _ := raised.(*core.PlanPanic)
+		var rte runtime.Error
+		if p == nil || !errors.As(p, &rte) || !strings.Contains(string(p.Stack), "engine.produce") {
+			t.Fatalf("workers=%d: recovered %v, want a *core.PlanPanic with the producer's runtime error and stack", workers, raised)
+		}
+		for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("workers=%d: %d goroutines alive after the panic (baseline %d)", workers, runtime.NumGoroutine(), base)
+			}
+		}
+		if gets, puts, _, _ := core.BatchPoolStats(); gets-gets0 != puts-puts0 {
+			t.Fatalf("workers=%d: pool unbalanced after the panic: %d gets vs %d puts", workers, gets-gets0, puts-puts0)
+		}
+	}
+}
+
+// cancelAfter cancels the request just before the n-th pull of the
+// cursor it wraps — a client going away while its result is drained.
+type cancelAfter struct {
+	core.BatchCursor
+	n      int
+	cancel context.CancelFunc
+}
+
+func (c *cancelAfter) NextBatch(b *core.Batch) bool {
+	if c.n--; c.n == 0 {
+		c.cancel()
+	}
+	return c.BatchCursor.NextBatch(b)
+}
+
+// TestMaterializeCancelledMidDrain cancels the request while the
+// materializer is keeping blocks: the drain ends early and reports a
+// complete-looking (ok) but truncated relation — which is why callers
+// check ctx.Err before trusting it — and every kept and queued block
+// goes back to the pool.
+func TestMaterializeCancelledMidDrain(t *testing.T) {
+	r, s := datagen.FixedOverlapPair(20000, 200, 7)
+	catalogStyle(r, s)
+	db := map[string]*relation.Relation{"r": r, "s": s}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	gets0, puts0, _, _ := core.BatchPoolStats()
+	cur, err := New(Config{Workers: 2, MinPartitionSize: 1}).CursorCtx(ctx, query.MustParse("r | s"), db, core.Options{AssumeSorted: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, ok := core.MaterializeLimit(&cancelAfter{BatchCursor: cur, n: 8, cancel: cancel}, 0)
+	cur.Close()
+	if !ok || ctx.Err() == nil || out.Len() != 7*core.BatchSize || cap(out.Tuples) != len(out.Tuples) {
+		t.Fatalf("ok=%v, ctx.Err()=%v, %d rows in an array of %d; want the 7 blocks drained before the cancellation", ok, ctx.Err(), out.Len(), cap(out.Tuples))
+	}
+	if gets, puts, _, _ := core.BatchPoolStats(); gets-gets0 != puts-puts0 {
+		t.Fatalf("pool unbalanced after the cancelled drain: %d gets vs %d puts", gets-gets0, puts-puts0)
 	}
 }

@@ -45,9 +45,13 @@ import (
 // 4 shards per worker a producer never parks while the result is under
 // 4 × reorderBlocks blocks (~half a million tuples) — and it bounds the
 // tuples in flight to (reorderBlocks + Workers) × core.BatchSize whatever
-// the worker budget. (Measured on lib-setops, 377K result tuples at two
-// workers: 2 blocks per shard 2.0 ops/s, 32 blocks 2.7, 64 blocks 2.9;
-// the hash-partition + merge plan this replaced: 2.4.)
+// the worker budget. (Measured at PR 15 on lib-setops, 377K result tuples
+// at two workers: 2 blocks per shard 2.0 ops/s, 32 blocks 2.7, 64 blocks
+// 2.9; the hash-partition + merge plan this replaced: 2.4. Historical:
+// the consumer behind those figures regrew its result array, which
+// core.MaterializeLimit no longer does — they rank the window sizes, the
+// rates themselves are superseded. Change the constant only on a paired
+// run of the standing benchmark.)
 const reorderBlocks = 128
 
 // StreamCursor is a core.BatchCursor over a whole query tree, evaluated
@@ -228,6 +232,11 @@ func (e *Engine) CursorCtx(ctx context.Context, n query.Node, db map[string]*rel
 	}
 	var claimed atomic.Int32
 	var producers sync.WaitGroup
+	// A panic in operator code on a producer is recorded here, the shard's
+	// channel closes as usual, the other producers stop at their next
+	// block, and the consumer re-raises it at the first channel it finds
+	// closed: the caller's goroutine is where its recover, if any, lives.
+	relay := new(core.PanicRelay)
 	for w := workers; w > 0; w-- {
 		producers.Add(1)
 		go func() {
@@ -237,11 +246,11 @@ func (e *Engine) CursorCtx(ctx context.Context, n query.Node, db map[string]*rel
 				if i >= len(shards) {
 					return
 				}
-				produce(ctx, done, i, curs[i], shards[i], chans[i], spans[i])
+				produce(ctx, done, i, curs[i], shards[i], chans[i], spans[i], relay)
 			}
 		}()
 	}
-	cs := &concatStream{chans: chans, sp: rootSp}
+	cs := &concatStream{chans: chans, sp: rootSp, relay: relay}
 	// Close stops the producers, reclaims pooled blocks — the one the
 	// concatenation holds and the ones the producers queued or manage to
 	// send before observing done — and returns once the pool has exited.
@@ -274,24 +283,34 @@ func (e *Engine) CursorCtx(ctx context.Context, n query.Node, db map[string]*rel
 // produce drains shard i's plan into ch: pooled blocks of up to
 // core.BatchSize tuples, one channel operation (and at most one goroutine
 // wakeup) per block, ownership moving to the consumer with the send. It
-// returns when the plan is drained, the stream is closed (done) or the
-// request is cancelled, and always closes ch.
-func produce(ctx context.Context, done <-chan struct{}, i int, c core.BatchCursor, sdb map[string]*relation.Relation, ch chan<- *core.Batch, sp *obs.Span) {
+// returns when the plan is drained, the stream is closed (done), the
+// request is cancelled or a shard plan panics — this one (recorded on
+// relay for the consumer to re-raise) or any other — and always closes ch.
+func produce(ctx context.Context, done <-chan struct{}, i int, c core.BatchCursor, sdb map[string]*relation.Relation, ch chan<- *core.Batch, sp *obs.Span, relay *core.PanicRelay) {
 	defer close(ch)
-	// On every exit — drained, cancelled, closed — tear the shard plan
-	// down so operator-buffered pooled blocks go back. Registered after
-	// close(ch), so it runs before it: Close's channel drain observing
-	// the close also sees the plan fully released.
+	// Runs after the two below, so it also catches a teardown that panics
+	// over a half-swept plan, and before close(ch): the consumer that
+	// observes the close observes the recorded panic.
+	defer relay.Capture()
+	// On every exit — drained, cancelled, closed, panicking — tear the
+	// shard plan down so operator-buffered pooled blocks go back.
+	// Registered after close(ch), so it runs before it: Close's channel
+	// drain observing the close also sees the plan fully released.
 	defer core.ReleaseCursor(c)
+	// produce holds exactly one block at any time: a send hands it to the
+	// consumer and takes a fresh one, and whichever is in hand on the way
+	// out — drained, stopped or panicking — goes back to the pool.
+	b := core.GetBatch()
+	defer func() { core.PutBatch(b) }()
 	ctxDone := ctx.Done() // nil without a cancellable ctx: select case never fires
 	start := time.Now()
 	sent := 0
 	for {
-		// Bail out before acquiring the next block: once the consumer
-		// closes the stream, a select between an enabled send and a
-		// closed done channel picks randomly, so without this check a
-		// producer could keep winning the send race against Close's
-		// channel drain and sweep the rest of its shard for nothing.
+		// Bail out before the next fill: once the consumer closes the
+		// stream, a select between an enabled send and a closed done
+		// channel picks randomly, so without this check a producer could
+		// keep winning the send race against Close's channel drain and
+		// sweep the rest of its shard for nothing.
 		select {
 		case <-done:
 			return
@@ -299,9 +318,10 @@ func produce(ctx context.Context, done <-chan struct{}, i int, c core.BatchCurso
 			return
 		default:
 		}
-		b := core.GetBatch()
+		if relay.Caught() {
+			return
+		}
 		if !c.NextBatch(b) {
-			core.PutBatch(b)
 			logShardDrained(ctx, i, sdb, sent, start)
 			return
 		}
@@ -317,11 +337,10 @@ func produce(ctx context.Context, done <-chan struct{}, i int, c core.BatchCurso
 				sp.AddStall(time.Since(sendStart))
 			}
 			sent += n
+			b = core.GetBatch()
 		case <-done:
-			core.PutBatch(b)
 			return
 		case <-ctxDone:
-			core.PutBatch(b)
 			return
 		}
 	}
@@ -357,6 +376,7 @@ type concatStream struct {
 	cur   *core.Batch        // current block of chans[0], nil between blocks
 	i     int                // read index into cur.Tuples
 	sp    *obs.Span          // nil unless traced: records consumer-side channel stall
+	relay *core.PanicRelay   // a producer's panic, re-raised when a channel closes
 	last  *relation.Tuple    // tpinvariants only: copy of the previous block's last row
 }
 
@@ -399,6 +419,7 @@ func (s *concatStream) nextBatch(out *core.Batch) bool {
 		if s.cur == nil {
 			b, ok := s.recv()
 			if !ok {
+				s.relay.Reraise() // the shard ended: drained, or a producer panicked
 				s.chans = s.chans[1:]
 				continue
 			}
@@ -425,7 +446,8 @@ func (s *concatStream) nextBatch(out *core.Batch) bool {
 
 // EvalCursor evaluates the query through the streaming plan and
 // materializes only the final result — what tpset.Eval, cmd/tpquery and
-// Apply return.
+// Apply return. The result's tuple array is allocated once, at its exact
+// length (core.MaterializeLimit).
 func (e *Engine) EvalCursor(n query.Node, db map[string]*relation.Relation, opts core.Options) (*relation.Relation, error) {
 	return e.EvalCursorCtx(context.Background(), n, db, opts)
 }
@@ -433,7 +455,9 @@ func (e *Engine) EvalCursor(n query.Node, db map[string]*relation.Relation, opts
 // EvalCursorCtx is EvalCursor with a request context — cancellation
 // stops the shard producers early (the result is then truncated, so
 // callers must check ctx.Err before trusting or caching it), and a
-// context logger/request ID flows into the engine's debug records.
+// context logger/request ID flows into the engine's debug records. A
+// panic on a shard producer is re-raised here, on the caller's
+// goroutine, after the plan has been closed.
 func (e *Engine) EvalCursorCtx(ctx context.Context, n query.Node, db map[string]*relation.Relation, opts core.Options) (*relation.Relation, error) {
 	c, err := e.CursorCtx(ctx, n, db, opts)
 	if err != nil {

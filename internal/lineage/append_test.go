@@ -106,7 +106,7 @@ func refRender(e *Expr) string {
 }
 
 func TestAppendStringIsString(t *testing.T) {
-	if got := string((*Expr)(nil).AppendString([]byte("λ="))); got != "λ=null" || (*Expr)(nil).String() != "null" {
+	if got := string((*Expr)(nil).AppendString([]byte("λ="), VarNames())); got != "λ=null" || (*Expr)(nil).String() != "null" {
 		t.Fatalf("nil formula renders %q", got)
 	}
 	for _, e := range append(parseCorpus(t), randomExprs(200)...) {
@@ -114,21 +114,21 @@ func TestAppendStringIsString(t *testing.T) {
 		if got := e.String(); got != want {
 			t.Fatalf("String() = %q, want %q", got, want)
 		}
-		if got := string(e.AppendString(nil)); got != want {
+		if got := string(e.AppendString(nil, VarNames())); got != want {
 			t.Fatalf("AppendString(nil) = %q, want %q", got, want)
 		}
-		if got := string(e.AppendString([]byte("λ="))); got != "λ="+want {
+		if got := string(e.AppendString([]byte("λ="), VarNames())); got != "λ="+want {
 			t.Fatalf("AppendString onto a prefix = %q, want %q", got, "λ="+want)
 		}
 	}
 }
 
 func TestAppendVarProbsIsSortedVarProbs(t *testing.T) {
-	if got := (*Expr)(nil).AppendVarProbs(nil); len(got) != 0 {
+	if got := (*Expr)(nil).AppendVarProbs(nil, VarNames()); len(got) != 0 {
 		t.Fatalf("nil formula has marginals %v", got)
 	}
 	last := Or(And(Var("v", 0.25), Var("u", 0.5)), Not(Var("v", 0.75)))
-	if got := last.AppendVarProbs(nil); len(got) != 2 || got[0] != (VarProb{"u", 0.5}) || got[1] != (VarProb{"v", 0.75}) {
+	if got := last.AppendVarProbs(nil, VarNames()); len(got) != 2 || got[0] != (VarProb{"u", 0.5}) || got[1] != (VarProb{"v", 0.75}) {
 		t.Fatalf("AppendVarProbs = %v, want u then v with v's last marginal", got)
 	}
 	for _, e := range append(parseCorpus(t), randomExprs(200)...) {
@@ -141,7 +141,7 @@ func TestAppendVarProbsIsSortedVarProbs(t *testing.T) {
 		sort.Strings(names)
 
 		prefix := []VarProb{{"kept", 1}}
-		got := e.AppendVarProbs(prefix)
+		got := e.AppendVarProbs(prefix, VarNames())
 		if got[0] != prefix[0] || len(got) != 1+len(names) {
 			t.Fatalf("%s: AppendVarProbs = %v, want the prefix and %d variables", e, got, len(names))
 		}

@@ -298,19 +298,25 @@ func containsAny(e *Expr, ids []keys.VarID) bool {
 // parenthesized for unambiguity, e.g. "c1∧¬(a1∨b1)".
 func (e *Expr) String() string {
 	var buf [64]byte // typical formulas render without regrowth
-	return string(e.AppendString(buf[:0]))
+	return string(e.AppendString(buf[:0], vars.Names()))
 }
 
+// VarNames returns a snapshot of the variable arena (keys.Interner.Names)
+// for AppendString and AppendVarProbs: it resolves every formula that
+// existed when it was taken — the arena is append-only — so a caller
+// rendering many formulas takes the arena lock once for all of them, not
+// once per formula. The slice is shared and must not be modified.
+func VarNames() []string { return vars.Names() }
+
 // AppendString appends the rendering of e — the bytes of String() — to
-// dst and returns the extended slice. Variable names resolve through
-// one snapshot of the intern arena per call (keys.Interner.Names), so
-// rendering into a reused buffer neither allocates nor takes the arena
-// lock per leaf.
-func (e *Expr) AppendString(dst []byte) []byte {
+// dst and returns the extended slice. names is a VarNames snapshot taken
+// after e was built, so rendering into a reused buffer neither allocates
+// nor touches the arena lock.
+func (e *Expr) AppendString(dst []byte, names []string) []byte {
 	if e == nil {
 		return append(dst, "null"...)
 	}
-	return e.appendRender(dst, vars.Names())
+	return e.appendRender(dst, names)
 }
 
 func (e *Expr) appendRender(dst []byte, names []string) []byte {
@@ -665,14 +671,15 @@ type VarProb struct {
 // extended slice: the content of the VarProbs map in the order
 // encoding/json writes a map, without building one. A variable that
 // occurs with differing marginals keeps its last occurrence in
-// left-to-right order, as repeated map assignment does. Names resolve
-// through one arena snapshot per call; a nil receiver appends nothing.
-func (e *Expr) AppendVarProbs(dst []VarProb) []VarProb {
+// left-to-right order, as repeated map assignment does. names is a
+// VarNames snapshot taken after e was built; a nil receiver appends
+// nothing.
+func (e *Expr) AppendVarProbs(dst []VarProb, names []string) []VarProb {
 	if e == nil {
 		return dst
 	}
 	start := len(dst)
-	dst = e.appendLeaves(dst, vars.Names())
+	dst = e.appendLeaves(dst, names)
 	vps := dst[start:]
 	// Stable, so equal names stay in occurrence order and "last wins"
 	// is the last element of each run.

@@ -134,12 +134,15 @@ func DecodeRelation(rj RelationJSON, name string) (*relation.Relation, error) {
 		return nil, fmt.Errorf("relation %q: needs at least one attribute", name)
 	}
 	rel := relation.New(relation.NewSchema(name, rj.Attrs...))
+	if len(rj.Tuples) > 0 {
+		rel.Tuples = make([]relation.Tuple, len(rj.Tuples)) // the count is known: no regrowth
+	}
 	for i, tj := range rj.Tuples {
 		t, err := decodeTuple(tj, len(rj.Attrs))
 		if err != nil {
 			return nil, fmt.Errorf("relation %q: tuple %d: %w", name, i, err)
 		}
-		rel.Add(t)
+		rel.Tuples[i] = t
 	}
 	// Intern before sorting: ids are constructed once at the wire
 	// boundary and the sort runs on integer compares (catalog admission

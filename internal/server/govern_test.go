@@ -7,12 +7,14 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"log/slog"
 	"math"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -291,6 +293,78 @@ func TestPanicRecoveryMidStream(t *testing.T) {
 	}
 	if got := srv.snapshotMetrics().PanicsRecovered; got != 1 {
 		t.Fatalf("PanicsRecovered = %d, want 1", got)
+	}
+}
+
+// shardLogBomb is a log handler that panics on the engine's per-shard
+// debug record while armed. That record is written by the shard
+// producer, so the panic is raised on a goroutine the request's own
+// recover does not cover — from outside the engine, with no hook in it.
+type shardLogBomb struct{ armed *atomic.Bool }
+
+func (h shardLogBomb) Enabled(context.Context, slog.Level) bool { return true }
+func (h shardLogBomb) WithAttrs([]slog.Attr) slog.Handler       { return h }
+func (h shardLogBomb) WithGroup(string) slog.Handler            { return h }
+func (h shardLogBomb) Handle(_ context.Context, r slog.Record) error {
+	if r.Message == "shard drained" && h.armed.Load() {
+		panic("kaboom on a shard producer")
+	}
+	return nil
+}
+
+// The promise of TestPanicRecoveryMaterialized and ...MidStream holds on
+// a sharded plan too: a panic on a shard producer's goroutine is relayed
+// to the request's goroutine, where it costs a 500 (or, mid-stream, a
+// done:false trailer) — not the process — and leaves no producer behind.
+func TestPanicRecoveryOnShardProducer(t *testing.T) {
+	var armed atomic.Bool
+	srv := New(Config{Workers: 2, Logger: slog.New(shardLogBomb{&armed})})
+	for i, name := range []string{"r", "s"} {
+		rel := datagen.Synthetic(datagen.SyntheticConfig{
+			Name: name, NumTuples: 6000, NumFacts: 120, MaxLen: 4, MaxGap: 2, Seed: int64(i + 1),
+		})
+		if _, err := srv.Load(name, rel); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
+
+	resp, body := do(t, "POST", ts.URL+"/query/explain", QueryRequest{Query: "r | s"})
+	if resp.StatusCode != 200 || !strings.Contains(string(body), "concat[") {
+		t.Fatalf("the catalog does not shard: status %d, body %s", resp.StatusCode, body)
+	}
+	base := runtime.NumGoroutine()
+	armed.Store(true)
+
+	resp, body = do(t, "POST", ts.URL+"/query", QueryRequest{Query: "r | s", NoCache: true})
+	if resp.StatusCode != http.StatusInternalServerError || !strings.Contains(string(body), "internal error") {
+		t.Fatalf("POST /query: status %d, body %s", resp.StatusCode, body)
+	}
+	if resp, _ := do(t, "GET", ts.URL+"/healthz", nil); resp.StatusCode != 200 {
+		t.Fatalf("server dead after a producer panic: %d", resp.StatusCode)
+	}
+	if got := srv.snapshotMetrics().PanicsRecovered; got != 1 {
+		t.Fatalf("PanicsRecovered = %d after POST /query, want 1", got)
+	}
+
+	resp, body = do(t, "POST", ts.URL+"/query/stream", QueryRequest{Query: "r | s"})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("POST /query/stream: status %d", resp.StatusCode)
+	}
+	if _, trailer := parseStream(t, body); trailer.Done || !strings.Contains(trailer.Error, "panicked") {
+		t.Fatalf("trailer = %+v; want done=false with a panic error", trailer)
+	}
+	if got := srv.snapshotMetrics().PanicsRecovered; got != 2 {
+		t.Fatalf("PanicsRecovered = %d after POST /query/stream, want 2", got)
+	}
+
+	armed.Store(false)
+	waitFor(t, "the shard producers of the failed requests to exit", func() bool {
+		return runtime.NumGoroutine() <= base+2 // idle keep-alive connections come and go
+	})
+	if resp, body := do(t, "POST", ts.URL+"/query", QueryRequest{Query: "r | s", NoCache: true}); resp.StatusCode != 200 {
+		t.Fatalf("query after the recovered panics: status %d, body %s", resp.StatusCode, body)
 	}
 }
 

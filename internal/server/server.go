@@ -588,8 +588,10 @@ func (s *Server) RunQueryCtx(ctx context.Context, req QueryRequest) (*QueryResul
 	if err != nil {
 		return nil, &httpError{status: http.StatusUnprocessableEntity, msg: err.Error()}
 	}
+	// Deferred: a panic in the drain must still stop the shard producers
+	// (a RunQuery caller has no cancellable context to stop them with).
+	defer cur.Close()
 	out, within := core.MaterializeLimit(cur, s.cfg.MaxResultTuples)
-	cur.Close()
 	if err := qctx.Err(); err != nil {
 		// Cancelled mid-drain: the materialized result may be truncated.
 		// Report the failure and above all do not cache it.

@@ -43,8 +43,10 @@ func (e *wireEncoder) release() { wireEncoderPool.Put(e) }
 // tuple appends one TupleJSON object. JSON has no encoding for NaN or
 // ±Inf: on a non-finite probability or marginal it returns an error and
 // leaves buf as it was before the call, so the caller's framing stays
-// valid.
-func (e *wireEncoder) tuple(fact relation.Fact, lam *lineage.Expr, ts, te int64, p float64) error {
+// valid. names is a lineage.VarNames snapshot taken after lam was built:
+// callers take one per batch or relation, so the variable arena's lock
+// is not touched per tuple.
+func (e *wireEncoder) tuple(names []string, fact relation.Fact, lam *lineage.Expr, ts, te int64, p float64) error {
 	start := len(e.buf)
 	b := e.buf
 	if fact == nil {
@@ -60,7 +62,7 @@ func (e *wireEncoder) tuple(fact relation.Fact, lam *lineage.Expr, ts, te int64,
 		b = append(b, ']')
 	}
 	b = append(b, `,"lineage":`...)
-	e.lam = lam.AppendString(e.lam[:0])
+	e.lam = lam.AppendString(e.lam[:0], names)
 	b = appendJSONString(b, e.lam)
 	b = append(b, `,"ts":`...)
 	b = strconv.AppendInt(b, ts, 10)
@@ -76,7 +78,7 @@ func (e *wireEncoder) tuple(fact relation.Fact, lam *lineage.Expr, ts, te int64,
 	// varProbs; anything else (a real formula, or a lazily unvaluated
 	// tuple) ships explicit marginals.
 	if lam != nil && !(lam.Kind() == lineage.KindVar && p == lam.VarProb()) {
-		e.vps = lam.AppendVarProbs(e.vps[:0])
+		e.vps = lam.AppendVarProbs(e.vps[:0], names)
 		b = append(b, `,"varProbs":{`...)
 		for i, vp := range e.vps {
 			if i > 0 {
@@ -99,9 +101,10 @@ func (e *wireEncoder) tuple(fact relation.Fact, lam *lineage.Expr, ts, te int64,
 // number of rows appended; with an error that is the index of the row
 // that could not be encoded, and buf ends after the line before it.
 func (e *wireEncoder) batchLines(b *core.Batch) (int, error) {
+	names := lineage.VarNames()
 	for i := range b.Tuples {
 		t := &b.Tuples[i]
-		if err := e.tuple(t.Fact, t.Lineage, t.T.Ts, t.T.Te, t.Prob); err != nil {
+		if err := e.tuple(names, t.Fact, t.Lineage, t.T.Ts, t.T.Te, t.Prob); err != nil {
 			return i, err
 		}
 		e.buf = append(e.buf, '\n')
@@ -127,12 +130,13 @@ func (e *wireEncoder) relation(r *relation.Relation, version uint64) error {
 		b = strconv.AppendUint(b, version, 10)
 	}
 	e.buf = append(b, `,"tuples":[`...)
+	names := lineage.VarNames()
 	for i := range r.Tuples {
 		if i > 0 {
 			e.buf = append(e.buf, ',')
 		}
 		t := &r.Tuples[i]
-		if err := e.tuple(t.Fact, t.Lineage, t.T.Ts, t.T.Te, t.Prob); err != nil {
+		if err := e.tuple(names, t.Fact, t.Lineage, t.T.Ts, t.T.Te, t.Prob); err != nil {
 			return fmt.Errorf("tuple %d: %w", i, err)
 		}
 	}

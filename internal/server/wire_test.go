@@ -150,7 +150,7 @@ func checkWireCase(t *testing.T, rng *rand.Rand, wc wireCase) {
 		EncodeTupleInto(&tj, tup, nil)
 		want, wantErr := reflectLine(&tj)
 		enc.buf = append(enc.buf[:0], "prefix"...)
-		gotErr := enc.tuple(tup.Fact, tup.Lineage, tup.T.Ts, tup.T.Te, tup.Prob)
+		gotErr := enc.tuple(lineage.VarNames(), tup.Fact, tup.Lineage, tup.T.Ts, tup.T.Te, tup.Prob)
 		if (wantErr != nil) != (gotErr != nil) {
 			t.Fatalf("tuple %d %v: encoding/json error %v, appender error %v", i, tup, wantErr, gotErr)
 		}
@@ -258,7 +258,7 @@ func checkWireCase(t *testing.T, rng *rand.Rand, wc wireCase) {
 	for i := range sorted.Tuples {
 		tup := &sorted.Tuples[i]
 		enc.buf = enc.buf[:0]
-		if err := enc.tuple(tup.Fact, tup.Lineage, tup.T.Ts, tup.T.Te, tup.Prob); err != nil {
+		if err := enc.tuple(lineage.VarNames(), tup.Fact, tup.Lineage, tup.T.Ts, tup.T.Te, tup.Prob); err != nil {
 			t.Fatal(err)
 		}
 		want = append(append(want, enc.buf...), '\n')

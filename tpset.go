@@ -132,7 +132,9 @@ func MustParseQuery(input string) Query { return query.MustParse(input) }
 // Eval evaluates a parsed query over named relations with LAWA, on the
 // execution engine with a worker budget of runtime.GOMAXPROCS(0) — the
 // default Apply resolves too. The result is in canonical (fact, Ts, Te)
-// order. The input relations are not modified; they need not be sorted.
+// order, in a tuple array allocated once at its exact length
+// (cap(Tuples) == len(Tuples)). The input relations are not modified;
+// they need not be sorted.
 func Eval(q Query, db map[string]*Relation) (*Relation, error) {
 	return EvalParallel(q, db, Options{}.Workers())
 }
