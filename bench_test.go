@@ -17,6 +17,7 @@ import (
 	"github.com/tpset/tpset/internal/bench"
 	"github.com/tpset/tpset/internal/core"
 	"github.com/tpset/tpset/internal/datagen"
+	"github.com/tpset/tpset/internal/obs"
 	"github.com/tpset/tpset/internal/relation"
 )
 
@@ -294,4 +295,67 @@ func BenchmarkEvalLibShape(b *testing.B) {
 			b.Fatal("empty result")
 		}
 	}
+}
+
+// BenchmarkIntersectSparseShape is the in-tree instrument for the
+// standing benchmark's sparse-stream operation: r ∩Tp s over its Table
+// III shape (overlapping factor 0.03) at 2×20K tuples and 200 facts —
+// nearly every fact is in both relations, at different times, and the
+// result has about a hundred tuples. "unsorted" is the operation as a
+// library caller meets it (clone + sort + sweep); "catalog" is the
+// server's condition, leaves sorted, bound and projected once, so an
+// iteration is plan + sweep + materialize. windows/op, read from one
+// more, traced, run, is the number to watch: the candidate windows the
+// sweep drew (≈180 with temporal run skipping, 20,077 when only facts
+// are skipped); gallops/op is what it paid for them.
+func BenchmarkIntersectSparseShape(b *testing.B) {
+	r, s := datagen.Pair(datagen.PairConfig{NumTuples: 20000, NumFacts: 200, MaxLenR: 100, MaxLenS: 3, MaxGap: 3, Seed: 1000})
+	sorted, err := core.PrepareLeaves([]*relation.Relation{r, s}, core.Options{}, 2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, bc := range []struct {
+		name string
+		r, s *relation.Relation
+		opts tpset.Options
+	}{
+		{"unsorted", r, s, tpset.Options{}},
+		{"catalog", sorted[0], sorted[1], tpset.Options{AssumeSorted: true}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				out, err := tpset.Apply(tpset.OpIntersect, bc.r, bc.s, bc.opts)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if out.Len() == 0 {
+					b.Fatal("empty result")
+				}
+			}
+			b.StopTimer()
+			traced := bc.opts
+			traced.Span = obs.NewSpan("")
+			if _, err := tpset.Apply(tpset.OpIntersect, bc.r, bc.s, traced); err != nil {
+				b.Fatal(err)
+			}
+			windows, gallops := sweepCounts(traced.Span.Snapshot())
+			b.ReportMetric(float64(windows), "windows/op")
+			b.ReportMetric(float64(gallops), "gallops/op")
+		})
+	}
+}
+
+// sweepCounts sums the advancers' counters over a traced plan: candidate
+// windows drawn and run-skip gallops taken by the operators (a scan's
+// gallops are the ones it received from its operator — not added again).
+func sweepCounts(st *obs.SpanStats) (windows, gallops int64) {
+	for _, c := range st.Children {
+		w, g := sweepCounts(c)
+		windows, gallops = windows+w, gallops+g
+	}
+	if st.Windows > 0 {
+		windows, gallops = windows+st.Windows, gallops+st.Gallops
+	}
+	return windows, gallops
 }

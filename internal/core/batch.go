@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"github.com/tpset/tpset/internal/interval"
 	"github.com/tpset/tpset/internal/invariant"
 	"github.com/tpset/tpset/internal/keys"
 	"github.com/tpset/tpset/internal/relation"
@@ -236,14 +237,18 @@ type BatchCursor interface {
 }
 
 // keySkipper is implemented by cursors that can advance past a run of
-// facts in sub-linear time: SkipTo discards every upcoming tuple whose
-// packed fact id is below fid. Scans gallop over their fid column
-// (exponential probe + binary search); filters forward to their input.
-// The advancer's run-skipping uses it through batchSource; operator
-// cursors deliberately do not implement it — their output is computed,
-// so "skipping" it would still compute it.
+// tuples in sub-linear time: SkipTo discards every upcoming tuple below
+// the point (fid, te) — its packed fact id is below fid, or equals fid
+// and its interval ends at or before te (relation.MinTime: the facts
+// below fid and nothing else). Scans gallop over their fid column and
+// rows (exponential probe + binary search, relation.SkipTo); filters
+// forward to their input. The search relies on end points ascending
+// within a fact, i.e. on the stream being duplicate-free (Def. 1) as
+// well as sorted. The advancer's run-skipping uses it through
+// batchSource; operator cursors deliberately do not implement it —
+// their output is computed, so "skipping" it would still compute it.
 type keySkipper interface {
-	SkipTo(fid int64)
+	SkipTo(fid int64, te interval.Time)
 }
 
 // NextBatch fills b with the next sub-window of the scanned relation —
@@ -267,12 +272,14 @@ func (c *ScanCursor) NextBatch(b *Batch) bool {
 	return true
 }
 
-// SkipTo advances the scan past every tuple whose fact id is below fid,
-// galloping over the fid column: skipping an absent run of m tuples
-// costs O(log m) integer probes instead of the O(m) pops of the
-// tuple-at-a-time sweep.
-func (c *ScanCursor) SkipTo(fid int64) {
-	c.i += relation.SkipToFid(c.fid[c.i:], fid)
+// SkipTo advances the scan past every tuple below the point (fid, te):
+// a fact id below fid, or fid itself with an interval that ends at or
+// before te. It gallops over the fid column and the rows, so skipping a
+// run of m tuples costs O(log m) probes instead of the O(m) pops of the
+// tuple-at-a-time sweep. The scanned relation must be duplicate-free
+// (see relation.SkipTo).
+func (c *ScanCursor) SkipTo(fid int64, te interval.Time) {
+	c.i += relation.SkipTo(c.fid[c.i:], c.r.Tuples[c.i:], fid, te)
 }
 
 // NextBatch drains windows through the operation's λ-filter into the

@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"testing"
 
+	"github.com/tpset/tpset/internal/interval"
 	"github.com/tpset/tpset/internal/relation"
 )
 
@@ -96,10 +97,12 @@ func TestScanBatchRespectsCapacity(t *testing.T) {
 }
 
 // TestSkipToFidMatchesLinearScan is the galloping property test: on
-// random sorted relations and random probe facts of the same
+// random sorted relations and random probe tuples of the same
 // dictionary, SkipToFid over the fid column must return exactly the
 // index a linear scan over the rows' key strings finds — the packed
-// order IS the canonical fact order.
+// order IS the canonical fact order — and SkipTo to the probe's
+// (fact, start) point the index a linear scan over key strings and end
+// points finds.
 func TestSkipToFidMatchesLinearScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 200; trial++ {
@@ -109,7 +112,7 @@ func TestSkipToFidMatchesLinearScan(t *testing.T) {
 		fid := r.BuildCols()
 		for i := range probe.Tuples {
 			_, id := probe.Tuples[i].Binding()
-			key := probe.Tuples[i].Key()
+			key, ts := probe.Tuples[i].Key(), probe.Tuples[i].T.Ts
 			start := rng.Intn(r.Len())
 			got := relation.SkipToFid(fid[start:], int64(id))
 			want := 0
@@ -119,30 +122,40 @@ func TestSkipToFidMatchesLinearScan(t *testing.T) {
 			if got != want {
 				t.Fatalf("trial %d: SkipToFid from %d for %q: got %d, want %d", trial, start, key, got, want)
 			}
+			got = relation.SkipTo(fid[start:], r.Tuples[start:], int64(id), ts)
+			for start+want < r.Len() && r.Tuples[start+want].Key() == key && r.Tuples[start+want].T.Te <= ts {
+				want++
+			}
+			if got != want {
+				t.Fatalf("trial %d: SkipTo from %d for (%q, %d): got %d, want %d", trial, start, key, ts, got, want)
+			}
 		}
 	}
 }
 
-// TestScanSkipToAdvancesCursor pins SkipTo/Next interplay on the scan.
+// TestScanSkipToAdvancesCursor pins SkipTo/Next interplay on the scan:
+// after a skip to a (fact, time) point the first reachable tuple is the
+// linear-scan answer — no tuple at or above the point skipped, none
+// below it left — for a fact-only skip (relation.MinTime) and for a
+// point inside the fact's run.
 func TestScanSkipToAdvancesCursor(t *testing.T) {
 	r := sortedTestRelation("r", 500, 25, 4)
 	fid := r.FidCol()
-	c := NewScanCursor(r)
-	// Skip to the fact of a tuple in the middle.
 	target := fid[307]
-	c.SkipTo(target)
-	got, ok := c.Next()
-	if !ok {
-		t.Fatal("cursor exhausted after SkipTo")
-	}
-	// No tuple at or above the target may have been skipped: the first
-	// reachable tuple must be the linear-scan answer.
-	want := 0
-	for fid[want] < target {
-		want++
-	}
-	if !got.Fact.Equal(r.Tuples[want].Fact) || got.T != r.Tuples[want].T {
-		t.Fatalf("SkipTo landed on %s, want %s", got, r.Tuples[want])
+	for _, te := range []interval.Time{relation.MinTime, r.Tuples[307].T.Ts, r.Tuples[307].T.Te, 1 << 40} {
+		c := NewScanCursor(r)
+		c.SkipTo(target, te)
+		want := 0
+		for want < r.Len() && (fid[want] < target || (fid[want] == target && r.Tuples[want].T.Te <= te)) {
+			want++
+		}
+		got, ok := c.Next()
+		if !ok {
+			t.Fatalf("te %d: cursor exhausted after SkipTo", te)
+		}
+		if !got.Fact.Equal(r.Tuples[want].Fact) || got.T != r.Tuples[want].T {
+			t.Fatalf("te %d: SkipTo landed on %s, want %s", te, got, r.Tuples[want])
+		}
 	}
 }
 

@@ -42,9 +42,11 @@
 // Execution is batched (vectorized): BatchCursor moves pooled
 // ~BatchSize-tuple blocks through the stack (zero-copy scan sub-windows,
 // block-draining operators), amortizing per-tuple interface, channel and
-// encoder costs ~1000x, and the advancer always skips runs of facts whose
-// windows the operation discards by galloping over the packed fid
-// column (DESIGN.md "Batched execution & run skipping"). Materialize is
+// encoder costs ~1000x, and the advancer always skips the runs of tuples
+// whose windows the operation discards — facts the other input lacks,
+// and stretches of a shared fact's time that end before the other input
+// starts — by galloping over the packed fid column and the rows' end
+// points (DESIGN.md "Batched execution & run skipping"). Materialize is
 // the one point where a plan becomes a relation: it keeps the pooled
 // blocks it drains until it has counted the result, then allocates the
 // tuple array once at its exact length (DESIGN.md "Materializing a plan").

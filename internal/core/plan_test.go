@@ -11,6 +11,8 @@ import (
 	"testing"
 
 	"github.com/tpset/tpset/internal/core"
+	"github.com/tpset/tpset/internal/datagen"
+	"github.com/tpset/tpset/internal/lineage"
 	"github.com/tpset/tpset/internal/obs"
 	"github.com/tpset/tpset/internal/query"
 	"github.com/tpset/tpset/internal/ref/reftest"
@@ -228,5 +230,82 @@ func TestReleaseHalfDrainedPlanBalancesPool(t *testing.T) {
 		if gets-gets0 != 4 || puts-puts0 != gets-gets0 {
 			t.Fatalf("drainFully=%v: %d gets (want 4, one per source) vs %d puts after release", drainFully, gets-gets0, puts-puts0)
 		}
+	}
+}
+
+// TestTimeRunSkippingBoundsTheSweep is the work bound of temporal run
+// skipping, stated in counts that repeat exactly. The inputs are the
+// standing benchmark's sparse shape at a tenth of its size (Table III,
+// overlapping factor 0.03: 2×20K tuples over 200 facts whose chains of
+// long and of short intervals drift apart in time): almost every fact is
+// held by both relations, at different times. The intersection must draw
+// candidate windows in proportion to its output, not to its input (under
+// 1 % of the input tuples; without time skipping it pops every s tuple —
+// 50 %); the difference must draw at most its output plus 1 % of the
+// input; the union, which discards nothing, must draw exactly the plain
+// advancer's count — Prop. 1's candidate windows. The output is what
+// Algs. 2–4 say it is — the plain advancer's window stream (no skipping)
+// through the operation's λ-filter and λ-function, tuple for tuple (the
+// oracle is too slow on this time domain; the OffsetTime harnesses check
+// skipping against it) — and every pooled block comes back.
+func TestTimeRunSkippingBoundsTheSweep(t *testing.T) {
+	r, s := datagen.Pair(datagen.PairConfig{NumTuples: 20000, NumFacts: 200, MaxLenR: 100, MaxLenS: 3, MaxGap: 3, Seed: 1000})
+	leaves := prepared(t, map[string]*relation.Relation{"r": r, "s": s})
+	in := int64(r.Len() + s.Len())
+	plain := core.Windows(r, s)
+	for _, tc := range []struct {
+		op      core.Op
+		lam     func(w core.Window) *lineage.Expr // nil: the λ-filter drops w
+		bound   func(out int64) int64
+		exactly bool
+	}{
+		{core.OpIntersect, func(w core.Window) *lineage.Expr {
+			if w.LamR == nil || w.LamS == nil {
+				return nil
+			}
+			return lineage.And(w.LamR, w.LamS)
+		}, func(int64) int64 { return in / 100 }, false},
+		{core.OpExcept, func(w core.Window) *lineage.Expr {
+			if w.LamR == nil {
+				return nil
+			}
+			return lineage.AndNot(w.LamR, w.LamS)
+		}, func(out int64) int64 { return out + in/100 }, false},
+		{core.OpUnion, func(w core.Window) *lineage.Expr { return lineage.Or(w.LamR, w.LamS) },
+			func(int64) int64 { return int64(len(plain)) }, true},
+	} {
+		gets0, puts0, _, _ := core.BatchPoolStats()
+		sp := obs.NewSpan("")
+		plan := core.Traced(opCursor(t, tc.op, core.NewScanCursor(leaves["r"]), core.NewScanCursor(leaves["s"])), sp)
+		got := core.Materialize(plan)
+		core.ReleaseCursor(plan)
+		if gets, puts, _, _ := core.BatchPoolStats(); gets-gets0 != puts-puts0 {
+			t.Fatalf("%s: %d pool gets vs %d puts", tc.op, gets-gets0, puts-puts0)
+		}
+
+		n := 0
+		for _, w := range plain {
+			lam := tc.lam(w)
+			if lam == nil {
+				continue
+			}
+			if n < got.Len() {
+				if g := &got.Tuples[n]; !g.Fact.Equal(w.Fact) || g.T != w.Interval() || !lineage.EquivalentSyntactic(g.Lineage, lam) {
+					t.Fatalf("%s: output tuple %d is %s, the window stream says %s with lineage %s", tc.op, n, g, w, lam)
+				}
+			}
+			n++
+		}
+		if n != got.Len() {
+			t.Fatalf("%s: %d output tuples, the filtered window stream has %d", tc.op, got.Len(), n)
+		}
+
+		st := sp.Snapshot()
+		bound := tc.bound(int64(n))
+		if st.Windows > bound || (tc.exactly && st.Windows != bound) || (st.Gallops == 0) != tc.exactly {
+			t.Fatalf("%s: %d windows and %d gallops for %d output tuples over %d input tuples; bound %d (exactly: %v)",
+				tc.op, st.Windows, st.Gallops, n, in, bound, tc.exactly)
+		}
+		t.Logf("%s: %d windows, %d gallops, %d output tuples, %d input tuples", tc.op, st.Windows, st.Gallops, n, in)
 	}
 }

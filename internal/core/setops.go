@@ -15,14 +15,20 @@ type Options struct {
 	// are already in (fact, Ts) order. Inputs that also share one
 	// dictionary and carry their fid columns (catalog relations do) are
 	// then read in place; leaves that do not already share a dictionary
-	// and a fid column are cloned and bound in O(n).
+	// and a fid column are cloned and bound in O(n). Sorted or not, the
+	// inputs must be duplicate-free (Def. 1: the tuples of one fact do
+	// not overlap): ∩Tp and −Tp binary-search the end points of a fact's
+	// run to skip what cannot match, and their result over inputs that
+	// break the model is unspecified. Validate checks it.
 	AssumeSorted bool
 	// LazyProb leaves the probability of output tuples unvaluated (zero).
 	// By default probabilities are computed eagerly, which is linear per
 	// tuple for the 1OF lineage produced by non-repeating queries.
 	LazyProb bool
 	// Validate additionally checks that both inputs are duplicate-free
-	// before running (O(n log n)); intended for data of unknown provenance.
+	// before running (O(n log n)) and fails the operation otherwise;
+	// intended for data of unknown provenance (CSV ingest and catalog
+	// admission have checked theirs).
 	Validate bool
 	// Parallelism requests partition-parallel execution with this many
 	// workers. Apply in this package is sequential and ignores it;

@@ -3,6 +3,7 @@ package core
 import (
 	"time"
 
+	"github.com/tpset/tpset/internal/interval"
 	"github.com/tpset/tpset/internal/obs"
 	"github.com/tpset/tpset/internal/relation"
 )
@@ -82,15 +83,16 @@ func (t *tracedBatchCursor) NextBatch(b *Batch) bool {
 	return ok
 }
 
-// SkipTo forwards run-skipping to the wrapped cursor when it supports
-// it, counting the gallop either way. A wrapped cursor without SkipTo
-// (an operator cursor — its output is computed, so there is nothing to
-// gallop over) makes this a no-op, which is semantically equivalent:
-// callers re-filter below-fid tuples after every skipTo, skipping only
+// SkipTo forwards run-skipping — past facts or past a stretch of one
+// fact's time — to the wrapped cursor when it supports it, counting the
+// gallop either way. A wrapped cursor without SkipTo (an operator
+// cursor — its output is computed, so there is nothing to gallop over)
+// makes this a no-op, which is semantically equivalent: callers
+// re-filter tuples below the point after every skipTo, skipping only
 // saves work, never changes output.
-func (t *tracedBatchCursor) SkipTo(fid int64) {
+func (t *tracedBatchCursor) SkipTo(fid int64, te interval.Time) {
 	if sk, ok := t.bc.(keySkipper); ok {
 		t.sp.AddGallops(1)
-		sk.SkipTo(fid)
+		sk.SkipTo(fid, te)
 	}
 }

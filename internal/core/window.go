@@ -110,28 +110,39 @@ func (s *batchSource) release() {
 	ReleaseCursor(s.c)
 }
 
-// skipTo advances the source so that peek returns the first tuple whose
-// fact id is >= fid; it is the run-skipping entry point and only called
-// when every tuple below fid is known to be filtered out by the
+// skipTo advances the source so that peek returns the first tuple at or
+// above the point (fid, te): a fact id above fid, or fid itself with an
+// interval that ends after te (relation.MinTime: the first tuple whose
+// fact id is >= fid). It is the run-skipping entry point and only called
+// when every tuple below the point is known to be filtered out by the
 // operation. The remainder of the current block is discarded by a
-// gallop over its fid column; when the target lies beyond it, the child
-// gallops itself (scans, filters — keySkipper) or, when its output is
-// computed (operator cursors), whole blocks are discarded — one gallop
-// that runs off the block's end each, O(log BatchSize) probes instead of
-// BatchSize pops.
-func (s *batchSource) skipTo(fid int64) {
+// gallop over its fid column and rows; when the target lies beyond it,
+// the child gallops itself (scans, filters — keySkipper) or, when its
+// output is computed (operator cursors), whole blocks are discarded —
+// one gallop that runs off the block's end each, O(log BatchSize) probes
+// instead of BatchSize pops.
+func (s *batchSource) skipTo(fid int64, te interval.Time) {
 	for {
-		s.i += relation.SkipToFid(s.b.Fid[s.i:], fid)
+		s.i += relation.SkipTo(s.b.Fid[s.i:], s.b.Tuples[s.i:], fid, te)
 		if s.i < len(s.b.Tuples) || s.done {
 			return
 		}
 		if sk, ok := s.c.(keySkipper); ok {
-			sk.SkipTo(fid)
+			sk.SkipTo(fid, te)
 		}
 		if !s.pull() {
 			return
 		}
 	}
+}
+
+// validTuple is what the advancer keeps of a tuple while it is valid:
+// its lineage for the windows it covers and the end point that expires
+// it. The zero value is "no tuple valid".
+type validTuple struct {
+	ok  bool
+	lam *lineage.Expr
+	te  interval.Time
 }
 
 // Advancer is the lineage-aware window advancer. It carries the status
@@ -147,10 +158,10 @@ func (s *batchSource) skipTo(fid int64) {
 // number of windows is bounded by Proposition 1 (≤ nr + ns − fd candidate
 // windows for nr, ns start/end points and fd distinct facts).
 //
-// Beyond the two lookahead buffers and the two currently valid tuples, the
-// advancer holds no per-input state — this is the O(1)-additional-space
-// property of §IV that the streaming execution layer (NewStreamAdvancer,
-// OpCursor) relies on.
+// Beyond the two lookahead buffers and what it keeps of the two
+// currently valid tuples, the advancer holds no per-input state — this is
+// the O(1)-additional-space property of §IV that the streaming execution
+// layer (NewStreamAdvancer, OpCursor) relies on.
 type Advancer struct {
 	r, s *batchSource
 
@@ -162,27 +173,28 @@ type Advancer struct {
 	currFid   int64
 	currKey   relation.FactKey
 	currFactV relation.Fact
-	rValid    *relation.Tuple
-	sValid    *relation.Tuple
-	// Storage backing rValid/sValid: the valid tuple must survive pops of
-	// the source it was peeked from, so admission copies it here.
-	rValidBuf relation.Tuple
-	sValidBuf relation.Tuple
+
+	// The currently valid tuple of each side — what the sweep reads of
+	// it. Admission copies these two words out of the source's block,
+	// which the next pull may overwrite.
+	rValid, sValid validTuple
 
 	// skipR/skipS enable run-skipping per side: when no tuple is valid
-	// on either side and the upcoming facts differ, a side whose
-	// windows would certainly fail the operation's λ-filter is galloped
-	// past the absent run instead of popped tuple-by-tuple. OpCursor
-	// sets them from the operation (intersection: both sides — a
-	// one-sided window never passes λr ≠ null ∧ λs ≠ null; difference:
-	// the right side — an s-only window never has λr ≠ null; union:
-	// neither — every window is output). The skipped windows are
-	// exactly those the operation discards, so skipping never changes
-	// the filtered output.
+	// on either side, a side whose one-sided windows would certainly
+	// fail the operation's λ-filter is galloped past them instead of
+	// popped tuple-by-tuple — past the facts the other side lacks, and
+	// within a shared fact past the stretch of time that ends before the
+	// other side starts (skipRuns). OpCursor sets them from the
+	// operation (intersection: both sides — a one-sided window never
+	// passes λr ≠ null ∧ λs ≠ null; difference: the right side — an
+	// s-only window never has λr ≠ null; union: neither — every window
+	// is output). The skipped windows are exactly those the operation
+	// discards, so skipping never changes the filtered output.
 	skipR, skipS bool
 
 	// windows/gallops count produced candidate windows and run-skip
-	// gallops taken (skipTo calls from skipRuns). Counted
+	// gallops taken (skipTo calls from skipRuns — past a run of facts
+	// or past a run of one fact's time alike). Counted
 	// unconditionally — two local increments per window are below
 	// measurement noise — and published into the execution trace by the
 	// traced OpCursor wrapper when tracing is on.
@@ -239,10 +251,10 @@ func (a *Advancer) enableSkip(op Op) {
 // RExhausted reports whether the left input is fully consumed: no upcoming
 // tuple and no currently valid tuple. Except uses it as its termination
 // condition (windows beyond this point can never satisfy λr ≠ null).
-func (a *Advancer) RExhausted() bool { return a.r.peek() == nil && a.rValid == nil }
+func (a *Advancer) RExhausted() bool { return a.r.peek() == nil && !a.rValid.ok }
 
 // SExhausted is the right-hand counterpart of RExhausted.
-func (a *Advancer) SExhausted() bool { return a.s.peek() == nil && a.sValid == nil }
+func (a *Advancer) SExhausted() bool { return a.s.peek() == nil && !a.sValid.ok }
 
 // Next produces the next lineage-aware temporal window. It implements
 // Algorithm 1 of the paper with two repairs that the pseudocode glosses
@@ -252,13 +264,13 @@ func (a *Advancer) SExhausted() bool { return a.s.peek() == nil && a.sValid == n
 // be meaningless), and (ii) the right window boundary only considers
 // upcoming tuples of the fact currently being processed.
 func (a *Advancer) Next() (Window, bool) {
-	if (a.skipR || a.skipS) && a.rValid == nil && a.sValid == nil {
+	if (a.skipR || a.skipS) && !a.rValid.ok && !a.sValid.ok {
 		a.skipRuns()
 	}
 	r, s := a.r.peek(), a.s.peek()
 
 	var winTs interval.Time
-	if a.rValid == nil && a.sValid == nil {
+	if !a.rValid.ok && !a.sValid.ok {
 		// No tuple carries over from the previous window: the next window
 		// starts at an upcoming tuple (possibly opening a new fact group).
 		switch {
@@ -306,18 +318,17 @@ func (a *Advancer) Next() (Window, bool) {
 		winTs = a.prevWinTe
 	}
 
-	// Admit upcoming tuples that become valid exactly at winTs. The tuple
-	// is copied out of the source's lookahead buffer: it must stay valid
-	// after the pop, which may overwrite the buffer on the next peek.
+	// Admit upcoming tuples that become valid exactly at winTs. What the
+	// sweep needs of the tuple is copied out of the source's block: it
+	// must survive the pop, after which the next peek may pull a new
+	// block over it.
 	if r != nil && a.r.fid() == a.currFid && r.T.Ts == winTs {
-		a.rValidBuf = *r
-		a.rValid = &a.rValidBuf
+		a.rValid = validTuple{ok: true, lam: r.Lineage, te: r.T.Te}
 		a.r.pop()
 		r = a.r.peek()
 	}
 	if s != nil && a.s.fid() == a.currFid && s.T.Ts == winTs {
-		a.sValidBuf = *s
-		a.sValid = &a.sValidBuf
+		a.sValid = validTuple{ok: true, lam: s.Lineage, te: s.T.Te}
 		a.s.pop()
 		s = a.s.peek()
 	}
@@ -326,11 +337,11 @@ func (a *Advancer) Next() (Window, bool) {
 	// tuples, and start points of the next tuples of the same fact (a start
 	// point marks a change in the set of valid tuples).
 	winTe := interval.Time(1<<63 - 1)
-	if a.rValid != nil {
-		winTe = interval.Min(winTe, a.rValid.T.Te)
+	if a.rValid.ok {
+		winTe = interval.Min(winTe, a.rValid.te)
 	}
-	if a.sValid != nil {
-		winTe = interval.Min(winTe, a.sValid.T.Te)
+	if a.sValid.ok {
+		winTe = interval.Min(winTe, a.sValid.te)
 	}
 	if r != nil && a.r.fid() == a.currFid {
 		winTe = interval.Min(winTe, r.T.Ts)
@@ -339,43 +350,53 @@ func (a *Advancer) Next() (Window, bool) {
 		winTe = interval.Min(winTe, s.T.Ts)
 	}
 
-	w := Window{Fact: a.currFactV, Key: a.currKey, WinTs: winTs, WinTe: winTe}
-	if a.rValid != nil {
-		w.LamR = a.rValid.Lineage
-	}
-	if a.sValid != nil {
-		w.LamS = a.sValid.Lineage
-	}
+	// An invalid side's lam is nil: the window reads "no tuple" there.
+	w := Window{Fact: a.currFactV, Key: a.currKey, WinTs: winTs, WinTe: winTe,
+		LamR: a.rValid.lam, LamS: a.sValid.lam}
 
 	// Expire tuples whose end point coincides with the window boundary.
-	if a.rValid != nil && a.rValid.T.Te == winTe {
-		a.rValid = nil
+	if a.rValid.ok && a.rValid.te == winTe {
+		a.rValid = validTuple{}
 	}
-	if a.sValid != nil && a.sValid.T.Te == winTe {
-		a.sValid = nil
+	if a.sValid.ok && a.sValid.te == winTe {
+		a.sValid = validTuple{}
 	}
 	a.prevWinTe = winTe
 	a.windows++
 	return w, true
 }
 
-// skipRuns gallops past runs of facts whose windows the operation is
+// skipRuns gallops past runs of tuples whose windows the operation is
 // known to discard. Precondition: no tuple is valid on either side, so
-// the next window would open at an upcoming tuple. While both upcoming
+// the next window would open at an upcoming tuple. While the upcoming
 // facts differ, the smaller side's windows are one-sided for the whole
-// run up to the larger fact; if the operation discards that side's
+// run up to the larger fact. While they are equal and one side's
+// upcoming tuple ends at or before the other's starts (half-open
+// intervals: Te == Ts does not overlap), that side's windows are
+// one-sided up to that start — and so are those of every later tuple of
+// the fact that is over by then. If the operation discards that side's
 // one-sided windows (skipR/skipS), the run is skipped in O(log run)
-// integer probes of the fid column instead of being popped
-// tuple-by-tuple. On low-overlap or disjoint-fact inputs this turns the
-// sweep from O(n) pops into O(runs · log n).
+// probes instead of being popped tuple-by-tuple: batchSource.skipTo
+// lands on the first tuple of a larger fact, or of this fact and still
+// running after the other side's start. On inputs that rarely share a
+// fact at the same time this turns the sweep from O(n) pops into
+// O((output + runs) · log n).
 func (a *Advancer) skipRuns() {
-	for a.r.peek() != nil && a.s.peek() != nil {
+	for {
+		r, s := a.r.peek(), a.s.peek()
+		if r == nil || s == nil {
+			return
+		}
 		rFid, sFid := a.r.fid(), a.s.fid()
 		switch {
 		case rFid < sFid && a.skipR:
-			a.r.skipTo(sFid)
+			a.r.skipTo(sFid, relation.MinTime)
 		case sFid < rFid && a.skipS:
-			a.s.skipTo(rFid)
+			a.s.skipTo(rFid, relation.MinTime)
+		case rFid == sFid && a.skipS && s.T.Te <= r.T.Ts:
+			a.s.skipTo(rFid, r.T.Ts)
+		case rFid == sFid && a.skipR && r.T.Te <= s.T.Ts:
+			a.r.skipTo(sFid, s.T.Ts)
 		default:
 			return
 		}

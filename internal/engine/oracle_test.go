@@ -66,8 +66,9 @@ func drain(t *testing.T, ctx string, cur *engine.StreamCursor, capacity int) *re
 
 // TestEngineMatchesOracle is the main sweep. Per trial: one catalog
 // (un-interned, interned into one dictionary, or mixed; sorted or in
-// generation order; fact pools aligned or offset) and one tree with
-// selections and repeats, run at Workers 1/2/3/8 × batch capacity
+// generation order; fact pools aligned or offset; every third with the
+// relations' chains offset in time) and one tree with selections and
+// repeats, run at Workers 1/2/3/8 × batch capacity
 // 1/2/BatchSize × AssumeSorted off/on (on only over sorted catalogs),
 // alternating eager and lazy probability valuation.
 func TestEngineMatchesOracle(t *testing.T) {
@@ -76,6 +77,7 @@ func TestEngineMatchesOracle(t *testing.T) {
 		sh := reftest.Shape{
 			Relations: 2 + rng.Intn(3), MaxTuples: 120, Facts: 24,
 			OffsetFacts: trial%2 == 0,
+			OffsetTime:  trial%3 == 1,
 			Binding:     reftest.Binding(trial % 3),
 			Sorted:      trial%4 < 2,
 		}
@@ -129,6 +131,7 @@ func TestEngineSkewedCatalogsMatchOracle(t *testing.T) {
 			Skew:          reftest.Skew(trial % 3),
 			OffsetFacts:   trial%2 == 0,
 			DisjointFacts: trial%5 == 0,
+			OffsetTime:    trial%4 == 1,
 			Binding:       reftest.Binding(trial / 3 % 3),
 			Sorted:        trial%4 != 3,
 		}
@@ -153,6 +156,80 @@ func TestEngineSkewedCatalogsMatchOracle(t *testing.T) {
 					t.Fatalf("%s: %v", ctx, err)
 				}
 				reftest.Check(t, ctx, drain(t, ctx, cur, capacity), tree, db)
+			}
+		}
+	}
+}
+
+// TestEngineOffsetTimeCatalogsMatchOracle aims the harness at temporal
+// run skipping: catalogs whose relations hold the same facts at
+// different times (OffsetTime; uniform, Zipfian and one-heavy-fact
+// runs), under each operation, under trees whose skipped side is a
+// computed child or a selection over a leaf, and under random trees —
+// at Workers 1/2/3/8 × batch capacity 1/2/7/BatchSize × AssumeSorted
+// off/on. (That the sweep does skip on such inputs is pinned in counts
+// by core's TestTimeRunSkippingBoundsTheSweep.)
+func TestEngineOffsetTimeCatalogsMatchOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(77))
+	fixed := []string{
+		"r0 & r1", "r1 - r0", "r0 | r1",
+		"(r0 | r2) & r1", "r1 - (r0 | r2)", "(r0 - r2) & (r1 | r2)",
+		"sigma[F='f003'](r0) & r1", "r1 - sigma[F='f005'](r0)",
+	}
+	for trial := 0; trial < 48; trial++ {
+		sh := reftest.Shape{
+			Relations: 3, MaxTuples: 160, Facts: 12,
+			OffsetTime: true,
+			Skew:       reftest.Skew(trial % 3),
+			Binding:    reftest.Binding(trial / 3 % 3),
+			Sorted:     trial%4 != 3,
+		}
+		db := reftest.DB(rng, sh)
+		tree := reftest.Tree(rng, query.DBKeys(db), 2+rng.Intn(3))
+		if trial%3 != 2 {
+			tree = query.MustParse(fixed[trial%len(fixed)])
+		}
+		for _, workers := range []int{1, 2, 3, 8} {
+			for _, capacity := range []int{1, 2, 7, core.BatchSize} {
+				for _, assumeSorted := range []bool{false, true} {
+					if assumeSorted && !sh.Sorted {
+						continue
+					}
+					opts := core.Options{AssumeSorted: assumeSorted}
+					ctx := fmt.Sprintf("trial %d (%s) skew=%d binding=%d workers=%d cap=%d %+v",
+						trial, tree, sh.Skew, sh.Binding, workers, capacity, opts)
+					cur, err := shardingEngine(workers).Cursor(tree, db, opts)
+					if err != nil {
+						t.Fatalf("%s: %v", ctx, err)
+					}
+					reftest.Check(t, ctx, drain(t, ctx, cur, capacity), tree, db)
+				}
+			}
+		}
+	}
+}
+
+// TestEngineTimeSkipCasesMatchOracle runs the fixed shapes of temporal
+// run skipping — end points that coincide with start points, a skip that
+// lands inside a tuple, into end-of-stream, within a single fact, and
+// across exactly one scan block — through both plans, with the skipped
+// side a leaf, a computed child and a selection.
+func TestEngineTimeSkipCasesMatchOracle(t *testing.T) {
+	cases, queries := reftest.TimeSkipCases()
+	for _, tc := range cases {
+		for _, src := range queries {
+			tree := query.MustParse(src)
+			for _, workers := range []int{1, 2} {
+				for _, capacity := range []int{1, 7, core.BatchSize} {
+					for _, assumeSorted := range []bool{false, true} {
+						ctx := fmt.Sprintf("%s: %s workers=%d cap=%d assumeSorted=%v", tc.Name, src, workers, capacity, assumeSorted)
+						cur, err := shardingEngine(workers).Cursor(tree, tc.DB, core.Options{AssumeSorted: assumeSorted})
+						if err != nil {
+							t.Fatalf("%s: %v", ctx, err)
+						}
+						reftest.Check(t, ctx, drain(t, ctx, cur, capacity), tree, tc.DB)
+					}
+				}
 			}
 		}
 	}

@@ -204,7 +204,7 @@ func TestShardDrainedRecords(t *testing.T) {
 
 // TestTraceGallopsRecorded pins that run-skipping sweeps surface their
 // gallop counts in the trace: a highly fact-disjoint intersection takes
-// SkipToFid gallops, and the trace must show them on the operator node.
+// SkipTo gallops, and the trace must show them on the operator node.
 func TestTraceGallopsRecorded(t *testing.T) {
 	db := traceDB(74, 2, 400, 200) // many facts, sparse overlap
 	tree := &query.SetOp{Op: core.OpIntersect,

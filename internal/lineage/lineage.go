@@ -38,7 +38,15 @@ const (
 // paper's "null" lineage: the absence of any tuple with the given fact at a
 // time point.
 type Expr struct {
+	// kind, the cached one-occurrence flag and the leaf id share the
+	// first word; with 32-bit counts below the node is 48 bytes — one
+	// allocation size class under the 64 it was with int counts and a
+	// flag in a word of its own (TestExprFitsSizeClass48). One node is
+	// allocated per output window, so its size is most of what a
+	// result-heavy query allocates.
 	kind Kind
+	// oneOcc: no variable occurs twice anywhere below this node.
+	oneOcc bool
 	// id and prob are set for KindVar nodes: the interned base-tuple
 	// identifier and its marginal probability. The name is recovered from
 	// the package arena for rendering and the public API.
@@ -48,12 +56,22 @@ type Expr struct {
 	// the binary concatenation functions, as in the paper).
 	left, right *Expr
 
-	// Cached derived properties, computed at construction; they make
-	// IsOneOccurrence and the linear evaluator O(1) and O(n) respectively.
-	size    int  // number of nodes
-	varsN   int  // number of variable occurrences
-	oneOcc  bool // no variable occurs twice anywhere below this node
+	// Cached derived properties, computed at construction; with oneOcc
+	// they make IsOneOccurrence and the linear evaluator O(1) and O(n)
+	// respectively. The counts saturate at math.MaxInt32 (addCount):
+	// only a formula that shares subformulas with itself some thirty
+	// levels deep gets there.
+	size    int32 // number of nodes
+	varsN   int32 // number of variable occurrences
 	varsKey uint64
+}
+
+// addCount adds node or occurrence counts, saturating at math.MaxInt32.
+func addCount(a, b int32) int32 {
+	if a > math.MaxInt32-b {
+		return math.MaxInt32
+	}
+	return a + b
 }
 
 // Var returns an atomic lineage expression for a base tuple with the given
@@ -98,11 +116,11 @@ func Not(e *Expr) *Expr {
 	if e == nil {
 		panic("lineage: Not(nil)")
 	}
-	return &Expr{kind: KindNot, left: e, size: e.size + 1, varsN: e.varsN, oneOcc: e.oneOcc, varsKey: e.varsKey}
+	return &Expr{kind: KindNot, left: e, size: addCount(e.size, 1), varsN: e.varsN, oneOcc: e.oneOcc, varsKey: e.varsKey}
 }
 
 func binary(kind Kind, l, r *Expr) *Expr {
-	e := &Expr{kind: kind, left: l, right: r, size: l.size + r.size + 1, varsN: l.varsN + r.varsN}
+	e := &Expr{kind: kind, left: l, right: r, size: addCount(addCount(l.size, r.size), 1), varsN: addCount(l.varsN, r.varsN)}
 	// The two subformulas are variable-disjoint iff no identifier appears in
 	// both. A cheap necessary condition is the XOR-hash being "fresh"; the
 	// precise check walks the smaller side. Both sides must themselves be
@@ -173,7 +191,7 @@ func (e *Expr) Size() int {
 	if e == nil {
 		return 0
 	}
-	return e.size
+	return int(e.size)
 }
 
 // IsOneOccurrence reports whether the formula is in one-occurrence form
@@ -221,7 +239,7 @@ func (e *Expr) NumVarOccurrences() int {
 	if e == nil {
 		return 0
 	}
-	return e.varsN
+	return int(e.varsN)
 }
 
 // disjointVars reports whether l and r share no variable identifier. It
@@ -238,7 +256,7 @@ func disjointVars(l, r *Expr) bool {
 		ids = small.appendVarIDs(ids)
 		return !containsAny(big, ids)
 	}
-	set := make(map[keys.VarID]struct{}, small.varsN)
+	set := make(map[keys.VarID]struct{}, int(small.varsN))
 	collect(small, set)
 	return !probes(big, set)
 }

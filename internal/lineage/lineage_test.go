@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func v(id string, p float64) *Expr { return Var(id, p) }
@@ -309,4 +310,25 @@ func TestProbPossibleWorldsGuard(t *testing.T) {
 		}
 	}()
 	e.ProbPossibleWorlds()
+}
+
+// TestExprFitsSizeClass48 keeps the node in the 48-byte allocation size
+// class: one Expr is allocated per output window, so a field that pushes
+// it to the next class (64) adds a third to the bytes a result-heavy
+// query allocates. The counts it packs to get there saturate instead of
+// wrapping.
+func TestExprFitsSizeClass48(t *testing.T) {
+	if got := unsafe.Sizeof(Expr{}); got > 48 {
+		t.Fatalf("lineage.Expr is %d bytes, want at most 48", got)
+	}
+	e := v("sat", .5)
+	for i := 0; i < 40; i++ { // 2^40 nodes, if anyone walked it
+		e = And(e, e)
+	}
+	if e.Size() != math.MaxInt32 || e.NumVarOccurrences() != math.MaxInt32 || Not(e).Size() != math.MaxInt32 {
+		t.Fatalf("size %d, occurrences %d after 40 self-conjunctions; want both saturated at %d", e.Size(), e.NumVarOccurrences(), math.MaxInt32)
+	}
+	if e.IsOneOccurrence() {
+		t.Fatal("a self-conjunction is not in one-occurrence form")
+	}
 }

@@ -29,7 +29,7 @@ type Span struct {
 	tuples  atomic.Int64 // tuples emitted by this operator
 	batches atomic.Int64 // batches emitted (0 on pure tuple pulls)
 	windows atomic.Int64 // advancer candidate windows popped (set ops)
-	gallops atomic.Int64 // run-skip gallops taken (SkipTo calls)
+	gallops atomic.Int64 // run-skip gallops taken (SkipTo calls: past facts, or past a stretch of one fact's time)
 	wall    atomic.Int64 // inclusive wall nanoseconds across pulls
 	stall   atomic.Int64 // nanoseconds blocked on channel send/receive
 }

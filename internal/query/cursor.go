@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"github.com/tpset/tpset/internal/core"
+	"github.com/tpset/tpset/internal/interval"
 	"github.com/tpset/tpset/internal/relation"
 )
 
@@ -146,7 +147,8 @@ func BuildPrepared(n Node, db map[string]*relation.Relation, opts core.Options) 
 // trivially. Input blocks are filtered into the output batch (matches
 // copied out, so downstream owns its tuples), and SkipTo forwards
 // run-skipping to the input — a selection commutes with skipping because
-// it only ever drops tuples.
+// it only ever drops tuples, and what it keeps of a duplicate-free
+// stream is duplicate-free.
 type selectCursor struct {
 	in    core.BatchCursor
 	idx   int
@@ -231,18 +233,18 @@ func (c *selectCursor) NextBatch(b *core.Batch) bool {
 	return len(b.Tuples) > 0
 }
 
-// SkipTo discards buffered and upcoming input tuples whose fact id is
-// below fid, galloping over the buffered block's fid column and
-// delegating the rest to a skip-capable input (scans; nested
-// selections).
-func (c *selectCursor) SkipTo(fid int64) {
+// SkipTo discards buffered and upcoming input tuples below the point
+// (fid, te) — a smaller fact id, or fid itself ending at or before te —
+// galloping over the buffered block and delegating the rest to a
+// skip-capable input (scans; nested selections).
+func (c *selectCursor) SkipTo(fid int64, te interval.Time) {
 	if c.buf != nil && c.bi < len(c.buf.Tuples) {
-		c.bi += relation.SkipToFid(c.buf.Fid[c.bi:], fid)
+		c.bi += relation.SkipTo(c.buf.Fid[c.bi:], c.buf.Tuples[c.bi:], fid, te)
 		if c.bi < len(c.buf.Tuples) {
 			return
 		}
 	}
-	if sk, ok := c.in.(interface{ SkipTo(int64) }); ok {
-		sk.SkipTo(fid)
+	if sk, ok := c.in.(interface{ SkipTo(int64, interval.Time) }); ok {
+		sk.SkipTo(fid, te)
 	}
 }

@@ -50,8 +50,14 @@ type Shape struct {
 	// DisjointFacts shifts each relation's pool by its whole size, so
 	// relation i lies entirely below relation i+1 in fact order.
 	DisjointFacts bool
-	Skew          Skew
-	Binding       Binding
+	// OffsetTime starts relation i's per-fact chains i chain-spans after
+	// time 0 (a chain-span: what the relation's average fact run covers),
+	// so a fact two relations share is mostly held at different times —
+	// long stretches with no counterpart, the temporal run-skipping case —
+	// while above-average runs still reach into the next relation's range.
+	OffsetTime bool
+	Skew       Skew
+	Binding    Binding
 	// Sorted leaves the relations in canonical order (what AssumeSorted
 	// needs); otherwise they stay in generation order.
 	Sorted bool
@@ -89,8 +95,16 @@ func DB(rng *rand.Rand, sh Shape) map[string]*relation.Relation {
 			}
 		}
 		next := make(map[string]interval.Time)
-		for i, n := 0, 1+rng.Intn(sh.MaxTuples); i < n; i++ {
+		n := 1 + rng.Intn(sh.MaxTuples)
+		start := interval.Time(0)
+		if sh.OffsetTime {
+			start = interval.Time(ri * (n/sh.Facts + 1) * 4) // gap + length average 4.5
+		}
+		for i := 0; i < n; i++ {
 			f := fmt.Sprintf("f%03d", base+pick())
+			if _, ok := next[f]; !ok {
+				next[f] = start
+			}
 			ts := next[f] + interval.Time(rng.Intn(4))
 			te := ts + 1 + interval.Time(rng.Intn(5))
 			next[f] = te
@@ -154,6 +168,85 @@ func Fig1() (db map[string]*relation.Relation, queries []string) {
 		"sigma[Product='milk'](c) - sigma[Product='milk'](a)",
 		"(a | c) - (a & c)",
 	}
+}
+
+// TimeSkipCase is one hand-built catalog of relations r, s and t.
+type TimeSkipCase struct {
+	Name string
+	DB   map[string]*relation.Relation
+}
+
+// TimeSkipCases returns the fixed shapes of temporal run skipping — two
+// relations that hold a fact at different times — that a random draw
+// hits only by luck, and the queries to run over each of them. Relations
+// are built in canonical order, so they can be run with and without
+// AssumeSorted.
+func TimeSkipCases() (cases []TimeSkipCase, queries []string) {
+	type row = [3]int64 // fact number, ts, te
+	rel := func(name string, rows ...row) *relation.Relation {
+		r := relation.New(relation.NewSchema(name, "F"))
+		for i, row := range rows {
+			r.AddBase(relation.NewFact(fmt.Sprintf("f%03d", row[0])), fmt.Sprintf("%s_%d", name, i), row[1], row[2], 0.5)
+		}
+		return r
+	}
+	chain := func(fact, from, n int64) []row { // n adjacent unit intervals
+		rows := make([]row, n)
+		for i := range rows {
+			rows[i] = row{fact, from + int64(i), from + int64(i) + 1}
+		}
+		return rows
+	}
+	queries = []string{
+		"r & s", "s & r", "r - s", "s - r", "r | s",
+		// the skipped side is computed, or a selection over a leaf
+		"(s | t) & r", "r & (s | t)", "r - (s | t)", "r - (s - t)",
+		"sigma[F='f001'](s) & r", "r - sigma[F='f001'](s)",
+	}
+	block := int64(core.BatchSize)
+	cases = []TimeSkipCase{
+		{ // every end point of one side is a start point of the other: nothing overlaps
+			Name: "adjacent",
+			DB: map[string]*relation.Relation{
+				"r": rel("r", row{1, 5, 10}, row{1, 20, 25}),
+				"s": rel("s", row{1, 0, 5}, row{1, 10, 20}, row{1, 25, 30}),
+				"t": rel("t", row{1, 10, 12}, row{2, 0, 3}),
+			},
+		},
+		{ // the tuple a skip lands on starts before the point it was skipped to
+			Name: "lands-inside",
+			DB: map[string]*relation.Relation{
+				"r": rel("r", row{1, 12, 15}, row{1, 40, 42}, row{2, 0, 9}),
+				"s": rel("s", row{1, 0, 3}, row{1, 4, 13}, row{1, 14, 41}, row{2, 9, 10}),
+				"t": rel("t", row{1, 13, 14}, row{3, 0, 1}),
+			},
+		},
+		{ // s is over before r starts, in the last fact: the skip runs into end-of-stream
+			Name: "end-of-stream",
+			DB: map[string]*relation.Relation{
+				"r": rel("r", row{0, 0, 2}, row{1, 50, 60}),
+				"s": rel("s", append([]row{{0, 1, 3}}, chain(1, 0, 40)...)...),
+				"t": rel("t", row{1, 45, 50}),
+			},
+		},
+		{ // one fact (the Fig. 7 shape): two chains that drift apart and meet again
+			Name: "single-fact",
+			DB: map[string]*relation.Relation{
+				"r": rel("r", append(chain(1, 100, 30), chain(1, 400, 5)...)...),
+				"s": rel("s", append(append(chain(1, 0, 102), chain(1, 200, 150)...), chain(1, 402, 100)...)...),
+				"t": rel("t", chain(1, 90, 20)...),
+			},
+		},
+		{ // the skipped run is exactly the scan's first block; the rest of the fact lies past r's first tuple
+			Name: "block-boundary",
+			DB: map[string]*relation.Relation{
+				"r": rel("r", row{1, block, block + 6}, row{1, block + 103, block + 106}),
+				"s": rel("s", append(chain(1, 0, block), chain(1, block+100, 10)...)...),
+				"t": rel("t", row{0, 0, 1}, row{1, block + 2, block + 4}),
+			},
+		},
+	}
+	return cases, queries
 }
 
 // Check fails the test unless got — the production result, tuples in the

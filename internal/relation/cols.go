@@ -2,7 +2,9 @@ package relation
 
 import (
 	"fmt"
+	"math"
 
+	"github.com/tpset/tpset/internal/interval"
 	"github.com/tpset/tpset/internal/keys"
 )
 
@@ -89,29 +91,62 @@ func (r *Relation) Slice(lo, hi int) *Relation {
 }
 
 // SkipToFid returns the index of the first entry of the sorted id
-// column >= target, by galloping: an exponential probe brackets the
-// run, then binary search pins the boundary, so a run of m skipped
+// column >= target, by galloping (see gallop): a run of m skipped
 // entries costs O(log m) probes, each one bounds-checked load and one
-// integer compare. It is the run-skipping primitive of the scan, the
-// advancer's sources and the engine's shard cut.
+// integer compare. It is the cut primitive of the engine's shard plan;
+// the sweep skips with SkipTo, the same gallop over (fact, time) points.
 func SkipToFid(fid []int64, target int64) int {
-	if len(fid) == 0 || fid[0] >= target {
+	return gallop(len(fid), func(i int) bool { return fid[i] < target })
+}
+
+// MinTime is the time bound that turns SkipTo into a fact-only skip: no
+// interval ends at or before it.
+const MinTime interval.Time = math.MinInt64
+
+// SkipTo returns the index of the first row of a sorted block — fid
+// column and the rows it mirrors — that lies at or above the point
+// (target, te): its fact id is above target, or equals target and its
+// interval ends after te. Everything before it is "below the point":
+// a smaller fact, or the target fact at a time that is over by te. With
+// te = MinTime it is SkipToFid. A row is only read where the column
+// holds target itself.
+//
+// The search needs the predicate to be monotone over the block. Fact
+// ids ascend by the sort; within one fact the rows ascend by start
+// point, and because the tuples of one fact in a duplicate-free
+// relation (Def. 1) are pairwise disjoint, their end points ascend with
+// them. A block that breaks duplicate-freeness makes the result
+// unspecified (but in range) — admission, CSV ingest and
+// Options.Validate reject such relations, and every operator output is
+// duplicate-free by Def. 3.
+func SkipTo(fid []int64, rows []Tuple, target int64, te interval.Time) int {
+	return gallop(len(fid), func(i int) bool {
+		return fid[i] < target || (fid[i] == target && rows[i].T.Te <= te)
+	})
+}
+
+// gallop returns the first index in [0, n) at which the monotone
+// predicate below turns false (n when it never does): an exponential
+// probe from the front brackets the boundary, binary search pins it —
+// O(log m) probes for a boundary m entries in, however long the rest.
+func gallop(n int, below func(i int) bool) int {
+	if n == 0 || !below(0) {
 		return 0
 	}
-	// Double until fid[hi] >= target or the column ends. Invariant
-	// afterwards: fid[hi/2] < target, so the answer lies in
-	// (hi/2, min(hi, len)].
+	// Double until below(hi) fails or the range ends. Invariant
+	// afterwards: below(hi/2) holds, so the answer lies in
+	// (hi/2, min(hi, n)].
 	hi := 1
-	for hi < len(fid) && fid[hi] < target {
+	for hi < n && below(hi) {
 		hi *= 2
 	}
 	lo := hi/2 + 1
-	if hi > len(fid) {
-		hi = len(fid)
+	if hi > n {
+		hi = n
 	}
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1) // lo <= mid < hi: in bounds, overflow-free
-		if fid[mid] < target {
+		if below(mid) {
 			lo = mid + 1
 		} else {
 			hi = mid

@@ -33,11 +33,12 @@ func wireRelation(t *testing.T, name string, attrs []string, rows []TupleJSON) *
 // /query/stream at Workers 1/2/8 with eager and lazy valuation, and the
 // decoded rows — in wire order — compared with the Def. 3 oracle. Every
 // fourth trial is large enough that the engine shards it at its default
-// thresholds.
+// thresholds; every third holds its relations' facts at different times
+// (the temporal run-skipping case).
 func TestHTTPMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(91))
 	for trial := 0; trial < 16; trial++ {
-		sh := reftest.Shape{Relations: 2 + rng.Intn(2), MaxTuples: 120, Facts: 24, OffsetFacts: trial%2 == 0}
+		sh := reftest.Shape{Relations: 2 + rng.Intn(2), MaxTuples: 120, Facts: 24, OffsetFacts: trial%2 == 0, OffsetTime: trial%3 == 1}
 		if trial%4 == 3 {
 			sh.MaxTuples, sh.Facts = 6000, 64
 		}
@@ -101,5 +102,31 @@ func TestHTTPFig1MatchesOracle(t *testing.T) {
 		reftest.Check(t, src+" /query", wireRelation(t, qr.Result.Name, qr.Result.Attrs, qr.Result.Tuples), tree, db)
 		meta, rows, _ := streamOnce(t, ts, QueryRequest{Query: src})
 		reftest.Check(t, src+" /query/stream", wireRelation(t, meta.Name, meta.Attrs, rows), tree, db)
+	}
+}
+
+// TestHTTPTimeSkipCasesMatchOracle sends the fixed shapes of temporal run
+// skipping through both endpoints, over catalog relations (sorted, bound
+// and projected at admission — the leaves the sweep gallops in place).
+func TestHTTPTimeSkipCasesMatchOracle(t *testing.T) {
+	cases, queries := reftest.TimeSkipCases()
+	for _, tc := range cases {
+		srv := New(Config{CacheSize: -1})
+		for name, r := range tc.DB {
+			if _, err := srv.Load(name, r.Clone()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ts := httptest.NewServer(srv.Handler())
+		for i, src := range queries {
+			tree := query.MustParse(src)
+			req := QueryRequest{Query: src, Workers: 1 + i%2}
+			ctx := fmt.Sprintf("%s: %+v", tc.Name, req)
+			qr := queryOnce(t, ts, req)
+			reftest.Check(t, ctx+" /query", wireRelation(t, qr.Result.Name, qr.Result.Attrs, qr.Result.Tuples), tree, tc.DB)
+			meta, rows, _ := streamOnce(t, ts, req)
+			reftest.Check(t, ctx+" /query/stream", wireRelation(t, meta.Name, meta.Attrs, rows), tree, tc.DB)
+		}
+		ts.Close()
 	}
 }

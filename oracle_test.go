@@ -10,17 +10,33 @@ import (
 	"github.com/tpset/tpset/internal/ref/reftest"
 )
 
+// leafOp reports whether tree is one set operation over two named
+// relations — what Apply evaluates — and names them.
+func leafOp(tree query.Node) (op tpset.Op, left, right string, ok bool) {
+	so, ok := tree.(*query.SetOp)
+	if !ok {
+		return 0, "", "", false
+	}
+	l, lok := so.Left.(*query.Rel)
+	r, rok := so.Right.(*query.Rel)
+	if !lok || !rok {
+		return 0, "", "", false
+	}
+	return so.Op, l.Name, r.Name, true
+}
+
 // TestPublicAPIMatchesOracle drives the differential harness through the
 // public entry points: random query trees over random catalogs — interned
 // or not, in generation order, as a library user assembles them — through
 // Eval, EvalOptimized and EvalParallel at several budgets, each compared
-// with the Def. 3 oracle; and Apply, sequential and partitioned, on the
+// with the Def. 3 oracle (every third catalog holds its relations' facts
+// at different times, the temporal run-skipping case); and Apply, sequential and partitioned, on the
 // two-relation trees.
 func TestPublicAPIMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(95))
 	for trial := 0; trial < 60; trial++ {
 		sh := reftest.Shape{Relations: 2 + rng.Intn(3), MaxTuples: 120, Facts: 24,
-			OffsetFacts: trial%2 == 0, Binding: reftest.Binding(trial % 3)}
+			OffsetFacts: trial%2 == 0, OffsetTime: trial%3 == 1, Binding: reftest.Binding(trial % 3)}
 		if trial%10 == 9 {
 			sh.MaxTuples, sh.Facts = 6000, 64 // large enough to partition at the default thresholds
 		}
@@ -32,15 +48,11 @@ func TestPublicAPIMatchesOracle(t *testing.T) {
 			"EvalParallel(1)": func() (*tpset.Relation, error) { return tpset.EvalParallel(tree, db, 1) },
 			"EvalParallel(8)": func() (*tpset.Relation, error) { return tpset.EvalParallel(tree, db, 8) },
 		}
-		if op, ok := tree.(*query.SetOp); ok {
-			l, lok := op.Left.(*query.Rel)
-			r, rok := op.Right.(*query.Rel)
-			if lok && rok {
-				for _, p := range []int{1, 4} {
-					p := p
-					evals[fmt.Sprintf("Apply(Parallelism %d)", p)] = func() (*tpset.Relation, error) {
-						return tpset.Apply(op.Op, db[l.Name], db[r.Name], tpset.Options{Parallelism: p, Validate: true})
-					}
+		if op, l, r, ok := leafOp(tree); ok {
+			for _, p := range []int{1, 4} {
+				p := p
+				evals[fmt.Sprintf("Apply(Parallelism %d)", p)] = func() (*tpset.Relation, error) {
+					return tpset.Apply(op, db[l], db[r], tpset.Options{Parallelism: p, Validate: true})
 				}
 			}
 		}
@@ -68,6 +80,35 @@ func TestPublicAPIFig1MatchesOracle(t *testing.T) {
 	}
 }
 
+// TestPublicAPITimeSkipCasesMatchOracle evaluates the fixed shapes of
+// temporal run skipping through Eval and, for the two-relation queries,
+// through Apply — sequential and partitioned, AssumeSorted off and on.
+func TestPublicAPITimeSkipCasesMatchOracle(t *testing.T) {
+	cases, queries := reftest.TimeSkipCases()
+	for _, tc := range cases {
+		for _, src := range queries {
+			q := tpset.MustParseQuery(src)
+			got, err := tpset.Eval(q, tc.DB)
+			if err != nil {
+				t.Fatalf("%s: %s: %v", tc.Name, src, err)
+			}
+			reftest.Check(t, tc.Name+": "+src, got, q, tc.DB)
+			op, l, r, ok := leafOp(q)
+			if !ok {
+				continue
+			}
+			for _, opts := range []tpset.Options{{Parallelism: 1}, {Parallelism: 1, AssumeSorted: true}, {Parallelism: 4, Validate: true}, {Parallelism: 4, AssumeSorted: true}} {
+				ctx := fmt.Sprintf("%s: %s Apply %+v", tc.Name, src, opts)
+				got, err := tpset.Apply(op, tc.DB[l], tc.DB[r], opts)
+				if err != nil {
+					t.Fatalf("%s: %v", ctx, err)
+				}
+				reftest.Check(t, ctx, got, q, tc.DB)
+			}
+		}
+	}
+}
+
 // TestApplyAssumeSortedBindsForeignLeaves is the public-level pin on the
 // AssumeSorted contract: sorted inputs that share no dictionary — one
 // frozen on its own, one unbound — are accepted at every budget, never
@@ -76,7 +117,7 @@ func TestPublicAPIFig1MatchesOracle(t *testing.T) {
 func TestApplyAssumeSortedBindsForeignLeaves(t *testing.T) {
 	rng := rand.New(rand.NewSource(96))
 	for trial := 0; trial < 12; trial++ {
-		sh := reftest.Shape{Relations: 2, MaxTuples: 150, Facts: 24, OffsetFacts: trial%2 == 0, Sorted: true}
+		sh := reftest.Shape{Relations: 2, MaxTuples: 150, Facts: 24, OffsetFacts: trial%2 == 0, OffsetTime: trial%3 == 1, Sorted: true}
 		if trial%4 == 3 {
 			sh.MaxTuples, sh.Facts = 6000, 64 // large enough to partition at the default thresholds
 		}

@@ -95,7 +95,12 @@ func Except(r, s *Relation) (*Relation, error) { return core.Except(r, s, core.O
 // tuple-for-tuple identical to the sequential path. Options.AssumeSorted
 // skips the sort; leaves that do not already share a dictionary and a
 // fid column are cloned and bound in O(n), so the inputs are never
-// written either way.
+// written either way. The inputs must be duplicate-free (no two tuples
+// of one fact overlap in time — relations read by csvio or admitted by
+// the server are): intersection and difference skip, by binary search
+// over a fact's end points, the stretches of one input that the other
+// cannot meet. Options.Validate checks inputs of unknown provenance and
+// returns an error instead of an unspecified result.
 func Apply(op Op, r, s *Relation, opts Options) (*Relation, error) {
 	if w := opts.Workers(); w > 1 {
 		return engine.New(engine.Config{Workers: w}).Apply(op, r, s, opts)
