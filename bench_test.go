@@ -233,6 +233,27 @@ func BenchmarkAblationPresorted(b *testing.B) {
 			}
 		}
 	})
+	// The same inputs with two-attribute facts and no dictionary: a row's
+	// key is computed (an allocation), not cached, so prepare must compute
+	// it once per row — a Key() per compare or a second one per row shows
+	// here in allocs/op and ns/op.
+	twoAttr := func(in *relation.Relation) *relation.Relation {
+		out := relation.New(relation.NewSchema(in.Schema.Name, "F", "G"))
+		for i, t := range in.Tuples {
+			t.Fact = relation.NewFact(t.Fact[0], fmt.Sprintf("g%d", i%7))
+			out.Tuples = append(out.Tuples, t)
+		}
+		return out
+	}
+	r2, s2 := twoAttr(r), twoAttr(s)
+	b.Run("sortIncluded-2attr-unbound", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := core.Intersect(r2, s2, core.Options{LazyProb: true}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // BenchmarkAblationCountingSort compares the comparison-based sort step

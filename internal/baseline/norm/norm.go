@@ -22,9 +22,11 @@ func Apply(op core.Op, r, s *relation.Relation) *relation.Relation {
 	// After mutual normalization, same-fact intervals of rn and sn are
 	// equal or disjoint, so a hash join on (fact, interval) pairs them.
 	sIdx := make(map[key]*relation.Tuple, len(sn.Tuples))
+	sKeys := make([]key, len(sn.Tuples)) // each fact key is computed once
 	for i := range sn.Tuples {
 		t := &sn.Tuples[i]
-		sIdx[key{t.Key(), t.T}] = t
+		sKeys[i] = key{t.Key(), t.T}
+		sIdx[sKeys[i]] = t
 	}
 	matchedS := make(map[key]bool)
 
@@ -55,8 +57,7 @@ func Apply(op core.Op, r, s *relation.Relation) *relation.Relation {
 	if op == core.OpUnion {
 		for i := range sn.Tuples {
 			st := &sn.Tuples[i]
-			k := key{st.Key(), st.T}
-			if !matchedS[k] {
+			if !matchedS[sKeys[i]] {
 				out.Tuples = append(out.Tuples, relation.NewDerived(st.Fact, st.Lineage, st.T))
 			}
 		}
@@ -74,8 +75,8 @@ func Apply(op core.Op, r, s *relation.Relation) *relation.Relation {
 func Normalize(r, s *relation.Relation) *relation.Relation {
 	groups := make(map[string][]*relation.Tuple, 64)
 	for i := range s.Tuples {
-		t := &s.Tuples[i]
-		groups[t.Key()] = append(groups[t.Key()], t)
+		t, k := &s.Tuples[i], s.KeyAt(i)
+		groups[k] = append(groups[k], t)
 	}
 	out := relation.New(r.Schema)
 	var cuts []interval.Time
@@ -83,7 +84,7 @@ func Normalize(r, s *relation.Relation) *relation.Relation {
 		rt := &r.Tuples[i]
 		cuts = cuts[:0]
 		// Inequality join: Ts < rt.Te AND Te > rt.Ts.
-		for _, st := range groups[rt.Key()] {
+		for _, st := range groups[r.KeyAt(i)] {
 			if st.T.Ts < rt.T.Te && st.T.Te > rt.T.Ts {
 				if st.T.Ts > rt.T.Ts {
 					cuts = append(cuts, st.T.Ts)

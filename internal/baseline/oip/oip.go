@@ -224,8 +224,8 @@ func groupDomain(rts, sts []*relation.Tuple) (interval.Interval, bool) {
 func factGroups(r *relation.Relation) map[string][]*relation.Tuple {
 	groups := make(map[string][]*relation.Tuple, 64)
 	for i := range r.Tuples {
-		t := &r.Tuples[i]
-		groups[t.Key()] = append(groups[t.Key()], t)
+		t, k := &r.Tuples[i], r.KeyAt(i)
+		groups[k] = append(groups[k], t)
 	}
 	return groups
 }

@@ -55,7 +55,7 @@ func Intersect(r, s *relation.Relation) *relation.Relation {
 	activeS := make(map[int32]struct{})
 	emit := func(rid, sid int32) {
 		rt, st := &r.Tuples[rid], &s.Tuples[sid] // fetch originals
-		if rt.Key() != st.Key() {                // post-pairing filter
+		if !relation.SameFact(rt, st) {          // post-pairing filter
 			return
 		}
 		iv, ok := rt.T.Intersect(st.T)

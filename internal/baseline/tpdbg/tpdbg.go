@@ -57,10 +57,15 @@ func intersect(r, s *relation.Relation) *relation.Relation {
 		func(a, b interval.Interval) bool { return false },
 	}
 
+	// Every rule re-scans r: resolve each row's fact group once, not per rule.
+	partners := make([][]*relation.Tuple, len(r.Tuples))
+	for i := range r.Tuples {
+		partners[i] = groups[r.KeyAt(i)]
+	}
 	for _, rule := range rules {
 		for i := range r.Tuples {
 			rt := &r.Tuples[i]
-			for _, st := range groups[rt.Key()] {
+			for _, st := range partners[i] {
 				if !rule(rt.T, st.T) {
 					continue
 				}
@@ -160,8 +165,8 @@ func emitFragment(out *relation.Relation, active map[*relation.Tuple]struct{}, i
 func factGroups(r *relation.Relation) map[string][]*relation.Tuple {
 	groups := make(map[string][]*relation.Tuple, 64)
 	for i := range r.Tuples {
-		t := &r.Tuples[i]
-		groups[t.Key()] = append(groups[t.Key()], t)
+		t, k := &r.Tuples[i], r.KeyAt(i)
+		groups[k] = append(groups[k], t)
 	}
 	return groups
 }

@@ -45,9 +45,12 @@ const BatchSize = 1024
 // out.
 //
 // Every block handed across a NextBatch is bound: Dict != nil and
-// len(Fid) == len(Tuples). core.PrepareLeaves establishes that for the
-// leaves of a plan, operator output inherits it from the window key,
-// and the tpinvariants build asserts it at every hop (CheckBound).
+// len(Fid) == len(Tuples). The column is the block's only fact binding —
+// a row carries none — so whoever fills a block writes the id beside the
+// row: a scan aliases the leaf's column, an operator writes the window's
+// id, a selection forwards its input's. core.PrepareLeaves establishes
+// the binding for the leaves of a plan, and the tpinvariants build
+// asserts it at every hop (CheckBound).
 type Batch struct {
 	Tuples []relation.Tuple
 	Fid    []int64
@@ -89,7 +92,7 @@ func (b *Batch) Reset() {
 
 // CheckBound asserts the block invariant (tpinvariants builds only; a
 // no-op otherwise): a non-empty block carries a dictionary and an fid
-// column that mirrors the rows' interning entry for entry. Every
+// column that names, entry for entry, the fact of its row. Every
 // NextBatch implementation and consumer calls it on the blocks it hands
 // over or receives; it is the safety net for the one mirror the block
 // carries.
@@ -99,10 +102,9 @@ func (b *Batch) CheckBound(site string) {
 	}
 	invariant.Assertf(b.Dict != nil && len(b.Fid) == len(b.Tuples), site,
 		"block of %d rows is not bound: dict %p, %d ids", len(b.Tuples), b.Dict, len(b.Fid))
-	for i := range b.Tuples {
-		if d, id := b.Tuples[i].Binding(); d != b.Dict || int64(id) != b.Fid[i] { // guarded: no argument boxing per row
-			invariant.Assertf(false, site,
-				"fid column row %d (%d) does not mirror the row's interning (%d, dict %p vs %p)", i, b.Fid[i], id, d, b.Dict)
+	for i, id := range b.Fid {
+		if id < 0 || id >= int64(b.Dict.Len()) || b.Dict.Key(keys.FactID(id)) != b.Tuples[i].Fact.Key() { // guarded: no argument boxing per row
+			invariant.Assertf(false, site, "fid column row %d (%d) does not name the row's fact %s", i, id, b.Tuples[i].Fact)
 		}
 	}
 }
@@ -120,18 +122,13 @@ func (b *Batch) Cap() int {
 // Len returns the number of tuples currently in the batch.
 func (b *Batch) Len() int { return len(b.Tuples) }
 
-// Append adds one interned tuple to a Reset-based fill, extending the
-// fid column with it. Producers that fill by aliasing instead
-// (ScanCursor) never call it.
-func (b *Batch) Append(t relation.Tuple) {
-	d, id := t.Binding()
-	if invariant.Enabled && (d == nil || (len(b.Tuples) > 0 && d != b.Dict)) {
-		invariant.Assertf(false, "core.Batch.Append",
-			"tuple of fact %s bound to dict %p appended to a block on dict %p", t.Fact, d, b.Dict)
-	}
-	b.Dict = d
+// Append adds one row and its id to a Reset-based fill; the producer
+// sets Dict (query.selectCursor forwards its input block's row, id and
+// dictionary). Producers that fill by aliasing instead (ScanCursor) or
+// in place (OpCursor) never call it.
+func (b *Batch) Append(t relation.Tuple, fid int64) {
 	b.Tuples = append(b.Tuples, t)
-	b.Fid = append(b.Fid, int64(id))
+	b.Fid = append(b.Fid, fid)
 }
 
 // AppendRange bulk-appends rows [i, j) of src with their ids. The
@@ -202,23 +199,6 @@ func PutBatch(b *Batch) {
 	batchPool.Put(b)
 }
 
-// FillBatch resets b and fills it through next until it holds Cap()
-// tuples or the stream ends, reporting whether it produced any — the
-// one batch-fill loop behind every tuple-pulling NextBatch
-// implementation (operator cursors, the engine's stream adapter).
-func FillBatch(b *Batch, next func() (relation.Tuple, bool)) bool {
-	b.Reset()
-	max := b.Cap()
-	for len(b.Tuples) < max {
-		t, ok := next()
-		if !ok {
-			break
-		}
-		b.Append(t)
-	}
-	return len(b.Tuples) > 0
-}
-
 // BatchCursor is a Cursor that can also deliver its stream in blocks.
 // NextBatch fills b (after resetting it) with up to b.Cap() tuples in
 // canonical order and reports whether it produced any; after the first
@@ -282,17 +262,21 @@ func (c *ScanCursor) SkipTo(fid int64, te interval.Time) {
 	c.i += relation.SkipTo(c.fid[c.i:], c.r.Tuples[c.i:], fid, te)
 }
 
-// NextBatch drains windows through the operation's λ-filter into the
-// output batch until it is full or the operation terminates — the
-// advancer runs without surfacing an interface call per tuple, and the
-// per-operation termination conditions of Algorithms 2–4 are re-checked
-// between windows exactly as in Next. Output rows inherit the window
-// key's interning, so the block comes out bound to the inputs'
-// dictionary.
+// NextBatch drains windows through the operation's λ-filter straight
+// into the block's own slots until it is full or the operation
+// terminates: every output row is written once, where it will be read,
+// with the window's id beside it, and the block comes out bound to the
+// inputs' dictionary.
 func (c *OpCursor) NextBatch(b *Batch) bool {
-	ok := FillBatch(b, c.Next)
+	b.Reset()
+	rows, fid := b.Tuples[:b.Cap()], b.Fid[:b.Cap()]
+	n := 0
+	for n < len(rows) && c.emit(&rows[n], &fid[n]) {
+		n++
+	}
+	b.Tuples, b.Fid, b.Dict = rows[:n], fid[:n], c.a.dict
 	b.CheckBound("core.OpCursor.NextBatch")
-	return ok
+	return n > 0
 }
 
 // AsBatchCursor asserts that c streams batches. Every cursor the plan

@@ -10,8 +10,8 @@ import (
 	"github.com/tpset/tpset/internal/relation"
 )
 
-// sortedTestRelation builds a scannable relation — interned, sorted,
-// fid column built — with the given fact runs.
+// sortedTestRelation builds a scannable relation — interned, sorted —
+// with the given fact runs.
 func sortedTestRelation(name string, n, facts int, seed int64) *relation.Relation {
 	rng := rand.New(rand.NewSource(seed))
 	r := relation.New(relation.NewSchema(name, "F"))
@@ -25,24 +25,26 @@ func sortedTestRelation(name string, n, facts int, seed int64) *relation.Relatio
 	}
 	r.Intern()
 	r.Sort()
-	r.BuildCols()
 	return r
 }
 
 // TestScanBatchZeroCopy pins that scan batches alias the relation's own
 // tuple storage and its fid column (three slice-header writes per block,
 // no copying), that the sub-windows tile the relation exactly and every
-// block is bound, and that a scan over a non-empty relation without the
-// column is refused at construction.
+// block is bound — to the relation's dictionary and the relation's own
+// column storage — and that a scan over a non-empty unbound relation is
+// refused at construction.
 func TestScanBatchZeroCopy(t *testing.T) {
 	r := sortedTestRelation("r", 2*BatchSize+100, 7, 1)
 	func() {
 		defer func() {
 			if recover() == nil {
-				t.Fatal("NewScanCursor over a relation without a fid column did not panic")
+				t.Fatal("NewScanCursor over an unbound relation did not panic")
 			}
 		}()
-		NewScanCursor(r.Clone()) // a clone carries the binding but no column
+		u := r.Clone()
+		u.Unbind()
+		NewScanCursor(u)
 	}()
 	fid := r.FidCol()
 	c := NewScanCursor(r)
@@ -109,9 +111,9 @@ func TestSkipToFidMatchesLinearScan(t *testing.T) {
 		r := sortedTestRelation("r", 1+rng.Intn(300), 1+rng.Intn(40), int64(trial))
 		probe := sortedTestRelation("p", 60, 1+rng.Intn(60), int64(trial)+1000)
 		relation.InternAll(r, probe) // order-preserving: both stay sorted
-		fid := r.BuildCols()
+		fid := r.FidCol()
 		for i := range probe.Tuples {
-			_, id := probe.Tuples[i].Binding()
+			id := probe.FidCol()[i]
 			key, ts := probe.Tuples[i].Key(), probe.Tuples[i].T.Ts
 			start := rng.Intn(r.Len())
 			got := relation.SkipToFid(fid[start:], int64(id))
@@ -177,8 +179,6 @@ func TestSteadyStateBatchAllocations(t *testing.T) {
 	relation.InternAll(r, s)
 	r.Sort()
 	s.Sort()
-	r.BuildCols()
-	s.BuildCols()
 
 	drain := func() {
 		c, err := NewOpCursor(OpExcept, NewScanCursor(r), NewScanCursor(s), Options{LazyProb: true})
@@ -221,8 +221,9 @@ func TestBatchPoolRoundTrip(t *testing.T) {
 	if b.Cap() != BatchSize || b.Len() != 0 || b.Dict != nil {
 		t.Fatalf("pooled batch: cap %d len %d dict %p", b.Cap(), b.Len(), b.Dict)
 	}
+	b.Dict = r.Dict()
 	for i := range r.Tuples {
-		b.Append(r.Tuples[i])
+		b.Append(r.Tuples[i], r.FidCol()[i])
 	}
 	if b.Dict != r.Dict() || b.Len() != BatchSize || len(b.Fid) != BatchSize {
 		t.Fatalf("full fill: len %d, %d ids, dict %p", b.Len(), len(b.Fid), b.Dict)

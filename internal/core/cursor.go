@@ -50,9 +50,9 @@ func ReleaseCursor(c Cursor) {
 
 // ScanCursor streams a materialized relation that must already be in
 // canonical (fact, Ts) order — the leaf of a cursor plan. Tuples are
-// returned by value, so consumers never mutate the underlying relation
-// (in particular, lazy fact-key caching lands in the copy): a ScanCursor
-// may safely stream a relation shared with concurrent readers.
+// returned by value, so consumers never mutate the underlying relation:
+// a ScanCursor may safely stream a relation shared with concurrent
+// readers.
 type ScanCursor struct {
 	r   *relation.Relation
 	fid []int64 // r's fid column, aliased into every block
@@ -61,8 +61,8 @@ type ScanCursor struct {
 
 // NewScanCursor returns a scan over r, which must be sorted (as for
 // NewAdvancer; relation.Relation.Sort establishes it) and, unless it is
-// empty, carry its fid column (Relation.BuildCols): the scan hands out
-// bound blocks and has nothing else to bind them with. PrepareLeaves
+// empty, be bound (Relation.FidCol): the scan hands out bound blocks
+// and has nothing else to bind them with. PrepareLeaves
 // produces such leaves from any input; a relation without the column is
 // a plan-construction bug and panics here rather than mid-sweep.
 func NewScanCursor(r *relation.Relation) *ScanCursor {
@@ -127,61 +127,73 @@ func (c *OpCursor) Schema() relation.Schema { return c.schema }
 // down the child plans.
 func (c *OpCursor) ReleaseCursor() { c.a.release() }
 
-// Next produces the next output tuple: windows are drawn from the
-// advancer until one passes the operation's λ-filter, then finalized with
-// the operation's lineage-concatenation function. The per-operation
-// termination conditions of Algorithms 2–4 apply — intersection stops
-// once either input is exhausted, difference once the left input is.
+// Next produces the next output tuple — the tuple-at-a-time face of the
+// window loop NextBatch fills blocks with.
 func (c *OpCursor) Next() (relation.Tuple, bool) {
+	var t relation.Tuple
+	var fid int64
+	ok := c.emit(&t, &fid)
+	return t, ok
+}
+
+// emit writes the next output row into *t and its fact id into *fid:
+// windows are drawn from the advancer until one passes the operation's
+// λ-filter, then finalized with the operation's lineage-concatenation
+// function. The per-operation termination conditions of Algorithms 2–4
+// apply — intersection stops once either input is exhausted, difference
+// once the left input is. Every field of the slot is overwritten: it may
+// be pooled storage holding an earlier row.
+func (c *OpCursor) emit(t *relation.Tuple, fid *int64) bool {
 	for {
 		switch c.op {
 		case OpIntersect:
 			if c.a.RExhausted() || c.a.SExhausted() {
-				return relation.Tuple{}, false
+				return false
 			}
 		case OpExcept:
 			if c.a.RExhausted() {
-				return relation.Tuple{}, false
+				return false
 			}
 		}
 		w, ok := c.a.Next()
 		if !ok {
-			return relation.Tuple{}, false
+			return false
 		}
 		var lam *lineage.Expr
-		keep := false
 		switch c.op { // λ-filter, then λ-function (Table I)
 		case OpIntersect:
 			if w.LamR != nil && w.LamS != nil {
-				keep, lam = true, lineage.And(w.LamR, w.LamS)
+				lam = lineage.And(w.LamR, w.LamS)
 			}
 		case OpUnion:
 			if w.LamR != nil || w.LamS != nil {
-				keep, lam = true, lineage.Or(w.LamR, w.LamS)
+				lam = lineage.Or(w.LamR, w.LamS)
 			}
 		case OpExcept:
 			if w.LamR != nil {
-				keep, lam = true, lineage.AndNot(w.LamR, w.LamS)
+				lam = lineage.AndNot(w.LamR, w.LamS)
 			}
 		}
-		if !keep {
+		if lam == nil {
 			continue
 		}
-		t := relation.NewDerivedLazyKeyed(w.Fact, w.Key, lam, w.Interval())
+		*t = relation.Tuple{Fact: w.Fact, Lineage: lam, T: w.Interval()}
 		if !c.opts.LazyProb {
-			t.ComputeProb()
+			t.Prob = lam.Prob()
 		}
-		return t, true
+		*fid = w.Fid
+		return true
 	}
 }
 
 // Materialize drains a cursor into a relation — the single point where a
 // cursor plan gives up its O(tree depth) memory bound. Every block of a
 // plan is bound to the plan's one dictionary, so the materialized
-// relation comes out bound to it (an empty result has no tuple to take a
-// dictionary from and stays unbound, which is vacuously fine). The
-// result's tuple array is allocated once, at its exact length
-// (cap(Tuples) == len(Tuples)); see MaterializeLimit for how.
+// relation comes out bound to it with the ids the blocks carried (an
+// empty result has no block to take a dictionary from and stays
+// unbound, which is vacuously fine). The result's tuple array and fid
+// column are each allocated once, at their exact length; see
+// MaterializeLimit for how.
 func Materialize(c Cursor) *relation.Relation {
 	out, _ := MaterializeLimit(c, 0)
 	return out
@@ -195,15 +207,16 @@ func Materialize(c Cursor) *relation.Relation {
 // the query's answer. max <= 0 means no budget.
 //
 // The drain never grows an array. It pulls pooled blocks and keeps them,
-// counting rows, then allocates the tuple array once at exactly that
-// count, copies every kept block into place and hands the blocks back:
-// one large allocation and one copy per result, where appending block by
-// block reallocates the array dozens of times (1.25× a step) and clears
-// and copies about five times its final size on the way. Every cursor
-// fills a block to Cap() until its stream ends, so the kept blocks hold
-// the result's rows once over (a kept view of a leaf pins its unused
-// pooled storage instead): the drain pins at most twice the result plus
-// one block. It only reads the rows — a scan's block is the leaf itself.
+// counting rows, then allocates the tuple array and the fid column once
+// at exactly that count, copies every kept block's rows and ids into
+// place and hands the blocks back: two allocations and one copy per
+// result, where appending block by block reallocates the array dozens
+// of times (1.25× a step) and clears and copies about five times its
+// final size on the way. Every cursor fills a block to Cap() until its
+// stream ends, so the kept blocks hold the result's rows once over (a
+// kept view of a leaf pins its unused pooled storage instead): the drain
+// pins at most twice the result plus one block. It only reads the rows —
+// a scan's block is the leaf itself.
 func MaterializeLimit(c Cursor, max int) (*relation.Relation, bool) {
 	bc := AsBatchCursor(c)
 	var kept []*Batch
@@ -227,13 +240,18 @@ func MaterializeLimit(c Cursor, max int) (*relation.Relation, bool) {
 	out := relation.New(c.Schema())
 	if n > 0 {
 		out.Tuples = make([]relation.Tuple, n)
+		fid := make([]int64, n)
 		at := 0
 		for _, b := range kept {
+			copy(fid[at:], b.Fid)
 			at += copy(out.Tuples[at:], b.Tuples)
 		}
-	}
-	if within {
-		out.AdoptBinding()
+		if !within {
+			return out, false // a partial result is for reporting, not for running plans over: unbound
+		}
+		if err := out.SetBinding(kept[0].Dict, fid, nil); err != nil {
+			panic(err) // every block of a plan is bound: a bug, not a runtime condition
+		}
 	}
 	return out, within
 }

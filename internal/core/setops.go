@@ -112,13 +112,14 @@ func Apply(op Op, r, s *relation.Relation, opts Options) (*relation.Relation, er
 //
 // Validate checks every leaf for duplicate-freeness first. Leaves that
 // already qualify under AssumeSorted (catalog relations: admission
-// bound and projected them) are returned as they are, untouched.
-// Anything else is cloned — the inputs are never written, rebound or
-// projected, frozen or not — the clones are bound to one dictionary
-// unless they already share one, sorted unless AssumeSorted vouches for
-// the order (rebinding preserves it: dictionaries are order-preserving),
-// and projected; the per-leaf sort and projection fan out over up to
-// workers goroutines.
+// bound them) are returned as they are, untouched. Anything else gets a
+// private copy — the inputs are never written, rebound or sorted in
+// place, frozen or not. Leaves that share a dictionary become their
+// sorted copies in one pass each (relation.SortedCopy); leaves that do
+// not are cloned, bound to one dictionary and — unless AssumeSorted
+// vouches for the order, which rebinding preserves: dictionaries are
+// order-preserving — sorted where they stand. The per-leaf work fans
+// out over up to workers goroutines.
 func PrepareLeaves(leaves []*relation.Relation, opts Options, workers int) ([]*relation.Relation, error) {
 	if opts.Validate {
 		for _, r := range leaves {
@@ -127,23 +128,26 @@ func PrepareLeaves(leaves []*relation.Relation, opts Options, workers int) ([]*r
 			}
 		}
 	}
-	if opts.AssumeSorted && bound(leaves) {
+	shared := relation.SharedDict(leaves...) != nil
+	if shared && opts.AssumeSorted {
 		return leaves, nil
 	}
-	clones := make([]*relation.Relation, len(leaves))
-	for i, r := range leaves {
-		clones[i] = r.Clone()
-	}
-	if relation.SharedDict(clones...) == nil {
-		relation.InternAll(clones...)
-	}
-	fanOut(len(clones), workers, func(i int) {
-		if !opts.AssumeSorted {
-			clones[i].Sort()
+	private := make([]*relation.Relation, len(leaves))
+	if !shared {
+		for i, r := range leaves {
+			private[i] = r.Clone()
 		}
-		clones[i].BuildCols()
+		relation.InternAll(private...)
+	}
+	fanOut(len(leaves), workers, func(i int) {
+		switch {
+		case shared:
+			private[i] = leaves[i].SortedCopy()
+		case !opts.AssumeSorted:
+			private[i].Sort()
+		}
 	})
-	return clones, nil
+	return private, nil
 }
 
 // fanOut runs f(0) … f(n-1), one goroutine each, at most workers of them
@@ -164,17 +168,6 @@ func fanOut(n, workers int, f func(i int)) {
 	}
 	wg.Wait()
 	relay.Reraise()
-}
-
-// bound reports whether the leaves can be scanned as they are: the
-// non-empty ones share one dictionary and each carries its fid column.
-func bound(leaves []*relation.Relation) bool {
-	for _, r := range leaves {
-		if r.Len() > 0 && r.FidCol() == nil {
-			return false
-		}
-	}
-	return relation.SharedDict(leaves...) != nil
 }
 
 // Intersect computes r ∩Tp s (Algorithm 2): at each time point, the facts

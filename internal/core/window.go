@@ -5,6 +5,7 @@ import (
 
 	"github.com/tpset/tpset/internal/interval"
 	"github.com/tpset/tpset/internal/invariant"
+	"github.com/tpset/tpset/internal/keys"
 	"github.com/tpset/tpset/internal/lineage"
 	"github.com/tpset/tpset/internal/relation"
 )
@@ -19,13 +20,14 @@ import (
 // serves all three set operations: each operation filters windows and
 // combines LamR/LamS with its own lineage-concatenation function.
 //
-// Key is the comparison key of Fact, built from the packed id of the
-// input tuple that opened the fact group: output tuples built from the
-// window inherit the inputs' interning through it, which keeps every
-// block of a stacked query tree bound to the one plan dictionary.
+// Fid is the packed id of Fact in the inputs' shared dictionary, read
+// off the fid column entry of the input tuple that opened the fact
+// group: an operator writes it beside the output row it builds from the
+// window, which keeps every block of a stacked query tree bound to the
+// one plan dictionary. A window is 64 bytes.
 type Window struct {
 	Fact  relation.Fact
-	Key   relation.FactKey
+	Fid   int64
 	WinTs interval.Time
 	WinTe interval.Time
 	LamR  *lineage.Expr
@@ -168,11 +170,13 @@ type Advancer struct {
 	prevWinTe interval.Time
 	// currFid is the packed id of the fact being processed (-1 before
 	// the first group): every window compare of Algorithm 1 is an
-	// integer compare against it. currKey and currFactV are derived once
-	// per fact group (setFact) to stamp the group's windows.
+	// integer compare against it. currFactV is read once per fact group
+	// (setFact) to stamp the group's windows; dict is the dictionary of
+	// the block the group was opened from — the plan's one dictionary,
+	// which the operator above binds its output blocks to.
 	currFid   int64
-	currKey   relation.FactKey
 	currFactV relation.Fact
+	dict      *keys.Dict
 
 	// The currently valid tuple of each side — what the sweep reads of
 	// it. Admission copies these two words out of the source's block,
@@ -351,7 +355,7 @@ func (a *Advancer) Next() (Window, bool) {
 	}
 
 	// An invalid side's lam is nil: the window reads "no tuple" there.
-	w := Window{Fact: a.currFactV, Key: a.currKey, WinTs: winTs, WinTe: winTe,
+	w := Window{Fact: a.currFactV, Fid: a.currFid, WinTs: winTs, WinTe: winTe,
 		LamR: a.rValid.lam, LamS: a.sValid.lam}
 
 	// Expire tuples whose end point coincides with the window boundary.
@@ -404,11 +408,10 @@ func (a *Advancer) skipRuns() {
 	}
 }
 
-// setFact opens a new fact group at src's peeked tuple: the group's
-// comparison key is built here, once, from the packed id, and stamps
-// every window (and so every output row) of the group.
+// setFact opens a new fact group at src's peeked tuple: its id and fact
+// values stamp every window (and so every output row) of the group.
 func (a *Advancer) setFact(src *batchSource) {
 	a.currFid = src.fid()
-	a.currKey = relation.KeyIn(src.b.Dict, a.currFid)
 	a.currFactV = src.b.Tuples[src.i].Fact
+	a.dict = src.b.Dict
 }

@@ -267,13 +267,13 @@ func Shifted(r *relation.Relation, prefix string, seed int64) *relation.Relation
 	out.Sort()
 	lastEnd := make(map[string]interval.Time, 1024)
 	for i := range out.Tuples {
-		t := &out.Tuples[i]
-		if end, ok := lastEnd[t.Key()]; ok && t.T.Ts < end {
+		t, k := &out.Tuples[i], out.KeyAt(i)
+		if end, ok := lastEnd[k]; ok && t.T.Ts < end {
 			d := end - t.T.Ts
 			t.T.Ts += d
 			t.T.Te += d
 		}
-		lastEnd[t.Key()] = t.T.Te
+		lastEnd[k] = t.T.Te
 	}
 	return out
 }
@@ -283,11 +283,5 @@ func Shifted(r *relation.Relation, prefix string, seed int64) *relation.Relation
 // datasets; generators here produce shuffled data already, so a prefix is a
 // random subset.
 func Subset(r *relation.Relation, n int) *relation.Relation {
-	if n > len(r.Tuples) {
-		n = len(r.Tuples)
-	}
-	out := relation.New(r.Schema)
-	out.Tuples = append(out.Tuples, r.Tuples[:n]...)
-	out.AdoptBinding()
-	return out
+	return r.Slice(0, min(n, len(r.Tuples))).Clone()
 }

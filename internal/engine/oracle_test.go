@@ -49,11 +49,10 @@ func drain(t *testing.T, ctx string, cur *engine.StreamCursor, capacity int) *re
 			t.Fatalf("%s: block at offset %d is not bound to the plan's dictionary (dict %p, plan %p, %d ids for %d rows)",
 				ctx, out.Len(), b.Dict, dict, len(b.Fid), len(b.Tuples))
 		}
-		for i := range b.Tuples {
-			tp := &b.Tuples[i]
-			if d, id := tp.Binding(); d != dict || int64(id) != b.Fid[i] || dict.Key(id) != tp.Fact.Key() {
-				t.Fatalf("%s: row %d of the block at offset %d: fid column holds %d, row %s is interned as %d",
-					ctx, i, out.Len(), b.Fid[i], tp, id)
+		for i, id := range b.Fid {
+			if id < 0 || id >= int64(dict.Len()) || dict.Key(keys.FactID(id)) != b.Tuples[i].Fact.Key() {
+				t.Fatalf("%s: row %d of the block at offset %d: fid column holds %d, which does not name the fact of row %s",
+					ctx, i, out.Len(), id, &b.Tuples[i])
 			}
 		}
 		out.Tuples = append(out.Tuples, b.Tuples...)
@@ -357,10 +356,10 @@ func TestEngineEarlyCloseBalancesPool(t *testing.T) {
 
 // TestAssumeSortedLeavesAreBoundAndSharded pins the door PrepareLeaves
 // closes: sorted leaves that arrive under AssumeSorted bound to
-// different dictionaries — one of them unbound, one frozen — are cloned,
-// bound to one dictionary and projected (no sort), so the plan shards
-// like any other and every block is bound; the inputs themselves are
-// neither re-bound, re-projected nor (frozen ones) written.
+// different dictionaries — one of them unbound, one frozen — are cloned
+// and bound to one dictionary (no sort), so the plan shards like any
+// other and every block is bound; the inputs themselves keep their
+// dictionary and their column storage and are not written.
 func TestAssumeSortedLeavesAreBoundAndSharded(t *testing.T) {
 	rng := rand.New(rand.NewSource(76))
 	for trial := 0; trial < 20; trial++ {
@@ -368,7 +367,6 @@ func TestAssumeSortedLeavesAreBoundAndSharded(t *testing.T) {
 			OffsetFacts: trial%2 == 0, Skew: reftest.Skew(trial % 3), Sorted: true})
 		db["r0"].Intern() // its own dictionary
 		db["r1"].Intern() // another one
-		db["r1"].BuildCols()
 		db["r2"].Intern()
 		db["r2"].Freeze() // a third, frozen; r3 stays unbound
 		type state struct {
@@ -403,12 +401,10 @@ func TestAssumeSortedLeavesAreBoundAndSharded(t *testing.T) {
 		for name, r := range db {
 			was := before[name]
 			if r.Dict() != was.dict || (r.FidCol() == nil) != (was.fid == nil) || (was.fid != nil && &r.FidCol()[0] != &was.fid[0]) {
-				t.Fatalf("trial %d: input %s was re-bound or re-projected", trial, name)
+				t.Fatalf("trial %d: input %s was re-bound", trial, name)
 			}
 			for i := range r.Tuples {
-				d, id := r.Tuples[i].Binding()
-				wd, wid := was.rows[i].Binding()
-				if d != wd || id != wid || r.Tuples[i].T != was.rows[i].T || r.Tuples[i].Lineage != was.rows[i].Lineage {
+				if r.Tuples[i].T != was.rows[i].T || r.Tuples[i].Lineage != was.rows[i].Lineage {
 					t.Fatalf("trial %d: row %d of input %s was written", trial, i, name)
 				}
 			}

@@ -123,14 +123,14 @@ func TestCutFallsBackToSequential(t *testing.T) {
 }
 
 // mapped returns a frozen copy of the sorted, bound relation r whose fid
-// column aliases a caller-owned slab installed with SetFidCol — what the
+// column aliases a caller-owned slab installed with SetBinding — what the
 // segment store hands the catalog after a restore — and the slab.
 func mapped(t *testing.T, r *relation.Relation) (*relation.Relation, []int64) {
 	t.Helper()
 	slab := make([]int64, r.Len())
-	copy(slab, r.Clone().BuildCols())
+	copy(slab, r.FidCol())
 	m := r.Clone()
-	if err := m.SetFidCol(slab, unsafe.Slice((*byte)(unsafe.Pointer(&slab[0])), 8*len(slab))); err != nil {
+	if err := m.SetBinding(r.Dict(), slab, unsafe.Slice((*byte)(unsafe.Pointer(&slab[0])), 8*len(slab))); err != nil {
 		t.Fatal(err)
 	}
 	m.Freeze()
@@ -144,7 +144,7 @@ func inside(p, base unsafe.Pointer, n int, size uintptr) bool {
 }
 
 // TestShardedPlanScansTheMapping is the zero-copy pin for restored
-// relations: a sharded plan over frozen, SetFidCol-installed leaves scans
+// relations: a sharded plan over frozen, SetBinding-installed leaves scans
 // the mapping itself. Every shard view is frozen, its scan batches alias
 // the parent's tuple array and the caller's slab, and — under -tags
 // tpinvariants — every FidCol read of every view passes the region check.
@@ -275,9 +275,10 @@ func TestShardedPlanAllocs(t *testing.T) {
 }
 
 // TestMaterializeAllocatesTheResultOnce pins the materializing drain: a
-// dense r | s over 2×50K catalog-style leaves allocates its result array
-// once, at its exact size — under 1.5× the array plus the lineage nodes
-// the union must create. Appending block by block (the materializer
+// dense r | s over 2×50K catalog-style leaves allocates its result — the
+// tuple array and the fid column beside it — once each, at their exact
+// size, and hands it over bound: under 1.5× the two arrays plus the
+// lineage nodes the union must create. Appending block by block (the materializer
 // before this pin) regrew the array ~22 times and allocated ≈5× its final
 // size.
 func TestMaterializeAllocatesTheResultOnce(t *testing.T) {
@@ -301,19 +302,23 @@ func TestMaterializeAllocatesTheResultOnce(t *testing.T) {
 	if out.Len() < r.Len() || cap(out.Tuples) != len(out.Tuples) {
 		t.Fatalf("result of %d rows in an array of %d, want a dense result in an exact array", len(out.Tuples), cap(out.Tuples))
 	}
+	if fid := out.FidCol(); fid == nil || out.Dict() != r.Dict() || len(fid) != out.Len() || cap(fid) != len(fid) {
+		t.Fatalf("result of %d rows arrives with a column of %d ids (cap %d) on dict %p, want it bound to the leaves' dictionary by an exact column",
+			out.Len(), len(fid), cap(fid), out.Dict())
+	}
 	derived := 0
 	for i := range out.Tuples {
 		if out.Tuples[i].Lineage.Kind() != lineage.KindVar {
 			derived++
 		}
 	}
-	array := uint64(out.Len()) * uint64(unsafe.Sizeof(relation.Tuple{}))
+	array := uint64(out.Len()) * uint64(unsafe.Sizeof(relation.Tuple{})+unsafe.Sizeof(int64(0)))
 	budget := array*3/2 + uint64(derived)*uint64(unsafe.Sizeof(lineage.Expr{}))
 	if total >= budget {
-		t.Fatalf("plan + drain allocated %d bytes for a %d-byte result array and %d lineage nodes, want < %d (1.5× the array + the nodes; the drain that regrew its array block by block allocated 47.6 MB here, ≈5× the array)",
+		t.Fatalf("plan + drain allocated %d bytes for a %d bytes of result rows and ids and %d lineage nodes, want < %d (1.5× the arrays + the nodes; the drain that regrew its array block by block allocated 47.6 MB here, ≈5× the array)",
 			total, array, derived, budget)
 	}
-	t.Logf("%d rows: %d B allocated, result array %d B, %d lineage nodes", out.Len(), total, array, derived)
+	t.Logf("%d rows: %d B allocated, result rows + ids %d B, %d lineage nodes", out.Len(), total, array, derived)
 }
 
 // TestMaterializeLeavesFrozenLeavesUntouched materializes plans whose

@@ -108,7 +108,11 @@ func (c *StreamCursor) NextBatch(b *core.Batch) bool {
 	if c.cur == nil || c.ci >= len(c.cur.Tuples) {
 		ok = c.nextBatch(b)
 	} else {
-		ok = core.FillBatch(b, c.Next)
+		// Next left a partially drained block: serve its remainder.
+		j := min(len(c.cur.Tuples), c.ci+b.Cap())
+		b.Reset()
+		b.AppendRange(c.cur, c.ci, j)
+		c.ci, ok = j, true
 	}
 	if invariant.Enabled && ok {
 		b.CheckBound("engine.StreamCursor.NextBatch")
@@ -424,8 +428,8 @@ func (s *concatStream) nextBatch(out *core.Batch) bool {
 				continue
 			}
 			if invariant.Enabled {
-				// Copies: the block may alias a shared leaf (a bare scan
-				// plan), and Less caches fact keys into its operands.
+				// Copies: the block goes back to the pool before the next
+				// one is compared against its last row.
 				first, last := b.Tuples[0], b.Tuples[len(b.Tuples)-1]
 				invariant.Assertf(s.last == nil || relation.Less(s.last, &first), "engine.concatStream",
 					"block starts at %s, not after the last emitted tuple %s", &first, s.last)

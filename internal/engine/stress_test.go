@@ -83,18 +83,17 @@ func TestConcurrentEvalStress(t *testing.T) {
 	}
 }
 
-// TestConcurrentSharedInputKeyCaching targets the lazy Tuple.Key caching
-// hazard: tuples constructed as bare literals have no cached fact key, and
-// the Validate and AssumeSorted paths must not race on filling it when
-// concurrent operations share one input relation.
+// TestConcurrentSharedInputKeyCaching shares one pair of unbound input
+// relations between concurrent operations: the Validate and AssumeSorted
+// paths compute fact keys from rows they must only read (a tuple used to
+// cache its key on first use, a write into the shared row; it now holds
+// no key at all), and the race detector watches them do it.
 func TestConcurrentSharedInputKeyCaching(t *testing.T) {
 	bare := func(name string, n int) *relation.Relation {
 		rel := relation.New(relation.NewSchema(name, "F"))
 		for i := 0; i < n; i++ {
 			base := relation.NewBase(relation.NewFact(fmt.Sprintf("f%02d", i%20)), fmt.Sprintf("%s%d", name, i),
 				interval.Time(i/20*10), interval.Time(i/20*10+5), 0.5)
-			// Strip the cached key: struct-literal construction (external
-			// loaders, tests) leaves it empty.
 			rel.Add(relation.Tuple{Fact: base.Fact, Lineage: base.Lineage, T: base.T, Prob: base.Prob})
 		}
 		return rel

@@ -1,9 +1,9 @@
 // Package invariant is the build-tag assertion layer: machine-checked
 // forms of the execution stack's algorithmic preconditions (Algorithms
 // 1–4 assume duplicate-free inputs sorted by (fact, Ts)) and of the
-// representation contracts (a fid column mirrors the interning of its
-// rows; every block of a plan is bound to the plan's one dictionary; a
-// pooled batch's capacity account matches its backing storage).
+// representation contracts (a fid column names the facts of its rows;
+// every block of a plan is bound to the plan's one dictionary; a pooled
+// batch's capacity account matches its backing storage).
 //
 // The checks are compiled in only under the tpinvariants build tag:
 //
@@ -22,6 +22,7 @@ package invariant
 import (
 	"fmt"
 
+	"github.com/tpset/tpset/internal/keys"
 	"github.com/tpset/tpset/internal/relation"
 )
 
@@ -64,24 +65,21 @@ func CheckDuplicateFree(r *relation.Relation, site string) {
 	}
 }
 
-// CheckColsMirror asserts the one mirror a relation carries: a cached
-// fid column holds, row for row, the id each tuple is interned with
-// against the relation's dictionary, and that id names the tuple's fact.
+// CheckColsMirror asserts the one mirror a relation carries: a bound
+// relation's fid column holds, row for row, an id of the relation's
+// dictionary that names the row's fact.
 func CheckColsMirror(r *relation.Relation, site string) {
 	if !Enabled || r == nil {
 		return
 	}
 	fid := r.FidCol()
 	if fid == nil {
-		return // no valid column: nothing to mirror
+		return // unbound: nothing to mirror
 	}
 	dict := r.Dict()
-	for i := range r.Tuples {
-		t := &r.Tuples[i]
-		// Fact.Key, not Tuple.Key: the relation may be shared, and the
-		// cached key of Tuple.Key is a write.
-		if d, id := t.Binding(); d != dict || int64(id) != fid[i] || int(id) >= dict.Len() || dict.Key(id) != t.Fact.Key() {
-			violate(site, "relation %q: fid column row %d (%d) does not mirror the tuple's fact %s (interned as %d)", r.Schema.Name, i, fid[i], t.Fact, id)
+	for i, id := range fid {
+		if id < 0 || id >= int64(dict.Len()) || dict.Key(keys.FactID(id)) != r.Tuples[i].Fact.Key() {
+			violate(site, "relation %q: fid column row %d (%d) does not mirror the tuple's fact %s", r.Schema.Name, i, id, r.Tuples[i].Fact)
 		}
 	}
 }

@@ -14,9 +14,10 @@
 //   - Interner / VarID: append-only and unordered, because lineage
 //     variables are only compared for equality.
 //
-// The layer is wired through every consumer: package relation binds
-// tuples to a Dict and compares via relation.FactKey, package core
-// threads interned keys through windows and operator cursors, package
+// The layer is wired through every consumer: package relation binds a
+// relation to a Dict by a column of packed ids beside its rows, package
+// core sweeps on those columns and threads the id of a fact through
+// windows and operator cursors into the output blocks, package
 // engine cuts its shards at FactID quantiles, the query service's catalog
 // maintains one superset Dict across all admitted relations, and csvio /
 // datagen construct ids at ingest.

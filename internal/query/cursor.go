@@ -23,7 +23,9 @@ import (
 // named relations in db. All plan errors (unknown relation, incompatible
 // schemas, unknown attribute) surface here, at build time: cursors
 // themselves cannot fail. Options apply to every set operation of the
-// tree; AssumeSorted and Validate refer to the db's leaf relations and
+// tree, except that LazyProb governs the root alone (an operator feeding
+// another leaves Prob unvaluated whatever the caller chose: nothing
+// reads it); AssumeSorted and Validate refer to the db's leaf relations and
 // are discharged once per plan (PrepareLeaves) — streams themselves are
 // always sorted by the cursor ordering invariant.
 //
@@ -52,7 +54,7 @@ func lookup(db map[string]*relation.Relation, name string) (*relation.Relation, 
 // PrepareLeaves resolves the relations the plan's scans read — each
 // referenced name once, however often the query repeats it — and runs
 // them through core.PrepareLeaves (validated, sorted, bound to one
-// dictionary, fid columns built, on up to workers goroutines); the
+// dictionary, on up to workers goroutines); the
 // result is the database BuildPrepared reads. The engine calls it once
 // per plan, before it cuts the prepared leaves into shards.
 func PrepareLeaves(n Node, db map[string]*relation.Relation, opts core.Options, workers int) (map[string]*relation.Relation, error) {
@@ -117,7 +119,10 @@ func BuildPrepared(n Node, db map[string]*relation.Relation, opts core.Options) 
 		}
 		return core.Traced(&selectCursor{in: core.AsBatchCursor(in), idx: idx, value: q.Value}, sp), nil
 	case *SetOp:
+		// The advancer above reads a child row's fact, interval and
+		// lineage, never its probability: only the root valuates.
 		lOpts, rOpts := opts, opts
+		lOpts.LazyProb, rOpts.LazyProb = true, true
 		if sp != nil {
 			lOpts.Span = sp.NewChild("")
 			rOpts.Span = sp.NewChild("")
@@ -224,10 +229,11 @@ func (c *selectCursor) NextBatch(b *core.Batch) bool {
 			c.bi = 0
 		}
 		t := &c.buf.Tuples[c.bi]
-		c.bi++
 		if c.idx < len(t.Fact) && t.Fact[c.idx] == c.value {
-			b.Append(*t)
+			b.Append(*t, c.buf.Fid[c.bi])
+			b.Dict = c.buf.Dict
 		}
+		c.bi++
 	}
 	b.CheckBound("query.selectCursor.NextBatch")
 	return len(b.Tuples) > 0

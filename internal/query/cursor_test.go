@@ -20,16 +20,18 @@ import (
 // AssumeSorted: a repeating query over relations that share no
 // dictionary must still sweep on packed fact ids — every block of the
 // plan is bound — because the plan binds its private leaf clones to
-// one dictionary, and it must leave the caller's relations as they were.
+// one dictionary, and it must leave the caller's relations as they were:
+// the same dictionary, the same column storage, the same rows.
 func TestBuildCursorPreparesLeavesOncePerPlan(t *testing.T) {
 	tree := query.MustParse("(r0 | r1) - (r0 & r2)")
 	for _, binding := range []reftest.Binding{reftest.Unbound, reftest.Mixed} {
 		db := reftest.DB(rand.New(rand.NewSource(48)),
 			reftest.Shape{Relations: 3, MaxTuples: 300, Facts: 16, Binding: binding})
 		dicts := map[string]*keys.Dict{}
+		cols := map[string][]int64{}
 		firsts := map[string]relation.Tuple{}
 		for name, r := range db {
-			dicts[name], firsts[name] = r.Dict(), r.Tuples[0]
+			dicts[name], cols[name], firsts[name] = r.Dict(), r.FidCol(), r.Tuples[0]
 		}
 
 		c, err := query.BuildCursor(tree, db, core.Options{})
@@ -47,7 +49,8 @@ func TestBuildCursorPreparesLeavesOncePerPlan(t *testing.T) {
 		reftest.Check(t, tree.String(), got, tree, db)
 
 		for name, r := range db {
-			if r.Dict() != dicts[name] || r.FidCol() != nil || r.Tuples[0].Lineage != firsts[name].Lineage {
+			sameCol := len(r.FidCol()) == len(cols[name]) && (cols[name] == nil || &r.FidCol()[0] == &cols[name][0])
+			if r.Dict() != dicts[name] || !sameCol || r.Tuples[0].Lineage != firsts[name].Lineage {
 				t.Fatalf("binding %d: plan building modified input relation %s", binding, name)
 			}
 		}
@@ -56,9 +59,8 @@ func TestBuildCursorPreparesLeavesOncePerPlan(t *testing.T) {
 
 // TestPrepareLeavesFansOutAcrossWorkers pins the exported preparation
 // step the engine cuts its shards from: at any worker budget every
-// referenced leaf comes back once, as a private clone that is sorted,
-// carries its fid column and is bound to one dictionary shared by all of
-// them; AssumeSorted leaves that already are all that come back as the
+// referenced leaf comes back once, as a private copy that is sorted and
+// bound to one dictionary shared by all of them; AssumeSorted leaves that already are all that come back as the
 // caller's own, others as bound clones in the caller's order; a
 // duplicate or an unknown relation fails.
 func TestPrepareLeavesFansOutAcrossWorkers(t *testing.T) {

@@ -69,10 +69,11 @@ func Apply(op core.Op, r, s *relation.Relation) *relation.Relation {
 	ingest := func(rel *relation.Relation, left bool) {
 		for i := range rel.Tuples {
 			t := rel.Tuples[i]
-			fd, ok := facts[t.Key()]
+			k := t.Key()
+			fd, ok := facts[k]
 			if !ok {
 				fd = &factData{fact: t.Fact}
-				facts[t.Key()] = fd
+				facts[k] = fd
 			}
 			if left {
 				fd.r = append(fd.r, t)

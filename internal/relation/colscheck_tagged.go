@@ -8,7 +8,7 @@ import (
 )
 
 // checkFidRegion is the tpinvariants-build body of the FidCol accessor
-// hook: when the cached column was installed by SetFidCol over a
+// hook: when the cached column was installed by SetBinding over a
 // foreign region (an mmap'd segment), it must still lie entirely inside
 // that region — a column that escaped the mapping means the pointer
 // fixup or a segment replace went wrong, and reading it would fault or

@@ -10,7 +10,7 @@ import (
 
 // Under the tpinvariants tag the FidCol accessor re-checks that a
 // foreign-memory column still lies inside the mapped region recorded by
-// SetFidCol; a column that escaped its region — a corrupted pointer
+// SetBinding; a column that escaped its region — a corrupted pointer
 // fixup — must panic with a diagnostic naming the check site.
 func TestFidColOutsideRegionPanics(t *testing.T) {
 	r := New(NewSchema("mapped", "a"))
@@ -20,8 +20,8 @@ func TestFidColOutsideRegionPanics(t *testing.T) {
 	r.Sort()
 	// A "region" that cannot contain the heap-allocated column below.
 	region := make([]byte, 8)
-	if err := r.SetFidCol([]int64{0, 1}, region); err != nil {
-		t.Fatalf("SetFidCol: %v", err)
+	if err := r.SetBinding(r.Dict(), []int64{0, 1}, region); err != nil {
+		t.Fatalf("SetBinding: %v", err)
 	}
 	defer func() {
 		msg, _ := recover().(string)
@@ -47,8 +47,8 @@ func TestFidColInsideRegionPasses(t *testing.T) {
 	slab := make([]int64, 8) // 8-aligned backing, viewed both as bytes and as the column
 	region := unsafe.Slice((*byte)(unsafe.Pointer(&slab[0])), 8*len(slab))
 	fid := slab[2:3]
-	if err := r.SetFidCol(fid, region); err != nil {
-		t.Fatalf("SetFidCol: %v", err)
+	if err := r.SetBinding(r.Dict(), fid, region); err != nil {
+		t.Fatalf("SetBinding: %v", err)
 	}
 	if got := r.FidCol(); len(got) != 1 || &got[0] != &fid[0] {
 		t.Fatalf("in-region column rejected")

@@ -17,26 +17,24 @@
 //     admission path of unknown provenance (CSV reader, query service
 //     PUT) calls it.
 //   - The canonical tuple order is (fact key, Ts, Te) — Less, which Sort
-//     establishes. Dictionary ids are ranks of the sorted key set, so the
+//     establishes (on packed ids). Dictionary ids are ranks of the sorted key set, so the
 //     parallel engine shards a sorted relation by cutting it at fact
 //     boundaries (Slice) and concatenates shard outputs in shard order,
 //     which keeps parallel output bit-identical to sequential output.
-//   - Tuple.Key caches the fact key lazily; concurrent code must not call
-//     it on shared, never-sorted relations (see the engine's concurrency
-//     notes) — construction through NewBase/NewDerived pre-fills it, and
-//     the execution stack compares fid column entries instead.
+//   - A Tuple is (Fact, Lineage, T, Prob) and holds no key: Tuple.Key
+//     computes Fact.Key on demand (free for one attribute, an allocation
+//     otherwise), so loops hoist it or read Relation.KeyAt. Nothing in
+//     the package writes a row it was only asked to read, so relations
+//     may be shared between concurrent readers.
 //   - Fact keys are injective: attribute values containing the key
 //     separator (or escape byte) are escaped, so distinct facts can never
 //     alias one key.
-//   - Interning (Bind/Intern/InternAll, package keys): a relation bound
-//     to a fact dictionary compares tuples by packed (FactID, Ts, Te)
-//     integers. Ids are ranks over the sorted key set, so the integer
-//     order IS the canonical order; dict != nil implies every tuple is
-//     interned against it (Add maintains this, dropping the binding on
-//     unknown facts).
-//   - The fid column (BuildCols, FidCol) is the one projection a bound
-//     relation carries: row i holds the id of Tuples[i]. Every mutator
-//     invalidates it; Slice views and mmap'd segments alias it.
+//   - The binding (Bind/Intern/InternAll/SetBinding, package keys)
+//     belongs to the relation, not to its rows: a dictionary plus the fid
+//     column, which every mutator keeps in step with Tuples and a direct
+//     resize of that public field invalidates as a whole (see Relation).
+//     Ids are ranks over the sorted key set, so the integer order
+//     (fid, Ts, Te) IS the canonical order.
 //
 // Paper map: Defs. 1–2 (TP relation, duplicate-freeness, change
 // preservation), τ_t^p (§II), Table IV statistics (§VII-C), overlapping

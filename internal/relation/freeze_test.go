@@ -12,7 +12,6 @@ func frozenFixture(t *testing.T) *Relation {
 	r.AddBase(NewFact("y", "2"), "i2", 2, 7, 0.25)
 	r.Intern()
 	r.Sort()
-	r.BuildCols()
 	r.Freeze()
 	return r
 }
@@ -27,9 +26,10 @@ func TestFrozenMutatorsPanic(t *testing.T) {
 		"Bind":         func() { r.Bind(r.Dict()) },
 		"Unbind":       func() { r.Unbind() },
 		"Sort":         func() { r.Sort() },
+		"SortCounting": func() { r.SortCounting() },
 		"ComputeProbs": func() { r.ComputeProbs() },
-		"BuildCols":    func() { r.BuildCols() },
-		"SetFidCol":    func() { r.SetFidCol(r.FidCol(), nil) },
+		"SetBinding":   func() { r.SetBinding(r.Dict(), r.FidCol(), nil) },
+		"Intern":       func() { r.Intern() },
 	}
 	for name, fn := range cases {
 		func() {
@@ -44,8 +44,9 @@ func TestFrozenMutatorsPanic(t *testing.T) {
 			fn()
 		}()
 	}
-	// Reads stay open: the fid column and clone both work.
-	if r.FidCol() == nil {
+	// Reads stay open: the fid column (under either accessor name) and
+	// clone both work.
+	if r.FidCol() == nil || r.BuildCols() == nil {
 		t.Fatalf("frozen relation lost its fid column")
 	}
 	c := r.Clone()
@@ -53,7 +54,9 @@ func TestFrozenMutatorsPanic(t *testing.T) {
 		t.Fatalf("Clone inherited frozen")
 	}
 	c.Sort()
-	c.BuildCols()
+	if c.Dict() != r.Dict() || c.FidCol() == nil {
+		t.Fatalf("Clone did not carry the binding")
+	}
 }
 
 // Slice hands out frozen zero-copy views: rows and the fid column alias
@@ -96,22 +99,31 @@ func TestSliceIsFrozenZeroCopyView(t *testing.T) {
 	}
 }
 
-func TestSetFidColValidates(t *testing.T) {
+func TestSetBindingValidates(t *testing.T) {
 	r := New(NewSchema("v", "a"))
 	r.AddBase(NewFact("x"), "i1", 0, 5, 0.5)
-	if err := r.SetFidCol([]int64{0}, nil); err == nil {
-		t.Fatalf("SetFidCol on unbound relation accepted")
+	if err := r.SetBinding(nil, []int64{0}, nil); err == nil {
+		t.Fatalf("SetBinding without a dictionary accepted")
 	}
-	r.Intern()
-	if err := r.SetFidCol([]int64{1, 2}, nil); err == nil {
-		t.Fatalf("SetFidCol with a mismatched length accepted")
+	d := r.Clone().Intern()
+	if err := r.SetBinding(d, []int64{1, 2}, nil); err == nil || r.Dict() != nil {
+		t.Fatalf("SetBinding with a mismatched length accepted (err %v, dict %p)", err, r.Dict())
 	}
-	good := []int64{0}
-	if err := r.SetFidCol(good, nil); err != nil {
-		t.Fatalf("SetFidCol rejected a mirroring column: %v", err)
+	good := []int64{0, 7}[:1] // spare capacity: the installed column is clipped
+	if err := r.SetBinding(d, good, nil); err != nil {
+		t.Fatalf("SetBinding rejected a mirroring column: %v", err)
 	}
-	if got := r.FidCol(); len(got) != 1 || &got[0] != &good[0] {
-		t.Fatalf("FidCol() did not return the installed column")
+	if got := r.FidCol(); len(got) != 1 || cap(got) != 1 || &got[0] != &good[0] || r.Dict() != d || r.Frozen() {
+		t.Fatalf("FidCol() did not return the installed column, clipped, on an unfrozen relation")
+	}
+	r.AddBase(NewFact("x"), "i2", 5, 9, 0.5) // appends beside the caller's slab, not into it
+	if got := r.FidCol(); len(got) != 2 || good[:2][1] != 7 {
+		t.Fatalf("Add after SetBinding wrote into the caller's column: %v, slab %v", got, good[:2])
+	}
+	// A column that aliases foreign memory freezes the relation.
+	m := r.Clone()
+	if err := m.SetBinding(d, []int64{0, 0}, []byte{0}); err != nil || !m.Frozen() {
+		t.Fatalf("SetBinding over a region: err %v, frozen %v", err, m.Frozen())
 	}
 }
 

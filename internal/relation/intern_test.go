@@ -112,13 +112,13 @@ func TestBindMaintainsInvariants(t *testing.T) {
 	if r.Dict() != d {
 		t.Fatal("Intern did not bind")
 	}
-	for i := range r.Tuples {
-		bound, id := r.Tuples[i].Binding()
-		if bound != d {
-			t.Fatalf("tuple %d unbound after Intern", i)
-		}
-		if d.Key(id) != r.Tuples[i].Key() {
-			t.Fatalf("tuple %d id %d resolves to %q, want %q", i, id, d.Key(id), r.Tuples[i].Key())
+	fid := r.FidCol()
+	if len(fid) != r.Len() {
+		t.Fatalf("Intern built a column of %d ids over %d rows", len(fid), r.Len())
+	}
+	for i, id := range fid {
+		if d.Key(keys.FactID(id)) != r.Tuples[i].Key() || r.KeyAt(i) != r.Tuples[i].Key() {
+			t.Fatalf("tuple %d id %d resolves to %q, want %q", i, id, d.Key(keys.FactID(id)), r.Tuples[i].Key())
 		}
 	}
 
@@ -127,19 +127,33 @@ func TestBindMaintainsInvariants(t *testing.T) {
 	if r.Dict() != d {
 		t.Fatal("Add of known fact dropped the binding")
 	}
-	// Adding an unknown fact drops the relation-level binding.
+	if fid = r.FidCol(); len(fid) != r.Len() || d.Key(keys.FactID(fid[r.Len()-1])) != "a" {
+		t.Fatal("Add of known fact did not append its id")
+	}
+	// Adding an unknown fact drops the binding.
 	r.AddBase(NewFact("unknown"), "extra2", 1000, 1001, 0.5)
-	if r.Dict() != nil {
+	if r.Dict() != nil || r.FidCol() != nil {
 		t.Fatal("Add of unknown fact kept the binding")
 	}
 
-	// Re-intern, then AdoptBinding round-trips through a raw copy.
+	// Re-intern: a raw copy of the rows carries no binding (the rows hold
+	// none); SetBinding hands it the ids, and a direct append to Tuples
+	// afterwards leaves the column behind, which reads as unbound.
 	r.Intern()
 	cp := New(r.Schema)
 	cp.Tuples = append(cp.Tuples, r.Tuples...)
-	cp.AdoptBinding()
-	if cp.Dict() != r.Dict() {
-		t.Fatal("AdoptBinding did not recover the shared dict")
+	if cp.Dict() != nil || cp.FidCol() != nil {
+		t.Fatal("a raw copy of the rows reads as bound")
+	}
+	if err := cp.SetBinding(r.Dict(), append([]int64(nil), r.FidCol()...), nil); err != nil || cp.Dict() != r.Dict() {
+		t.Fatalf("SetBinding did not install the shared dict: %v", err)
+	}
+	cp.Tuples = append(cp.Tuples, r.Tuples[0])
+	if cp.Dict() != nil || cp.FidCol() != nil || cp.BuildCols() != nil {
+		t.Fatal("a relation resized behind its back still reads as bound")
+	}
+	if cp.ComputeProbs(); cp.Bind(r.Dict()) != true || len(cp.FidCol()) != cp.Len() {
+		t.Fatal("rebinding a resized relation did not rebuild the column")
 	}
 
 	// Bind to a dict missing some facts must fail and unbind.
@@ -168,9 +182,7 @@ func TestInternAllSharedDict(t *testing.T) {
 			if SameFact(x, y) != (x.Key() == y.Key()) {
 				t.Fatalf("SameFact diverges from key equality for %v vs %v", x, y)
 			}
-			_, xid := x.Binding()
-			_, yid := y.Binding()
-			if (xid < yid) != (x.Key() < y.Key()) {
+			if xid, yid := a.FidCol()[i], b.FidCol()[j]; (xid < yid) != (x.Key() < y.Key()) {
 				t.Fatalf("id order diverges from key order for %v vs %v", x, y)
 			}
 		}

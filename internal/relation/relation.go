@@ -2,7 +2,8 @@ package relation
 
 import (
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 	"strings"
 
 	"github.com/tpset/tpset/internal/interval"
@@ -140,63 +141,35 @@ func (f Fact) String() string {
 	return "(" + strings.Join(parts, ",") + ")"
 }
 
-// Tuple is a TP tuple (F, λ, T, p). Prob caches the probabilistic valuation
-// of Lineage; for base tuples it is the base probability, for derived tuples
-// it is filled by the operators (linear-time for 1OF lineage).
+// Tuple is a TP tuple (F, λ, T, p) and nothing else: 56 bytes, two
+// pointer words. Prob caches the probabilistic valuation of Lineage; for
+// base tuples it is the base probability, for derived tuples it is
+// filled by the operators (linear-time for 1OF lineage).
 //
-// A tuple may additionally be interned against a keys.Dict (fid/dict):
-// when two tuples carry the same non-nil dict, their facts compare by
-// FactID — a single integer compare — instead of by key string. The
-// invariant is that fid == dict.ID(Fact.Key()) whenever dict is non-nil;
-// Relation.Bind establishes it and every comparison helper falls back to
-// the string key when the dictionaries differ or are absent.
+// A tuple carries no fact binding. The packed id of a fact lives beside
+// the rows, in the fid column of the Relation (or the Fid column of a
+// core.Batch) that holds them; a tuple outside any relation compares by
+// Fact.Key, computed on demand.
 type Tuple struct {
 	Fact    Fact
 	Lineage *lineage.Expr
 	T       interval.Interval
 	Prob    float64
-
-	key  string      // cached Fact.Key()
-	fid  keys.FactID // interned fact id, valid iff dict != nil
-	dict *keys.Dict
 }
 
-// FactKey is the interned identity of a fact: the canonical key string,
-// the dictionary and the packed id (KeyIn builds one from a fid column
-// entry). It is a small value type that the window advancer builds once
-// per fact group and operator cursors stamp onto derived tuples, so
-// output inherits the inputs' interning.
-type FactKey struct {
-	key  string
-	id   keys.FactID
-	dict *keys.Dict
-}
-
-// SameFact reports whether two tuples hold the same fact, using the
-// interned fast path when available.
-func SameFact(a, b *Tuple) bool {
-	if a.dict != nil && a.dict == b.dict {
-		return a.fid == b.fid
-	}
-	return a.Key() == b.Key()
-}
+// SameFact reports whether two tuples of one schema hold the same fact.
+func SameFact(a, b *Tuple) bool { return a.Fact.Equal(b.Fact) }
 
 // NewBase returns a base tuple: its lineage is the atomic variable id with
 // marginal probability p, valid over [ts, te).
 func NewBase(fact Fact, id string, ts, te interval.Time, p float64) Tuple {
-	return Tuple{
-		Fact:    fact,
-		Lineage: lineage.Var(id, p),
-		T:       interval.New(ts, te),
-		Prob:    p,
-		key:     fact.Key(),
-	}
+	return Tuple{Fact: fact, Lineage: lineage.Var(id, p), T: interval.New(ts, te), Prob: p}
 }
 
 // NewDerived returns a result tuple with the given lineage; its probability
 // is computed from the lineage (exact and linear when the lineage is 1OF).
 func NewDerived(fact Fact, lam *lineage.Expr, iv interval.Interval) Tuple {
-	return Tuple{Fact: fact, Lineage: lam, T: iv, Prob: lam.Prob(), key: fact.Key()}
+	return Tuple{Fact: fact, Lineage: lam, T: iv, Prob: lam.Prob()}
 }
 
 // NewDerivedLazy returns a result tuple without valuating its lineage
@@ -205,37 +178,13 @@ func NewDerived(fact Fact, lam *lineage.Expr, iv interval.Interval) Tuple {
 // separately from probability valuation, mirroring the paper's setup where
 // confidence computation is a separate stage.
 func NewDerivedLazy(fact Fact, lam *lineage.Expr, iv interval.Interval) Tuple {
-	return Tuple{Fact: fact, Lineage: lam, T: iv, key: fact.Key()}
+	return Tuple{Fact: fact, Lineage: lam, T: iv}
 }
 
-// NewDerivedLazyKeyed is NewDerivedLazy with a precomputed comparison
-// key: the derived tuple reuses the key string and inherits the interning
-// of the input tuple the key came from, so operator output stays on the
-// integer-compare path without re-deriving or re-interning anything.
-func NewDerivedLazyKeyed(fact Fact, k FactKey, lam *lineage.Expr, iv interval.Interval) Tuple {
-	return Tuple{Fact: fact, Lineage: lam, T: iv, key: k.key, fid: k.id, dict: k.dict}
-}
-
-// InitDerivedLazyKeyed initializes t in place, equivalent to assigning
-// NewDerivedLazyKeyed's result. Bulk decode paths (segment restore) fill
-// preallocated tuple slabs with it instead of copying ~100-byte Tuple
-// values through the stack per element.
-func (t *Tuple) InitDerivedLazyKeyed(fact Fact, k FactKey, lam *lineage.Expr, iv interval.Interval) {
-	t.Fact = fact
-	t.Lineage = lam
-	t.T = iv
-	t.key = k.key
-	t.fid = k.id
-	t.dict = k.dict
-}
-
-// Key returns the cached canonical fact key.
-func (t *Tuple) Key() string {
-	if t.key == "" && len(t.Fact) > 0 {
-		t.key = t.Fact.Key()
-	}
-	return t.key
-}
+// Key returns the canonical fact key, computed on demand: free for a
+// one-attribute fact, an allocation otherwise — hoist it out of loops,
+// and inside a bound relation read Relation.KeyAt instead.
+func (t *Tuple) Key() string { return t.Fact.Key() }
 
 // ComputeProb (re)valuates the lineage probability into Prob.
 func (t *Tuple) ComputeProb() float64 {
@@ -252,34 +201,40 @@ func (t Tuple) String() string {
 // not semantically meaningful; Sort establishes the (fact, Ts) order the
 // sweep algorithms require.
 //
-// A relation may be bound to a fact dictionary (Bind, Intern, InternAll):
-// then every tuple carries its FactID and the sort, duplicate check and
-// coalescing run on integer compares. dict != nil implies every tuple is
-// interned against it; Add maintains the invariant by interning appended
-// tuples (or dropping the binding when a fact is unknown to the dict).
+// The relation is the one owner of its fact binding: it is bound exactly
+// when it holds a dictionary and a fid column with fid[i] the packed id
+// of Tuples[i].Fact. Ids are ranks over the sorted key set, so an
+// ascending column IS canonical fact order, and the sort, the duplicate
+// check, the sweep, the gallops and the engine's shard cuts run on it.
+// Bind, Intern and InternAll establish the binding; SetBinding takes it
+// from a producer that already knows the ids. Every mutator maintains
+// it: Add appends an id (or unbinds on a fact the dictionary lacks),
+// Sort and SortCounting permute rows and column together, Clone, Slice,
+// Timeslice and Coalesce carry it. Tuples is a public field: a caller
+// that resizes it directly leaves the column behind, and a column whose
+// length is not len(Tuples) reads as no binding at all. In-place edits
+// of a fact inside a bound relation are the caller's responsibility.
 type Relation struct {
 	Schema Schema
 	Tuples []Tuple
 
 	dict *keys.Dict
-	// fid caches the fid column (BuildCols); every mutator below clears
-	// it, and the FidCol accessor re-checks validity.
-	fid []int64
+	fid  []int64
 	// region is the foreign memory (an mmap'd segment) fid aliases when
-	// SetFidCol installed it; nil for a heap-built column. The
-	// tpinvariants build checks every FidCol read against it.
+	// SetBinding installed it; nil for a heap column. The tpinvariants
+	// build checks every FidCol read against it.
 	region []byte
 	// frozen marks the relation read-only: mutators panic. Set for
-	// relations whose fid column aliases a shared mapping, where an
-	// in-place mutation would corrupt memory other snapshots still read.
+	// relations whose rows or column are shared — a restored segment's
+	// mapping, a Slice view's parent.
 	frozen bool
 }
 
-// clearFidCol drops the cached fid column together with the
-// foreign-memory region it may alias; every mutator goes through it so
-// a stale region can never be checked against a freshly built heap
-// column.
-func (r *Relation) clearFidCol() { r.fid, r.region = nil, nil }
+// bound is the length guard: the binding counts only while the column
+// still mirrors Tuples row for row.
+func (r *Relation) bound() bool { return r.dict != nil && len(r.fid) == len(r.Tuples) }
+
+func (r *Relation) unbind() { r.dict, r.fid, r.region = nil, nil, nil }
 
 // mutable panics when the relation is frozen; every mutator calls it
 // first, so an aliased mapping can never be written through a stale
@@ -290,12 +245,10 @@ func (r *Relation) mutable(op string) {
 	}
 }
 
-// Freeze marks the relation read-only: Add, Bind, Unbind, Sort,
-// ComputeProbs, ComputeProbsMonteCarlo, BuildCols and SetFidCol panic
-// afterwards. The segment store freezes restored relations because
-// their fid column aliases the shared file mapping; Clone returns an
-// unfrozen deep copy, so the catalog's rebind-via-clone admission path
-// is unaffected.
+// Freeze marks the relation read-only: every mutator panics afterwards.
+// The segment store freezes restored relations because their fid column
+// aliases the shared file mapping; Clone returns an unfrozen deep copy,
+// so the catalog's rebind-via-clone admission path is unaffected.
 func (r *Relation) Freeze() { r.frozen = true }
 
 // Frozen reports whether the relation is read-only.
@@ -306,90 +259,122 @@ func New(schema Schema) *Relation {
 	return &Relation{Schema: schema}
 }
 
-// Add appends a tuple. The caller is responsible for keeping the relation
-// duplicate-free; ValidateDuplicateFree checks the invariant.
+// Add appends a tuple; a bound relation stays bound when its dictionary
+// knows the fact and is unbound otherwise. The caller is responsible for
+// keeping the relation duplicate-free; ValidateDuplicateFree checks it.
 func (r *Relation) Add(t Tuple) {
 	r.mutable("Add")
-	r.clearFidCol()
-	if r.dict != nil && t.dict != r.dict {
-		if id, ok := r.dict.ID(t.Key()); ok {
-			t.fid, t.dict = id, r.dict
-		} else {
-			r.dict = nil
-		}
+	id, ok := keys.FactID(0), false
+	if r.bound() {
+		id, ok = r.dict.ID(t.Fact.Key())
+	}
+	if ok {
+		r.fid = append(r.fid, int64(id))
+	} else {
+		r.unbind()
 	}
 	r.Tuples = append(r.Tuples, t)
 }
 
 // Dict returns the dictionary the relation is bound to, or nil.
-func (r *Relation) Dict() *keys.Dict { return r.dict }
+func (r *Relation) Dict() *keys.Dict {
+	if !r.bound() {
+		return nil
+	}
+	return r.dict
+}
 
-// Bind interns every tuple against d and binds the relation, enabling
-// the integer-compare paths. It reports whether every fact was present
-// in d; on a miss the relation is left unbound (tuples seen before the
-// miss keep a valid per-tuple interning, which is always self-consistent).
-// Binding never reorders tuples, and because dictionaries are
-// order-preserving a sorted relation stays sorted across rebinding.
+// KeyAt returns the fact key of row i: the dictionary's string when the
+// relation is bound (an array index), Fact.Key computed otherwise.
+func (r *Relation) KeyAt(i int) string {
+	if r.bound() {
+		return r.dict.Key(keys.FactID(r.fid[i]))
+	}
+	return r.Tuples[i].Fact.Key()
+}
+
+// appendKeys appends KeyAt of every row to dst, each computed once.
+func (r *Relation) appendKeys(dst []string) []string {
+	for i := range r.Tuples {
+		dst = append(dst, r.KeyAt(i))
+	}
+	return dst
+}
+
+// Bind binds the relation to d: it builds the fid column by looking up
+// every row's fact key. It reports whether every fact was present in d;
+// on a miss (or a nil d) the relation is left unbound. Binding never
+// reorders tuples, and because dictionaries are order-preserving a
+// sorted relation stays sorted across rebinding.
 func (r *Relation) Bind(d *keys.Dict) bool {
 	r.mutable("Bind")
-	r.clearFidCol()
+	if r.bound() && r.dict == d {
+		return true
+	}
+	return r.bindKeys(d, nil)
+}
+
+// bindKeys is Bind over precomputed row keys (nil: read KeyAt). A row
+// that repeats its predecessor's key — every row but the first of a
+// fact's run in a sorted relation — reuses its id without a lookup.
+func (r *Relation) bindKeys(d *keys.Dict, ks []string) bool {
 	if d == nil {
-		r.Unbind()
+		r.unbind()
 		return false
 	}
-	for i := range r.Tuples {
-		t := &r.Tuples[i]
-		id, ok := d.ID(t.Key())
+	fid := make([]int64, len(r.Tuples))
+	prev := ""
+	for i := range fid {
+		var k string
+		if ks != nil {
+			k = ks[i]
+		} else {
+			k = r.KeyAt(i)
+		}
+		if i > 0 && k == prev {
+			fid[i] = fid[i-1]
+			continue
+		}
+		id, ok := d.ID(k)
 		if !ok {
-			r.dict = nil
+			r.unbind()
 			return false
 		}
-		t.fid, t.dict = id, d
+		fid[i], prev = int64(id), k
 	}
-	r.dict = d
+	r.dict, r.fid = d, fid // region stays nil: a relation over a mapping is frozen
 	return true
 }
 
-// Unbind clears the relation's and every tuple's interning; comparisons
-// fall back to key strings. The pre-interning execution stack is exactly
-// the unbound one, which the cross-validation suite and the
-// intern-vs-string benchmark exercise through this switch.
+// Unbind drops the binding; the relation compares by key strings again.
 func (r *Relation) Unbind() {
 	r.mutable("Unbind")
-	r.clearFidCol()
-	r.dict = nil
-	for i := range r.Tuples {
-		r.Tuples[i].fid, r.Tuples[i].dict = 0, nil
-	}
+	r.unbind()
 }
 
 // Intern builds a dictionary over the relation's own facts, binds the
 // relation to it and returns it — the ingest-time entry point (csvio,
 // datagen, catalog admission).
-func (r *Relation) Intern() *keys.Dict {
-	ks := make([]string, len(r.Tuples))
-	for i := range r.Tuples {
-		ks[i] = r.Tuples[i].Key()
-	}
-	d := keys.BuildDict(ks)
-	r.Bind(d)
-	return d
-}
+func (r *Relation) Intern() *keys.Dict { return InternAll(r) }
 
 // InternAll builds one shared dictionary over the facts of all given
 // relations and binds each to it. Sharing one dictionary is what makes
 // cross-relation comparisons — the window advancer, the engine's shard
 // cuts — integer-only across a whole query tree.
 func InternAll(rels ...*Relation) *keys.Dict {
-	var ks []string
+	n := 0
 	for _, r := range rels {
-		for i := range r.Tuples {
-			ks = append(ks, r.Tuples[i].Key())
-		}
+		r.mutable("Intern")
+		n += len(r.Tuples)
+	}
+	ks := make([]string, 0, n)
+	for _, r := range rels {
+		ks = r.appendKeys(ks)
 	}
 	d := keys.BuildDict(ks)
 	for _, r := range rels {
-		r.Bind(d)
+		r.bindKeys(d, ks[:len(r.Tuples)])
+		ks = ks[len(r.Tuples):]
 	}
 	return d
 }
@@ -405,34 +390,12 @@ func SharedDict(rels ...*Relation) *keys.Dict {
 		if len(r.Tuples) == 0 {
 			continue
 		}
-		if r.dict == nil || (d != nil && r.dict != d) {
+		if !r.bound() || (d != nil && r.dict != d) {
 			return nil
 		}
 		d = r.dict
 	}
 	return d
-}
-
-// AdoptBinding rebinds the relation to d when every tuple is already
-// interned against it (a cheap pointer scan), and unsets the relation
-// dict otherwise. Materialize uses it so operator output over same-dict
-// inputs comes out bound without any map lookups.
-func (r *Relation) AdoptBinding() {
-	if len(r.Tuples) == 0 {
-		return
-	}
-	d := r.Tuples[0].dict
-	if d == nil {
-		r.dict = nil
-		return
-	}
-	for i := 1; i < len(r.Tuples); i++ {
-		if r.Tuples[i].dict != d {
-			r.dict = nil
-			return
-		}
-	}
-	r.dict = d
 }
 
 // AddBase appends a base tuple with a fresh identifier id and probability p.
@@ -443,25 +406,23 @@ func (r *Relation) AddBase(fact Fact, id string, ts, te interval.Time, p float64
 // Len returns the number of tuples.
 func (r *Relation) Len() int { return len(r.Tuples) }
 
-// Clone returns a deep copy of the relation's tuple slice (lineage trees
-// are shared: they are immutable). The interning binding is carried over.
+// Clone returns an unfrozen deep copy of the rows and the fid column
+// (lineage trees are shared: they are immutable).
 func (r *Relation) Clone() *Relation {
-	out := &Relation{Schema: r.Schema, Tuples: make([]Tuple, len(r.Tuples)), dict: r.dict}
+	out := &Relation{Schema: r.Schema, Tuples: make([]Tuple, len(r.Tuples))}
 	copy(out.Tuples, r.Tuples)
+	if r.bound() {
+		out.dict, out.fid = r.dict, slices.Clone(r.fid)
+	}
 	return out
 }
 
-// Less is the canonical tuple order (fact key, Ts, Te) that Sort
-// establishes and every stream — sequential or sharded — emits. When
-// both tuples are interned against one dictionary the fact compare is a
-// single integer compare — the packed (FactID, Ts, Te) order — which
-// agrees with the string order because ids are ranks over the sorted keys.
+// Less is the canonical tuple order (fact key, Ts, Te) for tuples outside
+// a relation; it computes both keys. Inside a bound relation or a block
+// the same order is the integer order (fid, Ts, Te) — ids are ranks over
+// the sorted keys — which is what Sort and every stream use.
 func Less(a, b *Tuple) bool {
-	if a.dict != nil && a.dict == b.dict {
-		if a.fid != b.fid {
-			return a.fid < b.fid
-		}
-	} else if ak, bk := a.Key(), b.Key(); ak != bk {
+	if ak, bk := a.Key(), b.Key(); ak != bk {
 		return ak < bk
 	}
 	if a.T.Ts != b.T.Ts {
@@ -470,94 +431,20 @@ func Less(a, b *Tuple) bool {
 	return a.T.Te < b.T.Te
 }
 
-// Sort orders tuples by (fact key, Ts, Te). This is the sort step of Fig. 5
-// in the paper and a precondition of the window advancer. A bound
-// relation sorts with the pure three-integer comparator.
-func (r *Relation) Sort() {
-	r.mutable("Sort")
-	r.clearFidCol()
-	if r.dict != nil {
-		sort.Slice(r.Tuples, func(i, j int) bool {
-			a, b := &r.Tuples[i], &r.Tuples[j]
-			if a.fid != b.fid {
-				return a.fid < b.fid
-			}
-			if a.T.Ts != b.T.Ts {
-				return a.T.Ts < b.T.Ts
-			}
-			return a.T.Te < b.T.Te
-		})
-		return
-	}
-	sort.Slice(r.Tuples, func(i, j int) bool {
-		return Less(&r.Tuples[i], &r.Tuples[j])
-	})
-}
-
-// IsSorted reports whether the relation is in (fact, Ts) order.
-func (r *Relation) IsSorted() bool {
-	if r.dict != nil {
-		return sort.SliceIsSorted(r.Tuples, func(i, j int) bool {
-			a, b := &r.Tuples[i], &r.Tuples[j]
-			if a.fid != b.fid {
-				return a.fid < b.fid
-			}
-			return a.T.Ts < b.T.Ts
-		})
-	}
-	return sort.SliceIsSorted(r.Tuples, func(i, j int) bool {
-		a, b := &r.Tuples[i], &r.Tuples[j]
-		if ak, bk := a.Key(), b.Key(); ak != bk {
-			return ak < bk
-		}
-		return a.T.Ts < b.T.Ts
-	})
-}
-
 // ValidateDuplicateFree checks the model invariant: no two distinct tuples
 // share a fact over overlapping intervals. It returns a descriptive error
-// naming the first violating pair, or nil.
+// naming the first violating pair in canonical order, or nil. In that
+// order a fact's intervals ascend by start point, so one of them
+// overlaps another exactly when it overlaps its successor: the check is
+// one pass over the sort keys. It only reads the relation, so concurrent
+// validators may share one.
 func (r *Relation) ValidateDuplicateFree() error {
-	if r.dict != nil {
-		// Bound relation: group by interned id — integer map keys, and no
-		// key recomputation at all (fids are read-only here, so sharing
-		// the relation across concurrent validators stays race-free).
-		byID := make(map[keys.FactID][]interval.Interval, len(r.Tuples))
-		for i := range r.Tuples {
-			t := &r.Tuples[i]
-			byID[t.fid] = append(byID[t.fid], t.T)
-		}
-		for id, ivs := range byID {
-			if err := overlapIn(ivs); err != nil {
-				return fmt.Errorf("relation %s: duplicate fact %q over %w", r.Schema.Name, r.dict.Key(id), err)
-			}
-		}
-		return nil
-	}
-	byFact := make(map[string][]interval.Interval, len(r.Tuples))
-	for i := range r.Tuples {
-		t := &r.Tuples[i]
-		// Recompute the key rather than going through Tuple.Key: its lazy
-		// caching write would race when concurrent operations validate a
-		// shared relation.
-		k := t.Fact.Key()
-		byFact[k] = append(byFact[k], t.T)
-	}
-	for key, ivs := range byFact {
-		if err := overlapIn(ivs); err != nil {
-			return fmt.Errorf("relation %s: duplicate fact %q over %w", r.Schema.Name, key, err)
-		}
-	}
-	return nil
-}
-
-// overlapIn sorts the intervals and returns an error naming the first
-// overlapping pair, or nil.
-func overlapIn(ivs []interval.Interval) error {
-	sort.Slice(ivs, func(i, j int) bool { return ivs[i].Ts < ivs[j].Ts })
-	for i := 1; i < len(ivs); i++ {
-		if ivs[i].Ts < ivs[i-1].Te {
-			return fmt.Errorf("overlapping intervals %s and %s", ivs[i-1], ivs[i])
+	ids, d := r.ids()
+	ks := r.sortedKeys(ids, false)
+	for j := 1; j < len(ks); j++ {
+		if a, b := ks[j-1], ks[j]; a.fid == b.fid && b.ts < a.te {
+			return fmt.Errorf("relation %s: duplicate fact %q over overlapping intervals %s and %s", r.Schema.Name,
+				d.Key(keys.FactID(a.fid)), interval.Interval{Ts: a.ts, Te: a.te}, interval.Interval{Ts: b.ts, Te: b.te})
 		}
 	}
 	return nil
@@ -582,14 +469,20 @@ func (r *Relation) TimeDomain() (interval.Interval, bool) {
 // degenerate interval [t, t+1).
 func (r *Relation) Timeslice(t interval.Time) *Relation {
 	out := New(r.Schema)
-	out.dict = r.dict
+	fid := r.FidCol()
 	for i := range r.Tuples {
 		tp := &r.Tuples[i]
 		if tp.T.Contains(t) {
 			c := *tp
 			c.T = interval.Interval{Ts: t, Te: t + 1}
 			out.Tuples = append(out.Tuples, c)
+			if fid != nil {
+				out.fid = append(out.fid, fid[i])
+			}
 		}
+	}
+	if fid != nil {
+		out.dict = r.dict
 	}
 	return out
 }
@@ -599,8 +492,7 @@ func (r *Relation) Timeslice(t interval.Time) *Relation {
 // ("null") when no such tuple exists.
 func (r *Relation) LineageAt(factKey string, t interval.Time) *lineage.Expr {
 	for i := range r.Tuples {
-		tp := &r.Tuples[i]
-		if tp.Key() == factKey && tp.T.Contains(t) {
+		if tp := &r.Tuples[i]; tp.T.Contains(t) && r.KeyAt(i) == factKey {
 			return tp.Lineage
 		}
 	}
@@ -613,21 +505,29 @@ func (r *Relation) LineageAt(factKey string, t interval.Time) *lineage.Expr {
 // coalescing (its windows are maximal by construction); the operator exists
 // for data loaded from external sources and for the baselines.
 func (r *Relation) Coalesce() *Relation {
-	out := r.Clone()
-	out.Sort()
-	merged := out.Tuples[:0]
-	for _, t := range out.Tuples {
-		if n := len(merged); n > 0 {
-			last := &merged[n-1]
+	out := r.SortedCopy()
+	fid := out.FidCol()
+	n := 0
+	for i := range out.Tuples {
+		t := out.Tuples[i]
+		if n > 0 {
+			last := &out.Tuples[n-1]
 			if SameFact(last, &t) && last.T.Te == t.T.Ts &&
 				lineage.EquivalentSyntactic(last.Lineage, t.Lineage) {
 				last.T.Te = t.T.Te
 				continue
 			}
 		}
-		merged = append(merged, t)
+		out.Tuples[n] = t
+		if fid != nil {
+			fid[n] = fid[i]
+		}
+		n++
 	}
-	out.Tuples = merged
+	out.Tuples = out.Tuples[:n]
+	if fid != nil {
+		out.fid = fid[:n]
+	}
 	return out
 }
 
@@ -656,18 +556,11 @@ func Diff(a, b *Relation) string {
 			return fmt.Sprintf("tuple %d (%s): interval %s vs %s", i, x.Fact, x.T, y.T)
 		case !lineage.EquivalentSyntactic(x.Lineage, y.Lineage):
 			return fmt.Sprintf("tuple %d (%s %s): lineage %s vs %s", i, x.Fact, x.T, x.Lineage, y.Lineage)
-		case abs(x.Prob-y.Prob) > 1e-9:
+		case math.Abs(x.Prob-y.Prob) > 1e-9:
 			return fmt.Sprintf("tuple %d (%s %s): prob %v vs %v", i, x.Fact, x.T, x.Prob, y.Prob)
 		}
 	}
 	return ""
-}
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }
 
 // String renders the relation as a small table, ordered by (fact, Ts).

@@ -5,12 +5,23 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"github.com/tpset/tpset/internal/interval"
 	"github.com/tpset/tpset/internal/lineage"
 )
 
 func mk(name string) *Relation { return New(NewSchema(name, "F")) }
+
+// TestTupleIs56Bytes keeps the row at fact, lineage, interval and
+// probability — two pointer words — and nothing else: every scan, sort
+// and materialize moves this many bytes per tuple, and the GC scans it.
+// A fact binding belongs in the relation's fid column, not here.
+func TestTupleIs56Bytes(t *testing.T) {
+	if got := unsafe.Sizeof(Tuple{}); got != 56 {
+		t.Fatalf("relation.Tuple is %d bytes, want 56", got)
+	}
+}
 
 func TestFactKeyAndEquality(t *testing.T) {
 	single := NewFact("milk")

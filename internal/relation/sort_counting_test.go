@@ -3,7 +3,10 @@ package relation
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
+
+	"github.com/tpset/tpset/internal/keys"
 )
 
 func randomRel(rng *rand.Rand, n, facts int, maxGap int64) *Relation {
@@ -61,4 +64,46 @@ func TestSortCountingEmptyAndSingle(t *testing.T) {
 	if s.Len() != 1 || s.Tuples[0].T.Ts != 5 {
 		t.Fatal("single")
 	}
+}
+
+// TestSortCountingPermutesTheColumn is the reproducer of the stale-column
+// bug: the counting sort reordered Tuples and left the fid column in the
+// old order (rows b,a,c interned 1,0,2 read [1 0 2] over rows a,b,c).
+func TestSortCountingPermutesTheColumn(t *testing.T) {
+	r := New(NewSchema("r", "F"))
+	for i, f := range []string{"b", "a", "c"} {
+		r.AddBase(NewFact(f), fmt.Sprintf("t%d", i), 0, 5, 0.5)
+	}
+	r.Intern()
+	r.BuildCols()
+	r.SortCounting()
+	fid := r.FidCol()
+	if fmt.Sprint(fid) != "[0 1 2]" {
+		t.Fatalf("fid column after SortCounting = %v, want [0 1 2]", fid)
+	}
+	for i := range r.Tuples {
+		if got := r.Dict().Key(keys.FactID(fid[i])); got != r.Tuples[i].Key() {
+			t.Fatalf("row %d: column names %q, row holds %q", i, got, r.Tuples[i].Key())
+		}
+	}
+}
+
+// TestSortCountingPanicsOnFrozen: like Sort, the counting sort refuses to
+// reorder a frozen relation.
+func TestSortCountingPanicsOnFrozen(t *testing.T) {
+	r := randomRel(rand.New(rand.NewSource(3)), 20, 3, 4)
+	r.Intern()
+	r.Freeze()
+	before := append([]Tuple(nil), r.Tuples...)
+	defer func() {
+		if msg, _ := recover().(string); !strings.Contains(msg, "SortCounting on frozen relation") {
+			t.Fatalf("SortCounting on a frozen relation: recovered %q", msg)
+		}
+		for i := range before {
+			if before[i].Lineage != r.Tuples[i].Lineage {
+				t.Fatalf("frozen relation was reordered at row %d", i)
+			}
+		}
+	}()
+	r.SortCounting()
 }

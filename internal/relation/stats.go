@@ -53,7 +53,7 @@ func ComputeStats(r *Relation) Stats {
 		if d > s.MaxDuration {
 			s.MaxDuration = d
 		}
-		facts[t.Key()] = struct{}{}
+		facts[r.KeyAt(i)] = struct{}{}
 		events = append(events, event{t.T.Ts, 1}, event{t.T.Te, -1})
 	}
 	s.AvgDuration = float64(totalDur) / float64(s.Cardinality)
@@ -130,7 +130,8 @@ func OverlapFactor(r, s *Relation) float64 {
 			} else {
 				e1.ds, e2.ds = 1, -1
 			}
-			events[t.Key()] = append(events[t.Key()], e1, e2)
+			k := rel.KeyAt(i)
+			events[k] = append(events[k], e1, e2)
 		}
 	}
 	addEvents(r, true)

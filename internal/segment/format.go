@@ -492,7 +492,7 @@ func errOrder(at uint64, i int) error {
 // aliases the decoded section directly (zero copies; the mapping is
 // recorded as the foreign region for the tagged bounds check).
 // Otherwise — a crash left mixed dictionary generations on disk — the
-// tuples are rebound to d by key and the column rebuilt on the heap; the
+// relation is bound to d by key and the column rebuilt on the heap; the
 // result is identical, only the aliasing is lost until the next rewrite.
 // Either way the relation comes back sorted, validated (by Decode) and
 // frozen.
@@ -502,52 +502,31 @@ func (f *File) Relation(d *keys.Dict) (*relation.Relation, error) {
 	}
 	rel := relation.New(relation.NewSchema(f.Name, f.Attrs...))
 	rel.Tuples = make([]relation.Tuple, f.N)
+	for i := range rel.Tuples {
+		rel.Tuples[i] = relation.Tuple{Fact: f.Facts[f.Fid[i]], Lineage: f.Lam[i],
+			T: interval.Interval{Ts: f.Ts[i], Te: f.Te[i]}, Prob: f.Prob[i]}
+	}
+	site := "segment.File.Relation(heal)"
 	if dictMatches(d, f.Keys) {
-		for i := 0; i < f.N; i++ {
-			fid := f.Fid[i]
-			t := &rel.Tuples[i]
-			t.InitDerivedLazyKeyed(f.Facts[fid], relation.KeyIn(d, fid),
-				f.Lam[i], interval.Interval{Ts: f.Ts[i], Te: f.Te[i]})
-			t.Prob = f.Prob[i]
-		}
-		if f.N == 0 {
-			rel.Bind(d)
-		} else {
-			rel.AdoptBinding()
-		}
+		site = "segment.File.Relation(alias)"
 		var region []byte
 		if f.Aliased {
 			region = f.data
 		}
-		if err := rel.SetFidCol(f.Fid, region); err != nil {
+		if err := rel.SetBinding(d, f.Fid, region); err != nil {
 			return nil, fmt.Errorf("segment: %v", err)
 		}
-		rel.Freeze()
-		if invariant.Enabled {
-			// Tagged builds re-prove that the aliased fid column mirrors
-			// the materialized rows, plus the sort/duplicate-free
-			// admission contract Decode claims to have validated.
-			invariant.CheckColsMirror(rel, "segment.File.Relation(alias)")
-			invariant.CheckSorted(rel, "segment.File.Relation(alias)")
-			invariant.CheckDuplicateFree(rel, "segment.File.Relation(alias)")
-		}
-		return rel, nil
-	}
-	for i := 0; i < f.N; i++ {
-		t := relation.NewDerivedLazy(f.Facts[f.Fid[i]], f.Lam[i],
-			interval.Interval{Ts: f.Ts[i], Te: f.Te[i]})
-		t.Prob = f.Prob[i]
-		rel.Tuples[i] = t
-	}
-	if !rel.Bind(d) {
+	} else if !rel.Bind(d) {
 		return nil, fmt.Errorf("segment: relation %q holds facts outside the catalog dictionary", f.Name)
 	}
-	rel.BuildCols()
 	rel.Freeze()
 	if invariant.Enabled {
-		invariant.CheckColsMirror(rel, "segment.File.Relation(heal)")
-		invariant.CheckSorted(rel, "segment.File.Relation(heal)")
-		invariant.CheckDuplicateFree(rel, "segment.File.Relation(heal)")
+		// Tagged builds re-prove that the (aliased or rebuilt) fid column
+		// names the materialized rows' facts, plus the sort/duplicate-free
+		// admission contract Decode claims to have validated.
+		invariant.CheckColsMirror(rel, site)
+		invariant.CheckSorted(rel, site)
+		invariant.CheckDuplicateFree(rel, site)
 	}
 	return rel, nil
 }
@@ -574,7 +553,7 @@ func dictMatches(d *keys.Dict, ks []string) bool {
 // reproduces it byte-for-byte, which is what makes WAL payloads and
 // applied segment files interchangeable.
 func Encode(r *relation.Relation) ([]byte, error) {
-	d := r.Dict()
+	d, fids := r.Dict(), r.FidCol()
 	if d == nil {
 		return nil, fmt.Errorf("segment: encode of unbound relation %q", r.Schema.Name)
 	}
@@ -668,11 +647,7 @@ func Encode(r *relation.Relation) ([]byte, error) {
 
 	w.pos = fidOff
 	for i := range r.Tuples {
-		t := &r.Tuples[i]
-		td, fid := t.Binding()
-		if td != d {
-			return nil, fmt.Errorf("segment: encode of relation %q: tuple %d not bound to the relation dictionary", name, i)
-		}
+		t, fid := &r.Tuples[i], fids[i]
 		w.u64At(fidOff+8*uint64(i), uint64(fid))
 		w.u64At(tsOff+8*uint64(i), uint64(t.T.Ts))
 		w.u64At(teOff+8*uint64(i), uint64(t.T.Te))
@@ -681,8 +656,7 @@ func Encode(r *relation.Relation) ([]byte, error) {
 		}
 		w.u64At(probOff+8*uint64(i), math.Float64bits(t.Prob))
 		if i > 0 {
-			prev := &r.Tuples[i-1]
-			_, pfid := prev.Binding()
+			prev, pfid := &r.Tuples[i-1], fids[i-1]
 			if fid < pfid || (fid == pfid && t.T.Ts < prev.T.Te) {
 				return nil, fmt.Errorf("segment: encode of relation %q: rows %d and %d not in canonical duplicate-free order", name, i-1, i)
 			}

@@ -117,11 +117,9 @@ func (c *Catalog) Restore(rels map[string]*relation.Relation, dict *keys.Dict) {
 // are unchanged because the logical relation content is unchanged.
 // Rebinding preserves sortedness: both dictionaries order ids by key.
 //
-// Admitted relations also get their fid column (BuildCols) once, at
-// bind time: query plans over the catalog run AssumeSorted, and a leaf
-// that is sorted, on the catalog dictionary and carries its column is
-// scanned in place (core.PrepareLeaves) — Bind invalidates any previous
-// column.
+// Binding is what builds a relation's fid column: query plans over the
+// catalog run AssumeSorted, and a leaf that is sorted and on the catalog
+// dictionary is scanned in place (core.PrepareLeaves).
 //
 // The returned map holds the rebound sibling clones of the slow path
 // (nil when the fast path ran); see PutRebound.
@@ -130,8 +128,8 @@ func (c *Catalog) admit(name string, rel *relation.Relation) map[string]*relatio
 		// Tagged builds re-prove the admission contract the mutation
 		// paths establish (sorted, duplicate-free — the Algorithm 1–4
 		// preconditions every AssumeSorted plan over the catalog leans
-		// on) and, after the bind below, the freshly built fid column's
-		// row mirror.
+		// on) and, after the bind below, that the fid column names the
+		// rows' facts.
 		invariant.CheckSorted(rel, "server.Catalog.admit")
 		invariant.CheckDuplicateFree(rel, "server.Catalog.admit")
 		defer invariant.CheckColsMirror(rel, "server.Catalog.admit")
@@ -139,7 +137,6 @@ func (c *Catalog) admit(name string, rel *relation.Relation) map[string]*relatio
 	relKeys := factKeys(rel, nil)
 	if c.dict != nil && c.dict.Contains(relKeys) {
 		rel.Bind(c.dict)
-		rel.BuildCols()
 		return nil
 	}
 	union := relKeys
@@ -151,7 +148,6 @@ func (c *Catalog) admit(name string, rel *relation.Relation) map[string]*relatio
 	}
 	dict := keys.BuildDict(union)
 	rel.Bind(dict)
-	rel.BuildCols()
 	var rebound map[string]*relation.Relation
 	for other, e := range c.rels {
 		if other == name {
@@ -159,7 +155,6 @@ func (c *Catalog) admit(name string, rel *relation.Relation) map[string]*relatio
 		}
 		clone := e.rel.Clone()
 		clone.Bind(dict)
-		clone.BuildCols()
 		c.rels[other] = catEntry{rel: clone, version: e.version}
 		if rebound == nil {
 			rebound = make(map[string]*relation.Relation)
@@ -173,10 +168,11 @@ func (c *Catalog) admit(name string, rel *relation.Relation) map[string]*relatio
 // factKeys appends the fact keys of r to dst, skipping consecutive
 // repeats — stored catalog relations are sorted, so this yields the
 // distinct key set without a dedup map (BuildDict tolerates the
-// remaining duplicates of unsorted input).
+// remaining duplicates of unsorted input). A bound relation's keys are
+// read from its dictionary, not recomputed.
 func factKeys(r *relation.Relation, dst []string) []string {
 	for i := range r.Tuples {
-		k := r.Tuples[i].Key()
+		k := r.KeyAt(i)
 		if n := len(dst); n > 0 && dst[n-1] == k {
 			continue
 		}

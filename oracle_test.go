@@ -112,8 +112,9 @@ func TestPublicAPITimeSkipCasesMatchOracle(t *testing.T) {
 // TestApplyAssumeSortedBindsForeignLeaves is the public-level pin on the
 // AssumeSorted contract: sorted inputs that share no dictionary — one
 // frozen on its own, one unbound — are accepted at every budget, never
-// written, and the result comes back equal to the oracle and bound to
-// one dictionary like any other.
+// written — each keeps its dictionary and its column storage — and the
+// result comes back equal to the oracle and bound to one dictionary like
+// any other.
 func TestApplyAssumeSortedBindsForeignLeaves(t *testing.T) {
 	rng := rand.New(rand.NewSource(96))
 	for trial := 0; trial < 12; trial++ {
@@ -124,6 +125,7 @@ func TestApplyAssumeSortedBindsForeignLeaves(t *testing.T) {
 		db := reftest.DB(rng, sh)
 		r, s := db["r0"], db["r1"]
 		dict := r.Intern()
+		col := r.FidCol()
 		r.Freeze() // a write to r panics
 		for _, op := range []tpset.Op{tpset.OpUnion, tpset.OpIntersect, tpset.OpExcept} {
 			tree := &query.SetOp{Op: op, Left: &query.Rel{Name: "r0"}, Right: &query.Rel{Name: "r1"}}
@@ -134,13 +136,13 @@ func TestApplyAssumeSortedBindsForeignLeaves(t *testing.T) {
 					t.Fatalf("%s: %v", ctx, err)
 				}
 				reftest.Check(t, ctx, got, tree, db)
-				if got.Len() > 0 && got.Dict() == nil {
+				if got.Len() > 0 && (got.Dict() == nil || len(got.FidCol()) != got.Len()) {
 					t.Fatalf("%s: result of %d tuples is not bound to one dictionary", ctx, got.Len())
 				}
 			}
 		}
-		if r.Dict() != dict || r.FidCol() != nil || s.Dict() != nil {
-			t.Fatalf("trial %d: Apply re-bound or projected its inputs", trial)
+		if r.Dict() != dict || &r.FidCol()[0] != &col[0] || s.Dict() != nil || s.FidCol() != nil {
+			t.Fatalf("trial %d: Apply re-bound its inputs", trial)
 		}
 	}
 }
