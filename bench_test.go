@@ -289,9 +289,10 @@ func BenchmarkAblationCountingSort(b *testing.B) {
 
 // BenchmarkEvalLibShape is the in-tree instrument for the standing
 // benchmark's lib-setops operation: tpset.Eval of "(a | b) - (c & d)"
-// over a Webkit relation and three Shifted copies, unsorted and on no
-// shared dictionary, so one iteration is clone + intern + sort, the
-// sharded sweep and the materializing drain. B/op is the number to
+// over a Webkit relation in generation order and three Shifted copies
+// that are sorted and on its dictionary, so one iteration is one sorted
+// leaf copy (the three ordered leaves are read in place), the sharded
+// sweep and the materializing drain. B/op is the number to
 // watch: the drain is absent from the benchmark's layer budget
 // (engine.alloc_bytes_per_op pulls blocks and drops them), so a
 // materializer that regrows or double-copies its result shows only here.

@@ -309,3 +309,46 @@ func TestTimeRunSkippingBoundsTheSweep(t *testing.T) {
 		t.Logf("%s: %d windows, %d gallops, %d output tuples, %d input tuples", tc.op, st.Windows, st.Gallops, n, in)
 	}
 }
+
+// TestPrepareLeavesReadsOrderedLeavesInPlace: of leaves that share a
+// dictionary, one whose rows are already in (fid, Ts, Te) order comes
+// back as itself — no copy — and one that is not comes back as a sorted
+// private copy; neither input is written, and the plan over them agrees
+// with the oracle.
+func TestPrepareLeavesReadsOrderedLeavesInPlace(t *testing.T) {
+	r, s := datagen.Pair(datagen.PairConfig{NumTuples: 600, NumFacts: 12, MaxLenR: 10, MaxLenS: 10, MaxGap: 3, Seed: 7})
+	if relation.SharedDict(r, s) == nil || r.InCanonicalOrder() {
+		t.Fatal("the pair is expected to share a dictionary and to arrive in generation order")
+	}
+	s.Sort()
+	rBefore := append([]relation.Tuple(nil), r.Tuples...)
+	sBefore := append([]relation.Tuple(nil), s.Tuples...)
+
+	leaves, err := core.PrepareLeaves([]*relation.Relation{r, s}, core.Options{Validate: true}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if leaves[1] != s {
+		t.Fatal("an ordered leaf on the shared dictionary was copied")
+	}
+	if leaves[0] == r || !leaves[0].InCanonicalOrder() || leaves[0].Dict() != r.Dict() || leaves[0].Len() != r.Len() {
+		t.Fatal("an unordered leaf did not come back as a sorted private copy on the shared dictionary")
+	}
+	for name, pair := range map[string][2][]relation.Tuple{"r": {r.Tuples, rBefore}, "s": {s.Tuples, sBefore}} {
+		for i := range pair[1] {
+			if got, want := pair[0][i], pair[1][i]; got.Lineage != want.Lineage || got.T != want.T || got.Prob != want.Prob || !got.Fact.Equal(want.Fact) {
+				t.Fatalf("PrepareLeaves wrote input %s at row %d", name, i)
+			}
+		}
+	}
+
+	db := map[string]*relation.Relation{"r": r, "s": s}
+	for _, q := range []string{"r & s", "r | s", "r - s", "s - r"} {
+		n := query.MustParse(q)
+		c, err := query.BuildCursor(n, db, core.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		reftest.Check(t, q, core.Materialize(c), n, db)
+	}
+}

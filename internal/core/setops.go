@@ -110,16 +110,20 @@ func Apply(op Op, r, s *relation.Relation, opts Options) (*relation.Relation, er
 // prepare routine of the module: Apply calls it for its two inputs, the
 // engine once per plan before it cuts the leaves into shards.
 //
-// Validate checks every leaf for duplicate-freeness first. Leaves that
-// already qualify under AssumeSorted (catalog relations: admission
-// bound them) are returned as they are, untouched. Anything else gets a
-// private copy — the inputs are never written, rebound or sorted in
-// place, frozen or not. Leaves that share a dictionary become their
-// sorted copies in one pass each (relation.SortedCopy); leaves that do
-// not are cloned, bound to one dictionary and — unless AssumeSorted
-// vouches for the order, which rebinding preserves: dictionaries are
+// Validate checks every leaf for duplicate-freeness first. The inputs
+// are never written, rebound or sorted in place, frozen or not; a leaf
+// that already is what a scan needs is read where it stands, anything
+// else gets a private copy. Leaves that qualify under AssumeSorted
+// (catalog relations: admission bound them) are returned as they are.
+// Leaves that share a dictionary come back as themselves when their
+// rows are in (fid, Ts, Te) order and as sorted copies, one pass each
+// (relation.SortedCopy), when not; leaves that do not share one are
+// cloned, bound to one dictionary and — unless AssumeSorted vouches for
+// the order, which rebinding preserves: dictionaries are
 // order-preserving — sorted where they stand. The per-leaf work fans
-// out over up to workers goroutines.
+// out over up to workers goroutines. A caller that holds the plan's
+// cursor must therefore leave the inputs alone until it is drained, as
+// the catalog does.
 func PrepareLeaves(leaves []*relation.Relation, opts Options, workers int) ([]*relation.Relation, error) {
 	if opts.Validate {
 		for _, r := range leaves {
@@ -141,6 +145,8 @@ func PrepareLeaves(leaves []*relation.Relation, opts Options, workers int) ([]*r
 	}
 	fanOut(len(leaves), workers, func(i int) {
 		switch {
+		case shared && leaves[i].InCanonicalOrder():
+			private[i] = leaves[i]
 		case shared:
 			private[i] = leaves[i].SortedCopy()
 		case !opts.AssumeSorted:

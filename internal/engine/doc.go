@@ -15,8 +15,10 @@
 // The leaves of a plan are sorted by (fid, Ts, Te), bound to one
 // order-preserving dictionary and carry their fid columns — catalog
 // relations arrive that way, and anything else is prepared once per plan
-// (core.PrepareLeaves: private clone, shared dictionary, sort unless
-// AssumeSorted, fid column, the leaves in parallel). cut picks K−1 cut
+// (core.PrepareLeaves: a private copy where a leaf needs binding or
+// sorting — one that shares the dictionary and is in order is read in
+// place — shared dictionary, sort unless AssumeSorted, fid column, the
+// leaves in parallel). cut picks K−1 cut
 // ids at the combined tuple-count quantiles, snapped to fact edges by
 // galloping each leaf's fid column, and hands shard i of every leaf a
 // frozen zero-copy view (relation.Slice): no tuple is hashed or copied,

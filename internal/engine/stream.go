@@ -31,9 +31,9 @@ import (
 //
 // Memory: each shard plan is O(tree depth) and its leaves alias the
 // caller's relations; nothing is O(input) for catalog relations.
-// Anything else is prepared once (core.PrepareLeaves: private clone,
-// shared dictionary, sort unless AssumeSorted, fid column) and then cut
-// the same way. Inputs below the sharding threshold run the purely
+// Anything else is prepared once (core.PrepareLeaves: a private copy
+// where a leaf needs binding or sorting, shared dictionary, sort unless
+// AssumeSorted, fid column) and then cut the same way. Inputs below the sharding threshold run the purely
 // sequential plan.
 
 // reorderBlocks is the plan-wide reorder window, in blocks, split evenly
@@ -168,8 +168,9 @@ func (e *Engine) Cursor(n query.Node, db map[string]*relation.Relation, opts cor
 func (e *Engine) CursorCtx(ctx context.Context, n query.Node, db map[string]*relation.Relation, opts core.Options) (*StreamCursor, error) {
 	// Discharged once per plan, before the cut: every leaf comes back
 	// sorted, bound to the plan's one dictionary and carrying its fid
-	// column (catalog relations as they are, anything else as a private
-	// clone), so every input shards the same way.
+	// column (catalog relations and bound, ordered leaves as they are,
+	// anything else as a private copy), so every input shards the same
+	// way.
 	db, err := query.PrepareLeaves(n, db, opts, e.cfg.workers())
 	if err != nil {
 		return nil, err

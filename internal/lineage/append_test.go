@@ -8,6 +8,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"github.com/tpset/tpset/internal/keys"
 )
 
 // parseCorpus returns every formula of the parser fuzz corpus that
@@ -127,8 +129,10 @@ func TestAppendVarProbsIsSortedVarProbs(t *testing.T) {
 	if got := (*Expr)(nil).AppendVarProbs(nil, VarNames()); len(got) != 0 {
 		t.Fatalf("nil formula has marginals %v", got)
 	}
+	// id resolves a name the way a leaf carries it.
+	id := func(name string) keys.VarID { return Var(name, 1).VarID() }
 	last := Or(And(Var("v", 0.25), Var("u", 0.5)), Not(Var("v", 0.75)))
-	if got := last.AppendVarProbs(nil, VarNames()); len(got) != 2 || got[0] != (VarProb{"u", 0.5}) || got[1] != (VarProb{"v", 0.75}) {
+	if got := last.AppendVarProbs(nil, VarNames()); len(got) != 2 || got[0] != (VarProb{"u", 0.5, id("u")}) || got[1] != (VarProb{"v", 0.75, id("v")}) {
 		t.Fatalf("AppendVarProbs = %v, want u then v with v's last marginal", got)
 	}
 	for _, e := range append(parseCorpus(t), randomExprs(200)...) {
@@ -140,13 +144,13 @@ func TestAppendVarProbsIsSortedVarProbs(t *testing.T) {
 		}
 		sort.Strings(names)
 
-		prefix := []VarProb{{"kept", 1}}
+		prefix := []VarProb{{"kept", 1, id("kept")}}
 		got := e.AppendVarProbs(prefix, VarNames())
 		if got[0] != prefix[0] || len(got) != 1+len(names) {
 			t.Fatalf("%s: AppendVarProbs = %v, want the prefix and %d variables", e, got, len(names))
 		}
 		for i, name := range names {
-			if got[1+i] != (VarProb{name, m[name]}) {
+			if got[1+i] != (VarProb{name, m[name], id(name)}) {
 				t.Fatalf("%s: entry %d = %v, want %s:%v", e, i, got[1+i], name, m[name])
 			}
 		}

@@ -74,12 +74,18 @@ func addCount(a, b int32) int32 {
 	return a + b
 }
 
+// checkMarginal panics unless p ∈ (0, 1]. NaN compares false with
+// everything, so the test is for membership, not for the two ways out.
+func checkMarginal(id string, p float64) {
+	if !(p > 0 && p <= 1) {
+		panic(fmt.Sprintf("lineage: probability %v of %q outside (0,1]", p, id))
+	}
+}
+
 // Var returns an atomic lineage expression for a base tuple with the given
 // identifier and marginal probability p ∈ (0, 1].
 func Var(id string, p float64) *Expr {
-	if p <= 0 || p > 1 {
-		panic(fmt.Sprintf("lineage: probability %v of %q outside (0,1]", p, id))
-	}
+	checkMarginal(id, p)
 	vid := vars.Intern(id)
 	return &Expr{kind: KindVar, id: vid, prob: p, size: 1, varsN: 1, oneOcc: true, varsKey: keys.Mix64(uint64(vid))}
 }
@@ -97,11 +103,8 @@ func Vars(names []string, probs []float64) []*Expr {
 	slab := make([]Expr, len(names))
 	out := make([]*Expr, len(names))
 	for i, vid := range vids {
-		p := probs[i]
-		if p <= 0 || p > 1 {
-			panic(fmt.Sprintf("lineage: probability %v of %q outside (0,1]", p, names[i]))
-		}
-		slab[i] = Expr{kind: KindVar, id: vid, prob: p, size: 1, varsN: 1, oneOcc: true, varsKey: keys.Mix64(uint64(vid))}
+		checkMarginal(names[i], probs[i])
+		slab[i] = Expr{kind: KindVar, id: vid, prob: probs[i], size: 1, varsN: 1, oneOcc: true, varsKey: keys.Mix64(uint64(vid))}
 		out[i] = &slab[i]
 	}
 	return out
@@ -181,6 +184,10 @@ func (e *Expr) ID() string {
 
 // VarProb returns the marginal probability of a KindVar node.
 func (e *Expr) VarProb() float64 { return e.prob }
+
+// VarID returns the interned identifier of a KindVar node: the key of
+// its slot in the marginal-text table.
+func (e *Expr) VarID() keys.VarID { return e.id }
 
 // Operands returns the children of the node (nil for variables; right is nil
 // for negations).
@@ -678,10 +685,12 @@ func (e *Expr) varProbs(probs map[string]float64) {
 	}
 }
 
-// VarProb is one variable of a formula with its marginal probability.
+// VarProb is one variable of a formula with its marginal probability
+// and its interned id (the key of MarginalTexts).
 type VarProb struct {
 	Name string
 	Prob float64
+	ID   keys.VarID
 }
 
 // AppendVarProbs appends the distinct variables of the formula with
@@ -716,7 +725,7 @@ func (e *Expr) AppendVarProbs(dst []VarProb, names []string) []VarProb {
 func (e *Expr) appendLeaves(dst []VarProb, names []string) []VarProb {
 	switch e.kind {
 	case KindVar:
-		return append(dst, VarProb{Name: names[e.id], Prob: e.prob})
+		return append(dst, VarProb{Name: names[e.id], Prob: e.prob, ID: e.id})
 	case KindNot:
 		return e.left.appendLeaves(dst, names)
 	default:

@@ -36,14 +36,18 @@ func checkBinding(t *testing.T, ctx string, r *relation.Relation) {
 }
 
 // sameRows requires got to hold exactly the rows of want, in order
-// (lineage pointers identify base rows; intervals may have been edited).
+// (every base row has a variable of its own, so the rendered lineage
+// identifies it — by value: a sort that moves rows moves their leaves
+// into row order; intervals may have been edited).
 func sameRows(t *testing.T, ctx string, got, want []relation.Tuple) {
 	t.Helper()
 	if len(got) != len(want) {
 		t.Fatalf("%s: %d rows, want %d", ctx, len(got), len(want))
 	}
 	for i := range got {
-		if got[i].Lineage != want[i].Lineage || got[i].T != want[i].T || !got[i].Fact.Equal(want[i].Fact) {
+		g, w := got[i].Lineage, want[i].Lineage
+		if g.String() != w.String() || g.VarProb() != w.VarProb() || got[i].Prob != want[i].Prob ||
+			got[i].T != want[i].T || !got[i].Fact.Equal(want[i].Fact) {
 			t.Fatalf("%s: row %d is %s, want %s", ctx, i, got[i], want[i])
 		}
 	}

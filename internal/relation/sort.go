@@ -6,6 +6,7 @@ import (
 
 	"github.com/tpset/tpset/internal/interval"
 	"github.com/tpset/tpset/internal/keys"
+	"github.com/tpset/tpset/internal/lineage"
 )
 
 // Sorting never moves a row while it compares: it sorts one 32-byte,
@@ -85,7 +86,8 @@ func compareKeys(a, b sortKey) int {
 
 // Sort orders tuples by (fact key, Ts, Te) in place, the fid column with
 // them. This is the sort step of Fig. 5 in the paper and a precondition
-// of the window advancer.
+// of the window advancer. When rows move and all of them are base
+// tuples, their leaves move with them (relayLeaves).
 func (r *Relation) Sort() {
 	r.mutable("Sort")
 	r.sort(false)
@@ -131,6 +133,30 @@ func (r *Relation) sort(counting bool) {
 		for j := range ks {
 			r.fid[j] = ks[j].fid
 		}
+	}
+	relayLeaves(rows)
+}
+
+// relayLeaves gives a relation of base tuples whose rows were just
+// permuted leaves that lie in row order: every lineage.Var is copied
+// into one slab and the rows are pointed at the copies, so whatever
+// walks the rows afterwards — the sweep's concatenations, the root's
+// probabilities, the encoder's rendering — reads leaves sequentially
+// instead of chasing pointers in ingest order. The old leaves are left
+// as they are for whoever still holds them (a Clone taken before the
+// sort). A relation that carries a formula or a null lineage anywhere
+// is left alone.
+func relayLeaves(rows []Tuple) {
+	slab := make([]lineage.Expr, len(rows))
+	for i := range rows {
+		e := rows[i].Lineage
+		if e == nil || e.Kind() != lineage.KindVar {
+			return
+		}
+		slab[i] = *e
+	}
+	for i := range rows {
+		rows[i].Lineage = &slab[i]
 	}
 }
 
@@ -203,6 +229,14 @@ func (r *Relation) SortedCopy() *Relation {
 func (r *Relation) IsSorted() bool {
 	ids, _ := r.ids()
 	return r.ordered(ids, false)
+}
+
+// InCanonicalOrder reports whether the rows are in the full
+// (fact, Ts, Te) order Sort leaves them in: IsSorted, and ascending Te
+// among rows of equal (fact, Ts).
+func (r *Relation) InCanonicalOrder() bool {
+	ids, _ := r.ids()
+	return r.ordered(ids, true)
 }
 
 // ordered reports whether the rows ascend by (ids, Ts) and, with te, by

@@ -41,7 +41,9 @@ func TestSortCountingMatchesSort(t *testing.T) {
 		}
 		for i := range a.Tuples {
 			x, y := &a.Tuples[i], &b.Tuples[i]
-			if x.Key() != y.Key() || x.T != y.T || x.Lineage != y.Lineage {
+			// Lineage by value: each sort moved the leaves of its own relation.
+			if x.Key() != y.Key() || x.T != y.T || x.Prob != y.Prob ||
+				x.Lineage.String() != y.Lineage.String() || x.Lineage.VarProb() != y.Lineage.VarProb() {
 				t.Fatalf("trial %d (maxGap %d): position %d differs: %v vs %v",
 					trial, maxGap, i, x, y)
 			}

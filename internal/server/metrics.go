@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"github.com/tpset/tpset/internal/core"
+	"github.com/tpset/tpset/internal/lineage"
 	"github.com/tpset/tpset/internal/obs"
 )
 
@@ -101,9 +102,13 @@ type Metrics struct {
 	QueriesQueued   int64            `json:"queriesQueued"`
 	Cache           CacheStats       `json:"cache"`
 	BatchPool       BatchPoolMetrics `json:"batchPool"`
-	Phases          PhaseMetrics     `json:"phases"`
-	Runtime         RuntimeMetrics   `json:"runtime"`
-	UptimeSec       int64            `json:"uptimeSec"`
+	// MarginalTexts is the table the wire encoder appends base tuples'
+	// marginals from instead of formatting them per output row; counts
+	// reach it once per encoded batch or relation.
+	MarginalTexts lineage.MarginalTextStats `json:"marginalTexts"`
+	Phases        PhaseMetrics              `json:"phases"`
+	Runtime       RuntimeMetrics            `json:"runtime"`
+	UptimeSec     int64                     `json:"uptimeSec"`
 }
 
 // snapshotMetrics reads every instrument atomically into the JSON body.
@@ -139,6 +144,7 @@ func (s *Server) snapshotMetrics() Metrics {
 		QueriesQueued:    s.gate.queuedNow(),
 		Cache:            s.cache.Stats(),
 		BatchPool:        BatchPoolMetrics{Gets: gets, Puts: puts, Misses: news, Drops: drops},
+		MarginalTexts:    lineage.ReadMarginalTextStats(),
 		Phases: PhaseMetrics{
 			Parse:   s.metrics.parseHist.Snapshot(),
 			Execute: s.metrics.executeHist.Snapshot(),
@@ -228,6 +234,12 @@ func (s *Server) writeMetricsProm(w http.ResponseWriter) {
 	obs.WriteCounterProm(w, "tpset_batch_pool_puts_total", "Batch-pool puts.", puts)
 	obs.WriteCounterProm(w, "tpset_batch_pool_misses_total", "Batch-pool misses (fresh allocations).", news)
 	obs.WriteCounterProm(w, "tpset_batch_pool_drops_total", "Odd-capacity blocks rejected on return.", drops)
+
+	mt := lineage.ReadMarginalTextStats()
+	obs.WriteGaugeProm(w, "tpset_marginal_text_slots_ready", "Variables whose marginal the wire encoder holds rendered.", float64(mt.Ready))
+	obs.WriteGaugeProm(w, "tpset_marginal_text_bytes", "Bytes held by the marginal-text table (32 per variable slot).", float64(mt.Bytes))
+	obs.WriteCounterProm(w, "tpset_marginal_text_hits_total", "Marginals appended from the marginal-text table.", mt.Hits)
+	obs.WriteCounterProm(w, "tpset_marginal_text_misses_total", "Marginals the wire encoder formatted.", mt.Misses)
 
 	m.parseHist.WritePrometheus(w, "tpset_query_parse_seconds", "Query parse, optimize and catalog-snapshot latency.")
 	m.executeHist.WritePrometheus(w, "tpset_query_execute_seconds", "Query evaluation latency (cache lookup or engine drain).")

@@ -187,6 +187,10 @@ func TestMetricsPrometheusExposition(t *testing.T) {
 		"# TYPE tpset_goroutines gauge",
 		"tpset_cache_misses_total",
 		"tpset_batch_pool_gets_total",
+		"# TYPE tpset_marginal_text_slots_ready gauge",
+		"# TYPE tpset_marginal_text_bytes gauge",
+		"tpset_marginal_text_hits_total",
+		"tpset_marginal_text_misses_total",
 		"tpset_relation_admissions_total 3", // a, b, c
 		"tpset_uptime_seconds",
 	} {
@@ -229,6 +233,11 @@ func TestMetricsPrometheusExposition(t *testing.T) {
 	}
 	if m.BytesStreamed == 0 || m.TuplesStreamed == 0 {
 		t.Fatalf("stream counters empty: bytes=%d tuples=%d", m.BytesStreamed, m.TuplesStreamed)
+	}
+	// The /query body and the stream both carried marginals of a, b, c:
+	// each was looked up, and the table is at least a chunk.
+	if mt := m.MarginalTexts; mt.Hits+mt.Misses == 0 || mt.Bytes == 0 || mt.Bytes%32 != 0 || mt.Ready > mt.Bytes/32 {
+		t.Fatalf("marginal-text table: %+v", mt)
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"unicode/utf8"
 
 	"github.com/tpset/tpset/internal/core"
+	"github.com/tpset/tpset/internal/keys"
 	"github.com/tpset/tpset/internal/lineage"
 	"github.com/tpset/tpset/internal/relation"
 )
@@ -24,10 +25,21 @@ import (
 // buf accumulates output until the caller writes it; lam and vps are
 // per-tuple scratch. A warmed encoder appends a tuple without
 // allocating.
+//
+// names and texts are the encoder's view of the variable arena and of
+// the marginal-text table beside it, taken by snapshot once per batch
+// or relation so that neither is locked or counted per tuple: names
+// resolve every formula built before the snapshot, and texts holds the
+// bytes appendJSONFloat already produced for a base tuple's marginal —
+// the same probability is shipped with every output row that mentions
+// the tuple, and rendering it is the dearest thing on the row.
 type wireEncoder struct {
 	buf []byte
 	lam []byte            // one rendered formula, before escaping
 	vps []lineage.VarProb // one formula's sorted marginals
+
+	names []string
+	texts lineage.MarginalTexts
 }
 
 var wireEncoderPool = sync.Pool{New: func() any { return new(wireEncoder) }}
@@ -40,13 +52,36 @@ func getWireEncoder() *wireEncoder {
 
 func (e *wireEncoder) release() { wireEncoderPool.Put(e) }
 
+// snapshot readies the encoder for tuples whose lineage was built
+// before the call; e.texts.Flush() afterwards hands the table the
+// counts of the tuples encoded since.
+func (e *wireEncoder) snapshot() {
+	e.names = lineage.VarNames()
+	e.texts = lineage.SnapshotMarginalTexts()
+}
+
+// marginal appends the marginal p of variable id as appendJSONFloat
+// renders it: the table's bytes when it holds them for exactly p,
+// otherwise formatted here and offered to the table, so cached bytes
+// are by construction bytes appendJSONFloat wrote. Exponent forms
+// (below 1e-6) are not offered.
+func (e *wireEncoder) marginal(b []byte, id keys.VarID, p float64) ([]byte, bool) {
+	if b, ok := e.texts.Append(b, id, p); ok {
+		return b, true
+	}
+	start := len(b)
+	b, ok := appendJSONFloat(b, p)
+	if ok && p >= 1e-6 {
+		e.texts.Offer(id, p, b[start:])
+	}
+	return b, ok
+}
+
 // tuple appends one TupleJSON object. JSON has no encoding for NaN or
 // ±Inf: on a non-finite probability or marginal it returns an error and
 // leaves buf as it was before the call, so the caller's framing stays
-// valid. names is a lineage.VarNames snapshot taken after lam was built:
-// callers take one per batch or relation, so the variable arena's lock
-// is not touched per tuple.
-func (e *wireEncoder) tuple(names []string, fact relation.Fact, lam *lineage.Expr, ts, te int64, p float64) error {
+// valid. lam must have been built before the encoder's last snapshot.
+func (e *wireEncoder) tuple(fact relation.Fact, lam *lineage.Expr, ts, te int64, p float64) error {
 	start := len(e.buf)
 	b := e.buf
 	if fact == nil {
@@ -62,23 +97,30 @@ func (e *wireEncoder) tuple(names []string, fact relation.Fact, lam *lineage.Exp
 		b = append(b, ']')
 	}
 	b = append(b, `,"lineage":`...)
-	e.lam = lam.AppendString(e.lam[:0], names)
+	e.lam = lam.AppendString(e.lam[:0], e.names)
 	b = appendJSONString(b, e.lam)
 	b = append(b, `,"ts":`...)
 	b = strconv.AppendInt(b, ts, 10)
 	b = append(b, `,"te":`...)
 	b = strconv.AppendInt(b, te, 10)
 	b = append(b, `,"p":`...)
-	b, ok := appendJSONFloat(b, p)
+	// A bare variable whose marginal is the tuple's own p needs no
+	// varProbs, and its p is that marginal's text; anything else (a
+	// real formula, or a lazily unvaluated tuple) ships explicit
+	// marginals.
+	bare := lam != nil && lam.Kind() == lineage.KindVar && p == lam.VarProb()
+	var ok bool
+	if bare {
+		b, ok = e.marginal(b, lam.VarID(), p)
+	} else {
+		b, ok = appendJSONFloat(b, p)
+	}
 	if !ok {
 		e.buf = b[:start]
 		return fmt.Errorf("probability %v has no JSON encoding", p)
 	}
-	// A bare variable whose marginal is the tuple's own p needs no
-	// varProbs; anything else (a real formula, or a lazily unvaluated
-	// tuple) ships explicit marginals.
-	if lam != nil && !(lam.Kind() == lineage.KindVar && p == lam.VarProb()) {
-		e.vps = lam.AppendVarProbs(e.vps[:0], names)
+	if lam != nil && !bare {
+		e.vps = lam.AppendVarProbs(e.vps[:0], e.names)
 		b = append(b, `,"varProbs":{`...)
 		for i, vp := range e.vps {
 			if i > 0 {
@@ -86,7 +128,7 @@ func (e *wireEncoder) tuple(names []string, fact relation.Fact, lam *lineage.Exp
 			}
 			b = appendJSONString(b, vp.Name)
 			b = append(b, ':')
-			if b, ok = appendJSONFloat(b, vp.Prob); !ok {
+			if b, ok = e.marginal(b, vp.ID, vp.Prob); !ok {
 				e.buf = b[:start]
 				return fmt.Errorf("marginal %v of variable %q has no JSON encoding", vp.Prob, vp.Name)
 			}
@@ -101,10 +143,11 @@ func (e *wireEncoder) tuple(names []string, fact relation.Fact, lam *lineage.Exp
 // number of rows appended; with an error that is the index of the row
 // that could not be encoded, and buf ends after the line before it.
 func (e *wireEncoder) batchLines(b *core.Batch) (int, error) {
-	names := lineage.VarNames()
+	e.snapshot()
+	defer e.texts.Flush()
 	for i := range b.Tuples {
 		t := &b.Tuples[i]
-		if err := e.tuple(names, t.Fact, t.Lineage, t.T.Ts, t.T.Te, t.Prob); err != nil {
+		if err := e.tuple(t.Fact, t.Lineage, t.T.Ts, t.T.Te, t.Prob); err != nil {
 			return i, err
 		}
 		e.buf = append(e.buf, '\n')
@@ -130,13 +173,14 @@ func (e *wireEncoder) relation(r *relation.Relation, version uint64) error {
 		b = strconv.AppendUint(b, version, 10)
 	}
 	e.buf = append(b, `,"tuples":[`...)
-	names := lineage.VarNames()
+	e.snapshot()
+	defer e.texts.Flush()
 	for i := range r.Tuples {
 		if i > 0 {
 			e.buf = append(e.buf, ',')
 		}
 		t := &r.Tuples[i]
-		if err := e.tuple(names, t.Fact, t.Lineage, t.T.Ts, t.T.Te, t.Prob); err != nil {
+		if err := e.tuple(t.Fact, t.Lineage, t.T.Ts, t.T.Te, t.Prob); err != nil {
 			return fmt.Errorf("tuple %d: %w", i, err)
 		}
 	}

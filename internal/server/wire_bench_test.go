@@ -8,21 +8,25 @@ import (
 	"github.com/tpset/tpset/internal/core"
 	"github.com/tpset/tpset/internal/datagen"
 	"github.com/tpset/tpset/internal/engine"
+	"github.com/tpset/tpset/internal/lineage"
 	"github.com/tpset/tpset/internal/query"
-	"github.com/tpset/tpset/internal/relation"
 )
 
-// drainedBatches evaluates q over the Table III overlap-0.8 pair at n
-// tuples per relation, through the path the stream handler drains
-// (catalog admission, then engine.CursorCtx at the stream's batch
-// size), and returns the batches it produced and their tuple count.
-func drainedBatches(tb testing.TB, q string, n int) ([]*core.Batch, int) {
+// drainedBatches evaluates q over a pair of the Table III overlap-0.8
+// shape, n tuples per relation generated from seed, through the path
+// the stream handler drains (catalog admission, then engine.CursorCtx
+// at the stream's batch size), and returns the batches it produced and
+// their tuple count. The pair's base tuples are named prefix+"r<i>" and
+// prefix+"s<i>": the marginal-text table is process-wide and keyed by
+// variable, so a caller that measures or counts what it holds names its
+// own.
+func drainedBatches(tb testing.TB, q, prefix string, n int, seed int64) ([]*core.Batch, int) {
 	tb.Helper()
-	r, s := datagen.Pair(datagen.PairConfig{
-		NumTuples: n, NumFacts: n / 100, MaxLenR: 10, MaxLenS: 10, MaxGap: 3, Seed: 1,
-	})
 	srv := New(Config{})
-	for name, rel := range map[string]*relation.Relation{"r": r, "s": s} {
+	for i, name := range []string{"r", "s"} {
+		rel := datagen.Synthetic(datagen.SyntheticConfig{
+			Name: prefix + name, NumTuples: n, NumFacts: n / 100, MaxLen: 10, MaxGap: 3, Seed: seed + int64(i),
+		})
 		if _, err := srv.Load(name, rel); err != nil {
 			tb.Fatal(err)
 		}
@@ -52,11 +56,19 @@ func drainedBatches(tb testing.TB, q string, n int) ([]*core.Batch, int) {
 // BenchmarkStreamEncode is the encode layer of /query/stream on its
 // own: Table III overlap 0.8, r | s at 20K tuples per relation, drained
 // once, then only the per-batch encode of the stream handler is timed.
+// warm is the steady state of a server: every base tuple's marginal was
+// rendered by an earlier response and is appended from the marginal-text
+// table. cold is the cost without it, made repeatable: the same
+// variables under other marginals, so every lookup finds its slot taken
+// by a text for different bits and the marginal is formatted as before.
+// floats/tuple counts appendJSONFloat calls per output row (the row's
+// own p unless it is a base tuple's, plus the marginals not served).
 func BenchmarkStreamEncode(b *testing.B) {
-	batches, tuples := drainedBatches(b, "r | s", 20000)
+	warm, tuples := drainedBatches(b, "r | s", "benc.", 20000, 1)
+	cold, coldTuples := drainedBatches(b, "r | s", "benc.", 20000, 3)
 	enc := getWireEncoder()
 	defer enc.release()
-	encodeAll := func() {
+	encodeAll := func(batches []*core.Batch) {
 		for _, batch := range batches {
 			enc.buf = enc.buf[:0]
 			if _, err := enc.batchLines(batch); err != nil {
@@ -64,26 +76,46 @@ func BenchmarkStreamEncode(b *testing.B) {
 			}
 		}
 	}
-	encodeAll() // warm the buffers
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		encodeAll()
+	encodeAll(warm) // claims the slots, and warms the buffers
+	encodeAll(cold)
+	for _, c := range []struct {
+		name    string
+		batches []*core.Batch
+		tuples  int
+	}{{"cold", cold, coldTuples}, {"warm", warm, tuples}} {
+		formulas := 0 // rows whose p is not a base tuple's marginal
+		for _, batch := range c.batches {
+			for i := range batch.Tuples {
+				if t := &batch.Tuples[i]; t.Lineage.Kind() != lineage.KindVar || t.Prob != t.Lineage.VarProb() {
+					formulas++
+				}
+			}
+		}
+		b.Run(c.name, func(b *testing.B) {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			texts := lineage.ReadMarginalTextStats()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				encodeAll(c.batches)
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&after)
+			formatted := lineage.ReadMarginalTextStats().Misses - texts.Misses + uint64(b.N*formulas)
+			encoded := float64(b.N) * float64(c.tuples)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/encoded, "ns/tuple")
+			b.ReportMetric(float64(formatted)/encoded, "floats/tuple")
+			b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/encoded, "B/tuple")
+			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/encoded, "allocs/tuple")
+		})
 	}
-	b.StopTimer()
-	runtime.ReadMemStats(&after)
-	encoded := float64(b.N) * float64(tuples)
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/encoded, "ns/tuple")
-	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/encoded, "B/tuple")
-	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/encoded, "allocs/tuple")
 }
 
 // TestStreamEncodeDoesNotAllocate pins the steady state of the stream's
 // write path: with a warmed buffer, encoding a batch allocates nothing —
 // no rendered lineage string, no marginals map, no reflection scratch.
 func TestStreamEncodeDoesNotAllocate(t *testing.T) {
-	batches, _ := drainedBatches(t, "(r | s) - (r & s)", 2000)
+	batches, _ := drainedBatches(t, "(r | s) - (r & s)", "", 2000, 1)
 	enc := getWireEncoder()
 	defer enc.release()
 	encodeAll := func() {

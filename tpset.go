@@ -89,7 +89,8 @@ func Except(r, s *Relation) (*Relation, error) { return core.Except(r, s, core.O
 // the zero value defaulting to runtime.GOMAXPROCS(0) so the operation
 // scales with the hardware unless explicitly pinned sequential — the
 // operation runs on the partition-parallel execution engine (the inputs
-// are cloned, interned and sorted once, cut at fact boundaries into
+// are prepared once — copied, interned and sorted where they are not
+// already on one dictionary and in order — cut at fact boundaries into
 // zero-copy fact-range shards, swept concurrently, and the shard outputs
 // concatenated in shard order — which is canonical order); the result is
 // tuple-for-tuple identical to the sequential path. Options.AssumeSorted
@@ -145,8 +146,10 @@ func Eval(q Query, db map[string]*Relation) (*Relation, error) {
 }
 
 // EvalParallel is Eval with an explicit worker budget. Above one, inputs
-// large enough to be worth it are prepared once (cloned, interned into
-// one dictionary, sorted — the leaves in parallel) and cut at fact
+// large enough to be worth it are prepared once (copied where they
+// need it, interned into one dictionary, sorted — the leaves in
+// parallel; an input already bound and in order is read in place) and
+// cut at fact
 // boundaries into fact-range shards; a pool of workers runs the whole
 // query per shard and the shard streams are concatenated in shard order,
 // which is canonical order; 1 evaluates sequentially, and workers below

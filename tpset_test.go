@@ -95,6 +95,31 @@ func TestPublicAPILineage(t *testing.T) {
 	}
 }
 
+// TestMarginalOutsideUnitIntervalIsRefused: a base tuple's marginal is
+// checked where the variable is made — NaN included, which satisfies
+// neither p <= 0 nor p > 1 and used to pass, only to fail a response
+// mid-stream when the encoder met it.
+func TestMarginalOutsideUnitIntervalIsRefused(t *testing.T) {
+	refused := func(name string, f func()) {
+		t.Helper()
+		defer func() {
+			if msg, _ := recover().(string); !strings.Contains(msg, "outside (0,1]") {
+				t.Fatalf("%s: recovered %q, want a probability outside (0,1] panic", name, msg)
+			}
+		}()
+		f()
+	}
+	for _, p := range []float64{math.NaN(), 0, -0.5, 1.5, math.Inf(1), math.Inf(-1)} {
+		refused("NewVar", func() { tpset.NewVar("bad", p) })
+		refused("AddBase", func() {
+			tpset.NewRelation("r", "F").AddBase(tpset.F("x"), "bad", 1, 2, p)
+		})
+	}
+	if tpset.NewVar("ok", 1).VarProb() != 1 || tpset.NewVar("ok", 5e-324).VarProb() != 5e-324 {
+		t.Fatal("the ends of (0,1] are valid marginals")
+	}
+}
+
 func TestPublicAPIProjectAndSelect(t *testing.T) {
 	r := tpset.NewRelation("sales", "Product", "City")
 	r.AddBase(tpset.F("milk", "zurich"), "t1", 1, 5, 0.5)
