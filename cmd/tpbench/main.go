@@ -38,7 +38,6 @@ func main() {
 		scale    = flag.Float64("scale", 0.02, "dataset size multiplier relative to the paper")
 		budget   = flag.Duration("budget", 15*time.Second, "per-run time budget before an approach is cut off")
 		seed     = flag.Int64("seed", 1, "generator seed")
-		workers  = flag.Int("workers", 0, "worker budget for the parallel-engine experiments (0 = GOMAXPROCS)")
 		csvDir   = flag.String("csv", "", "also write <dir>/<exp>.csv files")
 		jsonPath = flag.String("json", "", "also write every run experiment as machine-readable JSON to this file")
 		quiet    = flag.Bool("q", false, "suppress per-run progress lines")
@@ -97,7 +96,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	cfg := bench.Config{Scale: *scale, Budget: *budget, Seed: *seed, Workers: *workers}
+	cfg := bench.Config{Scale: *scale, Budget: *budget, Seed: *seed}
 	if !*quiet {
 		cfg.Progress = os.Stderr
 	}

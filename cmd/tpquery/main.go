@@ -106,15 +106,15 @@ func main() {
 		if err != nil {
 			fatal("%v", err)
 		}
-		for {
-			t, ok := cur.Next()
-			if !ok {
-				break
-			}
-			if err := sw.WriteTuple(&t); err != nil {
-				fatal("%v", err)
+		b := core.GetBatch()
+		for cur.NextBatch(b) {
+			for i := range b.Tuples {
+				if err := sw.WriteTuple(&b.Tuples[i]); err != nil {
+					fatal("%v", err)
+				}
 			}
 		}
+		core.PutBatch(b)
 		if err := sw.Close(); err != nil {
 			fatal("%v", err)
 		}

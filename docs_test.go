@@ -1,0 +1,188 @@
+package tpset_test
+
+import (
+	"encoding/json"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"os"
+	"path/filepath"
+	"regexp"
+	"strings"
+	"testing"
+)
+
+// docPackage is what the prose may name of one package: its top-level
+// declarations, and per type its methods and fields (members["Batch"]
+// holds "Tuples" and "Append"; every type has an entry). aliases maps a
+// type declared as `X = other.Y` to ("other", "Y"), so
+// tpset.Options.Span resolves against core.Options.
+type docPackage struct {
+	decls   map[string]bool
+	members map[string]map[string]bool
+	aliases map[string][2]string
+}
+
+// moduleDocPackages parses every non-test Go file of the root module
+// (benchmark/ is its own module; testdata holds analyzer fixtures) and
+// indexes it by package name.
+func moduleDocPackages(t *testing.T) map[string]*docPackage {
+	t.Helper()
+	pkgs := map[string]*docPackage{}
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if name := d.Name(); path != "." && (strings.HasPrefix(name, ".") || name == "testdata" || path == "benchmark" || path == "out") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		p := pkgs[f.Name.Name]
+		if p == nil {
+			p = &docPackage{decls: map[string]bool{}, members: map[string]map[string]bool{}, aliases: map[string][2]string{}}
+			pkgs[f.Name.Name] = p
+		}
+		member := func(typ, name string) {
+			if p.members[typ] == nil {
+				p.members[typ] = map[string]bool{}
+			}
+			p.members[typ][name] = true
+		}
+		for _, decl := range f.Decls {
+			switch d := decl.(type) {
+			case *ast.FuncDecl:
+				if d.Recv == nil {
+					p.decls[d.Name.Name] = true
+					continue
+				}
+				recv := d.Recv.List[0].Type
+				if star, ok := recv.(*ast.StarExpr); ok {
+					recv = star.X
+				}
+				if idx, ok := recv.(*ast.IndexExpr); ok { // generic receiver
+					recv = idx.X
+				}
+				if id, ok := recv.(*ast.Ident); ok {
+					member(id.Name, d.Name.Name)
+				}
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					switch s := spec.(type) {
+					case *ast.ValueSpec:
+						for _, n := range s.Names {
+							p.decls[n.Name] = true
+						}
+					case *ast.TypeSpec:
+						p.decls[s.Name.Name] = true
+						if p.members[s.Name.Name] == nil {
+							p.members[s.Name.Name] = map[string]bool{}
+						}
+						switch typ := s.Type.(type) {
+						case *ast.StructType:
+							for _, field := range typ.Fields.List {
+								for _, n := range field.Names {
+									member(s.Name.Name, n.Name)
+								}
+							}
+						case *ast.InterfaceType:
+							for _, m := range typ.Methods.List {
+								for _, n := range m.Names {
+									member(s.Name.Name, n.Name)
+								}
+							}
+						case *ast.SelectorExpr:
+							if x, ok := typ.X.(*ast.Ident); ok && s.Assign.IsValid() {
+								p.aliases[s.Name.Name] = [2]string{x.Name, typ.Sel.Name}
+							}
+						}
+					}
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pkgs
+}
+
+var (
+	docFence = regexp.MustCompile("(?ms)^```.*?^```")
+	docSpan  = regexp.MustCompile("`[^`]+`")
+	// pkg.Symbol or pkg.Type.Member, not inside a path or a longer chain.
+	docName = regexp.MustCompile(`(?:^|[^\w./])([a-z][a-z0-9]*)\.([A-Za-z]\w*)(?:\.([A-Za-z]\w*))?`)
+)
+
+// TestDocSymbolsResolve keeps the paper→code concordance honest: every
+// backticked `pkg.Symbol` / `pkg.Type.Member` in DESIGN.md, README.md and
+// docs/PAPER_MAP.md whose pkg is a package of this module must name a
+// declaration of it — a top-level name, or a method or field of one of
+// its types (`relation.SetBinding`, as go doc resolves it) — so a
+// deletion or a rename cannot leave a dangling name in the prose. Names
+// BENCHMARK.json declares are metrics (`bench.trace_overhead_ratio`),
+// not symbols; `server.go` is a file.
+func TestDocSymbolsResolve(t *testing.T) {
+	pkgs := moduleDocPackages(t)
+	raw, err := os.ReadFile("BENCHMARK.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var named struct {
+		EndToEnd []struct{ Name string } `json:"end_to_end"`
+		PerLayer []struct{ Name string } `json:"per_layer"`
+	}
+	if err := json.Unmarshal(raw, &named); err != nil {
+		t.Fatal(err)
+	}
+	metrics := map[string]bool{}
+	for _, m := range append(named.EndToEnd, named.PerLayer...) {
+		metrics[m.Name] = true
+	}
+
+	for _, doc := range []string{"DESIGN.md", "README.md", "docs/PAPER_MAP.md"} {
+		text, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checked := 0
+		for _, span := range docSpan.FindAllString(docFence.ReplaceAllString(string(text), ""), -1) {
+			for _, m := range docName.FindAllStringSubmatch(strings.Trim(span, "`"), -1) {
+				p, sym, member := pkgs[m[1]], m[2], m[3]
+				if p == nil || sym == "go" || metrics[m[1]+"."+sym] {
+					continue
+				}
+				checked++
+				ok := p.decls[sym]
+				if !ok { // pkg.Method, pkg.Field: a member of any type, as go doc resolves it
+					for _, members := range p.members {
+						ok = ok || members[sym]
+					}
+				} else if p.members[sym] != nil && member != "" { // pkg.Type.Member, through one alias hop
+					tp, typ := p, sym
+					if a, aliased := p.aliases[sym]; aliased && pkgs[a[0]] != nil {
+						tp, typ = pkgs[a[0]], a[1]
+					}
+					ok = tp.members[typ][member]
+				}
+				if !ok {
+					t.Errorf("%s: %s names nothing in package %s", doc, span, m[1])
+				}
+			}
+		}
+		if checked == 0 {
+			t.Errorf("%s: no backticked package-qualified name found; the extraction is broken", doc)
+		}
+	}
+}

@@ -102,7 +102,7 @@ func TestExperimentsRegistryComplete(t *testing.T) {
 	wantNames := []string{
 		"table2", "fig7a", "fig7b", "fig7c", "fig8", "table3", "fig9a",
 		"fig9b", "table4", "fig10a", "fig10b", "fig10c", "fig11a", "fig11b", "fig11c",
-		"par-size", "par-workers", "serve-cache", "trace-overhead", "segment-vs-heap",
+		"trace-overhead", "segment-vs-heap",
 	}
 	got := Names()
 	if strings.Join(got, ",") != strings.Join(wantNames, ",") {

@@ -5,9 +5,7 @@
 // mirroring the paper's practice of dropping approaches that are orders of
 // magnitude slower), and plain-text/CSV series printers.
 //
-// Beyond the paper it adds the extension-tier experiments: par-size and
-// par-workers (partition-parallel engine speedup curves), serve-cache
-// (query-service result cache, cold evaluation vs cache hit),
+// Beyond the paper it adds two extension-tier experiments:
 // trace-overhead (the execution trace, off vs on) and segment-vs-heap
 // (mmap segment store vs heap catalog). Every LAWA measurement runs the
 // module's one execution path — core.Apply for the paper's two-relation

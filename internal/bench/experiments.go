@@ -24,9 +24,6 @@ type Config struct {
 	Progress io.Writer
 	// Seed makes runs reproducible.
 	Seed int64
-	// Workers caps the worker budget of the parallel-engine experiments
-	// (0 = runtime.GOMAXPROCS).
-	Workers int
 }
 
 func (c Config) scaled(n int) int {
@@ -63,9 +60,6 @@ func Experiments() []Experiment {
 		{"fig11a", "Webkit-like 20K–200K: set intersection", fig1011(false, core.OpIntersect)},
 		{"fig11b", "Webkit-like 20K–200K: set difference", fig1011(false, core.OpExcept)},
 		{"fig11c", "Webkit-like 20K–200K: set union", fig1011(false, core.OpUnion)},
-		{"par-size", "Partition-parallel engine vs sequential LAWA: size sweep (∩Tp)", ParSize},
-		{"par-workers", "Partition-parallel engine: worker-count sweep at fixed size (∩Tp)", ParWorkers},
-		{"serve-cache", "Query service: cold evaluation vs result-cache hit (∩Tp)", ServeCache},
 		{"trace-overhead", "Execution-trace instrumentation overhead: drain with tracing off vs on", TraceOverhead},
 		{"segment-vs-heap", "Durable mmap segment store vs heap catalog: cold start + steady-state drain", SegmentVsHeap},
 	}

@@ -29,15 +29,17 @@ import (
 // (the run-skipping fast path, where per-pull timer overhead would show
 // up most against the little remaining work).
 
-// streamWorkers resolves the worker budget of the experiment: at least
-// two, so the engine actually builds the partition-parallel stream
-// (shard goroutines + channels + merge) whose per-block hooks the
-// experiment measures.
-func streamWorkers(cfg Config) int {
-	if cfg.Workers > 2 {
-		return cfg.Workers
-	}
-	return 2
+// streamWorkers is the worker budget of the experiment: two, so the
+// engine actually builds the partition-parallel stream (shard goroutines
+// + channels + concatenation) whose per-block hooks the experiment
+// measures.
+const streamWorkers = 2
+
+// parFacts picks the distinct-fact count for an input of n tuples: the
+// engine cuts its shards at fact boundaries, so the multi-fact
+// experiments (this one, segment-vs-heap) use one fact per ~100 tuples.
+func parFacts(n int) int {
+	return max(n/100, 1)
 }
 
 // disjointPair generates a Table-III-shaped pair whose fact universes
@@ -95,7 +97,6 @@ func measureAlloc(f func()) (time.Duration, uint64, uint64) {
 func TraceOverhead(cfg Config) Result {
 	n := cfg.scaled(1000000)
 	facts := parFacts(n)
-	workers := streamWorkers(cfg)
 
 	type variant struct {
 		name   string
@@ -155,7 +156,7 @@ func TraceOverhead(cfg Config) Result {
 				}
 				var out int
 				d, alloc, mallocs := measureAlloc(func() {
-					out = drainStream(workers, node, db, opts)
+					out = drainStream(streamWorkers, node, db, opts)
 				})
 				if rep == 0 || d < best.Duration {
 					best = Cell{
@@ -186,6 +187,6 @@ func TraceOverhead(cfg Config) Result {
 		XLabel:   "shape",
 		Series:   series,
 		Scale:    cfg.Scale,
-		Footnote: fmt.Sprintf("%d tuples/relation, %d facts, workers=%d, best of 5; off = trace-capable code with nil span; on/off: %s", n, facts, workers, note),
+		Footnote: fmt.Sprintf("%d tuples/relation, %d facts, workers=%d, best of 5; off = trace-capable code with nil span; on/off: %s", n, facts, streamWorkers, note),
 	}
 }

@@ -1,25 +1,21 @@
 package core
 
 import (
-	"fmt"
 	"sync"
 	"sync/atomic"
 
-	"github.com/tpset/tpset/internal/interval"
 	"github.com/tpset/tpset/internal/invariant"
 	"github.com/tpset/tpset/internal/keys"
 	"github.com/tpset/tpset/internal/relation"
 )
 
 // Batched (vectorized) cursor execution. A Batch is a block of tuples in
-// canonical (fact, Ts, Te) order — the unit the execution stack moves
-// around instead of single tuples wherever per-tuple costs would
-// otherwise dominate: interface calls inside a cursor plan, channel
-// operations between the engine's shard producers and its consumer, and
-// encoder/flush calls on the NDJSON stream. Amortizing those costs over
-// ~BatchSize tuples is the MonetDB/X100 observation; the tuple-at-a-time
-// Cursor API stays intact on top of it (every BatchCursor is a Cursor),
-// so callers opt into blocks without a second execution semantics.
+// canonical (fact, Ts, Te) order — the one unit the execution stack
+// moves, because per-tuple costs would otherwise dominate: interface
+// calls inside a cursor plan, channel operations between the engine's
+// shard producers and its consumer, and encoder/flush calls on the
+// NDJSON stream. Amortizing those costs over ~BatchSize tuples is the
+// MonetDB/X100 observation.
 
 // BatchSize is the default tuple capacity of a pooled batch. Large
 // enough that per-batch costs (one interface call, one channel op, one
@@ -199,98 +195,7 @@ func PutBatch(b *Batch) {
 	batchPool.Put(b)
 }
 
-// BatchCursor is a Cursor that can also deliver its stream in blocks.
-// NextBatch fills b (after resetting it) with up to b.Cap() tuples in
-// canonical order and reports whether it produced any; after the first
-// false it keeps returning false. Next and NextBatch draw from the same
-// underlying stream and may be interleaved — every tuple is delivered
-// exactly once, in order, whichever way it is pulled.
-//
-// The block is the consumer's: the cursor keeps no reference to b after
-// NextBatch returns, so a consumer may retain a filled block — pulling
-// the next one into another — until it PutBatches it (Materialize does).
-// The rows stay read-only all the while: a scan fills b by pointing it
-// at the leaf.
-type BatchCursor interface {
-	Cursor
-	NextBatch(b *Batch) bool
-}
-
-// keySkipper is implemented by cursors that can advance past a run of
-// tuples in sub-linear time: SkipTo discards every upcoming tuple below
-// the point (fid, te) — its packed fact id is below fid, or equals fid
-// and its interval ends at or before te (relation.MinTime: the facts
-// below fid and nothing else). Scans gallop over their fid column and
-// rows (exponential probe + binary search, relation.SkipTo); filters
-// forward to their input. The search relies on end points ascending
-// within a fact, i.e. on the stream being duplicate-free (Def. 1) as
-// well as sorted. The advancer's run-skipping uses it through
-// batchSource; operator cursors deliberately do not implement it —
-// their output is computed, so "skipping" it would still compute it.
-type keySkipper interface {
-	SkipTo(fid int64, te interval.Time)
-}
-
-// NextBatch fills b with the next sub-window of the scanned relation —
-// zero copy: b.Tuples aliases the relation's own storage and b.Fid its
-// fid column, so a scan batch costs three slice-header writes
-// regardless of size. Consumers must treat the rows as read-only (the
-// relation may be shared, e.g. a catalog relation under AssumeSorted).
-func (c *ScanCursor) NextBatch(b *Batch) bool {
-	n := len(c.r.Tuples) - c.i
-	if n <= 0 {
-		b.Reset()
-		return false
-	}
-	if max := b.Cap(); n > max {
-		n = max
-	}
-	i, j := c.i, c.i+n
-	b.Tuples, b.Fid, b.Dict = c.r.Tuples[i:j], c.fid[i:j], c.r.Dict()
-	c.i = j
-	b.CheckBound("core.ScanCursor.NextBatch")
-	return true
-}
-
-// SkipTo advances the scan past every tuple below the point (fid, te):
-// a fact id below fid, or fid itself with an interval that ends at or
-// before te. It gallops over the fid column and the rows, so skipping a
-// run of m tuples costs O(log m) probes instead of the O(m) pops of the
-// tuple-at-a-time sweep. The scanned relation must be duplicate-free
-// (see relation.SkipTo).
-func (c *ScanCursor) SkipTo(fid int64, te interval.Time) {
-	c.i += relation.SkipTo(c.fid[c.i:], c.r.Tuples[c.i:], fid, te)
-}
-
-// NextBatch drains windows through the operation's λ-filter straight
-// into the block's own slots until it is full or the operation
-// terminates: every output row is written once, where it will be read,
-// with the window's id beside it, and the block comes out bound to the
-// inputs' dictionary.
-func (c *OpCursor) NextBatch(b *Batch) bool {
-	b.Reset()
-	rows, fid := b.Tuples[:b.Cap()], b.Fid[:b.Cap()]
-	n := 0
-	for n < len(rows) && c.emit(&rows[n], &fid[n]) {
-		n++
-	}
-	b.Tuples, b.Fid, b.Dict = rows[:n], fid[:n], c.a.dict
-	b.CheckBound("core.OpCursor.NextBatch")
-	return n > 0
-}
-
-// AsBatchCursor asserts that c streams batches. Every cursor the plan
-// builders produce does (scans, selections, operators, tracing
-// wrappers, the engine's StreamCursor), and nothing else may feed a
-// plan: a block has to arrive bound, which a cursor that only knows
-// Next cannot promise. Everything that consumes a cursor — the
-// advancer's sources, Materialize, selections, tracing, the engine's
-// shard producers — pulls blocks through it, so there is one pull
-// protocol below the public Cursor.Next.
-func AsBatchCursor(c Cursor) BatchCursor {
-	bc, ok := c.(BatchCursor)
-	if !ok {
-		panic(fmt.Sprintf("core: cursor %T does not stream batches", c))
-	}
-	return bc
-}
+// AsBatchCursor returns c: every Cursor streams blocks. Kept only because
+// the benchmark harness calls it (benchmark/layers.go) — delete it with
+// ROADMAP item 1(a).
+func AsBatchCursor(c Cursor) Cursor { return c }

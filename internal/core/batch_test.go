@@ -10,6 +10,14 @@ import (
 	"github.com/tpset/tpset/internal/relation"
 )
 
+// The one pull protocol, stated by type: whatever feeds a plan delivers
+// blocks, or does not compile.
+var (
+	_ Cursor = (*ScanCursor)(nil)
+	_ Cursor = (*OpCursor)(nil)
+	_ Cursor = (*tracedCursor)(nil)
+)
+
 // sortedTestRelation builds a scannable relation — interned, sorted —
 // with the given fact runs.
 func sortedTestRelation(name string, n, facts int, seed int64) *relation.Relation {
@@ -135,7 +143,7 @@ func TestSkipToFidMatchesLinearScan(t *testing.T) {
 	}
 }
 
-// TestScanSkipToAdvancesCursor pins SkipTo/Next interplay on the scan:
+// TestScanSkipToAdvancesCursor pins SkipTo/NextBatch interplay on the scan:
 // after a skip to a (fact, time) point the first reachable tuple is the
 // linear-scan answer — no tuple at or above the point skipped, none
 // below it left — for a fact-only skip (relation.MinTime) and for a
@@ -151,11 +159,11 @@ func TestScanSkipToAdvancesCursor(t *testing.T) {
 		for want < r.Len() && (fid[want] < target || (fid[want] == target && r.Tuples[want].T.Te <= te)) {
 			want++
 		}
-		got, ok := c.Next()
-		if !ok {
+		b := NewBatch(1)
+		if !c.NextBatch(b) {
 			t.Fatalf("te %d: cursor exhausted after SkipTo", te)
 		}
-		if !got.Fact.Equal(r.Tuples[want].Fact) || got.T != r.Tuples[want].T {
+		if got := b.Tuples[0]; !got.Fact.Equal(r.Tuples[want].Fact) || got.T != r.Tuples[want].T {
 			t.Fatalf("te %d: SkipTo landed on %s, want %s", te, got, r.Tuples[want])
 		}
 	}

@@ -3,28 +3,38 @@ package core
 import (
 	"fmt"
 
+	"github.com/tpset/tpset/internal/interval"
 	"github.com/tpset/tpset/internal/invariant"
 	"github.com/tpset/tpset/internal/lineage"
 	"github.com/tpset/tpset/internal/relation"
 )
 
 // Cursor is a pull-based stream of TP tuples in canonical (fact, Ts, Te)
-// order — the streaming form of a sorted relation. Next returns the next
-// tuple, or ok=false when the stream is drained; after that it keeps
-// returning ok=false. Cursors are single-use and not safe for concurrent
-// calls to Next.
+// order — the streaming form of a sorted relation — and the one pull
+// protocol of the module: a stream crosses an operator boundary as bound
+// blocks and in no other form. NextBatch fills b (after resetting it)
+// with up to b.Cap() tuples and reports whether it produced any; after
+// the first false it keeps returning false. Cursors are single-use and
+// not safe for concurrent pulls.
 //
 // The ordering invariant is the contract that makes cursors compose: the
 // window advancer requires (fact, Ts)-sorted inputs, and every operator
 // cursor emits its output in exactly that order, so cursors stack into
 // whole query trees that evaluate in O(tree depth) additional memory —
-// one lookahead buffer and one valid tuple per tree edge, no materialized
+// one lookahead block and one valid tuple per tree edge, no materialized
 // intermediate relations (the O(1)-space-per-operator property of §IV).
+//
+// Every block handed over is bound (Batch: Dict != nil, one Fid entry
+// per row). The block is the consumer's: the cursor keeps no reference
+// to b after NextBatch returns, so a consumer may retain a filled block —
+// pulling the next one into another — until it PutBatches it
+// (MaterializeLimit does). The rows stay read-only all the while: a scan
+// fills b by pointing it at the leaf.
 type Cursor interface {
 	// Schema describes the stream's conventional attributes.
 	Schema() relation.Schema
-	// Next returns the next tuple in canonical order.
-	Next() (relation.Tuple, bool)
+	// NextBatch fills b with the next block in canonical order.
+	NextBatch(b *Batch) bool
 }
 
 // CursorReleaser is the optional teardown face of a cursor: operators
@@ -40,19 +50,33 @@ type CursorReleaser interface {
 }
 
 // ReleaseCursor tears down a partially drained cursor plan via its
-// CursorReleaser face; cursors without buffered pooled state (scans,
-// pure tuple pipelines) need none and make this a no-op.
+// CursorReleaser face; cursors without buffered pooled state (scans)
+// need none and make this a no-op.
 func ReleaseCursor(c Cursor) {
 	if r, ok := c.(CursorReleaser); ok {
 		r.ReleaseCursor()
 	}
 }
 
+// keySkipper is implemented by cursors that can advance past a run of
+// tuples in sub-linear time: SkipTo discards every upcoming tuple below
+// the point (fid, te) — its packed fact id is below fid, or equals fid
+// and its interval ends at or before te (relation.MinTime: the facts
+// below fid and nothing else). Scans gallop over their fid column and
+// rows (exponential probe + binary search, relation.SkipTo); filters
+// forward to their input. The search relies on end points ascending
+// within a fact, i.e. on the stream being duplicate-free (Def. 1) as
+// well as sorted. The advancer's run-skipping uses it through
+// batchSource; operator cursors deliberately do not implement it —
+// their output is computed, so "skipping" it would still compute it.
+type keySkipper interface {
+	SkipTo(fid int64, te interval.Time)
+}
+
 // ScanCursor streams a materialized relation that must already be in
-// canonical (fact, Ts) order — the leaf of a cursor plan. Tuples are
-// returned by value, so consumers never mutate the underlying relation:
-// a ScanCursor may safely stream a relation shared with concurrent
-// readers.
+// canonical (fact, Ts) order — the leaf of a cursor plan. Its blocks
+// alias the relation and consumers only read them, so a ScanCursor may
+// safely stream a relation shared with concurrent readers.
 type ScanCursor struct {
 	r   *relation.Relation
 	fid []int64 // r's fid column, aliased into every block
@@ -80,18 +104,39 @@ func NewScanCursor(r *relation.Relation) *ScanCursor {
 // Schema returns the scanned relation's schema.
 func (c *ScanCursor) Schema() relation.Schema { return c.r.Schema }
 
-// Next returns the next tuple of the relation.
-func (c *ScanCursor) Next() (relation.Tuple, bool) {
-	if c.i >= len(c.r.Tuples) {
-		return relation.Tuple{}, false
+// NextBatch fills b with the next sub-window of the scanned relation —
+// zero copy: b.Tuples aliases the relation's own storage and b.Fid its
+// fid column, so a scan batch costs three slice-header writes
+// regardless of size. Consumers must treat the rows as read-only (the
+// relation may be shared, e.g. a catalog relation under AssumeSorted).
+func (c *ScanCursor) NextBatch(b *Batch) bool {
+	n := len(c.r.Tuples) - c.i
+	if n <= 0 {
+		b.Reset()
+		return false
 	}
-	t := c.r.Tuples[c.i]
-	c.i++
-	return t, true
+	if max := b.Cap(); n > max {
+		n = max
+	}
+	i, j := c.i, c.i+n
+	b.Tuples, b.Fid, b.Dict = c.r.Tuples[i:j], c.fid[i:j], c.r.Dict()
+	c.i = j
+	b.CheckBound("core.ScanCursor.NextBatch")
+	return true
+}
+
+// SkipTo advances the scan past every tuple below the point (fid, te):
+// a fact id below fid, or fid itself with an interval that ends at or
+// before te. It gallops over the fid column and the rows, so skipping a
+// run of m tuples costs O(log m) probes instead of the O(m) pops of the
+// tuple-at-a-time sweep. The scanned relation must be duplicate-free
+// (see relation.SkipTo).
+func (c *ScanCursor) SkipTo(fid int64, te interval.Time) {
+	c.i += relation.SkipTo(c.fid[c.i:], c.r.Tuples[c.i:], fid, te)
 }
 
 // OpCursor evaluates one TP set operation as a stream: it runs the LAWA
-// advancer directly over its children's tuple streams, applies the
+// advancer directly over its children's streams, applies the
 // operation's λ-filter to each candidate window and finalizes output
 // lineage with its Table I concatenation function. It is the Fig. 5
 // pipeline in streaming form, and the only implementation of it: Apply
@@ -127,13 +172,21 @@ func (c *OpCursor) Schema() relation.Schema { return c.schema }
 // down the child plans.
 func (c *OpCursor) ReleaseCursor() { c.a.release() }
 
-// Next produces the next output tuple — the tuple-at-a-time face of the
-// window loop NextBatch fills blocks with.
-func (c *OpCursor) Next() (relation.Tuple, bool) {
-	var t relation.Tuple
-	var fid int64
-	ok := c.emit(&t, &fid)
-	return t, ok
+// NextBatch drains windows through the operation's λ-filter straight
+// into the block's own slots until it is full or the operation
+// terminates: every output row is written once, where it will be read,
+// with the window's id beside it, and the block comes out bound to the
+// inputs' dictionary.
+func (c *OpCursor) NextBatch(b *Batch) bool {
+	b.Reset()
+	rows, fid := b.Tuples[:b.Cap()], b.Fid[:b.Cap()]
+	n := 0
+	for n < len(rows) && c.emit(&rows[n], &fid[n]) {
+		n++
+	}
+	b.Tuples, b.Fid, b.Dict = rows[:n], fid[:n], c.a.dict
+	b.CheckBound("core.OpCursor.NextBatch")
+	return n > 0
 }
 
 // emit writes the next output row into *t and its fact id into *fid:
@@ -218,7 +271,6 @@ func Materialize(c Cursor) *relation.Relation {
 // pins at most twice the result plus one block. It only reads the rows —
 // a scan's block is the leaf itself.
 func MaterializeLimit(c Cursor, max int) (*relation.Relation, bool) {
-	bc := AsBatchCursor(c)
 	var kept []*Batch
 	// Deferred, not inline: a pull may panic (the engine re-raises a shard
 	// producer's panic on the consumer), and the pool must balance then too.
@@ -231,7 +283,7 @@ func MaterializeLimit(c Cursor, max int) (*relation.Relation, bool) {
 	for within {
 		b := GetBatch()
 		kept = append(kept, b)
-		if !bc.NextBatch(b) {
+		if !c.NextBatch(b) {
 			break
 		}
 		n += len(b.Tuples)

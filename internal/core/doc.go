@@ -31,18 +31,20 @@
 //     asserts it at every hop.
 //
 // The pipeline is pull-based: Cursor is a tuple stream in canonical
-// order, ScanCursor streams a sorted relation, and OpCursor runs the
-// advancer directly over two child cursors. Apply — the one two-relation
+// order with one pull, NextBatch — a bound block is the only thing that
+// crosses an operator boundary — ScanCursor streams a sorted relation,
+// and OpCursor runs the advancer directly over two child cursors. Apply — the one two-relation
 // driver — is PrepareLeaves + Materialize(OpCursor), and cursor plans
 // (built by internal/query, run by internal/engine) stack the same
 // OpCursor into whole query trees that evaluate in O(tree depth)
 // additional memory, so there is one λ-filter/λ-function implementation
 // in the module.
 //
-// Execution is batched (vectorized): BatchCursor moves pooled
-// ~BatchSize-tuple blocks through the stack (zero-copy scan sub-windows,
-// block-draining operators), amortizing per-tuple interface, channel and
-// encoder costs ~1000x, and the advancer always skips the runs of tuples
+// Execution is therefore batched (vectorized) throughout: pooled
+// ~BatchSize-tuple blocks move through the stack (zero-copy scan
+// sub-windows, operators that write their output rows in place),
+// amortizing per-tuple interface, channel and encoder costs ~1000x, and
+// the advancer always skips the runs of tuples
 // whose windows the operation discards — facts the other input lacks,
 // and stretches of a shared fact's time that end before the other input
 // starts — by galloping over the packed fid column and the rows' end

@@ -35,8 +35,7 @@ func newOwned(r *relation.Relation) *owned {
 	return c
 }
 
-func (c *owned) Schema() relation.Schema      { return c.r.Schema }
-func (c *owned) Next() (relation.Tuple, bool) { panic("owned: blocks only") }
+func (c *owned) Schema() relation.Schema { return c.r.Schema }
 
 func (c *owned) NextBatch(b *core.Batch) bool {
 	gets, puts, _, _ := core.BatchPoolStats()
@@ -134,7 +133,8 @@ func TestWindowIs64Bytes(t *testing.T) {
 // relation — that reads as unbound, and ComputeProbs, Subset and a plan
 // over it work; (2) layerSort's Clone()+Sort() of a bound relation stays
 // bound and comes out sorted; (3) sweepOperands calls BuildCols() on an
-// Apply result before scanning it — the materialized column, not a copy.
+// Apply result before scanning it — the materialized column, not a copy;
+// (4) lazyPlan.layerDrain pulls through core.AsBatchCursor(c), which is c.
 func TestBenchmarkHarnessCallShapes(t *testing.T) {
 	r, s := datagen.FixedOverlapPair(3000, 40, 5)
 	db := map[string]*relation.Relation{"r": r, "s": s}
@@ -147,6 +147,9 @@ func TestBenchmarkHarnessCallShapes(t *testing.T) {
 	lazy := relation.New(c.Schema())
 	lazy.Tuples = make([]relation.Tuple, 0, 8)
 	bc := core.AsBatchCursor(c)
+	if bc != c {
+		t.Fatalf("AsBatchCursor(%T) returned another cursor (%T)", c, bc)
+	}
 	for b := core.NewBatch(256); bc.NextBatch(b); {
 		lazy.Tuples = append(lazy.Tuples, b.Tuples...)
 	}

@@ -139,7 +139,7 @@ func TestAppendRangeAcrossSourceBlocks(t *testing.T) {
 }
 
 // TestTracedPlanCountersReconcile runs the two-level plan (a | b) | c
-// traced, pulling by tuple and by block, and reconciles every counter:
+// traced, pulling blocks of odd and of regular size, and reconciles every counter:
 // each node's tuples with what it emitted, a node's input with its
 // children's output, the operators' windows with the window stream of
 // their operands, and the result with the untraced plan's.
@@ -157,19 +157,20 @@ func TestTracedPlanCountersReconcile(t *testing.T) {
 	inner := root.NewChild("")
 	spA, spB, spC := inner.NewChild(""), inner.NewChild(""), root.NewChild("")
 	union := core.Traced(opCursor(t, core.OpUnion, core.Traced(scan("a"), spA), core.Traced(scan("b"), spB)), inner)
-	plan := core.AsBatchCursor(core.Traced(opCursor(t, core.OpUnion, union, core.Traced(scan("c"), spC)), root))
+	plan := core.Traced(opCursor(t, core.OpUnion, union, core.Traced(scan("c"), spC)), root)
 	if plan.Schema().Name != want.Schema.Name {
 		t.Fatalf("traced schema %q, untraced %q", plan.Schema().Name, want.Schema.Name)
 	}
 	got := relation.New(plan.Schema())
-	for i := 0; i < 10; i++ { // a few single pulls, then blocks
-		tup, ok := plan.Next()
-		if !ok {
-			t.Fatal("plan drained after a few tuples")
-		}
-		got.Tuples = append(got.Tuples, tup)
-	}
 	blocks := int64(0)
+	for _, capacity := range []int{1, 3, 7} { // a few odd-sized pulls, then blocks
+		b := core.NewBatch(capacity)
+		if !plan.NextBatch(b) || len(b.Tuples) != capacity {
+			t.Fatalf("plan handed over %d rows into a block of %d", len(b.Tuples), capacity)
+		}
+		got.Tuples = append(got.Tuples, b.Tuples...)
+		blocks++
+	}
 	for b := core.NewBatch(256); plan.NextBatch(b); blocks++ {
 		got.Tuples = append(got.Tuples, b.Tuples...)
 	}
@@ -218,10 +219,10 @@ func TestReleaseHalfDrainedPlanBalancesPool(t *testing.T) {
 		plan := core.Traced(opCursor(t, core.OpUnion,
 			core.Traced(opCursor(t, core.OpIntersect, scan("a"), scan("b")), sp.NewChild("")), scan("c")), sp)
 		b := core.NewBatch(64) // unpooled: leaves through the drop counter
-		if bc := core.AsBatchCursor(plan); !bc.NextBatch(b) {
+		if !plan.NextBatch(b) {
 			t.Fatal("plan produced nothing")
 		} else if drainFully {
-			for bc.NextBatch(b) {
+			for plan.NextBatch(b) {
 			}
 		}
 		core.ReleaseCursor(plan)

@@ -30,11 +30,12 @@ type Options struct {
 	// intended for data of unknown provenance (CSV ingest and catalog
 	// admission have checked theirs).
 	Validate bool
-	// Parallelism requests partition-parallel execution with this many
-	// workers. Apply in this package is sequential and ignores it;
-	// tpset.Apply routes the operation through internal/engine when the
-	// resolved count (see Workers) is above one. 0 — the zero value —
+	// Parallelism is the worker budget of tpset.Apply (and so of
+	// tpset.Union, Intersect and Except), which runs the operation on
+	// internal/engine with Workers() workers. 0 — the zero value —
 	// resolves to runtime.GOMAXPROCS(0); 1 or below means sequential.
+	// Apply in this package is the sequential two-relation driver and
+	// does not read it.
 	Parallelism int
 	// Span attaches an execution-trace node to the plan being built:
 	// query.BuildCursor labels it with the root operator, hangs one
@@ -49,9 +50,8 @@ type Options struct {
 
 // Workers resolves Parallelism to an effective worker count: 0 (unset)
 // selects runtime.GOMAXPROCS(0) — scale with the hardware by default —
-// and anything below one is sequential. tpset.Apply routes operations
-// through the partition-parallel engine exactly when the resolved count
-// is above one; tpset.Eval uses the same default.
+// and anything below one is sequential. tpset.Apply hands the engine
+// this budget; tpset.Eval uses the same default.
 func (o Options) Workers() int {
 	if o.Parallelism == 0 {
 		return runtime.GOMAXPROCS(0)

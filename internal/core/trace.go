@@ -30,49 +30,38 @@ func Traced(c Cursor, sp *obs.Span) Cursor {
 	if sp == nil {
 		return c
 	}
-	tc := &tracedBatchCursor{bc: AsBatchCursor(c), sp: sp}
+	tc := &tracedCursor{c: c, sp: sp}
 	if oc, ok := c.(*OpCursor); ok {
 		tc.adv = oc.a
 	}
 	return tc
 }
 
-// tracedBatchCursor is the recording wrapper around one plan node.
-type tracedBatchCursor struct {
-	bc  BatchCursor
+// tracedCursor is the recording wrapper around one plan node.
+type tracedCursor struct {
+	c   Cursor
 	sp  *obs.Span
-	adv *Advancer // non-nil when bc is an OpCursor: publish sweep counters
+	adv *Advancer // non-nil when c is an OpCursor: publish sweep counters
 }
 
-func (t *tracedBatchCursor) Schema() relation.Schema { return t.bc.Schema() }
+func (t *tracedCursor) Schema() relation.Schema { return t.c.Schema() }
 
 // ReleaseCursor forwards plan teardown through the tracing wrapper.
-func (t *tracedBatchCursor) ReleaseCursor() { ReleaseCursor(t.bc) }
+func (t *tracedCursor) ReleaseCursor() { ReleaseCursor(t.c) }
 
 // publishSweep pushes the advancer's window/gallop counters into the
 // span after a pull (stores, not adds: the advancer owns the running
 // totals).
-func (t *tracedBatchCursor) publishSweep() {
+func (t *tracedCursor) publishSweep() {
 	if t.adv != nil {
 		t.sp.SetWindows(t.adv.Windows())
 		t.sp.SetGallops(t.adv.Gallops())
 	}
 }
 
-func (t *tracedBatchCursor) Next() (relation.Tuple, bool) {
+func (t *tracedCursor) NextBatch(b *Batch) bool {
 	start := time.Now()
-	tu, ok := t.bc.Next()
-	t.sp.AddWall(time.Since(start))
-	if ok {
-		t.sp.AddTuples(1)
-	}
-	t.publishSweep()
-	return tu, ok
-}
-
-func (t *tracedBatchCursor) NextBatch(b *Batch) bool {
-	start := time.Now()
-	ok := t.bc.NextBatch(b)
+	ok := t.c.NextBatch(b)
 	t.sp.AddWall(time.Since(start))
 	b.CheckBound("core.Traced.NextBatch")
 	if ok {
@@ -85,13 +74,13 @@ func (t *tracedBatchCursor) NextBatch(b *Batch) bool {
 
 // SkipTo forwards run-skipping — past facts or past a stretch of one
 // fact's time — to the wrapped cursor when it supports it, counting the
-// gallop either way. A wrapped cursor without SkipTo (an operator
+// gallops it forwards. A wrapped cursor without SkipTo (an operator
 // cursor — its output is computed, so there is nothing to gallop over)
 // makes this a no-op, which is semantically equivalent: callers
 // re-filter tuples below the point after every skipTo, skipping only
 // saves work, never changes output.
-func (t *tracedBatchCursor) SkipTo(fid int64, te interval.Time) {
-	if sk, ok := t.bc.(keySkipper); ok {
+func (t *tracedCursor) SkipTo(fid int64, te interval.Time) {
+	if sk, ok := t.c.(keySkipper); ok {
 		t.sp.AddGallops(1)
 		sk.SkipTo(fid, te)
 	}

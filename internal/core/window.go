@@ -45,7 +45,7 @@ func (w Window) String() string {
 }
 
 // batchSource is the advancer's view of one input: a one-tuple-lookahead
-// stream in (fact, Ts) order, pulled from a BatchCursor through a pooled
+// stream in (fact, Ts) order, pulled from a Cursor through a pooled
 // block buffer — one interface call per ~BatchSize tuples instead of one
 // per tuple. peek returns the next unconsumed tuple (nil when drained)
 // and is stable until pop, which consumes it; fid returns its packed
@@ -55,13 +55,13 @@ func (w Window) String() string {
 // concurrent readers: callers must not mutate it, and must copy a tuple
 // they need beyond the next pop.
 type batchSource struct {
-	c    BatchCursor
+	c    Cursor
 	b    *Batch
 	i    int
 	done bool
 }
 
-func newBatchSource(c BatchCursor) *batchSource {
+func newBatchSource(c Cursor) *batchSource {
 	return &batchSource{c: c, b: GetBatch()}
 }
 
@@ -234,8 +234,8 @@ func NewAdvancer(r, s *relation.Relation) *Advancer {
 // block-at-a-time (one interface call per ~BatchSize tuples).
 func NewStreamAdvancer(r, s Cursor) *Advancer {
 	return &Advancer{
-		r:         newBatchSource(AsBatchCursor(r)),
-		s:         newBatchSource(AsBatchCursor(s)),
+		r:         newBatchSource(r),
+		s:         newBatchSource(s),
 		prevWinTe: -1,
 		currFid:   -1,
 	}

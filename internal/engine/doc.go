@@ -34,8 +34,10 @@
 // after the other — no compare, no intermediate relations (see
 // DESIGN.md, "Streaming execution"). Inputs below the sharding threshold
 // and a worker budget of one run the sequential plan instead; the stream
-// is the same either way. Apply is the two-leaf plan "r op s" on this
-// path, and EvalCursor materializes a plan's final result (one exact-size
+// is the same either way: a StreamCursor, which is a core.Cursor and is
+// pulled like every cursor below it, one bound block per NextBatch.
+// Apply is the two-leaf plan "r op s" on this path, and EvalCursor
+// materializes a plan's final result (one exact-size
 // allocation: core.MaterializeLimit). A panic on a producer goroutine is
 // relayed to the goroutine draining the plan (core.PanicRelay).
 //

@@ -273,44 +273,11 @@ func TestEngineEmptyInputsMatchOracle(t *testing.T) {
 	}
 }
 
-// TestEngineInterleavedPullsMatchOracle pins that Next and NextBatch draw
-// from one stream: randomly alternating pulls see every tuple exactly
-// once, in order.
-func TestEngineInterleavedPullsMatchOracle(t *testing.T) {
-	rng := rand.New(rand.NewSource(72))
-	for trial := 0; trial < 40; trial++ {
-		db := reftest.DB(rng, reftest.Shape{Relations: 2, MaxTuples: 150, Facts: 16,
-			OffsetFacts: trial%2 == 0, Skew: reftest.Skew(trial / 3 % 3), Binding: reftest.Binding(trial % 3)})
-		tree := reftest.Tree(rng, query.DBKeys(db), 2)
-		for _, workers := range []int{1, 2} {
-			cur, err := shardingEngine(workers).Cursor(tree, db, core.Options{})
-			if err != nil {
-				t.Fatalf("trial %d: %v", trial, err)
-			}
-			got := relation.New(cur.Schema())
-			b := core.NewBatch(3)
-			for {
-				if rng.Intn(2) == 0 {
-					tup, ok := cur.Next()
-					if !ok {
-						break
-					}
-					got.Tuples = append(got.Tuples, tup)
-				} else {
-					if !cur.NextBatch(b) {
-						break
-					}
-					got.Tuples = append(got.Tuples, b.Tuples...)
-				}
-			}
-			cur.Close()
-			reftest.Check(t, fmt.Sprintf("trial %d (%s) interleaved workers=%d", trial, tree, workers), got, tree, db)
-		}
-	}
-}
-
-// TestEngineEarlyCloseBalancesPool abandons plans mid-drain across worker
-// counts and pull styles. Close must release the shard producers without
+// TestEngineEarlyCloseBalancesPool abandons plans across worker counts
+// and abandon points: before the first pull, inside a block (one pull
+// into a block of 1, 3 or 7 rows leaves the concatenation holding the
+// rest of a shard's block), between blocks, and after a full drain.
+// Close must release the shard producers without
 // deadlock (-race additionally proves the teardown race-free), be
 // idempotent, and hand every pooled block back: Close drains until every
 // shard channel is closed, so the gets taken since the cursor was built
@@ -323,17 +290,15 @@ func TestEngineEarlyCloseBalancesPool(t *testing.T) {
 			Skew: reftest.Skew(trial / 3 % 3), Binding: reftest.Binding(trial % 3)})
 		tree := reftest.Tree(rng, query.DBKeys(db), 3)
 		for _, workers := range []int{1, 2, 8} {
-			for _, pull := range []string{"none", "tuple", "batch", "all"} {
+			for _, pull := range []string{"none", "rows", "batch", "all"} {
 				gets0, puts0, _, _ := core.BatchPoolStats()
 				cur, err := shardingEngine(workers).Cursor(tree, db, core.Options{})
 				if err != nil {
 					t.Fatalf("trial %d: %v", trial, err)
 				}
 				switch pull {
-				case "tuple":
-					for i := 0; i < 5; i++ {
-						cur.Next()
-					}
+				case "rows":
+					cur.NextBatch(core.NewBatch([]int{1, 3, 7}[trial%3]))
 				case "batch":
 					b := core.GetBatch()
 					for i := 1 + rng.Intn(3); i > 0 && cur.NextBatch(b); i-- {

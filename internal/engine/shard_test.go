@@ -172,7 +172,7 @@ func TestShardedPlanScansTheMapping(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for bc := core.AsBatchCursor(scan); bc.NextBatch(b); {
+			for scan.NextBatch(b) {
 				if !inside(unsafe.Pointer(&b.Tuples[0]), unsafe.Pointer(&parent.Tuples[0]), parent.Len(), unsafe.Sizeof(relation.Tuple{})) {
 					t.Fatalf("shard %d: scan of %s copied its tuples", i, name)
 				}
@@ -417,7 +417,7 @@ func TestShardProducerPanicSurfacesOnConsumer(t *testing.T) {
 // cancelAfter cancels the request just before the n-th pull of the
 // cursor it wraps — a client going away while its result is drained.
 type cancelAfter struct {
-	core.BatchCursor
+	core.Cursor
 	n      int
 	cancel context.CancelFunc
 }
@@ -426,7 +426,7 @@ func (c *cancelAfter) NextBatch(b *core.Batch) bool {
 	if c.n--; c.n == 0 {
 		c.cancel()
 	}
-	return c.BatchCursor.NextBatch(b)
+	return c.Cursor.NextBatch(b)
 }
 
 // TestMaterializeCancelledMidDrain cancels the request while the
@@ -445,7 +445,7 @@ func TestMaterializeCancelledMidDrain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, ok := core.MaterializeLimit(&cancelAfter{BatchCursor: cur, n: 8, cancel: cancel}, 0)
+	out, ok := core.MaterializeLimit(&cancelAfter{Cursor: cur, n: 8, cancel: cancel}, 0)
 	cur.Close()
 	if !ok || ctx.Err() == nil || out.Len() != 7*core.BatchSize || cap(out.Tuples) != len(out.Tuples) {
 		t.Fatalf("ok=%v, ctx.Err()=%v, %d rows in an array of %d; want the 7 blocks drained before the cancellation", ok, ctx.Err(), out.Len(), cap(out.Tuples))

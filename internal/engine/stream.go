@@ -54,7 +54,7 @@ import (
 // run of the standing benchmark.)
 const reorderBlocks = 128
 
-// StreamCursor is a core.BatchCursor over a whole query tree, evaluated
+// StreamCursor is a core.Cursor over a whole query tree, evaluated
 // sequentially or shard-parallel. Callers that do not drain it must
 // Close it to release the shard goroutines; Close is idempotent and safe
 // after full drains too.
@@ -63,57 +63,17 @@ type StreamCursor struct {
 	nextBatch func(*core.Batch) bool
 	stop      func()
 
-	// Adapter state: Next drains blocks through cur; NextBatch over a
-	// partially drained block serves the remainder tuple-wise so the two
-	// pull styles can interleave.
-	cur  *core.Batch
-	ci   int
-	done bool
-
 	dict *keys.Dict // tpinvariants only: the dictionary of the first block
 }
 
 // Schema returns the plan's output schema.
 func (c *StreamCursor) Schema() relation.Schema { return c.schema }
 
-// Next returns the next result tuple in canonical (fact, Ts, Te) order.
-func (c *StreamCursor) Next() (relation.Tuple, bool) {
-	for {
-		if c.cur != nil && c.ci < len(c.cur.Tuples) {
-			t := c.cur.Tuples[c.ci]
-			c.ci++
-			return t, true
-		}
-		if c.done {
-			return relation.Tuple{}, false
-		}
-		if c.cur == nil {
-			c.cur = core.GetBatch()
-		}
-		if !c.nextBatch(c.cur) {
-			c.done = true
-			core.PutBatch(c.cur)
-			c.cur = nil
-			return relation.Tuple{}, false
-		}
-		c.ci = 0
-	}
-}
-
-// NextBatch fills b with the next block of result tuples; it implements
-// core.BatchCursor, so Materialize and the NDJSON stream drain engine
-// plans block-at-a-time.
+// NextBatch fills b with the next block of result tuples in canonical
+// (fact, Ts, Te) order: Materialize, the NDJSON stream and tpquery
+// -stream drain engine plans with it.
 func (c *StreamCursor) NextBatch(b *core.Batch) bool {
-	var ok bool
-	if c.cur == nil || c.ci >= len(c.cur.Tuples) {
-		ok = c.nextBatch(b)
-	} else {
-		// Next left a partially drained block: serve its remainder.
-		j := min(len(c.cur.Tuples), c.ci+b.Cap())
-		b.Reset()
-		b.AppendRange(c.cur, c.ci, j)
-		c.ci, ok = j, true
-	}
+	ok := c.nextBatch(b)
 	if invariant.Enabled && ok {
 		b.CheckBound("engine.StreamCursor.NextBatch")
 		if c.dict == nil {
@@ -126,18 +86,13 @@ func (c *StreamCursor) NextBatch(b *core.Batch) bool {
 }
 
 // Close releases the plan's resources: shard producer goroutines and —
-// on a partially drained plan — every pooled block still in flight (the
-// adapter's current block, operator buffers, the concatenation's current
-// block, and blocks the producers had queued on the shard channels). After
-// Close, Next must not be called again.
+// on a partially drained plan — every pooled block still in flight
+// (operator buffers, the concatenation's current block, and blocks the
+// producers had queued on the shard channels). After Close, NextBatch
+// must not be called again.
 func (c *StreamCursor) Close() {
 	if c.stop != nil {
 		c.stop()
-	}
-	c.done = true
-	if c.cur != nil {
-		core.PutBatch(c.cur)
-		c.cur = nil
 	}
 }
 
@@ -187,10 +142,9 @@ func (e *Engine) CursorCtx(ctx context.Context, n query.Node, db map[string]*rel
 		// entirely on the caller's goroutine and would otherwise sweep to
 		// completion after the deadline fired. A batch is already an
 		// amortization unit, so check once per block.
-		pull := core.AsBatchCursor(c).NextBatch
 		return &StreamCursor{
 			schema:    c.Schema(),
-			nextBatch: func(b *core.Batch) bool { return ctx.Err() == nil && pull(b) },
+			nextBatch: func(b *core.Batch) bool { return ctx.Err() == nil && c.NextBatch(b) },
 			// Close on an abandoned sequential plan releases the pooled
 			// blocks its operator buffers still hold.
 			stop: func() { core.ReleaseCursor(c) },
@@ -201,7 +155,7 @@ func (e *Engine) CursorCtx(ctx context.Context, n query.Node, db map[string]*rel
 	// With tracing on, the request's span becomes the concat node and each
 	// shard plan records into its own subtree beneath it.
 	rootSp := opts.Span
-	curs := make([]core.BatchCursor, len(shards))
+	curs := make([]core.Cursor, len(shards))
 	spans := make([]*obs.Span, len(shards))
 	for i, sdb := range shards {
 		shardOpts := opts
@@ -209,14 +163,12 @@ func (e *Engine) CursorCtx(ctx context.Context, n query.Node, db map[string]*rel
 			spans[i] = rootSp.NewChild("")
 			shardOpts.Span = spans[i]
 		}
-		c, err := query.BuildPrepared(n, sdb, shardOpts)
-		if err != nil {
+		if curs[i], err = query.BuildPrepared(n, sdb, shardOpts); err != nil {
 			return nil, err
 		}
 		if rootSp != nil {
 			spans[i].PrefixOp(fmt.Sprintf("shard%d: ", i))
 		}
-		curs[i] = core.AsBatchCursor(c)
 	}
 	if rootSp != nil {
 		rootSp.SetOp(fmt.Sprintf("concat[%d shards]", len(shards)))
@@ -291,7 +243,7 @@ func (e *Engine) CursorCtx(ctx context.Context, n query.Node, db map[string]*rel
 // returns when the plan is drained, the stream is closed (done), the
 // request is cancelled or a shard plan panics — this one (recorded on
 // relay for the consumer to re-raise) or any other — and always closes ch.
-func produce(ctx context.Context, done <-chan struct{}, i int, c core.BatchCursor, sdb map[string]*relation.Relation, ch chan<- *core.Batch, sp *obs.Span, relay *core.PanicRelay) {
+func produce(ctx context.Context, done <-chan struct{}, i int, c core.Cursor, sdb map[string]*relation.Relation, ch chan<- *core.Batch, sp *obs.Span, relay *core.PanicRelay) {
 	defer close(ch)
 	// Runs after the two below, so it also catches a teardown that panics
 	// over a half-swept plan, and before close(ch): the consumer that

@@ -11,6 +11,8 @@ import (
 	"github.com/tpset/tpset/internal/relation"
 )
 
+var _ core.Cursor = (*StreamCursor)(nil)
+
 // TestStreamCursorAssumeSorted pins the query-service path at the
 // engine's default thresholds (the oracle harness forces them to 1):
 // pre-sorted catalog-style relations, large enough to partition on their

@@ -117,7 +117,7 @@ func BuildPrepared(n Node, db map[string]*relation.Relation, opts core.Options) 
 		if sp != nil {
 			sp.SetOp(fmt.Sprintf("σ[%s=%s]", q.Attr, q.Value))
 		}
-		return core.Traced(&selectCursor{in: core.AsBatchCursor(in), idx: idx, value: q.Value}, sp), nil
+		return core.Traced(&selectCursor{in: in, idx: idx, value: q.Value}, sp), nil
 	case *SetOp:
 		// The advancer above reads a child row's fact, interval and
 		// lineage, never its probability: only the root valuates.
@@ -155,14 +155,13 @@ func BuildPrepared(n Node, db map[string]*relation.Relation, opts core.Options) 
 // it only ever drops tuples, and what it keeps of a duplicate-free
 // stream is duplicate-free.
 type selectCursor struct {
-	in    core.BatchCursor
+	in    core.Cursor
 	idx   int
 	value string
 
-	// buf/bi buffer the current input block; Next serves any buffered
-	// remainder first so tuple- and batch-pulls can interleave without
-	// loss or duplication. done marks input exhaustion, after which the
-	// pooled block has been returned and buf holds an empty placeholder.
+	// buf/bi buffer the current input block: a pooled block taken at the
+	// first pull and handed back (buf nil again) when the input is
+	// exhausted or the plan released — done says which nil it is.
 	buf  *core.Batch
 	bi   int
 	done bool
@@ -170,40 +169,20 @@ type selectCursor struct {
 
 func (c *selectCursor) Schema() relation.Schema { return c.in.Schema() }
 
-// ReleaseCursor hands the buffered input block back to the pool (the
-// drain path already swapped in an empty placeholder, which the pool
-// drops) and forwards the teardown to the input plan.
+// ReleaseCursor hands the buffered input block back to the pool and
+// forwards the teardown to the input plan.
 func (c *selectCursor) ReleaseCursor() {
-	if c.buf != nil && !c.done {
-		core.PutBatch(c.buf)
-		c.buf = &core.Batch{}
-	}
-	c.done = true
+	c.end()
 	core.ReleaseCursor(c.in)
 }
 
-func (c *selectCursor) Next() (relation.Tuple, bool) {
-	for {
-		t, ok := c.nextInput()
-		if !ok {
-			return relation.Tuple{}, false
-		}
-		if c.idx < len(t.Fact) && t.Fact[c.idx] == c.value {
-			return t, true
-		}
+// end marks the input exhausted and hands the pooled block back.
+func (c *selectCursor) end() {
+	c.done = true
+	if c.buf != nil {
+		core.PutBatch(c.buf)
+		c.buf = nil
 	}
-}
-
-// nextInput returns the next input tuple, draining the buffered block
-// before falling back to the input cursor (whose position the block
-// pulls have already advanced).
-func (c *selectCursor) nextInput() (relation.Tuple, bool) {
-	if c.buf != nil && c.bi < len(c.buf.Tuples) {
-		t := c.buf.Tuples[c.bi]
-		c.bi++
-		return t, true
-	}
-	return c.in.Next()
 }
 
 // NextBatch filters input blocks into b until b is full or the input is
@@ -213,17 +192,10 @@ func (c *selectCursor) NextBatch(b *core.Batch) bool {
 	if c.buf == nil && !c.done {
 		c.buf = core.GetBatch()
 	}
-	for len(b.Tuples) < b.Cap() {
-		if c.buf == nil || c.bi >= len(c.buf.Tuples) {
-			if c.done || !c.in.NextBatch(c.buf) {
-				if !c.done {
-					// Input exhausted: hand the pooled block back (cf.
-					// batchSource) and keep an empty placeholder so the
-					// tuple path and SkipTo stay nil-safe.
-					c.done = true
-					core.PutBatch(c.buf)
-					c.buf = &core.Batch{}
-				}
+	for !c.done && len(b.Tuples) < b.Cap() {
+		if c.bi >= len(c.buf.Tuples) {
+			if !c.in.NextBatch(c.buf) {
+				c.end()
 				break
 			}
 			c.bi = 0

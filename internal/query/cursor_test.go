@@ -39,8 +39,7 @@ func TestBuildCursorPreparesLeavesOncePerPlan(t *testing.T) {
 			t.Fatal(err)
 		}
 		got := relation.New(c.Schema())
-		bc := core.AsBatchCursor(c)
-		for b := core.NewBatch(64); bc.NextBatch(b); {
+		for b := core.NewBatch(64); c.NextBatch(b); {
 			if b.Dict == nil || len(b.Fid) != len(b.Tuples) {
 				t.Fatalf("binding %d: block at offset %d is not bound", binding, got.Len())
 			}

@@ -8,6 +8,8 @@ import (
 	"github.com/tpset/tpset/internal/relation"
 )
 
+var _ core.Cursor = (*selectCursor)(nil)
+
 func db() map[string]*relation.Relation {
 	a := relation.New(relation.NewSchema("a", "Product"))
 	a.AddBase(relation.NewFact("milk"), "a1", 2, 10, 0.3)

@@ -26,7 +26,6 @@ func TestFrozenMutatorsPanic(t *testing.T) {
 		"Bind":         func() { r.Bind(r.Dict()) },
 		"Unbind":       func() { r.Unbind() },
 		"Sort":         func() { r.Sort() },
-		"SortCounting": func() { r.SortCounting() },
 		"ComputeProbs": func() { r.ComputeProbs() },
 		"SetBinding":   func() { r.SetBinding(r.Dict(), r.FidCol(), nil) },
 		"Intern":       func() { r.Intern() },

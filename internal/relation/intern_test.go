@@ -211,22 +211,3 @@ func TestValidateDuplicateFreeInterned(t *testing.T) {
 		t.Fatalf("duplicate-free relation rejected: %v", err)
 	}
 }
-
-// TestSortCountingInterned: the counting sort must produce the identical
-// permutation on bound and unbound relations.
-func TestSortCountingInterned(t *testing.T) {
-	a := buildRel("r", []string{"c", "a", "b", "x9", "x10"}, 300, 5)
-	b := a.Clone()
-	b.Unbind()
-	a.Intern()
-	a.SortCounting()
-	b.SortCounting()
-	for i := range a.Tuples {
-		if !a.Tuples[i].Fact.Equal(b.Tuples[i].Fact) || a.Tuples[i].T != b.Tuples[i].T {
-			t.Fatalf("counting sort diverges at %d: %v vs %v", i, a.Tuples[i], b.Tuples[i])
-		}
-	}
-	if !a.IsSorted() {
-		t.Fatal("SortCounting left bound relation unsorted")
-	}
-}

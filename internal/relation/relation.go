@@ -209,7 +209,7 @@ func (t Tuple) String() string {
 // Bind, Intern and InternAll establish the binding; SetBinding takes it
 // from a producer that already knows the ids. Every mutator maintains
 // it: Add appends an id (or unbinds on a fact the dictionary lacks),
-// Sort and SortCounting permute rows and column together, Clone, Slice,
+// Sort permutes rows and column together, Clone, Slice,
 // Timeslice and Coalesce carry it. Tuples is a public field: a caller
 // that resizes it directly leaves the column behind, and a column whose
 // length is not len(Tuples) reads as no binding at all. In-place edits
@@ -440,7 +440,7 @@ func Less(a, b *Tuple) bool {
 // validators may share one.
 func (r *Relation) ValidateDuplicateFree() error {
 	ids, d := r.ids()
-	ks := r.sortedKeys(ids, false)
+	ks := r.sortedKeys(ids)
 	for j := 1; j < len(ks); j++ {
 		if a, b := ks[j-1], ks[j]; a.fid == b.fid && b.ts < a.te {
 			return fmt.Errorf("relation %s: duplicate fact %q over overlapping intervals %s and %s", r.Schema.Name,

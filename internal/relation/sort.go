@@ -35,10 +35,15 @@ func (r *Relation) ids() ([]int64, *keys.Dict) {
 // order: ks[j].idx is the row that belongs at position j. Ids are dense
 // ranks, so the keys are first dealt, in input order, into buckets of
 // about eight rows on the high bits of the id — one counting pass, no
-// compare — and only then comparison-sorted, bucket by bucket: a relation
-// of many facts pays a log of the bucket, not of the relation; one heavy
-// fact is one bucket and one sort.
-func (r *Relation) sortedKeys(ids []int64, counting bool) []sortKey {
+// compare — and only then ordered bucket by bucket: a relation of many
+// facts pays a log of the bucket, not of the relation; one heavy fact is
+// one bucket. A bucket that holds one fact over a dense enough stretch
+// of time is ordered without a compare as well (countingScratch.sort:
+// the bucket itself says whether — §VI-B of the paper, "a variant of
+// counting-based sorting could also be used, and in this case the
+// corresponding complexity is even linear"); any other is
+// comparison-sorted.
+func (r *Relation) sortedKeys(ids []int64) []sortKey {
 	ks := make([]sortKey, len(ids))
 	if len(ids) == 0 {
 		return ks
@@ -64,7 +69,7 @@ func (r *Relation) sortedKeys(ids []int64, counting bool) []sortKey {
 	var scratch countingScratch
 	start := 0
 	for _, end := range ends {
-		if b := ks[start:end]; len(b) > 1 && !(counting && scratch.sort(b)) {
+		if b := ks[start:end]; len(b) > 1 && !scratch.sort(b) {
 			slices.SortFunc(b, compareKeys)
 		}
 		start = end
@@ -90,26 +95,11 @@ func compareKeys(a, b sortKey) int {
 // tuples, their leaves move with them (relayLeaves).
 func (r *Relation) Sort() {
 	r.mutable("Sort")
-	r.sort(false)
-}
-
-// SortCounting orders the relation exactly like Sort, with the variant
-// §VI-B of the paper suggests where ΩT fits in main memory — "a variant
-// of counting-based sorting could also be used, and in this case the
-// corresponding complexity is even linear": a bucket that holds one
-// fact is ordered by dealing its keys into one slot per start point
-// instead of comparing them (countingScratch.sort says when).
-func (r *Relation) SortCounting() {
-	r.mutable("SortCounting")
-	r.sort(true)
-}
-
-func (r *Relation) sort(counting bool) {
 	ids, _ := r.ids()
 	if r.ordered(ids, true) {
 		return // nothing to move: no keys built
 	}
-	ks := r.sortedKeys(ids, counting)
+	ks := r.sortedKeys(ids)
 	// Apply the permutation cycle by cycle: one move per row. A placed
 	// position is marked by pointing its key at itself.
 	rows := r.Tuples
@@ -211,7 +201,7 @@ func (r *Relation) SortedCopy() *Relation {
 	if r.ordered(ids, true) {
 		return r.Clone()
 	}
-	ks := r.sortedKeys(ids, false)
+	ks := r.sortedKeys(ids)
 	out := &Relation{Schema: r.Schema, Tuples: make([]Tuple, len(ks))}
 	for j := range ks {
 		out.Tuples[j] = r.Tuples[ks[j].idx]

@@ -58,13 +58,8 @@ func TestSortLaysLeavesInRowOrder(t *testing.T) {
 		beforeRows := append([]Tuple(nil), before.Tuples...)
 		beforeValues := rowValues(before.Tuples)
 
-		name := "Sort"
-		if trial%3 == 0 {
-			name = "SortCounting"
-			r.SortCounting()
-		} else {
-			r.Sort()
-		}
+		const name = "Sort"
+		r.Sort()
 		got := rowValues(r.Tuples)
 		for i := range want {
 			if got[i] != want[i] {
@@ -114,7 +109,6 @@ func TestSortKeepsLeavesItNeedNotMove(t *testing.T) {
 	had := pointers(r)
 	first := r.Tuples[0].Lineage
 	r.Sort()
-	r.SortCounting()
 	samePointers("a second sort of ordered rows", r, had)
 	if r.Tuples[0].Lineage != first {
 		t.Fatal("sorting ordered rows moved a leaf")

@@ -180,7 +180,6 @@ func TestRestoredRelationIsReadOnly(t *testing.T) {
 	mustPanic(t, "Sort", func() { rel.Sort() })
 	mustPanic(t, "Add", func() { rel.Add(relation.Tuple{}) })
 	mustPanic(t, "Unbind", func() { rel.Unbind() })
-	mustPanic(t, "SortCounting", func() { rel.SortCounting() })
 	mustPanic(t, "SetBinding", func() { rel.SetBinding(rel.Dict(), rel.FidCol(), nil) })
 	if rel.BuildCols() == nil {
 		t.Fatalf("reading the fid column of a frozen relation failed")

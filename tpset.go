@@ -74,39 +74,37 @@ func InternAll(rels ...*Relation) { relation.InternAll(rels...) }
 
 // Union computes r ∪Tp s: at each time point, the facts with non-zero
 // probability to be in r or in s (lineage or(λr, λs)).
-func Union(r, s *Relation) (*Relation, error) { return core.Union(r, s, core.Options{}) }
+func Union(r, s *Relation) (*Relation, error) { return Apply(OpUnion, r, s, Options{}) }
 
 // Intersect computes r ∩Tp s: at each time point, the facts with non-zero
 // probability to be in r and in s (lineage and(λr, λs)).
-func Intersect(r, s *Relation) (*Relation, error) { return core.Intersect(r, s, core.Options{}) }
+func Intersect(r, s *Relation) (*Relation, error) { return Apply(OpIntersect, r, s, Options{}) }
 
 // Except computes r −Tp s: at each time point, the facts with non-zero
 // probability to be in r and not in s (lineage andNot(λr, λs)).
-func Except(r, s *Relation) (*Relation, error) { return core.Except(r, s, core.Options{}) }
+func Except(r, s *Relation) (*Relation, error) { return Apply(OpExcept, r, s, Options{}) }
 
-// Apply dispatches to Union, Intersect or Except with explicit options.
-// When the resolved worker budget is above one — opts.Parallelism, with
-// the zero value defaulting to runtime.GOMAXPROCS(0) so the operation
-// scales with the hardware unless explicitly pinned sequential — the
-// operation runs on the partition-parallel execution engine (the inputs
-// are prepared once — copied, interned and sorted where they are not
-// already on one dictionary and in order — cut at fact boundaries into
-// zero-copy fact-range shards, swept concurrently, and the shard outputs
-// concatenated in shard order — which is canonical order); the result is
-// tuple-for-tuple identical to the sequential path. Options.AssumeSorted
-// skips the sort; leaves that do not already share a dictionary and a
-// fid column are cloned and bound in O(n), so the inputs are never
-// written either way. The inputs must be duplicate-free (no two tuples
-// of one fact overlap in time — relations read by csvio or admitted by
-// the server are): intersection and difference skip, by binary search
-// over a fact's end points, the stretches of one input that the other
-// cannot meet. Options.Validate checks inputs of unknown provenance and
-// returns an error instead of an unspecified result.
+// Apply computes op(r, s) — what Union, Intersect and Except call with
+// the zero Options — as the two-leaf plan "r op s" on the execution
+// engine, with a worker budget of opts.Parallelism (the zero value
+// resolves to runtime.GOMAXPROCS(0), so the operation scales with the
+// hardware unless pinned to 1). The inputs are prepared once — copied,
+// interned and sorted where they are not already on one dictionary and
+// in order; above one worker, inputs large enough to be worth it are
+// then cut at fact boundaries into zero-copy fact-range shards, swept
+// concurrently, and the shard outputs concatenated in shard order, which
+// is canonical order. The result is tuple-for-tuple the same at every
+// budget. Options.AssumeSorted skips the sort; leaves that do not
+// already share a dictionary and a fid column are cloned and bound in
+// O(n), so the inputs are never written either way. The inputs must be
+// duplicate-free (no two tuples of one fact overlap in time — relations
+// read by csvio or admitted by the server are): intersection and
+// difference skip, by binary search over a fact's end points, the
+// stretches of one input that the other cannot meet. Options.Validate
+// checks inputs of unknown provenance and returns an error instead of an
+// unspecified result.
 func Apply(op Op, r, s *Relation, opts Options) (*Relation, error) {
-	if w := opts.Workers(); w > 1 {
-		return engine.New(engine.Config{Workers: w}).Apply(op, r, s, opts)
-	}
-	return core.Apply(op, r, s, opts)
+	return engine.New(engine.Config{Workers: opts.Workers()}).Apply(op, r, s, opts)
 }
 
 // Windows exposes the raw LAWA window stream for the two relations; mainly
@@ -149,12 +147,11 @@ func Eval(q Query, db map[string]*Relation) (*Relation, error) {
 // large enough to be worth it are prepared once (copied where they
 // need it, interned into one dictionary, sorted — the leaves in
 // parallel; an input already bound and in order is read in place) and
-// cut at fact
-// boundaries into fact-range shards; a pool of workers runs the whole
-// query per shard and the shard streams are concatenated in shard order,
-// which is canonical order; 1 evaluates sequentially, and workers below
-// one selects runtime.GOMAXPROCS(0). The result is the same at every
-// budget.
+// cut at fact boundaries into fact-range shards; a pool of workers runs
+// the whole query per shard and the shard streams are concatenated in
+// shard order, which is canonical order; 1 evaluates sequentially, and
+// workers below one selects runtime.GOMAXPROCS(0). The result is the
+// same at every budget.
 func EvalParallel(q Query, db map[string]*Relation, workers int) (*Relation, error) {
 	return engine.New(engine.Config{Workers: workers}).EvalCursor(q, db, core.Options{})
 }
