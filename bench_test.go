@@ -1,12 +1,9 @@
 package tpset_test
 
-// One testing.B benchmark per table/figure of the paper's evaluation
-// (§VII), at sizes suitable for `go test -bench`. The full sweeps with all
-// sizes, budgets and CSV output live in cmd/tpbench; these benchmarks pin
-// down single representative points per figure so that regressions in any
-// approach/operation pair surface in CI.
-//
-// Naming: BenchmarkFig7a/LAWA-20000 etc. mirror the paper's figure ids.
+// Ablation benchmarks for the design choices DESIGN.md calls out, and
+// the in-tree instruments of two standing-benchmark operations. The
+// paper's figures are timed by cmd/tpbench (`tpbench -exp fig7a -scale
+// 0.02`), not here.
 
 import (
 	"fmt"
@@ -14,154 +11,11 @@ import (
 	"testing"
 
 	"github.com/tpset/tpset"
-	"github.com/tpset/tpset/internal/bench"
 	"github.com/tpset/tpset/internal/core"
 	"github.com/tpset/tpset/internal/datagen"
 	"github.com/tpset/tpset/internal/obs"
 	"github.com/tpset/tpset/internal/relation"
 )
-
-// benchPoint runs one (approach, op) cell over a fixed generated input.
-func benchPoint(b *testing.B, name string, op core.Op, gen func() (r, s *relation.Relation)) {
-	a, ok := bench.ApproachByName(name)
-	if !ok {
-		b.Fatalf("unknown approach %s", name)
-	}
-	if !a.Supports[op] {
-		b.Skipf("%s does not support %v (Table II)", name, op)
-	}
-	r, s := gen()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := a.Run(op, r, s); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// fig7Bench benches every applicable approach for one op at a single-fact,
-// ovl≈0.6 input of n tuples (the midpoint shape of Fig. 7).
-func fig7Bench(b *testing.B, op core.Op, n int, quadOK int) {
-	for _, a := range bench.Approaches() {
-		if !a.Supports[op] {
-			continue
-		}
-		size := n
-		// Quadratic baselines run at a reduced size so the bench suite
-		// stays fast; the real sweep is cmd/tpbench's job.
-		if a.Name == "NORM" || a.Name == "TPDB" {
-			size = quadOK
-		}
-		b.Run(fmt.Sprintf("%s-%d", a.Name, size), func(b *testing.B) {
-			benchPoint(b, a.Name, op, func() (*relation.Relation, *relation.Relation) {
-				return datagen.FixedOverlapPair(size, 1, 1)
-			})
-		})
-	}
-}
-
-// BenchmarkFig7a: synthetic single-fact ∩Tp (paper Fig. 7a).
-func BenchmarkFig7a(b *testing.B) { fig7Bench(b, core.OpIntersect, 20000, 4000) }
-
-// BenchmarkFig7b: synthetic single-fact −Tp (paper Fig. 7b).
-func BenchmarkFig7b(b *testing.B) { fig7Bench(b, core.OpExcept, 20000, 4000) }
-
-// BenchmarkFig7c: synthetic single-fact ∪Tp (paper Fig. 7c).
-func BenchmarkFig7c(b *testing.B) { fig7Bench(b, core.OpUnion, 20000, 4000) }
-
-// BenchmarkFig8: the large-scale ∩Tp comparison, LAWA vs OIP (paper
-// Fig. 8), at 500K tuples per relation.
-func BenchmarkFig8(b *testing.B) {
-	for _, name := range []string{"LAWA", "OIP"} {
-		b.Run(name, func(b *testing.B) {
-			benchPoint(b, name, core.OpIntersect, func() (*relation.Relation, *relation.Relation) {
-				return datagen.FixedOverlapPair(500000, 1, 1)
-			})
-		})
-	}
-}
-
-// BenchmarkFig9a: robustness of ∩Tp against the overlapping factor (paper
-// Fig. 9a): LAWA and OIP across the Table III configurations at 100K.
-func BenchmarkFig9a(b *testing.B) {
-	for _, row := range datagen.TableIII {
-		row := row
-		for _, name := range []string{"LAWA", "OIP"} {
-			b.Run(fmt.Sprintf("%s-ovl%g", name, row.OverlapFactor), func(b *testing.B) {
-				benchPoint(b, name, core.OpIntersect, func() (*relation.Relation, *relation.Relation) {
-					return datagen.Pair(datagen.PairConfig{
-						NumTuples: 100000, NumFacts: 1,
-						MaxLenR: row.MaxLenR, MaxLenS: row.MaxLenS, MaxGap: 3, Seed: 1,
-					})
-				})
-			})
-		}
-	}
-}
-
-// BenchmarkFig9b: robustness of ∩Tp against the number of distinct facts
-// (paper Fig. 9b): all approaches at 6K tuples, facts ∈ {1, 10, 3000}.
-func BenchmarkFig9b(b *testing.B) {
-	for _, facts := range []int{1, 10, 3000} {
-		for _, a := range bench.Approaches() {
-			if !a.Supports[core.OpIntersect] {
-				continue
-			}
-			name := a.Name
-			b.Run(fmt.Sprintf("%s-%dF", name, facts), func(b *testing.B) {
-				benchPoint(b, name, core.OpIntersect, func() (*relation.Relation, *relation.Relation) {
-					return datagen.FixedOverlapPair(6000, facts, 1)
-				})
-			})
-		}
-	}
-}
-
-// benchRealWorld is the shared body of the Fig. 10 / Fig. 11 benchmarks.
-func benchRealWorld(b *testing.B, meteo bool, op core.Op) {
-	const n = 20000
-	var full *relation.Relation
-	if meteo {
-		full = datagen.Meteo(datagen.MeteoConfig{NumTuples: n, Stations: 80, Seed: 1})
-	} else {
-		full = datagen.Webkit(datagen.WebkitConfig{NumTuples: n, Seed: 1})
-	}
-	shifted := datagen.Shifted(full, "s", 2)
-	for _, a := range bench.Approaches() {
-		if !a.Supports[op] {
-			continue
-		}
-		a := a
-		b.Run(a.Name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := a.Run(op, full, shifted); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkFig10a..c: Meteo-like real-world simulation (paper Fig. 10).
-func BenchmarkFig10a(b *testing.B) { benchRealWorld(b, true, core.OpIntersect) }
-func BenchmarkFig10b(b *testing.B) { benchRealWorld(b, true, core.OpExcept) }
-func BenchmarkFig10c(b *testing.B) { benchRealWorld(b, true, core.OpUnion) }
-
-// BenchmarkFig11a..c: Webkit-like real-world simulation (paper Fig. 11).
-func BenchmarkFig11a(b *testing.B) { benchRealWorld(b, false, core.OpIntersect) }
-func BenchmarkFig11b(b *testing.B) { benchRealWorld(b, false, core.OpExcept) }
-func BenchmarkFig11c(b *testing.B) { benchRealWorld(b, false, core.OpUnion) }
-
-// BenchmarkTable4Stats measures the dataset statistics pass itself (the
-// Table IV machinery) — it must stay linear to be usable on the large
-// generated datasets.
-func BenchmarkTable4Stats(b *testing.B) {
-	r := datagen.Meteo(datagen.MeteoConfig{NumTuples: 100000, Stations: 80, Seed: 1})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		relation.ComputeStats(r)
-	}
-}
 
 // --- Ablation benches (design choices called out in DESIGN.md §4) ---
 

@@ -1,14 +1,14 @@
 // Command tpbench regenerates the tables and figures of the paper's
 // experimental evaluation (§VII). Each experiment prints an aligned table
 // of runtimes (one row per sweep point, one column per approach) and,
-// optionally, CSV for plotting.
+// with -json, writes every cell as one machine-readable document.
 //
 // Usage:
 //
 //	tpbench -exp fig7a                 # one experiment
 //	tpbench -exp fig7a,fig7b,table4   # several
 //	tpbench -all                       # everything, paper order
-//	tpbench -all -scale 0.02 -budget 10s -csv out/   # scaled-down quick run
+//	tpbench -all -scale 0.02 -budget 10s -json out.json   # scaled-down quick run
 //
 // The -scale flag multiplies the paper's dataset sizes (default 0.02:
 // Fig. 7 runs at 400–4K tuples, Fig. 8 at 100K–1M). Quadratic baselines
@@ -21,7 +21,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"runtime"
 	"runtime/pprof"
 	"strings"
@@ -38,10 +37,8 @@ func main() {
 		scale    = flag.Float64("scale", 0.02, "dataset size multiplier relative to the paper")
 		budget   = flag.Duration("budget", 15*time.Second, "per-run time budget before an approach is cut off")
 		seed     = flag.Int64("seed", 1, "generator seed")
-		csvDir   = flag.String("csv", "", "also write <dir>/<exp>.csv files")
 		jsonPath = flag.String("json", "", "also write every run experiment as machine-readable JSON to this file")
 		quiet    = flag.Bool("q", false, "suppress per-run progress lines")
-		speedups = flag.Bool("speedups", false, "print who-wins-by-what-factor digest per experiment")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the experiment runs to this file")
 		memProf  = flag.String("memprofile", "", "write a heap profile (after the runs) to this file")
 	)
@@ -114,28 +111,6 @@ func main() {
 		res := exp.Run(cfg)
 		results = append(results, res)
 		res.Print(os.Stdout)
-		if *speedups {
-			if s := res.SpeedupTable(); s != "" {
-				fmt.Println(s)
-			}
-		}
-		if *csvDir != "" {
-			if err := os.MkdirAll(*csvDir, 0o755); err != nil {
-				fmt.Fprintf(os.Stderr, "tpbench: %v\n", err)
-				os.Exit(1)
-			}
-			path := filepath.Join(*csvDir, res.Name+".csv")
-			f, err := os.Create(path)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "tpbench: %v\n", err)
-				os.Exit(1)
-			}
-			res.PrintCSV(f)
-			if err := f.Close(); err != nil {
-				fmt.Fprintf(os.Stderr, "tpbench: %v\n", err)
-				os.Exit(1)
-			}
-		}
 	}
 	if *jsonPath != "" {
 		f, err := os.Create(*jsonPath)

@@ -24,12 +24,14 @@ type docPackage struct {
 	aliases map[string][2]string
 }
 
-// moduleDocPackages parses every non-test Go file of the root module
-// (benchmark/ is its own module; testdata holds analyzer fixtures) and
-// indexes it by package name.
-func moduleDocPackages(t *testing.T) map[string]*docPackage {
+// moduleDocPackages parses every Go file of the root module (benchmark/
+// is its own module; testdata holds analyzer fixtures): non-test files
+// indexed by package name, and the Test/Benchmark/Fuzz/Example functions
+// the _test.go files declare.
+func moduleDocPackages(t *testing.T) (map[string]*docPackage, map[string]bool) {
 	t.Helper()
 	pkgs := map[string]*docPackage{}
+	tests := map[string]bool{}
 	fset := token.NewFileSet()
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -41,12 +43,20 @@ func moduleDocPackages(t *testing.T) map[string]*docPackage {
 			}
 			return nil
 		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+		if !strings.HasSuffix(path, ".go") {
 			return nil
 		}
 		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
 		if err != nil {
 			return err
+		}
+		if strings.HasSuffix(path, "_test.go") {
+			for _, decl := range f.Decls {
+				if fn, ok := decl.(*ast.FuncDecl); ok && fn.Recv == nil && docTestName.MatchString(fn.Name.Name) {
+					tests[fn.Name.Name] = true
+				}
+			}
+			return nil
 		}
 		p := pkgs[f.Name.Name]
 		if p == nil {
@@ -115,7 +125,7 @@ func moduleDocPackages(t *testing.T) map[string]*docPackage {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return pkgs
+	return pkgs, tests
 }
 
 var (
@@ -123,6 +133,9 @@ var (
 	docSpan  = regexp.MustCompile("`[^`]+`")
 	// pkg.Symbol or pkg.Type.Member, not inside a path or a longer chain.
 	docName = regexp.MustCompile(`(?:^|[^\w./])([a-z][a-z0-9]*)\.([A-Za-z]\w*)(?:\.([A-Za-z]\w*))?`)
+	// A test, benchmark, fuzz target or example; a trailing * names every
+	// function the prefix starts (`TestMarginalTexts*`).
+	docTestName = regexp.MustCompile(`(?:^|[^\w.])((?:Test|Benchmark|Fuzz|Example)[A-Z_]\w*)(\*?)`)
 )
 
 // TestDocSymbolsResolve keeps the paper→code concordance honest: every
@@ -132,9 +145,11 @@ var (
 // its types (`relation.SetBinding`, as go doc resolves it) — so a
 // deletion or a rename cannot leave a dangling name in the prose. Names
 // BENCHMARK.json declares are metrics (`bench.trace_overhead_ratio`),
-// not symbols; `server.go` is a file.
+// not symbols; `server.go` is a file. A backticked `Test*`,
+// `Benchmark*`, `Fuzz*` or `Example*` name must be a function some
+// _test.go file of the module declares.
 func TestDocSymbolsResolve(t *testing.T) {
-	pkgs := moduleDocPackages(t)
+	pkgs, tests := moduleDocPackages(t)
 	raw, err := os.ReadFile("BENCHMARK.json")
 	if err != nil {
 		t.Fatal(err)
@@ -178,6 +193,18 @@ func TestDocSymbolsResolve(t *testing.T) {
 				}
 				if !ok {
 					t.Errorf("%s: %s names nothing in package %s", doc, span, m[1])
+				}
+			}
+			for _, m := range docTestName.FindAllStringSubmatch(strings.Trim(span, "`"), -1) {
+				checked++
+				ok := tests[m[1]]
+				if m[2] == "*" {
+					for name := range tests {
+						ok = ok || strings.HasPrefix(name, m[1])
+					}
+				}
+				if !ok {
+					t.Errorf("%s: %s names no test function of the module", doc, span)
 				}
 			}
 		}

@@ -3,7 +3,7 @@ package bench
 import (
 	"fmt"
 	"io"
-	"sort"
+	"strconv"
 	"time"
 
 	"github.com/tpset/tpset/internal/baseline/norm"
@@ -91,12 +91,6 @@ type Cell struct {
 	Duration time.Duration // elapsed wall time
 	Output   int           // output cardinality
 	Skipped  bool          // cut off by the time budget
-	// AllocBytes is the heap allocated during the run (memstats TotalAlloc
-	// delta); only the memory-profiling experiments fill it.
-	AllocBytes uint64
-	// Mallocs is the number of heap allocations during the run (memstats
-	// Mallocs delta); filled alongside AllocBytes.
-	Mallocs uint64
 }
 
 // Series is one approach's measurements over a sweep.
@@ -157,9 +151,6 @@ func (sw Sweep) Run(names []string, progress io.Writer) []Series {
 	}
 	for _, pt := range sw.Points {
 		r, s := pt.Gen()
-		// Pre-sort a shared copy so every approach receives identically
-		// ordered inputs (the approaches re-sort or group as they need;
-		// LAWA is measured including its own sort of cloned inputs).
 		for i, a := range approaches {
 			cell := Cell{X: pt.X, Label: pt.Label}
 			if over(series[i], sw.Budget) {
@@ -177,18 +168,11 @@ func (sw Sweep) Run(names []string, progress io.Writer) []Series {
 			series[i].Cells = append(series[i].Cells, cell)
 			if progress != nil {
 				fmt.Fprintf(progress, "  %-5s %-10s %12s  out=%d\n",
-					a.Name, pt.label(), cell.Duration.Round(time.Microsecond), n)
+					a.Name, cell.label(), cell.Duration.Round(time.Microsecond), n)
 			}
 		}
 	}
 	return series
-}
-
-func (pt Point) label() string {
-	if pt.Label != "" {
-		return pt.Label
-	}
-	return fmt.Sprintf("%.0f", pt.X)
 }
 
 func over(s Series, budget time.Duration) bool {
@@ -236,10 +220,7 @@ func (c Cell) label() string {
 	if c.Label != "" {
 		return c.Label
 	}
-	if c.X >= 1000 && c.X == float64(int64(c.X)) {
-		return fmt.Sprintf("%.0fK", c.X/1000)
-	}
-	return fmt.Sprintf("%g", c.X)
+	return strconv.FormatFloat(c.X, 'f', -1, 64)
 }
 
 func fmtDur(d time.Duration) string {
@@ -251,58 +232,4 @@ func fmtDur(d time.Duration) string {
 	default:
 		return fmt.Sprintf("%dµs", d.Microseconds())
 	}
-}
-
-// PrintCSV renders the result as CSV (x, then one column per approach, in
-// milliseconds; empty cell = skipped).
-func (res Result) PrintCSV(w io.Writer) {
-	fmt.Fprintf(w, "%s", res.XLabel)
-	for _, s := range res.Series {
-		fmt.Fprintf(w, ",%s_ms", s.Approach)
-	}
-	fmt.Fprintln(w)
-	if len(res.Series) == 0 {
-		return
-	}
-	for ri := range res.Series[0].Cells {
-		fmt.Fprintf(w, "%s", res.Series[0].Cells[ri].label())
-		for _, s := range res.Series {
-			if ri >= len(s.Cells) || s.Cells[ri].Skipped {
-				fmt.Fprint(w, ",")
-				continue
-			}
-			fmt.Fprintf(w, ",%.3f", float64(s.Cells[ri].Duration.Microseconds())/1000)
-		}
-		fmt.Fprintln(w)
-	}
-}
-
-// SpeedupTable summarizes, per x value, the fastest approach and its
-// advantage over the runner-up — the "who wins, by what factor" digest
-// EXPERIMENTS.md records.
-func (res Result) SpeedupTable() string {
-	if len(res.Series) < 2 || len(res.Series[0].Cells) == 0 {
-		return ""
-	}
-	out := ""
-	for ri := range res.Series[0].Cells {
-		type entry struct {
-			name string
-			d    time.Duration
-		}
-		var es []entry
-		for _, s := range res.Series {
-			if ri < len(s.Cells) && !s.Cells[ri].Skipped {
-				es = append(es, entry{s.Approach, s.Cells[ri].Duration})
-			}
-		}
-		if len(es) < 2 {
-			continue
-		}
-		sort.Slice(es, func(i, j int) bool { return es[i].d < es[j].d })
-		ratio := float64(es[1].d) / float64(es[0].d)
-		out += fmt.Sprintf("%s: %s wins (%.1fx over %s)\n",
-			res.Series[0].Cells[ri].label(), es[0].name, ratio, es[1].name)
-	}
-	return out
 }

@@ -102,14 +102,10 @@ func TestExperimentsRegistryComplete(t *testing.T) {
 	wantNames := []string{
 		"table2", "fig7a", "fig7b", "fig7c", "fig8", "table3", "fig9a",
 		"fig9b", "table4", "fig10a", "fig10b", "fig10c", "fig11a", "fig11b", "fig11c",
-		"trace-overhead", "segment-vs-heap",
 	}
 	got := Names()
 	if strings.Join(got, ",") != strings.Join(wantNames, ",") {
 		t.Fatalf("experiments: %v", got)
-	}
-	if len(SortedNames()) != len(wantNames) {
-		t.Error("sorted names")
 	}
 	if _, ok := ExperimentByName("fig8"); !ok {
 		t.Error("lookup fig8")
@@ -119,40 +115,47 @@ func TestExperimentsRegistryComplete(t *testing.T) {
 	}
 }
 
-// TestTinyEndToEnd runs a cut-down version of each experiment to make sure
-// every code path executes and renders.
+// TestTinyEndToEnd runs every experiment cut down to tinyCfg, so every
+// code path executes and renders, and requires every approach that ran a
+// sweep point to report the same output cardinality there.
 func TestTinyEndToEnd(t *testing.T) {
 	cfg := tinyCfg()
-	for _, name := range []string{"table2", "table3", "fig7a", "fig9b", "trace-overhead"} {
-		exp, ok := ExperimentByName(name)
-		if !ok {
-			t.Fatalf("missing %s", name)
-		}
+	for _, exp := range Experiments() {
 		res := exp.Run(cfg)
 		var buf bytes.Buffer
 		res.Print(&buf)
 		if !strings.Contains(buf.String(), res.Name) {
-			t.Errorf("%s: print output lacks the experiment name:\n%s", name, buf.String())
+			t.Errorf("%s: print output lacks the experiment name:\n%s", exp.Name, buf.String())
 		}
-		var csv bytes.Buffer
-		res.PrintCSV(&csv)
-		if name == "trace-overhead" {
-			// Tracing must never change the result stream.
-			off, on := res.Series[0].Cells, res.Series[1].Cells
-			for i := range off {
-				if off[i].Output != on[i].Output {
-					t.Errorf("trace-overhead %s: %d tuples untraced, %d traced", off[i].Label, off[i].Output, on[i].Output)
+		for _, s := range res.Series {
+			for i, c := range s.Cells {
+				first := res.Series[0].Cells[i]
+				if c.Skipped || first.Skipped {
+					continue
+				}
+				if c.Output != first.Output {
+					t.Errorf("%s at %s: %s returns %d tuples, %s %d",
+						exp.Name, c.label(), s.Approach, c.Output, res.Series[0].Approach, first.Output)
 				}
 			}
 		}
-		if name == "fig7a" {
-			if !strings.HasPrefix(csv.String(), "tuples,LAWA_ms") {
-				t.Errorf("csv header: %q", csv.String())
-			}
-			if res.SpeedupTable() == "" {
-				t.Error("speedup digest empty")
-			}
+	}
+}
+
+// TestSweepLabelsAreDistinct: every row of a size sweep is told apart by
+// its label, in the printed table and in -json, at tpbench's default
+// scale (Fig. 7 then runs 400–4,000 tuples).
+func TestSweepLabelsAreDistinct(t *testing.T) {
+	res := fig7(core.OpIntersect)(Config{Scale: 0.02, Budget: 50 * time.Millisecond, Seed: 1})
+	seen := map[string]bool{}
+	for _, c := range res.JSON().Series[0].Cells {
+		if seen[c.Label] {
+			t.Errorf("label %q names two sweep points", c.Label)
 		}
+		seen[c.Label] = true
+	}
+	if len(seen) != len(fig7Sizes) {
+		t.Errorf("%d distinct labels, want %d", len(seen), len(fig7Sizes))
 	}
 }
 

@@ -3,7 +3,6 @@ package bench
 import (
 	"fmt"
 	"io"
-	"sort"
 	"time"
 
 	"github.com/tpset/tpset/internal/core"
@@ -60,8 +59,6 @@ func Experiments() []Experiment {
 		{"fig11a", "Webkit-like 20K–200K: set intersection", fig1011(false, core.OpIntersect)},
 		{"fig11b", "Webkit-like 20K–200K: set difference", fig1011(false, core.OpExcept)},
 		{"fig11c", "Webkit-like 20K–200K: set union", fig1011(false, core.OpUnion)},
-		{"trace-overhead", "Execution-trace instrumentation overhead: drain with tracing off vs on", TraceOverhead},
-		{"segment-vs-heap", "Durable mmap segment store vs heap catalog: cold start + steady-state drain", SegmentVsHeap},
 	}
 }
 
@@ -277,12 +274,5 @@ func Names() []string {
 	for _, e := range Experiments() {
 		ns = append(ns, e.Name)
 	}
-	return ns
-}
-
-// SortedNames lists the experiment names alphabetically.
-func SortedNames() []string {
-	ns := Names()
-	sort.Strings(ns)
 	return ns
 }

@@ -28,13 +28,11 @@ type SeriesJSON struct {
 
 // CellJSON is one measurement. Skipped cells carry only x/label.
 type CellJSON struct {
-	X          float64 `json:"x"`
-	Label      string  `json:"label"`
-	Ms         float64 `json:"ms"`
-	Output     int     `json:"output"`
-	Skipped    bool    `json:"skipped,omitempty"`
-	AllocBytes uint64  `json:"allocBytes,omitempty"`
-	Mallocs    uint64  `json:"mallocs,omitempty"`
+	X       float64 `json:"x"`
+	Label   string  `json:"label"`
+	Ms      float64 `json:"ms"`
+	Output  int     `json:"output"`
+	Skipped bool    `json:"skipped,omitempty"`
 }
 
 // JSON converts the result to its wire form.
@@ -51,13 +49,11 @@ func (res Result) JSON() ResultJSON {
 		sj := SeriesJSON{Approach: s.Approach, Cells: []CellJSON{}}
 		for _, c := range s.Cells {
 			sj.Cells = append(sj.Cells, CellJSON{
-				X:          c.X,
-				Label:      c.label(),
-				Ms:         float64(c.Duration.Microseconds()) / 1000,
-				Output:     c.Output,
-				Skipped:    c.Skipped,
-				AllocBytes: c.AllocBytes,
-				Mallocs:    c.Mallocs,
+				X:       c.X,
+				Label:   c.label(),
+				Ms:      float64(c.Duration.Microseconds()) / 1000,
+				Output:  c.Output,
+				Skipped: c.Skipped,
 			})
 		}
 		rj.Series = append(rj.Series, sj)

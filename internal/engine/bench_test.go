@@ -12,8 +12,7 @@ import (
 
 // BenchmarkIntersect compares the sequential driver against the engine at
 // several worker counts on a multi-fact input (~100 tuples per fact, the
-// partitionable workload; see internal/bench's par-* experiments for the
-// full sweeps).
+// partitionable workload).
 func BenchmarkIntersect(b *testing.B) {
 	const n = 100000
 	r, s := datagen.FixedOverlapPair(n, n/100, 1)

@@ -5,9 +5,9 @@
 // whole query trees of them — decompose into independent per-fact
 // subproblems.
 //
-// There is one execution path, CursorCtx, and every entry point of the
-// module runs it: the query service, tpset.Eval/EvalParallel/Apply,
-// cmd/tpquery, internal/bench. It runs the four-step pipeline of Fig. 5
+// There is one execution path, CursorCtx, and every query entry point of
+// the module runs it: the query service, tpset.Eval/EvalParallel/Apply,
+// cmd/tpquery. It runs the four-step pipeline of Fig. 5
 // in sharded form:
 //
 //	prepare leaves once → cut leaves at fact boundaries → per-shard cursor plan → concatenate

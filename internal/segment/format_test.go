@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"github.com/tpset/tpset/internal/interval"
 	"github.com/tpset/tpset/internal/keys"
@@ -212,7 +213,9 @@ func TestMixedDictionaryGenerationsHeal(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Encode r1: %v", err)
 	}
-	r2 := testRelation(t, "new", 5)
+	// r2 holds three facts r1 lacks, so the union dictionary is a newer
+	// generation than the one r1 was written under.
+	r2 := testRelation(t, "new", 12)
 	union := relation.InternAll(r1.Clone(), r2) // r2 now bound to the union
 	r2.Sort()
 	data2, err := Encode(r2)
@@ -247,4 +250,18 @@ func TestMixedDictionaryGenerationsHeal(t *testing.T) {
 	if got1.Dict() != union || got2.Dict() != union {
 		t.Fatalf("restored relations not bound to the union dictionary")
 	}
+	if !fidColInside(got2, f2.Data()) {
+		t.Fatalf("same-generation relation copied its fid column instead of aliasing the segment")
+	}
+	if fidColInside(got1, f1.Data()) {
+		t.Fatalf("healed relation's fid column still aliases its older-generation segment")
+	}
+}
+
+// fidColInside reports whether rel's whole fid column lies in data.
+func fidColInside(rel *relation.Relation, data []byte) bool {
+	col := rel.FidCol()
+	lo := uintptr(unsafe.Pointer(unsafe.SliceData(data)))
+	start := uintptr(unsafe.Pointer(unsafe.SliceData(col)))
+	return start >= lo && start+8*uintptr(len(col)) <= lo+uintptr(len(data))
 }
