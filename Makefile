@@ -1,11 +1,11 @@
 # Local one-shots mirroring the CI gates. `make lint` is the pre-push
-# check: formatting, go vet, and the repo-specific analyzer suite.
+# check: formatting, go vet, and the benchmark module's vet and tests.
 
 GO ?= go
 
-.PHONY: lint fmt vet tpvet bench-check bench-sparse bench-lib test test-race test-invariants
+.PHONY: lint fmt vet bench-check bench-sparse bench-lib test test-race test-invariants
 
-lint: fmt vet tpvet bench-check
+lint: fmt vet bench-check
 
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
@@ -14,15 +14,11 @@ fmt:
 vet:
 	$(GO) vet ./...
 
-tpvet:
-	$(GO) run ./cmd/tpvet ./...
-
 # The standing benchmark is its own module (benchmark/go.mod), so
 # ./... from the root never compiles it. A change to a signature that
 # benchmark/layers.go calls shows up here, not in tier-1.
 bench-check:
-	cd benchmark && $(GO) vet ./... && $(GO) test ./... && \
-		$(GO) run github.com/tpset/tpset/cmd/tpvet ./...
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 # The per-layer budget of the workload the engine's sharding is judged
 # on (plan/drain/alloc per operation, shard count, HTTP residual), one

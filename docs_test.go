@@ -25,7 +25,7 @@ type docPackage struct {
 }
 
 // moduleDocPackages parses every Go file of the root module (benchmark/
-// is its own module; testdata holds analyzer fixtures): non-test files
+// is its own module; testdata holds fuzz corpora): non-test files
 // indexed by package name, and the Test/Benchmark/Fuzz/Example functions
 // the _test.go files declare.
 func moduleDocPackages(t *testing.T) (map[string]*docPackage, map[string]bool) {
@@ -136,6 +136,9 @@ var (
 	// A test, benchmark, fuzz target or example; a trailing * names every
 	// function the prefix starts (`TestMarginalTexts*`).
 	docTestName = regexp.MustCompile(`(?:^|[^\w.])((?:Test|Benchmark|Fuzz|Example)[A-Z_]\w*)(\*?)`)
+	// A repo path, possibly a glob or a go-list pattern (`./internal/...`),
+	// up to any `:symbol` suffix.
+	docPath = regexp.MustCompile(`(?:^|[^\w./-])(?:\./)?((?:internal|cmd|docs|examples)/[\w./*-]+)`)
 )
 
 // TestDocSymbolsResolve keeps the paper→code concordance honest: every
@@ -147,7 +150,8 @@ var (
 // BENCHMARK.json declares are metrics (`bench.trace_overhead_ratio`),
 // not symbols; `server.go` is a file. A backticked `Test*`,
 // `Benchmark*`, `Fuzz*` or `Example*` name must be a function some
-// _test.go file of the module declares.
+// _test.go file of the module declares, and a backticked repo path
+// (`internal/…`, `cmd/…`, `docs/…`, `examples/…`) must exist.
 func TestDocSymbolsResolve(t *testing.T) {
 	pkgs, tests := moduleDocPackages(t)
 	raw, err := os.ReadFile("BENCHMARK.json")
@@ -205,6 +209,13 @@ func TestDocSymbolsResolve(t *testing.T) {
 				}
 				if !ok {
 					t.Errorf("%s: %s names no test function of the module", doc, span)
+				}
+			}
+			for _, m := range docPath.FindAllStringSubmatch(strings.Trim(span, "`"), -1) {
+				checked++
+				path := strings.TrimSuffix(strings.TrimRight(m[1], "."), "/")
+				if hits, _ := filepath.Glob(path); len(hits) == 0 {
+					t.Errorf("%s: %s names %s, which does not exist", doc, span, path)
 				}
 			}
 		}

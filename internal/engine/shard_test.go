@@ -454,3 +454,64 @@ func TestMaterializeCancelledMidDrain(t *testing.T) {
 		t.Fatalf("pool unbalanced after the cancelled drain: %d gets vs %d puts", gets-gets0, puts-puts0)
 	}
 }
+
+// secondPull closes refilling when the second pull on the cursor it wraps
+// begins: produce has sent its first block by then and passed its last
+// check before the next send.
+type secondPull struct {
+	core.Cursor
+	pulls     int // produce's goroutine only
+	refilling chan struct{}
+}
+
+func (c *secondPull) NextBatch(b *core.Batch) bool {
+	if c.pulls++; c.pulls == 2 {
+		close(c.refilling)
+	}
+	return c.Cursor.NextBatch(b)
+}
+
+// TestProduceStopsWithoutAReader pins produce's contract that it returns
+// when the request is cancelled or the stream closed, on the path where
+// that matters: the producer is parked on a full shard channel and
+// nobody reads it. Close's channel drain would unblock even a bare send,
+// so nothing here reads the channel until produce has returned.
+func TestProduceStopsWithoutAReader(t *testing.T) {
+	r, s := datagen.FixedOverlapPair(8*core.BatchSize, 80, 7)
+	catalogStyle(r, s)
+	for _, stop := range []string{"cancel", "close"} {
+		gets0, puts0, _, _ := core.BatchPoolStats()
+		ctx, cancel := context.WithCancel(context.Background())
+		done := make(chan struct{})
+		ch := make(chan *core.Batch, 1)
+		cur := &secondPull{Cursor: core.NewScanCursor(r), refilling: make(chan struct{})}
+		returned := make(chan struct{})
+		go func() {
+			defer close(returned)
+			produce(ctx, done, 0, cur, nil, ch, nil, new(core.PanicRelay))
+		}()
+		select { // the first block fills the slot; the second will park
+		case <-cur.refilling:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s: the producer never filled its channel", stop)
+		}
+		if stop == "cancel" {
+			cancel()
+		} else {
+			close(done)
+		}
+		select {
+		case <-returned:
+		case <-time.After(5 * time.Second):
+			t.Errorf("%s: producer still blocked on its send", stop)
+		}
+		for b := range ch {
+			core.PutBatch(b)
+		}
+		<-returned
+		cancel()
+		if gets, puts, _, _ := core.BatchPoolStats(); gets-gets0 != puts-puts0 {
+			t.Fatalf("%s: pool unbalanced after the producer returned: %d gets vs %d puts", stop, gets-gets0, puts-puts0)
+		}
+	}
+}

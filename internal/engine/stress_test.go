@@ -190,11 +190,14 @@ func TestConcurrentShardedPlansShareFrozenLeaves(t *testing.T) {
 // producers alive (+1 of slack for a goroutine mid-exit), and none once
 // Close returns — after a full drain, after a Close before the first
 // pull, and after the request context is cancelled mid-shard. Every
-// pooled block comes back each time.
+// pooled block comes back each time. No producer parks here: each of the
+// 12 shards sends at most 8 blocks into a 42-block channel
+// (reorderBlocks/workers). A producer parked on a full channel is
+// TestProduceStopsWithoutAReader's case.
 func TestShardProducersBoundedAndReleased(t *testing.T) {
 	r, s := datagen.FixedOverlapPair(40000, 400, 7)
 	db := catalogPair(r, s)
-	tree := query.MustParse("r0 | r1") // ≥ one output tuple per input: producers park on full channels
+	tree := query.MustParse("r0 | r1")
 	const workers = 3
 	e := engine.New(engine.Config{Workers: workers})
 	base := runtime.NumGoroutine()

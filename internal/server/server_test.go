@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/tpset/tpset/internal/core"
 	"github.com/tpset/tpset/internal/relation"
 )
 
@@ -326,5 +327,26 @@ func TestQueryNoCache(t *testing.T) {
 	}
 	if s.metrics.evaluations.Load() != 2 {
 		t.Fatalf("evaluations = %d, want 2", s.metrics.evaluations.Load())
+	}
+}
+
+// TestHandlersBalanceThePool pins the pool discipline of the three
+// evaluating handlers: every block a request takes from the batch pool
+// is back by the time its response ends. do reads the body to EOF, and
+// the response ends only once the handler has returned and its deferred
+// puts have run; no server test runs in parallel, so the process-wide
+// counters move for this request alone.
+func TestHandlersBalanceThePool(t *testing.T) {
+	_, ts := newTestServer(t)
+	req := QueryRequest{Query: "c - (a | b)", NoCache: true}
+	for _, path := range []string{"/query", "/query/stream", "/query/explain"} {
+		gets0, puts0, _, _ := core.BatchPoolStats()
+		if resp, body := do(t, "POST", ts.URL+path, req); resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d, body %s", path, resp.StatusCode, body)
+		}
+		gets, puts, _, _ := core.BatchPoolStats()
+		if gets-gets0 != puts-puts0 {
+			t.Fatalf("%s: %d gets vs %d puts", path, gets-gets0, puts-puts0)
+		}
 	}
 }
