@@ -186,16 +186,24 @@ func BenchmarkEvalLibShape(b *testing.B) {
 // result has about a hundred tuples. "unsorted" is the operation as a
 // library caller meets it (clone + sort + sweep); "catalog" is the
 // server's condition, leaves sorted, bound and projected once, so an
-// iteration is plan + sweep + materialize. windows/op, read from one
-// more, traced, run, is the number to watch: the candidate windows the
-// sweep drew (≈180 with temporal run skipping, 20,077 when only facts
-// are skipped); gallops/op is what it paid for them.
+// iteration is plan + sweep + materialize. "catalog-200K" is the same at
+// the standing workload's own scale (2×200K tuples, 2,000 facts) on a
+// fixed worker budget: sequential, and two shards' worth of workers.
+// windows/op, read from one more, traced, run, is the number to watch:
+// the candidate windows the sweep drew (≈180 with temporal run skipping
+// at 20K, 20,077 when only facts are skipped); gallops/op is what it
+// paid for them — run skips, each answered from a leaf's fact-run index.
 func BenchmarkIntersectSparseShape(b *testing.B) {
-	r, s := datagen.Pair(datagen.PairConfig{NumTuples: 20000, NumFacts: 200, MaxLenR: 100, MaxLenS: 3, MaxGap: 3, Seed: 1000})
-	sorted, err := core.PrepareLeaves([]*relation.Relation{r, s}, core.Options{}, 2)
-	if err != nil {
-		b.Fatal(err)
+	sparse := func(tuples, facts int) (r, s *relation.Relation, leaves []*relation.Relation) {
+		r, s = datagen.Pair(datagen.PairConfig{NumTuples: tuples, NumFacts: facts, MaxLenR: 100, MaxLenS: 3, MaxGap: 3, Seed: 1000})
+		leaves, err := core.PrepareLeaves([]*relation.Relation{r, s}, core.Options{}, 2)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return r, s, leaves
 	}
+	r, s, sorted := sparse(20000, 200)
+	_, _, large := sparse(200000, 2000)
 	for _, bc := range []struct {
 		name string
 		r, s *relation.Relation
@@ -203,6 +211,8 @@ func BenchmarkIntersectSparseShape(b *testing.B) {
 	}{
 		{"unsorted", r, s, tpset.Options{}},
 		{"catalog", sorted[0], sorted[1], tpset.Options{AssumeSorted: true}},
+		{"catalog-200K/workers=1", large[0], large[1], tpset.Options{AssumeSorted: true, Parallelism: 1}},
+		{"catalog-200K/workers=2", large[0], large[1], tpset.Options{AssumeSorted: true, Parallelism: 2}},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()

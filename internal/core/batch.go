@@ -96,8 +96,9 @@ func (b *Batch) CheckBound(site string) {
 	if !invariant.Enabled || len(b.Tuples) == 0 {
 		return
 	}
-	invariant.Assertf(b.Dict != nil && len(b.Fid) == len(b.Tuples), site,
-		"block of %d rows is not bound: dict %p, %d ids", len(b.Tuples), b.Dict, len(b.Fid))
+	if b.Dict == nil || len(b.Fid) != len(b.Tuples) { // guarded: no argument boxing per block
+		invariant.Assertf(false, site, "block of %d rows is not bound: dict %p, %d ids", len(b.Tuples), b.Dict, len(b.Fid))
+	}
 	for i, id := range b.Fid {
 		if id < 0 || id >= int64(b.Dict.Len()) || b.Dict.Key(keys.FactID(id)) != b.Tuples[i].Fact.Key() { // guarded: no argument boxing per row
 			invariant.Assertf(false, site, "fid column row %d (%d) does not name the row's fact %s", i, id, b.Tuples[i].Fact)

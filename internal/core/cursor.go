@@ -62,15 +62,24 @@ func ReleaseCursor(c Cursor) {
 // tuples in sub-linear time: SkipTo discards every upcoming tuple below
 // the point (fid, te) — its packed fact id is below fid, or equals fid
 // and its interval ends at or before te (relation.MinTime: the facts
-// below fid and nothing else). Scans gallop over their fid column and
-// rows (exponential probe + binary search, relation.SkipTo); filters
-// forward to their input. The search relies on end points ascending
-// within a fact, i.e. on the stream being duplicate-free (Def. 1) as
-// well as sorted. The advancer's run-skipping uses it through
-// batchSource; operator cursors deliberately do not implement it —
-// their output is computed, so "skipping" it would still compute it.
+// below fid and nothing else). Scans answer from their relation's
+// fact-run index (relation.Runs.Seek); filters gallop their buffered
+// block (relation.SkipTo) and forward to their input. The search relies
+// on end points ascending within a fact, i.e. on the stream being
+// duplicate-free (Def. 1) as well as sorted. The advancer's run-skipping
+// uses it through batchSource; operator cursors deliberately do not
+// implement it — their output is computed, so "skipping" it would still
+// compute it.
 type keySkipper interface {
 	SkipTo(fid int64, te interval.Time)
+}
+
+// blockSkipper is the face a scan — bare, or under the tracing wrapper —
+// shows the advancer source that holds its last block: skipBlock answers
+// a skip from row i of that block from the run index, the landing
+// counted in that block's rows (see ScanCursor.skipBlock).
+type blockSkipper interface {
+	skipBlock(i int, fid int64, te interval.Time) int
 }
 
 // ScanCursor streams a materialized relation that must already be in
@@ -78,9 +87,12 @@ type keySkipper interface {
 // alias the relation and consumers only read them, so a ScanCursor may
 // safely stream a relation shared with concurrent readers.
 type ScanCursor struct {
-	r   *relation.Relation
-	fid []int64 // r's fid column, aliased into every block
-	i   int
+	r    *relation.Relation
+	fid  []int64        // r's fid column, aliased into every block
+	runs *relation.Runs // r's fact-run index: answers every skip
+	i    int            // the next row to hand out
+	last int            // the first row of the block handed out last
+	run  int            // the run the last skip landed in, where the next one starts (Runs.Seek's hint)
 }
 
 // NewScanCursor returns a scan over r, which must be sorted (as for
@@ -88,7 +100,9 @@ type ScanCursor struct {
 // empty, be bound (Relation.FidCol): the scan hands out bound blocks
 // and has nothing else to bind them with. PrepareLeaves
 // produces such leaves from any input; a relation without the column is
-// a plan-construction bug and panics here rather than mid-sweep.
+// a plan-construction bug and panics here rather than mid-sweep. The
+// first scan of a relation builds its fact-run index (Relation.Runs);
+// every later one reads it.
 func NewScanCursor(r *relation.Relation) *ScanCursor {
 	fid := r.FidCol()
 	if fid == nil && r.Len() > 0 {
@@ -98,7 +112,7 @@ func NewScanCursor(r *relation.Relation) *ScanCursor {
 		invariant.CheckSorted(r, "core.NewScanCursor")
 		invariant.CheckColsMirror(r, "core.NewScanCursor")
 	}
-	return &ScanCursor{r: r, fid: fid}
+	return &ScanCursor{r: r, fid: fid, runs: r.Runs()}
 }
 
 // Schema returns the scanned relation's schema.
@@ -120,19 +134,41 @@ func (c *ScanCursor) NextBatch(b *Batch) bool {
 	}
 	i, j := c.i, c.i+n
 	b.Tuples, b.Fid, b.Dict = c.r.Tuples[i:j], c.fid[i:j], c.r.Dict()
-	c.i = j
+	c.i, c.last = j, i
 	b.CheckBound("core.ScanCursor.NextBatch")
 	return true
 }
 
 // SkipTo advances the scan past every tuple below the point (fid, te):
 // a fact id below fid, or fid itself with an interval that ends at or
-// before te. It gallops over the fid column and the rows, so skipping a
-// run of m tuples costs O(log m) probes instead of the O(m) pops of the
-// tuple-at-a-time sweep. The scanned relation must be duplicate-free
-// (see relation.SkipTo).
+// before te. It is answered from the relation's fact-run index: a skip
+// to a later fact costs index steps and no row read, a skip in time at
+// most two row reads plus a search of end points when it lands inside a
+// run — instead of the O(m) pops of the tuple-at-a-time sweep. The
+// scanned relation must be duplicate-free (see relation.SkipTo).
 func (c *ScanCursor) SkipTo(fid int64, te interval.Time) {
-	c.i += relation.SkipTo(c.fid[c.i:], c.r.Tuples[c.i:], fid, te)
+	c.i = c.seek(c.i, fid, te)
+}
+
+// skipBlock is SkipTo for the advancer source that holds the block
+// handed out last and has read it up to row i: the skip starts there,
+// and the landing comes back counted in that block's rows. Below the
+// block's length it lies inside the block, where the source stays and
+// the scan does not move; otherwise the scan is positioned at it, so the
+// next block starts with the landing row.
+func (c *ScanCursor) skipBlock(i int, fid int64, te interval.Time) int {
+	at := c.seek(c.last+i, fid, te)
+	c.i = max(c.i, at)
+	return at - c.last
+}
+
+// seek returns the first row at or after from that lies at or above
+// (fid, te), keeping the run hint: every skip of a scan starts at or
+// after the last one's landing, so the next fact's run is one step on.
+func (c *ScanCursor) seek(from int, fid int64, te interval.Time) int {
+	at, run := c.runs.Seek(c.r.Tuples, from, c.run, fid, te)
+	c.run = run
+	return at
 }
 
 // OpCursor evaluates one TP set operation as a stream: it runs the LAWA

@@ -47,8 +47,12 @@
 // the advancer always skips the runs of tuples
 // whose windows the operation discards — facts the other input lacks,
 // and stretches of a shared fact's time that end before the other input
-// starts — by galloping over the packed fid column and the rows' end
-// points (DESIGN.md "Batched execution & run skipping"). Materialize is
+// starts. A skip over a scan is answered by the leaf's fact-run index
+// (relation.Runs: index steps, plus a log-search of end points only when
+// it lands inside a run), a skip over a computed block by a gallop of
+// its fid column, so the sweep costs O(output + runs) skips where it
+// would pop O(n) tuples (DESIGN.md "Batched execution & run skipping").
+// Materialize is
 // the one point where a plan becomes a relation: it keeps the pooled
 // blocks it drains until it has counted the result, then allocates the
 // tuple array once at its exact length (DESIGN.md "Materializing a plan").

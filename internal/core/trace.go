@@ -18,9 +18,10 @@ import (
 // atomic traffic.
 //
 // Wrapping is transparent to the execution machinery: block pulls keep
-// their zero-copy and pooling behaviour, and SkipTo keeps forwarding so
-// run-skipping gallops through traced plans exactly as through untraced
-// ones — the wrapper only counts the skips it forwards. Output is
+// their zero-copy and pooling behaviour, and skips keep forwarding (SkipTo,
+// and a scan's skipBlock) so run-skipping lands through traced plans
+// exactly as through untraced ones — the wrapper only counts the skips
+// it forwards. Output is
 // therefore bit-identical with tracing on or off; the golden trace tests
 // pin this.
 
@@ -31,17 +32,21 @@ func Traced(c Cursor, sp *obs.Span) Cursor {
 		return c
 	}
 	tc := &tracedCursor{c: c, sp: sp}
-	if oc, ok := c.(*OpCursor); ok {
-		tc.adv = oc.a
+	switch x := c.(type) {
+	case *OpCursor:
+		tc.adv = x.a
+	case *ScanCursor:
+		tc.scan = x
 	}
 	return tc
 }
 
 // tracedCursor is the recording wrapper around one plan node.
 type tracedCursor struct {
-	c   Cursor
-	sp  *obs.Span
-	adv *Advancer // non-nil when c is an OpCursor: publish sweep counters
+	c    Cursor
+	sp   *obs.Span
+	adv  *Advancer   // non-nil when c is an OpCursor: publish sweep counters
+	scan *ScanCursor // non-nil when c is a scan: the advancer source skips it through skipBlock
 }
 
 func (t *tracedCursor) Schema() relation.Schema { return t.c.Schema() }
@@ -84,4 +89,12 @@ func (t *tracedCursor) SkipTo(fid int64, te interval.Time) {
 		t.sp.AddGallops(1)
 		sk.SkipTo(fid, te)
 	}
+}
+
+// skipBlock forwards the advancer source's skip to the wrapped scan,
+// counting it like SkipTo; newBatchSource takes this face only when t
+// wraps a scan.
+func (t *tracedCursor) skipBlock(i int, fid int64, te interval.Time) int {
+	t.sp.AddGallops(1)
+	return t.scan.skipBlock(i, fid, te)
 }

@@ -59,10 +59,22 @@ type batchSource struct {
 	b    *Batch
 	i    int
 	done bool
+	// scan is c's skip face when c is a scan, traced or not (nil
+	// otherwise): every skip is then answered from the scan's run index.
+	scan blockSkipper
 }
 
 func newBatchSource(c Cursor) *batchSource {
-	return &batchSource{c: c, b: GetBatch()}
+	s := &batchSource{c: c, b: GetBatch()}
+	switch x := c.(type) {
+	case *ScanCursor:
+		s.scan = x
+	case *tracedCursor:
+		if x.scan != nil {
+			s.scan = x
+		}
+	}
+	return s
 }
 
 func (s *batchSource) peek() *relation.Tuple {
@@ -117,13 +129,23 @@ func (s *batchSource) release() {
 // interval that ends after te (relation.MinTime: the first tuple whose
 // fact id is >= fid). It is the run-skipping entry point and only called
 // when every tuple below the point is known to be filtered out by the
-// operation. The remainder of the current block is discarded by a
-// gallop over its fid column and rows; when the target lies beyond it,
-// the child gallops itself (scans, filters — keySkipper) or, when its
-// output is computed (operator cursors), whole blocks are discarded —
-// one gallop that runs off the block's end each, O(log BatchSize) probes
-// instead of BatchSize pops.
+// operation. Over a scan the scan answers from its relation's run index,
+// inside the held block or beyond it alike (blockSkipper). Over anything
+// else the remainder of the current block is discarded by a gallop over
+// its fid column and rows; when the target lies beyond it, the child
+// skips itself (filters — keySkipper) or, when its output is computed
+// (operator cursors), whole blocks are discarded — one gallop that runs
+// off the block's end each, O(log BatchSize) probes instead of BatchSize
+// pops.
 func (s *batchSource) skipTo(fid int64, te interval.Time) {
+	if s.scan != nil {
+		if !s.done {
+			if s.i = s.scan.skipBlock(s.i, fid, te); s.i >= len(s.b.Tuples) {
+				s.pull()
+			}
+		}
+		return
+	}
 	for {
 		s.i += relation.SkipTo(s.b.Fid[s.i:], s.b.Tuples[s.i:], fid, te)
 		if s.i < len(s.b.Tuples) || s.done {
@@ -370,7 +392,7 @@ func (a *Advancer) Next() (Window, bool) {
 	return w, true
 }
 
-// skipRuns gallops past runs of tuples whose windows the operation is
+// skipRuns skips past runs of tuples whose windows the operation is
 // known to discard. Precondition: no tuple is valid on either side, so
 // the next window would open at an upcoming tuple. While the upcoming
 // facts differ, the smaller side's windows are one-sided for the whole
@@ -379,12 +401,14 @@ func (a *Advancer) Next() (Window, bool) {
 // intervals: Te == Ts does not overlap), that side's windows are
 // one-sided up to that start — and so are those of every later tuple of
 // the fact that is over by then. If the operation discards that side's
-// one-sided windows (skipR/skipS), the run is skipped in O(log run)
-// probes instead of being popped tuple-by-tuple: batchSource.skipTo
-// lands on the first tuple of a larger fact, or of this fact and still
-// running after the other side's start. On inputs that rarely share a
-// fact at the same time this turns the sweep from O(n) pops into
-// O((output + runs) · log n).
+// one-sided windows (skipR/skipS), the run is skipped in one call
+// instead of being popped tuple-by-tuple: batchSource.skipTo lands on
+// the first tuple of a larger fact, or of this fact and still running
+// after the other side's start. On inputs that rarely share a fact at
+// the same time this turns the sweep from O(n) pops into O(output + runs)
+// skips, each a step of a leaf's fact-run index (a log-search of end
+// points only when it lands inside a run) or a gallop of a computed
+// child's block.
 func (a *Advancer) skipRuns() {
 	for {
 		r, s := a.r.peek(), a.s.peek()

@@ -20,8 +20,11 @@
 // place — shared dictionary, sort unless AssumeSorted, fid column, the
 // leaves in parallel). cut picks K−1 cut
 // ids at the combined tuple-count quantiles, snapped to fact edges by
-// galloping each leaf's fid column, and hands shard i of every leaf a
-// frozen zero-copy view (relation.Slice): no tuple is hashed or copied,
+// counting each leaf's rows below a fact from its fact-run index
+// (relation.Runs.Below — the index the leaf's scans skip with, built
+// once per relation), and hands shard i of every leaf a frozen
+// zero-copy view (relation.Slice) whose index is derived from the
+// leaf's: no tuple is hashed or copied,
 // so the plan step costs microseconds and a few kilobytes whatever the
 // input size. Every fact group lands wholly in one shard, so a shard
 // plan's output is the query's result restricted to those facts; and
@@ -49,9 +52,11 @@
 // Concurrency invariants:
 //
 //   - Input relations are strictly read-only: shard views are frozen,
-//     the cut and the sweep read fid columns, and nothing rebinds or
-//     caches through a view, so any number of plans may share one catalog
-//     relation.
+//     the cut reads fact-run indexes and the sweep fid columns, and
+//     nothing rebinds through a view, so any number of plans may share
+//     one catalog relation. The one thing a plan may publish into a leaf
+//     is the leaf's fact-run index, on its first cut or scan, atomically
+//     (relation.Relation.Runs).
 //   - An Engine holds nothing but its Config and the package holds no
 //     mutable state, so engines are safe for concurrent use and free to
 //     construct per request. One plan runs at most Config.Workers

@@ -89,14 +89,17 @@ func (e *Engine) shardCount(total int) int {
 // zero-copy view (relation.Slice) of the rows whose fact id lies in
 // [f_i, f_i+1). The K−1 cut ids are the
 // combined tuple-count quantiles snapped up to the next fact edge, found
-// by binary search over the id domain with a gallop per leaf per probe,
-// so the cost is O(K · leaves · log facts · log n) compares and O(K ·
-// leaves) small allocations whatever the input size; no tuple is read,
-// hashed or copied. Every fact group lands wholly in one shard and the
-// shards are in ascending fact order, so the shard plans' outputs
-// concatenate into canonical order. A fact heavier than a quantile step
-// makes consecutive cuts coincide; the all-empty shards this yields are
-// dropped. cut returns nil when the plan is not worth sharding.
+// by binary search over the id domain; each probe counts every leaf's
+// rows below the probed id from the leaf's fact-run index
+// (relation.Runs.Below, a gallop over its facts), so the cost is
+// O(K · leaves · log² facts) compares and O(K · leaves) small allocations
+// whatever the input size; no tuple or fid is read, hashed or copied,
+// and each view inherits its slice of the index. Every fact group lands
+// wholly in one shard and the shards are in ascending fact order, so the
+// shard plans' outputs concatenate into canonical order. A fact heavier
+// than a quantile step makes consecutive cuts coincide; the all-empty
+// shards this yields are dropped. cut returns nil when the plan is not
+// worth sharding.
 func (e *Engine) cut(names []string, db map[string]*relation.Relation) []map[string]*relation.Relation {
 	rels := make([]*relation.Relation, len(names))
 	total := 0
@@ -107,6 +110,10 @@ func (e *Engine) cut(names []string, db map[string]*relation.Relation) []map[str
 	k := e.shardCount(total)
 	if k < 2 {
 		return nil
+	}
+	runs := make([]*relation.Runs, len(rels))
+	for i, r := range rels {
+		runs[i] = r.Runs()
 	}
 	facts := int64(relation.SharedDict(rels...).Len())
 	shards := make([]map[string]*relation.Relation, 0, k)
@@ -119,15 +126,15 @@ func (e *Engine) cut(names []string, db map[string]*relation.Relation) []map[str
 			target := total * i / k
 			f += int64(sort.Search(int(facts-f), func(j int) bool {
 				below := 0
-				for _, r := range rels {
-					below += relation.SkipToFid(r.FidCol(), f+int64(j)) // r's rows below that id
+				for _, x := range runs {
+					below += x.Below(f + int64(j))
 				}
 				return below >= target
 			}))
 		}
 		live := false
-		for j, r := range rels {
-			hi[j] = relation.SkipToFid(r.FidCol(), f)
+		for j, x := range runs {
+			hi[j] = x.Below(f)
 			live = live || hi[j] > lo[j]
 		}
 		if live {

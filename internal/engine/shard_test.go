@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"log/slog"
 	"math/rand"
 	"runtime"
@@ -271,6 +272,68 @@ func TestShardedPlanAllocs(t *testing.T) {
 				workers, atSmall, atLarge)
 		}
 		t.Logf("workers=%d: plan + drain %d B; plan alone %d B at 20K tuples per leaf, %d B at 200K", workers, total, atSmall, atLarge)
+	}
+}
+
+// apartPair returns, catalog style, r and s of n tuples each spread over
+// facts facts that both relations hold at different times — every r
+// tuple of a fact ends before the fact's s tuples start — plus one s
+// tuple that meets r's first, so r ∩Tp s has exactly one row whatever
+// the fact count, and the sweep is two run skips per fact.
+func apartPair(n, facts int) map[string]*relation.Relation {
+	r, s := relation.New(relation.NewSchema("r", "F")), relation.New(relation.NewSchema("s", "F"))
+	per := int64(n / facts)
+	for f := 0; f < facts; f++ {
+		fact := relation.NewFact(fmt.Sprintf("f%05d", f))
+		for j := int64(0); j < per; j++ {
+			r.AddBase(fact, fmt.Sprintf("r%d.%d", f, j), 2*j, 2*j+1, 0.5)
+			s.AddBase(fact, fmt.Sprintf("s%d.%d", f, j), 2*per+2*j, 2*per+2*j+1, 0.5)
+		}
+	}
+	s.AddBase(r.Tuples[0].Fact, "s.meet", 0, 1, 0.5)
+	catalogStyle(r, s)
+	return map[string]*relation.Relation{"r": r, "s": s}
+}
+
+// TestRunIndexBuiltOncePerRelation pins "once per relation, never per
+// query" without a clock: after a first query has built the leaves'
+// fact-run indexes, planning and draining r ∩Tp s over 2×20K catalog
+// tuples allocates the same number of times, and within a few percent
+// the same bytes, whether the tuples spread over 200 facts or 2,000 —
+// an index built per query, or one that grows, would add bytes in
+// proportion to the facts — and the leaves keep the index the first
+// query published.
+func TestRunIndexBuiltOncePerRelation(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops puts at random under -race, so pooled blocks are reallocated")
+	}
+	tree := query.MustParse("r & s")
+	opts := core.Options{AssumeSorted: true}
+	for _, workers := range []int{1, 2} {
+		e := New(Config{Workers: workers})
+		var allocs [2]float64
+		var bytes [2]uint64
+		for i, facts := range []int{200, 2000} {
+			db := apartPair(20000, facts)
+			drain := func() {
+				got, err := e.EvalCursor(tree, db, opts)
+				if err != nil || got.Len() != 1 {
+					t.Fatalf("workers=%d, %d facts: %d tuples, err %v; want the one meeting", workers, facts, got.Len(), err)
+				}
+			}
+			drain() // builds the indexes and warms the batch pool
+			built := [2]*relation.Runs{db["r"].Runs(), db["s"].Runs()}
+			allocs[i] = testing.AllocsPerRun(20, drain)
+			bytes[i] = allocated(drain)
+			if db["r"].Runs() != built[0] || db["s"].Runs() != built[1] || built[0].Len() != facts {
+				t.Fatalf("workers=%d, %d facts: the queries replaced the index the first one published", workers, facts)
+			}
+		}
+		if d := float64(bytes[1]) / float64(bytes[0]); allocs[0] != allocs[1] || d < 0.95 || d > 1.05 {
+			t.Fatalf("workers=%d: plan + drain made %v allocations (%d B) at 200 facts and %v (%d B) at 2,000; want the same count and bytes within 5%%",
+				workers, allocs[0], bytes[0], allocs[1], bytes[1])
+		}
+		t.Logf("workers=%d: plan + drain %v allocations, %d B at 200 facts, %d B at 2,000", workers, allocs[0], bytes[0], bytes[1])
 	}
 }
 

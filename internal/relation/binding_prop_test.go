@@ -13,24 +13,37 @@ import (
 )
 
 // checkBinding is the relation's binding contract: bound means a column
-// as long as Tuples whose every id names its row's fact; unbound means
-// no dictionary and no column under either accessor name.
+// as long as Tuples whose every id names its row's fact, and a fact-run
+// index with one run per stretch of equal ids that — sorted — counts the
+// rows below each fact; unbound means no dictionary, no column under
+// either accessor name and, with rows, no index. It builds the index
+// each time, so the next mutator has one to leave stale.
 func checkBinding(t *testing.T, ctx string, r *relation.Relation) {
 	t.Helper()
-	d, fid := r.Dict(), r.FidCol()
+	d, fid, x := r.Dict(), r.FidCol(), r.Runs()
 	if d == nil {
-		if fid != nil || r.BuildCols() != nil {
-			t.Fatalf("%s: unbound relation hands out a fid column", ctx)
+		if fid != nil || r.BuildCols() != nil || (x == nil) != (r.Len() > 0) {
+			t.Fatalf("%s: unbound relation hands out a fid column or a fact-run index", ctx)
 		}
 		return
 	}
 	if len(fid) != len(r.Tuples) || (len(fid) > 0 && &fid[0] != &r.BuildCols()[0]) {
 		t.Fatalf("%s: bound relation of %d rows carries %d ids", ctx, len(r.Tuples), len(fid))
 	}
+	runs, sorted := 0, r.IsSorted()
 	for i, id := range fid {
 		if id < 0 || id >= int64(d.Len()) || d.Key(keys.FactID(id)) != r.Tuples[i].Fact.Key() || r.KeyAt(i) != r.Tuples[i].Fact.Key() {
 			t.Fatalf("%s: row %d holds fact %s, its id %d names another", ctx, i, r.Tuples[i].Fact, id)
 		}
+		if i == 0 || id != fid[i-1] {
+			runs++
+			if sorted && x.Below(id) != i {
+				t.Fatalf("%s: the fact-run index counts %d rows below fact %d, the column %d", ctx, x.Below(id), id, i)
+			}
+		}
+	}
+	if x == nil || x.Len() != runs || (sorted && x.Below(int64(d.Len())) != len(fid)) {
+		t.Fatalf("%s: the fact-run index does not describe the column's %d runs over %d rows", ctx, runs, len(fid))
 	}
 	invariant.CheckColsMirror(r, ctx) // the tagged lane's form of the same contract
 }
@@ -75,8 +88,9 @@ func refSorted(rows []relation.Tuple) []relation.Tuple {
 
 // TestBindingSurvivesEveryMutator is the seeded property test of the
 // relation-owned binding: random sequences of every operation that
-// touches rows or binding keep "bound ⇒ the column mirrors the rows",
-// never lose or reorder a row except where the operation says so, and
+// touches rows or binding keep "bound ⇒ the column mirrors the rows and
+// the fact-run index describes the column" (checkBinding), never lose or
+// reorder a row except where the operation says so, and
 // Sort ≡ the reference stable sort on key strings — for
 // one- and three-attribute facts, including values that contain the key
 // codec's separator and escape bytes.

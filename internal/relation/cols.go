@@ -44,6 +44,7 @@ func (r *Relation) SetBinding(d *keys.Dict, fid []int64, region []byte) error {
 		return fmt.Errorf("relation %s: SetBinding column of %d ids does not mirror %d tuples", r.Schema.Name, len(fid), len(r.Tuples))
 	}
 	r.dict, r.fid, r.region = d, fid[:len(fid):len(fid)], region
+	r.runs.Store(nil)
 	r.frozen = r.frozen || region != nil
 	return nil
 }
@@ -53,25 +54,75 @@ func (r *Relation) SetBinding(d *keys.Dict, fid []int64, region []byte) error {
 // can append into the parent), and the dictionary and the foreign
 // region the column may alias are carried along — a view of a restored
 // relation still reads the mapping, and the tpinvariants build still
-// bounds-checks it on every FidCol read. The view shares the parent's
-// rows, so it is born frozen whether or not the parent is: the engine
-// cuts sorted leaves into per-shard views with it, any number of plans
-// at once.
+// bounds-checks it on every FidCol read. A parent that has built its
+// fact-run index hands the view one derived from it (two binary
+// searches, nothing copied). The view shares the parent's rows, so it is
+// born frozen whether or not the parent is: the engine cuts sorted
+// leaves into per-shard views with it, any number of plans at once.
 func (r *Relation) Slice(lo, hi int) *Relation {
 	v := &Relation{Schema: r.Schema, Tuples: r.Tuples[lo:hi:hi], frozen: true}
 	if fid := r.FidCol(); fid != nil {
 		v.dict, v.fid, v.region = r.dict, fid[lo:hi:hi], r.region
+		if x := r.runs.Load(); x != nil {
+			v.runs.Store(x.slice(lo, hi))
+		}
 	}
 	return v
 }
 
 // SkipToFid returns the index of the first entry of the sorted id
-// column >= target, by galloping (see gallop): a run of m skipped
+// column >= target, by galloping: an exponential probe from the front
+// brackets the boundary and binary search pins it, so a run of m skipped
 // entries costs O(log m) probes, each one bounds-checked load and one
-// integer compare. It is the cut primitive of the engine's shard plan;
-// the sweep skips with SkipTo, the same gallop over (fact, time) points.
+// integer compare, however long the rest. Runs.Seek and Runs.Below
+// gallop the index's fact ids with it; SkipTo gallops a block's column.
 func SkipToFid(fid []int64, target int64) int {
-	return gallop(len(fid), func(i int) bool { return fid[i] < target })
+	n := len(fid)
+	if n == 0 || fid[0] >= target {
+		return 0
+	}
+	// Double until fid[hi] >= target or the column ends. Invariant
+	// afterwards: fid[hi/2] < target, so the answer lies in
+	// (hi/2, min(hi, n)].
+	hi := 1
+	for hi < n && fid[hi] < target {
+		hi *= 2
+	}
+	lo := hi/2 + 1
+	hi = min(hi, n)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1) // lo <= mid < hi: in bounds, overflow-free
+		if fid[mid] < target {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// skipEnded is SkipToFid over the end points of rows that ascend by end
+// point: the index of the first row whose interval ends after te.
+func skipEnded(rows []Tuple, te interval.Time) int {
+	n := len(rows)
+	if n == 0 || rows[0].T.Te > te {
+		return 0
+	}
+	hi := 1
+	for hi < n && rows[hi].T.Te <= te {
+		hi *= 2
+	}
+	lo := hi/2 + 1
+	hi = min(hi, n)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if rows[mid].T.Te <= te {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
 }
 
 // MinTime is the time bound that turns SkipTo into a fact-only skip: no
@@ -83,13 +134,16 @@ const MinTime interval.Time = math.MinInt64
 // (target, te): its fact id is above target, or equals target and its
 // interval ends after te. Everything before it is "below the point":
 // a smaller fact, or the target fact at a time that is over by te. With
-// te = MinTime it is SkipToFid.
+// te = MinTime it is SkipToFid and reads no row.
 //
-// The column is searched before a row is touched — a probe into it is a
-// dense int64 load, a probe into the rows a cache miss: gallop to the
-// target fact's run [lo, hi); a first row that is still running is the
-// answer (the dense case), a last row that is over by te puts it at hi,
-// and only otherwise are the end points inside the run searched.
+// It is the skip over blocks no index describes — an operator's computed
+// output, a selection's copied rows; a scan answers from its relation's
+// Runs instead (Runs.Seek, the same answer). The column is searched
+// before a row is touched — a probe into it is a dense int64 load, a
+// probe into the rows a cache miss: gallop to the target fact's run
+// [lo, hi); a first row that is still running is the answer (the dense
+// case), a last row that is over by te puts it at hi, and only otherwise
+// are the end points inside the run searched.
 //
 // That search needs end points to ascend within the run: the rows of
 // one fact ascend by start point, and in a duplicate-free relation
@@ -100,7 +154,7 @@ const MinTime interval.Time = math.MinInt64
 // duplicate-free by Def. 3.
 func SkipTo(fid []int64, rows []Tuple, target int64, te interval.Time) int {
 	lo := SkipToFid(fid, target)
-	if lo == len(fid) || fid[lo] != target || rows[lo].T.Te > te {
+	if te == MinTime || lo == len(fid) || fid[lo] != target || rows[lo].T.Te > te {
 		return lo
 	}
 	hi := lo + SkipToFid(fid[lo:], target+1)
@@ -108,35 +162,5 @@ func SkipTo(fid []int64, rows []Tuple, target int64, te interval.Time) int {
 		return hi
 	}
 	// rows[lo] is below the point and rows[hi-1] is not: the boundary is in (lo, hi-1].
-	return lo + 1 + gallop(hi-lo-2, func(i int) bool { return rows[lo+1+i].T.Te <= te })
-}
-
-// gallop returns the first index in [0, n) at which the monotone
-// predicate below turns false (n when it never does): an exponential
-// probe from the front brackets the boundary, binary search pins it —
-// O(log m) probes for a boundary m entries in, however long the rest.
-func gallop(n int, below func(i int) bool) int {
-	if n == 0 || !below(0) {
-		return 0
-	}
-	// Double until below(hi) fails or the range ends. Invariant
-	// afterwards: below(hi/2) holds, so the answer lies in
-	// (hi/2, min(hi, n)].
-	hi := 1
-	for hi < n && below(hi) {
-		hi *= 2
-	}
-	lo := hi/2 + 1
-	if hi > n {
-		hi = n
-	}
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1) // lo <= mid < hi: in bounds, overflow-free
-		if below(mid) {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
+	return lo + 1 + skipEnded(rows[lo+1:hi-1], te)
 }

@@ -35,6 +35,16 @@
 //     resize of that public field invalidates as a whole (see Relation).
 //     Ids are ranks over the sorted key set, so the integer order
 //     (fid, Ts, Te) IS the canonical order.
+//   - Beside the column a bound relation keeps its fact-run index
+//     (Runs: the distinct fids in row order and the first row of each),
+//     the skip and cut primitive of the execution stack: Runs.Seek
+//     answers a scan's skip to a (fact, time) point in index steps plus
+//     a log-search of end points only inside a run, Runs.Below counts
+//     the rows below a fact for the engine's shard cut. It is built once,
+//     on first demand, published atomically for concurrent readers,
+//     dropped by every mutator that changes the column, and derived
+//     without a copy by Slice. SkipTo is the same skip over a block no
+//     index describes, by a gallop of its column.
 //
 // Paper map: Defs. 1–2 (TP relation, duplicate-freeness, change
 // preservation), τ_t^p (§II), Table IV statistics (§VII-C), overlapping

@@ -1,13 +1,16 @@
 package relation
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
-// FuzzSkipToFid is the differential pin on the shard cut's primitive:
-// on arbitrary fuzzer-derived sorted id columns, the galloping search
-// must land on exactly the index a linear scan finds — the first entry
-// not below the probe. Deltas are cumulated so any byte string yields a
-// valid non-decreasing column; the probe covers below-, inside- and
-// past-range targets.
+// FuzzSkipToFid is the differential pin on the column gallop — the
+// search SkipTo and the fact-run index run over ids: on arbitrary
+// fuzzer-derived sorted id columns, it must land on exactly the index a
+// linear scan finds — the first entry not below the probe. Deltas are
+// cumulated so any byte string yields a valid non-decreasing column; the
+// probe covers below-, inside- and past-range targets.
 func FuzzSkipToFid(f *testing.F) {
 	f.Add([]byte{1, 0, 3, 3, 7}, uint16(2))
 	f.Add([]byte{0, 0, 0, 0}, uint16(0))
@@ -25,30 +28,62 @@ func FuzzSkipToFid(f *testing.F) {
 			fid[i] = acc
 		}
 		target := int64(probe) % (acc + 2) // below, within and past the column
-
-		got := SkipToFid(fid, target)
-		want := 0
-		for want < len(fid) && fid[want] < target {
-			want++
-		}
-		if got != want {
+		if got, want := SkipToFid(fid, target), skipLinear(fid, nil, 0, target, MinTime); got != want {
 			t.Fatalf("SkipToFid(%v, %d) = %d, want %d", fid, target, got, want)
 		}
 	})
 }
 
-// FuzzSkipTo is the differential pin on the sweep's run-skipping
-// primitive: on arbitrary fuzzer-derived blocks — a sorted id column
-// over rows whose intervals, per fact, are disjoint and ascending, the
-// shape of every duplicate-free sorted relation — the gallop to a
-// (fact, time) point must land on exactly the index a linear scan
-// finds: the first row that is not of a smaller fact and not of the
-// target fact ending at or before the time. Each byte is one row: its
-// low two bits open a new fact or stay (runs of a few rows per fact),
-// the rest are the gap to the previous interval of the fact (0–3, so
-// adjacency occurs) and the length. Probes cover facts below, inside and
-// past the block, times before, inside and past a fact's chain, and the
-// minimum time, which must agree with SkipToFid.
+// fuzzBlock decodes fuzzer bytes into the shape of every duplicate-free
+// sorted relation: a sorted id column over rows whose intervals, per
+// fact, are disjoint and ascending. Each byte is one row: its low two
+// bits open a new fact or stay (runs of a few rows per fact), the rest
+// are the gap to the previous interval of the fact (0–3, so adjacency
+// occurs) and the length. It returns the last fact id and the latest end
+// point as the probe ranges.
+func fuzzBlock(data []byte) (fid []int64, rows []Tuple, lastFid, maxTe int64) {
+	if len(data) > 2048 {
+		data = data[:2048]
+	}
+	fid, rows = make([]int64, len(data)), make([]Tuple, len(data))
+	var cursor int64
+	for i, d := range data {
+		if d&3 == 0 {
+			lastFid, cursor = lastFid+1, 0
+		}
+		ts := cursor + int64(d>>2&3)
+		cursor = ts + 1 + int64(d>>4)
+		fid[i], rows[i].T.Ts, rows[i].T.Te = lastFid, ts, cursor
+		maxTe = max(maxTe, cursor)
+	}
+	return fid, rows, lastFid, maxTe
+}
+
+// fuzzPoint turns fuzzer probes into a (fact, time) point: facts below,
+// inside and past the block, times before, inside and past every chain,
+// and the minimum time (a fact-only skip) for a negative probe.
+func fuzzPoint(probeFact uint16, probeTime int16, lastFid, maxTe int64) (int64, int64) {
+	if probeTime < 0 {
+		return int64(probeFact) % (lastFid + 2), MinTime
+	}
+	return int64(probeFact) % (lastFid + 2), int64(probeTime) % (maxTe + 2)
+}
+
+// skipLinear is the reference every skip is checked against: the first
+// row at or after from that is neither of a smaller fact nor of the
+// target fact ending at or before te (rows is not read for MinTime).
+func skipLinear(fid []int64, rows []Tuple, from int, target, te int64) int {
+	for from < len(fid) && (fid[from] < target || (fid[from] == target && te != MinTime && rows[from].T.Te <= te)) {
+		from++
+	}
+	return from
+}
+
+// FuzzSkipTo is the differential pin on the block gallop — the skip over
+// computed and copied blocks, which no index describes: on arbitrary
+// fuzzBlock blocks the search to a (fact, time) point must land on
+// exactly the index the linear scan finds, and on SkipToFid's answer for
+// the minimum time.
 func FuzzSkipTo(f *testing.F) {
 	f.Add([]byte{0x00, 0x15, 0x26, 0x37, 0x00, 0x41}, uint16(1), int16(5))
 	f.Add([]byte{0x00, 0x11, 0x11, 0x11, 0x11, 0x11, 0x11, 0x11}, uint16(1), int16(6)) // one fact (the Fig. 7 shape), adjacent intervals
@@ -57,37 +92,90 @@ func FuzzSkipTo(f *testing.F) {
 	f.Add([]byte{}, uint16(0), int16(0))                                               // empty block
 	f.Add([]byte{0x00, 0x75, 0x75, 0x00, 0x75}, uint16(1), int16(1000))                // time past the fact's chain: into the next fact
 	f.Fuzz(func(t *testing.T, data []byte, probeFact uint16, probeTime int16) {
-		if len(data) > 2048 {
-			data = data[:2048]
-		}
-		fid := make([]int64, len(data))
-		rows := make([]Tuple, len(data))
-		var acc, cursor, maxTe int64
-		for i, d := range data {
-			if d&3 == 0 {
-				acc, cursor = acc+1, 0
-			}
-			ts := cursor + int64(d>>2&3)
-			cursor = ts + 1 + int64(d>>4)
-			fid[i], rows[i].T.Ts, rows[i].T.Te = acc, ts, cursor
-			maxTe = max(maxTe, cursor)
-		}
-		target := int64(probeFact) % (acc + 2) // below, within and past the block
-		te := MinTime
-		if probeTime >= 0 {
-			te = int64(probeTime) % (maxTe + 2) // before, within and past every chain
-		}
-
+		fid, rows, lastFid, maxTe := fuzzBlock(data)
+		target, te := fuzzPoint(probeFact, probeTime, lastFid, maxTe)
 		got := SkipTo(fid, rows, target, te)
-		want := 0
-		for want < len(fid) && (fid[want] < target || (fid[want] == target && rows[want].T.Te <= te)) {
-			want++
-		}
-		if got != want {
+		if want := skipLinear(fid, rows, 0, target, te); got != want {
 			t.Fatalf("SkipTo(%v, %v, %d, %d) = %d, want %d", fid, rows, target, te, got, want)
 		}
 		if byFid := SkipToFid(fid, target); te == MinTime && got != byFid {
 			t.Fatalf("SkipTo(…, %d, MinTime) = %d, SkipToFid = %d", target, got, byFid)
 		}
+	})
+}
+
+// FuzzSkipToIndexed is the differential pin on the fact-run index, the
+// skip every scan answers: over a sorted, duplicate-free relation built
+// from a fuzzBlock, and over a Slice view of it at an arbitrary
+// [lo, hi) — which starts inside a run as often as not — the index must
+// describe the column run for run, Runs.Seek from an arbitrary read
+// position and hint must land where the linear scan does and return a
+// hint the next skip may start from, and Runs.Below must count the rows
+// below the fact. Then the relation gains a row of its first fact after
+// all others (Add) and is re-sorted (Sort): after each, its index must
+// describe the new column, never the one it was built over.
+func FuzzSkipToIndexed(f *testing.F) {
+	f.Add([]byte{0x00, 0x15, 0x26, 0x37, 0x00, 0x41}, uint16(1), uint16(5), uint16(1), uint16(0), uint16(1), int16(5))
+	f.Add([]byte{0x00, 0x11, 0x11, 0x11, 0x00, 0x11, 0x11, 0x11}, uint16(2), uint16(7), uint16(0), uint16(1), uint16(1), int16(6)) // view starts mid-run
+	f.Add([]byte{0x00, 0x00, 0x00, 0x00}, uint16(0), uint16(4), uint16(2), uint16(3), uint16(2), int16(-1))                        // one row per fact, a stale hint, minimum time
+	f.Add([]byte{0x00, 0x75, 0x75, 0x00, 0x75}, uint16(1), uint16(5), uint16(0), uint16(0), uint16(1), int16(1000))                // time past the chain: into the next fact
+	f.Add([]byte{0x00, 0x15, 0x15, 0x15}, uint16(3), uint16(3), uint16(0), uint16(0), uint16(1), int16(2))                         // empty view
+	f.Add([]byte{}, uint16(0), uint16(0), uint16(0), uint16(0), uint16(0), int16(0))                                               // empty relation
+	f.Fuzz(func(t *testing.T, data []byte, lo, hi, from, hint, probeFact uint16, probeTime int16) {
+		fid, rows, lastFid, maxTe := fuzzBlock(data)
+		r := New(NewSchema("r", "F"))
+		for i := range rows {
+			rows[i].Fact = NewFact(fmt.Sprintf("f%05d", fid[i]))
+		}
+		r.Tuples = rows
+		InternAll(r) // ids are ranks: the block's ids less fid[0]
+		n := r.Len()
+		target, te := fuzzPoint(probeFact, probeTime, lastFid, maxTe)
+
+		describes := func(what string, rel *Relation) {
+			t.Helper()
+			x, col := rel.Runs(), rel.FidCol()
+			want := buildRuns(col)
+			if x.Len() != want.Len() || x.first(x.Len()) != len(col) {
+				t.Fatalf("%s: index of %d runs over %d rows, the column has %d runs over %d rows", what, x.Len(), x.first(x.Len()), want.Len(), len(col))
+			}
+			for k := range want.Len() {
+				if x.fid[k] != want.fid[k] || x.first(k) != want.first(k) {
+					t.Fatalf("%s: run %d is fact %d from row %d, the column says fact %d from row %d", what, k, x.fid[k], x.first(k), want.fid[k], want.first(k))
+				}
+			}
+		}
+		check := func(what string, rel *Relation, from, hint int) {
+			t.Helper()
+			describes(what, rel)
+			x, col := rel.Runs(), rel.FidCol()
+			from = min(from, len(col))
+			got, run := x.Seek(rel.Tuples, from, hint, target, te)
+			if want := skipLinear(col, rel.Tuples, from, target, te); got != want {
+				t.Fatalf("%s: Seek(from %d, hint %d, %d, %d) = %d, want %d", what, from, hint, target, te, got, want)
+			}
+			if run < 0 || run > x.Len() || x.first(run) > got {
+				t.Fatalf("%s: Seek landed on row %d and returned run %d, which starts at row %d", what, got, run, x.first(min(max(run, 0), x.Len())))
+			}
+			if got, want := x.Below(target), skipLinear(col, nil, 0, target, MinTime); got != want {
+				t.Fatalf("%s: Below(%d) = %d, want %d", what, target, got, want)
+			}
+		}
+
+		check("relation", r, int(from), int(hint))
+		a, b := min(int(lo)%(n+1), int(hi)%(n+1)), max(int(lo)%(n+1), int(hi)%(n+1))
+		v := r.Slice(a, b)
+		check(fmt.Sprintf("view [%d, %d)", a, b), v, int(from), int(hint))
+		if n == 0 {
+			return
+		}
+		r.Add(NewBase(r.Tuples[0].Fact, "late", maxTe+1, maxTe+2, 0.5))
+		if r.Dict() == nil || r.IsSorted() == (n > 0 && fid[0] != fid[n-1]) {
+			t.Fatalf("the added row of the first fact should keep the binding and break the order only when there is a later fact")
+		}
+		describes("relation after Add", r) // out of order when the first fact is not the last: describes, cannot answer
+		r.Sort()
+		check("relation after Sort", r, int(from), int(hint))
+		check(fmt.Sprintf("view [%d, %d) after its parent changed", a, b), v, int(from), int(hint))
 	})
 }

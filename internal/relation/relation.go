@@ -5,6 +5,7 @@ import (
 	"math"
 	"slices"
 	"strings"
+	"sync/atomic"
 
 	"github.com/tpset/tpset/internal/interval"
 	"github.com/tpset/tpset/internal/keys"
@@ -214,6 +215,10 @@ func (t Tuple) String() string {
 // that resizes it directly leaves the column behind, and a column whose
 // length is not len(Tuples) reads as no binding at all. In-place edits
 // of a fact inside a bound relation are the caller's responsibility.
+//
+// Beside the column a bound relation keeps its fact-run index (Runs),
+// built on first demand and dropped by every mutator that changes the
+// column.
 type Relation struct {
 	Schema Schema
 	Tuples []Tuple
@@ -224,6 +229,10 @@ type Relation struct {
 	// SetBinding installed it; nil for a heap column. The tpinvariants
 	// build checks every FidCol read against it.
 	region []byte
+	// runs is the fact-run index of fid, nil until Runs builds it. It is
+	// the one thing a reader publishes into a relation, so it is atomic:
+	// a catalog relation is read by concurrent plans without a lock.
+	runs atomic.Pointer[Runs]
 	// frozen marks the relation read-only: mutators panic. Set for
 	// relations whose rows or column are shared — a restored segment's
 	// mapping, a Slice view's parent.
@@ -234,7 +243,10 @@ type Relation struct {
 // still mirrors Tuples row for row.
 func (r *Relation) bound() bool { return r.dict != nil && len(r.fid) == len(r.Tuples) }
 
-func (r *Relation) unbind() { r.dict, r.fid, r.region = nil, nil, nil }
+func (r *Relation) unbind() {
+	r.dict, r.fid, r.region = nil, nil, nil
+	r.runs.Store(nil)
+}
 
 // mutable panics when the relation is frozen; every mutator calls it
 // first, so an aliased mapping can never be written through a stale
@@ -270,6 +282,7 @@ func (r *Relation) Add(t Tuple) {
 	}
 	if ok {
 		r.fid = append(r.fid, int64(id))
+		r.runs.Store(nil)
 	} else {
 		r.unbind()
 	}
@@ -343,6 +356,7 @@ func (r *Relation) bindKeys(d *keys.Dict, ks []string) bool {
 		fid[i], prev = int64(id), k
 	}
 	r.dict, r.fid = d, fid // region stays nil: a relation over a mapping is frozen
+	r.runs.Store(nil)
 	return true
 }
 

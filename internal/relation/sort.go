@@ -123,6 +123,7 @@ func (r *Relation) Sort() {
 		for j := range ks {
 			r.fid[j] = ks[j].fid
 		}
+		r.runs.Store(nil)
 	}
 	relayLeaves(rows)
 }

@@ -1,8 +1,11 @@
 package server
 
 import (
+	"fmt"
+	"sync"
 	"testing"
 
+	"github.com/tpset/tpset/internal/core"
 	"github.com/tpset/tpset/internal/relation"
 )
 
@@ -81,5 +84,59 @@ func TestCatalogList(t *testing.T) {
 	}
 	if c.Len() != 2 {
 		t.Fatalf("Len() = %d", c.Len())
+	}
+}
+
+// TestFreshCatalogRelationPublishesOneRunIndex opens the first scans of a
+// freshly admitted relation from 8 goroutines at once, as the first
+// concurrent queries over it do. Each builds the relation's fact-run
+// index or finds it built; all must end up with the one index the
+// relation published (the -race lane checks the publication itself), and
+// every scan must skip from it to the same row.
+func TestFreshCatalogRelationPublishesOneRunIndex(t *testing.T) {
+	r := relation.New(relation.NewSchema("r", "Product"))
+	for f := 0; f < 64; f++ {
+		for j := int64(0); j < 8; j++ {
+			r.AddBase(relation.NewFact(fmt.Sprintf("p%03d", f)), fmt.Sprintf("r%d.%d", f, j), 2*j, 2*j+1, 0.5)
+		}
+	}
+	c := NewCatalog()
+	c.Put("r", r)
+	db, _, err := c.Snapshot([]string{"r"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rel := db["r"]
+	target, ok := rel.Dict().ID("p040")
+	if !ok {
+		t.Fatal("admission did not bind the relation")
+	}
+	const readers = 8
+	seen, landed := make([]*relation.Runs, readers), make([]int64, readers)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := range readers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			seen[i] = rel.Runs()
+			scan := core.NewScanCursor(rel)
+			scan.SkipTo(int64(target), 4)
+			b := core.NewBatch(1)
+			if scan.NextBatch(b) {
+				landed[i] = b.Fid[0]<<32 | b.Tuples[0].T.Ts
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+	for i := range readers {
+		if seen[i] == nil || seen[i] != seen[0] || seen[i] != rel.Runs() {
+			t.Fatalf("reader %d saw index %p, reader 0 %p, the relation holds %p", i, seen[i], seen[0], rel.Runs())
+		}
+		if want := int64(target)<<32 | 4; landed[i] != want {
+			t.Fatalf("reader %d landed on %#x, want fact p040 at time 4 (%#x)", i, landed[i], want)
+		}
 	}
 }
