@@ -65,17 +65,3 @@ func Logger(ctx context.Context) *slog.Logger {
 	l, _ := ctx.Value(ctxKeyLogger).(*slog.Logger)
 	return l
 }
-
-// NopLogger returns a logger that discards everything — the server's
-// default when no logger is configured, so library users and tests get
-// silence without nil checks at every call site.
-func NopLogger() *slog.Logger { return slog.New(nopHandler{}) }
-
-// nopHandler discards all records (slog.DiscardHandler exists only in
-// newer Go releases than the module targets).
-type nopHandler struct{}
-
-func (nopHandler) Enabled(context.Context, slog.Level) bool  { return false }
-func (nopHandler) Handle(context.Context, slog.Record) error { return nil }
-func (h nopHandler) WithAttrs([]slog.Attr) slog.Handler      { return h }
-func (h nopHandler) WithGroup(string) slog.Handler           { return h }

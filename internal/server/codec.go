@@ -121,9 +121,24 @@ func encodeVarProbs(tj *TupleJSON, lam *lineage.Expr, probs map[string]float64) 
 // resolve through the tuple's varProbs map, falling back to the tuple's p
 // for a single bare variable. The decoded relation is sorted into
 // canonical (fact, Ts) order but NOT validated for duplicate-freeness —
-// callers admitting data of unknown provenance (the PUT handler) must call
+// callers admitting data of unknown provenance must call
 // ValidateDuplicateFree themselves.
 func DecodeRelation(rj RelationJSON, name string) (*relation.Relation, error) {
+	rel, err := decodeRows(rj, name)
+	if err != nil {
+		return nil, err
+	}
+	// Intern before sorting: ids are constructed once at the wire
+	// boundary and the sort runs on integer compares.
+	rel.Intern()
+	rel.Sort()
+	return rel, nil
+}
+
+// decodeRows is DecodeRelation without the intern and the sort: the
+// rows in body order, unbound. The PUT handler hands them to
+// admitRelation, which interns, validates and sorts in one place.
+func decodeRows(rj RelationJSON, name string) (*relation.Relation, error) {
 	if name == "" {
 		name = rj.Name
 	}
@@ -144,11 +159,6 @@ func DecodeRelation(rj RelationJSON, name string) (*relation.Relation, error) {
 		}
 		rel.Tuples[i] = t
 	}
-	// Intern before sorting: ids are constructed once at the wire
-	// boundary and the sort runs on integer compares (catalog admission
-	// rebinds to the catalog-wide dictionary, which preserves the order).
-	rel.Intern()
-	rel.Sort()
 	return rel, nil
 }
 

@@ -83,21 +83,24 @@ func TestOverloadShedsFastAndRecovers(t *testing.T) {
 		return srv.gate.inflight() == 2 && srv.gate.queuedNow() == 1
 	})
 
-	// Overflow is shed, fast, with the retry hint.
-	for i := 0; i < 5; i++ {
-		start := time.Now()
-		resp, body := do(t, "POST", ts.URL+"/query", QueryRequest{Query: "r | s", NoCache: true})
-		if elapsed := time.Since(start); elapsed > 100*time.Millisecond {
-			t.Errorf("shed %d took %v; want < 100ms", i, elapsed)
-		}
-		if resp.StatusCode != http.StatusTooManyRequests {
-			t.Fatalf("shed %d: status %d, body %s", i, resp.StatusCode, body)
-		}
-		if ra := resp.Header.Get("Retry-After"); ra != "1" {
-			t.Fatalf("shed %d: Retry-After = %q, want \"1\"", i, ra)
-		}
-		if !strings.Contains(string(body), "capacity") {
-			t.Fatalf("shed %d: body %s", i, body)
+	// Overflow is shed, fast, with the retry hint, on every verb the
+	// gate covers.
+	for _, path := range []string{"/query", "/query/explain"} {
+		for i := 0; i < 5; i++ {
+			start := time.Now()
+			resp, body := do(t, "POST", ts.URL+path, QueryRequest{Query: "r | s", NoCache: true})
+			if elapsed := time.Since(start); elapsed > 100*time.Millisecond {
+				t.Errorf("%s shed %d took %v; want < 100ms", path, i, elapsed)
+			}
+			if resp.StatusCode != http.StatusTooManyRequests {
+				t.Fatalf("%s shed %d: status %d, body %s", path, i, resp.StatusCode, body)
+			}
+			if ra := resp.Header.Get("Retry-After"); ra != "1" {
+				t.Fatalf("%s shed %d: Retry-After = %q, want \"1\"", path, i, ra)
+			}
+			if !strings.Contains(string(body), "capacity") {
+				t.Fatalf("%s shed %d: body %s", path, i, body)
+			}
 		}
 	}
 
@@ -123,8 +126,8 @@ func TestOverloadShedsFastAndRecovers(t *testing.T) {
 	waitFor(t, "gate drained", func() bool {
 		return srv.gate.inflight() == 0 && srv.gate.queuedNow() == 0
 	})
-	if got := srv.snapshotMetrics().QueriesShed; got < 5 {
-		t.Fatalf("QueriesShed = %d, want >= 5", got)
+	if got := srv.snapshotMetrics().QueriesShed; got < 10 {
+		t.Fatalf("QueriesShed = %d, want >= 10", got)
 	}
 	http.DefaultClient.CloseIdleConnections()
 	waitFor(t, "goroutines to settle", func() bool {
@@ -139,15 +142,17 @@ func TestQueryDeadlines(t *testing.T) {
 	t.Run("server timeout", func(t *testing.T) {
 		srv, ts := newGovTestServer(t, Config{Workers: 1, QueryTimeout: 30 * time.Millisecond})
 		blockEvals(t) // parks until the deadline fires
-		resp, body := do(t, "POST", ts.URL+"/query", QueryRequest{Query: "r | s", NoCache: true})
-		if resp.StatusCode != http.StatusGatewayTimeout {
-			t.Fatalf("status %d, body %s", resp.StatusCode, body)
-		}
-		if !strings.Contains(string(body), "deadline") {
-			t.Fatalf("body %s", body)
-		}
-		if got := srv.snapshotMetrics().QueriesTimedOut; got == 0 {
-			t.Fatal("QueriesTimedOut = 0 after a 504")
+		for i, path := range []string{"/query", "/query/explain"} {
+			resp, body := do(t, "POST", ts.URL+path, QueryRequest{Query: "r | s", NoCache: true})
+			if resp.StatusCode != http.StatusGatewayTimeout {
+				t.Fatalf("%s: status %d, body %s", path, resp.StatusCode, body)
+			}
+			if !strings.Contains(string(body), "deadline") {
+				t.Fatalf("%s: body %s", path, body)
+			}
+			if got := srv.snapshotMetrics().QueriesTimedOut; got != uint64(i+1) {
+				t.Fatalf("%s: QueriesTimedOut = %d after %d 504s", path, got, i+1)
+			}
 		}
 	})
 	t.Run("request timeout", func(t *testing.T) {
@@ -241,26 +246,27 @@ func TestResultBudget(t *testing.T) {
 // the next request is served normally and the counter records it.
 func TestPanicRecoveryMaterialized(t *testing.T) {
 	srv, ts := newGovTestServer(t, Config{Workers: 1})
-	testHookEvalStart = func(context.Context) { panic("kaboom") }
 	t.Cleanup(func() { testHookEvalStart = nil })
-
-	resp, body := do(t, "POST", ts.URL+"/query", QueryRequest{Query: "r | s", NoCache: true})
-	if resp.StatusCode != http.StatusInternalServerError {
-		t.Fatalf("status %d, body %s", resp.StatusCode, body)
-	}
-	if !strings.Contains(string(body), "internal error") {
-		t.Fatalf("body %s", body)
-	}
-	testHookEvalStart = nil
-	if resp, _ := do(t, "GET", ts.URL+"/healthz", nil); resp.StatusCode != 200 {
-		t.Fatalf("server dead after recovered panic: %d", resp.StatusCode)
-	}
-	if resp, _ := do(t, "POST", ts.URL+"/query",
-		QueryRequest{Query: "r | s", NoCache: true}); resp.StatusCode != 200 {
-		t.Fatalf("query after recovered panic: %d", resp.StatusCode)
-	}
-	if got := srv.snapshotMetrics().PanicsRecovered; got != 1 {
-		t.Fatalf("PanicsRecovered = %d, want 1", got)
+	for i, path := range []string{"/query", "/query/explain"} {
+		testHookEvalStart = func(context.Context) { panic("kaboom") }
+		resp, body := do(t, "POST", ts.URL+path, QueryRequest{Query: "r | s", NoCache: true})
+		if resp.StatusCode != http.StatusInternalServerError {
+			t.Fatalf("%s: status %d, body %s", path, resp.StatusCode, body)
+		}
+		if !strings.Contains(string(body), "internal error") {
+			t.Fatalf("%s: body %s", path, body)
+		}
+		testHookEvalStart = nil
+		if resp, _ := do(t, "GET", ts.URL+"/healthz", nil); resp.StatusCode != 200 {
+			t.Fatalf("server dead after recovered panic: %d", resp.StatusCode)
+		}
+		if resp, _ := do(t, "POST", ts.URL+path,
+			QueryRequest{Query: "r | s", NoCache: true}); resp.StatusCode != 200 {
+			t.Fatalf("%s after recovered panic: %d", path, resp.StatusCode)
+		}
+		if got := srv.snapshotMetrics().PanicsRecovered; got != uint64(i+1) {
+			t.Fatalf("%s: PanicsRecovered = %d, want %d", path, got, i+1)
+		}
 	}
 }
 

@@ -2,9 +2,12 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -70,13 +73,13 @@ func TestRestartServesBitIdenticalResults(t *testing.T) {
 	for _, q := range []string{"r & s", "r | s", "r - s", "(r - s) | (s - r)"} {
 		for _, workers := range []int{1, 2, 8} {
 			req := QueryRequest{Query: q, Workers: workers, NoCache: true}
-			want, err := heap.RunQuery(req)
+			want, err := heap.RunQueryCtx(context.Background(), req)
 			if err != nil {
-				t.Fatalf("heap RunQuery(%q, w=%d): %v", q, workers, err)
+				t.Fatalf("heap RunQueryCtx(%q, w=%d): %v", q, workers, err)
 			}
-			got, err := restarted.RunQuery(req)
+			got, err := restarted.RunQueryCtx(context.Background(), req)
 			if err != nil {
-				t.Fatalf("restored RunQuery(%q, w=%d): %v", q, workers, err)
+				t.Fatalf("restored RunQueryCtx(%q, w=%d): %v", q, workers, err)
 			}
 			reftest.Check(t, q, got.Relation, query.MustParse(q), map[string]*relation.Relation{"r": hr, "s": hs})
 			wj, _ := json.Marshal(EncodeRelation(want.Relation, 0))
@@ -145,16 +148,19 @@ func TestHandlerMutationsPersistAcrossRestart(t *testing.T) {
 // even a crash before they apply restores both generations consistently.
 func TestDictionaryRebuildPersists(t *testing.T) {
 	dir := t.TempDir()
-	srv, _ := durableServer(t, dir)
+	srv, st := durableServer(t, dir)
 
 	r1 := datagen.Synthetic(datagen.SyntheticConfig{Name: "olddict", NumTuples: 300, NumFacts: 20, MaxLen: 5, MaxGap: 2, Seed: 3})
 	mustLoad(t, srv, "olddict", r1)
-	// Different name prefix → novel facts → slow-path admission.
-	r2 := datagen.Synthetic(datagen.SyntheticConfig{Name: "newdict", NumTuples: 300, NumFacts: 20, MaxLen: 5, MaxGap: 2, Seed: 4})
+	// Twice the facts → novel facts → slow-path admission, which
+	// replaces the stored olddict with a rebound clone.
+	r2 := datagen.Synthetic(datagen.SyntheticConfig{Name: "newdict", NumTuples: 300, NumFacts: 40, MaxLen: 5, MaxGap: 2, Seed: 4})
 	mustLoad(t, srv, "newdict", r2)
+	if got, _, _ := srv.Relation("olddict"); got == r1 {
+		t.Fatal("admitting newdict did not rebuild the dictionary")
+	}
 
 	restarted, st2 := durableServer(t, dir)
-	defer st2.Close()
 	for _, name := range []string{"olddict", "newdict"} {
 		want, _, _ := srv.Relation(name)
 		got, _, ok := restarted.Relation(name)
@@ -167,6 +173,34 @@ func TestDictionaryRebuildPersists(t *testing.T) {
 	b, _, _ := restarted.Relation("newdict")
 	if a.Dict() == nil || a.Dict() != b.Dict() {
 		t.Fatalf("restored relations not bound to one shared dictionary")
+	}
+
+	// Restore heals mixed generations, so the checks above hold even if
+	// the rebound sibling never reaches disk. It must: once the first
+	// store closes cleanly every segment carries the one dictionary, and
+	// the next restore aliases each mapping instead of healing.
+	if err := st2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	paths, err := filepath.Glob(filepath.Join(dir, "*.seg"))
+	if err != nil || len(paths) != 2 {
+		t.Fatalf("segment files %v (%v); want one per relation", paths, err)
+	}
+	var files []*segment.File
+	for _, path := range paths {
+		f, err := segment.OpenFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		files = append(files, f)
+	}
+	if !slices.Equal(files[0].Keys, files[1].Keys) {
+		t.Fatalf("segments %s and %s hold different dictionaries (%d vs %d keys): the rebound sibling was not persisted",
+			paths[0], paths[1], len(files[0].Keys), len(files[1].Keys))
 	}
 }
 

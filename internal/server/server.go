@@ -165,8 +165,7 @@ func (s *Server) Handler() http.Handler {
 // recoverPanics is the safety net under every handler: a panic must
 // cost its own request a 500, not the process — on a query server, one
 // malformed edge case in one operator must not take down the catalog
-// everyone else is reading. The stack goes to the structured log and
-// the panicsRecovered counter; the 500 is written only when the handler
+// everyone else is reading. The 500 is written only when the handler
 // had not started a response (a mid-stream panic is handled inside the
 // stream handler itself, which can still terminate its NDJSON framing
 // validly — see handleQueryStream).
@@ -174,28 +173,34 @@ func (s *Server) recoverPanics(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		rec := &statusRecorder{ResponseWriter: w}
 		defer func() {
-			p := recover()
-			if p == nil {
-				return
-			}
-			s.metrics.panicsRecovered.Inc()
-			lg := obs.Logger(r.Context())
-			if lg == nil {
-				lg = s.cfg.Logger
-			}
-			if lg != nil {
-				lg.LogAttrs(r.Context(), slog.LevelError, "panic recovered",
-					slog.String("method", r.Method),
-					slog.String("path", r.URL.Path),
-					slog.Any("panic", p),
-					slog.String("stack", string(debug.Stack())))
-			}
-			if rec.code == 0 {
-				writeError(rec, http.StatusInternalServerError, "internal error")
+			if p := recover(); p != nil {
+				s.logPanic(r, p, "panic recovered")
+				if rec.code == 0 {
+					writeError(rec, http.StatusInternalServerError, "internal error")
+				}
 			}
 		}()
 		next.ServeHTTP(rec, r)
 	})
+}
+
+// logPanic accounts a recovered panic: the panicsRecovered counter and,
+// when a logger is configured, one error record with the value and the
+// stack. It is called from the deferred recover, so the stack still
+// shows where the panic was raised.
+func (s *Server) logPanic(r *http.Request, p any, msg string) {
+	s.metrics.panicsRecovered.Inc()
+	lg := obs.Logger(r.Context())
+	if lg == nil {
+		lg = s.cfg.Logger
+	}
+	if lg != nil {
+		lg.LogAttrs(r.Context(), slog.LevelError, msg,
+			slog.String("method", r.Method),
+			slog.String("path", r.URL.Path),
+			slog.Any("panic", p),
+			slog.String("stack", string(debug.Stack())))
+	}
 }
 
 // requestLog is the logging middleware: it mints a request ID, attaches
@@ -276,8 +281,8 @@ func (s *Server) AttachStore(st *segment.Store) error {
 	return nil
 }
 
-// putRelation is the shared tail of Load and PUT: admit into the
-// catalog, invalidate dependent cache entries, and mirror the admission
+// putRelation is the tail of admitRelation: admit into the catalog,
+// invalidate dependent cache entries, and mirror the admission
 // (plus any dictionary-rebuild sibling rewrites) into the attached
 // store. The WAL fsync inside store.Put is the durability point.
 //
@@ -341,33 +346,44 @@ func (s *Server) dropRelation(name string) (existed bool, invalidated int, err e
 }
 
 // Load seeds or replaces a catalog relation programmatically (startup
-// seeding by cmd/tpserve; tests). Exactly like a PUT request, it checks
-// the name against the query grammar, validates duplicate-freeness,
-// sorts, bumps the version, invalidates dependent cache entries and —
-// with an attached store — WAL-logs the admission before returning.
+// seeding by cmd/tpserve; tests) through the admission path a PUT
+// request takes (admitRelation), so it mutates rel: interned, sorted and
+// bound to the catalog dictionary.
 //
 // Load and PUT are the only mutation paths: evaluation relies on catalog
 // relations being sorted and duplicate-free (it runs the drivers with
 // AssumeSorted), so the raw catalog is deliberately not exposed.
 func (s *Server) Load(name string, rel *relation.Relation) (uint64, error) {
+	version, _, err := s.admitRelation(name, rel)
+	return version, err
+}
+
+// admitRelation is the one admission path, behind Load and PUT. It
+// checks the name against the query grammar (400), interns a relation
+// that arrives unbound — csvio output arrives bound — so the duplicate
+// check groups by integer id and the sort runs on packed integer
+// compares, validates duplicate-freeness (Def. 1; 422), sorts (Sort
+// moves nothing on an ordered relation), and hands it to putRelation,
+// which rebinds it to the catalog dictionary — preserving the order —
+// bumps the version, invalidates dependent cache entries and, with an
+// attached store, WAL-logs the admission before it counts.
+func (s *Server) admitRelation(name string, rel *relation.Relation) (version uint64, existed bool, err error) {
 	if !query.IsIdent(name) {
-		return 0, fmt.Errorf("invalid relation name %q: must be an identifier of the query grammar (letters, digits, _, non-leading dots; not a reserved word)", name)
+		return 0, false, &httpError{status: http.StatusBadRequest,
+			msg: fmt.Sprintf("invalid relation name %q: must be an identifier of the query grammar (letters, digits, _, non-leading dots; not a reserved word)", name)}
 	}
-	// Intern first: the duplicate check then groups by integer id and the
-	// sort runs on packed integer compares; catalog admission (Put)
-	// rebinds to the catalog-wide dictionary, preserving the order.
-	rel.Intern()
+	if rel.Dict() == nil {
+		rel.Intern()
+	}
 	if err := rel.ValidateDuplicateFree(); err != nil {
-		return 0, err
+		return 0, false, &httpError{status: http.StatusUnprocessableEntity, msg: err.Error()}
 	}
 	rel.Sort()
-	version, _, err := s.putRelation(name, rel)
-	if err != nil {
-		return 0, err
+	if version, existed, err = s.putRelation(name, rel); err == nil {
+		s.metrics.admissions.Inc()
+		s.metrics.tuplesAdmitted.Add(uint64(rel.Len()))
 	}
-	s.metrics.admissions.Inc()
-	s.metrics.tuplesAdmitted.Add(uint64(rel.Len()))
-	return version, nil
+	return version, existed, err
 }
 
 // Drop removes a catalog relation and invalidates its dependent cache
@@ -443,7 +459,7 @@ type QueryResponse struct {
 	Trace *obs.SpanStats `json:"trace,omitempty"`
 }
 
-// QueryResult is what RunQuery returns: the QueryResponse envelope
+// QueryResult is what RunQueryCtx returns: the QueryResponse envelope
 // fields beside the result relation itself, before any encoding.
 type QueryResult struct {
 	Query         string
@@ -467,12 +483,13 @@ type preparedQuery struct {
 	db        map[string]*relation.Relation
 	versions  []RelVersion
 	workers   int
+	span      *obs.Span // the trace root when the request traces, else nil
 }
 
-// prepare runs the request prologue shared by the materializing and
-// streaming query paths: validate the request knobs, parse, push down
-// selections, snapshot the catalog, resolve the worker budget. Its
-// latency lands in the parse-phase histogram.
+// prepare runs the request prologue shared by the three query verbs:
+// validate the request knobs, parse, push down selections, snapshot the
+// catalog, resolve the worker budget. Its latency lands in the
+// parse-phase histogram.
 func (s *Server) prepare(req QueryRequest) (*preparedQuery, error) {
 	defer func(t0 time.Time) { s.metrics.parseHist.Observe(time.Since(t0)) }(time.Now())
 	if req.Workers < 0 || req.Workers > MaxWorkers {
@@ -500,38 +517,34 @@ func (s *Server) prepare(req QueryRequest) (*preparedQuery, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	return &preparedQuery{
+	pq := &preparedQuery{
 		optimized: optimized,
 		canonical: query.Canonical(optimized),
 		names:     names,
 		db:        db,
 		versions:  versions,
 		workers:   workers,
-	}, nil
+	}
+	if req.Trace {
+		pq.span = obs.NewSpan("")
+	}
+	return pq, nil
 }
 
-// RunQuery is the evaluation path of POST /query, exposed for the
-// benchmark harness and tests: parse → push down selections → snapshot
-// catalog versions → cache lookup → cursor-executor evaluation
-// (materialized only at the top) → cache store. Encoding the result is
-// the handler's job, not part of it.
-func (s *Server) RunQuery(req QueryRequest) (*QueryResult, error) {
-	return s.RunQueryCtx(context.Background(), req)
-}
-
-// RunQueryCtx is RunQuery with a request context: cancellation stops
-// the engine's shard producers, and a cancelled request never stores
-// its (truncated) result in the cache. With req.Trace the evaluation
-// runs under a span tree and the response carries its snapshot; a
-// traced request skips the cache lookup, since a hit would have no
-// execution to trace, but still stores the result it computes.
+// RunQueryCtx is the evaluation path of POST /query, exposed for tests:
+// parse → push down selections → snapshot catalog versions → cache
+// lookup → evaluation (materialized only at the top) → cache store.
+// Encoding the result is the handler's job, not part of it. With
+// req.Trace the evaluation runs under a span tree and the response
+// carries its snapshot; a traced request skips the cache lookup, since
+// a hit would have no execution to trace, but still stores the result
+// it computes.
 //
-// Evaluation runs under the resource-governance stack: the effective
-// deadline (request timeoutMillis capped by the server QueryTimeout; a
-// deadline answers 504), the admission gate (a full queue answers 429
-// with Retry-After), and the result-tuple budget (overflow answers 422
-// and is never cached). Cache hits bypass the gate — they do no
-// evaluation work.
+// A cache miss evaluates under the governance of evaluate (deadline,
+// admission gate; a cancelled request never stores its truncated
+// result) and the result-tuple budget: overflow answers 422 and is
+// never cached. Cache hits bypass the gate — they do no evaluation
+// work.
 func (s *Server) RunQueryCtx(ctx context.Context, req QueryRequest) (*QueryResult, error) {
 	pq, err := s.prepare(req)
 	if err != nil {
@@ -566,36 +579,15 @@ func (s *Server) RunQueryCtx(ctx context.Context, req QueryRequest) (*QueryResul
 		}
 	}
 
-	qctx, cancel := s.queryContext(ctx, req)
-	defer cancel()
-	if err := s.gate.acquire(qctx); err != nil {
-		return nil, s.admissionError(err)
-	}
-	defer s.gate.release()
-	if testHookEvalStart != nil {
-		testHookEvalStart(qctx)
-	}
-
-	opts := engineOptions(req)
-	var span *obs.Span
-	if req.Trace {
-		span = obs.NewSpan("")
-		opts.Span = span
-		s.metrics.traced.Inc()
-	}
-	cur, err := engine.New(engine.Config{Workers: pq.workers}).
-		CursorCtx(qctx, pq.optimized, pq.db, opts)
-	if err != nil {
-		return nil, &httpError{status: http.StatusUnprocessableEntity, msg: err.Error()}
-	}
-	// Deferred: a panic in the drain must still stop the shard producers
-	// (a RunQuery caller has no cancellable context to stop them with).
-	defer cur.Close()
-	out, within := core.MaterializeLimit(cur, s.cfg.MaxResultTuples)
-	if err := qctx.Err(); err != nil {
-		// Cancelled mid-drain: the materialized result may be truncated.
-		// Report the failure and above all do not cache it.
-		return nil, s.evalContextError(err)
+	var (
+		out    *relation.Relation
+		within bool
+	)
+	if err := s.evaluate(ctx, req, pq, func(cur *engine.StreamCursor) error {
+		out, within = core.MaterializeLimit(cur, s.cfg.MaxResultTuples)
+		return nil
+	}); err != nil {
+		return nil, err
 	}
 	if !within {
 		return nil, &httpError{status: http.StatusUnprocessableEntity,
@@ -609,10 +601,50 @@ func (s *Server) RunQueryCtx(ctx context.Context, req QueryRequest) (*QueryResul
 	s.metrics.executeHist.Observe(elapsed)
 	resp.ElapsedMicros = elapsed.Microseconds()
 	resp.Relation = out
-	if span != nil {
-		resp.Trace = span.Snapshot()
+	if pq.span != nil {
+		resp.Trace = pq.span.Snapshot()
 	}
 	return resp, nil
+}
+
+// evaluate is the one evaluation lifecycle of the three query verbs;
+// they differ only in drain, which consumes the cursor. It applies the
+// effective deadline (queryContext), claims an evaluation slot (a full
+// queue answers 429, a deadline fired while queued 504), plans the query
+// (a plan error answers 422) and runs drain. A drain error is returned
+// as it is. After a drain that returns nil the context is checked once,
+// because a deadline or a vanished client ends the cursor like a
+// complete result does: evalContextError reports the truncation. Every
+// exit, a panicking drain's included, closes the cursor — stopping the
+// shard producers — and releases the slot.
+func (s *Server) evaluate(ctx context.Context, req QueryRequest, pq *preparedQuery, drain func(*engine.StreamCursor) error) error {
+	qctx, cancel := s.queryContext(ctx, req)
+	defer cancel()
+	if err := s.gate.acquire(qctx); err != nil {
+		return s.admissionError(err)
+	}
+	defer s.gate.release()
+	if testHookEvalStart != nil {
+		testHookEvalStart(qctx)
+	}
+	if pq.span != nil {
+		s.metrics.traced.Inc()
+	}
+	// Catalog relations are validated and sorted at admission, so
+	// evaluation never re-validates and skips the leaf sort.
+	cur, err := engine.New(engine.Config{Workers: pq.workers}).CursorCtx(qctx, pq.optimized, pq.db,
+		core.Options{AssumeSorted: true, LazyProb: req.LazyProb, Span: pq.span})
+	if err != nil {
+		return &httpError{status: http.StatusUnprocessableEntity, msg: err.Error()}
+	}
+	defer cur.Close()
+	if err := drain(cur); err != nil {
+		return err
+	}
+	if err := qctx.Err(); err != nil {
+		return s.evalContextError(err)
+	}
+	return nil
 }
 
 // queryContext applies the effective evaluation deadline: the request's
@@ -635,18 +667,20 @@ func (s *Server) queryContext(ctx context.Context, req QueryRequest) (context.Co
 
 // evalContextError maps a context failure observed after evaluation: a
 // fired deadline is 504 (counted), a client cancellation stays a plain
-// 500 — the client is gone and will not read the status anyway.
+// 500 — the client is gone and will not read the status anyway. A
+// stream that already sent its 200 ends with the message in its trailer.
 func (s *Server) evalContextError(err error) error {
 	if errors.Is(err, context.DeadlineExceeded) {
 		s.metrics.queriesTimedOut.Inc()
 		return &httpError{status: http.StatusGatewayTimeout, msg: "query deadline exceeded"}
 	}
-	return &httpError{status: http.StatusInternalServerError, msg: err.Error()}
+	return &httpError{status: http.StatusInternalServerError, msg: "request cancelled"}
 }
 
 // testHookEvalStart, when non-nil, runs after a query passes the
-// admission gate and before the engine starts — the seam the overload
-// and panic tests use to hold slots occupied or to blow up evaluation.
+// admission gate and before the engine starts, on every query verb —
+// the seam the overload, deadline and panic tests use to hold slots
+// occupied or to blow up evaluation.
 var testHookEvalStart func(ctx context.Context)
 
 // writeEncoded runs encode against a pooled wire encoder, charging the
@@ -666,13 +700,6 @@ func (s *Server) writeEncoded(w http.ResponseWriter, encode func(*wireEncoder) e
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(e.buf) // write errors mean a gone client; nothing to do
-}
-
-// engineOptions maps per-request knobs onto the set-operation drivers.
-// Catalog relations are validated at admission and sorted at load, so
-// evaluation never re-validates and skips the leaf sort.
-func engineOptions(req QueryRequest) core.Options {
-	return core.Options{AssumeSorted: true, LazyProb: req.LazyProb}
 }
 
 // httpError carries a status code through the service layer, plus an
@@ -733,26 +760,17 @@ func (s *Server) handleListRelations(w http.ResponseWriter, _ *http.Request) {
 
 func (s *Server) handlePutRelation(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
-	if !query.IsIdent(name) {
-		writeError(w, http.StatusBadRequest,
-			fmt.Sprintf("invalid relation name %q: must be an identifier of the query grammar (letters, digits, _, non-leading dots; not a reserved word)", name))
-		return
-	}
 	var rj RelationJSON
 	if he := decodeBody(w, r, maxRelationBody, &rj); he != nil {
 		writeError(w, he.status, he.msg)
 		return
 	}
-	rel, err := DecodeRelation(rj, name)
+	rel, err := decodeRows(rj, name)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	if err := rel.ValidateDuplicateFree(); err != nil {
-		writeError(w, http.StatusUnprocessableEntity, err.Error())
-		return
-	}
-	version, existed, err := s.putRelation(name, rel)
+	version, existed, err := s.admitRelation(name, rel)
 	if err != nil {
 		writeErrStatus(w, err)
 		return
@@ -852,47 +870,33 @@ func (s *Server) handleQueryExplain(w http.ResponseWriter, r *http.Request) {
 		writeError(w, he.status, he.msg)
 		return
 	}
+	req.Trace = true // the trace is the answer
 	pq, err := s.prepare(req)
 	if err != nil {
 		writeErrStatus(w, err)
 		return
 	}
-	qctx, cancel := s.queryContext(r.Context(), req)
-	defer cancel()
-	if err := s.gate.acquire(qctx); err != nil {
-		writeErrStatus(w, s.admissionError(err))
+	var (
+		tuples  int64
+		elapsed time.Duration
+	)
+	if err := s.evaluate(r.Context(), req, pq, func(cur *engine.StreamCursor) error {
+		s.metrics.explains.Inc()
+		start := time.Now()
+		b := core.GetBatch()
+		for cur.NextBatch(b) {
+			tuples += int64(len(b.Tuples))
+		}
+		core.PutBatch(b)
+		elapsed = time.Since(start)
+		s.metrics.executeHist.Observe(elapsed)
+		return nil
+	}); err != nil {
+		// A drain the deadline stopped early would trace a partial
+		// execution: the 504 replaces a misleading tree.
+		writeErrStatus(w, err)
 		return
 	}
-	defer s.gate.release()
-	span := obs.NewSpan("")
-	opts := engineOptions(req)
-	opts.Span = span
-	cur, err := engine.New(engine.Config{Workers: pq.workers}).
-		CursorCtx(qctx, pq.optimized, pq.db, opts)
-	if err != nil {
-		writeError(w, http.StatusUnprocessableEntity, err.Error())
-		return
-	}
-	defer cur.Close()
-	s.metrics.explains.Inc()
-	s.metrics.traced.Inc()
-
-	start := time.Now()
-	var tuples int64
-	b := core.GetBatch()
-	for cur.NextBatch(b) {
-		tuples += int64(len(b.Tuples))
-	}
-	core.PutBatch(b)
-	elapsed := time.Since(start)
-	s.metrics.executeHist.Observe(elapsed)
-	if err := qctx.Err(); err != nil {
-		// The drain stopped early; the trace would describe a partial
-		// execution. Report the deadline instead of a misleading tree.
-		writeErrStatus(w, s.evalContextError(err))
-		return
-	}
-
 	writeJSON(w, http.StatusOK, ExplainResponse{
 		Query:         pq.canonical,
 		Complexity:    query.Classify(pq.optimized).String(),
@@ -900,7 +904,7 @@ func (s *Server) handleQueryExplain(w http.ResponseWriter, r *http.Request) {
 		Workers:       pq.workers,
 		Tuples:        tuples,
 		ElapsedMicros: elapsed.Microseconds(),
-		Trace:         span.Snapshot(),
+		Trace:         pq.span.Snapshot(),
 	})
 }
 

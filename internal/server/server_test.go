@@ -128,7 +128,8 @@ func TestHandlersTable(t *testing.T) {
 }
 
 func TestPutGetDeleteLifecycle(t *testing.T) {
-	_, ts := newTestServer(t)
+	s, ts := newTestServer(t)
+	seeded := s.snapshotMetrics()
 	rj := RelationJSON{
 		Attrs: []string{"Product"},
 		Tuples: []TupleJSON{
@@ -163,6 +164,12 @@ func TestPutGetDeleteLifecycle(t *testing.T) {
 	}
 	if put2.Version <= put.Version {
 		t.Fatalf("replace did not bump version: %d then %d", put.Version, put2.Version)
+	}
+	// A PUT is an admission like Load: both count.
+	m := s.snapshotMetrics()
+	if m.Admissions-seeded.Admissions != 2 || m.TuplesAdmitted-seeded.TuplesAdmitted != 2 {
+		t.Fatalf("two one-tuple PUTs counted %d admissions of %d tuples, want 2 of 2",
+			m.Admissions-seeded.Admissions, m.TuplesAdmitted-seeded.TuplesAdmitted)
 	}
 
 	// GET returns the stored relation with its version.

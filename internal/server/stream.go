@@ -1,12 +1,9 @@
 package server
 
 import (
-	"context"
 	"errors"
 	"fmt"
-	"log/slog"
 	"net/http"
-	"runtime/debug"
 	"time"
 
 	"github.com/tpset/tpset/internal/core"
@@ -95,61 +92,25 @@ func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Admission and deadline run before any byte is written, so shed and
-	// queued-timeout responses are ordinary status codes; once streaming
-	// starts, failures can only be reported through the trailer.
-	qctx, cancel := s.queryContext(r.Context(), req)
-	defer cancel()
-	if err := s.gate.acquire(qctx); err != nil {
-		writeErrStatus(w, s.admissionError(err))
-		return
-	}
-	defer s.gate.release()
-	if testHookEvalStart != nil {
-		testHookEvalStart(qctx)
-	}
-
-	opts := engineOptions(req)
-	var span *obs.Span
-	if req.Trace {
-		span = obs.NewSpan("")
-		opts.Span = span
-		s.metrics.traced.Inc()
-	}
-	// The context cancels the shard producers when the client
-	// disconnects mid-stream or the deadline fires — the engine stops
-	// computing tuples nobody will read.
-	cur, err := engine.New(engine.Config{Workers: pq.workers}).
-		CursorCtx(qctx, pq.optimized, pq.db, opts)
-	if err != nil {
-		writeError(w, http.StatusUnprocessableEntity, err.Error())
-		return
-	}
-	defer cur.Close()
-	s.metrics.streams.Inc()
-
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-	cw := &countingWriter{w: w}
-	enc := getWireEncoder()
-	defer enc.release()
-
-	// Every exit — complete, aborted, client gone, panic — accounts the
-	// stream once: bytes and tuples the client was sent, the drain time,
-	// and the encode time summed over its batches.
 	var (
-		start    = time.Now()
+		cw       *countingWriter // nil until the 200 is out
+		start    time.Time
 		count    int
 		encoding time.Duration
 	)
+	// Every stream that sent its 200 — complete, aborted, client gone,
+	// panic — is accounted once, after its last line: bytes and tuples
+	// the client was sent, the drain time, and the encode time summed over
+	// its batches.
 	defer func() {
-		s.metrics.bytesStreamed.Add(uint64(cw.n))
-		s.metrics.tuplesStreamed.Add(uint64(count))
-		s.metrics.streamHist.Observe(time.Since(start))
-		s.metrics.encodeHist.Observe(encoding)
+		if cw != nil {
+			s.metrics.bytesStreamed.Add(uint64(cw.n))
+			s.metrics.tuplesStreamed.Add(uint64(count))
+			s.metrics.streamHist.Observe(time.Since(start))
+			s.metrics.encodeHist.Observe(encoding)
+		}
 	}()
-
+	flusher, _ := w.(http.Flusher)
 	flush := func() {
 		if flusher != nil {
 			flusher.Flush()
@@ -171,102 +132,109 @@ func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request) {
 		})
 	}
 
-	// Mid-stream panic net: the 200 and part of the body are already on
-	// the wire, so the outer recoverPanics middleware could not keep the
-	// framing valid. Recovering here can — lines reach the client only
-	// in whole-batch writes, so whatever was being encoded is still in
-	// the buffer and is dropped, and the error trailer lands on a fresh
-	// line: the stream terminates as valid NDJSON with done:false.
-	defer func() {
-		p := recover()
-		if p == nil {
-			return
-		}
-		s.metrics.panicsRecovered.Inc()
-		lg := obs.Logger(r.Context())
-		if lg == nil {
-			lg = s.cfg.Logger
-		}
-		if lg != nil {
-			lg.LogAttrs(r.Context(), slog.LevelError, "panic recovered mid-stream",
-				slog.Any("panic", p),
-				slog.String("stack", string(debug.Stack())))
-		}
-		abort("internal error: evaluation panicked mid-stream")
-	}()
+	// Admission, deadline and plan errors come back before any byte is
+	// written, so they are ordinary status codes; once the 200 is out,
+	// failures can only be reported through the trailer.
+	err = s.evaluate(r.Context(), req, pq, func(cur *engine.StreamCursor) (err error) {
+		s.metrics.streams.Inc()
+		w.Header().Set("Content-Type", "application/x-ndjson")
+		w.WriteHeader(http.StatusOK)
+		cw, start = &countingWriter{w: w}, time.Now()
+		enc := getWireEncoder()
+		defer enc.release()
+		// Mid-stream panic net: the 200 and part of the body are already
+		// on the wire, so the outer recoverPanics middleware could not keep
+		// the framing valid. Recovering here can — lines reach the client
+		// only in whole-batch writes, so whatever was being encoded is
+		// still in the buffer and is dropped, and the error trailer lands
+		// on a fresh line: the stream terminates as valid NDJSON with
+		// done:false.
+		defer func() {
+			if p := recover(); p != nil {
+				s.logPanic(r, p, "panic recovered mid-stream")
+				abort("internal error: evaluation panicked mid-stream")
+				err = errStreamEnded
+			}
+		}()
 
-	schema := cur.Schema()
-	meta := StreamMeta{
-		Query:      pq.canonical,
-		Complexity: query.Classify(pq.optimized).String(),
-		Inputs:     pq.versions,
-		Name:       schema.Name,
-		Attrs:      schema.Attrs,
-	}
-	if meta.Attrs == nil {
-		meta.Attrs = []string{}
-	}
-	// Flushed on its own — time-to-first-byte: the client learns the
-	// schema immediately.
-	if !writeLine(meta) {
-		return // client gone
-	}
+		schema := cur.Schema()
+		meta := StreamMeta{
+			Query:      pq.canonical,
+			Complexity: query.Classify(pq.optimized).String(),
+			Inputs:     pq.versions,
+			Name:       schema.Name,
+			Attrs:      schema.Attrs,
+		}
+		if meta.Attrs == nil {
+			meta.Attrs = []string{}
+		}
+		// Flushed on its own — time-to-first-byte: the client learns the
+		// schema immediately.
+		if !writeLine(meta) {
+			return errStreamEnded // client gone
+		}
 
-	limit := s.cfg.MaxResultTuples
-	b := core.NewBatch(streamRampBatch) // unpooled: stream-local cadence sizes
-	for cur.NextBatch(b) {
-		if testHookStreamBatch != nil {
-			testHookStreamBatch(count, b)
+		limit := s.cfg.MaxResultTuples
+		b := core.NewBatch(streamRampBatch) // unpooled: stream-local cadence sizes
+		for cur.NextBatch(b) {
+			if testHookStreamBatch != nil {
+				testHookStreamBatch(count, b)
+			}
+			if limit > 0 && count+len(b.Tuples) > limit {
+				// The batch in hand proves the result exceeds the budget;
+				// abort without shipping the overflow. Done stays false.
+				abort(fmt.Sprintf("result exceeds the server's maxResultTuples budget (%d); stream aborted", limit))
+				return errStreamEnded
+			}
+			t0 := time.Now()
+			enc.buf = enc.buf[:0]
+			n, encErr := enc.batchLines(b)
+			encoding += time.Since(t0)
+			if _, err := cw.Write(enc.buf); err != nil {
+				return errStreamEnded // client gone; evaluate's Close releases the producers
+			}
+			flush()
+			count += n
+			if encErr != nil {
+				// The rows before the bad one are on the wire; the stream
+				// ends here with a reason instead of an invalid line.
+				abort(fmt.Sprintf("result tuple %d: %v; stream truncated", count, encErr))
+				return errStreamEnded
+			}
+			if b.Cap() == streamRampBatch {
+				// The ramp batch has shipped (time to first tuple); switch
+				// to the steady cadence size.
+				b = core.NewBatch(streamBatchTuples)
+			}
 		}
-		if limit > 0 && count+len(b.Tuples) > limit {
-			// The batch in hand proves the result exceeds the budget;
-			// abort without shipping the overflow. Done stays false.
-			abort(fmt.Sprintf("result exceeds the server's maxResultTuples budget (%d); stream aborted", limit))
-			return
+		return nil
+	})
+	switch {
+	case cw == nil:
+		writeErrStatus(w, err)
+	case err == nil:
+		trailer := StreamTrailer{
+			Done:          true,
+			Tuples:        count,
+			ElapsedMicros: time.Since(start).Microseconds(),
 		}
-		t0 := time.Now()
-		enc.buf = enc.buf[:0]
-		n, encErr := enc.batchLines(b)
-		encoding += time.Since(t0)
-		if _, err := cw.Write(enc.buf); err != nil {
-			return // client gone; Close (deferred) releases the producers
+		if pq.span != nil {
+			trailer.Trace = pq.span.Snapshot()
 		}
-		flush()
-		count += n
-		if encErr != nil {
-			// The rows before the bad one are on the wire; the stream
-			// ends here with a reason instead of an invalid line.
-			abort(fmt.Sprintf("result tuple %d: %v; stream truncated", count, encErr))
-			return
-		}
-		if b.Cap() == streamRampBatch {
-			// The ramp batch has shipped (time to first tuple); switch
-			// to the steady cadence size.
-			b = core.NewBatch(streamBatchTuples)
-		}
-	}
-	if err := qctx.Err(); err != nil {
+		writeLine(trailer)
+	case err != errStreamEnded:
 		// The drain ended because the deadline fired (or the client
 		// vanished), not because the stream completed: the trailer says
-		// so instead of claiming done.
-		if errors.Is(err, context.DeadlineExceeded) {
-			s.metrics.queriesTimedOut.Inc()
-			abort("query deadline exceeded; stream truncated")
-		} else {
-			abort("request cancelled; stream truncated")
-		}
-		return
+		// so instead of claiming done ("query deadline exceeded" or
+		// "request cancelled", from evalContextError).
+		abort(err.Error() + "; stream truncated")
 	}
-	trailer := StreamTrailer{
-		Done:          true,
-		Tuples:        count,
-		ElapsedMicros: time.Since(start).Microseconds(),
-	}
-	if span != nil {
-		trailer.Trace = span.Snapshot()
-	}
-	writeLine(trailer)
 }
+
+// errStreamEnded is how a stream's drain reports that the stream is
+// already over — its last line written (an abort trailer) or its client
+// gone — so nothing more is written to it.
+var errStreamEnded = errors.New("stream ended")
 
 // testHookStreamBatch, when non-nil, runs once per drained batch with
 // the tuple count shipped so far and the batch about to be encoded —

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -41,7 +42,7 @@ func TestStreamBytesUnchangedByBatching(t *testing.T) {
 
 		// Reference: the materialized result of the same query, encoded
 		// line-by-line exactly as the tuple-at-a-time handler did.
-		ref, err := s.RunQuery(QueryRequest{Query: q, NoCache: true})
+		ref, err := s.RunQueryCtx(context.Background(), QueryRequest{Query: q, NoCache: true})
 		if err != nil {
 			t.Fatal(err)
 		}

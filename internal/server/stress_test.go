@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -55,7 +56,7 @@ func TestConcurrentQueriesAndLoadsRaceClean(t *testing.T) {
 						s.Drop("u")
 						seedRel("u", int64(2000+i))
 					} else {
-						_, _ = s.RunQuery(QueryRequest{Query: queries[i%len(queries)]})
+						_, _ = s.RunQueryCtx(context.Background(), QueryRequest{Query: queries[i%len(queries)]})
 					}
 				case 2: // stats + metrics readers
 					if rel, _, ok := s.Relation("r"); ok && rel.Len() == 0 {
@@ -64,7 +65,7 @@ func TestConcurrentQueriesAndLoadsRaceClean(t *testing.T) {
 					_ = s.CacheStats()
 					_ = s.Relations()
 				default:
-					resp, err := s.RunQuery(QueryRequest{
+					resp, err := s.RunQueryCtx(context.Background(), QueryRequest{
 						Query:    queries[(g*iters+i)%len(queries)],
 						Workers:  1 + g%4,
 						LazyProb: i%7 == 0,
@@ -87,10 +88,10 @@ func TestConcurrentQueriesAndLoadsRaceClean(t *testing.T) {
 	wg.Wait()
 
 	// The catalog is quiescent now: a repeated query must hit the cache.
-	if _, err := s.RunQuery(QueryRequest{Query: "r & s"}); err != nil {
+	if _, err := s.RunQueryCtx(context.Background(), QueryRequest{Query: "r & s"}); err != nil {
 		t.Fatal(err)
 	}
-	resp, err := s.RunQuery(QueryRequest{Query: "r & s"})
+	resp, err := s.RunQueryCtx(context.Background(), QueryRequest{Query: "r & s"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +123,7 @@ func TestCachedResultStableAcrossConcurrentRepeats(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			resp, err := s.RunQuery(QueryRequest{Query: "r & s"})
+			resp, err := s.RunQueryCtx(context.Background(), QueryRequest{Query: "r & s"})
 			if err != nil {
 				t.Errorf("query: %v", err)
 				return

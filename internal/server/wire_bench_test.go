@@ -14,8 +14,8 @@ import (
 
 // drainedBatches evaluates q over a pair of the Table III overlap-0.8
 // shape, n tuples per relation generated from seed, through the path
-// the stream handler drains (catalog admission, then engine.CursorCtx
-// at the stream's batch size), and returns the batches it produced and
+// the stream handler drains (catalog admission, then evaluate at the
+// stream's batch size), and returns the batches it produced and
 // their tuple count. The pair's base tuples are named prefix+"r<i>" and
 // prefix+"s<i>": the marginal-text table is process-wide and keyed by
 // variable, so a caller that measures or counts what it holds names its
@@ -31,21 +31,21 @@ func drainedBatches(tb testing.TB, q, prefix string, n int, seed int64) ([]*core
 			tb.Fatal(err)
 		}
 	}
-	pq, err := srv.prepare(QueryRequest{Query: q})
+	req := QueryRequest{Query: q, Workers: 1}
+	pq, err := srv.prepare(req)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	cur, err := engine.New(engine.Config{Workers: 1}).
-		CursorCtx(context.Background(), pq.optimized, pq.db, engineOptions(QueryRequest{}))
-	if err != nil {
-		tb.Fatal(err)
-	}
-	defer cur.Close()
 	var batches []*core.Batch
 	tuples := 0
-	for b := core.NewBatch(streamBatchTuples); cur.NextBatch(b); b = core.NewBatch(streamBatchTuples) {
-		batches = append(batches, b)
-		tuples += len(b.Tuples)
+	if err := srv.evaluate(context.Background(), req, pq, func(cur *engine.StreamCursor) error {
+		for b := core.NewBatch(streamBatchTuples); cur.NextBatch(b); b = core.NewBatch(streamBatchTuples) {
+			batches = append(batches, b)
+			tuples += len(b.Tuples)
+		}
+		return nil
+	}); err != nil {
+		tb.Fatal(err)
 	}
 	if tuples == 0 {
 		tb.Fatalf("%s produced no tuples", query.Canonical(pq.optimized))
