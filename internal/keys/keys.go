@@ -95,18 +95,6 @@ func (d *Dict) Contains(ks []string) bool {
 	return true
 }
 
-// Mix64 is the splitmix64 finalizer: it spreads dense interned ids over
-// the full 64-bit space, so XOR fingerprints keep their discriminating
-// power.
-func Mix64(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
-}
-
 // VarID is the interned identifier of a lineage variable name. Unlike
 // FactID it carries no ordering semantics — lineage variables are only
 // ever compared for equality (one-occurrence checks, Shannon expansion

@@ -13,10 +13,10 @@ import (
 
 // vars is the process-wide intern arena for lineage variable names: every
 // Expr leaf stores a dense keys.VarID instead of the name string, so
-// one-occurrence checks, Shannon-expansion bookkeeping and the XOR
-// fingerprint all run on integers. The arena is append-only: it grows
-// with every distinct variable name the process ever ingests and never
-// shrinks, even when the relations carrying those names are dropped.
+// one-occurrence checks and Shannon-expansion bookkeeping run on
+// integers. The arena is append-only: it grows with every distinct
+// variable name the process ever ingests and never shrinks, even when
+// the relations carrying those names are dropped.
 // Queries create no new names (operators only combine existing leaves),
 // so growth tracks cumulative ingest — a deliberate trade-off that a
 // long-lived server with heavy catalog churn over ever-fresh identifier
@@ -37,16 +37,14 @@ const (
 // Expr is an immutable lineage expression. A nil *Expr represents the
 // paper's "null" lineage: the absence of any tuple with the given fact at a
 // time point.
+//
+// A node is its formula and nothing else: 32 bytes (TestExprIs32Bytes),
+// kind and leaf id sharing the first word. One node is allocated per
+// output window, so its size is most of what a result-heavy query
+// allocates; properties of the formula (its size, 1OF) are computed by
+// whoever asks, not carried by every node.
 type Expr struct {
-	// kind, the cached one-occurrence flag and the leaf id share the
-	// first word; with 32-bit counts below the node is 48 bytes — one
-	// allocation size class under the 64 it was with int counts and a
-	// flag in a word of its own (TestExprFitsSizeClass48). One node is
-	// allocated per output window, so its size is most of what a
-	// result-heavy query allocates.
 	kind Kind
-	// oneOcc: no variable occurs twice anywhere below this node.
-	oneOcc bool
 	// id and prob are set for KindVar nodes: the interned base-tuple
 	// identifier and its marginal probability. The name is recovered from
 	// the package arena for rendering and the public API.
@@ -55,23 +53,6 @@ type Expr struct {
 	// operands: Not has one, And/Or have exactly two (formulas are built by
 	// the binary concatenation functions, as in the paper).
 	left, right *Expr
-
-	// Cached derived properties, computed at construction; with oneOcc
-	// they make IsOneOccurrence and the linear evaluator O(1) and O(n)
-	// respectively. The counts saturate at math.MaxInt32 (addCount):
-	// only a formula that shares subformulas with itself some thirty
-	// levels deep gets there.
-	size    int32 // number of nodes
-	varsN   int32 // number of variable occurrences
-	varsKey uint64
-}
-
-// addCount adds node or occurrence counts, saturating at math.MaxInt32.
-func addCount(a, b int32) int32 {
-	if a > math.MaxInt32-b {
-		return math.MaxInt32
-	}
-	return a + b
 }
 
 // checkMarginal panics unless p ∈ (0, 1]. NaN compares false with
@@ -87,7 +68,7 @@ func checkMarginal(id string, p float64) {
 func Var(id string, p float64) *Expr {
 	checkMarginal(id, p)
 	vid := vars.Intern(id)
-	return &Expr{kind: KindVar, id: vid, prob: p, size: 1, varsN: 1, oneOcc: true, varsKey: keys.Mix64(uint64(vid))}
+	return &Expr{kind: KindVar, id: vid, prob: p}
 }
 
 // Vars returns atomic lineage expressions for a batch of base tuples,
@@ -104,7 +85,7 @@ func Vars(names []string, probs []float64) []*Expr {
 	out := make([]*Expr, len(names))
 	for i, vid := range vids {
 		checkMarginal(names[i], probs[i])
-		slab[i] = Expr{kind: KindVar, id: vid, prob: probs[i], size: 1, varsN: 1, oneOcc: true, varsKey: keys.Mix64(uint64(vid))}
+		slab[i] = Expr{kind: KindVar, id: vid, prob: probs[i]}
 		out[i] = &slab[i]
 	}
 	return out
@@ -119,20 +100,7 @@ func Not(e *Expr) *Expr {
 	if e == nil {
 		panic("lineage: Not(nil)")
 	}
-	return &Expr{kind: KindNot, left: e, size: addCount(e.size, 1), varsN: e.varsN, oneOcc: e.oneOcc, varsKey: e.varsKey}
-}
-
-func binary(kind Kind, l, r *Expr) *Expr {
-	e := &Expr{kind: kind, left: l, right: r, size: addCount(addCount(l.size, r.size), 1), varsN: addCount(l.varsN, r.varsN)}
-	// The two subformulas are variable-disjoint iff no identifier appears in
-	// both. A cheap necessary condition is the XOR-hash being "fresh"; the
-	// precise check walks the smaller side. Both sides must themselves be
-	// 1OF for the result to be 1OF.
-	if l.oneOcc && r.oneOcc {
-		e.oneOcc = disjointVars(l, r)
-	}
-	e.varsKey = l.varsKey ^ r.varsKey
-	return e
+	return &Expr{kind: KindNot, left: e}
 }
 
 // And returns (l) ∧ (r), the and() function of Table I. Both operands must
@@ -142,7 +110,7 @@ func And(l, r *Expr) *Expr {
 	if l == nil || r == nil {
 		panic("lineage: And with nil operand")
 	}
-	return binary(KindAnd, l, r)
+	return &Expr{kind: KindAnd, left: l, right: r}
 }
 
 // Or returns the or() function of Table I: (l) ∨ (r), or the single non-nil
@@ -156,7 +124,7 @@ func Or(l, r *Expr) *Expr {
 	case r == nil:
 		return l
 	}
-	return binary(KindOr, l, r)
+	return &Expr{kind: KindOr, left: l, right: r}
 }
 
 // AndNot returns the andNot() function of Table I: (l) when r is null, and
@@ -168,7 +136,11 @@ func AndNot(l, r *Expr) *Expr {
 	if r == nil {
 		return l
 	}
-	return binary(KindAnd, l, Not(r))
+	// The conjunction and the negation are one allocation.
+	n := new([2]Expr)
+	n[1] = Expr{kind: KindNot, left: r}
+	n[0] = Expr{kind: KindAnd, left: l, right: &n[1]}
+	return &n[0]
 }
 
 // Kind returns the node type.
@@ -193,130 +165,42 @@ func (e *Expr) VarID() keys.VarID { return e.id }
 // for negations).
 func (e *Expr) Operands() (left, right *Expr) { return e.left, e.right }
 
-// Size returns the number of nodes in the formula.
+// Size returns the number of nodes in the formula, counted by a walk.
 func (e *Expr) Size() int {
 	if e == nil {
 		return 0
 	}
-	return int(e.size)
+	return 1 + e.left.Size() + e.right.Size()
 }
 
 // IsOneOccurrence reports whether the formula is in one-occurrence form
 // (1OF): no tuple identifier occurs more than once. Per Theorem 1 of the
 // paper, every non-repeating TP set query over duplicate-free relations
 // yields 1OF lineage, and 1OF probabilities are computable in linear time.
-// The property is cached at construction, so this is O(1).
+// It walks the leaves once and sorts their ids; the formula, which
+// concurrent readers may share, is only read.
 func (e *Expr) IsOneOccurrence() bool {
-	if e == nil {
+	if e == nil || e.kind == KindVar {
 		return true
 	}
-	return e.oneOcc
+	var buf [16]VarProb // typical formulas decide without allocating
+	leaves := e.appendLeaves(buf[:0])
+	slices.SortFunc(leaves, func(a, b VarProb) int { return cmp.Compare(a.ID, b.ID) })
+	for i := 1; i < len(leaves); i++ {
+		if leaves[i].ID == leaves[i-1].ID {
+			return false
+		}
+	}
+	return true
 }
 
-// Vars appends the distinct variable identifiers of the formula to dst and
-// returns the result, sorted and de-duplicated.
+// Vars appends the distinct variable identifiers of the formula to dst,
+// sorted and de-duplicated, and returns the extended slice.
 func (e *Expr) Vars(dst []string) []string {
-	dst = e.appendVars(dst)
-	sort.Strings(dst)
-	out := dst[:0]
-	for i, v := range dst {
-		if i == 0 || dst[i-1] != v {
-			out = append(out, v)
-		}
+	for _, vp := range e.AppendVarProbs(nil, vars.Names()) {
+		dst = append(dst, vp.Name)
 	}
-	return out
-}
-
-func (e *Expr) appendVars(dst []string) []string {
-	if e == nil {
-		return dst
-	}
-	switch e.kind {
-	case KindVar:
-		return append(dst, e.idName())
-	case KindNot:
-		return e.left.appendVars(dst)
-	default:
-		return e.right.appendVars(e.left.appendVars(dst))
-	}
-}
-
-// NumVarOccurrences returns the number of variable occurrences (leaves).
-func (e *Expr) NumVarOccurrences() int {
-	if e == nil {
-		return 0
-	}
-	return int(e.varsN)
-}
-
-// disjointVars reports whether l and r share no variable identifier. It
-// walks the smaller formula into a set and probes with the larger one;
-// interned ids make the small case a handful of integer compares and the
-// large case an integer-keyed map.
-func disjointVars(l, r *Expr) bool {
-	small, big := l, r
-	if small.varsN > big.varsN {
-		small, big = big, small
-	}
-	if small.varsN <= 8 {
-		ids := make([]keys.VarID, 0, 8)
-		ids = small.appendVarIDs(ids)
-		return !containsAny(big, ids)
-	}
-	set := make(map[keys.VarID]struct{}, int(small.varsN))
-	collect(small, set)
-	return !probes(big, set)
-}
-
-func (e *Expr) appendVarIDs(dst []keys.VarID) []keys.VarID {
-	switch e.kind {
-	case KindVar:
-		return append(dst, e.id)
-	case KindNot:
-		return e.left.appendVarIDs(dst)
-	default:
-		return e.right.appendVarIDs(e.left.appendVarIDs(dst))
-	}
-}
-
-func collect(e *Expr, set map[keys.VarID]struct{}) {
-	switch e.kind {
-	case KindVar:
-		set[e.id] = struct{}{}
-	case KindNot:
-		collect(e.left, set)
-	default:
-		collect(e.left, set)
-		collect(e.right, set)
-	}
-}
-
-func probes(e *Expr, set map[keys.VarID]struct{}) bool {
-	switch e.kind {
-	case KindVar:
-		_, ok := set[e.id]
-		return ok
-	case KindNot:
-		return probes(e.left, set)
-	default:
-		return probes(e.left, set) || probes(e.right, set)
-	}
-}
-
-func containsAny(e *Expr, ids []keys.VarID) bool {
-	switch e.kind {
-	case KindVar:
-		for _, id := range ids {
-			if e.id == id {
-				return true
-			}
-		}
-		return false
-	case KindNot:
-		return containsAny(e.left, ids)
-	default:
-		return containsAny(e.left, ids) || containsAny(e.right, ids)
-	}
+	return dst
 }
 
 // String renders the formula with the paper's connective symbols, fully
@@ -420,19 +304,14 @@ func EquivalentSyntactic(a, b *Expr) bool {
 	if a == nil || b == nil {
 		return a == nil && b == nil
 	}
-	if a == b {
-		return true
-	}
-	if a.varsKey != b.varsKey || a.varsN != b.varsN {
-		return false
-	}
-	return a.canonical() == b.canonical()
+	return a == b || a.canonical() == b.canonical()
 }
 
 // Prob computes the marginal probability of the formula under the
 // tuple-independence assumption.
 //
-// For 1OF formulas the linear-time independent-subformula rules apply
+// Prob decides 1OF itself (IsOneOccurrence, one walk over the leaves):
+// for 1OF formulas the linear-time independent-subformula rules apply
 // exactly (Corollary 1 of the paper). For non-1OF formulas Prob falls back
 // to exact Shannon expansion, which is exponential in the number of shared
 // variables in the worst case (the problem is #P-hard in general, see
@@ -441,7 +320,7 @@ func (e *Expr) Prob() float64 {
 	if e == nil {
 		return 0
 	}
-	if e.oneOcc {
+	if e.IsOneOccurrence() {
 		return e.probIndependent()
 	}
 	return e.probShannon(make(map[keys.VarID]bool))
@@ -497,7 +376,12 @@ func (e *Expr) probShannon(assign map[keys.VarID]bool) float64 {
 func (e *Expr) mostFrequentSharedVar(assign map[keys.VarID]bool) (keys.VarID, float64, bool) {
 	counts := make(map[keys.VarID]int)
 	probs := make(map[keys.VarID]float64)
-	e.countVars(assign, counts, probs)
+	for _, l := range e.appendLeaves(nil) {
+		if _, done := assign[l.ID]; !done {
+			counts[l.ID]++
+			probs[l.ID] = l.Prob
+		}
+	}
 	var best keys.VarID
 	bestN := 0
 	for v, n := range counts {
@@ -509,21 +393,6 @@ func (e *Expr) mostFrequentSharedVar(assign map[keys.VarID]bool) (keys.VarID, fl
 		return best, probs[best], true
 	}
 	return 0, 0, false
-}
-
-func (e *Expr) countVars(assign map[keys.VarID]bool, counts map[keys.VarID]int, probs map[keys.VarID]float64) {
-	switch e.kind {
-	case KindVar:
-		if _, done := assign[e.id]; !done {
-			counts[e.id]++
-			probs[e.id] = e.prob
-		}
-	case KindNot:
-		e.left.countVars(assign, counts, probs)
-	default:
-		e.left.countVars(assign, counts, probs)
-		e.right.countVars(assign, counts, probs)
-	}
 }
 
 // evalPartial attempts to decide the formula under the partial assignment.
@@ -615,51 +484,27 @@ type RNG interface {
 // ProbMonteCarlo estimates the marginal probability with n independent
 // possible-world samples. The standard error is at most 0.5/sqrt(n).
 // Sampling iterates variables in sorted-name order (not interning order),
-// so a fixed RNG seed reproduces the same worlds across processes.
+// so a fixed RNG seed reproduces the same worlds across processes. It
+// panics when n < 1: no sample estimates nothing.
 func (e *Expr) ProbMonteCarlo(n int, rng RNG) float64 {
+	if n < 1 {
+		panic(fmt.Sprintf("lineage: Monte-Carlo estimate from %d samples", n))
+	}
 	if e == nil {
 		return 0
 	}
-	ids, probs := e.sortedVarIDs()
-	assign := make(map[keys.VarID]bool, len(ids))
+	vps := e.AppendVarProbs(nil, vars.Names())
+	assign := make(map[keys.VarID]bool, len(vps))
 	hits := 0
 	for i := 0; i < n; i++ {
-		for j, id := range ids {
-			assign[id] = rng.Float64() < probs[j]
+		for _, vp := range vps {
+			assign[vp.ID] = rng.Float64() < vp.Prob
 		}
 		if e.evalID(assign) {
 			hits++
 		}
 	}
 	return float64(hits) / float64(n)
-}
-
-// sortedVarIDs returns the distinct variable ids of the formula in
-// sorted-name order, with the matching marginal probabilities.
-func (e *Expr) sortedVarIDs() ([]keys.VarID, []float64) {
-	names := e.Vars(nil)
-	ids := make([]keys.VarID, len(names))
-	probs := make([]float64, len(names))
-	pm := make(map[keys.VarID]float64, len(names))
-	e.varProbsID(pm)
-	for i, name := range names {
-		id, _ := vars.Lookup(name) // every formula variable is interned
-		ids[i] = id
-		probs[i] = pm[id]
-	}
-	return ids, probs
-}
-
-func (e *Expr) varProbsID(probs map[keys.VarID]float64) {
-	switch e.kind {
-	case KindVar:
-		probs[e.id] = e.prob
-	case KindNot:
-		e.left.varProbsID(probs)
-	default:
-		e.left.varProbsID(probs)
-		e.right.varProbsID(probs)
-	}
 }
 
 // VarProbs records the marginal probability of every variable occurring
@@ -670,18 +515,10 @@ func (e *Expr) VarProbs(probs map[string]float64) {
 	if e == nil {
 		return
 	}
-	e.varProbs(probs)
-}
-
-func (e *Expr) varProbs(probs map[string]float64) {
-	switch e.kind {
-	case KindVar:
-		probs[e.idName()] = e.prob
-	case KindNot:
-		e.left.varProbs(probs)
-	default:
-		e.left.varProbs(probs)
-		e.right.varProbs(probs)
+	names := vars.Names()
+	var buf [16]VarProb
+	for _, l := range e.appendLeaves(buf[:0]) {
+		probs[names[l.ID]] = l.Prob
 	}
 }
 
@@ -706,8 +543,11 @@ func (e *Expr) AppendVarProbs(dst []VarProb, names []string) []VarProb {
 		return dst
 	}
 	start := len(dst)
-	dst = e.appendLeaves(dst, names)
+	dst = e.appendLeaves(dst)
 	vps := dst[start:]
+	for i := range vps {
+		vps[i].Name = names[vps[i].ID]
+	}
 	// Stable, so equal names stay in occurrence order and "last wins"
 	// is the last element of each run.
 	slices.SortStableFunc(vps, func(a, b VarProb) int { return cmp.Compare(a.Name, b.Name) })
@@ -722,14 +562,17 @@ func (e *Expr) AppendVarProbs(dst []VarProb, names []string) []VarProb {
 	return dst[:start+n]
 }
 
-func (e *Expr) appendLeaves(dst []VarProb, names []string) []VarProb {
+// appendLeaves appends every leaf of e in left-to-right order, repeats
+// included, as its id and marginal (Name left empty): the one walk that
+// enumerates a formula's variables.
+func (e *Expr) appendLeaves(dst []VarProb) []VarProb {
 	switch e.kind {
 	case KindVar:
-		return append(dst, VarProb{Name: names[e.id], Prob: e.prob, ID: e.id})
+		return append(dst, VarProb{Prob: e.prob, ID: e.id})
 	case KindNot:
-		return e.left.appendLeaves(dst, names)
+		return e.left.appendLeaves(dst)
 	default:
-		return e.right.appendLeaves(e.left.appendLeaves(dst, names), names)
+		return e.right.appendLeaves(e.left.appendLeaves(dst))
 	}
 }
 
@@ -740,21 +583,21 @@ func (e *Expr) ProbPossibleWorlds() float64 {
 	if e == nil {
 		return 0
 	}
-	ids, probs := e.sortedVarIDs()
-	if len(ids) > 24 {
-		panic(fmt.Sprintf("lineage: possible-worlds enumeration over %d variables", len(ids)))
+	vps := e.AppendVarProbs(nil, vars.Names())
+	if len(vps) > 24 {
+		panic(fmt.Sprintf("lineage: possible-worlds enumeration over %d variables", len(vps)))
 	}
-	assign := make(map[keys.VarID]bool, len(ids))
+	assign := make(map[keys.VarID]bool, len(vps))
 	total := 0.0
-	for world := 0; world < 1<<uint(len(ids)); world++ {
+	for world := 0; world < 1<<uint(len(vps)); world++ {
 		wp := 1.0
-		for i, id := range ids {
+		for i, vp := range vps {
 			on := world&(1<<uint(i)) != 0
-			assign[id] = on
+			assign[vp.ID] = on
 			if on {
-				wp *= probs[i]
+				wp *= vp.Prob
 			} else {
-				wp *= 1 - probs[i]
+				wp *= 1 - vp.Prob
 			}
 		}
 		if wp == 0 {

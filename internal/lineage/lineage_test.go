@@ -3,6 +3,7 @@ package lineage
 import (
 	"math"
 	"math/rand"
+	"strconv"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -76,10 +77,7 @@ func TestVarsAndSize(t *testing.T) {
 	if len(vars) != 2 || vars[0] != "a" || vars[1] != "b" {
 		t.Fatalf("vars: %v", vars)
 	}
-	if e.NumVarOccurrences() != 3 {
-		t.Errorf("occurrences: %d", e.NumVarOccurrences())
-	}
-	if (*Expr)(nil).Size() != 0 || v("a", .5).Size() != 1 {
+	if (*Expr)(nil).Size() != 0 || v("a", .5).Size() != 1 || e.Size() != 6 {
 		t.Error("size")
 	}
 }
@@ -186,6 +184,16 @@ func TestProbMonteCarlo(t *testing.T) {
 	var nilE *Expr
 	if nilE.ProbMonteCarlo(10, rng) != 0 {
 		t.Error("MC on null must be 0")
+	}
+	for _, n := range []int{0, -1} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("ProbMonteCarlo(%d) did not panic", n)
+				}
+			}()
+			e.ProbMonteCarlo(n, rng)
+		}()
 	}
 }
 
@@ -312,23 +320,123 @@ func TestProbPossibleWorldsGuard(t *testing.T) {
 	e.ProbPossibleWorlds()
 }
 
-// TestExprFitsSizeClass48 keeps the node in the 48-byte allocation size
-// class: one Expr is allocated per output window, so a field that pushes
-// it to the next class (64) adds a third to the bytes a result-heavy
-// query allocates. The counts it packs to get there saturate instead of
-// wrapping.
-func TestExprFitsSizeClass48(t *testing.T) {
-	if got := unsafe.Sizeof(Expr{}); got > 48 {
-		t.Fatalf("lineage.Expr is %d bytes, want at most 48", got)
+// TestExprIs32Bytes pins the node at its formula: kind and leaf id in
+// one word, the marginal, two operands. One Expr is allocated per output
+// window, so every byte added to it is added per result row.
+func TestExprIs32Bytes(t *testing.T) {
+	if got := unsafe.Sizeof(Expr{}); got != 32 {
+		t.Fatalf("lineage.Expr is %d bytes, want 32", got)
 	}
-	e := v("sat", .5)
-	for i := 0; i < 40; i++ { // 2^40 nodes, if anyone walked it
-		e = And(e, e)
+}
+
+// TestConcatAllocatesOneNode: the Table I functions build their node and
+// read nothing below it, however large the operands.
+func TestConcatAllocatesOneNode(t *testing.T) {
+	chain := func(prefix string) *Expr {
+		e := Var(prefix+"0", .5)
+		for i := 1; i < 1000; i++ {
+			e = And(e, Var(prefix+strconv.Itoa(i), .5))
+		}
+		return e
 	}
-	if e.Size() != math.MaxInt32 || e.NumVarOccurrences() != math.MaxInt32 || Not(e).Size() != math.MaxInt32 {
-		t.Fatalf("size %d, occurrences %d after 40 self-conjunctions; want both saturated at %d", e.Size(), e.NumVarOccurrences(), math.MaxInt32)
+	l, r := chain("l"), chain("r")
+	for name, f := range map[string]func(l, r *Expr) *Expr{"And": And, "Or": Or, "AndNot": AndNot} {
+		if n := testing.AllocsPerRun(100, func() { f(l, r) }); n != 1 {
+			t.Errorf("%s over two 1,000-leaf operands: %v allocations, want 1", name, n)
+		}
 	}
-	if e.IsOneOccurrence() {
-		t.Fatal("a self-conjunction is not in one-occurrence form")
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// refOneOccurrence is 1OF the slow way: a set of every leaf id seen.
+func refOneOccurrence(e *Expr) bool {
+	seen := map[string]bool{}
+	var walk func(*Expr) bool
+	walk = func(e *Expr) bool {
+		switch e.kind {
+		case KindVar:
+			if seen[e.ID()] {
+				return false
+			}
+			seen[e.ID()] = true
+			return true
+		case KindNot:
+			return walk(e.left)
+		default:
+			return walk(e.left) && walk(e.right)
+		}
+	}
+	return walk(e)
+}
+
+// TestOneOccurrenceAndProbOnRandomFormulas: over random formulas whose
+// variables repeat now and then, small ones and ones past the 16 leaves
+// IsOneOccurrence decides on the stack, the 1OF test agrees with a set
+// of seen ids, and Prob — linear or Shannon, as it decides — with the
+// possible worlds wherever those are few enough to enumerate quickly
+// (at most 12 variables).
+func TestOneOccurrenceAndProbOnRandomFormulas(t *testing.T) {
+	rng := rand.New(rand.NewSource(30))
+	marginal := map[string]float64{}
+	leaf := func(pool int) *Expr {
+		id := "q" + strconv.Itoa(rng.Intn(pool))
+		if _, ok := marginal[id]; !ok {
+			marginal[id] = 0.05 + 0.9*rng.Float64()
+		}
+		return Var(id, marginal[id])
+	}
+	var gen func(leaves, pool int) *Expr
+	gen = func(leaves, pool int) *Expr {
+		if leaves == 1 {
+			if rng.Intn(4) == 0 {
+				return Not(leaf(pool))
+			}
+			return leaf(pool)
+		}
+		k := 1 + rng.Intn(leaves-1)
+		l, r := gen(k, pool), gen(leaves-k, pool)
+		switch rng.Intn(3) {
+		case 0:
+			return And(l, r)
+		case 1:
+			return Or(l, r)
+		default:
+			return AndNot(l, r)
+		}
+	}
+	// drawn counts formulas by [over 16 leaves][in 1OF].
+	var drawn [2][2]int
+	valued := 0
+	for i := 0; i < 600; i++ {
+		leaves := 1 + rng.Intn(30)
+		// A pool of at most 12 variables, where repeats are the rule, or,
+		// for one draw in three, of 4,096, where they are rare.
+		pool := min(12, leaves+rng.Intn(4))
+		if rng.Intn(3) == 0 {
+			pool = 1 << 12
+		}
+		e := gen(leaves, pool)
+		want := refOneOccurrence(e)
+		if got := e.IsOneOccurrence(); got != want {
+			t.Fatalf("%s: IsOneOccurrence = %v, want %v", e, got, want)
+		}
+		drawn[b2i(leaves > 16)][b2i(want)]++
+		if len(e.Vars(nil)) > 12 {
+			continue
+		}
+		valued++
+		if got, exact := e.Prob(), e.ProbPossibleWorlds(); math.Abs(got-exact) > 1e-9 {
+			t.Fatalf("%s: Prob = %v, possible worlds = %v", e, got, exact)
+		}
+	}
+	t.Logf("[small, large][repeating, 1OF]: %v; %d valued", drawn, valued)
+	if min(drawn[0][0], drawn[0][1], drawn[1][0], drawn[1][1]) < 20 || valued < 300 {
+		t.Fatalf("generator drew %v formulas ([small, large][repeating, 1OF]) and valued %d; want at least 20 of each kind and 300 valued", drawn, valued)
 	}
 }

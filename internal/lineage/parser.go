@@ -26,12 +26,14 @@ import (
 //
 // Parse is the inverse of (*Expr).String up to operator associativity:
 // rendering and re-parsing yields a syntactically equivalent formula.
+//
+// A formula nested deeper than maxDepth is an error.
 func Parse(input string, probs func(id string) (float64, error)) (*Expr, error) {
 	p := &formulaParser{in: strings.TrimSpace(input), probs: probs}
 	if p.in == "null" || p.in == "" {
 		return nil, nil
 	}
-	e, err := p.parseOr()
+	e, _, err := p.parseOr()
 	if err != nil {
 		return nil, err
 	}
@@ -52,10 +54,22 @@ func MustParse(input string, p float64) *Expr {
 	return e
 }
 
+// maxDepth bounds how deep a parsed formula nests: parentheses open at
+// once, and the height of the tree built, where each negation and each
+// operator of a chain adds a level (a chain folds left, so a1∧…∧an is n−1
+// levels). Parse and every recursive walk over its result then stay
+// within a bounded stack, whatever a request body holds.
+const maxDepth = 1 << 16
+
 type formulaParser struct {
 	in    string
 	pos   int
+	open  int // parentheses open at the cursor
 	probs func(id string) (float64, error)
+}
+
+func (p *formulaParser) tooDeep() error {
+	return fmt.Errorf("lineage: formula nested deeper than %d levels at offset %d", maxDepth, p.pos)
 }
 
 func (p *formulaParser) skipSpace() {
@@ -81,64 +95,84 @@ func (p *formulaParser) acceptOp(ops ...string) bool {
 	return false
 }
 
-func (p *formulaParser) parseOr() (*Expr, error) {
-	left, err := p.parseAnd()
+// The parse methods return the subtree with its height in levels (a
+// variable is 0).
+
+func (p *formulaParser) parseOr() (*Expr, int, error) {
+	left, h, err := p.parseAnd()
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	for p.acceptOp("∨", "|", "+") {
-		right, err := p.parseAnd()
+		right, hr, err := p.parseAnd()
 		if err != nil {
-			return nil, err
+			return nil, 0, err
+		}
+		if h = max(h, hr) + 1; h > maxDepth {
+			return nil, 0, p.tooDeep()
 		}
 		left = Or(left, right)
 	}
-	return left, nil
+	return left, h, nil
 }
 
-func (p *formulaParser) parseAnd() (*Expr, error) {
-	left, err := p.parseNot()
+func (p *formulaParser) parseAnd() (*Expr, int, error) {
+	left, h, err := p.parseNot()
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	for p.acceptOp("∧", "&", "*") {
-		right, err := p.parseNot()
+		right, hr, err := p.parseNot()
 		if err != nil {
-			return nil, err
+			return nil, 0, err
+		}
+		if h = max(h, hr) + 1; h > maxDepth {
+			return nil, 0, p.tooDeep()
 		}
 		left = And(left, right)
 	}
-	return left, nil
+	return left, h, nil
 }
 
-func (p *formulaParser) parseNot() (*Expr, error) {
-	if p.acceptOp("¬", "!", "~") {
-		e, err := p.parseNot()
-		if err != nil {
-			return nil, err
-		}
-		return Not(e), nil
+func (p *formulaParser) parseNot() (*Expr, int, error) {
+	nots := 0
+	for p.acceptOp("¬", "!", "~") {
+		nots++
 	}
-	return p.parseAtom()
+	e, h, err := p.parseAtom()
+	if err != nil {
+		return nil, 0, err
+	}
+	if h += nots; h > maxDepth {
+		return nil, 0, p.tooDeep()
+	}
+	for ; nots > 0; nots-- {
+		e = Not(e)
+	}
+	return e, h, nil
 }
 
-func (p *formulaParser) parseAtom() (*Expr, error) {
+func (p *formulaParser) parseAtom() (*Expr, int, error) {
 	p.skipSpace()
 	if p.pos >= len(p.in) {
-		return nil, fmt.Errorf("lineage: unexpected end of formula %q", p.in)
+		return nil, 0, fmt.Errorf("lineage: unexpected end of formula %q", p.in)
 	}
 	if p.in[p.pos] == '(' {
+		if p.open++; p.open > maxDepth {
+			return nil, 0, p.tooDeep()
+		}
 		p.pos++
-		e, err := p.parseOr()
+		e, h, err := p.parseOr()
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		p.skipSpace()
 		if p.pos >= len(p.in) || p.in[p.pos] != ')' {
-			return nil, fmt.Errorf("lineage: missing ')' at offset %d in %q", p.pos, p.in)
+			return nil, 0, fmt.Errorf("lineage: missing ')' at offset %d in %q", p.pos, p.in)
 		}
 		p.pos++
-		return e, nil
+		p.open--
+		return e, h, nil
 	}
 	start := p.pos
 	for p.pos < len(p.in) {
@@ -149,15 +183,15 @@ func (p *formulaParser) parseAtom() (*Expr, error) {
 		p.pos += sz
 	}
 	if p.pos == start {
-		return nil, fmt.Errorf("lineage: expected identifier at offset %d in %q", start, p.in)
+		return nil, 0, fmt.Errorf("lineage: expected identifier at offset %d in %q", start, p.in)
 	}
 	id := p.in[start:p.pos]
 	if id == "null" {
-		return nil, fmt.Errorf("lineage: null is only allowed as the whole formula")
+		return nil, 0, fmt.Errorf("lineage: null is only allowed as the whole formula")
 	}
 	prob, err := p.probs(id)
 	if err != nil {
-		return nil, fmt.Errorf("lineage: variable %q: %w", id, err)
+		return nil, 0, fmt.Errorf("lineage: variable %q: %w", id, err)
 	}
-	return Var(id, prob), nil
+	return Var(id, prob), 0, nil
 }

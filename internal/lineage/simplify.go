@@ -10,7 +10,8 @@ package lineage
 //	λ∧(λ∨µ)        → λ           (absorption, syntactic)
 //	λ∨(λ∧µ)        → λ
 //
-// Equality between subformulas is decided by canonical rendering, so the
+// Equality between subformulas is decided by canonical rendering
+// (EquivalentSyntactic), so the
 // rewrites stay polynomial. Simplification never changes the formula's
 // possible-worlds semantics — the test suite verifies probability
 // preservation on random formulas — but it can make exact valuation
@@ -37,7 +38,7 @@ func Simplify(e *Expr) *Expr {
 	case KindAnd, KindOr:
 		l := Simplify(e.left)
 		r := Simplify(e.right)
-		if canonEqual(l, r) {
+		if EquivalentSyntactic(l, r) {
 			return l // idempotence
 		}
 		if a, ok := absorb(e.kind, l, r); ok {
@@ -60,21 +61,11 @@ func absorb(kind Kind, l, r *Expr) (*Expr, bool) {
 	if kind == KindOr {
 		dual = KindAnd
 	}
-	if r.kind == dual && (canonEqual(l, r.left) || canonEqual(l, r.right)) {
+	if r.kind == dual && (EquivalentSyntactic(l, r.left) || EquivalentSyntactic(l, r.right)) {
 		return l, true
 	}
-	if l.kind == dual && (canonEqual(r, l.left) || canonEqual(r, l.right)) {
+	if l.kind == dual && (EquivalentSyntactic(r, l.left) || EquivalentSyntactic(r, l.right)) {
 		return r, true
 	}
 	return nil, false
-}
-
-func canonEqual(a, b *Expr) bool {
-	if a == b {
-		return true
-	}
-	if a.varsKey != b.varsKey || a.varsN != b.varsN || a.size != b.size {
-		return false
-	}
-	return a.canonical() == b.canonical()
 }

@@ -131,9 +131,10 @@ func (r *Relation) Sort() {
 // relayLeaves gives a relation of base tuples whose rows were just
 // permuted leaves that lie in row order: every lineage.Var is copied
 // into one slab and the rows are pointed at the copies, so whatever
-// walks the rows afterwards — the sweep's concatenations, the root's
-// probabilities, the encoder's rendering — reads leaves sequentially
-// instead of chasing pointers in ingest order. The old leaves are left
+// reads the leaves of rows it walks in order — the root's probability
+// (its 1OF test and valuation), the encoder's rendering and marginals
+// — reads them sequentially instead of chasing pointers in ingest
+// order. The old leaves are left
 // as they are for whoever still holds them (a Clone taken before the
 // sort). A relation that carries a formula or a null lineage anywhere
 // is left alone.

@@ -2,6 +2,7 @@ package server
 
 import (
 	"encoding/json"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -144,6 +145,55 @@ func TestDecodeRelationErrors(t *testing.T) {
 		}
 		if !strings.Contains(err.Error(), c.wantSub) {
 			t.Errorf("%s: error %q does not mention %q", c.name, err, c.wantSub)
+		}
+	}
+}
+
+// TestDecodeRelationRefusesDeepFormulas: a body may hold a formula of
+// any depth, but the decoder builds trees of bounded height only. Each
+// way to nest — parentheses, a run of negations, an operator chain — is
+// accepted up to 1<<16 levels and refused one level beyond, with an
+// error (a 400), not a stack overflow.
+func TestDecodeRelationRefusesDeepFormulas(t *testing.T) {
+	const bound = 1 << 16
+	chain := func(n int) (string, map[string]float64) {
+		var b strings.Builder
+		probs := make(map[string]float64, n)
+		for i := range n {
+			if i > 0 {
+				b.WriteString("∧")
+			}
+			id := "d" + strconv.Itoa(i)
+			b.WriteString(id)
+			probs[id] = 0.5
+		}
+		return b.String(), probs
+	}
+	shapes := []struct {
+		name  string
+		build func(levels int) (string, map[string]float64)
+	}{
+		{"parentheses", func(n int) (string, map[string]float64) {
+			return strings.Repeat("(", n) + "d0" + strings.Repeat(")", n), map[string]float64{"d0": 0.5}
+		}},
+		{"negations", func(n int) (string, map[string]float64) {
+			return strings.Repeat("¬", n) + "d0", map[string]float64{"d0": 0.5}
+		}},
+		{"chain", func(n int) (string, map[string]float64) { return chain(n + 1) }},
+	}
+	for _, sh := range shapes {
+		for _, levels := range []int{bound, bound + 1} {
+			formula, probs := sh.build(levels)
+			rj := RelationJSON{Name: "r", Attrs: []string{"P"}, Tuples: []TupleJSON{
+				{Fact: []string{"milk"}, Lineage: formula, VarProbs: probs, Ts: 1, Te: 4, Prob: 0.5},
+			}}
+			_, err := DecodeRelation(rj, "")
+			switch {
+			case levels == bound && err != nil:
+				t.Errorf("%s, %d levels: %v, want accepted", sh.name, levels, err)
+			case levels > bound && (err == nil || !strings.Contains(err.Error(), "nested deeper")):
+				t.Errorf("%s, %d levels: error %v, want one about nesting", sh.name, levels, err)
+			}
 		}
 	}
 }

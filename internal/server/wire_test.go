@@ -111,7 +111,7 @@ func genWireCase(rng *rand.Rand, n int, names []string, ps []float64) wireCase {
 		case c == 2 && t.Lineage.Kind() == lineage.KindVar:
 			t.Prob = t.Lineage.VarProb() // the varProbs-omitted form
 		case c <= 4:
-			if t.Lineage.NumVarOccurrences() <= 12 { // keep Shannon expansion cheap
+			if leafCount(t.Lineage) <= 12 { // keep Shannon expansion cheap
 				t.Prob = t.Lineage.Prob()
 			}
 		default:
@@ -131,6 +131,18 @@ func genWireCase(rng *rand.Rand, n int, names []string, ps []float64) wireCase {
 		rel.Tuples = append(rel.Tuples, t)
 	}
 	return wireCase{rel: rel, clean: clean}
+}
+
+// leafCount is the number of variable occurrences in e.
+func leafCount(e *lineage.Expr) int {
+	if e == nil {
+		return 0
+	}
+	if e.Kind() == lineage.KindVar {
+		return 1
+	}
+	l, r := e.Operands()
+	return leafCount(l) + leafCount(r)
 }
 
 // checkWireCase holds the appender to the reflection encoder on one
