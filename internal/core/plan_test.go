@@ -61,8 +61,9 @@ func opCursor(t *testing.T, op core.Op, l, r core.Cursor) *core.OpCursor {
 
 // TestRunSkipGallopsAcrossBlocks intersects 4000 one-tuple facts with
 // two of them, one in the first block and one in the last. Over a scan
-// the advancer gallops the child itself (keySkipper, through the tracing
-// wrapper), so the blocks in between are never handed up; over a
+// the advancer's source asks the scan to skip (skipBlock, answered from
+// the relation's fact-run index, through the tracing wrapper), so the
+// blocks in between are never handed up; over a
 // computed child — a union, which cannot skip — it discards them whole.
 // Either way the intersection sees a handful of windows instead of
 // thousands, and the result is the oracle's.

@@ -11,18 +11,26 @@ import (
 // rendering (the result cache keys on it) over the same relations.
 // Inputs Parse rejects only need to be rejected cleanly. The checked-in
 // seed corpus (testdata/fuzz) is drawn from the parser and canonical
-// tests' inputs.
+// tests' inputs; the seeds below add queries exactly at MaxNodes (an
+// operator chain, a parenthesis nest) and past it.
 func FuzzQueryParse(f *testing.F) {
+	head := "a"
+	if MaxNodes%2 == 0 {
+		head = "sigma[F='v'](a)"
+	}
+	chain := head + strings.Repeat(" | b", (MaxNodes-1)/2)
+	nest := strings.Repeat("(", MaxNodes) + "a" + strings.Repeat(")", MaxNodes)
 	for _, seed := range []string{
 		"a", "c - (a | b)", "a | b & c", "a - b - c", "a union b intersect c", "a minus b",
 		"sigma[Product='milk'](c) - a", "sigma[P=v](a - b)", "  a   |(b)  ", "((a)) | ((b))", "web.kit",
 		"", "a |", "(a", "a)", "sigma[x](a)", "sigma[x='unterminated](a)", "a ! b", "'lit'",
+		chain, chain + " & c", "sigma[F='v'](" + chain + ")", nest, "(" + nest + ")",
 	} {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, input string) {
 		if len(input) > 1<<12 {
-			return // deep nesting is legal; just keep iterations fast
+			return // keep iterations fast; the bound seeds fit below this
 		}
 		n, err := Parse(input)
 		if err != nil {

@@ -21,7 +21,8 @@ import (
 //
 //	c - (a | b)
 func Parse(input string) (Node, error) {
-	p := &parser{toks: lex(input)}
+	p := &parser{lex: lexer{input: input}}
+	p.tok = p.lex.next()
 	n, err := p.parseQuery()
 	if err != nil {
 		return nil, err
@@ -31,6 +32,17 @@ func Parse(input string) (Node, error) {
 	}
 	return n, nil
 }
+
+// MaxNodes bounds a query before any plan is built: the nodes of its
+// plan — operators, relation references, and each selection once per
+// relation reference below it, as PushDownSelections distributes it —
+// and, separately, how deep its parentheses nest. Building a plan costs
+// about 125 KB per operator (one pooled block per advancer side), so a
+// plan at the bound allocates at most 64 MB, and every result's lineage
+// nests far below the lineage parser's bound, so a result can always be
+// PUT back. Parse refuses a query past it without reading the rest of
+// the input.
+const MaxNodes = 512
 
 // MustParse is Parse panicking on error; intended for tests and constants.
 func MustParse(input string) Node {
@@ -84,86 +96,85 @@ type token struct {
 	pos  int
 }
 
-func lex(input string) []token {
-	var toks []token
-	i := 0
-	emit := func(k tokKind, s string, pos int) { toks = append(toks, token{k, s, pos}) }
-	for i < len(input) {
-		c := rune(input[i])
-		switch {
-		case unicode.IsSpace(c):
-			i++
-		case c == '(':
-			emit(tokLParen, "(", i)
-			i++
-		case c == ')':
-			emit(tokRParen, ")", i)
-			i++
-		case c == '[':
-			emit(tokLBracket, "[", i)
-			i++
-		case c == ']':
-			emit(tokRBracket, "]", i)
-			i++
-		case c == '=':
-			emit(tokEquals, "=", i)
-			i++
-		case c == '|' || c == '&' || c == '-':
-			emit(tokOp, string(c), i)
-			i++
-		case c == '\'':
-			j := i + 1
-			for j < len(input) && input[j] != '\'' {
-				j++
-			}
-			if j >= len(input) {
-				emit(tokErr, "unterminated string literal", i)
-				return toks
-			}
-			emit(tokValue, input[i+1:j], i)
-			i = j + 1
-		case unicode.IsLetter(c) || unicode.IsDigit(c) || c == '_':
-			j := i
-			for j < len(input) {
-				r := rune(input[j])
-				if !unicode.IsLetter(r) && !unicode.IsDigit(r) && r != '_' && r != '.' {
-					break
-				}
-				j++
-			}
-			word := input[i:j]
-			switch strings.ToLower(word) {
-			case "union":
-				emit(tokOp, "|", i)
-			case "intersect":
-				emit(tokOp, "&", i)
-			case "except", "minus":
-				emit(tokOp, "-", i)
-			default:
-				emit(tokIdent, word, i)
-			}
-			i = j
-		default:
-			emit(tokErr, fmt.Sprintf("unexpected character %q", c), i)
-			return toks
-		}
+// lexer hands out the tokens of input one at a time, so a query the
+// parser refuses part-way is never tokenized past that point. At the end
+// of input it keeps returning tokEOF, and after an error the same tokErr.
+type lexer struct {
+	input string
+	i     int
+}
+
+func (l *lexer) next() token {
+	in := l.input
+	for l.i < len(in) && unicode.IsSpace(rune(in[l.i])) {
+		l.i++
 	}
-	emit(tokEOF, "", len(input))
-	return toks
+	start := l.i
+	if start == len(in) {
+		return token{tokEOF, "", start}
+	}
+	c := rune(in[start])
+	var kind tokKind
+	switch {
+	case c == '(':
+		kind = tokLParen
+	case c == ')':
+		kind = tokRParen
+	case c == '[':
+		kind = tokLBracket
+	case c == ']':
+		kind = tokRBracket
+	case c == '=':
+		kind = tokEquals
+	case c == '|' || c == '&' || c == '-':
+		kind = tokOp
+	case c == '\'':
+		j := strings.IndexByte(in[start+1:], '\'')
+		if j < 0 {
+			return token{tokErr, "unterminated string literal", start}
+		}
+		l.i = start + 1 + j + 1
+		return token{tokValue, in[start+1 : start+1+j], start}
+	case unicode.IsLetter(c) || unicode.IsDigit(c) || c == '_':
+		j := start
+		for j < len(in) {
+			r := rune(in[j])
+			if !unicode.IsLetter(r) && !unicode.IsDigit(r) && r != '_' && r != '.' {
+				break
+			}
+			j++
+		}
+		l.i = j
+		word := in[start:j]
+		switch strings.ToLower(word) {
+		case "union":
+			return token{tokOp, "|", start}
+		case "intersect":
+			return token{tokOp, "&", start}
+		case "except", "minus":
+			return token{tokOp, "-", start}
+		}
+		return token{tokIdent, word, start}
+	default:
+		return token{tokErr, fmt.Sprintf("unexpected character %q", c), start}
+	}
+	l.i = start + 1
+	return token{kind, in[start:l.i], start}
 }
 
 type parser struct {
-	toks []token
-	pos  int
+	lex    lexer
+	tok    token // the next token, not yet consumed
+	nodes  int   // plan nodes read, counted as MaxNodes counts them
+	leaves int   // relation references read
+	depth  int   // parentheses open around the current token
 }
 
-func (p *parser) peek() token { return p.toks[p.pos] }
+func (p *parser) peek() token { return p.tok }
 
 func (p *parser) next() token {
-	t := p.toks[p.pos]
-	if t.kind != tokEOF {
-		p.pos++
-	}
+	t := p.tok
+	p.tok = p.lex.next()
 	return t
 }
 
@@ -177,6 +188,24 @@ func (p *parser) expect(k tokKind, what string) (token, error) {
 	return t, nil
 }
 
+// count charges n plan nodes against MaxNodes.
+func (p *parser) count(n int) error {
+	if p.nodes += n; p.nodes > MaxNodes {
+		return fmt.Errorf("query: plan of more than %d operators, relation references and pushed-down selections", MaxNodes)
+	}
+	return nil
+}
+
+// open enters one level of parentheses, refusing nesting past MaxNodes;
+// the caller leaves it (p.depth--) at the matching ')'. Parentheses are
+// the parser's only recursion, so this also bounds its stack.
+func (p *parser) open() error {
+	if p.depth++; p.depth > MaxNodes {
+		return fmt.Errorf("query: parentheses nested deeper than %d", MaxNodes)
+	}
+	return nil
+}
+
 // parseQuery handles the lowest-precedence operator, union.
 func (p *parser) parseQuery() (Node, error) {
 	left, err := p.parseTerm()
@@ -185,6 +214,9 @@ func (p *parser) parseQuery() (Node, error) {
 	}
 	for p.peek().kind == tokOp && p.peek().text == "|" {
 		p.next()
+		if err := p.count(1); err != nil {
+			return nil, err
+		}
 		right, err := p.parseTerm()
 		if err != nil {
 			return nil, err
@@ -203,6 +235,9 @@ func (p *parser) parseTerm() (Node, error) {
 	}
 	for p.peek().kind == tokOp && (p.peek().text == "&" || p.peek().text == "-") {
 		op := p.next().text
+		if err := p.count(1); err != nil {
+			return nil, err
+		}
 		right, err := p.parseFactor()
 		if err != nil {
 			return nil, err
@@ -218,6 +253,9 @@ func (p *parser) parseFactor() (Node, error) {
 	case tokErr:
 		return nil, fmt.Errorf("query: %s at offset %d", t.text, t.pos)
 	case tokLParen:
+		if err := p.open(); err != nil {
+			return nil, err
+		}
 		n, err := p.parseQuery()
 		if err != nil {
 			return nil, err
@@ -225,10 +263,15 @@ func (p *parser) parseFactor() (Node, error) {
 		if _, err := p.expect(tokRParen, "')'"); err != nil {
 			return nil, err
 		}
+		p.depth--
 		return n, nil
 	case tokIdent:
 		if strings.EqualFold(t.text, "sigma") {
 			return p.parseSelect()
+		}
+		p.leaves++
+		if err := p.count(1); err != nil {
+			return nil, err
 		}
 		return &Rel{Name: t.text}, nil
 	default:
@@ -258,11 +301,19 @@ func (p *parser) parseSelect() (Node, error) {
 	if _, err := p.expect(tokLParen, "'('"); err != nil {
 		return nil, err
 	}
+	if err := p.open(); err != nil {
+		return nil, err
+	}
+	leaves := p.leaves
 	in, err := p.parseQuery()
 	if err != nil {
 		return nil, err
 	}
 	if _, err := p.expect(tokRParen, "')'"); err != nil {
+		return nil, err
+	}
+	p.depth--
+	if err := p.count(p.leaves - leaves); err != nil {
 		return nil, err
 	}
 	return &Select{Attr: attr.text, Value: val.text, Input: in}, nil

@@ -74,6 +74,42 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
+// TestParseBoundsThePlan stacks k selections over a union chain sized so
+// that the plan PushDownSelections makes of it — every selection copied
+// onto every leaf — has exactly MaxNodes nodes: Parse accepts it, and
+// refuses it with one more selection.
+func TestParseBoundsThePlan(t *testing.T) {
+	var size func(Node) int
+	size = func(n Node) int {
+		switch q := n.(type) {
+		case *SetOp:
+			return 1 + size(q.Left) + size(q.Right)
+		case *Select:
+			return 1 + size(q.Input)
+		}
+		return 1
+	}
+	for _, k := range []int{1, 3, 7} {
+		// k selections over a chain of m leaves plan as 2m-1 + k·m nodes.
+		m := (MaxNodes + 1) / (k + 2)
+		q := "a" + strings.Repeat(" | b", m-1)
+		for i := 0; i < k; i++ {
+			q = "sigma[P='v'](" + q + ")"
+		}
+		q += strings.Repeat(" | a", (MaxNodes-(2*m-1+k*m))/2)
+		n, err := Parse(q)
+		if err != nil {
+			t.Fatalf("k=%d: %v", k, err)
+		}
+		if got := size(PushDownSelections(n)); got > MaxNodes || got < MaxNodes-1 {
+			t.Fatalf("k=%d: pushed-down plan has %d nodes, want the bound %d", k, got, MaxNodes)
+		}
+		if _, err := Parse("sigma[P='v'](" + q + ")"); err == nil {
+			t.Fatalf("k=%d: one more selection accepted", k)
+		}
+	}
+}
+
 func TestRelationsAndNonRepeating(t *testing.T) {
 	n := MustParse("c - (a | b)")
 	if got := Relations(n); strings.Join(got, ",") != "a,b,c" {

@@ -57,6 +57,9 @@ func Eval(n query.Node, db map[string]*relation.Relation) (*relation.Relation, e
 }
 
 // Apply evaluates op(r, s) per snapshot and coalesces maximal intervals.
+// Each output row's probability is its formula's possible-worlds sum
+// (lineage.Expr.ProbPossibleWorlds), not the valuation the production
+// path runs, so the harnesses check probabilities against Def. 3 too.
 func Apply(op core.Op, r, s *relation.Relation) *relation.Relation {
 	out := relation.New(relation.Schema{Name: "ref", Attrs: r.Schema.Attrs})
 
@@ -117,8 +120,8 @@ func Apply(op core.Op, r, s *relation.Relation) *relation.Relation {
 				continue
 			}
 			flush()
-			nt := relation.NewDerived(fd.fact, lam, interval.Interval{Ts: t, Te: t + 1})
-			cur = &nt
+			cur = &relation.Tuple{Fact: fd.fact, Lineage: lam, T: interval.Interval{Ts: t, Te: t + 1},
+				Prob: lam.ProbPossibleWorlds()}
 		}
 		flush()
 	}

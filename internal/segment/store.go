@@ -374,6 +374,7 @@ func (s *Store) TryRecover() error {
 // rewrite keeps all on-disk segments on one dictionary generation, so
 // the next restart aliases every relation.
 //
+// A degraded store refuses with ErrDegraded before it encodes anything.
 // A *WALError return means the mutation was not acknowledged and the
 // store is now degraded. An apply failure after a successful append
 // also degrades the store but does NOT fail the Put: the mutation is
@@ -383,14 +384,14 @@ func (s *Store) Put(name string, rel *relation.Relation, rebound map[string]*rel
 	if rel.Schema.Name != name {
 		return fmt.Errorf("segment: put of %q with schema name %q", name, rel.Schema.Name)
 	}
-	payload, err := Encode(rel)
-	if err != nil {
-		return err
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.degraded != nil {
 		return fmt.Errorf("%w: %v", ErrDegraded, s.degraded)
+	}
+	payload, err := Encode(rel)
+	if err != nil {
+		return err
 	}
 	if err := s.appendLocked(opPut, name, payload); err != nil {
 		return err

@@ -2,11 +2,15 @@ package server
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 
+	"github.com/tpset/tpset/internal/query"
 	"github.com/tpset/tpset/internal/relation"
 )
 
@@ -52,6 +56,63 @@ func TestQueryBodyLimit(t *testing.T) {
 		resp, body = rawPost(t, http.MethodPost, ts.URL+path, []byte(`{"query":"a & c"}`))
 		if resp.StatusCode != http.StatusOK {
 			t.Errorf("POST %s normal: status %d, want 200 (body %.120s)", path, resp.StatusCode, body)
+		}
+	}
+}
+
+// TestQueryBoundRefusedBeforePlanning: a 1 MiB query — an operator
+// chain or a parenthesis nest — answers 400 on every query verb before
+// any plan exists, and the whole request allocates less than 16 MiB; a
+// query exactly at query.MaxNodes is evaluated, and one past it is
+// refused.
+func TestQueryBoundRefusedBeforePlanning(t *testing.T) {
+	s, _ := newTestServer(t)
+	h := s.Handler()
+	body := func(q string) []byte {
+		b, err := json.Marshal(QueryRequest{Query: q})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	post := func(path string, b []byte) *httptest.ResponseRecorder {
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(b)))
+		return w
+	}
+
+	n := MaxQueryBodyBytes/2 - 16
+	huge := map[string][]byte{
+		"chain": body("a" + strings.Repeat("|b", n)),
+		"nest":  body(strings.Repeat("(", n) + "a" + strings.Repeat(")", n)),
+	}
+	for _, path := range []string{"/query", "/query/stream", "/query/explain"} {
+		for shape, b := range huge {
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			w := post(path, b)
+			runtime.ReadMemStats(&m1)
+			if w.Code != http.StatusBadRequest {
+				t.Errorf("POST %s, 1 MiB %s: status %d, want 400 (body %.120s)", path, shape, w.Code, w.Body)
+			}
+			if alloc := m1.TotalAlloc - m0.TotalAlloc; alloc > 16<<20 {
+				t.Errorf("POST %s, 1 MiB %s: allocated %d bytes, want under 16 MiB", path, shape, alloc)
+			}
+		}
+	}
+
+	head := "a"
+	if query.MaxNodes%2 == 0 {
+		head = "sigma[Product='milk'](a)"
+	}
+	chain := head + strings.Repeat(" | b", (query.MaxNodes-1)/2)
+	nest := strings.Repeat("(", query.MaxNodes) + "a" + strings.Repeat(")", query.MaxNodes)
+	for q, past := range map[string]string{chain: chain + " | c", nest: "(" + nest + ")"} {
+		if w := post("/query", body(q)); w.Code != http.StatusOK {
+			t.Errorf("query at the bound: status %d, want 200 (body %.120s)", w.Code, w.Body)
+		}
+		if w := post("/query", body(past)); w.Code != http.StatusBadRequest {
+			t.Errorf("query past the bound: status %d, want 400 (body %.120s)", w.Code, w.Body)
 		}
 	}
 }

@@ -29,6 +29,16 @@ type RelVersion struct {
 // Callers receiving a *relation.Relation from the catalog must not mutate
 // it.
 //
+// Every mutation runs prepare → persist → install. Prepare does the
+// admission work without publishing it; persist is the caller's durable
+// mirror (the segment store's WAL append and fsync), and a failed persist
+// returns before anything is installed, so there is nothing to undo;
+// install is one short write-locked swap of the entries, the dictionary
+// and the clock. Nothing is visible before it is durable. Writers are
+// serialized across all three steps (write), so persist order is version
+// order; readers take only mu, which no writer holds during prepare or
+// persist.
+//
 // The catalog additionally maintains one catalog-wide fact dictionary:
 // every stored relation is bound to it at admission, so any query over
 // any subset of relations runs entirely on interned integer compares —
@@ -41,7 +51,8 @@ type RelVersion struct {
 // presence, and order preservation is unaffected by unused keys — so
 // drops never force a rebuild.
 type Catalog struct {
-	mu    sync.RWMutex
+	write sync.Mutex   // serializes writers; held across prepare → persist → install
+	mu    sync.RWMutex // guards the fields below; written only by install
 	rels  map[string]catEntry
 	clock uint64
 	dict  *keys.Dict
@@ -58,31 +69,48 @@ func NewCatalog() *Catalog {
 }
 
 // Put loads or replaces the relation under name, returning its new
-// version and whether the name already existed (decided under the same
-// write lock, so concurrent Puts report create-vs-replace consistently).
-// Admission binds rel to the catalog-wide fact dictionary (rebuilding it
-// when rel brings genuinely new facts), so the relation — including the
-// caller's pointer — must not be mutated afterwards.
-func (c *Catalog) Put(name string, rel *relation.Relation) (version uint64, existed bool) {
-	version, existed, _ = c.PutRebound(name, rel)
-	return version, existed
-}
-
-// PutRebound is Put exposing the admission side effect a durable store
-// must mirror: when admission rebuilt the catalog dictionary, rebound
-// maps every *other* stored relation name to the freshly rebound clone
-// now installed in the catalog (nil on the fast path, where no sibling
-// changed). A persistence layer rewrites those segments so the on-disk
-// generation converges with memory; until it does, mixed on-disk
-// generations are healed at restore (segment.Store.Restore).
-func (c *Catalog) PutRebound(name string, rel *relation.Relation) (version uint64, existed bool, rebound map[string]*relation.Relation) {
+// version and whether the name already existed. Admission binds rel to
+// the catalog-wide fact dictionary (rebuilding it when rel brings
+// genuinely new facts), so the relation — including the caller's pointer
+// — must not be mutated afterwards.
+//
+// persist, when non-nil, runs after admission is prepared and before it
+// is installed, with the rebound sibling clones of a dictionary rebuild
+// (nil when no sibling changed): a durable store writes rel and rewrites
+// those segments. A persist error is returned as it is and leaves the
+// catalog untouched. persist runs while the catalog's writers wait, so
+// it may read the catalog but must not mutate it.
+func (c *Catalog) Put(name string, rel *relation.Relation, persist func(rebound map[string]*relation.Relation) error) (version uint64, existed bool, err error) {
+	c.write.Lock()
+	defer c.write.Unlock()
+	dict, rebound := c.admit(name, rel)
+	if persist != nil {
+		if err := persist(rebound); err != nil {
+			return 0, false, err
+		}
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	rebound = c.admit(name, rel)
+	for other, clone := range rebound {
+		c.rels[other] = catEntry{rel: clone, version: c.rels[other].version}
+	}
 	_, existed = c.rels[name]
 	c.clock++
 	c.rels[name] = catEntry{rel: rel, version: c.clock}
-	return c.clock, existed, rebound
+	c.dict = dict
+	return c.clock, existed, nil
+}
+
+// PutRebound is Put without a persist step, exposing the admission side
+// effect a durable store must mirror: rebound maps every *other* stored
+// relation name to the freshly rebound clone now installed (nil on the
+// fast path, where no sibling changed).
+func (c *Catalog) PutRebound(name string, rel *relation.Relation) (version uint64, existed bool, rebound map[string]*relation.Relation) {
+	version, existed, _ = c.Put(name, rel, func(rb map[string]*relation.Relation) error {
+		rebound = rb
+		return nil
+	})
+	return version, existed, rebound
 }
 
 // Restore seeds the catalog from a durable store's recovered state:
@@ -93,6 +121,8 @@ func (c *Catalog) PutRebound(name string, rel *relation.Relation) (version uint6
 // later dictionary rebuilds, which rebind via unfrozen clones. Call it
 // once, on an empty catalog, before serving.
 func (c *Catalog) Restore(rels map[string]*relation.Relation, dict *keys.Dict) {
+	c.write.Lock()
+	defer c.write.Unlock()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	names := make([]string, 0, len(rels))
@@ -109,21 +139,22 @@ func (c *Catalog) Restore(rels map[string]*relation.Relation, dict *keys.Dict) {
 	}
 }
 
-// admit binds rel to the catalog dictionary. Fast path: every fact of
-// rel is already a dictionary key — bind and done. Slow path: rebuild
-// the dictionary over the facts of rel plus all currently stored
-// relations (which also prunes keys of dropped or replaced facts) and
-// rebind every stored relation via a content-identical clone; versions
-// are unchanged because the logical relation content is unchanged.
+// admit is Put's prepare step: it binds rel to the dictionary the
+// install will publish and returns that dictionary. Fast path: every
+// fact of rel is already a key of the catalog dictionary — bind and
+// done. Slow path: build a dictionary over the facts of rel plus all
+// currently stored relations (which also prunes keys of dropped or
+// replaced facts) and rebind every other stored relation via a
+// content-identical clone, returned in rebound; their versions are
+// unchanged at install because the logical content is unchanged.
 // Rebinding preserves sortedness: both dictionaries order ids by key.
+// The caller holds write, so the stored entries cannot change
+// underneath; nothing here takes mu.
 //
 // Binding is what builds a relation's fid column: query plans over the
 // catalog run AssumeSorted, and a leaf that is sorted and on the catalog
 // dictionary is scanned in place (core.PrepareLeaves).
-//
-// The returned map holds the rebound sibling clones of the slow path
-// (nil when the fast path ran); see PutRebound.
-func (c *Catalog) admit(name string, rel *relation.Relation) map[string]*relation.Relation {
+func (c *Catalog) admit(name string, rel *relation.Relation) (*keys.Dict, map[string]*relation.Relation) {
 	if invariant.Enabled {
 		// Tagged builds re-prove the admission contract the mutation
 		// paths establish (sorted, duplicate-free — the Algorithm 1–4
@@ -137,7 +168,7 @@ func (c *Catalog) admit(name string, rel *relation.Relation) map[string]*relatio
 	relKeys := factKeys(rel, nil)
 	if c.dict != nil && c.dict.Contains(relKeys) {
 		rel.Bind(c.dict)
-		return nil
+		return c.dict, nil
 	}
 	union := relKeys
 	for other, e := range c.rels {
@@ -155,14 +186,12 @@ func (c *Catalog) admit(name string, rel *relation.Relation) map[string]*relatio
 		}
 		clone := e.rel.Clone()
 		clone.Bind(dict)
-		c.rels[other] = catEntry{rel: clone, version: e.version}
 		if rebound == nil {
 			rebound = make(map[string]*relation.Relation)
 		}
 		rebound[other] = clone
 	}
-	c.dict = dict
-	return rebound
+	return dict, rebound
 }
 
 // factKeys appends the fact keys of r to dst, skipping consecutive
@@ -181,42 +210,6 @@ func factKeys(r *relation.Relation, dst []string) []string {
 	return dst
 }
 
-// Checkpoint captures the catalog's relation table and dictionary so a
-// mutation whose durable mirror fails can be rolled back (Rollback).
-// The snapshot is consistent on its own, but it stays valid as a
-// rollback target only while no other mutation lands between Checkpoint
-// and Rollback — the server's mutGate provides exactly that
-// serialization. Entries are copied by value; the relation pointers are
-// shared, which is safe because stored relations are immutable.
-type Checkpoint struct {
-	rels map[string]catEntry
-	dict *keys.Dict
-}
-
-// Checkpoint snapshots the current relation table and dictionary.
-func (c *Catalog) Checkpoint() Checkpoint {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	rels := make(map[string]catEntry, len(c.rels))
-	for name, e := range c.rels {
-		rels[name] = e
-	}
-	return Checkpoint{rels: rels, dict: c.dict}
-}
-
-// Rollback restores the relation table and dictionary captured by cp.
-// The clock is deliberately NOT rolled back: versions are cache-key
-// material, and re-issuing one after a rollback could alias a result
-// cached against the rolled-back state. A post-rollback catalog is
-// bitwise the pre-mutation catalog except for a gap in the version
-// sequence, which nothing keys on.
-func (c *Catalog) Rollback(cp Checkpoint) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.rels = cp.rels
-	c.dict = cp.dict
-}
-
 // Get returns the relation under name and its version.
 func (c *Catalog) Get(name string) (*relation.Relation, uint64, bool) {
 	c.mu.RLock()
@@ -227,16 +220,25 @@ func (c *Catalog) Get(name string) (*relation.Relation, uint64, bool) {
 
 // Drop removes the relation under name; it reports whether it existed.
 // A successful drop bumps the catalog clock, so a later reload of the same
-// name can never reuse a previously observed version.
-func (c *Catalog) Drop(name string) bool {
+// name can never reuse a previously observed version. persist, when
+// non-nil, runs between the existence check and the removal; its error
+// is returned as it is, with the relation still stored.
+func (c *Catalog) Drop(name string, persist func() error) (existed bool, err error) {
+	c.write.Lock()
+	defer c.write.Unlock()
+	if _, ok := c.rels[name]; !ok {
+		return false, nil
+	}
+	if persist != nil {
+		if err := persist(); err != nil {
+			return true, err
+		}
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, ok := c.rels[name]; !ok {
-		return false
-	}
 	c.clock++
 	delete(c.rels, name)
-	return true
+	return true, nil
 }
 
 // Len returns the number of stored relations.

@@ -17,15 +17,15 @@ func rel1(name, id string) *relation.Relation {
 
 func TestCatalogVersionsMonotonic(t *testing.T) {
 	c := NewCatalog()
-	v1, existed := c.Put("a", rel1("a", "a1"))
+	v1, existed, _ := c.Put("a", rel1("a", "a1"), nil)
 	if existed {
 		t.Fatal("first Put reported existed")
 	}
-	v2, _ := c.Put("b", rel1("b", "b1"))
+	v2, _, _ := c.Put("b", rel1("b", "b1"), nil)
 	if v1 >= v2 {
 		t.Fatalf("versions not increasing: %d then %d", v1, v2)
 	}
-	v3, replaced := c.Put("a", rel1("a", "a2")) // replace bumps
+	v3, replaced, _ := c.Put("a", rel1("a", "a2"), nil) // replace bumps
 	if !replaced {
 		t.Fatal("replacing Put reported existed=false")
 	}
@@ -38,13 +38,13 @@ func TestCatalogVersionsMonotonic(t *testing.T) {
 
 	// Drop bumps the clock, so re-loading the same name never reuses a
 	// version an earlier observer might have cached under.
-	if !c.Drop("a") {
+	if existed, _ := c.Drop("a", nil); !existed {
 		t.Fatal("Drop(a) = false")
 	}
-	if c.Drop("a") {
+	if existed, _ := c.Drop("a", nil); existed {
 		t.Fatal("second Drop(a) = true")
 	}
-	v4, _ := c.Put("a", rel1("a", "a3"))
+	v4, _, _ := c.Put("a", rel1("a", "a3"), nil)
 	if v4 <= v3 {
 		t.Fatalf("post-drop reload reused version: %d after %d", v4, v3)
 	}
@@ -52,8 +52,8 @@ func TestCatalogVersionsMonotonic(t *testing.T) {
 
 func TestCatalogSnapshot(t *testing.T) {
 	c := NewCatalog()
-	va, _ := c.Put("a", rel1("a", "a1"))
-	vb, _ := c.Put("b", rel1("b", "b1"))
+	va, _, _ := c.Put("a", rel1("a", "a1"), nil)
+	vb, _, _ := c.Put("b", rel1("b", "b1"), nil)
 
 	db, versions, err := c.Snapshot([]string{"b", "a", "a"})
 	if err != nil {
@@ -76,8 +76,8 @@ func TestCatalogSnapshot(t *testing.T) {
 
 func TestCatalogList(t *testing.T) {
 	c := NewCatalog()
-	c.Put("z", rel1("z", "z1"))
-	c.Put("a", rel1("a", "a1"))
+	c.Put("z", rel1("z", "z1"), nil)
+	c.Put("a", rel1("a", "a1"), nil)
 	l := c.List()
 	if len(l) != 2 || l[0].Name != "a" || l[1].Name != "z" {
 		t.Fatalf("List() = %v, want sorted [a z]", l)
@@ -101,7 +101,7 @@ func TestFreshCatalogRelationPublishesOneRunIndex(t *testing.T) {
 		}
 	}
 	c := NewCatalog()
-	c.Put("r", r)
+	c.Put("r", r, nil)
 	db, _, err := c.Snapshot([]string{"r"})
 	if err != nil {
 		t.Fatal(err)

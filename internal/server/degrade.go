@@ -13,13 +13,15 @@ import (
 
 // Degraded read-only mode. When the attached store's WAL append or
 // fsync fails — disk full, dying device — the store latches degraded
-// (segment.Store.Degraded) and the server follows: mutations are
-// refused with 503 before they touch the catalog, so memory and disk
-// never diverge during the outage, while reads keep serving the
-// in-memory/mmap catalog exactly as before. A background probe
-// (StartRecoveryProbe) retries the store's recovery sequence until the
-// disk returns, after which writes re-arm without a restart. /healthz
-// reports the state so operators and load balancers can see it.
+// (segment.Store.Degraded) and refuses every later mutation with
+// segment.ErrDegraded before it touches the disk; the server answers
+// 503 (persistError). The catalog installs a mutation only after the
+// store has made it durable, so a refused one is never visible and
+// memory and disk never diverge during the outage, while reads keep
+// serving the in-memory/mmap catalog exactly as before. A background
+// probe (StartRecoveryProbe) retries the store's recovery sequence until
+// the disk returns, after which writes re-arm without a restart.
+// /healthz reports the state so operators and load balancers can see it.
 
 // DefaultProbeInterval is the recovery probe cadence when the caller
 // passes none: frequent enough that a transient ENOSPC (log rotation,
@@ -31,55 +33,28 @@ const DefaultProbeInterval = 5 * time.Second
 // degraded — the probe cadence, since recovery cannot happen faster.
 const degradedRetryAfter = 5
 
-// store returns the attached segment store (nil without -data-dir).
-// The pointer is written once by AttachStore before serving starts, but
-// reading it under the gate keeps the mutGate access discipline uniform.
-func (s *Server) store() *segment.Store {
-	s.mut.mu.Lock()
-	defer s.mut.mu.Unlock()
-	return s.mut.store
-}
-
 // storeDegraded returns the store's degradation cause, nil when healthy
 // or memory-only.
 func (s *Server) storeDegraded() error {
-	st := s.store()
-	if st == nil {
+	if s.store == nil {
 		return nil
 	}
-	return st.Degraded()
+	return s.store.Degraded()
 }
 
 // storeWALErrors returns the store's cumulative WAL write-failure
 // count, 0 when memory-only.
 func (s *Server) storeWALErrors() uint64 {
-	st := s.store()
-	if st == nil {
+	if s.store == nil {
 		return 0
 	}
-	return st.WALErrorCount()
+	return s.store.WALErrorCount()
 }
 
-// degradedLocked refuses a mutation while the store is degraded —
-// checked before the catalog is touched, which is what keeps the
-// in-memory catalog and the disk in agreement throughout an outage.
-// The caller holds mut.mu.
-func (s *Server) degradedLocked() error {
-	if s.mut.store == nil {
-		return nil
-	}
-	if cause := s.mut.store.Degraded(); cause != nil {
-		return &httpError{status: http.StatusServiceUnavailable,
-			msg:        fmt.Sprintf("store degraded (%v): mutations refused until the disk recovers; reads still served", cause),
-			retryAfter: degradedRetryAfter}
-	}
-	return nil
-}
-
-// persistError classifies a store mutation failure: WAL-level failures
-// (the append or fsync that would have been the acknowledgement) map to
-// 503 — the caller must retry after recovery, nothing was lost —
-// anything else stays a 500.
+// persistError classifies a store mutation failure: the refusal of a
+// degraded store and WAL-level failures (the append or fsync that would
+// have been the acknowledgement) map to 503 — the caller must retry
+// after recovery, nothing was lost — anything else stays a 500.
 func persistError(verb, name string, err error) error {
 	msg := fmt.Sprintf("persisting %s %q: %v", verb, name, err)
 	var werr *segment.WALError
@@ -99,7 +74,7 @@ func persistError(verb, name string, err error) error {
 // mutations flow again. The goroutine exits when ctx is cancelled; a
 // memory-only server starts nothing.
 func (s *Server) StartRecoveryProbe(ctx context.Context, interval time.Duration) {
-	st := s.store()
+	st := s.store
 	if st == nil {
 		return
 	}

@@ -15,8 +15,8 @@ import (
 )
 
 // The full degraded-mode arc over an injected disk: the disk dies
-// (every mutation fails ENOSPC), the first write 503s and rolls back
-// cleanly, reads stay bit-identical throughout the outage, health and
+// (every mutation fails ENOSPC), the first write 503s and is never
+// installed, reads stay bit-identical throughout the outage, health and
 // metrics report the state, further mutations are refused without
 // touching the dead disk — and when the disk returns, the background
 // probe re-arms writes with no restart.
@@ -62,10 +62,10 @@ func TestDegradedReadOnlyEndToEnd(t *testing.T) {
 		t.Fatal("503 without Retry-After")
 	}
 
-	// The failed PUT was rolled back: the relation does not exist, in
+	// The failed PUT was never installed: the relation does not exist, in
 	// memory or on disk.
 	if resp, _ := do(t, "GET", ts.URL+"/relations/x", nil); resp.StatusCode != 404 {
-		t.Fatalf("rolled-back relation visible: %d", resp.StatusCode)
+		t.Fatalf("refused relation visible: %d", resp.StatusCode)
 	}
 
 	// Health and metrics report the outage; reads and queries do not
@@ -89,8 +89,8 @@ func TestDegradedReadOnlyEndToEnd(t *testing.T) {
 		t.Fatalf("query while degraded: status %d, body %s", resp.StatusCode, body)
 	}
 
-	// A second mutation is refused up front — before the catalog is
-	// touched and without issuing a single operation to the dead disk.
+	// A second mutation is refused by the latched store — without
+	// issuing a single operation to the dead disk — and never installed.
 	ops := inj.OpCount()
 	resp, body = do(t, "DELETE", ts.URL+"/relations/a", nil)
 	if resp.StatusCode != http.StatusServiceUnavailable {

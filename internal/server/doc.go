@@ -11,7 +11,9 @@
 //     catalog state has a distinct version vector. Relations inside the
 //     catalog are immutable: a PUT replaces the pointer, never the tuples,
 //     which is what makes lock-free concurrent reads by the evaluation
-//     tier safe.
+//     tier safe. With a segment store attached, a mutation is installed
+//     only after its WAL record is durable, so nothing a query can read
+//     is lost by a crash or refused by a failing disk.
 //
 //   - Cache — a bounded LRU over query results, keyed on the pair
 //     (canonical query string, sorted input-relation versions); see

@@ -11,7 +11,6 @@ import (
 	"runtime"
 	"runtime/debug"
 	"strconv"
-	"sync"
 	"time"
 
 	"github.com/tpset/tpset/internal/core"
@@ -68,18 +67,8 @@ type Server struct {
 	mux     *http.ServeMux
 	started time.Time
 	metrics serverMetrics
-	mut     mutGate
+	store   *segment.Store // nil = memory-only (no -data-dir); set once by AttachStore
 	gate    *admissionGate // nil = unlimited (Config.MaxConcurrent < 0)
-}
-
-// mutGate serializes catalog mutations with their mirror into the
-// segment store, so WAL record order always matches catalog version
-// order (two independent locks would let concurrent PUTs of one name
-// ack in one order and persist in the other). Reads — snapshots,
-// queries — never take it; the catalog and cache carry their own locks.
-type mutGate struct {
-	mu    sync.Mutex
-	store *segment.Store // nil = memory-only (no -data-dir)
 }
 
 // MaxWorkers bounds the per-request worker budget: the engine sizes its
@@ -265,84 +254,64 @@ func (r *statusRecorder) status() int {
 // AttachStore wires a durable segment store under the catalog: the
 // store's recovered relations (mmap-backed, frozen) seed the catalog
 // without re-ingesting, and every subsequent Load, PUT and DELETE is
-// mirrored into the store's WAL before it is acknowledged. Call it once,
-// after New and before serving or seeding; the caller keeps ownership of
-// the store's lifecycle (Flush on graceful shutdown, Close last).
+// written to the store's WAL before the catalog installs it. Call it
+// once, after New and before serving or seeding; the caller keeps
+// ownership of the store's lifecycle (Flush on graceful shutdown, Close
+// last).
 func (s *Server) AttachStore(st *segment.Store) error {
 	rels, dict, err := st.Restore()
 	if err != nil {
 		return err
 	}
-	s.mut.mu.Lock()
-	defer s.mut.mu.Unlock()
 	s.catalog.Restore(rels, dict)
-	s.mut.store = st
+	s.store = st
 	s.metrics.segmentsRestored.Add(uint64(st.SegmentCount()))
 	return nil
 }
 
-// putRelation is the tail of admitRelation: admit into the catalog,
-// invalidate dependent cache entries, and mirror the admission
-// (plus any dictionary-rebuild sibling rewrites) into the attached
-// store. The WAL fsync inside store.Put is the durability point.
-//
-// Failure discipline: a degraded store refuses the mutation before the
-// catalog is touched (503); a store.Put that returns an error never
-// acknowledged, so the catalog mutation is rolled back and the client
-// sees 503/500 over a catalog identical to the one before the request —
-// memory and disk agree throughout. A Put that acknowledged (WAL fsync
-// succeeded) returns nil even if the deferred segment apply then
-// degraded the store, so no rollback happens in that case either.
+// putRelation is the tail of admitRelation: the catalog prepares the
+// admission, the attached store makes it durable (its WAL fsync is the
+// acknowledgement point, and it carries any dictionary-rebuild sibling
+// rewrites), and only then does the catalog install it and the cache
+// drop the entries that depended on name. A store that refuses —
+// degraded, or a failed append or fsync — leaves the catalog as it was
+// (persistError maps the refusal to 503). A Put that acknowledged
+// returns nil even if the deferred segment apply then degraded the
+// store.
 func (s *Server) putRelation(name string, rel *relation.Relation) (version uint64, existed bool, err error) {
-	s.mut.mu.Lock()
-	defer s.mut.mu.Unlock()
-	if err := s.degradedLocked(); err != nil {
-		return 0, false, err
-	}
-	var cp Checkpoint
-	if s.mut.store != nil {
-		cp = s.catalog.Checkpoint()
-	}
-	version, existed, rebound := s.catalog.PutRebound(name, rel)
-	s.cache.InvalidateRelation(name)
-	if s.mut.store != nil {
-		if perr := s.mut.store.Put(name, rel, rebound); perr != nil {
-			s.catalog.Rollback(cp)
-			// Re-invalidate: a concurrent query may have cached a result
-			// against the rolled-back version between the install above
-			// and the rollback. The entry could never be served again
-			// (versions are monotonic), but there is no reason to keep it.
-			s.cache.InvalidateRelation(name)
-			return 0, false, persistError("relation", name, perr)
+	var persist func(map[string]*relation.Relation) error
+	if s.store != nil {
+		persist = func(rebound map[string]*relation.Relation) error {
+			if err := s.store.Put(name, rel, rebound); err != nil {
+				return persistError("relation", name, err)
+			}
+			return nil
 		}
 	}
-	return version, existed, nil
+	if version, existed, err = s.catalog.Put(name, rel, persist); err == nil {
+		s.cache.InvalidateRelation(name)
+	}
+	return version, existed, err
 }
 
-// dropRelation is the shared tail of Drop and DELETE; same
-// serialization and same failure discipline as putRelation.
+// dropRelation is the shared tail of Drop and DELETE, ordered like
+// putRelation: an absent name is reported before the store is asked, a
+// refused store.Drop leaves the relation in place, and the cache is
+// invalidated once the drop is installed.
 func (s *Server) dropRelation(name string) (existed bool, invalidated int, err error) {
-	s.mut.mu.Lock()
-	defer s.mut.mu.Unlock()
-	if err := s.degradedLocked(); err != nil {
-		return false, 0, err
-	}
-	var cp Checkpoint
-	if s.mut.store != nil {
-		cp = s.catalog.Checkpoint()
-	}
-	if !s.catalog.Drop(name) {
-		return false, 0, nil
-	}
-	invalidated = s.cache.InvalidateRelation(name)
-	if s.mut.store != nil {
-		if perr := s.mut.store.Drop(name); perr != nil {
-			s.catalog.Rollback(cp)
-			s.cache.InvalidateRelation(name)
-			return true, invalidated, persistError("drop of", name, perr)
+	var persist func() error
+	if s.store != nil {
+		persist = func() error {
+			if err := s.store.Drop(name); err != nil {
+				return persistError("drop of", name, err)
+			}
+			return nil
 		}
 	}
-	return true, invalidated, nil
+	if existed, err = s.catalog.Drop(name, persist); err != nil || !existed {
+		return existed, 0, err
+	}
+	return true, s.cache.InvalidateRelation(name), nil
 }
 
 // Load seeds or replaces a catalog relation programmatically (startup
@@ -388,8 +357,7 @@ func (s *Server) admitRelation(name string, rel *relation.Relation) (version uin
 
 // Drop removes a catalog relation and invalidates its dependent cache
 // entries; it reports whether the relation existed. With an attached
-// store a persist failure surfaces as the error (the in-memory drop has
-// already happened).
+// store a persist failure surfaces as the error, and the relation stays.
 func (s *Server) Drop(name string) (bool, error) {
 	existed, _, err := s.dropRelation(name)
 	return existed, err
