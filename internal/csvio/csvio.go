@@ -1,14 +1,16 @@
 package csvio
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/csv"
+	"errors"
 	"fmt"
 	"io"
 	"os"
 	"strconv"
+	"strings"
 
+	"github.com/tpset/tpset/internal/interval"
 	"github.com/tpset/tpset/internal/lineage"
 	"github.com/tpset/tpset/internal/relation"
 )
@@ -78,10 +80,6 @@ func WriteFile(path string, r *relation.Relation) error {
 	return f.Close()
 }
 
-// readChunkRows is the size of the row chunks Read collects into before
-// it knows how many rows the file holds (a third of a megabyte each).
-const readChunkRows = 4096
-
 // utf8BOM is the UTF-8 encoding of U+FEFF, which Windows tools commonly
 // prepend to exported CSV files.
 var utf8BOM = []byte{0xEF, 0xBB, 0xBF}
@@ -91,40 +89,73 @@ var utf8BOM = []byte{0xEF, 0xBB, 0xBF}
 // unique identifier within the file). The lineage column must be non-empty
 // and syntactically valid lineage (a bare identifier or a rendered
 // formula; see lineage.Parse) — a malformed formula is rejected rather
-// than silently becoming an opaque variable. The loaded relation is
-// checked for the model's duplicate-freeness invariant: two rows with the
-// same fact over overlapping intervals are an error.
+// than silently becoming an opaque variable. A bare name
+// (lineage.IsVarName) is taken as it is; anything else is parsed to be
+// checked. The loaded relation is checked for the model's
+// duplicate-freeness invariant: two rows with the same fact over
+// overlapping intervals are an error.
 //
-// Windows-exported CSVs are accepted as-is: a leading UTF-8 BOM is
-// stripped (it would otherwise become part of the first header name) and
-// CRLF line endings are handled by the underlying csv reader.
+// The input is read into memory whole and copied once into one string;
+// fact values and header names are substrings of it (a quoted field with
+// a "" escape is the one value built on its own). Records are split by
+// hand under encoding/csv's rules for a Reader with FieldsPerRecord = -1
+// and LazyQuotes off: a leading UTF-8 BOM is stripped, CRLF line endings
+// read as LF inside and outside quotes, a final '\r' is dropped, blank
+// lines are skipped, and a bare or stray quote is an error. Every row's
+// leaf is built by one lineage.Vars batch. An error names the physical
+// line its record starts on.
 func Read(rd io.Reader, name string) (*relation.Relation, error) {
-	br := bufio.NewReader(rd)
-	if head, err := br.Peek(len(utf8BOM)); err == nil && bytes.Equal(head, utf8BOM) {
-		if _, err := br.Discard(len(utf8BOM)); err != nil {
-			return nil, fmt.Errorf("csvio: skipping BOM: %w", err)
-		}
-	}
-	cr := csv.NewReader(br)
-	cr.FieldsPerRecord = -1
-	header, err := cr.Read()
+	data, err := io.ReadAll(rd)
 	if err != nil {
-		return nil, fmt.Errorf("csvio: reading header: %w", err)
+		return nil, fmt.Errorf("csvio: reading: %w", err)
+	}
+	return parse(data, name)
+}
+
+// ReadFile loads the relation stored at path; the relation is named after
+// the file.
+func ReadFile(path, name string) (*relation.Relation, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	return parse(data, name)
+}
+
+func parse(data []byte, name string) (*relation.Relation, error) {
+	sp := splitter{s: normalize(data), line: 1}
+	header, line, err := sp.next(nil)
+	if err == io.EOF {
+		return nil, errors.New("csvio: reading header: empty input")
+	}
+	if err != nil {
+		return nil, fmt.Errorf("csvio: line %d: reading header: %w", line, err)
 	}
 	if len(header) < 5 {
 		return nil, fmt.Errorf("csvio: header needs at least one fact column plus lineage,ts,te,p; got %d columns", len(header))
 	}
 	nf := len(header) - 4
 	rel := relation.New(relation.NewSchema(name, header[:nf]...))
-	// The row count is unknown until EOF, and appending 200K rows to one
-	// slice reallocates and re-copies it some three dozen times. Rows
-	// collect in chunks instead — the first grows to readChunkRows, every
-	// later one is allocated at that size — and rel.Tuples is built once,
-	// at its exact length, when the count is known.
-	var chunks [][]relation.Tuple
-	var chunk []relation.Tuple
-	for line := 2; ; line++ {
-		row, err := cr.Read()
+
+	// Every record takes at least one of the remaining lines, so their
+	// count sizes every per-row array once — exactly, unless the file has
+	// blank lines or quoted fields that span lines. A row that is kept
+	// also takes at least 2·len(header)−1 bytes (a non-empty value in
+	// every column), which keeps a wide header over many short lines from
+	// sizing the fact array quadratically in the input.
+	rest := sp.s[sp.pos:]
+	most := strings.Count(rest, "\n")
+	if rest != "" && rest[len(rest)-1] != '\n' {
+		most++
+	}
+	most = min(most, len(rest)/(2*len(header)-1))
+	rows := make([]relation.Tuple, 0, most)
+	facts := make([]string, most*nf)
+	names := make([]string, 0, most)
+	probs := make([]float64, 0, most)
+	row := make([]string, 0, len(header))
+	for {
+		row, line, err = sp.next(row[:0])
 		if err == io.EOF {
 			break
 		}
@@ -163,22 +194,25 @@ func Read(rd io.Reader, name string) (*relation.Relation, error) {
 		// The lineage column is kept opaque (see the package note) but must
 		// at least BE lineage: parsing catches truncated or mangled
 		// formulas that would otherwise round-trip as garbage identifiers.
-		if expr, err := lineage.Parse(row[nf], func(string) (float64, error) { return p, nil }); err != nil {
-			return nil, fmt.Errorf("csvio: line %d: unparsable lineage %q: %w", line, row[nf], err)
-		} else if expr == nil {
-			return nil, fmt.Errorf("csvio: line %d: empty lineage column", line)
+		if id := row[nf]; !lineage.IsVarName(id) {
+			if expr, err := lineage.Parse(id, func(string) (float64, error) { return p, nil }); err != nil {
+				return nil, fmt.Errorf("csvio: line %d: unparsable lineage %q: %w", line, id, err)
+			} else if expr == nil {
+				return nil, fmt.Errorf("csvio: line %d: empty lineage column", line)
+			}
 		}
-		if len(chunk) == readChunkRows {
-			chunks = append(chunks, chunk)
-			chunk = make([]relation.Tuple, 0, readChunkRows)
-		}
-		chunk = append(chunk, relation.NewBase(relation.Fact(row[:nf]), row[nf], ts, te, p))
+		i := len(rows)
+		fact := facts[i*nf : (i+1)*nf : (i+1)*nf]
+		copy(fact, row[:nf])
+		rows = append(rows, relation.Tuple{Fact: fact, T: interval.New(ts, te), Prob: p})
+		names = append(names, row[nf])
+		probs = append(probs, p)
 	}
-	if n := len(chunks)*readChunkRows + len(chunk); n > 0 {
-		rel.Tuples = make([]relation.Tuple, 0, n)
-		for _, c := range append(chunks, chunk) {
-			rel.Tuples = append(rel.Tuples, c...)
-		}
+	for i, leaf := range lineage.Vars(names, probs) {
+		rows[i].Lineage = leaf
+	}
+	if len(rows) > 0 {
+		rel.Tuples = rows
 	}
 	// Construct interned fact ids at ingest: the duplicate check below and
 	// every later sort/sweep over this relation run on integer compares.
@@ -189,13 +223,114 @@ func Read(rd io.Reader, name string) (*relation.Relation, error) {
 	return rel, nil
 }
 
-// ReadFile loads the relation stored at path; the relation is named after
-// the file.
-func ReadFile(path, name string) (*relation.Relation, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
+// normalize returns the text the splitter reads — data without a leading
+// BOM or a final '\r', every "\r\n" read as "\n", which is how
+// encoding/csv reads every line — in the one copy of the input Read
+// makes.
+func normalize(data []byte) string {
+	data = bytes.TrimPrefix(data, utf8BOM)
+	if n := len(data); n > 0 && data[n-1] == '\r' {
+		data = data[:n-1]
 	}
-	defer f.Close()
-	return Read(f, name)
+	if bytes.IndexByte(data, '\r') < 0 {
+		return string(data)
+	}
+	var b strings.Builder
+	b.Grow(len(data))
+	for {
+		i := bytes.Index(data, []byte("\r\n"))
+		if i < 0 {
+			break
+		}
+		b.Write(data[:i])
+		b.WriteByte('\n')
+		data = data[i+2:]
+	}
+	b.Write(data)
+	return b.String()
+}
+
+var (
+	errBareQuote = errors.New(`bare " in non-quoted field`)
+	errQuote     = errors.New(`extraneous or missing " in quoted field`)
+)
+
+// splitter cuts comma-separated records out of normalized text.
+type splitter struct {
+	s    string
+	pos  int // offset of the next unread byte
+	line int // physical line of s[pos], 1-based
+}
+
+// next appends the fields of the next record to dst and returns them
+// with the line the record starts on. Blank lines before it are skipped;
+// at the end of the text it returns io.EOF.
+func (sp *splitter) next(dst []string) ([]string, int, error) {
+	s := sp.s
+	for sp.pos < len(s) && s[sp.pos] == '\n' {
+		sp.pos++
+		sp.line++
+	}
+	start := sp.line
+	if sp.pos == len(s) {
+		return dst, start, io.EOF
+	}
+	for {
+		if sp.pos < len(s) && s[sp.pos] == '"' {
+			f, err := sp.quoted()
+			if err != nil {
+				return dst, start, err
+			}
+			dst = append(dst, f)
+		} else {
+			i := sp.pos
+			for ; i < len(s) && s[i] != ',' && s[i] != '\n'; i++ {
+				if s[i] == '"' {
+					return dst, start, errBareQuote
+				}
+			}
+			dst = append(dst, s[sp.pos:i])
+			sp.pos = i
+		}
+		// The field ends at a comma, a newline or the end of the text.
+		if sp.pos == len(s) {
+			return dst, start, nil
+		}
+		sp.pos++
+		if s[sp.pos-1] == '\n' {
+			sp.line++
+			return dst, start, nil
+		}
+	}
+}
+
+// quoted reads the quoted field at sp.pos, leaving sp.pos on the byte
+// after its closing quote. The value is a substring of the text unless
+// it holds a "" escape.
+func (sp *splitter) quoted() (string, error) {
+	s := sp.s
+	sp.pos++
+	from := sp.pos
+	var esc []byte // the value so far, once an escape forces a copy
+	for {
+		i := strings.IndexByte(s[sp.pos:], '"')
+		if i < 0 {
+			return "", errQuote // no closing quote before the end
+		}
+		sp.line += strings.Count(s[sp.pos:sp.pos+i], "\n")
+		sp.pos += i + 1
+		if sp.pos < len(s) && s[sp.pos] == '"' {
+			esc = append(esc, s[from:sp.pos]...)
+			sp.pos++
+			from = sp.pos
+			continue
+		}
+		if sp.pos < len(s) && s[sp.pos] != ',' && s[sp.pos] != '\n' {
+			return "", errQuote
+		}
+		if esc == nil {
+			return s[from : sp.pos-1], nil
+		}
+		return string(append(esc, s[from:sp.pos-1]...)), nil
+	}
 }

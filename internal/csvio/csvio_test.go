@@ -77,6 +77,17 @@ func TestReadErrors(t *testing.T) {
 		{"negative infinity probability", "F,lineage,ts,te,p\nx,r1,1,3,-Inf\n", "probability -Inf outside (0,1]"},
 		{"empty fact value", "F,lineage,ts,te,p\n,r1,1,3,0.5\n", `empty fact value in column "F"`},
 		{"empty second fact value", "F,G,lineage,ts,te,p\nx,,r1,1,3,0.5\n", `empty fact value in column "G"`},
+		// An error names the physical line its record starts on.
+		{"line after blank line", "F,lineage,ts,te,p\n\nx,r1,zz,3,0.5\n", "csvio: line 3: ts"},
+		{"line after blank CRLF line", "F,lineage,ts,te,p\r\n\r\nx,r1,zz,3,0.5\r\n", "csvio: line 3: ts"},
+		{"line after multi-line field", "F,lineage,ts,te,p\n\"a\nb\",r1,1,3,0.5\nx,r2,zz,3,0.5\n", "csvio: line 4: ts"},
+		{"line of multi-line bad record", "F,lineage,ts,te,p\n\"a\nb\",r1,zz,3,0.5\n", "csvio: line 2: ts"},
+		{"stray quote", "F,lineage,ts,te,p\nx,r1,1,3,0.5\n\"y\"z,r2,1,3,0.5\n", `csvio: line 3: extraneous or missing " in quoted field`},
+		{"bare quote", "F,lineage,ts,te,p\nx\"y,r1,1,3,0.5\n", `csvio: line 2: bare " in non-quoted field`},
+		{"unterminated quote", "F,lineage,ts,te,p\n\n\"x,r1,1,3,0.5\n", `csvio: line 3: extraneous or missing " in quoted field`},
+		{"header quote", "\"F\"x,lineage,ts,te,p\n", `csvio: line 1: reading header: extraneous`},
+		{"empty input", "", "csvio: reading header: empty input"},
+		{"blank input", "\xEF\xBB\xBF\r\n\n", "csvio: reading header: empty input"},
 	}
 	for _, tc := range cases {
 		_, err := Read(strings.NewReader(tc.data), "r")
@@ -86,6 +97,9 @@ func TestReadErrors(t *testing.T) {
 		}
 		if tc.wantErr != "" && !strings.Contains(err.Error(), tc.wantErr) {
 			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.wantErr)
+		}
+		if strings.Count(err.Error(), "line ") > 1 {
+			t.Errorf("%s: error %q names more than one line", tc.name, err)
 		}
 	}
 }
@@ -186,5 +200,31 @@ func TestFileRoundTrip(t *testing.T) {
 	}
 	if _, err := ReadFile(filepath.Join(dir, "missing.csv"), "x"); !os.IsNotExist(err) {
 		t.Errorf("missing file: %v", err)
+	}
+}
+
+// TestReadAllocations pins the loader's allocation count on a 20,000-row
+// file: the reader allocates per file and per column, not per row. A
+// warm-up read first interns the file's variable names, so the count
+// leaves out the process-wide arena's growth.
+func TestReadAllocations(t *testing.T) {
+	r := datagen.Synthetic(datagen.SyntheticConfig{
+		Name: "alloc", NumTuples: 20000, NumFacts: 200, MaxLen: 7, MaxGap: 2, Seed: 5,
+	})
+	path := filepath.Join(t.TempDir(), "r.csv")
+	if err := WriteFile(path, r); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadFile(path, "alloc"); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(3, func() {
+		if _, err := ReadFile(path, "alloc"); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("%.0f allocations for %d rows", allocs, r.Len())
+	if allocs > 256 {
+		t.Fatalf("ReadFile made %.0f allocations for %d rows, want at most 256", allocs, r.Len())
 	}
 }

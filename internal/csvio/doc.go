@@ -19,9 +19,19 @@
 // the loaded relation must be duplicate-free (Def. 1) — two rows with the
 // same fact over overlapping intervals are rejected. Windows-exported
 // files are accepted as-is: a leading UTF-8 BOM is stripped and CRLF line
-// endings are handled. StreamWriter writes rows one tuple at a time, so a
-// streaming cursor plan can be persisted without materializing its
-// result.
+// endings are handled. An error names the physical line its record
+// starts on.
+//
+// Read takes the input into one buffer and makes one string of it; a
+// hand-written splitter accepts exactly what encoding/csv's Reader
+// accepts (FieldsPerRecord = -1, no lazy quotes), and fact values are
+// substrings of that string. A lineage column that is a bare variable
+// name (lineage.IsVarName) is taken as it is; any other is checked by
+// lineage.Parse. Every row's leaf is then built by one lineage.Vars
+// batch, and each row's Fact is cut from one backing array, so a load
+// allocates per file, not per row. encoding/csv is used only to write:
+// StreamWriter writes rows one tuple at a time, so a streaming cursor
+// plan can be persisted without materializing its result.
 //
 // Paper map: the persistence layer feeding the §VII experiments and the
 // tpquery/tpgen/tpserve CLIs; no direct counterpart in the paper. See

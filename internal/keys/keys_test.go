@@ -115,3 +115,43 @@ func TestInternerNamesSnapshot(t *testing.T) {
 		t.Fatalf("snapshot of %d names, Len %d, want 8000", len(names), in.Len())
 	}
 }
+
+// TestBuildDictMatchesSortEverything compares BuildDict with the
+// construction that sorts every key before removing duplicates, on
+// inputs full of duplicates: in runs, scattered, and both.
+func TestBuildDictMatchesSortEverything(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 50; trial++ {
+		var ks []string
+		for n := 1 + rng.Intn(400); len(ks) < n; {
+			k := fmt.Sprintf("f%03d", rng.Intn(1+rng.Intn(60)))
+			for run := 1 + rng.Intn(5); run > 0; run-- {
+				ks = append(ks, k)
+			}
+		}
+		in := append([]string(nil), ks...)
+		sorted := append([]string(nil), ks...)
+		sort.Strings(sorted)
+		var want []string
+		for i, k := range sorted {
+			if i == 0 || sorted[i-1] != k {
+				want = append(want, k)
+			}
+		}
+		d := BuildDict(ks)
+		if fmt.Sprint(d.Keys()) != fmt.Sprint(want) {
+			t.Fatalf("trial %d: keys %v, want %v", trial, d.Keys(), want)
+		}
+		for i, k := range want {
+			if id, ok := d.ID(k); !ok || id != FactID(i) {
+				t.Fatalf("trial %d: ID(%q) = %d, %v; want %d", trial, k, id, ok, i)
+			}
+		}
+		if fmt.Sprint(ks) != fmt.Sprint(in) {
+			t.Fatalf("trial %d: BuildDict modified its input", trial)
+		}
+	}
+	if d := BuildDict(nil); d.Len() != 0 {
+		t.Fatalf("empty input: Len=%d", d.Len())
+	}
+}

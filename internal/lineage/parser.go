@@ -44,6 +44,31 @@ func Parse(input string, probs func(id string) (float64, error)) (*Expr, error) 
 	return e, nil
 }
 
+// IsVarName reports whether Parse(s) returns the single variable s: s
+// is a non-empty run of identifier runes (letters, digits, '_', '.' and
+// '-') other than the word "null". A loader admits such a column as a
+// variable name without parsing it.
+func IsVarName(s string) bool {
+	if s == "" || s == "null" {
+		return false
+	}
+	for _, r := range s { // invalid UTF-8 reads as U+FFFD, not an identifier rune
+		if !isIdentRune(r) {
+			return false
+		}
+	}
+	return true
+}
+
+// isIdentRune is the identifier rule of the grammar's ident: a letter, a
+// digit, '_', '.' or '-'. ASCII is decided without the Unicode tables.
+func isIdentRune(r rune) bool {
+	if r < utf8.RuneSelf {
+		return 'a' <= r && r <= 'z' || 'A' <= r && r <= 'Z' || '0' <= r && r <= '9' || r == '_' || r == '.' || r == '-'
+	}
+	return unicode.IsLetter(r) || unicode.IsDigit(r)
+}
+
 // MustParse is Parse panicking on error, with a constant probability for
 // every variable; intended for tests.
 func MustParse(input string, p float64) *Expr {
@@ -177,7 +202,7 @@ func (p *formulaParser) parseAtom() (*Expr, int, error) {
 	start := p.pos
 	for p.pos < len(p.in) {
 		r, sz := utf8.DecodeRuneInString(p.in[p.pos:])
-		if !unicode.IsLetter(r) && !unicode.IsDigit(r) && r != '_' && r != '.' && r != '-' {
+		if !isIdentRune(r) {
 			break
 		}
 		p.pos += sz

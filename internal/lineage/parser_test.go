@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math/rand"
 	"testing"
+	"unicode"
 )
 
 func TestParseBasics(t *testing.T) {
@@ -100,4 +101,38 @@ func TestMustParse(t *testing.T) {
 		}
 	}()
 	MustParse("a∧", 0.5)
+}
+
+// TestIsVarNameMatchesParse pins IsVarName to its definition: true
+// exactly when Parse(s) returns the single variable named s. Parse and
+// IsVarName share the identifier rule, so the rule itself is checked
+// rune by rune against the Unicode tables.
+func TestIsVarNameMatchesParse(t *testing.T) {
+	for r := rune(0); r <= unicode.MaxRune; r++ {
+		want := unicode.IsLetter(r) || unicode.IsDigit(r) || r == '_' || r == '.' || r == '-'
+		if isIdentRune(r) != want {
+			t.Fatalf("isIdentRune(%U) = %v, want %v", r, !want, want)
+		}
+	}
+	cases := []string{
+		"", "null", "nul", "nulls", "x1", "r1.a-b_c", "-", ".", "7", "ü1", "变量",
+		" x1", "x1 ", "x 1", "x1∧x2", "¬x1", "(x1)", "x1+x2", "x1*", "x1,", `x"1`,
+		"\xff", "x\xff", "�", "x\t", " x", "a|b", "!a", "~a",
+	}
+	rng := rand.New(rand.NewSource(7))
+	alphabet := []rune{'a', 'Z', '0', '_', '.', '-', ' ', '(', ')', '&', '|', '!', '¬', '∧', 'é', '�', 'n', 'u', 'l'}
+	for i := 0; i < 2000; i++ {
+		r := make([]rune, rng.Intn(5))
+		for j := range r {
+			r[j] = alphabet[rng.Intn(len(alphabet))]
+		}
+		cases = append(cases, string(r))
+	}
+	for _, s := range cases {
+		e, err := Parse(s, func(string) (float64, error) { return 0.5, nil })
+		want := err == nil && e != nil && e.Kind() == KindVar && e.ID() == s
+		if got := IsVarName(s); got != want {
+			t.Errorf("IsVarName(%q) = %v, Parse gives %v (err %v)", s, got, e, err)
+		}
+	}
 }

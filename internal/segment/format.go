@@ -324,9 +324,8 @@ func (f *File) parseLineage(data []byte, off, length uint64) error {
 	nodes := make([]*lineage.Expr, count)
 	// Children by arena index (nilRoot = none), retained for the
 	// canonical-order check below: simulating the encoder's traversal on
-	// indices costs a []bool instead of a pointer-keyed map, which is
-	// what keeps restart cold-open an order of magnitude under CSV
-	// re-ingest.
+	// indices costs a []bool instead of a pointer-keyed map — one
+	// allocation per section, no hashing per node.
 	kidL := make([]uint32, count)
 	kidR := make([]uint32, count)
 	kinds := make([]lineage.Kind, count)
