@@ -337,7 +337,7 @@ func MaterializeLimit(c Cursor, max int) (*relation.Relation, bool) {
 		if !within {
 			return out, false // a partial result is for reporting, not for running plans over: unbound
 		}
-		if err := out.SetBinding(kept[0].Dict, fid, nil); err != nil {
+		if err := out.SetBinding(kept[0].Dict, fid); err != nil {
 			panic(err) // every block of a plan is bound: a bug, not a runtime condition
 		}
 	}

@@ -206,7 +206,9 @@ func TestTracedPlanCountersReconcile(t *testing.T) {
 // plan after one block: ReleaseCursor must reach every source through
 // the wrappers and the operators and hand each buffered pooled block
 // back, so the pool's gets and puts since the plan was built balance;
-// releasing again, or releasing a drained plan, puts nothing more.
+// releasing again, or releasing a drained plan, puts nothing more. The
+// one pooled block is the outer union's over its traced operator child;
+// the three scans take none.
 func TestReleaseHalfDrainedPlanBalancesPool(t *testing.T) {
 	leaves := prepared(t, map[string]*relation.Relation{
 		"a": factRange("a", 0, 5000, 1),
@@ -229,8 +231,51 @@ func TestReleaseHalfDrainedPlanBalancesPool(t *testing.T) {
 		core.ReleaseCursor(plan)
 		core.ReleaseCursor(plan) // idempotent
 		gets, puts, _, _ := core.BatchPoolStats()
-		if gets-gets0 != 4 || puts-puts0 != gets-gets0 {
-			t.Fatalf("drainFully=%v: %d gets (want 4, one per source) vs %d puts after release", drainFully, gets-gets0, puts-puts0)
+		if gets-gets0 != 1 || puts-puts0 != gets-gets0 {
+			t.Fatalf("drainFully=%v: %d gets (want 1, one per operator child) vs %d puts after release", drainFully, gets-gets0, puts-puts0)
+		}
+	}
+}
+
+// TestPlanPoolGetsOnePerOperatorChild pins what building a plan takes
+// from the batch pool: one block per operator input whose rows are
+// computed — another set operation, or a selection, which copies the
+// rows it keeps — and none per scan, which hands out views of its leaf
+// in the source's own empty block. Traced plans take the same, and a
+// drain puts every block back.
+func TestPlanPoolGetsOnePerOperatorChild(t *testing.T) {
+	db := map[string]*relation.Relation{
+		"a": factRange("a", 0, 3000, 1),
+		"b": factRange("b", 0, 3000, 2),
+		"c": factRange("c", 0, 3000, 3),
+	}
+	for _, tc := range []struct {
+		q    string
+		gets uint64
+	}{
+		{"a | b", 0},
+		{"(a & b) - c", 1},
+		{"a - (b | c)", 1},
+		{"sigma[F='f00006'](a) | b", 1},
+		{"(a & b) | (b - c)", 2},
+		{"((a | b) & (b | c)) - (a & c)", 4},
+	} {
+		for _, traced := range []bool{false, true} {
+			opts := core.Options{}
+			if traced {
+				opts.Span = obs.NewSpan("")
+			}
+			gets0, puts0, _, _ := core.BatchPoolStats()
+			plan, err := query.BuildCursor(query.MustParse(tc.q), db, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if gets, _, _, _ := core.BatchPoolStats(); gets-gets0 != tc.gets {
+				t.Fatalf("%s (traced=%v): plan took %d pooled blocks, want %d", tc.q, traced, gets-gets0, tc.gets)
+			}
+			core.Materialize(plan)
+			core.ReleaseCursor(plan)
+			poolBalanced(t, tc.q, gets0, puts0)
 		}
 	}
 }

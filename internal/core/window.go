@@ -45,9 +45,11 @@ func (w Window) String() string {
 }
 
 // batchSource is the advancer's view of one input: a one-tuple-lookahead
-// stream in (fact, Ts) order, pulled from a Cursor through a pooled
-// block buffer — one interface call per ~BatchSize tuples instead of one
-// per tuple. peek returns the next unconsumed tuple (nil when drained)
+// stream in (fact, Ts) order, pulled from a Cursor one block at a time —
+// one interface call per ~BatchSize tuples instead of one per tuple. A
+// computed input fills a pooled block; a scan fills the source's own
+// empty block by aliasing its leaf, so it takes nothing from the pool.
+// peek returns the next unconsumed tuple (nil when drained)
 // and is stable until pop, which consumes it; fid returns its packed
 // fact id from the block's fid column and is only valid while peek is
 // non-nil. The peeked pointer indexes straight into the block, which
@@ -56,7 +58,8 @@ func (w Window) String() string {
 // they need beyond the next pop.
 type batchSource struct {
 	c    Cursor
-	b    *Batch
+	b    *Batch // &blk, or a pooled block while a computed input is live
+	blk  Batch
 	i    int
 	done bool
 	// scan is c's skip face when c is a scan, traced or not (nil
@@ -65,7 +68,7 @@ type batchSource struct {
 }
 
 func newBatchSource(c Cursor) *batchSource {
-	s := &batchSource{c: c, b: GetBatch()}
+	s := &batchSource{c: c}
 	switch x := c.(type) {
 	case *ScanCursor:
 		s.scan = x
@@ -73,6 +76,11 @@ func newBatchSource(c Cursor) *batchSource {
 		if x.scan != nil {
 			s.scan = x
 		}
+	}
+	if s.scan != nil {
+		s.b = &s.blk
+	} else {
+		s.b = GetBatch()
 	}
 	return s
 }
@@ -107,12 +115,15 @@ func (s *batchSource) pull() bool {
 	return true
 }
 
-// end hands the pooled block back and keeps an empty placeholder, so
-// later peeks stay cheap and nothing is put twice.
+// end hands a pooled block back and keeps the source's own empty block,
+// so later peeks stay cheap and nothing is put twice — or put at all
+// when it never came from the pool.
 func (s *batchSource) end() {
 	s.done = true
-	PutBatch(s.b)
-	s.b, s.i = &Batch{}, 0
+	if s.b != &s.blk {
+		PutBatch(s.b)
+	}
+	s.blk, s.b, s.i = Batch{}, &s.blk, 0
 }
 
 // release ends the source early and forwards the teardown to the child

@@ -123,15 +123,15 @@ func TestCutFallsBackToSequential(t *testing.T) {
 	}
 }
 
-// mapped returns a frozen copy of the sorted, bound relation r whose fid
-// column aliases a caller-owned slab installed with SetBinding — what the
+// restored returns a frozen copy of the sorted, bound relation r whose
+// fid column is a caller-owned slab installed with SetBinding — what the
 // segment store hands the catalog after a restore — and the slab.
-func mapped(t *testing.T, r *relation.Relation) (*relation.Relation, []int64) {
+func restored(t *testing.T, r *relation.Relation) (*relation.Relation, []int64) {
 	t.Helper()
 	slab := make([]int64, r.Len())
 	copy(slab, r.FidCol())
 	m := r.Clone()
-	if err := m.SetBinding(r.Dict(), slab, unsafe.Slice((*byte)(unsafe.Pointer(&slab[0])), 8*len(slab))); err != nil {
+	if err := m.SetBinding(r.Dict(), slab); err != nil {
 		t.Fatal(err)
 	}
 	m.Freeze()
@@ -146,15 +146,14 @@ func inside(p, base unsafe.Pointer, n int, size uintptr) bool {
 
 // TestShardedPlanScansTheMapping is the zero-copy pin for restored
 // relations: a sharded plan over frozen, SetBinding-installed leaves scans
-// the mapping itself. Every shard view is frozen, its scan batches alias
-// the parent's tuple array and the caller's slab, and — under -tags
-// tpinvariants — every FidCol read of every view passes the region check.
+// the installed column itself. Every shard view is frozen, and its scan
+// batches alias the parent's tuple array and the caller's slab.
 func TestShardedPlanScansTheMapping(t *testing.T) {
 	src := reftest.DB(rand.New(rand.NewSource(93)), reftest.Shape{Relations: 2, MaxTuples: 3000, Facts: 64, Binding: reftest.Shared, Sorted: true})
 	db := map[string]*relation.Relation{}
 	slabs := map[string][]int64{}
 	for name, r := range src {
-		db[name], slabs[name] = mapped(t, r)
+		db[name], slabs[name] = restored(t, r)
 	}
 	e := New(Config{Workers: 4, MinPartitionSize: 1})
 	names := query.DBKeys(db)
@@ -178,7 +177,7 @@ func TestShardedPlanScansTheMapping(t *testing.T) {
 					t.Fatalf("shard %d: scan of %s copied its tuples", i, name)
 				}
 				if b.Dict != parent.Dict() || !inside(unsafe.Pointer(&b.Fid[0]), unsafe.Pointer(&slab[0]), len(slab), 8) {
-					t.Fatalf("shard %d: scan of %s: fid column left the mapped region", i, name)
+					t.Fatalf("shard %d: scan of %s: fid column is not the installed slab", i, name)
 				}
 			}
 		}
@@ -188,7 +187,7 @@ func TestShardedPlanScansTheMapping(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reftest.Check(t, "mapped leaves", got, tree, src)
+	reftest.Check(t, "restored leaves", got, tree, src)
 	for name, r := range db {
 		if !r.Frozen() || r.FidCol() == nil {
 			t.Fatalf("%s: the plan disturbed the restored relation", name)
@@ -393,7 +392,7 @@ func TestMaterializeAllocatesTheResultOnce(t *testing.T) {
 // result may not alias either.
 func TestMaterializeLeavesFrozenLeavesUntouched(t *testing.T) {
 	src := reftest.DB(rand.New(rand.NewSource(94)), reftest.Shape{Relations: 1, MaxTuples: 6000, Facts: 64, Binding: reftest.Shared, Sorted: true})
-	leaf, slab := mapped(t, src["r0"])
+	leaf, slab := restored(t, src["r0"])
 	db := map[string]*relation.Relation{"r0": leaf}
 	size := unsafe.Sizeof(relation.Tuple{})
 	rows := func() []byte {

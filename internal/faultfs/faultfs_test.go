@@ -206,26 +206,6 @@ func TestInjectorLatchAndClear(t *testing.T) {
 	}
 }
 
-func TestInjectorMapBalance(t *testing.T) {
-	m := NewMem()
-	m.MkdirAll("/d", 0o755)
-	writeSyncedFile(t, m, "/d/a.seg", []byte("segment-bytes"))
-	in := NewInjector(m)
-	data, mapped, err := in.MapFile("/d/a.seg")
-	if err != nil || !mapped {
-		t.Fatalf("MapFile: %v mapped=%v", err, mapped)
-	}
-	if in.MapBalance() != 1 {
-		t.Fatalf("balance after map = %d", in.MapBalance())
-	}
-	if err := in.Unmap(data); err != nil {
-		t.Fatal(err)
-	}
-	if in.MapBalance() != 0 {
-		t.Fatalf("balance after unmap = %d", in.MapBalance())
-	}
-}
-
 func TestOSRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	var fsys OS
@@ -241,17 +221,12 @@ func TestOSRoundTrip(t *testing.T) {
 	if err != nil || len(names) != 1 || names[0] != "a.seg" {
 		t.Fatalf("ReadDirNames = %v, %v", names, err)
 	}
-	data, mapped, err := fsys.MapFile(filepath.Join(sub, "a.seg"))
+	data, err := fsys.ReadFile(filepath.Join(sub, "a.seg"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if string(data) != "hello-segment" {
-		t.Fatalf("mapped content = %q", data)
-	}
-	if mapped {
-		if err := fsys.Unmap(data); err != nil {
-			t.Fatal(err)
-		}
+		t.Fatalf("read content = %q", data)
 	}
 	if err := fsys.Rename(filepath.Join(sub, "a.seg"), filepath.Join(sub, "b.seg")); err != nil {
 		t.Fatal(err)

@@ -1,11 +1,11 @@
 // Package faultfs abstracts the filesystem surface the durable segment
 // tier runs on so faults can be injected deterministically. Production
-// code uses OS (thin pass-throughs to the os package plus the platform
-// mmap); tests compose MemFS — an in-memory filesystem that models
-// which bytes survive a power cut — with Injector, which fails a chosen
-// operation (ENOSPC, fsync error, torn write) or cuts power at an exact
-// operation boundary. Trigger injects disk-full into a live process
-// whenever a sentinel file exists, for end-to-end chaos smokes.
+// code uses OS (thin pass-throughs to the os package); tests compose
+// MemFS — an in-memory filesystem that models which bytes survive a
+// power cut — with Injector, which fails a chosen operation (ENOSPC,
+// fsync error, torn write) or cuts power at an exact operation
+// boundary. Trigger injects disk-full into a live process whenever a
+// sentinel file exists, for end-to-end chaos smokes.
 package faultfs
 
 import (
@@ -33,11 +33,6 @@ type FS interface {
 	// SyncDir fsyncs a directory, making creates, renames, and removes
 	// inside it durable.
 	SyncDir(dir string) error
-	// MapFile maps (or, where mmap is unavailable, reads) the whole
-	// file. mapped reports whether Unmap must release the data.
-	MapFile(path string) (data []byte, mapped bool, err error)
-	// Unmap releases a mapping returned by MapFile with mapped=true.
-	Unmap(data []byte) error
 }
 
 // File is the writable-handle surface of FS.OpenFile. os.File

@@ -24,10 +24,9 @@ const (
 	OpRemove
 	OpRename
 	OpSyncDir
-	OpMap
 
 	// OpAny matches every injectable operation.
-	OpAny Op = 1<<13 - 1
+	OpAny Op = 1<<12 - 1
 	// OpMutate matches the operations that change durable state — the
 	// set a full disk fails.
 	OpMutate Op = OpOpen | OpWrite | OpSync | OpTruncate | OpRemove | OpRename | OpSyncDir
@@ -57,10 +56,6 @@ var (
 //   - Fail(mask, err)/Clear(): a latched fault — every matching
 //     operation fails until cleared — for driving a live server into
 //     and out of disk failure.
-//
-// Unmap is exempt from injection: releasing process memory is not a
-// disk operation, and keeping it reliable lets MapBalance measure real
-// mapping leaks even on failure paths.
 type Injector struct {
 	inner FS
 
@@ -75,7 +70,6 @@ type Injector struct {
 	torn      bool
 	latchMask Op
 	latchErr  error
-	maps      int64
 }
 
 // NewInjector wraps inner with no faults armed.
@@ -138,14 +132,6 @@ func (in *Injector) Crashed() bool {
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	return in.crashed
-}
-
-// MapBalance returns MapFile successes minus Unmap calls; a nonzero
-// value after every file is closed is a mapping leak.
-func (in *Injector) MapBalance() int64 {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return in.maps
 }
 
 // step numbers one operation and decides its fate. torn reports
@@ -229,26 +215,6 @@ func (in *Injector) SyncDir(dir string) error {
 		return injErr("syncdir", dir, err)
 	}
 	return in.inner.SyncDir(dir)
-}
-
-func (in *Injector) MapFile(path string) ([]byte, bool, error) {
-	if err, _ := in.step(OpMap); err != nil {
-		return nil, false, injErr("mmap", path, err)
-	}
-	data, mapped, err := in.inner.MapFile(path)
-	if err == nil && mapped {
-		in.mu.Lock()
-		in.maps++
-		in.mu.Unlock()
-	}
-	return data, mapped, err
-}
-
-func (in *Injector) Unmap(data []byte) error {
-	in.mu.Lock()
-	in.maps--
-	in.mu.Unlock()
-	return in.inner.Unmap(data)
 }
 
 // injFile threads a handle's operations back through the injector.
@@ -352,9 +318,6 @@ func (t *Trigger) SyncDir(dir string) error {
 	}
 	return t.inner.SyncDir(dir)
 }
-
-func (t *Trigger) MapFile(path string) ([]byte, bool, error) { return t.inner.MapFile(path) }
-func (t *Trigger) Unmap(data []byte) error                   { return t.inner.Unmap(data) }
 
 type triggerFile struct {
 	t    *Trigger

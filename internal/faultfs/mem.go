@@ -148,23 +148,6 @@ func (m *MemFS) SyncDir(dir string) error {
 	return nil
 }
 
-// MapFile returns a copy of the file's current bytes and reports it as
-// mapped so callers exercise their Unmap bookkeeping.
-func (m *MemFS) MapFile(path string) ([]byte, bool, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	ino, ok := m.files[filepath.Clean(path)]
-	if !ok {
-		return nil, false, notExist("open", path)
-	}
-	if len(ino.data) == 0 {
-		return nil, false, fmt.Errorf("%s is empty", path)
-	}
-	return append([]byte(nil), ino.data...), true, nil
-}
-
-func (m *MemFS) Unmap([]byte) error { return nil }
-
 // CrashView renders the filesystem an abrupt power cut would leave
 // behind, as a fresh MemFS ready to be reopened. With durable=true only
 // fsync-covered state survives: the namespace as of the last SyncDir,

@@ -6,8 +6,7 @@ import (
 )
 
 // OS is the production FS: every method is the corresponding os-package
-// call, and MapFile/Unmap are the platform mmap (a plain read where
-// mmap is unavailable).
+// call.
 type OS struct{}
 
 func (OS) MkdirAll(path string, perm fs.FileMode) error { return os.MkdirAll(path, perm) }
@@ -45,6 +44,3 @@ func (OS) SyncDir(dir string) error {
 	defer d.Close()
 	return d.Sync()
 }
-
-func (OS) MapFile(path string) ([]byte, bool, error) { return mapFile(path) }
-func (OS) Unmap(data []byte) error                   { return unmapBytes(data) }

@@ -127,7 +127,7 @@ func NewInterner() *Interner {
 
 // Intern returns the id of name, assigning the next id on first sight.
 // The arena owns its names: a novel name is copied in, so callers may
-// pass transient views (e.g. strings aliasing a memory mapping).
+// pass transient views (e.g. strings aliasing a read buffer).
 func (in *Interner) Intern(name string) VarID {
 	in.mu.RLock()
 	id, ok := in.ids[name]

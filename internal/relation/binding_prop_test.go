@@ -232,13 +232,13 @@ func TestBindingSurvivesEveryMutator(t *testing.T) {
 						id, _ := d.ID(k)
 						fid[i] = int64(id)
 					}
-					if err := r.SetBinding(d, fid[1:], nil); err == nil {
+					if err := r.SetBinding(d, fid[1:]); err == nil {
 						t.Fatalf("%s: SetBinding accepted a column one id short", ctx)
 					}
 					if (r.Dict() != nil) != wasBound {
 						t.Fatalf("%s: a refused SetBinding changed the binding state", ctx)
 					}
-					if err := r.SetBinding(d, fid, nil); err != nil || r.Dict() != d {
+					if err := r.SetBinding(d, fid); err != nil || r.Dict() != d {
 						t.Fatalf("%s: SetBinding: %v", ctx, err)
 					}
 				case 12: // a direct append to the public field leaves the column behind

@@ -10,8 +10,7 @@ import (
 
 // FidCol returns the fid column — row i holds the packed interned id of
 // Tuples[i] against Dict() — or nil when the relation is unbound. It is
-// the relation's own storage (a restored relation's aliases the mmap'd
-// segment section): callers must not write it.
+// the relation's own storage: callers must not write it.
 func (r *Relation) FidCol() []int64 {
 	if !r.bound() {
 		return nil
@@ -19,7 +18,6 @@ func (r *Relation) FidCol() []int64 {
 	if r.fid == nil {
 		return []int64{} // bound with zero rows: empty, but a column
 	}
-	r.checkFidRegion() // tpinvariants build only: column inside the mapped region
 	return r.fid
 }
 
@@ -30,12 +28,10 @@ func (r *Relation) BuildCols() []int64 { return r.FidCol() }
 // SetBinding binds the relation to d with a column the caller already
 // holds — fid[i] must be the id of Tuples[i].Fact in d — instead of
 // looking every fact up: core.MaterializeLimit hands over the ids its
-// blocks carried, segment restore the mmap'd fid section (region is the
-// mapping the column points into, nil for heap memory). The column is
-// retained, clipped to its length; a relation whose column aliases a
-// mapping is frozen, since a write through it would fault. It returns an
-// error on a nil dictionary or a column that does not mirror Tuples.
-func (r *Relation) SetBinding(d *keys.Dict, fid []int64, region []byte) error {
+// blocks carried, segment restore the fid section it decoded. The column
+// is retained, clipped to its length. It returns an error on a nil
+// dictionary or a column that does not mirror Tuples.
+func (r *Relation) SetBinding(d *keys.Dict, fid []int64) error {
 	r.mutable("SetBinding")
 	if d == nil {
 		return fmt.Errorf("relation %s: SetBinding without a dictionary", r.Schema.Name)
@@ -43,26 +39,23 @@ func (r *Relation) SetBinding(d *keys.Dict, fid []int64, region []byte) error {
 	if len(fid) != len(r.Tuples) {
 		return fmt.Errorf("relation %s: SetBinding column of %d ids does not mirror %d tuples", r.Schema.Name, len(fid), len(r.Tuples))
 	}
-	r.dict, r.fid, r.region = d, fid[:len(fid):len(fid)], region
+	r.dict, r.fid = d, fid[:len(fid):len(fid)]
 	r.runs.Store(nil)
-	r.frozen = r.frozen || region != nil
 	return nil
 }
 
 // Slice returns a frozen zero-copy view of rows [lo, hi): the tuple
 // slice and the fid column are sub-sliced (capacity clipped, so nothing
-// can append into the parent), and the dictionary and the foreign
-// region the column may alias are carried along — a view of a restored
-// relation still reads the mapping, and the tpinvariants build still
-// bounds-checks it on every FidCol read. A parent that has built its
-// fact-run index hands the view one derived from it (two binary
-// searches, nothing copied). The view shares the parent's rows, so it is
-// born frozen whether or not the parent is: the engine cuts sorted
-// leaves into per-shard views with it, any number of plans at once.
+// can append into the parent), and the dictionary is carried along. A
+// parent that has built its fact-run index hands the view one derived
+// from it (two binary searches, nothing copied). The view shares the
+// parent's rows, so it is born frozen whether or not the parent is: the
+// engine cuts sorted leaves into per-shard views with it, any number of
+// plans at once.
 func (r *Relation) Slice(lo, hi int) *Relation {
 	v := &Relation{Schema: r.Schema, Tuples: r.Tuples[lo:hi:hi], frozen: true}
 	if fid := r.FidCol(); fid != nil {
-		v.dict, v.fid, v.region = r.dict, fid[lo:hi:hi], r.region
+		v.dict, v.fid = r.dict, fid[lo:hi:hi]
 		if x := r.runs.Load(); x != nil {
 			v.runs.Store(x.slice(lo, hi))
 		}

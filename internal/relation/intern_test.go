@@ -145,7 +145,7 @@ func TestBindMaintainsInvariants(t *testing.T) {
 	if cp.Dict() != nil || cp.FidCol() != nil {
 		t.Fatal("a raw copy of the rows reads as bound")
 	}
-	if err := cp.SetBinding(r.Dict(), append([]int64(nil), r.FidCol()...), nil); err != nil || cp.Dict() != r.Dict() {
+	if err := cp.SetBinding(r.Dict(), append([]int64(nil), r.FidCol()...)); err != nil || cp.Dict() != r.Dict() {
 		t.Fatalf("SetBinding did not install the shared dict: %v", err)
 	}
 	cp.Tuples = append(cp.Tuples, r.Tuples[0])

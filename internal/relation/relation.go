@@ -225,17 +225,13 @@ type Relation struct {
 
 	dict *keys.Dict
 	fid  []int64
-	// region is the foreign memory (an mmap'd segment) fid aliases when
-	// SetBinding installed it; nil for a heap column. The tpinvariants
-	// build checks every FidCol read against it.
-	region []byte
 	// runs is the fact-run index of fid, nil until Runs builds it. It is
 	// the one thing a reader publishes into a relation, so it is atomic:
 	// a catalog relation is read by concurrent plans without a lock.
 	runs atomic.Pointer[Runs]
 	// frozen marks the relation read-only: mutators panic. Set for
-	// relations whose rows or column are shared — a restored segment's
-	// mapping, a Slice view's parent.
+	// relations whose rows or column are shared — a relation restored
+	// into the catalog, a Slice view's parent.
 	frozen bool
 }
 
@@ -244,13 +240,13 @@ type Relation struct {
 func (r *Relation) bound() bool { return r.dict != nil && len(r.fid) == len(r.Tuples) }
 
 func (r *Relation) unbind() {
-	r.dict, r.fid, r.region = nil, nil, nil
+	r.dict, r.fid = nil, nil
 	r.runs.Store(nil)
 }
 
 // mutable panics when the relation is frozen; every mutator calls it
-// first, so an aliased mapping can never be written through a stale
-// reference to a restored relation.
+// first, so a shared relation can never be written through a stale
+// reference to it.
 func (r *Relation) mutable(op string) {
 	if r.frozen {
 		panic("relation: " + op + " on frozen relation " + r.Schema.Name)
@@ -258,9 +254,9 @@ func (r *Relation) mutable(op string) {
 }
 
 // Freeze marks the relation read-only: every mutator panics afterwards.
-// The segment store freezes restored relations because their fid column
-// aliases the shared file mapping; Clone returns an unfrozen deep copy,
-// so the catalog's rebind-via-clone admission path is unaffected.
+// The segment store freezes restored relations because catalog relations
+// are immutable; Clone returns an unfrozen deep copy, so the catalog's
+// rebind-via-clone admission path is unaffected.
 func (r *Relation) Freeze() { r.frozen = true }
 
 // Frozen reports whether the relation is read-only.
@@ -355,7 +351,7 @@ func (r *Relation) bindKeys(d *keys.Dict, ks []string) bool {
 		}
 		fid[i], prev = int64(id), k
 	}
-	r.dict, r.fid = d, fid // region stays nil: a relation over a mapping is frozen
+	r.dict, r.fid = d, fid
 	r.runs.Store(nil)
 	return true
 }

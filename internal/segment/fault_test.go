@@ -2,6 +2,7 @@ package segment
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"github.com/tpset/tpset/internal/faultfs"
@@ -246,10 +247,11 @@ func TestTryRecoverHealthyIsNoop(t *testing.T) {
 	}
 }
 
-// Satellite regression: when the parallel mmap+decode of OpenStore
-// fails midway, every segment that did map must be unmapped before the
-// error returns. The injector's map/unmap balance measures it directly.
-func TestPartialOpenUnmapsEverything(t *testing.T) {
+// TestPartialOpenFailsLoudly fails the open midway: a read fault on the
+// WAL or on any one of four segments, read and decoded concurrently, and
+// a segment that reads but fails decode. Each must fail the whole open
+// with the fault named, never serve the segments that did decode.
+func TestPartialOpenFailsLoudly(t *testing.T) {
 	mem := faultfs.NewMem()
 	s, err := OpenStoreFS(crashDir, mem)
 	if err != nil {
@@ -267,19 +269,16 @@ func TestPartialOpenUnmapsEverything(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Case 1: the Nth mmap itself fails.
-	for n := uint64(1); n <= 4; n++ {
+	// Case 1: the Nth read fails — the WAL's, then each segment's.
+	for n := uint64(1); n <= 5; n++ {
 		inj := faultfs.NewInjector(mem)
-		inj.FailAt(n, faultfs.OpMap, nil)
-		if _, err := OpenStoreFS(crashDir, inj); err == nil {
-			t.Fatalf("open succeeded despite mmap fault at %d", n)
-		}
-		if bal := inj.MapBalance(); bal != 0 {
-			t.Fatalf("mmap fault at %d leaked %d mappings", n, bal)
+		inj.FailAt(n, faultfs.OpReadFile, nil)
+		if _, err := OpenStoreFS(crashDir, inj); err == nil || !strings.Contains(err.Error(), faultfs.ErrInjected.Error()) {
+			t.Fatalf("read fault at %d: open returned %v, want the injected fault", n, err)
 		}
 	}
 
-	// Case 2: every mmap succeeds but one segment fails decode.
+	// Case 2: every read succeeds but one segment fails decode.
 	corrupt := mem.CrashView(false) // private copy to corrupt
 	path := crashDir + "/" + segFileName("c")
 	data, err := corrupt.ReadFile(path)
@@ -295,11 +294,7 @@ func TestPartialOpenUnmapsEverything(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.Close()
-	inj := faultfs.NewInjector(corrupt)
-	if _, err := OpenStoreFS(crashDir, inj); err == nil {
-		t.Fatal("open served a corrupt segment")
-	}
-	if bal := inj.MapBalance(); bal != 0 {
-		t.Fatalf("decode failure leaked %d mappings", bal)
+	if _, err := OpenStoreFS(crashDir, corrupt); err == nil || !strings.Contains(err.Error(), "checksum") {
+		t.Fatalf("open of a corrupt segment returned %v, want a checksum error", err)
 	}
 }

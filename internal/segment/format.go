@@ -1,9 +1,9 @@
 // Package segment implements the durable columnar tier: an on-disk
 // segment format that mirrors the interned runtime layout
 // byte-for-byte, written atomically through a per-catalog write-ahead
-// log and memory-mapped on open so a relation's fid column aliases the
-// mapping directly and its rows are built in one pass over the other
-// sections — no parse, no sort, no validation beyond Decode's.
+// log and read whole on open, so a relation's fid column is decoded once
+// and its rows are built in one pass over the other sections — no
+// parse, no sort, no validation beyond Decode's.
 //
 // One segment file holds one relation:
 //
@@ -15,17 +15,16 @@
 //	prob:    n × float64, little-endian — cached probabilities
 //	lineage: node arena in canonical post-order + n root indices
 //
-// The fid/ts/te/prob sections are packed 8-byte columns: on a
-// little-endian host they are aliased in place (unsafe.Slice over the
-// mapping), on other hosts or unaligned buffers they are copy-decoded.
-// The fid section is exactly the relation's fid column and stays
-// aliased for the relation's lifetime; ts/te/prob and the lineage roots
-// are read once, into the rows. Every section offset is 8-aligned with zero padding,
-// the layout is fully canonical (offsets, padding, arena order are all
-// forced), and decode validates the semantic admission contract
-// (canonical (fid, Ts, Te) order, duplicate-freeness, interval and
-// probability ranges) so an accepted segment can enter the catalog
-// without re-validation and re-encodes byte-identically.
+// The fid/ts/te/prob sections are packed 8-byte little-endian columns,
+// decoded into heap slices on every host and at any buffer alignment.
+// The decoded fid section becomes the relation's fid column; ts/te/prob
+// and the lineage roots are read once, into the rows. Every section
+// offset is 8-aligned with zero padding, the layout is fully canonical
+// (offsets, padding, arena order are all forced), and decode validates
+// the semantic admission contract (canonical (fid, Ts, Te) order,
+// duplicate-freeness, interval and probability ranges) so an accepted
+// segment can enter the catalog without re-validation and re-encodes
+// byte-identically.
 //
 // Every error is "segment:"-prefixed and names the offending offset.
 package segment
@@ -37,7 +36,6 @@ import (
 	"math"
 	"unsafe"
 
-	"github.com/tpset/tpset/internal/faultfs"
 	"github.com/tpset/tpset/internal/interval"
 	"github.com/tpset/tpset/internal/invariant"
 	"github.com/tpset/tpset/internal/keys"
@@ -73,17 +71,8 @@ const (
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// hostLittleEndian gates the zero-copy column alias: the file stores
-// little-endian words, so only a little-endian host may reinterpret
-// the raw bytes in place.
-var hostLittleEndian = func() bool {
-	var x uint16 = 1
-	return *(*byte)(unsafe.Pointer(&x)) == 1
-}()
-
-// File is a decoded segment: the raw bytes plus typed views of every
-// section. On the zero-copy path Fid/Ts/Te/Prob alias data directly
-// (Aliased true); otherwise they are heap copies. Facts caches the
+// File is a decoded segment: typed heap copies of every section, none
+// of which refers to the bytes it was decoded from. Facts caches the
 // parsed fact of every dictionary rank, so materializing tuples
 // allocates no per-tuple fact storage.
 type File struct {
@@ -97,20 +86,7 @@ type File struct {
 	Fid, Ts, Te []int64
 	Prob        []float64
 	Lam         []*lineage.Expr
-
-	// Aliased reports that the numeric columns point into data rather
-	// than heap copies; relations built from this file then record data
-	// as the foreign region of their fid column for the tpinvariants
-	// bounds check.
-	Aliased bool
-
-	data   []byte
-	mapped bool
-	fsys   faultfs.FS
 }
-
-// Data returns the raw segment bytes (the mapping, when mmap'd).
-func (f *File) Data() []byte { return f.data }
 
 func align8(x uint64) uint64 { return (x + 7) &^ 7 }
 
@@ -193,7 +169,7 @@ func Decode(data []byte) (*File, error) {
 		}
 	}
 
-	f := &File{N: n, data: data}
+	f := &File{N: n}
 	if err := f.parseSchema(data, secs[0].off, secs[0].len); err != nil {
 		return nil, err
 	}
@@ -201,12 +177,10 @@ func Decode(data []byte) (*File, error) {
 		return nil, err
 	}
 
-	var a1, a2, a3, a4 bool
-	f.Fid, a1 = int64Col(data, secs[2].off, n)
-	f.Ts, a2 = int64Col(data, secs[3].off, n)
-	f.Te, a3 = int64Col(data, secs[4].off, n)
-	f.Prob, a4 = float64Col(data, secs[5].off, n)
-	f.Aliased = a1 && a2 && a3 && a4
+	f.Fid = int64Col(data, secs[2].off, n)
+	f.Ts = int64Col(data, secs[3].off, n)
+	f.Te = int64Col(data, secs[4].off, n)
+	f.Prob = float64Col(data, secs[5].off, n)
 
 	// Semantic admission contract, one integer-only pass: rows sorted by
 	// (fid, Ts, Te), duplicate-free (equal fids never overlap in time),
@@ -487,14 +461,12 @@ func errOrder(at uint64, i int) error {
 
 // Relation materializes the segment as a catalog-ready relation bound
 // to d. When d's ranks coincide with the segment's own dictionary the
-// stored fids are valid under d as-is and the relation's fid column
-// aliases the decoded section directly (zero copies; the mapping is
-// recorded as the foreign region for the tagged bounds check).
-// Otherwise — a crash left mixed dictionary generations on disk — the
-// relation is bound to d by key and the column rebuilt on the heap; the
-// result is identical, only the aliasing is lost until the next rewrite.
-// Either way the relation comes back sorted, validated (by Decode) and
-// frozen.
+// stored fids are valid under d as-is and the decoded fid section
+// becomes the relation's column. Otherwise — a crash left mixed
+// dictionary generations on disk — the relation is bound to d by key
+// and the column rebuilt; the result is identical. Either way the
+// relation comes back sorted, validated (by Decode) and frozen: catalog
+// relations are immutable.
 func (f *File) Relation(d *keys.Dict) (*relation.Relation, error) {
 	if len(f.Lam) != f.N {
 		return nil, fmt.Errorf("segment: row sections of %q were released by an earlier Restore", f.Name)
@@ -507,12 +479,8 @@ func (f *File) Relation(d *keys.Dict) (*relation.Relation, error) {
 	}
 	site := "segment.File.Relation(heal)"
 	if dictMatches(d, f.Keys) {
-		site = "segment.File.Relation(alias)"
-		var region []byte
-		if f.Aliased {
-			region = f.data
-		}
-		if err := rel.SetBinding(d, f.Fid, region); err != nil {
+		site = "segment.File.Relation(stored)"
+		if err := rel.SetBinding(d, f.Fid); err != nil {
 			return nil, fmt.Errorf("segment: %v", err)
 		}
 	} else if !rel.Bind(d) {
@@ -520,7 +488,7 @@ func (f *File) Relation(d *keys.Dict) (*relation.Relation, error) {
 	}
 	rel.Freeze()
 	if invariant.Enabled {
-		// Tagged builds re-prove that the (aliased or rebuilt) fid column
+		// Tagged builds re-prove that the (stored or rebuilt) fid column
 		// names the materialized rows' facts, plus the sort/duplicate-free
 		// admission contract Decode claims to have validated.
 		invariant.CheckColsMirror(rel, site)
@@ -742,38 +710,31 @@ func (a *arenaEnc) add(root *lineage.Expr) uint32 {
 	return a.idx[root]
 }
 
-// int64Col returns the n-element int64 view of the column at off:
-// aliasing the raw bytes on an aligned little-endian host, copy-decoded
-// otherwise. The caller has validated that 8n bytes are available.
-func int64Col(data []byte, off uint64, n int) ([]int64, bool) {
+// int64Col decodes the n little-endian words of the column at off into a
+// heap slice. The caller has validated that 8n bytes are available.
+func int64Col(data []byte, off uint64, n int) []int64 {
 	if n == 0 {
-		return nil, true
+		return nil
 	}
-	p := unsafe.Pointer(&data[off])
-	if hostLittleEndian && uintptr(p)%8 == 0 {
-		return unsafe.Slice((*int64)(p), n), true
-	}
+	src := data[off : off+8*uint64(n)]
 	out := make([]int64, n)
 	for i := range out {
-		out[i] = int64(binary.LittleEndian.Uint64(data[off+8*uint64(i):]))
+		out[i] = int64(binary.LittleEndian.Uint64(src[8*i:]))
 	}
-	return out, false
+	return out
 }
 
 // float64Col is int64Col for the probability column.
-func float64Col(data []byte, off uint64, n int) ([]float64, bool) {
+func float64Col(data []byte, off uint64, n int) []float64 {
 	if n == 0 {
-		return nil, true
+		return nil
 	}
-	p := unsafe.Pointer(&data[off])
-	if hostLittleEndian && uintptr(p)%8 == 0 {
-		return unsafe.Slice((*float64)(p), n), true
-	}
+	src := data[off : off+8*uint64(n)]
 	out := make([]float64, n)
 	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[off+8*uint64(i):]))
+		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(src[8*i:]))
 	}
-	return out, false
+	return out
 }
 
 // cursor is a bounds-checked little-endian reader over one section;
@@ -855,8 +816,8 @@ func (c *cursor) str32() (string, error) {
 }
 
 // str32view reads a str32 as a zero-copy view into the underlying
-// buffer. The view is only valid while the mapping is live and must not
-// be retained by decoded structures — parseLineage hands views straight
+// buffer. Decoded structures must not retain it, or the whole read
+// buffer would outlive the decode — parseLineage hands views straight
 // to the intern arena, which copies on first sight. A relation-scale
 // lineage section holds one name per tuple, and skipping those copies is
 // a measurable slice of restart cold-open.

@@ -5,8 +5,8 @@ import (
 )
 
 // BenchmarkOpenStore measures the restart cold-open path against a
-// cleanly closed two-relation data dir: WAL inspection, mmap, decode and
-// validation for every segment.
+// cleanly closed two-relation data dir: WAL inspection, reading, decode
+// and validation for every segment.
 func BenchmarkOpenStore(b *testing.B) {
 	dir := b.TempDir()
 	st, err := OpenStore(dir)
@@ -35,7 +35,7 @@ func BenchmarkOpenStore(b *testing.B) {
 }
 
 // BenchmarkRestore measures catalog materialization over an open store:
-// tuple reconstruction and fid-column aliasing for every segment.
+// tuple reconstruction and fid-column binding for every segment.
 func BenchmarkRestore(b *testing.B) {
 	dir := b.TempDir()
 	st, err := OpenStore(dir)

@@ -25,10 +25,15 @@ const walFileName = "wal.log"
 const defaultApplyThreshold = 4 << 20
 
 // ErrDegraded marks a mutation rejected because the store has latched
-// degraded after a durability failure. Reads (the already-restored
-// catalog, existing mappings) remain valid; only new acknowledgements
-// are refused until TryRecover repairs the write path.
+// degraded after a durability failure, or has been closed. Reads of the
+// already-restored catalog remain valid; only new acknowledgements are
+// refused until TryRecover repairs the write path.
 var ErrDegraded = errors.New("segment: store is degraded")
+
+// errClosed is the refusal of every write after Close. It wraps
+// ErrDegraded, so a server still answering during a timed-out shutdown
+// reports 503, and no TryRecover re-arms it.
+var errClosed = fmt.Errorf("%w: store is closed", ErrDegraded)
 
 // WALError wraps a WAL append/fsync failure. A mutation returning it
 // was NOT acknowledged — nothing of it is durable — and the store has
@@ -45,22 +50,20 @@ func (e *WALError) Unwrap() error { return e.Err }
 // Store is the durable tier of one catalog: a directory of one segment
 // file per relation plus the WAL. All methods are safe for concurrent
 // use; relations handed to Put must be the catalog's immutable admitted
-// pointers (the store reads them again at apply time).
-//
-// Mappings opened during Restore stay mapped until Close even when
-// their relation is later replaced or dropped — in-flight query
-// snapshots may still read the aliased fid columns — so Close must only
-// run once serving has stopped.
+// pointers (the store reads them again at apply time). Restored
+// relations own their memory: they stay valid after Close.
 type Store struct {
 	dir  string
 	fsys faultfs.FS
 
 	mu             sync.Mutex
-	wal            faultfs.File
+	wal            faultfs.File // nil once closed
 	walSize        int64
 	seq            uint64
 	pending        map[string]pendingOp
-	files          []*File
+	files          []*File // decoded segments, held until Restore
+	segments       int
+	restored       bool
 	applyThreshold int64
 	degraded       error // non-nil = degraded, holding the root cause
 	walErrors      uint64
@@ -83,39 +86,23 @@ type pendingOp struct {
 // data dir.
 func segFileName(name string) string { return url.PathEscape(name) + ".seg" }
 
-// OpenFile maps (or, off unix, reads) and decodes one segment file.
+// OpenFile reads and decodes one segment file.
 func OpenFile(path string) (*File, error) {
 	return OpenFileFS(faultfs.OS{}, path)
 }
 
-// OpenFileFS is OpenFile against an explicit filesystem.
+// OpenFileFS is OpenFile against an explicit filesystem. The decoded
+// File keeps nothing of the bytes read, so they are garbage on return.
 func OpenFileFS(fsys faultfs.FS, path string) (*File, error) {
-	data, mapped, err := fsys.MapFile(path)
+	data, err := fsys.ReadFile(path)
 	if err != nil {
 		return nil, prefixed(err)
 	}
 	f, err := Decode(data)
 	if err != nil {
-		if mapped {
-			fsys.Unmap(data)
-		}
 		return nil, fmt.Errorf("%v (in %s)", err, path)
 	}
-	f.mapped = mapped
-	f.fsys = fsys
 	return f, nil
-}
-
-// Close releases the file's mapping. The decoded views (and any
-// relation's fid column aliasing them) are invalid afterwards.
-func (f *File) Close() error {
-	if !f.mapped {
-		return nil
-	}
-	f.mapped = false
-	data := f.data
-	f.data = nil
-	return f.fsys.Unmap(data)
 }
 
 // OpenStore opens (creating if needed) the data dir on the real
@@ -127,7 +114,7 @@ func OpenStore(dir string) (*Store, error) {
 // OpenStoreFS opens (creating if needed) the data dir: leftover *.tmp
 // files from torn renames are removed, the WAL's valid prefix is
 // replayed into segment files and the WAL truncated, and every segment
-// is memory-mapped and decoded. A segment that fails validation —
+// is read and decoded. A segment that fails validation —
 // torn, truncated, bit-flipped — fails the open loudly rather than
 // serving partial data.
 func OpenStoreFS(dir string, fsys faultfs.FS) (*Store, error) {
@@ -219,7 +206,7 @@ func OpenStoreFS(dir string, fsys faultfs.FS) (*Store, error) {
 			segNames = append(segNames, name)
 		}
 	}
-	// Segments map and decode independently, so open them concurrently:
+	// Segments read and decode independently, so open them concurrently:
 	// restart latency is bounded by the largest segment, not the catalog
 	// size. ReadDirNames order keeps s.files deterministic.
 	files := make([]*File, len(segNames))
@@ -231,27 +218,19 @@ func OpenStoreFS(dir string, fsys faultfs.FS) (*Store, error) {
 			defer wg.Done()
 			f, err := OpenFileFS(fsys, filepath.Join(dir, name))
 			if err == nil && segFileName(f.Name) != name {
-				f.Close()
 				f, err = nil, fmt.Errorf("segment: %s embeds relation name %q, which belongs in %s", name, f.Name, segFileName(f.Name))
 			}
 			files[i], errs[i] = f, err
 		}(i, name)
 	}
 	wg.Wait()
-	for i, err := range errs {
+	for _, err := range errs {
 		if err != nil {
-			// A midway failure must not leak the segments that did map:
-			// close (munmap) every one before returning.
-			for _, f := range files {
-				if f != nil {
-					f.Close()
-				}
-			}
 			s.Close()
-			return nil, errs[i]
+			return nil, err
 		}
 	}
-	s.files = files
+	s.files, s.segments = files, len(files)
 	return s, nil
 }
 
@@ -259,37 +238,42 @@ func OpenStoreFS(dir string, fsys faultfs.FS) (*Store, error) {
 // relation, all bound to one shared dictionary. When every segment
 // carries the same dictionary generation — the invariant every clean
 // shutdown and every complete apply maintains — each relation's fid
-// column aliases its mapping; after a crash that interleaved a
+// column is its decoded section; after a crash that interleaved a
 // dictionary rebuild, older-generation segments are healed by
-// rebinding (heap column, same content). Restore is called once per
-// opened store: the rows it builds hold everything the decoded
-// ts/te/prob/lineage sections did, so those are released as it goes and
-// a second call reports an error.
+// rebinding (same content). Restore is called once per opened store:
+// the relations it returns are all that is kept of the decoded
+// segments, and a second call reports an error.
 func (s *Store) Restore() (map[string]*relation.Relation, *keys.Dict, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if len(s.files) == 0 {
+	if s.restored {
+		return nil, nil, fmt.Errorf("segment: store already restored")
+	}
+	s.restored = true
+	files := s.files
+	s.files = nil
+	if len(files) == 0 {
 		return map[string]*relation.Relation{}, nil, nil
 	}
 	uniform := true
-	for _, f := range s.files[1:] {
-		if !sameKeys(f.Keys, s.files[0].Keys) {
+	for _, f := range files[1:] {
+		if !sameKeys(f.Keys, files[0].Keys) {
 			uniform = false
 			break
 		}
 	}
 	var d *keys.Dict
 	if uniform {
-		d = keys.FromSorted(s.files[0].Keys)
+		d = keys.FromSorted(files[0].Keys)
 	} else {
 		var ks []string
-		for _, f := range s.files {
+		for _, f := range files {
 			ks = append(ks, f.Keys...)
 		}
 		d = keys.BuildDict(ks)
 	}
-	rels := make(map[string]*relation.Relation, len(s.files))
-	for _, f := range s.files {
+	rels := make(map[string]*relation.Relation, len(files))
+	for _, f := range files {
 		rel, err := f.Relation(d)
 		if err != nil {
 			return nil, nil, err
@@ -300,11 +284,11 @@ func (s *Store) Restore() (map[string]*relation.Relation, *keys.Dict, error) {
 	return rels, d, nil
 }
 
-// SegmentCount returns the number of segments opened at restore.
+// SegmentCount returns the number of segments the store opened.
 func (s *Store) SegmentCount() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.files)
+	return s.segments
 }
 
 // Degraded returns the failure that latched the store degraded, or nil
@@ -341,6 +325,9 @@ func (s *Store) degradeLocked(cause error) {
 func (s *Store) TryRecover() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.wal == nil {
+		return errClosed
+	}
 	if s.degraded == nil {
 		return nil
 	}
@@ -374,7 +361,8 @@ func (s *Store) TryRecover() error {
 // rewrite keeps all on-disk segments on one dictionary generation, so
 // the next restart aliases every relation.
 //
-// A degraded store refuses with ErrDegraded before it encodes anything.
+// A degraded or closed store refuses with ErrDegraded before it encodes
+// anything.
 // A *WALError return means the mutation was not acknowledged and the
 // store is now degraded. An apply failure after a successful append
 // also degrades the store but does NOT fail the Put: the mutation is
@@ -386,8 +374,8 @@ func (s *Store) Put(name string, rel *relation.Relation, rebound map[string]*rel
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.degraded != nil {
-		return fmt.Errorf("%w: %v", ErrDegraded, s.degraded)
+	if err := s.writableLocked(); err != nil {
+		return err
 	}
 	payload, err := Encode(rel)
 	if err != nil {
@@ -414,8 +402,8 @@ func (s *Store) Put(name string, rel *relation.Relation, rebound map[string]*rel
 func (s *Store) Drop(name string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.degraded != nil {
-		return fmt.Errorf("%w: %v", ErrDegraded, s.degraded)
+	if err := s.writableLocked(); err != nil {
+		return err
 	}
 	if err := s.appendLocked(opDrop, name, nil); err != nil {
 		return err
@@ -433,28 +421,41 @@ func (s *Store) Drop(name string) error {
 func (s *Store) Flush() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.wal == nil {
+		return errClosed
+	}
 	return s.applyLocked()
 }
 
-// Close flushes and releases the WAL handle and every mapping. Only
-// safe once no query can still read a restored relation.
+// Close flushes and closes the WAL. Afterwards the store reports itself
+// degraded and refuses every write with an error wrapping ErrDegraded;
+// closing again is a no-op.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.wal == nil {
+		return nil
+	}
 	err := s.applyLocked()
-	if s.wal != nil {
-		if cerr := s.wal.Close(); err == nil {
-			err = cerr
-		}
-		s.wal = nil
+	if cerr := s.wal.Close(); err == nil {
+		err = cerr
 	}
-	for _, f := range s.files {
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
+	s.wal = nil
+	if s.degraded == nil {
+		s.degraded = errClosed
 	}
-	s.files = nil
 	return err
+}
+
+// writableLocked refuses a mutation on a closed or degraded store.
+func (s *Store) writableLocked() error {
+	if s.wal == nil {
+		return errClosed
+	}
+	if s.degraded != nil {
+		return fmt.Errorf("%w: %v", ErrDegraded, s.degraded)
+	}
+	return nil
 }
 
 // appendLocked writes and fsyncs one WAL record — the durability

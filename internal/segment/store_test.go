@@ -1,11 +1,15 @@
 package segment
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
+	"github.com/tpset/tpset/internal/core"
+	"github.com/tpset/tpset/internal/faultfs"
 	"github.com/tpset/tpset/internal/relation"
 )
 
@@ -244,6 +248,92 @@ func TestHostileRelationNames(t *testing.T) {
 	for _, e := range entries {
 		if strings.Contains(e.Name(), "evil") {
 			t.Fatalf("segment escaped the data dir: %s", e.Name())
+		}
+	}
+}
+
+// TestRestoredRelationOutlivesStoreClose restores two relations from a
+// directory on the real filesystem, closes the store, and then runs a
+// query over them: a restored relation owns its rows and its fid column,
+// so the query after Close reads what it read before.
+func TestRestoredRelationOutlivesStoreClose(t *testing.T) {
+	dir := t.TempDir()
+	s, err := OpenStoreFS(dir, faultfs.OS{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, n := range map[string]int{"r": 40, "s": 29} {
+		if err := s.Put(name, testRelation(t, name, n), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s2, err := OpenStoreFS(dir, faultfs.OS{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rels := restore(t, s2)
+	query := func() *relation.Relation {
+		t.Helper()
+		out, err := core.Apply(core.OpUnion, rels["r"], rels["s"], core.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	before, fid := query(), slices.Clone(rels["r"].FidCol())
+	if before.Len() == 0 || len(fid) != 40 {
+		t.Fatalf("query over the restored relations produced %d rows, fid column %d", before.Len(), len(fid))
+	}
+	if err := s2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if after := query(); !relation.Equal(before, after) {
+		t.Fatalf("query after Close differs: %s", relation.Diff(before, after))
+	}
+	if !slices.Equal(rels["r"].FidCol(), fid) {
+		t.Fatalf("fid column changed across Close")
+	}
+}
+
+// TestClosedStoreRefusesWrites closes a healthy store and a degraded one:
+// every later write is refused with an error wrapping ErrDegraded — the
+// server's 503 — both report themselves degraded, and TryRecover re-arms
+// neither.
+func TestClosedStoreRefusesWrites(t *testing.T) {
+	for _, degraded := range []bool{false, true} {
+		inj := faultfs.NewInjector(faultfs.NewMem())
+		s, err := OpenStoreFS(crashDir, inj)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Put("x", testRelation(t, "x", 4), nil); err != nil {
+			t.Fatal(err)
+		}
+		if degraded {
+			inj.FailAt(1, faultfs.OpSync, nil)
+			if err := s.Put("y", testRelation(t, "y", 4), nil); err == nil {
+				t.Fatal("Put acknowledged despite a failed fsync")
+			}
+		}
+		s.Close()
+		for verb, write := range map[string]func() error{
+			"Put":        func() error { return s.Put("z", testRelation(t, "z", 3), nil) },
+			"Drop":       func() error { return s.Drop("x") },
+			"Flush":      s.Flush,
+			"TryRecover": s.TryRecover,
+		} {
+			if err := write(); !errors.Is(err, ErrDegraded) {
+				t.Fatalf("degraded=%v: %s after Close returned %v, want ErrDegraded", degraded, verb, err)
+			}
+		}
+		if err := s.Close(); err != nil {
+			t.Fatalf("degraded=%v: second Close: %v", degraded, err)
+		}
+		if s.Degraded() == nil {
+			t.Fatalf("degraded=%v: closed store reports itself healthy", degraded)
 		}
 	}
 }

@@ -117,9 +117,9 @@ func (c *Catalog) PutRebound(name string, rel *relation.Relation) (version uint6
 // every relation is installed under a fresh version and the recovered
 // dictionary becomes the catalog dictionary, so subsequent admissions
 // take the fast path whenever their facts are already known. Restored
-// relations are typically frozen (mmap-backed); that is compatible with
-// later dictionary rebuilds, which rebind via unfrozen clones. Call it
-// once, on an empty catalog, before serving.
+// relations are frozen, as every catalog relation is immutable; that is
+// compatible with later dictionary rebuilds, which rebind via unfrozen
+// clones. Call it once, on an empty catalog, before serving.
 func (c *Catalog) Restore(rels map[string]*relation.Relation, dict *keys.Dict) {
 	c.write.Lock()
 	defer c.write.Unlock()

@@ -18,7 +18,9 @@ import (
 // 503 (persistError). The catalog installs a mutation only after the
 // store has made it durable, so a refused one is never visible and
 // memory and disk never diverge during the outage, while reads keep
-// serving the in-memory/mmap catalog exactly as before. A background
+// serving the in-memory catalog exactly as before. A closed store
+// refuses writes the same way, so a request that outlives a timed-out
+// shutdown gets a 503 too. A background
 // probe (StartRecoveryProbe) retries the store's recovery sequence until
 // the disk returns, after which writes re-arm without a restart.
 // /healthz reports the state so operators and load balancers can see it.

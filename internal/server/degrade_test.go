@@ -122,3 +122,46 @@ func TestDegradedReadOnlyEndToEnd(t *testing.T) {
 		t.Fatalf("relation missing after recovered PUT: %d", resp.StatusCode)
 	}
 }
+
+// A request that outlives a timed-out shutdown meets a closed store:
+// writes answer 503 instead of dereferencing the closed WAL, /healthz
+// reports the store degraded, the recovery probe does not re-arm it, and
+// reads and queries over the catalog keep serving.
+func TestClosedStoreAnswers503(t *testing.T) {
+	st, err := segment.OpenStoreFS("/data", faultfs.NewMem())
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := New(Config{Workers: 2})
+	srv.AttachStore(st)
+	a := relation.New(relation.NewSchema("a", "Product"))
+	a.AddBase(relation.NewFact("milk"), "a1", 2, 10, 0.3)
+	if _, err := srv.Load("a", a); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	t.Cleanup(cancel)
+	srv.StartRecoveryProbe(ctx, time.Millisecond)
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
+
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(20 * time.Millisecond) // probe ticks against the closed store
+	put := RelationJSON{Name: "x", Attrs: []string{"Product"}, Tuples: []TupleJSON{
+		{Fact: []string{"tea"}, Lineage: "x1", Ts: 1, Te: 5, Prob: 0.5},
+	}}
+	if resp, body := do(t, "PUT", ts.URL+"/relations/x", put); resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("PUT after Close: status %d, body %s", resp.StatusCode, body)
+	}
+	if resp, body := do(t, "DELETE", ts.URL+"/relations/a", nil); resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("DELETE after Close: status %d, body %s", resp.StatusCode, body)
+	}
+	if _, body := do(t, "GET", ts.URL+"/healthz", nil); !bytes.Contains(body, []byte(`"status":"degraded"`)) {
+		t.Fatalf("healthz after Close: %s", body)
+	}
+	if resp, body := do(t, "POST", ts.URL+"/query", QueryRequest{Query: "a"}); resp.StatusCode != 200 || !bytes.Contains(body, []byte("milk")) {
+		t.Fatalf("query after Close: status %d, body %s", resp.StatusCode, body)
+	}
+}

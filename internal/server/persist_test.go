@@ -44,7 +44,7 @@ func durableServer(t *testing.T, dir string) (*Server, *segment.Store) {
 
 // A restart against a populated data dir must serve bit-identical query
 // results to a heap-mode server that re-ingested the same inputs — the
-// mmap-backed catalog is observationally invisible, across worker
+// restored catalog is observationally invisible, across worker
 // budgets, and the restart never re-ingests (segmentsRestored counts
 // the recovered segments). The restored server's answer is also checked
 // against the Def. 3 oracle over the inputs as generated.
@@ -178,7 +178,7 @@ func TestDictionaryRebuildPersists(t *testing.T) {
 	// Restore heals mixed generations, so the checks above hold even if
 	// the rebound sibling never reaches disk. It must: once the first
 	// store closes cleanly every segment carries the one dictionary, and
-	// the next restore aliases each mapping instead of healing.
+	// the next restore uses each stored fid column instead of healing.
 	if err := st2.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +195,6 @@ func TestDictionaryRebuildPersists(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer f.Close()
 		files = append(files, f)
 	}
 	if !slices.Equal(files[0].Keys, files[1].Keys) {

@@ -252,12 +252,13 @@ func (r *statusRecorder) status() int {
 }
 
 // AttachStore wires a durable segment store under the catalog: the
-// store's recovered relations (mmap-backed, frozen) seed the catalog
+// store's recovered relations (heap-resident, frozen) seed the catalog
 // without re-ingesting, and every subsequent Load, PUT and DELETE is
 // written to the store's WAL before the catalog installs it. Call it
 // once, after New and before serving or seeding; the caller keeps
-// ownership of the store's lifecycle (Flush on graceful shutdown, Close
-// last).
+// ownership of the store's lifecycle (Close on shutdown: it flushes,
+// and afterwards every write is refused with a 503 while the restored
+// relations keep serving).
 func (s *Server) AttachStore(st *segment.Store) error {
 	rels, dict, err := st.Restore()
 	if err != nil {
