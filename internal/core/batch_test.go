@@ -189,7 +189,7 @@ func TestSteadyStateBatchAllocations(t *testing.T) {
 	s.Sort()
 
 	drain := func() {
-		c, err := NewOpCursor(OpExcept, NewScanCursor(r), NewScanCursor(s), Options{LazyProb: true})
+		c, err := NewOpCursor(OpExcept, "", NewScanCursor(r), NewScanCursor(s), Options{LazyProb: true})
 		if err != nil {
 			t.Fatal(err)
 		}

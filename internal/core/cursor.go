@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 
 	"github.com/tpset/tpset/internal/interval"
 	"github.com/tpset/tpset/internal/invariant"
@@ -28,7 +29,7 @@ import (
 // per row). The block is the consumer's: the cursor keeps no reference
 // to b after NextBatch returns, so a consumer may retain a filled block —
 // pulling the next one into another — until it PutBatches it
-// (MaterializeLimit does). The rows stay read-only all the while: a scan
+// (Materialize does). The rows stay read-only all the while: a scan
 // fills b by pointing it at the leaf.
 type Cursor interface {
 	// Schema describes the stream's conventional attributes.
@@ -184,20 +185,23 @@ type OpCursor struct {
 	opts   Options
 }
 
-// NewOpCursor streams op(left, right). The children must satisfy the
-// Cursor ordering invariant; their schemas must be union-compatible.
-func NewOpCursor(op Op, left, right Cursor, opts Options) (*OpCursor, error) {
+// NewOpCursor streams op(left, right) as a relation called name (the
+// output schema takes the left input's attributes). The children must
+// satisfy the Cursor ordering invariant; their schemas must be
+// union-compatible. A plan names its root only (query.ResultName): an
+// operator feeding another is read for its rows, never for its name.
+func NewOpCursor(op Op, name string, left, right Cursor, opts Options) (*OpCursor, error) {
 	if op != OpUnion && op != OpIntersect && op != OpExcept {
 		return nil, fmt.Errorf("core: unknown operation %v", op)
 	}
 	ls, rs := left.Schema(), right.Schema()
 	if !ls.Compatible(rs) {
-		return nil, fmt.Errorf("core: incompatible schemas %q (%d attrs) and %q (%d attrs)",
-			ls.Name, len(ls.Attrs), rs.Name, len(rs.Attrs))
+		return nil, fmt.Errorf("core: incompatible schemas: %d attributes (%s) and %d (%s)",
+			len(ls.Attrs), strings.Join(ls.Attrs, ", "), len(rs.Attrs), strings.Join(rs.Attrs, ", "))
 	}
 	a := NewStreamAdvancer(left, right)
 	a.enableSkip(op)
-	return &OpCursor{op: op, a: a, schema: OutSchemaOf(op, ls, rs), opts: opts}, nil
+	return &OpCursor{op: op, a: a, schema: relation.Schema{Name: name, Attrs: ls.Attrs}, opts: opts}, nil
 }
 
 // Schema returns the output schema of the operation.
@@ -280,20 +284,7 @@ func (c *OpCursor) emit(t *relation.Tuple, fid *int64) bool {
 // plan is bound to the plan's one dictionary, so the materialized
 // relation comes out bound to it with the ids the blocks carried (an
 // empty result has no block to take a dictionary from and stays
-// unbound, which is vacuously fine). The result's tuple array and fid
-// column are each allocated once, at their exact length; see
-// MaterializeLimit for how.
-func Materialize(c Cursor) *relation.Relation {
-	out, _ := MaterializeLimit(c, 0)
-	return out
-}
-
-// MaterializeLimit is Materialize with a result-size budget: the drain
-// stops as soon as the output would exceed max tuples and reports
-// ok=false. A budget violation is a property of the query, not a
-// truncation point — the partial relation is returned only so callers
-// can report how far the drain got, and must not be served or cached as
-// the query's answer. max <= 0 means no budget.
+// unbound, which is vacuously fine).
 //
 // The drain never grows an array. It pulls pooled blocks and keeps them,
 // counting rows, then allocates the tuple array and the fid column once
@@ -306,7 +297,7 @@ func Materialize(c Cursor) *relation.Relation {
 // kept view of a leaf pins its unused pooled storage instead): the drain
 // pins at most twice the result plus one block. It only reads the rows —
 // a scan's block is the leaf itself.
-func MaterializeLimit(c Cursor, max int) (*relation.Relation, bool) {
+func Materialize(c Cursor) *relation.Relation {
 	var kept []*Batch
 	// Deferred, not inline: a pull may panic (the engine re-raises a shard
 	// producer's panic on the consumer), and the pool must balance then too.
@@ -315,15 +306,14 @@ func MaterializeLimit(c Cursor, max int) (*relation.Relation, bool) {
 			PutBatch(b)
 		}
 	}()
-	n, within := 0, true
-	for within {
+	n := 0
+	for {
 		b := GetBatch()
 		kept = append(kept, b)
 		if !c.NextBatch(b) {
 			break
 		}
 		n += len(b.Tuples)
-		within = max <= 0 || n <= max
 	}
 	out := relation.New(c.Schema())
 	if n > 0 {
@@ -334,12 +324,9 @@ func MaterializeLimit(c Cursor, max int) (*relation.Relation, bool) {
 			copy(fid[at:], b.Fid)
 			at += copy(out.Tuples[at:], b.Tuples)
 		}
-		if !within {
-			return out, false // a partial result is for reporting, not for running plans over: unbound
-		}
 		if err := out.SetBinding(kept[0].Dict, fid); err != nil {
 			panic(err) // every block of a plan is bound: a bug, not a runtime condition
 		}
 	}
-	return out, within
+	return out
 }

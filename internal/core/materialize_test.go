@@ -1,8 +1,8 @@
 package core_test
 
-// Tests of the materializing drain (core.MaterializeLimit): what it
-// keeps while it counts the result, what it returns on a budget overrun
-// and on an empty stream, and that the pool balances every time. The
+// Tests of the materializing drain (core.Materialize): what it keeps
+// while it counts the result, what it returns on an empty stream, and
+// that the pool balances every time. The
 // allocation pin and the frozen-leaf and cancellation cases run through
 // whole plans in internal/engine.
 
@@ -70,9 +70,9 @@ func TestMaterializeKeepsAtMostTwiceTheResult(t *testing.T) {
 	stream := newOwned(leaf)
 	gets0, puts0, _, _ := core.BatchPoolStats()
 	for label, c := range map[string]core.Cursor{"owned blocks": stream, "scan": core.NewScanCursor(leaf)} {
-		out, ok := core.MaterializeLimit(c, 0)
-		if !ok || !reflect.DeepEqual(out.Tuples, leaf.Tuples) || &out.Tuples[0] == &leaf.Tuples[0] {
-			t.Fatalf("%s: ok=%v, %d rows; want a copy of the stream's %d rows in order", label, ok, out.Len(), leaf.Len())
+		out := core.Materialize(c)
+		if !reflect.DeepEqual(out.Tuples, leaf.Tuples) || &out.Tuples[0] == &leaf.Tuples[0] {
+			t.Fatalf("%s: %d rows; want a copy of the stream's %d rows in order", label, out.Len(), leaf.Len())
 		}
 		if cap(out.Tuples) != len(out.Tuples) || out.Dict() != leaf.Dict() {
 			t.Fatalf("%s: array of %d for %d rows, dict %p (leaf %p)", label, cap(out.Tuples), len(out.Tuples), out.Dict(), leaf.Dict())
@@ -87,32 +87,14 @@ func TestMaterializeKeepsAtMostTwiceTheResult(t *testing.T) {
 	}
 }
 
-// TestMaterializeLimitOverrunAndEmpty pins the return values: a budget
-// hit mid-drain reports ok=false with the rows drained so far — the
-// block that crossed the budget included, nothing after it — and leaves
-// the partial relation unbound; an empty stream yields an empty, unbound
-// relation with no array at all.
-func TestMaterializeLimitOverrunAndEmpty(t *testing.T) {
-	leaf := prepared(t, map[string]*relation.Relation{"r": factRange("r", 0, 5000, 1)})["r"]
-	c := newOwned(leaf)
-	const budget = 2500
-	out, ok := core.MaterializeLimit(c, budget)
-	if ok || out.Len() <= budget || out.Len() > budget+core.BatchSize || c.i != out.Len() {
-		t.Fatalf("ok=%v with %d rows after %d pulled, budget %d", ok, out.Len(), c.i, budget)
-	}
-	if !reflect.DeepEqual(out.Tuples, leaf.Tuples[:out.Len()]) || out.Dict() != nil {
-		t.Fatal("the partial relation is not the unbound prefix of the stream")
-	}
-	poolBalanced(t, "over budget", c.gets0, c.puts0)
-
-	if out, ok := core.MaterializeLimit(newOwned(leaf), leaf.Len()); !ok || out.Len() != leaf.Len() {
-		t.Fatalf("a result of exactly the budget reported ok=%v with %d rows", ok, out.Len())
-	}
-
+// TestMaterializeEmpty pins the empty stream: an empty, unbound
+// relation with no array at all, named after the cursor's schema.
+func TestMaterializeEmpty(t *testing.T) {
+	leaf := prepared(t, map[string]*relation.Relation{"r": factRange("r", 0, 10, 1)})["r"]
 	empty := newOwned(relation.New(leaf.Schema))
-	out, ok = core.MaterializeLimit(empty, 10)
-	if !ok || out.Tuples != nil || out.Dict() != nil || out.Schema.Name != leaf.Schema.Name {
-		t.Fatalf("empty stream: ok=%v, tuples %v, dict %p", ok, out.Tuples, out.Dict())
+	out := core.Materialize(empty)
+	if out.Tuples != nil || out.Dict() != nil || out.Schema.Name != leaf.Schema.Name {
+		t.Fatalf("empty stream: tuples %v, dict %p, name %q", out.Tuples, out.Dict(), out.Schema.Name)
 	}
 	poolBalanced(t, "empty", empty.gets0, empty.puts0)
 }

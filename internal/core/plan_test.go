@@ -52,7 +52,7 @@ func prepared(t *testing.T, db map[string]*relation.Relation) map[string]*relati
 
 func opCursor(t *testing.T, op core.Op, l, r core.Cursor) *core.OpCursor {
 	t.Helper()
-	c, err := core.NewOpCursor(op, l, r, core.Options{})
+	c, err := core.NewOpCursor(op, "", l, r, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

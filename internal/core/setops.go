@@ -95,7 +95,7 @@ func Apply(op Op, r, s *relation.Relation, opts Options) (*relation.Relation, er
 	if err != nil {
 		return nil, err
 	}
-	c, err := NewOpCursor(op, NewScanCursor(leaves[0]), NewScanCursor(leaves[1]), opts)
+	c, err := NewOpCursor(op, r.Schema.Name+op.String()+s.Schema.Name, NewScanCursor(leaves[0]), NewScanCursor(leaves[1]), opts)
 	if err != nil {
 		return nil, err
 	}
@@ -201,13 +201,6 @@ func Union(r, s *relation.Relation, opts Options) (*relation.Relation, error) {
 // exhausted.
 func Except(r, s *relation.Relation, opts Options) (*relation.Relation, error) {
 	return Apply(OpExcept, r, s, opts)
-}
-
-// OutSchemaOf composes the output schema of op over two input schemas:
-// the concatenated name and the left input's attributes. Cursor plans use
-// it to carry schemas without materialized relations.
-func OutSchemaOf(op Op, ls, rs relation.Schema) relation.Schema {
-	return relation.Schema{Name: ls.Name + op.String() + rs.Name, Attrs: ls.Attrs}
 }
 
 // Windows runs the advancer to completion and returns every candidate

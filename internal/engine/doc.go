@@ -41,7 +41,7 @@
 // pulled like every cursor below it, one bound block per NextBatch.
 // Apply is the two-leaf plan "r op s" on this path, and EvalCursor
 // materializes a plan's final result (one exact-size
-// allocation: core.MaterializeLimit). A panic on a producer goroutine is
+// allocation: core.Materialize). A panic on a producer goroutine is
 // relayed to the goroutine draining the plan (core.PanicRelay).
 //
 // Correctness is pinned against the Def. 3 oracle (internal/ref) by the

@@ -507,10 +507,10 @@ func TestMaterializeCancelledMidDrain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, ok := core.MaterializeLimit(&cancelAfter{Cursor: cur, n: 8, cancel: cancel}, 0)
+	out := core.Materialize(&cancelAfter{Cursor: cur, n: 8, cancel: cancel})
 	cur.Close()
-	if !ok || ctx.Err() == nil || out.Len() != 7*core.BatchSize || cap(out.Tuples) != len(out.Tuples) {
-		t.Fatalf("ok=%v, ctx.Err()=%v, %d rows in an array of %d; want the 7 blocks drained before the cancellation", ok, ctx.Err(), out.Len(), cap(out.Tuples))
+	if ctx.Err() == nil || out.Len() != 7*core.BatchSize || cap(out.Tuples) != len(out.Tuples) {
+		t.Fatalf("ctx.Err()=%v, %d rows in an array of %d; want the 7 blocks drained before the cancellation", ctx.Err(), out.Len(), cap(out.Tuples))
 	}
 	if gets, puts, _, _ := core.BatchPoolStats(); gets-gets0 != puts-puts0 {
 		t.Fatalf("pool unbalanced after the cancelled drain: %d gets vs %d puts", gets-gets0, puts-puts0)

@@ -49,7 +49,7 @@ import (
 // at two workers: 2 blocks per shard 2.0 ops/s, 32 blocks 2.7, 64 blocks
 // 2.9; the hash-partition + merge plan this replaced: 2.4. Historical:
 // the consumer behind those figures regrew its result array, which
-// core.MaterializeLimit no longer does — they rank the window sizes, the
+// core.Materialize no longer does — they rank the window sizes, the
 // rates themselves are superseded. Change the constant only on a paired
 // run of the standing benchmark.)
 const reorderBlocks = 128
@@ -404,7 +404,7 @@ func (s *concatStream) nextBatch(out *core.Batch) bool {
 // EvalCursor evaluates the query through the streaming plan and
 // materializes only the final result — what tpset.Eval, cmd/tpquery and
 // Apply return. The result's tuple array is allocated once, at its exact
-// length (core.MaterializeLimit).
+// length (core.Materialize).
 func (e *Engine) EvalCursor(n query.Node, db map[string]*relation.Relation, opts core.Options) (*relation.Relation, error) {
 	return e.EvalCursorCtx(context.Background(), n, db, opts)
 }

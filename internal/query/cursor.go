@@ -80,8 +80,45 @@ func PrepareLeaves(n Node, db map[string]*relation.Relation, opts core.Options, 
 
 // BuildPrepared is BuildCursor over a database PrepareLeaves returned,
 // or fact-range views of one: the engine builds one plan per shard with
-// it.
+// it. The root's schema carries the result's name (ResultName), built
+// once; operators inside the plan are unnamed.
 func BuildPrepared(n Node, db map[string]*relation.Relation, opts core.Options) (core.Cursor, error) {
+	return build(n, db, opts, ResultName(n, db))
+}
+
+// ResultName is the name of the relation n evaluates to over db: a leaf's
+// schema name, a selection's input's, and for a set operation the left
+// name, the operation's symbol and the right name, concatenated. It is
+// written by one builder, where naming every operator after its children
+// would copy a chain's names once per level (O(n²) bytes). A leaf db does
+// not hold is named by its identifier.
+func ResultName(n Node, db map[string]*relation.Relation) string {
+	var b strings.Builder
+	resultName(n, db, &b)
+	return b.String()
+}
+
+func resultName(n Node, db map[string]*relation.Relation, b *strings.Builder) {
+	switch q := n.(type) {
+	case *Rel:
+		if r, ok := db[q.Name]; ok {
+			b.WriteString(r.Schema.Name)
+		} else {
+			b.WriteString(q.Name)
+		}
+	case *Select:
+		resultName(q.Input, db, b)
+	case *SetOp:
+		resultName(q.Left, db, b)
+		b.WriteString(q.Op.String())
+		resultName(q.Right, db, b)
+	}
+}
+
+// build compiles n. name is the schema name of n's output: the result's
+// for the root and a selection chain over it, "" for an operator below
+// another.
+func build(n Node, db map[string]*relation.Relation, opts core.Options, name string) (core.Cursor, error) {
 	sp := opts.Span
 	switch q := n.(type) {
 	case *Rel:
@@ -98,7 +135,7 @@ func BuildPrepared(n Node, db map[string]*relation.Relation, opts core.Options) 
 		if sp != nil {
 			childOpts.Span = sp.NewChild("")
 		}
-		in, err := BuildPrepared(q.Input, db, childOpts)
+		in, err := build(q.Input, db, childOpts, name)
 		if err != nil {
 			return nil, err
 		}
@@ -112,7 +149,7 @@ func BuildPrepared(n Node, db map[string]*relation.Relation, opts core.Options) 
 		}
 		if idx < 0 {
 			return nil, fmt.Errorf("query: relation %q has no attribute %q (have %s)",
-				schema.Name, q.Attr, strings.Join(schema.Attrs, ", "))
+				ResultName(q.Input, db), q.Attr, strings.Join(schema.Attrs, ", "))
 		}
 		if sp != nil {
 			sp.SetOp(fmt.Sprintf("σ[%s=%s]", q.Attr, q.Value))
@@ -127,17 +164,17 @@ func BuildPrepared(n Node, db map[string]*relation.Relation, opts core.Options) 
 			lOpts.Span = sp.NewChild("")
 			rOpts.Span = sp.NewChild("")
 		}
-		l, err := BuildPrepared(q.Left, db, lOpts)
+		l, err := build(q.Left, db, lOpts, "")
 		if err != nil {
 			return nil, err
 		}
-		r, err := BuildPrepared(q.Right, db, rOpts)
+		r, err := build(q.Right, db, rOpts, "")
 		if err != nil {
 			return nil, err
 		}
-		oc, err := core.NewOpCursor(q.Op, l, r, opts)
+		oc, err := core.NewOpCursor(q.Op, name, l, r, opts)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("query: %s: %w", ResultName(q, db), err)
 		}
 		if sp != nil {
 			sp.SetOp(q.Op.String())

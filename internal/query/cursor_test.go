@@ -1,7 +1,10 @@
 package query_test
 
 import (
+	"math"
 	"math/rand"
+	"runtime"
+	"strings"
 	"testing"
 
 	"github.com/tpset/tpset/internal/core"
@@ -161,4 +164,83 @@ func TestBuildCursorErrors(t *testing.T) {
 			t.Fatal("incompatible schemas must fail at build time")
 		}
 	}
+}
+
+// concatName is the result name by the rule operators used to apply one
+// at a time: the left input's name, the operation's symbol and the right
+// input's name, with a selection keeping its input's.
+func concatName(n query.Node, db map[string]*relation.Relation) string {
+	switch q := n.(type) {
+	case *query.Rel:
+		return db[q.Name].Schema.Name
+	case *query.Select:
+		return concatName(q.Input, db)
+	case *query.SetOp:
+		return concatName(q.Left, db) + q.Op.String() + concatName(q.Right, db)
+	}
+	panic("unknown node")
+}
+
+// TestResultNameIsTheConcatenation pins the name a plan gives its result,
+// built once from the tree, to the old per-operator concatenation, on the
+// oracle harness's random trees and on a selection over an operator (which
+// reftest.Tree never generates and PushDownSelections would move).
+func TestResultNameIsTheConcatenation(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	db := reftest.DB(rng, reftest.Shape{Relations: 3, MaxTuples: 40, Facts: 8})
+	trees := []query.Node{query.MustParse("sigma[F='f00001']((r0 | r1) - r2)")}
+	for i := 0; i < 200; i++ {
+		trees = append(trees, reftest.Tree(rng, query.DBKeys(db), 1+rng.Intn(6)))
+	}
+	for _, tree := range trees {
+		want := concatName(tree, db)
+		if got := query.ResultName(tree, db); got != want {
+			t.Fatalf("%s: ResultName = %q, want %q", query.Canonical(tree), got, want)
+		}
+		plan, err := query.BuildCursor(tree, db, core.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := plan.Schema().Name; got != want {
+			t.Fatalf("%s: plan names its result %q, want %q", query.Canonical(tree), got, want)
+		}
+		core.ReleaseCursor(plan)
+	}
+}
+
+// TestChainPlanNamesItsResultOnce pins what planning a chain of 255
+// unions over two 1-tuple relations allocates once the batch pool is
+// warm: under 256 KiB. Naming each operator after its children, as plans
+// did before the result was named once, allocated ≈390 KB here — ≈200 KB
+// of it the chain's names, 6 bytes more at every level (3n² in all).
+func TestChainPlanNamesItsResultOnce(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops puts at random under -race, so pooled blocks are reallocated")
+	}
+	a := relation.New(relation.NewSchema("a", "F"))
+	a.AddBase(relation.NewFact("x"), "chain.a1", 0, 5, 0.5)
+	b := relation.New(relation.NewSchema("b", "F"))
+	b.AddBase(relation.NewFact("x"), "chain.b1", 3, 9, 0.5)
+	db := map[string]*relation.Relation{"a": a, "b": b}
+	tree := query.MustParse("a" + strings.Repeat(" | b", 255))
+	plan := func() {
+		c, err := query.BuildCursor(tree, db, core.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		core.ReleaseCursor(c)
+	}
+	plan() // warm the batch pool
+	least := uint64(math.MaxUint64)
+	for i := 0; i < 5; i++ {
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		plan()
+		runtime.ReadMemStats(&m1)
+		least = min(least, m1.TotalAlloc-m0.TotalAlloc)
+	}
+	if least >= 256<<10 {
+		t.Fatalf("planning 255 unions allocated %d bytes, want under 256 KiB", least)
+	}
+	t.Logf("planning 255 unions: %d bytes", least)
 }

@@ -27,7 +27,7 @@ func (r *Relation) BuildCols() []int64 { return r.FidCol() }
 
 // SetBinding binds the relation to d with a column the caller already
 // holds — fid[i] must be the id of Tuples[i].Fact in d — instead of
-// looking every fact up: core.MaterializeLimit hands over the ids its
+// looking every fact up: core.Materialize hands over the ids its
 // blocks carried, segment restore the fid section it decoded. The column
 // is retained, clipped to its length. It returns an error on a nil
 // dictionary or a column that does not mirror Tuples.

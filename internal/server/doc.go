@@ -17,11 +17,15 @@
 //
 //   - Cache — a bounded LRU over query results, keyed on the pair
 //     (canonical query string, sorted input-relation versions); see
-//     query.Canonical for the key's first half. A repeated query over
-//     unchanged relations is served from the cache without re-sweeping;
-//     bumping any input relation's version changes the key and eagerly
+//     query.Canonical for the key's first half. An entry is the encoded
+//     result object, so a repeated query over unchanged relations is
+//     one write of stored bytes: no re-sweep and no work per tuple. A
+//     miss encodes the plan's blocks as they arrive and caches the body;
+//     a result the wire cannot carry is a 500 and is not cached. Bumping
+//     any input relation's version changes the key and eagerly
 //     invalidates exactly the entries that depended on that relation.
-//     Hit/miss/eviction/invalidation counters are exposed on GET /metrics.
+//     Entry, byte, hit, miss, eviction and invalidation counts are
+//     exposed on GET /metrics.
 //
 //   - Handlers — PUT/GET/DELETE /relations/{name} (JSON wire codec
 //     round-tripping lineage through the lineage parser),

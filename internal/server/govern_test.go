@@ -213,6 +213,14 @@ func TestResultBudget(t *testing.T) {
 	if !strings.Contains(string(body), "maxResultTuples") {
 		t.Fatalf("body %s", body)
 	}
+	// With the cache on the overflow is refused the same way and never
+	// stored.
+	if resp, body := do(t, "POST", ts.URL+"/query", QueryRequest{Query: "r"}); resp.StatusCode != http.StatusUnprocessableEntity {
+		t.Fatalf("cached path: status %d, body %s", resp.StatusCode, body)
+	}
+	if st := srv.CacheStats(); st.Entries != 0 {
+		t.Fatalf("cache %+v after an over-budget result; want it empty", st)
+	}
 
 	resp, body = do(t, "POST", ts.URL+"/query/stream", QueryRequest{Query: "r"})
 	if resp.StatusCode != http.StatusOK {
@@ -236,6 +244,17 @@ func TestResultBudget(t *testing.T) {
 	if resp, body := do(t, "POST", ts.URL+"/query",
 		QueryRequest{Query: "tiny", NoCache: true}); resp.StatusCode != 200 {
 		t.Fatalf("in-budget query: status %d, body %s", resp.StatusCode, body)
+	}
+	// A result of exactly the budget is served whole.
+	exact := relation.New(relation.NewSchema("exact", "F"))
+	for i := 0; i < 100; i++ {
+		exact.AddBase(relation.NewFact(fmt.Sprintf("f%03d", i)), fmt.Sprintf("budget.e%d", i), 0, 5, 0.5)
+	}
+	if _, err := srv.Load("exact", exact); err != nil {
+		t.Fatal(err)
+	}
+	if qr := queryOnce(t, ts, QueryRequest{Query: "exact"}); len(qr.Result.Tuples) != 100 {
+		t.Fatalf("a result of exactly the budget came back with %d tuples", len(qr.Result.Tuples))
 	}
 	if got := srv.snapshotMetrics().Evaluations; got == 0 {
 		t.Fatal("no evaluation recorded for the in-budget query")
@@ -639,6 +658,16 @@ func TestNonFiniteProbabilityIsRefused(t *testing.T) {
 				!strings.Contains(string(body), "tuple 1: probability +Inf") || !json.Valid(body) {
 				t.Fatalf("%s %s: status %d, body %s; want a 500 naming tuple 1", call.method, call.path, resp.StatusCode, body)
 			}
+		}
+		// With the cache on, the refused result is not stored: the
+		// repeat evaluates and fails again instead of hitting.
+		for i := 0; i < 2; i++ {
+			if resp, body := do(t, "POST", ts.URL+"/query", QueryRequest{Query: "bad"}); resp.StatusCode != http.StatusInternalServerError {
+				t.Fatalf("cached /query %d: status %d, body %s; want 500", i, resp.StatusCode, body)
+			}
+		}
+		if st := srv.CacheStats(); st.Entries != 0 || st.Hits != 0 || st.Bytes != 0 {
+			t.Fatalf("cache %+v after two refused results; want nothing stored", st)
 		}
 		_, body := do(t, "POST", ts.URL+"/query/stream", QueryRequest{Query: "bad"})
 		if tuples, trailer := parseStream(t, body); tuples != 1 || trailer.Done ||

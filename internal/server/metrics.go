@@ -228,6 +228,7 @@ func (s *Server) writeMetricsProm(w http.ResponseWriter) {
 	obs.WriteCounterProm(w, "tpset_cache_evictions_total", "Result-cache LRU evictions.", cs.Evictions)
 	obs.WriteCounterProm(w, "tpset_cache_invalidations_total", "Result-cache entries invalidated by catalog mutations.", cs.Invalidations)
 	obs.WriteGaugeProm(w, "tpset_cache_entries", "Result-cache resident entries.", float64(cs.Entries))
+	obs.WriteGaugeProm(w, "tpset_cache_bytes", "Result-cache resident body bytes.", float64(cs.Bytes))
 
 	gets, puts, news, drops := core.BatchPoolStats()
 	obs.WriteCounterProm(w, "tpset_batch_pool_gets_total", "Batch-pool gets.", gets)

@@ -1,6 +1,8 @@
 package server
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"net/http/httptest"
@@ -27,6 +29,63 @@ func wireRelation(t *testing.T, name string, attrs []string, rows []TupleJSON) *
 	return rel
 }
 
+// concatName is the result name by the rule operators used to apply one
+// at a time: the left input's name, the operation's symbol and the right
+// input's name, with a selection keeping its input's.
+func concatName(n query.Node, db map[string]*relation.Relation) string {
+	switch q := n.(type) {
+	case *query.Rel:
+		return db[q.Name].Schema.Name
+	case *query.Select:
+		return concatName(q.Input, db)
+	case *query.SetOp:
+		return concatName(q.Left, db) + q.Op.String() + concatName(q.Right, db)
+	}
+	panic(fmt.Sprintf("unknown node %T", n))
+}
+
+// cachedPair sends req to POST /query twice and returns the decoded
+// second response, after checking that it is a cache hit whose result is
+// byte-identical to the first response's. The first request traces when
+// trace is set: a traced request skips the lookup, so it evaluates at its
+// own worker budget even when another budget already cached the key, and
+// it still stores what it computed.
+func cachedPair(t *testing.T, ts *httptest.Server, req QueryRequest, trace bool, ctx string) QueryResponse {
+	t.Helper()
+	first := req
+	first.Trace = trace
+	_, raw1 := queryRaw(t, ts, first)
+	qr, raw2 := queryRaw(t, ts, req)
+	if !qr.Cached {
+		t.Fatalf("%s: repeated /query was not served from the cache", ctx)
+	}
+	if !bytes.Equal(raw1, raw2) {
+		t.Fatalf("%s: cached result differs from the evaluated one:\n%.300s\n%.300s", ctx, raw1, raw2)
+	}
+	return qr
+}
+
+// queryRaw is queryOnce that also returns the result object's bytes as
+// they arrived.
+func queryRaw(t *testing.T, ts *httptest.Server, req QueryRequest) (QueryResponse, []byte) {
+	t.Helper()
+	resp, body := do(t, "POST", ts.URL+"/query", req)
+	if resp.StatusCode != 200 {
+		t.Fatalf("query %+v: %d %s", req, resp.StatusCode, body)
+	}
+	var qr QueryResponse
+	var raw struct {
+		Result json.RawMessage `json:"result"`
+	}
+	if err := json.Unmarshal(body, &qr); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(body, &raw); err != nil {
+		t.Fatal(err)
+	}
+	return qr, raw.Result
+}
+
 // TestHTTPMatchesOracle drives the differential harness through the
 // service: random catalogs admitted into a server, random query trees
 // (rendered with query.Canonical) sent to POST /query and POST
@@ -34,7 +93,9 @@ func wireRelation(t *testing.T, name string, attrs []string, rows []TupleJSON) *
 // decoded rows — in wire order — compared with the Def. 3 oracle. Every
 // fourth trial is large enough that the engine shards it at its default
 // thresholds; every third holds its relations' facts at different times
-// (the temporal run-skipping case).
+// (the temporal run-skipping case). The cache is on: each /query is sent
+// twice, and the oracle checks the second, cached, response. Both
+// endpoints name the result as operators named it one at a time.
 func TestHTTPMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(91))
 	for trial := 0; trial < 16; trial++ {
@@ -43,7 +104,7 @@ func TestHTTPMatchesOracle(t *testing.T) {
 			sh.MaxTuples, sh.Facts = 6000, 64
 		}
 		db := reftest.DB(rng, sh)
-		srv := New(Config{CacheSize: -1})
+		srv := New(Config{})
 		for name, r := range db {
 			// Admission takes ownership (sorts, interns, binds): hand it
 			// a copy and keep the generated relation for the oracle.
@@ -55,14 +116,18 @@ func TestHTTPMatchesOracle(t *testing.T) {
 		for i := 0; i < 3; i++ {
 			tree := reftest.Tree(rng, query.DBKeys(db), 1+rng.Intn(4))
 			_, isOp := tree.(*query.SetOp)
+			name := concatName(tree, db)
 			for _, workers := range []int{1, 2, 8} {
 				req := QueryRequest{Query: query.Canonical(tree), Workers: workers, LazyProb: (i+workers)%2 == 0}
 				ctx := fmt.Sprintf("trial %d %+v", trial, req)
 
-				qr := queryOnce(t, ts, req)
+				qr := cachedPair(t, ts, req, workers != 1, ctx)
 				meta, rows, trailer := streamOnce(t, ts, req)
 				if !trailer.Done || trailer.Tuples != len(rows) {
 					t.Fatalf("%s: stream trailer %+v after %d rows", ctx, trailer, len(rows))
+				}
+				if qr.Result.Name != name || meta.Name != name {
+					t.Fatalf("%s: result named %q on /query and %q on /query/stream, want %q", ctx, qr.Result.Name, meta.Name, name)
 				}
 				for endpoint, got := range map[string]*relation.Relation{
 					"/query":        wireRelation(t, qr.Result.Name, qr.Result.Attrs, qr.Result.Tuples),

@@ -81,9 +81,9 @@ func TestRestartServesBitIdenticalResults(t *testing.T) {
 			if err != nil {
 				t.Fatalf("restored RunQueryCtx(%q, w=%d): %v", q, workers, err)
 			}
-			reftest.Check(t, q, got.Relation, query.MustParse(q), map[string]*relation.Relation{"r": hr, "s": hs})
-			wj, _ := json.Marshal(EncodeRelation(want.Relation, 0))
-			gj, _ := json.Marshal(EncodeRelation(got.Relation, 0))
+			reftest.Check(t, q, resultRelation(t, got), query.MustParse(q), map[string]*relation.Relation{"r": hr, "s": hs})
+			wj, _ := json.Marshal(EncodeRelation(resultRelation(t, want), 0))
+			gj, _ := json.Marshal(EncodeRelation(resultRelation(t, got), 0))
 			if !bytes.Equal(wj, gj) {
 				t.Fatalf("restart result diverged for %q workers=%d:\nheap     %.200s\nrestored %.200s",
 					q, workers, wj, gj)

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -47,7 +48,7 @@ type Config struct {
 	// concurrency bound; negative means no queue (immediate shed).
 	MaxQueued int
 	// MaxResultTuples bounds the result size a single query may
-	// produce: the materialized path answers 422, a stream aborts with
+	// produce: POST /query answers 422, a stream aborts with
 	// an NDJSON error trailer. A budget violation is a client error,
 	// never a silent truncation. Zero means unlimited.
 	MaxResultTuples int
@@ -429,18 +430,25 @@ type QueryResponse struct {
 }
 
 // QueryResult is what RunQueryCtx returns: the QueryResponse envelope
-// fields beside the result relation itself, before any encoding.
+// fields beside the encoded result. The handler writes the envelope, then
+// Result as it is, then the trace and the closing brace.
 type QueryResult struct {
 	Query         string
 	Complexity    string
 	Inputs        []RelVersion
 	Cached        bool
 	ElapsedMicros int64
-	// Relation is the output relation. It may be shared with the result
-	// cache and must be treated as read-only.
-	Relation *relation.Relation
+	// Result is the wire form of the output relation: the bytes of the
+	// QueryResponse.Result object, decoded by json.Unmarshal into a
+	// RelationJSON and DecodeRelation. It may be shared with the result
+	// cache and must not be modified.
+	Result []byte
+	// Tuples is the number of tuples in Result.
+	Tuples int
 	// Trace is set only when the request asked for it.
 	Trace *obs.SpanStats
+
+	encoding time.Duration // spent encoding Result on a miss; 0 on a hit
 }
 
 // preparedQuery is the outcome of the shared request prologue: parsed and
@@ -502,18 +510,19 @@ func (s *Server) prepare(req QueryRequest) (*preparedQuery, error) {
 
 // RunQueryCtx is the evaluation path of POST /query, exposed for tests:
 // parse → push down selections → snapshot catalog versions → cache
-// lookup → evaluation (materialized only at the top) → cache store.
-// Encoding the result is the handler's job, not part of it. With
-// req.Trace the evaluation runs under a span tree and the response
-// carries its snapshot; a traced request skips the cache lookup, since
-// a hit would have no execution to trace, but still stores the result
-// it computes.
+// lookup → evaluation, encoded block by block → cache store. A hit does
+// no work per tuple: the cache holds the encoded result. With req.Trace
+// the evaluation runs under a span tree and the response carries its
+// snapshot; a traced request skips the cache lookup, since a hit would
+// have no execution to trace, but still stores the result it computes.
 //
 // A cache miss evaluates under the governance of evaluate (deadline,
 // admission gate; a cancelled request never stores its truncated
 // result) and the result-tuple budget: overflow answers 422 and is
-// never cached. Cache hits bypass the gate — they do no evaluation
-// work.
+// never cached. A result the wire cannot carry (a non-finite
+// probability) answers 500 and is not cached either. Cache hits bypass
+// the gate — they do no evaluation work. ElapsedMicros excludes the
+// time spent encoding.
 func (s *Server) RunQueryCtx(ctx context.Context, req QueryRequest) (*QueryResult, error) {
 	pq, err := s.prepare(req)
 	if err != nil {
@@ -538,42 +547,70 @@ func (s *Server) RunQueryCtx(ctx context.Context, req QueryRequest) (*QueryResul
 
 	start := time.Now()
 	if !req.NoCache && !req.Trace {
-		if out, ok := s.cache.Get(key); ok {
+		if body, tuples, ok := s.cache.Get(key); ok {
 			elapsed := time.Since(start)
 			s.metrics.executeHist.Observe(elapsed)
 			resp.Cached = true
 			resp.ElapsedMicros = elapsed.Microseconds()
-			resp.Relation = out
+			resp.Result, resp.Tuples = body, tuples
 			return resp, nil
 		}
 	}
 
-	var (
-		out    *relation.Relation
-		within bool
-	)
 	if err := s.evaluate(ctx, req, pq, func(cur *engine.StreamCursor) error {
-		out, within = core.MaterializeLimit(cur, s.cfg.MaxResultTuples)
-		return nil
+		return s.encodeResult(cur, resp)
 	}); err != nil {
 		return nil, err
 	}
-	if !within {
-		return nil, &httpError{status: http.StatusUnprocessableEntity,
-			msg: fmt.Sprintf("result exceeds the server's maxResultTuples budget (%d); narrow the query or use /query/stream", s.cfg.MaxResultTuples)}
-	}
 	s.metrics.evaluations.Inc()
 	if !req.NoCache {
-		s.cache.Put(key, pq.names, out)
+		s.cache.Put(key, pq.names, resp.Result, resp.Tuples)
 	}
-	elapsed := time.Since(start)
+	elapsed := time.Since(start) - resp.encoding
 	s.metrics.executeHist.Observe(elapsed)
 	resp.ElapsedMicros = elapsed.Microseconds()
-	resp.Relation = out
 	if pq.span != nil {
 		resp.Trace = pq.span.Snapshot()
 	}
 	return resp, nil
+}
+
+// encodeResult is the drain of POST /query: it appends each block the
+// cursor delivers to the result object, counting tuples against
+// MaxResultTuples (overflow answers 422) and timing the encoding apart
+// from the drain. The object is built in the pooled encoder's warm
+// buffer and copied once into res.Result, an allocation of exactly its
+// length, because the cache keeps it: growing a fresh buffer block by
+// block instead would allocate and copy about four times the body.
+func (s *Server) encodeResult(cur *engine.StreamCursor, res *QueryResult) error {
+	e := getWireEncoder()
+	defer e.release()
+	b := core.GetBatch()
+	defer core.PutBatch(b)
+
+	limit := s.cfg.MaxResultTuples
+	t0 := time.Now()
+	e.relationHead(cur.Schema(), 0)
+	res.encoding = time.Since(t0)
+	n := 0
+	for cur.NextBatch(b) {
+		if limit > 0 && n+len(b.Tuples) > limit {
+			return &httpError{status: http.StatusUnprocessableEntity,
+				msg: fmt.Sprintf("result exceeds the server's maxResultTuples budget (%d); narrow the query or use /query/stream", limit)}
+		}
+		t0 := time.Now()
+		err := e.rows(b.Tuples, n)
+		res.encoding += time.Since(t0)
+		if err != nil {
+			return &httpError{status: http.StatusInternalServerError, msg: "result " + err.Error()}
+		}
+		n += len(b.Tuples)
+	}
+	t0 = time.Now()
+	e.relationTail()
+	res.Result, res.Tuples = bytes.Clone(e.buf), n
+	res.encoding += time.Since(t0)
+	return nil
 }
 
 // evaluate is the one evaluation lifecycle of the three query verbs;
@@ -799,6 +836,9 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+// handleQuery writes the POST /query body as the envelope, the encoded
+// result as RunQueryCtx returned it (a cache hit's stored bytes), and the
+// tail; the encode phase is the result's encoding plus the envelope's.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var req QueryRequest
 	if he := decodeBody(w, r, MaxQueryBodyBytes, &req); he != nil {
@@ -810,7 +850,27 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeErrStatus(w, err)
 		return
 	}
-	s.writeEncoded(w, func(e *wireEncoder) error { return e.queryResult(res) })
+	e := getWireEncoder()
+	defer e.release()
+	t0 := time.Now()
+	err = e.queryHead(res)
+	head := len(e.buf)
+	if err == nil {
+		err = e.queryTail(res)
+	}
+	s.metrics.encodeHist.Observe(res.encoding + time.Since(t0))
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, err.Error())
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(e.buf)+len(res.Result)))
+	w.WriteHeader(http.StatusOK)
+	for _, p := range [...][]byte{e.buf[:head], res.Result, e.buf[head:]} {
+		if _, err := w.Write(p); err != nil {
+			return // a gone client; nothing to do
+		}
+	}
 }
 
 // ExplainResponse is the body of POST /query/explain: the optimized

@@ -213,6 +213,25 @@ func queryOnce(t *testing.T, ts *httptest.Server, req QueryRequest) QueryRespons
 	return qr
 }
 
+// resultRelation decodes what RunQueryCtx returned through the wire
+// format's decode side: json.Unmarshal into a RelationJSON, then
+// DecodeRelation.
+func resultRelation(t *testing.T, res *QueryResult) *relation.Relation {
+	t.Helper()
+	var rj RelationJSON
+	if err := json.Unmarshal(res.Result, &rj); err != nil {
+		t.Fatalf("result of %s does not unmarshal: %v", res.Query, err)
+	}
+	if len(rj.Tuples) != res.Tuples {
+		t.Fatalf("result of %s: %d tuples on the wire, QueryResult.Tuples = %d", res.Query, len(rj.Tuples), res.Tuples)
+	}
+	rel, err := DecodeRelation(rj, "")
+	if err != nil {
+		t.Fatalf("result of %s does not decode: %v", res.Query, err)
+	}
+	return rel
+}
+
 func TestQueryCacheHitAndSkipReevaluation(t *testing.T) {
 	s, ts := newTestServer(t)
 

@@ -36,8 +36,8 @@ import (
 // HTTP offers no other way to signal a broken transfer).
 //
 // The result cache is bypassed in both directions — no lookup, no store:
-// a stream has no materialized relation to cache, and caching would
-// defeat its O(tree depth) memory bound.
+// a stream never holds its whole body, and caching it would defeat its
+// O(tree depth) memory bound.
 
 // streamRampBatch is the capacity of the first tuple batch of a
 // stream: small, so the first results ship after a few windows instead

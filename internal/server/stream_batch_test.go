@@ -46,7 +46,7 @@ func TestStreamBytesUnchangedByBatching(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		result := EncodeRelation(ref.Relation, 0)
+		result := EncodeRelation(resultRelation(t, ref), 0)
 		var want bytes.Buffer
 		enc := json.NewEncoder(&want)
 		enc.SetEscapeHTML(false)

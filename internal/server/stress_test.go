@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -128,7 +127,7 @@ func TestCachedResultStableAcrossConcurrentRepeats(t *testing.T) {
 				t.Errorf("query: %v", err)
 				return
 			}
-			results[i] = fmt.Sprint(EncodeRelation(resp.Relation, 0))
+			results[i] = string(resp.Result)
 		}(i)
 	}
 	wg.Wait()

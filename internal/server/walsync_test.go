@@ -82,7 +82,7 @@ func readRelation(t *testing.T, srv *Server, name string) readState {
 	case err != nil:
 		t.Fatalf("query %s: %v", name, err)
 	}
-	return readState{status: http.StatusOK, version: res.Inputs[0].Version, rows: res.Relation.String()}
+	return readState{status: http.StatusOK, version: res.Inputs[0].Version, rows: resultRelation(t, res).String()}
 }
 
 // mutate runs one PUT or DELETE through the handler while hook answers

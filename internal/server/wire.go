@@ -156,12 +156,24 @@ func (e *wireEncoder) batchLines(b *core.Batch) (int, error) {
 }
 
 // relation appends one RelationJSON object; version 0 omits the version
-// field.
+// field. It is relationHead, rows and relationTail over r's tuples, the
+// three pieces the POST /query drain appends block by block.
 func (e *wireEncoder) relation(r *relation.Relation, version uint64) error {
+	e.relationHead(r.Schema, version)
+	if err := e.rows(r.Tuples, 0); err != nil {
+		return err
+	}
+	e.relationTail()
+	return nil
+}
+
+// relationHead appends a RelationJSON object up to the opening bracket of
+// its tuples array; version 0 omits the version field.
+func (e *wireEncoder) relationHead(s relation.Schema, version uint64) {
 	b := append(e.buf, `{"name":`...)
-	b = appendJSONString(b, r.Schema.Name)
+	b = appendJSONString(b, s.Name)
 	b = append(b, `,"attrs":[`...)
-	for i, a := range r.Schema.Attrs {
+	for i, a := range s.Attrs {
 		if i > 0 {
 			b = append(b, ',')
 		}
@@ -173,26 +185,32 @@ func (e *wireEncoder) relation(r *relation.Relation, version uint64) error {
 		b = strconv.AppendUint(b, version, 10)
 	}
 	e.buf = append(b, `,"tuples":[`...)
+}
+
+// rows appends ts as elements of a tuples array that already holds n
+// tuples. An error names the tuple by its index in the array.
+func (e *wireEncoder) rows(ts []relation.Tuple, n int) error {
 	e.snapshot()
 	defer e.texts.Flush()
-	for i := range r.Tuples {
-		if i > 0 {
+	for i := range ts {
+		if n+i > 0 {
 			e.buf = append(e.buf, ',')
 		}
-		t := &r.Tuples[i]
+		t := &ts[i]
 		if err := e.tuple(t.Fact, t.Lineage, t.T.Ts, t.T.Te, t.Prob); err != nil {
-			return fmt.Errorf("tuple %d: %w", i, err)
+			return fmt.Errorf("tuple %d: %w", n+i, err)
 		}
 	}
-	e.buf = append(e.buf, "]}"...)
 	return nil
 }
 
-// queryResult appends the POST /query body, newline-terminated: the
-// QueryResponse envelope around the result relation. Inputs and the
-// trace are small and written once per response, so they go through
-// encoding/json.
-func (e *wireEncoder) queryResult(res *QueryResult) error {
+// relationTail closes what relationHead opened.
+func (e *wireEncoder) relationTail() { e.buf = append(e.buf, "]}"...) }
+
+// queryHead appends the POST /query body up to its result: the
+// QueryResponse envelope fields before it. Inputs are small and written
+// once per response, so they go through encoding/json.
+func (e *wireEncoder) queryHead(res *QueryResult) error {
 	b := append(e.buf, `{"query":`...)
 	b = appendJSONString(b, res.Query)
 	b = append(b, `,"complexity":`...)
@@ -207,11 +225,16 @@ func (e *wireEncoder) queryResult(res *QueryResult) error {
 	b = append(b, `,"elapsedMicros":`...)
 	b = strconv.AppendInt(b, res.ElapsedMicros, 10)
 	e.buf = append(b, `,"result":`...)
-	if err := e.relation(res.Relation, 0); err != nil {
-		return fmt.Errorf("result %w", err)
-	}
+	return nil
+}
+
+// queryTail appends what follows the result in the POST /query body:
+// the trace, when the request asked for one, and the closing brace and
+// newline.
+func (e *wireEncoder) queryTail(res *QueryResult) error {
 	if res.Trace != nil {
 		e.buf = append(e.buf, `,"trace":`...)
+		var err error
 		if e.buf, err = appendJSONValue(e.buf, res.Trace); err != nil {
 			return err
 		}

@@ -2,7 +2,11 @@ package server
 
 import (
 	"context"
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"runtime"
+	"strings"
 	"testing"
 
 	"github.com/tpset/tpset/internal/core"
@@ -129,5 +133,45 @@ func TestStreamEncodeDoesNotAllocate(t *testing.T) {
 	encodeAll() // warm buf, lam and vps
 	if allocs := testing.AllocsPerRun(10, encodeAll); allocs != 0 {
 		t.Fatalf("%v allocations per run encoding %d warmed batches, want 0", allocs, len(batches))
+	}
+}
+
+// BenchmarkQuery is POST /query through the handler on the shape of the
+// standing benchmark's durable-mixed queries: p0 - p1 over two relations
+// of 20K tuples on 200 facts (Table III overlap 0.8 shape), a result of
+// ≈40K rows. miss evaluates and encodes every time (noCache); hit writes
+// the cached body. Both discard the response.
+func BenchmarkQuery(b *testing.B) {
+	srv := New(Config{Workers: 1})
+	for i, name := range []string{"p0", "p1"} {
+		rel := datagen.Synthetic(datagen.SyntheticConfig{
+			Name: name, NumTuples: 20000, NumFacts: 200, MaxLen: 10, MaxGap: 3, Seed: 7 + int64(i),
+		})
+		if _, err := srv.Load(name, rel); err != nil {
+			b.Fatal(err)
+		}
+	}
+	h := srv.Handler()
+	for _, tc := range []struct{ name, body string }{
+		{"miss", `{"query":"p0 - p1","noCache":true}`},
+		{"hit", `{"query":"p0 - p1"}`},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			w := &discardWriter{h: http.Header{}}
+			req := httptest.NewRequest(http.MethodPost, "/query", nil)
+			serve := func() {
+				clear(w.h)
+				w.n = 0
+				req.Body = io.NopCloser(strings.NewReader(tc.body))
+				h.ServeHTTP(w, req)
+			}
+			serve()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				serve()
+			}
+			b.SetBytes(int64(w.n))
+		})
 	}
 }

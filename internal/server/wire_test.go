@@ -204,13 +204,18 @@ func checkWireCaseOnce(t *testing.T, rng *rand.Rand, wc wireCase) {
 		t.Fatalf("relation:\n got %s\nwant %s", got, wantRel)
 	}
 
+	enc.buf = enc.buf[:0]
+	if err := enc.relation(rel, 0); err != nil {
+		t.Fatal(err)
+	}
 	res := &QueryResult{
 		Query:         "(" + rel.Schema.Name + " & <x>)",
 		Complexity:    "PTIME",
 		Inputs:        []RelVersion{{Name: rel.Schema.Name, Version: 3}},
 		Cached:        rng.Intn(2) == 0,
 		ElapsedMicros: rng.Int63n(1e6),
-		Relation:      rel,
+		Result:        append([]byte(nil), enc.buf...),
+		Tuples:        rel.Len(),
 	}
 	if rng.Intn(2) == 0 {
 		res.Trace = &obs.SpanStats{Op: "a & <b>", TuplesOut: 4, Children: []*obs.SpanStats{{Op: "scan"}}}
@@ -223,7 +228,11 @@ func checkWireCaseOnce(t *testing.T, rng *rand.Rand, wc wireCase) {
 		t.Fatal(err)
 	}
 	enc.buf = enc.buf[:0]
-	if err := enc.queryResult(res); err != nil {
+	if err := enc.queryHead(res); err != nil {
+		t.Fatal(err)
+	}
+	enc.buf = append(enc.buf, res.Result...)
+	if err := enc.queryTail(res); err != nil {
 		t.Fatal(err)
 	}
 	if got := string(enc.buf); got != wantBody {
