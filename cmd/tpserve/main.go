@@ -33,14 +33,14 @@
 //	POST   /query/explain        same body; runs the plan and returns the
 //	                             per-operator trace, no result payload
 //
-// Durability (-data-dir): the directory holds one memory-mappable
-// columnar segment per relation plus a write-ahead log. Every mutation
-// is appended to the WAL and fsynced before its HTTP response — the 2xx
-// is the durability acknowledgement — while segment rewrites are
-// batched and applied on a size threshold, on graceful shutdown
-// (SIGINT/SIGTERM drains in-flight requests, then applies and fsyncs
-// pending WAL records), and on startup replay after a crash. A restart
-// against the same -data-dir memory-maps the segments and serves
+// Durability (-data-dir): the directory holds one columnar segment file
+// per relation plus a write-ahead log. Every mutation is appended to the
+// WAL and fsynced before its HTTP response — the 2xx is the durability
+// acknowledgement — while segment rewrites are batched and applied on a
+// size threshold, on graceful shutdown (SIGINT/SIGTERM drains in-flight
+// requests, then applies and fsyncs pending WAL records), and on startup
+// replay after a crash. A restart
+// against the same -data-dir reads and decodes the segments and serves
 // bit-identical results without re-ingesting; CSV/-gen seeding then
 // merely re-admits (and persists) the seed relations. Without -data-dir
 // the catalog is memory-only and this contract does not apply.

@@ -15,7 +15,6 @@ import (
 var (
 	_ Cursor = (*ScanCursor)(nil)
 	_ Cursor = (*OpCursor)(nil)
-	_ Cursor = (*tracedCursor)(nil)
 )
 
 // sortedTestRelation builds a scannable relation — interned, sorted —
@@ -52,10 +51,10 @@ func TestScanBatchZeroCopy(t *testing.T) {
 		}()
 		u := r.Clone()
 		u.Unbind()
-		NewScanCursor(u)
+		NewScanCursor(u, nil)
 	}()
 	fid := r.FidCol()
-	c := NewScanCursor(r)
+	c := NewScanCursor(r, nil)
 	b := GetBatch()
 	seen := 0
 	for c.NextBatch(b) {
@@ -73,7 +72,7 @@ func TestScanBatchZeroCopy(t *testing.T) {
 	}
 	// A zero-row relation is vacuously bound: it scans (to nothing)
 	// without a dictionary or a column.
-	if NewScanCursor(relation.New(r.Schema)).NextBatch(NewBatch(4)) {
+	if NewScanCursor(relation.New(r.Schema), nil).NextBatch(NewBatch(4)) {
 		t.Fatal("scan of an empty relation produced a block")
 	}
 }
@@ -83,7 +82,7 @@ func TestScanBatchZeroCopy(t *testing.T) {
 func TestScanBatchRespectsCapacity(t *testing.T) {
 	r := sortedTestRelation("r", 10, 3, 2)
 	for _, capacity := range []int{1, 2, 3, 1024} {
-		c := NewScanCursor(r)
+		c := NewScanCursor(r, nil)
 		b := NewBatch(capacity)
 		total := 0
 		for c.NextBatch(b) {
@@ -153,7 +152,7 @@ func TestScanSkipToAdvancesCursor(t *testing.T) {
 	fid := r.FidCol()
 	target := fid[307]
 	for _, te := range []interval.Time{relation.MinTime, r.Tuples[307].T.Ts, r.Tuples[307].T.Te, 1 << 40} {
-		c := NewScanCursor(r)
+		c := NewScanCursor(r, nil)
 		c.SkipTo(target, te)
 		want := 0
 		for want < r.Len() && (fid[want] < target || (fid[want] == target && r.Tuples[want].T.Te <= te)) {
@@ -189,7 +188,7 @@ func TestSteadyStateBatchAllocations(t *testing.T) {
 	s.Sort()
 
 	drain := func() {
-		c, err := NewOpCursor(OpExcept, "", NewScanCursor(r), NewScanCursor(s), Options{LazyProb: true})
+		c, err := NewOpCursor(OpExcept, "", NewScanCursor(r, nil), NewScanCursor(s, nil), Options{LazyProb: true})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -3,10 +3,12 @@ package core
 import (
 	"fmt"
 	"strings"
+	"time"
 
 	"github.com/tpset/tpset/internal/interval"
 	"github.com/tpset/tpset/internal/invariant"
 	"github.com/tpset/tpset/internal/lineage"
+	"github.com/tpset/tpset/internal/obs"
 	"github.com/tpset/tpset/internal/relation"
 )
 
@@ -41,7 +43,8 @@ type Cursor interface {
 // CursorReleaser is the optional teardown face of a cursor: operators
 // that buffer pooled batches across pulls (batch sources, filter
 // buffers) implement it so an abandoned plan can hand every block back
-// to the pool. Wrappers forward the release to their children.
+// to the pool. Operators and selections forward the release to their
+// children.
 type CursorReleaser interface {
 	// ReleaseCursor returns pooled blocks buffered anywhere in the
 	// plan subtree. Idempotent, and a no-op on fully drained plans
@@ -75,14 +78,6 @@ type keySkipper interface {
 	SkipTo(fid int64, te interval.Time)
 }
 
-// blockSkipper is the face a scan — bare, or under the tracing wrapper —
-// shows the advancer source that holds its last block: skipBlock answers
-// a skip from row i of that block from the run index, the landing
-// counted in that block's rows (see ScanCursor.skipBlock).
-type blockSkipper interface {
-	skipBlock(i int, fid int64, te interval.Time) int
-}
-
 // ScanCursor streams a materialized relation that must already be in
 // canonical (fact, Ts) order — the leaf of a cursor plan. Its blocks
 // alias the relation and consumers only read them, so a ScanCursor may
@@ -91,20 +86,22 @@ type ScanCursor struct {
 	r    *relation.Relation
 	fid  []int64        // r's fid column, aliased into every block
 	runs *relation.Runs // r's fact-run index: answers every skip
+	sp   *obs.Span      // the scan's trace node, nil when untraced
 	i    int            // the next row to hand out
 	last int            // the first row of the block handed out last
 	run  int            // the run the last skip landed in, where the next one starts (Runs.Seek's hint)
 }
 
-// NewScanCursor returns a scan over r, which must be sorted (as for
-// NewAdvancer; relation.Relation.Sort establishes it) and, unless it is
-// empty, be bound (Relation.FidCol): the scan hands out bound blocks
-// and has nothing else to bind them with. PrepareLeaves
+// NewScanCursor returns a scan over r that records its pulls and skips
+// into sp (nil: untraced). r must be sorted (as for NewAdvancer;
+// relation.Relation.Sort establishes it) and, unless it is empty, be
+// bound (Relation.FidCol): the scan hands out bound blocks and has
+// nothing else to bind them with. PrepareLeaves
 // produces such leaves from any input; a relation without the column is
 // a plan-construction bug and panics here rather than mid-sweep. The
 // first scan of a relation builds its fact-run index (Relation.Runs);
 // every later one reads it.
-func NewScanCursor(r *relation.Relation) *ScanCursor {
+func NewScanCursor(r *relation.Relation, sp *obs.Span) *ScanCursor {
 	fid := r.FidCol()
 	if fid == nil && r.Len() > 0 {
 		panic(fmt.Sprintf("core: scan over relation %q (%d tuples) without a fid column", r.Schema.Name, r.Len()))
@@ -113,7 +110,7 @@ func NewScanCursor(r *relation.Relation) *ScanCursor {
 		invariant.CheckSorted(r, "core.NewScanCursor")
 		invariant.CheckColsMirror(r, "core.NewScanCursor")
 	}
-	return &ScanCursor{r: r, fid: fid, runs: r.Runs()}
+	return &ScanCursor{r: r, fid: fid, runs: r.Runs(), sp: sp}
 }
 
 // Schema returns the scanned relation's schema.
@@ -125,19 +122,21 @@ func (c *ScanCursor) Schema() relation.Schema { return c.r.Schema }
 // regardless of size. Consumers must treat the rows as read-only (the
 // relation may be shared, e.g. a catalog relation under AssumeSorted).
 func (c *ScanCursor) NextBatch(b *Batch) bool {
-	n := len(c.r.Tuples) - c.i
-	if n <= 0 {
+	var start time.Time
+	if c.sp != nil {
+		start = time.Now()
+	}
+	n := min(len(c.r.Tuples)-c.i, b.Cap())
+	if n > 0 {
+		i, j := c.i, c.i+n
+		b.Tuples, b.Fid, b.Dict = c.r.Tuples[i:j], c.fid[i:j], c.r.Dict()
+		c.i, c.last = j, i
+		b.CheckBound("core.ScanCursor.NextBatch")
+	} else {
 		b.Reset()
-		return false
 	}
-	if max := b.Cap(); n > max {
-		n = max
-	}
-	i, j := c.i, c.i+n
-	b.Tuples, b.Fid, b.Dict = c.r.Tuples[i:j], c.fid[i:j], c.r.Dict()
-	c.i, c.last = j, i
-	b.CheckBound("core.ScanCursor.NextBatch")
-	return true
+	c.sp.Pull(start, n)
+	return n > 0
 }
 
 // SkipTo advances the scan past every tuple below the point (fid, te):
@@ -166,7 +165,9 @@ func (c *ScanCursor) skipBlock(i int, fid int64, te interval.Time) int {
 // seek returns the first row at or after from that lies at or above
 // (fid, te), keeping the run hint: every skip of a scan starts at or
 // after the last one's landing, so the next fact's run is one step on.
+// Each skip of the scan lands here once, where its trace counts it.
 func (c *ScanCursor) seek(from int, fid int64, te interval.Time) int {
+	c.sp.AddGallops(1)
 	at, run := c.runs.Seek(c.r.Tuples, from, c.run, fid, te)
 	c.run = run
 	return at
@@ -190,6 +191,8 @@ type OpCursor struct {
 // satisfy the Cursor ordering invariant; their schemas must be
 // union-compatible. A plan names its root only (query.ResultName): an
 // operator feeding another is read for its rows, never for its name.
+// opts.Span, when set, is the operator's own trace node; its children
+// record into theirs.
 func NewOpCursor(op Op, name string, left, right Cursor, opts Options) (*OpCursor, error) {
 	if op != OpUnion && op != OpIntersect && op != OpExcept {
 		return nil, fmt.Errorf("core: unknown operation %v", op)
@@ -216,8 +219,14 @@ func (c *OpCursor) ReleaseCursor() { c.a.release() }
 // into the block's own slots until it is full or the operation
 // terminates: every output row is written once, where it will be read,
 // with the window's id beside it, and the block comes out bound to the
-// inputs' dictionary.
+// inputs' dictionary. A traced operator (opts.Span) then publishes its
+// advancer's window and gallop counts with the pull.
 func (c *OpCursor) NextBatch(b *Batch) bool {
+	sp := c.opts.Span
+	var start time.Time
+	if sp != nil {
+		start = time.Now()
+	}
 	b.Reset()
 	rows, fid := b.Tuples[:b.Cap()], b.Fid[:b.Cap()]
 	n := 0
@@ -226,6 +235,11 @@ func (c *OpCursor) NextBatch(b *Batch) bool {
 	}
 	b.Tuples, b.Fid, b.Dict = rows[:n], fid[:n], c.a.dict
 	b.CheckBound("core.OpCursor.NextBatch")
+	if sp != nil {
+		sp.SetWindows(c.a.windows)
+		sp.SetGallops(c.a.gallops)
+		sp.Pull(start, n)
+	}
 	return n > 0
 }
 

@@ -69,7 +69,7 @@ func TestMaterializeKeepsAtMostTwiceTheResult(t *testing.T) {
 	leaf := prepared(t, map[string]*relation.Relation{"r": factRange("r", 0, 20000, 1)})["r"]
 	stream := newOwned(leaf)
 	gets0, puts0, _, _ := core.BatchPoolStats()
-	for label, c := range map[string]core.Cursor{"owned blocks": stream, "scan": core.NewScanCursor(leaf)} {
+	for label, c := range map[string]core.Cursor{"owned blocks": stream, "scan": core.NewScanCursor(leaf, nil)} {
 		out := core.Materialize(c)
 		if !reflect.DeepEqual(out.Tuples, leaf.Tuples) || &out.Tuples[0] == &leaf.Tuples[0] {
 			t.Fatalf("%s: %d rows; want a copy of the stream's %d rows in order", label, out.Len(), leaf.Len())

@@ -2,9 +2,9 @@ package core_test
 
 // Tests of the cursor plumbing between the advancer and its children:
 // run-skip gallops that cross block boundaries, block concatenation,
-// the tracing wrapper's counters and plan teardown. Plans are built by
-// hand from the core constructors; results are checked against the
-// Def. 3 oracle.
+// the trace counters each node records and plan teardown. Plans are
+// built by hand from the core constructors; results are checked against
+// the Def. 3 oracle.
 
 import (
 	"fmt"
@@ -50,9 +50,10 @@ func prepared(t *testing.T, db map[string]*relation.Relation) map[string]*relati
 	return out
 }
 
-func opCursor(t *testing.T, op core.Op, l, r core.Cursor) *core.OpCursor {
+// opCursor builds op(l, r) recording into sp (nil: untraced).
+func opCursor(t *testing.T, op core.Op, l, r core.Cursor, sp *obs.Span) *core.OpCursor {
 	t.Helper()
-	c, err := core.NewOpCursor(op, "", l, r, core.Options{})
+	c, err := core.NewOpCursor(op, "", l, r, core.Options{Span: sp})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +63,7 @@ func opCursor(t *testing.T, op core.Op, l, r core.Cursor) *core.OpCursor {
 // TestRunSkipGallopsAcrossBlocks intersects 4000 one-tuple facts with
 // two of them, one in the first block and one in the last. Over a scan
 // the advancer's source asks the scan to skip (skipBlock, answered from
-// the relation's fact-run index, through the tracing wrapper), so the
+// the relation's fact-run index, and counted in the scan's span), so the
 // blocks in between are never handed up; over a
 // computed child — a union, which cannot skip — it discards them whole.
 // Either way the intersection sees a handful of windows instead of
@@ -81,15 +82,15 @@ func TestRunSkipGallopsAcrossBlocks(t *testing.T) {
 		left func(sp *obs.Span) core.Cursor
 	}{
 		{"all & few", func(sp *obs.Span) core.Cursor {
-			return core.Traced(core.NewScanCursor(leaves["all"]), sp)
+			return core.NewScanCursor(leaves["all"], sp)
 		}},
 		{"(even | odd) & few", func(sp *obs.Span) core.Cursor {
-			return core.Traced(opCursor(t, core.OpUnion, core.NewScanCursor(leaves["even"]), core.NewScanCursor(leaves["odd"])), sp)
+			return opCursor(t, core.OpUnion, core.NewScanCursor(leaves["even"], nil), core.NewScanCursor(leaves["odd"], nil), sp)
 		}},
 	} {
 		root := obs.NewSpan("")
 		left := root.NewChild("")
-		plan := core.Traced(opCursor(t, core.OpIntersect, tc.left(left), core.NewScanCursor(leaves["few"])), root)
+		plan := opCursor(t, core.OpIntersect, tc.left(left), core.NewScanCursor(leaves["few"], nil), root)
 		got := core.Materialize(plan)
 		reftest.Check(t, tc.tree, got, query.MustParse(tc.tree), db)
 		if got.Len() != db["few"].Len() {
@@ -117,7 +118,7 @@ func TestRunSkipGallopsAcrossBlocks(t *testing.T) {
 // block stays bound to the sources' dictionary.
 func TestAppendRangeAcrossSourceBlocks(t *testing.T) {
 	r := prepared(t, map[string]*relation.Relation{"r": factRange("r", 0, 10, 1)})["r"]
-	scan := core.NewScanCursor(r)
+	scan := core.NewScanCursor(r, nil)
 	b1, b2, out := core.NewBatch(5), core.NewBatch(5), core.NewBatch(8)
 	if !scan.NextBatch(b1) || !scan.NextBatch(b2) {
 		t.Fatal("scan of 10 rows did not fill two blocks of 5")
@@ -151,14 +152,14 @@ func TestTracedPlanCountersReconcile(t *testing.T) {
 		"c": factRange("c", 0, 3000, 5),
 	}
 	leaves := prepared(t, db)
-	scan := func(name string) core.Cursor { return core.NewScanCursor(leaves[name]) }
-	want := core.Materialize(opCursor(t, core.OpUnion, opCursor(t, core.OpUnion, scan("a"), scan("b")), scan("c")))
+	scan := func(name string) core.Cursor { return core.NewScanCursor(leaves[name], nil) }
+	want := core.Materialize(opCursor(t, core.OpUnion, opCursor(t, core.OpUnion, scan("a"), scan("b"), nil), scan("c"), nil))
 
 	root := obs.NewSpan("")
 	inner := root.NewChild("")
 	spA, spB, spC := inner.NewChild(""), inner.NewChild(""), root.NewChild("")
-	union := core.Traced(opCursor(t, core.OpUnion, core.Traced(scan("a"), spA), core.Traced(scan("b"), spB)), inner)
-	plan := core.Traced(opCursor(t, core.OpUnion, union, core.Traced(scan("c"), spC)), root)
+	union := opCursor(t, core.OpUnion, core.NewScanCursor(leaves["a"], spA), core.NewScanCursor(leaves["b"], spB), inner)
+	plan := opCursor(t, core.OpUnion, union, core.NewScanCursor(leaves["c"], spC), root)
 	if plan.Schema().Name != want.Schema.Name {
 		t.Fatalf("traced schema %q, untraced %q", plan.Schema().Name, want.Schema.Name)
 	}
@@ -182,7 +183,7 @@ func TestTracedPlanCountersReconcile(t *testing.T) {
 
 	st := root.Snapshot()
 	un := st.Children[0]
-	unionOut := core.Materialize(opCursor(t, core.OpUnion, scan("a"), scan("b")))
+	unionOut := core.Materialize(opCursor(t, core.OpUnion, scan("a"), scan("b"), nil))
 	for _, c := range []struct {
 		what      string
 		got, want int64
@@ -204,23 +205,23 @@ func TestTracedPlanCountersReconcile(t *testing.T) {
 
 // TestReleaseHalfDrainedPlanBalancesPool abandons a traced two-level
 // plan after one block: ReleaseCursor must reach every source through
-// the wrappers and the operators and hand each buffered pooled block
-// back, so the pool's gets and puts since the plan was built balance;
-// releasing again, or releasing a drained plan, puts nothing more. The
-// one pooled block is the outer union's over its traced operator child;
-// the three scans take none.
+// the operators and hand each buffered pooled block back, so the pool's
+// gets and puts since the plan was built balance; releasing again, or
+// releasing a drained plan, puts nothing more. The one pooled block is
+// the outer union's over its traced operator child; the three scans
+// take none.
 func TestReleaseHalfDrainedPlanBalancesPool(t *testing.T) {
 	leaves := prepared(t, map[string]*relation.Relation{
 		"a": factRange("a", 0, 5000, 1),
 		"b": factRange("b", 0, 5000, 2),
 		"c": factRange("c", 0, 5000, 3),
 	})
-	scan := func(name string) core.Cursor { return core.NewScanCursor(leaves[name]) }
+	scan := func(name string) core.Cursor { return core.NewScanCursor(leaves[name], nil) }
 	for _, drainFully := range []bool{false, true} {
 		gets0, puts0, _, _ := core.BatchPoolStats()
 		sp := obs.NewSpan("")
-		plan := core.Traced(opCursor(t, core.OpUnion,
-			core.Traced(opCursor(t, core.OpIntersect, scan("a"), scan("b")), sp.NewChild("")), scan("c")), sp)
+		plan := opCursor(t, core.OpUnion,
+			opCursor(t, core.OpIntersect, scan("a"), scan("b"), sp.NewChild("")), scan("c"), sp)
 		b := core.NewBatch(64) // unpooled: leaves through the drop counter
 		if !plan.NextBatch(b) {
 			t.Fatal("plan produced nothing")
@@ -323,7 +324,7 @@ func TestTimeRunSkippingBoundsTheSweep(t *testing.T) {
 	} {
 		gets0, puts0, _, _ := core.BatchPoolStats()
 		sp := obs.NewSpan("")
-		plan := core.Traced(opCursor(t, tc.op, core.NewScanCursor(leaves["r"]), core.NewScanCursor(leaves["s"])), sp)
+		plan := opCursor(t, tc.op, core.NewScanCursor(leaves["r"], nil), core.NewScanCursor(leaves["s"], nil), sp)
 		got := core.Materialize(plan)
 		core.ReleaseCursor(plan)
 		if gets, puts, _, _ := core.BatchPoolStats(); gets-gets0 != puts-puts0 {

@@ -39,12 +39,13 @@ type Options struct {
 	Parallelism int
 	// Span attaches an execution-trace node to the plan being built:
 	// query.BuildCursor labels it with the root operator, hangs one
-	// child span per sub-operator under it and wraps every cursor so
-	// pulls record tuples, batches, windows, gallops and wall time (the
-	// engine additionally records per-shard subtrees and channel-stall
-	// time). nil — the default — disables tracing completely: the plan
-	// is built without wrappers or timing calls, so an untraced query
-	// pays nothing (the ≤2% overhead pin of the obs layer).
+	// child span per sub-operator under it and builds every node with
+	// its span, so each node's pulls record tuples, batches, windows,
+	// gallops and wall time (the engine additionally records per-shard
+	// subtrees and channel-stall time). NewOpCursor records into it
+	// directly. nil — the default — disables tracing: every node
+	// carries a nil span and pays one nil check per pull and per skip,
+	// with no timing calls.
 	Span *obs.Span
 }
 
@@ -95,7 +96,7 @@ func Apply(op Op, r, s *relation.Relation, opts Options) (*relation.Relation, er
 	if err != nil {
 		return nil, err
 	}
-	c, err := NewOpCursor(op, r.Schema.Name+op.String()+s.Schema.Name, NewScanCursor(leaves[0]), NewScanCursor(leaves[1]), opts)
+	c, err := NewOpCursor(op, r.Schema.Name+op.String()+s.Schema.Name, NewScanCursor(leaves[0], nil), NewScanCursor(leaves[1], nil), opts)
 	if err != nil {
 		return nil, err
 	}

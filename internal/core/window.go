@@ -62,23 +62,15 @@ type batchSource struct {
 	blk  Batch
 	i    int
 	done bool
-	// scan is c's skip face when c is a scan, traced or not (nil
-	// otherwise): every skip is then answered from the scan's run index.
-	scan blockSkipper
+	// scan is c when c is a scan (nil otherwise): every skip is then
+	// answered from the scan's run index.
+	scan *ScanCursor
 }
 
 func newBatchSource(c Cursor) *batchSource {
 	s := &batchSource{c: c}
-	switch x := c.(type) {
-	case *ScanCursor:
-		s.scan = x
-	case *tracedCursor:
-		if x.scan != nil {
-			s.scan = x
-		}
-	}
-	if s.scan != nil {
-		s.b = &s.blk
+	if scan, ok := c.(*ScanCursor); ok {
+		s.scan, s.b = scan, &s.blk
 	} else {
 		s.b = GetBatch()
 	}
@@ -141,13 +133,13 @@ func (s *batchSource) release() {
 // fact id is >= fid). It is the run-skipping entry point and only called
 // when every tuple below the point is known to be filtered out by the
 // operation. Over a scan the scan answers from its relation's run index,
-// inside the held block or beyond it alike (blockSkipper). Over anything
-// else the remainder of the current block is discarded by a gallop over
-// its fid column and rows; when the target lies beyond it, the child
-// skips itself (filters — keySkipper) or, when its output is computed
-// (operator cursors), whole blocks are discarded — one gallop that runs
-// off the block's end each, O(log BatchSize) probes instead of BatchSize
-// pops.
+// inside the held block or beyond it alike (ScanCursor.skipBlock). Over
+// anything else the remainder of the current block is discarded by a
+// gallop over its fid column and rows; when the target lies beyond it,
+// the child skips itself (filters — keySkipper) or, when its output is
+// computed (operator cursors), whole blocks are discarded — one gallop
+// that runs off the block's end each, O(log BatchSize) probes instead of
+// BatchSize pops.
 func (s *batchSource) skipTo(fid int64, te interval.Time) {
 	if s.scan != nil {
 		if !s.done {
@@ -234,7 +226,7 @@ type Advancer struct {
 	// or past a run of one fact's time alike). Counted
 	// unconditionally — two local increments per window are below
 	// measurement noise — and published into the execution trace by the
-	// traced OpCursor wrapper when tracing is on.
+	// OpCursor that owns the advancer when tracing is on.
 	windows, gallops int64
 }
 
@@ -247,15 +239,12 @@ func (a *Advancer) release() {
 // Windows returns the number of candidate windows produced so far.
 func (a *Advancer) Windows() int64 { return a.windows }
 
-// Gallops returns the number of run-skip gallops taken so far.
-func (a *Advancer) Gallops() int64 { return a.gallops }
-
 // NewAdvancer returns an advancer over two relations that must already be
 // sorted by (fact, Ts) — the sort step of Fig. 5 — bound to one
 // dictionary and carrying their fid columns; PrepareLeaves establishes
 // all three. It is NewStreamAdvancer over two scans.
 func NewAdvancer(r, s *relation.Relation) *Advancer {
-	return NewStreamAdvancer(NewScanCursor(r), NewScanCursor(s))
+	return NewStreamAdvancer(NewScanCursor(r, nil), NewScanCursor(s, nil))
 }
 
 // NewStreamAdvancer returns an advancer pulling from two cursors that must

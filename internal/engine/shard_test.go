@@ -144,11 +144,11 @@ func inside(p, base unsafe.Pointer, n int, size uintptr) bool {
 	return uintptr(p) >= uintptr(base) && uintptr(p) < uintptr(base)+uintptr(n)*size
 }
 
-// TestShardedPlanScansTheMapping is the zero-copy pin for restored
+// TestShardedPlanScansTheInstalledColumn is the zero-copy pin for restored
 // relations: a sharded plan over frozen, SetBinding-installed leaves scans
 // the installed column itself. Every shard view is frozen, and its scan
 // batches alias the parent's tuple array and the caller's slab.
-func TestShardedPlanScansTheMapping(t *testing.T) {
+func TestShardedPlanScansTheInstalledColumn(t *testing.T) {
 	src := reftest.DB(rand.New(rand.NewSource(93)), reftest.Shape{Relations: 2, MaxTuples: 3000, Facts: 64, Binding: reftest.Shared, Sorted: true})
 	db := map[string]*relation.Relation{}
 	slabs := map[string][]int64{}
@@ -546,7 +546,7 @@ func TestProduceStopsWithoutAReader(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		done := make(chan struct{})
 		ch := make(chan *core.Batch, 1)
-		cur := &secondPull{Cursor: core.NewScanCursor(r), refilling: make(chan struct{})}
+		cur := &secondPull{Cursor: core.NewScanCursor(r, nil), refilling: make(chan struct{})}
 		returned := make(chan struct{})
 		go func() {
 			defer close(returned)

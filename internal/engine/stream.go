@@ -225,13 +225,12 @@ func (e *Engine) CursorCtx(ctx context.Context, n query.Node, db map[string]*rel
 		pull := nextBatch
 		nextBatch = func(b *core.Batch) bool {
 			t0 := time.Now()
-			ok := pull(b)
-			rootSp.AddWall(time.Since(t0))
-			if ok {
-				rootSp.AddTuples(int64(len(b.Tuples)))
-				rootSp.AddBatches(1)
+			if !pull(b) {
+				rootSp.Pull(t0, 0)
+				return false
 			}
-			return ok
+			rootSp.Pull(t0, len(b.Tuples))
+			return true
 		}
 	}
 	return &StreamCursor{schema: curs[0].Schema(), nextBatch: nextBatch, stop: stop}, nil

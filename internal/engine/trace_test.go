@@ -204,7 +204,8 @@ func TestShardDrainedRecords(t *testing.T) {
 
 // TestTraceGallopsRecorded pins that run-skipping sweeps surface their
 // gallop counts in the trace: a highly fact-disjoint intersection takes
-// SkipTo gallops, and the trace must show them on the operator node.
+// SkipTo gallops, and the trace must show them on the operator node;
+// a skip forwarded to a selection is counted on σ and on its scan.
 func TestTraceGallopsRecorded(t *testing.T) {
 	db := traceDB(74, 2, 400, 200) // many facts, sparse overlap
 	tree := &query.SetOp{Op: core.OpIntersect,
@@ -212,4 +213,35 @@ func TestTraceGallopsRecorded(t *testing.T) {
 	if _, st := evalTraced(t, New(Config{Workers: 1}), tree, db); st.Gallops == 0 {
 		t.Fatal("sparse intersection recorded no gallops")
 	}
+
+	// A selection under an intersection: r0 holds 3,000 tuples of fact
+	// a, r1 only a's last stretch and one tuple of fact b. The advancer's
+	// source forwards its skip to σ, which gallops its buffered block and
+	// forwards the rest to its scan, so σ counts at least the gallops its
+	// scan answers and hands up only part of r0.
+	r0 := relation.New(relation.NewSchema("r0", "F"))
+	for i := 0; i < 3000; i++ {
+		r0.AddBase(relation.NewFact("a"), fmt.Sprintf("x%d", i), int64(2*i), int64(2*i+1), 0.5)
+	}
+	r1 := relation.New(relation.NewSchema("r1", "F"))
+	r1.AddBase(relation.NewFact("a"), "y0", 5990, 5992, 0.5)
+	r1.AddBase(relation.NewFact("b"), "y1", 0, 10, 0.5)
+	relation.InternAll(r0, r1)
+	_, st := evalTraced(t, New(Config{Workers: 1}), query.MustParse("sigma[F='a'](r0) & r1"),
+		map[string]*relation.Relation{"r0": r0, "r1": r1})
+	sigma := st.Children[0]
+	if len(sigma.Children) != 1 {
+		t.Fatalf("σ node %q has %d children, want its scan", sigma.Op, len(sigma.Children))
+	}
+	scan := sigma.Children[0]
+	if sigma.Op != "σ[F=a]" || scan.Op != "scan(r0)" {
+		t.Fatalf("plan is %q over %q, want σ[F=a] over scan(r0)", sigma.Op, scan.Op)
+	}
+	if scan.Gallops == 0 || sigma.Gallops < scan.Gallops {
+		t.Fatalf("σ took %d gallops, its scan %d; want σ ≥ scan > 0", sigma.Gallops, scan.Gallops)
+	}
+	if sigma.TuplesOut >= int64(r0.Len()) {
+		t.Fatalf("σ handed up %d of %d rows; the skip did not reach it", sigma.TuplesOut, r0.Len())
+	}
+	t.Logf("σ: %d gallops, %d of %d rows handed up; scan: %d gallops", sigma.Gallops, sigma.TuplesOut, r0.Len(), scan.Gallops)
 }

@@ -1,7 +1,6 @@
 package keys
 
 import (
-	"fmt"
 	"sort"
 	"strings"
 	"sync"
@@ -55,24 +54,6 @@ func BuildDict(ks []string) *Dict {
 		ids[k] = FactID(i)
 	}
 	return &Dict{ids: ids, keys: distinct}
-}
-
-// FromSorted returns the dictionary over ks, which must be strictly
-// ascending (sorted, duplicate-free). The slice is retained as the
-// rank→key table, so the caller must not modify it afterwards. This is
-// the deserialization entry point: a segment file stores the key table
-// in rank order, so rebuilding its dictionary needs no re-sort — ids
-// are the positions the keys already occupy. It panics on out-of-order
-// input: a caller that cannot guarantee the order must use BuildDict.
-func FromSorted(ks []string) *Dict {
-	d := &Dict{ids: make(map[string]FactID, len(ks)), keys: ks}
-	for i, k := range ks {
-		if i > 0 && ks[i-1] >= k {
-			panic(fmt.Sprintf("keys: FromSorted input not strictly ascending at index %d", i))
-		}
-		d.ids[k] = FactID(i)
-	}
-	return d
 }
 
 // ID returns the id of key and whether the dictionary contains it.

@@ -17,12 +17,16 @@
 // the JSON-serializable SpanStats returned by POST /query (trace: true),
 // the /query/stream trailer and POST /query/explain.
 //
-// All Span counters are atomics: shard plans record into their spans
-// from dedicated goroutines while the consumer may snapshot after an
-// early Close, so plain fields would race. Tracing is strictly opt-in —
-// when no Span is attached to core.Options the execution stack builds
-// exactly the un-instrumented plan (no wrapper cursors, no time calls),
-// which is how the ≤2% tracing-off overhead pin is kept.
+// Each plan node is built with its own span and records into it: one
+// Pull per pull (wall time, tuples, one batch), AddGallops where it
+// answers a skip; no cursor wraps another to observe it. All Span
+// counters are atomics: shard plans record into their spans from
+// dedicated goroutines while the consumer may snapshot after an early
+// Close, so plain fields would race. Tracing is strictly opt-in — when
+// no Span is attached to core.Options every node of the plan carries a
+// nil span and pays one nil check per pull and per skip, no time calls
+// and no atomics; the standing benchmark's bench.trace_overhead_ratio
+// reports what tracing on costs against off.
 //
 // # Metrics
 //

@@ -14,10 +14,10 @@ func TestSpanSnapshotTree(t *testing.T) {
 	root := NewSpan("∩Tp")
 	l := root.NewChild("scan(r)")
 	r := root.NewChild("scan(s)")
-	l.AddTuples(10)
-	l.AddBatches(1)
-	r.AddTuples(7)
-	root.AddTuples(5)
+	l.tuples.Add(10)
+	l.batches.Add(1)
+	r.tuples.Add(7)
+	root.tuples.Add(5)
 	root.SetWindows(17)
 	root.SetGallops(3)
 	root.AddWall(30 * time.Microsecond)
@@ -49,6 +49,21 @@ func TestSpanSnapshotTree(t *testing.T) {
 	}
 }
 
+// TestSpanPull pins what one pull records: its wall time always, its
+// tuples and one batch only when it delivered any; a nil span — an
+// untraced plan node — records nothing and does not panic.
+func TestSpanPull(t *testing.T) {
+	sp := NewSpan("scan(r)")
+	sp.Pull(time.Now().Add(-3*time.Microsecond), 7)
+	sp.Pull(time.Now().Add(-2*time.Microsecond), 0)
+	if st := sp.Snapshot(); st.TuplesOut != 7 || st.Batches != 1 || st.WallMicros < 5 {
+		t.Fatalf("two pulls, one of 7 tuples: %+v", st)
+	}
+	var untraced *Span
+	untraced.Pull(time.Now(), 3)
+	untraced.AddGallops(1)
+}
+
 func TestSpanConcurrentSnapshot(t *testing.T) {
 	root := NewSpan("merge")
 	shards := make([]*Span, 4)
@@ -66,8 +81,8 @@ func TestSpanConcurrentSnapshot(t *testing.T) {
 				case <-stop:
 					return
 				default:
-					sp.AddTuples(1)
-					sp.AddWall(time.Nanosecond)
+					sp.Pull(time.Now(), 1)
+					sp.AddGallops(1)
 				}
 			}
 		}(sp)

@@ -53,34 +53,43 @@ func (s *Span) SetOp(op string) { s.op = op }
 // with their shard index). Plan-compilation time only.
 func (s *Span) PrefixOp(p string) { s.op = p + s.op }
 
-// Op returns the operator label.
-func (s *Span) Op() string { return s.op }
-
-// AddTuples records n tuples emitted.
-func (s *Span) AddTuples(n int64) { s.tuples.Add(n) }
-
-// AddBatches records n batches emitted.
-func (s *Span) AddBatches(n int64) { s.batches.Add(n) }
+// Pull records one pull of the span's plan node that began at start
+// and delivered n tuples — 0 when the pull returned false: its wall
+// time, and the tuples and one batch when it delivered any. A nil span
+// records nothing, so an untraced plan node pays one nil check.
+func (s *Span) Pull(start time.Time, n int) {
+	if s == nil {
+		return
+	}
+	s.wall.Add(int64(time.Since(start)))
+	if n > 0 {
+		s.tuples.Add(int64(n))
+		s.batches.Add(1)
+	}
+}
 
 // SetWindows overwrites the windows-popped counter (the advancer counts
-// locally; the traced cursor publishes after each pull).
+// locally; its operator node publishes after each pull).
 func (s *Span) SetWindows(n int64) { s.windows.Store(n) }
 
 // SetGallops overwrites the gallops-taken counter.
 func (s *Span) SetGallops(n int64) { s.gallops.Store(n) }
 
-// AddGallops records n run-skip gallops received (scans count the
-// SkipTo calls that reach them).
-func (s *Span) AddGallops(n int64) { s.gallops.Add(n) }
+// AddGallops records n run-skip gallops answered by the span's node
+// (scans and selections count the skips that reach them); a nil span
+// records nothing.
+func (s *Span) AddGallops(n int64) {
+	if s != nil {
+		s.gallops.Add(n)
+	}
+}
 
-// AddWall records inclusive wall time spent inside a pull.
+// AddWall records inclusive wall time outside a pull (the engine's
+// shard cut, charged to the concat node).
 func (s *Span) AddWall(d time.Duration) { s.wall.Add(int64(d)) }
 
 // AddStall records time spent blocked on a channel operation.
 func (s *Span) AddStall(d time.Duration) { s.stall.Add(int64(d)) }
-
-// Tuples returns the tuples-emitted counter.
-func (s *Span) Tuples() int64 { return s.tuples.Load() }
 
 // SpanStats is the frozen, JSON-serializable form of a Span — one node
 // of the per-operator stats tree returned by the query endpoints.

@@ -3,9 +3,11 @@ package query
 import (
 	"fmt"
 	"strings"
+	"time"
 
 	"github.com/tpset/tpset/internal/core"
 	"github.com/tpset/tpset/internal/interval"
+	"github.com/tpset/tpset/internal/obs"
 	"github.com/tpset/tpset/internal/relation"
 )
 
@@ -31,9 +33,9 @@ import (
 //
 // When opts.Span is set, the plan is built traced: the span is labeled
 // with this node's operator, one child span is hung under it per
-// sub-plan, and every cursor is wrapped so pulls record per-operator
-// stats (core.Traced). The traced plan's output is bit-identical to the
-// untraced one. With a nil Span no wrapper exists anywhere in the tree.
+// sub-plan, and every node is built with its span and records its own
+// pulls and skips into it. The traced plan's output is bit-identical to
+// the untraced one. With a nil Span every node carries a nil span.
 func BuildCursor(n Node, db map[string]*relation.Relation, opts core.Options) (core.Cursor, error) {
 	db, err := PrepareLeaves(n, db, opts, 1)
 	if err != nil {
@@ -129,7 +131,7 @@ func build(n Node, db map[string]*relation.Relation, opts core.Options, name str
 		if sp != nil {
 			sp.SetOp("scan(" + q.Name + ")")
 		}
-		return core.Traced(core.NewScanCursor(r), sp), nil
+		return core.NewScanCursor(r, sp), nil
 	case *Select:
 		childOpts := opts
 		if sp != nil {
@@ -154,7 +156,7 @@ func build(n Node, db map[string]*relation.Relation, opts core.Options, name str
 		if sp != nil {
 			sp.SetOp(fmt.Sprintf("σ[%s=%s]", q.Attr, q.Value))
 		}
-		return core.Traced(&selectCursor{in: in, idx: idx, value: q.Value}, sp), nil
+		return &selectCursor{in: in, idx: idx, value: q.Value, sp: sp}, nil
 	case *SetOp:
 		// The advancer above reads a child row's fact, interval and
 		// lineage, never its probability: only the root valuates.
@@ -179,7 +181,7 @@ func build(n Node, db map[string]*relation.Relation, opts core.Options, name str
 		if sp != nil {
 			sp.SetOp(q.Op.String())
 		}
-		return core.Traced(oc, sp), nil
+		return oc, nil
 	}
 	return nil, fmt.Errorf("query: unknown node type %T", n)
 }
@@ -195,6 +197,7 @@ type selectCursor struct {
 	in    core.Cursor
 	idx   int
 	value string
+	sp    *obs.Span // the selection's trace node, nil when untraced
 
 	// buf/bi buffer the current input block: a pooled block taken at the
 	// first pull and handed back (buf nil again) when the input is
@@ -225,6 +228,10 @@ func (c *selectCursor) end() {
 // NextBatch filters input blocks into b until b is full or the input is
 // exhausted.
 func (c *selectCursor) NextBatch(b *core.Batch) bool {
+	var start time.Time
+	if c.sp != nil {
+		start = time.Now()
+	}
 	b.Reset()
 	if c.buf == nil && !c.done {
 		c.buf = core.GetBatch()
@@ -245,14 +252,17 @@ func (c *selectCursor) NextBatch(b *core.Batch) bool {
 		c.bi++
 	}
 	b.CheckBound("query.selectCursor.NextBatch")
+	c.sp.Pull(start, len(b.Tuples))
 	return len(b.Tuples) > 0
 }
 
 // SkipTo discards buffered and upcoming input tuples below the point
 // (fid, te) — a smaller fact id, or fid itself ending at or before te —
 // galloping over the buffered block and delegating the rest to a
-// skip-capable input (scans; nested selections).
+// skip-capable input (scans; nested selections). Every skip that
+// reaches the selection counts in its trace.
 func (c *selectCursor) SkipTo(fid int64, te interval.Time) {
+	c.sp.AddGallops(1)
 	if c.buf != nil && c.bi < len(c.buf.Tuples) {
 		c.bi += relation.SkipTo(c.buf.Fid[c.bi:], c.buf.Tuples[c.bi:], fid, te)
 		if c.bi < len(c.buf.Tuples) {

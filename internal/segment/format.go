@@ -460,57 +460,48 @@ func errOrder(at uint64, i int) error {
 }
 
 // Relation materializes the segment as a catalog-ready relation bound
-// to d. When d's ranks coincide with the segment's own dictionary the
-// stored fids are valid under d as-is and the decoded fid section
-// becomes the relation's column. Otherwise — a crash left mixed
-// dictionary generations on disk — the relation is bound to d by key
-// and the column rebuilt; the result is identical. Either way the
-// relation comes back sorted, validated (by Decode) and frozen: catalog
-// relations are immutable.
+// to d, which must hold every key of the segment. The stored fids are
+// ranks of the segment's own key table; the decoded fid section becomes
+// the relation's column through one translation of those keys to d's
+// ids, rewritten in place. The translation is the identity when the
+// segment was written on d, and maps an older dictionary generation —
+// a crash can leave mixed ones on disk — onto d; the relation is the
+// same either way. It comes back sorted, validated (by Decode) and
+// frozen: catalog relations are immutable. Since the section is
+// rewritten, a File materializes once (Restore releases it after).
 func (f *File) Relation(d *keys.Dict) (*relation.Relation, error) {
 	if len(f.Lam) != f.N {
 		return nil, fmt.Errorf("segment: row sections of %q were released by an earlier Restore", f.Name)
 	}
+	ids := make([]int64, len(f.Keys))
+	for i, k := range f.Keys {
+		id, ok := d.ID(k)
+		if !ok {
+			return nil, fmt.Errorf("segment: relation %q holds facts outside the catalog dictionary", f.Name)
+		}
+		ids[i] = int64(id)
+	}
 	rel := relation.New(relation.NewSchema(f.Name, f.Attrs...))
 	rel.Tuples = make([]relation.Tuple, f.N)
-	for i := range rel.Tuples {
-		rel.Tuples[i] = relation.Tuple{Fact: f.Facts[f.Fid[i]], Lineage: f.Lam[i],
+	for i, rank := range f.Fid {
+		rel.Tuples[i] = relation.Tuple{Fact: f.Facts[rank], Lineage: f.Lam[i],
 			T: interval.Interval{Ts: f.Ts[i], Te: f.Te[i]}, Prob: f.Prob[i]}
+		f.Fid[i] = ids[rank]
 	}
-	site := "segment.File.Relation(heal)"
-	if dictMatches(d, f.Keys) {
-		site = "segment.File.Relation(stored)"
-		if err := rel.SetBinding(d, f.Fid); err != nil {
-			return nil, fmt.Errorf("segment: %v", err)
-		}
-	} else if !rel.Bind(d) {
-		return nil, fmt.Errorf("segment: relation %q holds facts outside the catalog dictionary", f.Name)
+	if err := rel.SetBinding(d, f.Fid); err != nil {
+		return nil, fmt.Errorf("segment: %v", err)
 	}
 	rel.Freeze()
 	if invariant.Enabled {
-		// Tagged builds re-prove that the (stored or rebuilt) fid column
-		// names the materialized rows' facts, plus the sort/duplicate-free
+		// Tagged builds re-prove that the translated fid column names
+		// the materialized rows' facts, plus the sort/duplicate-free
 		// admission contract Decode claims to have validated.
+		const site = "segment.File.Relation"
 		invariant.CheckColsMirror(rel, site)
 		invariant.CheckSorted(rel, site)
 		invariant.CheckDuplicateFree(rel, site)
 	}
 	return rel, nil
-}
-
-// dictMatches reports whether d assigns exactly the ranks the segment
-// stored: same keys, same order.
-func dictMatches(d *keys.Dict, ks []string) bool {
-	if d == nil || d.Len() != len(ks) {
-		return false
-	}
-	dk := d.Keys()
-	for i := range ks {
-		if dk[i] != ks[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // Encode serializes a catalog-admitted relation (bound, sorted,

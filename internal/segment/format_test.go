@@ -31,14 +31,14 @@ func testRelation(tb testing.TB, name string, n int) *relation.Relation {
 }
 
 // reopen decodes data and materializes it against its own dictionary,
-// the path every uniform-generation restore takes.
+// the identity translation every uniform-generation restore takes.
 func reopen(tb testing.TB, data []byte) (*File, *relation.Relation) {
 	tb.Helper()
 	f, err := Decode(data)
 	if err != nil {
 		tb.Fatalf("Decode: %v", err)
 	}
-	rel, err := f.Relation(keys.FromSorted(f.Keys))
+	rel, err := f.Relation(keys.BuildDict(f.Keys))
 	if err != nil {
 		tb.Fatalf("Relation: %v", err)
 	}
@@ -124,7 +124,7 @@ func TestNilLineageRoundTrips(t *testing.T) {
 
 func mustRelation(tb testing.TB, f *File) *relation.Relation {
 	tb.Helper()
-	rel, err := f.Relation(keys.FromSorted(f.Keys))
+	rel, err := f.Relation(keys.BuildDict(f.Keys))
 	if err != nil {
 		tb.Fatalf("Relation: %v", err)
 	}

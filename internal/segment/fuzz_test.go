@@ -113,7 +113,7 @@ func FuzzSegmentOpen(f *testing.F) {
 			}
 			return
 		}
-		rel, err := sf.Relation(keys.FromSorted(sf.Keys))
+		rel, err := sf.Relation(keys.BuildDict(sf.Keys))
 		if err != nil {
 			t.Fatalf("accepted segment failed to materialize: %v", err)
 		}

@@ -235,13 +235,14 @@ func OpenStoreFS(dir string, fsys faultfs.FS) (*Store, error) {
 }
 
 // Restore materializes every opened segment as a catalog-ready
-// relation, all bound to one shared dictionary. When every segment
-// carries the same dictionary generation — the invariant every clean
-// shutdown and every complete apply maintains — each relation's fid
-// column is its decoded section; after a crash that interleaved a
-// dictionary rebuild, older-generation segments are healed by
-// rebinding (same content). Restore is called once per opened store:
-// the relations it returns are all that is kept of the decoded
+// relation, all bound to one shared dictionary built over every
+// segment's keys. Each relation's fid column is its decoded section,
+// translated to that dictionary's ids (File.Relation): the identity
+// when every segment carries the same dictionary generation — the
+// invariant every clean shutdown and every complete apply maintains —
+// and a heal of the older-generation segments after a crash that
+// interleaved a dictionary rebuild. Restore is called once per opened
+// store: the relations it returns are all that is kept of the decoded
 // segments, and a second call reports an error.
 func (s *Store) Restore() (map[string]*relation.Relation, *keys.Dict, error) {
 	s.mu.Lock()
@@ -255,23 +256,11 @@ func (s *Store) Restore() (map[string]*relation.Relation, *keys.Dict, error) {
 	if len(files) == 0 {
 		return map[string]*relation.Relation{}, nil, nil
 	}
-	uniform := true
-	for _, f := range files[1:] {
-		if !sameKeys(f.Keys, files[0].Keys) {
-			uniform = false
-			break
-		}
+	var ks []string
+	for _, f := range files {
+		ks = append(ks, f.Keys...)
 	}
-	var d *keys.Dict
-	if uniform {
-		d = keys.FromSorted(files[0].Keys)
-	} else {
-		var ks []string
-		for _, f := range files {
-			ks = append(ks, f.Keys...)
-		}
-		d = keys.BuildDict(ks)
-	}
+	d := keys.BuildDict(ks)
 	rels := make(map[string]*relation.Relation, len(files))
 	for _, f := range files {
 		rel, err := f.Relation(d)
@@ -583,19 +572,6 @@ func syncDir(fsys faultfs.FS, dir string) error {
 		return fmt.Errorf("segment: sync data dir: %v", err)
 	}
 	return nil
-}
-
-// sameKeys reports element-wise equality of two sorted key slices.
-func sameKeys(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // prefixed wraps an error with the package prefix unless it already

@@ -121,7 +121,7 @@ func TestFreshCatalogRelationPublishesOneRunIndex(t *testing.T) {
 			defer wg.Done()
 			<-start
 			seen[i] = rel.Runs()
-			scan := core.NewScanCursor(rel)
+			scan := core.NewScanCursor(rel, nil)
 			scan.SkipTo(int64(target), 4)
 			b := core.NewBatch(1)
 			if scan.NextBatch(b) {

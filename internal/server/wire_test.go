@@ -296,7 +296,7 @@ func checkWireCaseOnce(t *testing.T, rng *rand.Rand, wc wireCase) {
 		}
 		want = append(append(want, enc.buf...), '\n')
 	}
-	if got := blockLines(core.NewScanCursor(sorted).NextBatch); got != string(want) {
+	if got := blockLines(core.NewScanCursor(sorted, nil).NextBatch); got != string(want) {
 		t.Fatalf("scan blocks:\n got %s\nwant %s", got, want)
 	}
 }
