@@ -33,7 +33,7 @@
 // guaranteed to produce one-occurrence-form lineage, whose probability the
 // library computes exactly in linear time; repeating queries fall back to
 // exact Shannon expansion (worst-case exponential — the problem is
-// #P-hard) or Monte-Carlo estimation.
+// #P-hard).
 //
 // # Scaling beyond the paper
 //

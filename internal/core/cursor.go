@@ -85,11 +85,11 @@ type keySkipper interface {
 type ScanCursor struct {
 	r    *relation.Relation
 	fid  []int64        // r's fid column, aliased into every block
-	runs *relation.Runs // r's fact-run index: answers every skip
+	runs *relation.Runs // r's fact-run index: answers every skip and the advancer's run heads
 	sp   *obs.Span      // the scan's trace node, nil when untraced
 	i    int            // the next row to hand out
 	last int            // the first row of the block handed out last
-	run  int            // the run the last skip landed in, where the next one starts (Runs.Seek's hint)
+	run  int            // the run the last skip or run lookup reached, where the next one starts (the hint of Runs.Seek and Runs.At)
 }
 
 // NewScanCursor returns a scan over r that records its pulls and skips
@@ -142,10 +142,11 @@ func (c *ScanCursor) NextBatch(b *Batch) bool {
 // SkipTo advances the scan past every tuple below the point (fid, te):
 // a fact id below fid, or fid itself with an interval that ends at or
 // before te. It is answered from the relation's fact-run index: a skip
-// to a later fact costs index steps and no row read, a skip in time at
-// most two row reads plus a search of end points when it lands inside a
-// run — instead of the O(m) pops of the tuple-at-a-time sweep. The
-// scanned relation must be duplicate-free (see relation.SkipTo).
+// to a later fact, or past a run its span says is over by te, costs
+// index steps and no row read; any other skip in time reads one row plus
+// a search of end points when it lands inside a run — instead of the
+// O(m) pops of the tuple-at-a-time sweep. The scanned relation must be
+// duplicate-free (see relation.SkipTo).
 func (c *ScanCursor) SkipTo(fid int64, te interval.Time) {
 	c.i = c.seek(c.i, fid, te)
 }
@@ -162,10 +163,30 @@ func (c *ScanCursor) skipBlock(i int, fid int64, te interval.Time) int {
 	return at - c.last
 }
 
+// runAt reports whether row i of the block handed out last is the first
+// row of a whole run, and which — read from the run index alone. It
+// carries the run hint forward to the run that holds the row, which every
+// later skip and every later call starts at or after.
+func (c *ScanCursor) runAt(i int) (k int, first bool) {
+	c.run, first = c.runs.At(c.last+i, c.run)
+	return c.run, first
+}
+
+// skipToRun is skipBlock to the first row of run k of the index (Len:
+// the end of the relation), a landing the advancer worked out from the
+// index by n skips, which the trace counts as the n gallops they were.
+func (c *ScanCursor) skipToRun(k int, n int64) int {
+	c.sp.AddGallops(n)
+	at := c.runs.Row(k)
+	c.i, c.run = max(c.i, at), k
+	return at - c.last
+}
+
 // seek returns the first row at or after from that lies at or above
 // (fid, te), keeping the run hint: every skip of a scan starts at or
 // after the last one's landing, so the next fact's run is one step on.
-// Each skip of the scan lands here once, where its trace counts it.
+// Each skip of the scan lands here once, where its trace counts it,
+// unless the advancer decided it from the index (skipToRun).
 func (c *ScanCursor) seek(from int, fid int64, te interval.Time) int {
 	c.sp.AddGallops(1)
 	at, run := c.runs.Seek(c.r.Tuples, from, c.run, fid, te)

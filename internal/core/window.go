@@ -163,6 +163,94 @@ func (s *batchSource) skipTo(fid int64, te interval.Time) {
 	}
 }
 
+// head is what skipRuns decides a source's next move from: the fact id
+// and time span of what the source holds next. A row head is the peeked
+// row, whose interval is read only when a decision needs it (iv). Any
+// other head is run `run` of a scan's index, whole: the scan sits at the
+// run's first row, or skipRuns stepped there along the index — skips
+// steps — and has not moved the source yet (land does); span covers
+// every row of the run. A head holds no pointer, so filling one through
+// a pointer costs no write barrier.
+type head struct {
+	fid   int64
+	row   bool
+	span  interval.Interval
+	run   int
+	skips int64
+}
+
+// iv returns the time h, the source's head, covers: its run's span, or
+// the peeked row's interval.
+func (s *batchSource) iv(h *head) interval.Interval {
+	if h.row {
+		return s.b.Tuples[s.i].T
+	}
+	return h.span
+}
+
+// head reads the source's next head into *h, or reports false when the
+// source is drained. A scan that sits at a run's first row answers from
+// its run index and no row or fid entry is read, unless rows asks for
+// the peeked row.
+func (s *batchSource) head(h *head, rows bool) bool {
+	if s.peek() == nil {
+		*h = head{}
+		return false
+	}
+	if s.scan != nil && !rows {
+		if k, first := s.scan.runAt(s.i); first {
+			fid, span := s.scan.runs.Run(k)
+			*h = head{fid: fid, span: span, run: k}
+			return true
+		}
+	}
+	*h = head{fid: s.fid(), row: true}
+	return true
+}
+
+// skip moves *h, the source's head, past every tuple below the point
+// (fid, te), and reports whether the source holds anything from there
+// on. A row's head skips the source (skipTo) and reads the next head. A
+// run's head only steps along the scan's index — to the run of the first
+// fact at or above fid, or, for a time point, past itself (skipRuns skips
+// a run in time only when its span is over by te) — and leaves the
+// source where it is for land, so a chain of index-decided skips moves
+// the source once; stepping off the index's end lands it there.
+func (s *batchSource) skip(h *head, fid int64, te interval.Time) bool {
+	if h.row {
+		s.skipTo(fid, te)
+		return s.head(h, false)
+	}
+	x, k := s.scan.runs, h.run+1
+	if te == relation.MinTime {
+		k = x.Find(h.run, fid)
+	}
+	if h.skips++; k == x.Len() {
+		s.landRun(k, h.skips)
+		*h = head{}
+		return false
+	}
+	h.fid, h.span = x.Run(k)
+	h.run = k
+	return true
+}
+
+// land moves the source to *h, the head skipRuns stepped to along the
+// index; a head it did not step leaves the source as it is.
+func (s *batchSource) land(h *head) {
+	if h.skips > 0 {
+		s.landRun(h.run, h.skips)
+	}
+}
+
+// landRun moves a scan source to the first row of run k of its index
+// (Len: the end) for n index-decided skips.
+func (s *batchSource) landRun(k int, n int64) {
+	if s.i = s.scan.skipToRun(k, n); s.i >= len(s.b.Tuples) {
+		s.pull()
+	}
+}
+
 // validTuple is what the advancer keeps of a tuple while it is valid:
 // its lineage for the windows it covers and the end point that expires
 // it. The zero value is "no tuple valid".
@@ -228,6 +316,10 @@ type Advancer struct {
 	// measurement noise — and published into the execution trace by the
 	// OpCursor that owns the advancer when tracing is on.
 	windows, gallops int64
+	// indexed counts the gallops decided from the two sides' run
+	// indexes alone, with no row or fid entry read. It is a test's
+	// probe of the index path and never published.
+	indexed int64
 }
 
 // release tears down both sources — the OpCursor leg of plan teardown.
@@ -409,27 +501,47 @@ func (a *Advancer) Next() (Window, bool) {
 // skips, each a step of a leaf's fact-run index (a log-search of end
 // points only when it lands inside a run) or a gallop of a computed
 // child's block.
+//
+// A scan that sits at a run's first row is decided from its run index:
+// the run's fact, its first start and its last end (head). A smaller
+// fact is skipped by galloping the index's fact ids, and a run whose
+// span ends at or before the other side's start is skipped whole; such
+// skips step along the index without moving the source, which lands
+// once, on the first row of the run the steps reached. Only when the
+// spans meet are the rows read: the peeked rows decide exactly as they
+// would have, so the windows, the gallops and their landings are the
+// same either way; the index only spares the reads and the moves.
 func (a *Advancer) skipRuns() {
-	for {
-		r, s := a.r.peek(), a.s.peek()
-		if r == nil || s == nil {
-			return
-		}
-		rFid, sFid := a.r.fid(), a.s.fid()
+	var r, s head
+	rok, sok := a.r.head(&r, false), a.s.head(&s, false)
+loop:
+	for rok && sok {
+		indexed := !r.row && !s.row
 		switch {
-		case rFid < sFid && a.skipR:
-			a.r.skipTo(sFid, relation.MinTime)
-		case sFid < rFid && a.skipS:
-			a.s.skipTo(rFid, relation.MinTime)
-		case rFid == sFid && a.skipS && s.T.Te <= r.T.Ts:
-			a.s.skipTo(rFid, r.T.Ts)
-		case rFid == sFid && a.skipR && r.T.Te <= s.T.Ts:
-			a.r.skipTo(sFid, s.T.Ts)
+		case r.fid < s.fid && a.skipR:
+			rok = a.r.skip(&r, s.fid, relation.MinTime)
+		case s.fid < r.fid && a.skipS:
+			sok = a.s.skip(&s, r.fid, relation.MinTime)
+		case r.fid == s.fid && a.skipS && a.s.iv(&s).Te <= a.r.iv(&r).Ts:
+			sok = a.s.skip(&s, s.fid, a.r.iv(&r).Ts)
+		case r.fid == s.fid && a.skipR && a.r.iv(&r).Te <= a.s.iv(&s).Ts:
+			rok = a.r.skip(&r, r.fid, a.s.iv(&s).Ts)
+		case !r.row || !s.row: // the spans meet: decide from the rows
+			a.r.land(&r)
+			a.s.land(&s)
+			a.r.head(&r, true)
+			a.s.head(&s, true)
+			continue
 		default:
-			return
+			break loop
+		}
+		if indexed {
+			a.indexed++
 		}
 		a.gallops++
 	}
+	a.r.land(&r)
+	a.s.land(&s)
 }
 
 // setFact opens a new fact group at src's peeked tuple: its id and fact

@@ -10,8 +10,8 @@
 //   - the one-occurrence-form (1OF) test underlying Theorem 1;
 //   - probability valuation: a linear-time evaluator that is exact for 1OF
 //     formulas (independent subformulas), an exact Shannon-expansion
-//     evaluator for arbitrary formulas, a Monte-Carlo estimator, and a
-//     possible-worlds enumeration oracle used by the test suite;
+//     evaluator for arbitrary formulas, and a possible-worlds enumeration
+//     oracle used by the test suite;
 //   - a parser for the rendered syntax (with ASCII spellings), used by the
 //     query service's JSON codec to round-trip formula structure;
 //   - a sound syntactic simplifier (double negation, idempotence,

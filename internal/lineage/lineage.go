@@ -316,7 +316,7 @@ func EquivalentSyntactic(a, b *Expr) bool {
 // exactly (Corollary 1 of the paper). For non-1OF formulas Prob falls back
 // to exact Shannon expansion, which is exponential in the number of shared
 // variables in the worst case (the problem is #P-hard in general, see
-// Khanna et al.). Use ProbMonteCarlo for large repeating queries.
+// Khanna et al.).
 func (e *Expr) Prob() float64 {
 	if e == nil {
 		return 0
@@ -474,38 +474,6 @@ func (e *Expr) evalID(assign map[keys.VarID]bool) bool {
 	default:
 		return e.left.evalID(assign) || e.right.evalID(assign)
 	}
-}
-
-// RNG is the minimal random source needed by ProbMonteCarlo; *rand.Rand
-// satisfies it.
-type RNG interface {
-	Float64() float64
-}
-
-// ProbMonteCarlo estimates the marginal probability with n independent
-// possible-world samples. The standard error is at most 0.5/sqrt(n).
-// Sampling iterates variables in sorted-name order (not interning order),
-// so a fixed RNG seed reproduces the same worlds across processes. It
-// panics when n < 1: no sample estimates nothing.
-func (e *Expr) ProbMonteCarlo(n int, rng RNG) float64 {
-	if n < 1 {
-		panic(fmt.Sprintf("lineage: Monte-Carlo estimate from %d samples", n))
-	}
-	if e == nil {
-		return 0
-	}
-	vps := e.AppendVarProbs(nil, vars.Names())
-	assign := make(map[keys.VarID]bool, len(vps))
-	hits := 0
-	for i := 0; i < n; i++ {
-		for _, vp := range vps {
-			assign[vp.ID] = rng.Float64() < vp.Prob
-		}
-		if e.evalID(assign) {
-			hits++
-		}
-	}
-	return float64(hits) / float64(n)
 }
 
 // VarProbs records the marginal probability of every variable occurring

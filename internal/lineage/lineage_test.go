@@ -172,31 +172,6 @@ func TestProbAgainstPossibleWorlds(t *testing.T) {
 	}
 }
 
-// TestProbMonteCarlo: the estimator converges to the exact value.
-func TestProbMonteCarlo(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	e := Or(And(v("a", 0.3), v("b", 0.6)), AndNot(v("c", 0.8), v("a", 0.3)))
-	exact := e.ProbPossibleWorlds()
-	got := e.ProbMonteCarlo(200000, rng)
-	if math.Abs(got-exact) > 0.01 {
-		t.Errorf("MC estimate %v too far from exact %v", got, exact)
-	}
-	var nilE *Expr
-	if nilE.ProbMonteCarlo(10, rng) != 0 {
-		t.Error("MC on null must be 0")
-	}
-	for _, n := range []int{0, -1} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("ProbMonteCarlo(%d) did not panic", n)
-				}
-			}()
-			e.ProbMonteCarlo(n, rng)
-		}()
-	}
-}
-
 func TestCanonicalEquivalence(t *testing.T) {
 	a, b, c := v("a", .5), v("b", .5), v("c", .5)
 	cases := []struct {

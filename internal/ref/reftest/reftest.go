@@ -202,6 +202,8 @@ func TimeSkipCases() (cases []TimeSkipCase, queries []string) {
 		// the skipped side is computed, or a selection over a leaf
 		"(s | t) & r", "r & (s | t)", "r - (s | t)", "r - (s - t)",
 		"sigma[F='f001'](s) & r", "r - sigma[F='f001'](s)",
+		// both sides computed, over leaves the inner sweeps skip in
+		"(r | t) - (s & t)", "(s | t) - (r & t)",
 	}
 	block := int64(core.BatchSize)
 	cases = []TimeSkipCase{
@@ -245,8 +247,35 @@ func TimeSkipCases() (cases []TimeSkipCase, queries []string) {
 				"t": rel("t", row{0, 0, 1}, row{1, block + 2, block + 4}),
 			},
 		},
+		{ // whole runs whose spans touch (Te == Ts, half-open: no overlap) are
+			// skipped from the index; in f003 the spans meet and the rows decide
+			Name: "spans-touch",
+			DB: map[string]*relation.Relation{
+				"r": rel("r", append(append(chain(1, 0, 10), row{2, 4, 9}), row{3, 0, 5}, row{3, 7, 10})...),
+				"s": rel("s", append(append(chain(1, 10, 5), chain(2, 0, 4)...), row{3, 5, 7}, row{3, 10, 12})...),
+				"t": rel("t", row{1, 9, 11}, row{3, 6, 8}),
+			},
+		},
+		viewCutMidRun(rel, chain),
 	}
 	return cases, queries
+}
+
+// viewCutMidRun is the case whose r is a zero-copy view (relation.Slice)
+// that starts inside its parent's run of f001 and ends inside its run of
+// f002: the view's index keeps the parent runs' spans, which start before
+// the view's first row and end after its last. s lies inside those spans
+// but outside the view's rows — before its first f001 row, and after its
+// last f002 row — so a decision that trusted the span as the view's own
+// would skip or keep the wrong rows. All three relations share one
+// dictionary, so the view reaches the plan as itself.
+func viewCutMidRun(rel func(string, ...[3]int64) *relation.Relation, chain func(fact, from, n int64) [][3]int64) TimeSkipCase {
+	parent := rel("r", append(chain(1, 0, 20), chain(2, 0, 20)...)...)
+	s := rel("s", [3]int64{1, 0, 5}, [3]int64{1, 19, 25}, [3]int64{2, 15, 18})
+	t := rel("t", [3]int64{1, 3, 7}, [3]int64{2, 11, 16})
+	relation.InternAll(parent, s, t)
+	parent.Runs() // the view derives its index from the parent's
+	return TimeSkipCase{Name: "view-cut-mid-run", DB: map[string]*relation.Relation{"r": parent.Slice(5, 32), "s": s, "t": t}}
 }
 
 // Check fails the test unless got — the production result, tuples in the

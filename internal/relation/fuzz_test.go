@@ -132,40 +132,68 @@ func FuzzSkipToIndexed(f *testing.F) {
 		n := r.Len()
 		target, te := fuzzPoint(probeFact, probeTime, lastFid, maxTe)
 
-		describes := func(what string, rel *Relation) {
+		// describes checks the index run for run against the column, and
+		// each run's span against its rows: on the relation's own index it
+		// is (first Ts, last Te) exactly; on a view it covers the rows the
+		// view holds of the run, which At reports whole from the run's own
+		// first row only — not from the row 0 of a view cut inside it.
+		describes := func(what string, rel *Relation, own, cut bool) {
 			t.Helper()
 			x, col := rel.Runs(), rel.FidCol()
-			want := buildRuns(col)
-			if x.Len() != want.Len() || x.first(x.Len()) != len(col) {
-				t.Fatalf("%s: index of %d runs over %d rows, the column has %d runs over %d rows", what, x.Len(), x.first(x.Len()), want.Len(), len(col))
+			want := buildRuns(col, rel.Tuples)
+			if x.Len() != want.Len() || x.Row(x.Len()) != len(col) {
+				t.Fatalf("%s: index of %d runs over %d rows, the column has %d runs over %d rows", what, x.Len(), x.Row(x.Len()), want.Len(), len(col))
 			}
 			for k := range want.Len() {
-				if x.fid[k] != want.fid[k] || x.first(k) != want.first(k) {
-					t.Fatalf("%s: run %d is fact %d from row %d, the column says fact %d from row %d", what, k, x.fid[k], x.first(k), want.fid[k], want.first(k))
+				if x.fid[k] != want.fid[k] || x.Row(k) != want.Row(k) {
+					t.Fatalf("%s: run %d is fact %d from row %d, the column says fact %d from row %d", what, k, x.fid[k], x.Row(k), want.fid[k], want.Row(k))
+				}
+				lo, hi := x.Row(k), x.Row(k+1)
+				fid, span := x.Run(k)
+				first := rel.Tuples[lo].T.Ts
+				last := rel.Tuples[hi-1].T.Te
+				if own && (span.Ts != first || span.Te != last) {
+					t.Fatalf("%s: run %d spans %v, its rows run from Ts %d to Te %d", what, k, span, first, last)
+				}
+				for i := lo; i < hi; i++ {
+					if iv := rel.Tuples[i].T; iv.Ts < span.Ts || iv.Te > span.Te {
+						t.Fatalf("%s: row %d %v of run %d lies outside its span %v", what, i, iv, k, span)
+					}
+				}
+				// whole is what the sweep trusts the span's Ts for.
+				if run, whole := x.At(lo, k/2); fid != want.fid[k] || run != k || whole == (cut && k == 0) || whole && span.Ts != first {
+					t.Fatalf("%s: At(%d) = run %d, whole %v; the run is %d of fact %d, spanning %v", what, lo, run, whole, k, fid, span)
+				}
+				if run, whole := x.At(hi-1, k); hi-1 > lo && (run != k || whole) {
+					t.Fatalf("%s: At(%d) = run %d, whole %v inside run %d", what, hi-1, run, whole, k)
 				}
 			}
 		}
-		check := func(what string, rel *Relation, from, hint int) {
+		check := func(what string, rel *Relation, own, cut bool, from, hint int) {
 			t.Helper()
-			describes(what, rel)
+			describes(what, rel, own, cut)
 			x, col := rel.Runs(), rel.FidCol()
 			from = min(from, len(col))
 			got, run := x.Seek(rel.Tuples, from, hint, target, te)
 			if want := skipLinear(col, rel.Tuples, from, target, te); got != want {
 				t.Fatalf("%s: Seek(from %d, hint %d, %d, %d) = %d, want %d", what, from, hint, target, te, got, want)
 			}
-			if run < 0 || run > x.Len() || x.first(run) > got {
-				t.Fatalf("%s: Seek landed on row %d and returned run %d, which starts at row %d", what, got, run, x.first(min(max(run, 0), x.Len())))
+			if run < 0 || run > x.Len() || x.Row(run) > got {
+				t.Fatalf("%s: Seek landed on row %d and returned run %d, which starts at row %d", what, got, run, x.Row(min(max(run, 0), x.Len())))
 			}
 			if got, want := x.Below(target), skipLinear(col, nil, 0, target, MinTime); got != want {
 				t.Fatalf("%s: Below(%d) = %d, want %d", what, target, got, want)
 			}
+			if k := min(hint, x.Len()); x.Row(x.Find(k, target)) != skipLinear(col, nil, x.Row(k), target, MinTime) {
+				t.Fatalf("%s: Find(%d, %d) lands on row %d, want %d", what, k, target, x.Row(x.Find(k, target)), skipLinear(col, nil, x.Row(k), target, MinTime))
+			}
 		}
 
-		check("relation", r, int(from), int(hint))
+		check("relation", r, true, false, int(from), int(hint))
 		a, b := min(int(lo)%(n+1), int(hi)%(n+1)), max(int(lo)%(n+1), int(hi)%(n+1))
 		v := r.Slice(a, b)
-		check(fmt.Sprintf("view [%d, %d)", a, b), v, int(from), int(hint))
+		cut := a > 0 && a < b && fid[a-1] == fid[a]
+		check(fmt.Sprintf("view [%d, %d)", a, b), v, false, cut, int(from), int(hint))
 		if n == 0 {
 			return
 		}
@@ -173,9 +201,9 @@ func FuzzSkipToIndexed(f *testing.F) {
 		if r.Dict() == nil || r.IsSorted() == (n > 0 && fid[0] != fid[n-1]) {
 			t.Fatalf("the added row of the first fact should keep the binding and break the order only when there is a later fact")
 		}
-		describes("relation after Add", r) // out of order when the first fact is not the last: describes, cannot answer
+		describes("relation after Add", r, true, false) // out of order when the first fact is not the last: describes, cannot answer
 		r.Sort()
-		check("relation after Sort", r, int(from), int(hint))
-		check(fmt.Sprintf("view [%d, %d) after its parent changed", a, b), v, int(from), int(hint))
+		check("relation after Sort", r, true, false, int(from), int(hint))
+		check(fmt.Sprintf("view [%d, %d) after its parent changed", a, b), v, false, cut, int(from), int(hint))
 	})
 }

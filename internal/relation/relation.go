@@ -593,15 +593,3 @@ func (r *Relation) ComputeProbs() {
 		r.Tuples[i].ComputeProb()
 	}
 }
-
-// ComputeProbsMonteCarlo estimates every tuple's probability with n
-// possible-world samples per tuple, using the given random source. It is
-// the practical fallback for large outputs of repeating (#P-hard) queries
-// where exact Shannon expansion would blow up; the standard error per
-// tuple is at most 0.5/sqrt(n).
-func (r *Relation) ComputeProbsMonteCarlo(n int, rng lineage.RNG) {
-	r.mutable("ComputeProbsMonteCarlo")
-	for i := range r.Tuples {
-		r.Tuples[i].Prob = r.Tuples[i].Lineage.ProbMonteCarlo(n, rng)
-	}
-}
