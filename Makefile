@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: lint fmt vet bench-check bench-sparse bench-lib test test-race test-invariants
+.PHONY: lint fmt vet bench-check bench-sparse bench-lib test test-race
 
 lint: fmt vet bench-check
 
@@ -39,9 +39,3 @@ test:
 
 test-race:
 	$(GO) test -race ./...
-
-# Run the suite with the build-tag assertion layer compiled in
-# (internal/invariant): sortedness, duplicate-freeness, bound blocks, the fid
-# column<->row mirror, and pool-capacity accounting all panic on violation.
-test-invariants:
-	$(GO) test -tags tpinvariants ./...

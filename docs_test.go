@@ -27,11 +27,11 @@ type docPackage struct {
 // moduleDocPackages parses every Go file of the root module (benchmark/
 // is its own module; testdata holds fuzz corpora): non-test files
 // indexed by package name, and the Test/Benchmark/Fuzz/Example functions
-// the _test.go files declare.
-func moduleDocPackages(t *testing.T) (map[string]*docPackage, map[string]bool) {
+// the _test.go files declare, by directory ("." is the root package).
+func moduleDocPackages(t *testing.T) (map[string]*docPackage, map[string]map[string]bool) {
 	t.Helper()
 	pkgs := map[string]*docPackage{}
-	tests := map[string]bool{}
+	tests := map[string]map[string]bool{}
 	fset := token.NewFileSet()
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -51,9 +51,13 @@ func moduleDocPackages(t *testing.T) (map[string]*docPackage, map[string]bool) {
 			return err
 		}
 		if strings.HasSuffix(path, "_test.go") {
+			dir := filepath.Dir(path)
+			if tests[dir] == nil {
+				tests[dir] = map[string]bool{}
+			}
 			for _, decl := range f.Decls {
 				if fn, ok := decl.(*ast.FuncDecl); ok && fn.Recv == nil && docTestName.MatchString(fn.Name.Name) {
-					tests[fn.Name.Name] = true
+					tests[dir][fn.Name.Name] = true
 				}
 			}
 			return nil
@@ -153,7 +157,13 @@ var (
 // _test.go file of the module declares, and a backticked repo path
 // (`internal/…`, `cmd/…`, `docs/…`, `examples/…`) must exist.
 func TestDocSymbolsResolve(t *testing.T) {
-	pkgs, tests := moduleDocPackages(t)
+	pkgs, byDir := moduleDocPackages(t)
+	tests := map[string]bool{}
+	for _, names := range byDir {
+		for name := range names {
+			tests[name] = true
+		}
+	}
 	raw, err := os.ReadFile("BENCHMARK.json")
 	if err != nil {
 		t.Fatal(err)
@@ -221,6 +231,163 @@ func TestDocSymbolsResolve(t *testing.T) {
 		}
 		if checked == 0 {
 			t.Errorf("%s: no backticked package-qualified name found; the extraction is broken", doc)
+		}
+	}
+}
+
+// shellContinuation is a backslash-newline and the indent after it.
+var shellContinuation = regexp.MustCompile(`\\\n\s*`)
+
+// goTestCmd is one `go test` command line of ci.yml or the Makefile: the
+// packages it names and its -run, -bench and -fuzz patterns by flag.
+type goTestCmd struct {
+	line     string
+	pkgs     []string
+	patterns map[string][]string
+}
+
+// goTestCmds returns the go test commands of a CI or Makefile text:
+// comment lines dropped, backslash continuations joined, each command
+// read up to an unquoted |, ;, &, > or #, with sh's quoting.
+func goTestCmds(text string) []goTestCmd {
+	text = strings.NewReplacer("$(GO)", "go", "$$", "$").Replace(text)
+	text = shellContinuation.ReplaceAllString(text, " ")
+	var cmds []goTestCmd
+	for _, line := range strings.Split(text, "\n") {
+		if strings.HasPrefix(strings.TrimSpace(line), "#") {
+			continue
+		}
+		for rest := line; ; {
+			i := strings.Index(rest, "go test ")
+			if i < 0 {
+				break
+			}
+			rest = rest[i+len("go test "):]
+			cmd := goTestCmd{line: strings.TrimSpace(line), patterns: map[string][]string{}}
+			words := shellWords(rest)
+			for j := 0; j < len(words); j++ {
+				w := words[j]
+				flag, val, eq := strings.Cut(w, "=")
+				switch flag {
+				case "-run", "-bench", "-fuzz":
+					if !eq && j+1 < len(words) {
+						j++
+						val = words[j]
+					}
+					cmd.patterns[flag] = append(cmd.patterns[flag], val)
+				default:
+					if strings.HasPrefix(w, ".") {
+						cmd.pkgs = append(cmd.pkgs, w)
+					}
+				}
+			}
+			if len(cmd.pkgs) == 0 {
+				cmd.pkgs = []string{"."}
+			}
+			cmds = append(cmds, cmd)
+		}
+	}
+	return cmds
+}
+
+// shellWords splits s into words as sh would for the quoting these
+// files use, up to the first unquoted |, ;, &, > or #.
+func shellWords(s string) []string {
+	var words []string
+	var w strings.Builder
+	open, quote := false, byte(0)
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; {
+		case quote != 0 && c == quote:
+			quote = 0
+		case quote != 0:
+			w.WriteByte(c)
+		case c == '\'' || c == '"':
+			quote, open = c, true
+		case c == ' ' || c == '\t' || strings.IndexByte("|;&>#", c) >= 0:
+			if open {
+				words = append(words, w.String())
+				w.Reset()
+				open = false
+			}
+			if c != ' ' && c != '\t' {
+				return words
+			}
+		default:
+			w.WriteByte(c)
+			open = true
+		}
+	}
+	if open {
+		words = append(words, w.String())
+	}
+	return words
+}
+
+// TestCIPatternsResolve fails on a test name in CI or the Makefile that
+// selects nothing: go test exits 0 on a -fuzz, -bench or -run pattern
+// that matches no function ("no fuzz tests to fuzz"), so a renamed or
+// deleted target would pass silently. Every alternative of every such
+// pattern other than ^$ and . must match a function of its kind — Fuzz
+// for -fuzz, Benchmark for -bench, Test, Fuzz or Example for -run (the
+// part before a / names the top-level function) — in the packages the
+// command names.
+func TestCIPatternsResolve(t *testing.T) {
+	_, byDir := moduleDocPackages(t)
+	kinds := map[string][]string{"-fuzz": {"Fuzz"}, "-bench": {"Benchmark"}, "-run": {"Test", "Fuzz", "Example"}}
+	for _, file := range []string{".github/workflows/ci.yml", "Makefile"} {
+		text, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checked := 0
+		for _, cmd := range goTestCmds(string(text)) {
+			var names []string
+			for _, pkg := range cmd.pkgs {
+				dir := strings.TrimPrefix(pkg, "./")
+				found := false
+				for d, fns := range byDir {
+					if d == dir || (strings.HasSuffix(dir, "...") && (dir == "..." || strings.HasPrefix(d+"/", strings.TrimSuffix(dir, "...")))) {
+						found = true
+						for name := range fns {
+							names = append(names, name)
+						}
+					}
+				}
+				if !found && len(cmd.patterns) > 0 {
+					t.Errorf("%s: `%s` names package %s, which has no tests", file, cmd.line, pkg)
+				}
+			}
+			for flag, pats := range cmd.patterns {
+				for _, pat := range pats {
+					if pat == "^$" || pat == "." {
+						continue
+					}
+					for _, alt := range strings.Split(pat, "|") {
+						if flag == "-run" {
+							alt, _, _ = strings.Cut(alt, "/")
+						}
+						re, err := regexp.Compile(alt)
+						if err != nil {
+							t.Errorf("%s: `%s`: %s %q: %v", file, cmd.line, flag, pat, err)
+							continue
+						}
+						checked++
+						ok := false
+						for _, name := range names {
+							for _, kind := range kinds[flag] {
+								ok = ok || (strings.HasPrefix(name, kind) && re.MatchString(name))
+							}
+						}
+						if !ok {
+							t.Errorf("%s: `%s`: %s alternative %q matches no %s function in %v", file, cmd.line, flag, alt, kinds[flag][0], cmd.pkgs)
+						}
+					}
+				}
+			}
+		}
+		if file == ".github/workflows/ci.yml" && checked == 0 {
+			t.Errorf("%s: no -run, -bench or -fuzz pattern found; the extraction is broken", file)
 		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"github.com/tpset/tpset/internal/invariant"
 	"github.com/tpset/tpset/internal/keys"
 	"github.com/tpset/tpset/internal/relation"
 )
@@ -45,8 +44,8 @@ const BatchSize = 1024
 // a row carries none — so whoever fills a block writes the id beside the
 // row: a scan aliases the leaf's column, an operator writes the window's
 // id, a selection forwards its input's. core.PrepareLeaves establishes
-// the binding for the leaves of a plan, and the tpinvariants build
-// asserts it at every hop (CheckBound).
+// the binding for the leaves of a plan; the engine's oracle harness
+// checks it on every block a plan delivers.
 type Batch struct {
 	Tuples []relation.Tuple
 	Fid    []int64
@@ -86,26 +85,6 @@ func (b *Batch) Reset() {
 	b.Dict = nil
 }
 
-// CheckBound asserts the block invariant (tpinvariants builds only; a
-// no-op otherwise): a non-empty block carries a dictionary and an fid
-// column that names, entry for entry, the fact of its row. Every
-// NextBatch implementation and consumer calls it on the blocks it hands
-// over or receives; it is the safety net for the one mirror the block
-// carries.
-func (b *Batch) CheckBound(site string) {
-	if !invariant.Enabled || len(b.Tuples) == 0 {
-		return
-	}
-	if b.Dict == nil || len(b.Fid) != len(b.Tuples) { // guarded: no argument boxing per block
-		invariant.Assertf(false, site, "block of %d rows is not bound: dict %p, %d ids", len(b.Tuples), b.Dict, len(b.Fid))
-	}
-	for i, id := range b.Fid {
-		if id < 0 || id >= int64(b.Dict.Len()) || b.Dict.Key(keys.FactID(id)) != b.Tuples[i].Fact.Key() { // guarded: no argument boxing per row
-			invariant.Assertf(false, site, "fid column row %d (%d) does not name the row's fact %s", i, id, b.Tuples[i].Fact)
-		}
-	}
-}
-
 // Cap returns the fill target of the batch (aliasing fills use it to
 // size sub-windows consistently). The zero Batch — used as an empty
 // placeholder by drained sources — reports the default size.
@@ -133,10 +112,6 @@ func (b *Batch) Append(t relation.Tuple, fid int64) {
 func (b *Batch) AppendRange(src *Batch, i, j int) {
 	if i >= j {
 		return
-	}
-	if invariant.Enabled {
-		invariant.Assertf(src.Dict != nil && (len(b.Tuples) == 0 || src.Dict == b.Dict), "core.Batch.AppendRange",
-			"rows of a block on dict %p appended to a block on dict %p", src.Dict, b.Dict)
 	}
 	b.Dict = src.Dict
 	b.Tuples = append(b.Tuples, src.Tuples[i:j]...)
@@ -167,10 +142,6 @@ func GetBatch() *Batch {
 	batchPoolGets.Add(1)
 	b := batchPool.Get().(*Batch)
 	b.Reset()
-	if invariant.Enabled {
-		invariant.Assertf(b.capacity == BatchSize, "core.GetBatch",
-			"pooled batch has capacity %d, want %d", b.capacity, BatchSize)
-	}
 	return b
 }
 
@@ -183,10 +154,6 @@ func GetBatch() *Batch {
 // full-capacity storage for rows and ids alike (the capacity field is
 // the single account for both).
 func PutBatch(b *Batch) {
-	if invariant.Enabled {
-		invariant.Assertf(cap(b.own) >= b.capacity && cap(b.ownFid) >= b.capacity, "core.PutBatch",
-			"batch capacity account %d exceeds backing storage (rows %d, ids %d)", b.capacity, cap(b.own), cap(b.ownFid))
-	}
 	if b.capacity != BatchSize {
 		batchPoolDrops.Add(1)
 		return

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"github.com/tpset/tpset/internal/interval"
-	"github.com/tpset/tpset/internal/invariant"
 	"github.com/tpset/tpset/internal/lineage"
 	"github.com/tpset/tpset/internal/obs"
 	"github.com/tpset/tpset/internal/relation"
@@ -106,10 +105,6 @@ func NewScanCursor(r *relation.Relation, sp *obs.Span) *ScanCursor {
 	if fid == nil && r.Len() > 0 {
 		panic(fmt.Sprintf("core: scan over relation %q (%d tuples) without a fid column", r.Schema.Name, r.Len()))
 	}
-	if invariant.Enabled {
-		invariant.CheckSorted(r, "core.NewScanCursor")
-		invariant.CheckColsMirror(r, "core.NewScanCursor")
-	}
 	return &ScanCursor{r: r, fid: fid, runs: r.Runs(), sp: sp}
 }
 
@@ -131,7 +126,6 @@ func (c *ScanCursor) NextBatch(b *Batch) bool {
 		i, j := c.i, c.i+n
 		b.Tuples, b.Fid, b.Dict = c.r.Tuples[i:j], c.fid[i:j], c.r.Dict()
 		c.i, c.last = j, i
-		b.CheckBound("core.ScanCursor.NextBatch")
 	} else {
 		b.Reset()
 	}
@@ -255,7 +249,6 @@ func (c *OpCursor) NextBatch(b *Batch) bool {
 		n++
 	}
 	b.Tuples, b.Fid, b.Dict = rows[:n], fid[:n], c.a.dict
-	b.CheckBound("core.OpCursor.NextBatch")
 	if sp != nil {
 		sp.SetWindows(c.a.windows)
 		sp.SetGallops(c.a.gallops)

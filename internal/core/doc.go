@@ -27,8 +27,8 @@
 //     establishes it for the leaves — with Options.AssumeSorted, leaves
 //     that are already sorted, on one dictionary and projected are read
 //     in place (the caller guarantees sortedness; nothing writes them),
-//     anything else is cloned and bound — and the tpinvariants build
-//     asserts it at every hop.
+//     anything else is cloned and bound. The engine's oracle harness
+//     checks every block a plan delivers.
 //
 // The pipeline is pull-based: Cursor is a tuple stream in canonical
 // order with one pull, NextBatch — a bound block is the only thing that

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"github.com/tpset/tpset/internal/interval"
-	"github.com/tpset/tpset/internal/invariant"
 	"github.com/tpset/tpset/internal/keys"
 	"github.com/tpset/tpset/internal/lineage"
 	"github.com/tpset/tpset/internal/relation"
@@ -103,7 +102,6 @@ func (s *batchSource) pull() bool {
 		s.end()
 		return false
 	}
-	s.b.CheckBound("core.batchSource")
 	return true
 }
 
@@ -402,10 +400,6 @@ func (a *Advancer) Next() (Window, bool) {
 			a.setFact(a.s)
 		default:
 			rFid, sFid := a.r.fid(), a.s.fid()
-			if invariant.Enabled {
-				invariant.Assertf(a.r.b.Dict == a.s.b.Dict, "core.Advancer.Next",
-					"inputs bound to different dictionaries (%p, %p)", a.r.b.Dict, a.s.b.Dict)
-			}
 			rSame, sSame := rFid == a.currFid, sFid == a.currFid
 			switch {
 			case rSame && !sSame:

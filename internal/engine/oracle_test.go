@@ -19,7 +19,8 @@ import (
 // plan and sharded plan, at every batch capacity, worker count, leaf
 // binding and option the path has — checked against the Def. 3 oracle on
 // random query trees over random catalogs and on the paper's Fig. 1
-// fixtures. Runs under -race and -tags tpinvariants in CI.
+// fixtures. drain checks every block's binding on the way. Runs in
+// CI's plain and -race lanes.
 
 // shardingEngine cuts even the small harness catalogs into one shard per
 // few tuples, so the sharded plan is what runs above one worker.

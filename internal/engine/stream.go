@@ -9,8 +9,6 @@ import (
 	"time"
 
 	"github.com/tpset/tpset/internal/core"
-	"github.com/tpset/tpset/internal/invariant"
-	"github.com/tpset/tpset/internal/keys"
 	"github.com/tpset/tpset/internal/obs"
 	"github.com/tpset/tpset/internal/query"
 	"github.com/tpset/tpset/internal/relation"
@@ -62,8 +60,6 @@ type StreamCursor struct {
 	schema    relation.Schema
 	nextBatch func(*core.Batch) bool
 	stop      func()
-
-	dict *keys.Dict // tpinvariants only: the dictionary of the first block
 }
 
 // Schema returns the plan's output schema.
@@ -73,16 +69,7 @@ func (c *StreamCursor) Schema() relation.Schema { return c.schema }
 // (fact, Ts, Te) order: Materialize, the NDJSON stream and tpquery
 // -stream drain engine plans with it.
 func (c *StreamCursor) NextBatch(b *core.Batch) bool {
-	ok := c.nextBatch(b)
-	if invariant.Enabled && ok {
-		b.CheckBound("engine.StreamCursor.NextBatch")
-		if c.dict == nil {
-			c.dict = b.Dict
-		}
-		invariant.Assertf(b.Dict == c.dict, "engine.StreamCursor.NextBatch",
-			"block bound to dictionary %p in a plan on dictionary %p", b.Dict, c.dict)
-	}
-	return ok
+	return c.nextBatch(b)
 }
 
 // Close releases the plan's resources: shard producer goroutines and —
@@ -281,7 +268,6 @@ func produce(ctx context.Context, done <-chan struct{}, i int, c core.Cursor, sd
 			logShardDrained(ctx, i, sdb, sent, start)
 			return
 		}
-		b.CheckBound("engine.produce")
 		n := len(b.Tuples)
 		var sendStart time.Time
 		if sp != nil {
@@ -333,7 +319,6 @@ type concatStream struct {
 	i     int                // read index into cur.Tuples
 	sp    *obs.Span          // nil unless traced: records consumer-side channel stall
 	relay *core.PanicRelay   // a producer's panic, re-raised when a channel closes
-	last  *relation.Tuple    // tpinvariants only: copy of the previous block's last row
 }
 
 // recv pulls the current shard's next block, charging time blocked on
@@ -379,14 +364,6 @@ func (s *concatStream) nextBatch(out *core.Batch) bool {
 				s.chans = s.chans[1:]
 				continue
 			}
-			if invariant.Enabled {
-				// Copies: the block goes back to the pool before the next
-				// one is compared against its last row.
-				first, last := b.Tuples[0], b.Tuples[len(b.Tuples)-1]
-				invariant.Assertf(s.last == nil || relation.Less(s.last, &first), "engine.concatStream",
-					"block starts at %s, not after the last emitted tuple %s", &first, s.last)
-				s.last = &last
-			}
 			s.cur, s.i = b, 0
 		}
 		n := min(len(s.cur.Tuples)-s.i, max-len(out.Tuples))
@@ -396,7 +373,6 @@ func (s *concatStream) nextBatch(out *core.Batch) bool {
 			s.cur = nil
 		}
 	}
-	out.CheckBound("engine.concatStream")
 	return len(out.Tuples) > 0
 }
 

@@ -29,7 +29,7 @@ import (
 // another leaves Prob unvaluated whatever the caller chose: nothing
 // reads it); AssumeSorted and Validate refer to the db's leaf relations and
 // are discharged once per plan (PrepareLeaves) — streams themselves are
-// always sorted by the cursor ordering invariant.
+// always sorted: every cursor yields canonical order.
 //
 // When opts.Span is set, the plan is built traced: the span is labeled
 // with this node's operator, one child span is hung under it per
@@ -251,7 +251,6 @@ func (c *selectCursor) NextBatch(b *core.Batch) bool {
 		}
 		c.bi++
 	}
-	b.CheckBound("query.selectCursor.NextBatch")
 	c.sp.Pull(start, len(b.Tuples))
 	return len(b.Tuples) > 0
 }

@@ -13,6 +13,7 @@ import (
 
 	"github.com/tpset/tpset/internal/core"
 	"github.com/tpset/tpset/internal/interval"
+	"github.com/tpset/tpset/internal/keys"
 	"github.com/tpset/tpset/internal/query"
 	"github.com/tpset/tpset/internal/ref"
 	"github.com/tpset/tpset/internal/relation"
@@ -299,5 +300,23 @@ func Check(tb testing.TB, ctx string, got *relation.Relation, n query.Node, db m
 	}
 	if d := relation.Diff(got, want); d != "" {
 		tb.Fatalf("%s: vs Def. 3 oracle: %s\ngot=%s\nwant=%s", ctx, d, got, want)
+	}
+}
+
+// CheckBinding fails the test unless rel is bound and its fid column
+// names, row for row, the row's fact in rel's dictionary: the binding a
+// scan hands out with every block. relation.Equal compares rows only, so
+// a restore or admission that scrambles the column passes it and is
+// caught here.
+func CheckBinding(tb testing.TB, ctx string, rel *relation.Relation) {
+	tb.Helper()
+	d, fid := rel.Dict(), rel.FidCol()
+	if d == nil {
+		tb.Fatalf("%s: relation %q (%d tuples) is not bound", ctx, rel.Schema.Name, rel.Len())
+	}
+	for i, id := range fid {
+		if id < 0 || id >= int64(d.Len()) || d.Key(keys.FactID(id)) != rel.Tuples[i].Fact.Key() {
+			tb.Fatalf("%s: relation %q row %d holds fact %s, its id %d names another", ctx, rel.Schema.Name, i, rel.Tuples[i].Fact, id)
+		}
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"sort"
 	"testing"
 
-	"github.com/tpset/tpset/internal/invariant"
 	"github.com/tpset/tpset/internal/keys"
 	"github.com/tpset/tpset/internal/lineage"
 	"github.com/tpset/tpset/internal/relation"
@@ -45,7 +44,6 @@ func checkBinding(t *testing.T, ctx string, r *relation.Relation) {
 	if x == nil || x.Len() != runs || (sorted && x.Below(int64(d.Len())) != len(fid)) {
 		t.Fatalf("%s: the fact-run index does not describe the column's %d runs over %d rows", ctx, runs, len(fid))
 	}
-	invariant.CheckColsMirror(r, ctx) // the tagged lane's form of the same contract
 }
 
 // sameRows requires got to hold exactly the rows of want, in order

@@ -135,7 +135,7 @@ func TestProjectSnapshotSemantics(t *testing.T) {
 			r.AddBase(relation.NewFact(a, b), fmt.Sprintf("t%d_%d", trial, i),
 				ts, te, 0.2+0.7*rng.Float64())
 		}
-		// Drop duplicate-violating tuples to restore the invariant.
+		// Drop duplicate-violating tuples to restore duplicate-freeness.
 		r = dedupeByPair(r)
 		got, err := Project(r, "A")
 		if err != nil {

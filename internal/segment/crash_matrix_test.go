@@ -1,10 +1,12 @@
 package segment
 
 import (
+	"fmt"
 	"os"
 	"testing"
 
 	"github.com/tpset/tpset/internal/faultfs"
+	"github.com/tpset/tpset/internal/ref/reftest"
 	"github.com/tpset/tpset/internal/relation"
 )
 
@@ -14,8 +16,9 @@ import (
 // in both torn-write and clean variants. After each cut the surviving
 // disk — rendered under both the pessimistic fsync-only durability
 // model and the optimistic everything-flushed model — is reopened, and
-// the restored catalog must be bit-identical (relation.Equal on every
-// relation) to an acknowledged state: everything the workload was told
+// the restored catalog must be bit-identical to an acknowledged state
+// (relation.Equal on every relation, and every fid column naming its
+// rows' facts in the restored dictionary): everything the workload was told
 // was durable, plus at most the one mutation that was in flight when
 // the power died. Any other outcome is silent corruption and fails the
 // test. Reopen itself must never fail for this workload: no cut point
@@ -91,8 +94,15 @@ func crashStates(steps []crashStep) []map[string]*relation.Relation {
 }
 
 // sameCatalog reports whether the restored catalog matches an expected
-// state exactly: same names, bit-identical relations.
-func sameCatalog(got, want map[string]*relation.Relation) bool {
+// state exactly: same names, equal relations. Whatever state it matches,
+// each restored relation must be bound, its fid column naming its rows'
+// facts (reftest.CheckBinding fails the test otherwise): equal rows
+// under a scrambled column would scan as other facts.
+func sameCatalog(t *testing.T, ctx string, got, want map[string]*relation.Relation) bool {
+	t.Helper()
+	for _, g := range got {
+		reftest.CheckBinding(t, ctx, g)
+	}
 	if len(got) != len(want) {
 		return false
 	}
@@ -176,9 +186,10 @@ func TestCrashMatrix(t *testing.T) {
 				// states[acked], or states[acked+1] when the in-flight
 				// mutation's record fully reached the disk before the cut
 				// (the client saw an error; an idempotent retry converges).
-				ok := sameCatalog(rels, states[acked])
+				ctx := fmt.Sprintf("cut@%d torn=%d durable=%v", n, torn, durable)
+				ok := sameCatalog(t, ctx, rels, states[acked])
 				if !ok && acked+1 < len(states) {
-					ok = sameCatalog(rels, states[acked+1])
+					ok = sameCatalog(t, ctx, rels, states[acked+1])
 				}
 				if !ok {
 					t.Errorf("cut@%d torn=%d durable=%v: recovered catalog matches no acknowledged state (acked=%d, got %d relations)",
@@ -240,7 +251,7 @@ func TestCrashMatrixDuringRecovery(t *testing.T) {
 			if err != nil {
 				t.Fatalf("recovery cut@%d durable=%v: restore failed: %v", n, durable, err)
 			}
-			if !sameCatalog(rels, states[acked]) {
+			if !sameCatalog(t, fmt.Sprintf("recovery cut@%d durable=%v", n, durable), rels, states[acked]) {
 				t.Errorf("recovery cut@%d durable=%v: catalog does not match the acknowledged state (%d relations)", n, durable, len(rels))
 			}
 			s2.Close()

@@ -37,7 +37,6 @@ import (
 	"unsafe"
 
 	"github.com/tpset/tpset/internal/interval"
-	"github.com/tpset/tpset/internal/invariant"
 	"github.com/tpset/tpset/internal/keys"
 	"github.com/tpset/tpset/internal/lineage"
 	"github.com/tpset/tpset/internal/relation"
@@ -492,15 +491,6 @@ func (f *File) Relation(d *keys.Dict) (*relation.Relation, error) {
 		return nil, fmt.Errorf("segment: %v", err)
 	}
 	rel.Freeze()
-	if invariant.Enabled {
-		// Tagged builds re-prove that the translated fid column names
-		// the materialized rows' facts, plus the sort/duplicate-free
-		// admission contract Decode claims to have validated.
-		const site = "segment.File.Relation"
-		invariant.CheckColsMirror(rel, site)
-		invariant.CheckSorted(rel, site)
-		invariant.CheckDuplicateFree(rel, site)
-	}
 	return rel, nil
 }
 

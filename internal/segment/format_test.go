@@ -3,6 +3,7 @@ package segment
 import (
 	"bytes"
 	"fmt"
+	"hash/crc32"
 	"slices"
 	"strings"
 	"testing"
@@ -11,6 +12,7 @@ import (
 	"github.com/tpset/tpset/internal/interval"
 	"github.com/tpset/tpset/internal/keys"
 	"github.com/tpset/tpset/internal/lineage"
+	"github.com/tpset/tpset/internal/ref/reftest"
 	"github.com/tpset/tpset/internal/relation"
 )
 
@@ -173,6 +175,41 @@ func TestEveryTruncationRejected(t *testing.T) {
 	}
 }
 
+// Decode is the admission check for bytes read from disk: a segment
+// whose checksums hold but whose rows break Def. 1 — one fact over
+// overlapping intervals, or fids out of order — is rejected, never
+// restored. Encode refuses such rows, so each case patches one column
+// entry of a valid segment and re-seals the checksums.
+func TestDecodeRejectsRowsOutsideTheContract(t *testing.T) {
+	r := relation.New(relation.NewSchema("contract", "F"))
+	r.AddBase(relation.NewFact("a"), "c0", 0, 5, 0.5)
+	r.AddBase(relation.NewFact("a"), "c1", 10, 15, 0.5)
+	r.AddBase(relation.NewFact("b"), "c2", 0, 5, 0.5)
+	r.Intern()
+	valid, err := Encode(r)
+	if err != nil {
+		t.Fatalf("Encode: %v", err)
+	}
+	for _, c := range []struct {
+		name    string
+		section int // 2 fid, 4 te
+		row     int
+		value   uint64
+		want    string
+	}{
+		{"overlap", 4, 0, 12, "overlapping"}, // a [0,12) meets a [10,15)
+		{"unsorted", 2, 0, 1, "not sorted"},  // b, a, b
+	} {
+		data := append([]byte(nil), valid...)
+		put64(data, int(le64(data, offSections+16*c.section))+8*c.row, c.value)
+		put32(data, offBodyCRC, crc32.Checksum(data[headerSize:], castagnoli))
+		put32(data, offHdrCRC, crc32.Checksum(data[:offBodyCRC], castagnoli))
+		if _, err := Decode(data); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: Decode returned %v, want a rejection naming %q", c.name, err, c.want)
+		}
+	}
+}
+
 func TestRestoredRelationIsReadOnly(t *testing.T) {
 	data, err := Encode(testRelation(t, "ro", 6))
 	if err != nil {
@@ -245,9 +282,8 @@ func TestMixedDictionaryGenerationsHeal(t *testing.T) {
 	if !relation.Equal(r2, got2) {
 		t.Fatalf("same-generation relation differs: %s", relation.Diff(r2, got2))
 	}
-	if got1.FidCol() == nil || got2.FidCol() == nil {
-		t.Fatalf("restored relations lack their fid columns")
-	}
+	reftest.CheckBinding(t, "healed", got1)
+	reftest.CheckBinding(t, "same generation", got2)
 	if got1.Dict() != union || got2.Dict() != union {
 		t.Fatalf("restored relations not bound to the union dictionary")
 	}

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"sync"
 
-	"github.com/tpset/tpset/internal/invariant"
 	"github.com/tpset/tpset/internal/keys"
 	"github.com/tpset/tpset/internal/relation"
 )
@@ -155,16 +154,6 @@ func (c *Catalog) Restore(rels map[string]*relation.Relation, dict *keys.Dict) {
 // catalog run AssumeSorted, and a leaf that is sorted and on the catalog
 // dictionary is scanned in place (core.PrepareLeaves).
 func (c *Catalog) admit(name string, rel *relation.Relation) (*keys.Dict, map[string]*relation.Relation) {
-	if invariant.Enabled {
-		// Tagged builds re-prove the admission contract the mutation
-		// paths establish (sorted, duplicate-free — the Algorithm 1–4
-		// preconditions every AssumeSorted plan over the catalog leans
-		// on) and, after the bind below, that the fid column names the
-		// rows' facts.
-		invariant.CheckSorted(rel, "server.Catalog.admit")
-		invariant.CheckDuplicateFree(rel, "server.Catalog.admit")
-		defer invariant.CheckColsMirror(rel, "server.Catalog.admit")
-	}
 	relKeys := factKeys(rel, nil)
 	if c.dict != nil && c.dict.Contains(relKeys) {
 		rel.Bind(c.dict)

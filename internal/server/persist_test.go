@@ -69,6 +69,13 @@ func TestRestartServesBitIdenticalResults(t *testing.T) {
 	if got := restarted.snapshotMetrics().SegmentsRestored; got != 2 {
 		t.Fatalf("SegmentsRestored = %d, want 2", got)
 	}
+	for _, name := range []string{"r", "s"} {
+		rel, _, ok := restarted.Relation(name)
+		if !ok {
+			t.Fatalf("relation %s missing after restart", name)
+		}
+		reftest.CheckBinding(t, "restored "+name, rel)
+	}
 
 	for _, q := range []string{"r & s", "r | s", "r - s", "(r - s) | (s - r)"} {
 		for _, workers := range []int{1, 2, 8} {
@@ -138,9 +145,10 @@ func TestHandlerMutationsPersistAcrossRestart(t *testing.T) {
 	if !relation.Equal(want, got) {
 		t.Fatalf("restored relation differs: %s", relation.Diff(want, got))
 	}
-	if !got.Frozen() || got.FidCol() == nil {
-		t.Fatalf("restored relation not frozen with its fid column")
+	if !got.Frozen() {
+		t.Fatalf("restored relation not frozen")
 	}
+	reftest.CheckBinding(t, "restored keep", got)
 }
 
 // Admitting a relation with novel facts rebuilds the catalog dictionary
@@ -167,6 +175,7 @@ func TestDictionaryRebuildPersists(t *testing.T) {
 		if !ok || !relation.Equal(want, got) {
 			t.Fatalf("relation %s lost or diverged across dictionary rebuild (ok=%v)", name, ok)
 		}
+		reftest.CheckBinding(t, "restored "+name, got)
 	}
 	// Both restored relations share one dictionary (healed or uniform).
 	a, _, _ := restarted.Relation("olddict")
