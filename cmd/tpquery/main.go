@@ -7,13 +7,13 @@
 //	tpquery -rel a=bought.csv -rel b=ordered.csv -rel c=stock.csv \
 //	        -q "c - (a | b)"
 //
-// Every query runs on the execution engine's cursor plan. Flags select
-// the worker budget (-workers above one cuts large inputs into fact-range
-// shards and evaluates them concurrently, that many at a time), streaming output (-stream
-// writes rows as they are produced, in O(tree depth) memory, instead of
-// materializing the result first — one allocation at its exact size), the
-// per-operator execution trace (-trace) and whether to print the query's
-// complexity classification (Theorem 1 / Corollary 1).
+// Every query runs on the execution engine's cursor plan, and rows are
+// written as the plan produces them, block by block, so the result is
+// never held in memory. Flags select the worker budget (-workers above
+// one cuts large inputs into fact-range shards and evaluates them
+// concurrently, that many at a time), the per-operator execution trace
+// (-trace) and whether to print the query's complexity classification
+// (Theorem 1 / Corollary 1).
 package main
 
 import (
@@ -50,7 +50,6 @@ func main() {
 		q       = flag.String("q", "", "TP set query, e.g. \"c - (a | b)\"")
 		explain = flag.Bool("explain", false, "print the parsed tree and complexity class")
 		workers = flag.Int("workers", 1, "worker budget of the execution engine (above one cuts large inputs into fact-range shards run that many at a time; 0 = GOMAXPROCS)")
-		stream  = flag.Bool("stream", false, "write rows as the plan produces them instead of materializing the result first")
 		trace   = flag.Bool("trace", false, "print the per-operator execution trace to stderr after the result")
 	)
 	flag.Parse()
@@ -101,24 +100,20 @@ func main() {
 	}
 	defer cur.Close()
 
-	if *stream {
-		sw, err := csvio.NewStreamWriter(os.Stdout, cur.Schema())
-		if err != nil {
-			fatal("%v", err)
-		}
-		b := core.GetBatch()
-		for cur.NextBatch(b) {
-			for i := range b.Tuples {
-				if err := sw.WriteTuple(&b.Tuples[i]); err != nil {
-					fatal("%v", err)
-				}
+	sw, err := csvio.NewStreamWriter(os.Stdout, cur.Schema())
+	if err != nil {
+		fatal("%v", err)
+	}
+	b := core.GetBatch()
+	for cur.NextBatch(b) {
+		for i := range b.Tuples {
+			if err := sw.WriteTuple(&b.Tuples[i]); err != nil {
+				fatal("%v", err)
 			}
 		}
-		core.PutBatch(b)
-		if err := sw.Close(); err != nil {
-			fatal("%v", err)
-		}
-	} else if err := csvio.Write(os.Stdout, core.Materialize(cur)); err != nil {
+	}
+	core.PutBatch(b)
+	if err := sw.Close(); err != nil {
 		fatal("%v", err)
 	}
 	if opts.Span != nil {

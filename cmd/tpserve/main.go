@@ -145,13 +145,15 @@ func main() {
 	if *dataDir != "" {
 		var err error
 		if *chaosENOSPC != "" {
-			// Chaos lane: the trigger FS fails every mutating operation
+			// Chaos lane: the injector fails every mutating operation
 			// with ENOSPC while the sentinel file exists, so CI can drive
 			// the whole disk-full → degraded → recovered arc end to end
 			// (touch the file, watch writes 503, remove it, watch the
 			// probe re-arm) without filling a real disk.
 			fmt.Fprintf(os.Stderr, "tpserve: CHAOS: writes fail with ENOSPC while %s exists\n", *chaosENOSPC)
-			store, err = segment.OpenStoreFS(*dataDir, faultfs.NewTrigger(faultfs.OS{}, *chaosENOSPC))
+			in := faultfs.NewInjector(faultfs.OS{})
+			in.FailWhileExists(*chaosENOSPC, faultfs.OpMutate, faultfs.ErrNoSpace)
+			store, err = segment.OpenStoreFS(*dataDir, in)
 		} else {
 			store, err = segment.OpenStore(*dataDir)
 		}

@@ -26,12 +26,14 @@ type docPackage struct {
 
 // moduleDocPackages parses every Go file of the root module (benchmark/
 // is its own module; testdata holds fuzz corpora): non-test files
-// indexed by package name, and the Test/Benchmark/Fuzz/Example functions
-// the _test.go files declare, by directory ("." is the root package).
-func moduleDocPackages(t *testing.T) (map[string]*docPackage, map[string]map[string]bool) {
+// indexed by package name, the Test/Benchmark/Fuzz/Example functions
+// the _test.go files declare, by directory ("." is the root package),
+// and the package doc comments of the non-test files, by path.
+func moduleDocPackages(t *testing.T) (map[string]*docPackage, map[string]map[string]bool, map[string]string) {
 	t.Helper()
 	pkgs := map[string]*docPackage{}
 	tests := map[string]map[string]bool{}
+	docs := map[string]string{}
 	fset := token.NewFileSet()
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -46,7 +48,7 @@ func moduleDocPackages(t *testing.T) (map[string]*docPackage, map[string]map[str
 		if !strings.HasSuffix(path, ".go") {
 			return nil
 		}
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution|parser.ParseComments)
 		if err != nil {
 			return err
 		}
@@ -61,6 +63,9 @@ func moduleDocPackages(t *testing.T) (map[string]*docPackage, map[string]map[str
 				}
 			}
 			return nil
+		}
+		if f.Doc != nil {
+			docs[path] = f.Doc.Text()
 		}
 		p := pkgs[f.Name.Name]
 		if p == nil {
@@ -129,7 +134,7 @@ func moduleDocPackages(t *testing.T) (map[string]*docPackage, map[string]map[str
 	if err != nil {
 		t.Fatal(err)
 	}
-	return pkgs, tests
+	return pkgs, tests, docs
 }
 
 var (
@@ -147,9 +152,10 @@ var (
 
 // TestDocSymbolsResolve keeps the paper→code concordance honest: every
 // backticked `pkg.Symbol` / `pkg.Type.Member` in DESIGN.md, README.md and
-// docs/PAPER_MAP.md whose pkg is a package of this module must name a
-// declaration of it — a top-level name, or a method or field of one of
-// its types (`relation.SetBinding`, as go doc resolves it) — so a
+// docs/PAPER_MAP.md, and every such name in a package doc comment (doc.go
+// files and cmd/* included), whose pkg is a package of this module must
+// name a declaration of it — a top-level name, or a method or field of
+// one of its types (`relation.SetBinding`, as go doc resolves it) — so a
 // deletion or a rename cannot leave a dangling name in the prose. Names
 // BENCHMARK.json declares are metrics (`bench.trace_overhead_ratio`),
 // not symbols; `server.go` is a file. A backticked `Test*`,
@@ -157,7 +163,7 @@ var (
 // _test.go file of the module declares, and a backticked repo path
 // (`internal/…`, `cmd/…`, `docs/…`, `examples/…`) must exist.
 func TestDocSymbolsResolve(t *testing.T) {
-	pkgs, byDir := moduleDocPackages(t)
+	pkgs, byDir, pkgDocs := moduleDocPackages(t)
 	tests := map[string]bool{}
 	for _, names := range byDir {
 		for name := range names {
@@ -180,6 +186,34 @@ func TestDocSymbolsResolve(t *testing.T) {
 		metrics[m.Name] = true
 	}
 
+	// names checks every qualified name in text whose package is one of
+	// the module's, and returns how many it checked.
+	names := func(where, text string) (checked int) {
+		for _, m := range docName.FindAllStringSubmatch(text, -1) {
+			p, sym, member := pkgs[m[1]], m[2], m[3]
+			if p == nil || sym == "go" || metrics[m[1]+"."+sym] {
+				continue
+			}
+			checked++
+			ok := p.decls[sym]
+			if !ok { // pkg.Method, pkg.Field: a member of any type, as go doc resolves it
+				for _, members := range p.members {
+					ok = ok || members[sym]
+				}
+			} else if p.members[sym] != nil && member != "" { // pkg.Type.Member, through one alias hop
+				tp, typ := p, sym
+				if a, aliased := p.aliases[sym]; aliased && pkgs[a[0]] != nil {
+					tp, typ = pkgs[a[0]], a[1]
+				}
+				ok = tp.members[typ][member]
+			}
+			if !ok {
+				t.Errorf("%s: %s names nothing in package %s", where, strings.TrimRight(strings.Join(m[1:], "."), "."), m[1])
+			}
+		}
+		return checked
+	}
+
 	for _, doc := range []string{"DESIGN.md", "README.md", "docs/PAPER_MAP.md"} {
 		text, err := os.ReadFile(doc)
 		if err != nil {
@@ -187,28 +221,7 @@ func TestDocSymbolsResolve(t *testing.T) {
 		}
 		checked := 0
 		for _, span := range docSpan.FindAllString(docFence.ReplaceAllString(string(text), ""), -1) {
-			for _, m := range docName.FindAllStringSubmatch(strings.Trim(span, "`"), -1) {
-				p, sym, member := pkgs[m[1]], m[2], m[3]
-				if p == nil || sym == "go" || metrics[m[1]+"."+sym] {
-					continue
-				}
-				checked++
-				ok := p.decls[sym]
-				if !ok { // pkg.Method, pkg.Field: a member of any type, as go doc resolves it
-					for _, members := range p.members {
-						ok = ok || members[sym]
-					}
-				} else if p.members[sym] != nil && member != "" { // pkg.Type.Member, through one alias hop
-					tp, typ := p, sym
-					if a, aliased := p.aliases[sym]; aliased && pkgs[a[0]] != nil {
-						tp, typ = pkgs[a[0]], a[1]
-					}
-					ok = tp.members[typ][member]
-				}
-				if !ok {
-					t.Errorf("%s: %s names nothing in package %s", doc, span, m[1])
-				}
-			}
+			checked += names(doc, strings.Trim(span, "`"))
 			for _, m := range docTestName.FindAllStringSubmatch(strings.Trim(span, "`"), -1) {
 				checked++
 				ok := tests[m[1]]
@@ -232,6 +245,13 @@ func TestDocSymbolsResolve(t *testing.T) {
 		if checked == 0 {
 			t.Errorf("%s: no backticked package-qualified name found; the extraction is broken", doc)
 		}
+	}
+	checked := 0
+	for path, text := range pkgDocs {
+		checked += names(path+" (package doc)", text)
+	}
+	if checked == 0 {
+		t.Error("package doc comments: no package-qualified name found; the extraction is broken")
 	}
 }
 
@@ -324,24 +344,46 @@ func shellWords(s string) []string {
 	return words
 }
 
-// TestCIPatternsResolve fails on a test name in CI or the Makefile that
-// selects nothing: go test exits 0 on a -fuzz, -bench or -run pattern
-// that matches no function ("no fuzz tests to fuzz"), so a renamed or
-// deleted target would pass silently. Every alternative of every such
-// pattern other than ^$ and . must match a function of its kind — Fuzz
-// for -fuzz, Benchmark for -bench, Test, Fuzz or Example for -run (the
-// part before a / names the top-level function) — in the packages the
-// command names.
+// markdownCode returns the code of a Markdown text, one span or fenced
+// block per line: the verify skill quotes its go test commands inline,
+// and a span may wrap.
+func markdownCode(text string) string {
+	var code []string
+	for _, fence := range docFence.FindAllString(text, -1) {
+		code = append(code, strings.Trim(fence, "`"))
+	}
+	for _, span := range docSpan.FindAllString(docFence.ReplaceAllString(text, ""), -1) {
+		code = append(code, strings.ReplaceAll(strings.Trim(span, "`"), "\n", " "))
+	}
+	return strings.Join(code, "\n")
+}
+
+// TestCIPatternsResolve fails on a test name in CI, the Makefile or a
+// skill's recipes (the verify skill's SKILL.md) that selects nothing: go test exits 0 on a
+// -fuzz, -bench or -run pattern that matches no function ("no fuzz tests
+// to fuzz"), so a renamed or deleted target would pass silently. Every
+// alternative of every such pattern other than ^$ and . must match a
+// function of its kind — Fuzz for -fuzz, Benchmark for -bench, Test,
+// Fuzz or Example for -run (for -run and -bench the part before a /
+// names the top-level function) — in the packages the command names.
 func TestCIPatternsResolve(t *testing.T) {
-	_, byDir := moduleDocPackages(t)
+	_, byDir, _ := moduleDocPackages(t)
 	kinds := map[string][]string{"-fuzz": {"Fuzz"}, "-bench": {"Benchmark"}, "-run": {"Test", "Fuzz", "Example"}}
-	for _, file := range []string{".github/workflows/ci.yml", "Makefile"} {
-		text, err := os.ReadFile(file)
+	skills, _ := filepath.Glob(".*/skills/*/SKILL.md")
+	if len(skills) == 0 {
+		t.Fatal("no skill recipe file found; the glob is broken")
+	}
+	for _, file := range append([]string{".github/workflows/ci.yml", "Makefile"}, skills...) {
+		raw, err := os.ReadFile(file)
 		if err != nil {
 			t.Fatal(err)
 		}
+		text := string(raw)
+		if strings.HasSuffix(file, ".md") {
+			text = markdownCode(text)
+		}
 		checked := 0
-		for _, cmd := range goTestCmds(string(text)) {
+		for _, cmd := range goTestCmds(text) {
 			var names []string
 			for _, pkg := range cmd.pkgs {
 				dir := strings.TrimPrefix(pkg, "./")
@@ -364,7 +406,7 @@ func TestCIPatternsResolve(t *testing.T) {
 						continue
 					}
 					for _, alt := range strings.Split(pat, "|") {
-						if flag == "-run" {
+						if flag != "-fuzz" {
 							alt, _, _ = strings.Cut(alt, "/")
 						}
 						re, err := regexp.Compile(alt)
@@ -386,7 +428,7 @@ func TestCIPatternsResolve(t *testing.T) {
 				}
 			}
 		}
-		if file == ".github/workflows/ci.yml" && checked == 0 {
+		if file != "Makefile" && checked == 0 {
 			t.Errorf("%s: no -run, -bench or -fuzz pattern found; the extraction is broken", file)
 		}
 	}

@@ -18,7 +18,7 @@ import (
 // StreamWriter writes a relation's tuples as CSV rows one at a time, so a
 // cursor plan can be persisted while it streams — tuples reach the writer
 // as they are produced, without a materialized relation in between
-// (cmd/tpquery -stream). NewStreamWriter emits the header; WriteTuple
+// (cmd/tpquery). NewStreamWriter emits the header; WriteTuple
 // appends one row; Close flushes. Write is implemented on top of it.
 type StreamWriter struct {
 	cw  *csv.Writer

@@ -239,26 +239,40 @@ func TestOSRoundTrip(t *testing.T) {
 	}
 }
 
+// TestTrigger: the chaos switch `tpserve -chaos-enospc-file` arms.
+// Mutations fail with ErrNoSpace only while the sentinel exists, reads
+// pass throughout, and Clear disarms the latch with the sentinel still
+// in place.
 func TestTrigger(t *testing.T) {
 	sentinel := filepath.Join(t.TempDir(), "enospc")
 	m := NewMem()
 	m.MkdirAll("/d", 0o755)
-	tr := NewTrigger(m, sentinel)
+	in := NewInjector(m)
+	in.FailWhileExists(sentinel, OpMutate, ErrNoSpace)
 
-	writeSyncedFile(t, tr, "/d/a", []byte("pre"))
+	writeSyncedFile(t, in, "/d/a", []byte("pre"))
 
 	if err := os.WriteFile(sentinel, nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tr.OpenFile("/d/b", os.O_CREATE|os.O_WRONLY, 0o644); !errors.Is(err, ErrNoSpace) {
+	if _, err := in.OpenFile("/d/b", os.O_CREATE|os.O_WRONLY, 0o644); !errors.Is(err, ErrNoSpace) {
 		t.Fatalf("armed open err = %v; want ErrNoSpace", err)
 	}
-	if got, err := tr.ReadFile("/d/a"); err != nil || string(got) != "pre" {
+	if got, err := in.ReadFile("/d/a"); err != nil || string(got) != "pre" {
 		t.Fatalf("armed read = %q, %v; reads must keep working", got, err)
 	}
 
 	if err := os.Remove(sentinel); err != nil {
 		t.Fatal(err)
 	}
-	writeSyncedFile(t, tr, "/d/b", []byte("post"))
+	writeSyncedFile(t, in, "/d/b", []byte("post"))
+
+	if err := os.WriteFile(sentinel, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := in.Remove("/d/b"); !errors.Is(err, ErrNoSpace) {
+		t.Fatalf("re-armed remove err = %v; want ErrNoSpace", err)
+	}
+	in.Clear()
+	writeSyncedFile(t, in, "/d/c", []byte("cleared"))
 }

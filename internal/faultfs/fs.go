@@ -4,8 +4,8 @@
 // MemFS — an in-memory filesystem that models which bytes survive a
 // power cut — with Injector, which fails a chosen operation (ENOSPC,
 // fsync error, torn write) or cuts power at an exact operation
-// boundary. Trigger injects disk-full into a live process whenever a
-// sentinel file exists, for end-to-end chaos smokes.
+// boundary. Injector.FailWhileExists injects disk-full into a live
+// process whenever a sentinel file exists, for end-to-end chaos smokes.
 package faultfs
 
 import (

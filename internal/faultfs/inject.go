@@ -55,7 +55,9 @@ var (
 //     write is torn the same way.
 //   - Fail(mask, err)/Clear(): a latched fault — every matching
 //     operation fails until cleared — for driving a live server into
-//     and out of disk failure.
+//     and out of disk failure. FailWhileExists arms the same latch only
+//     while a file exists on the host filesystem, so a process outside
+//     the server can flip it (`tpserve -chaos-enospc-file`).
 type Injector struct {
 	inner FS
 
@@ -70,6 +72,7 @@ type Injector struct {
 	torn      bool
 	latchMask Op
 	latchErr  error
+	latchPath string
 }
 
 // NewInjector wraps inner with no faults armed.
@@ -94,13 +97,19 @@ func (in *Injector) FailAt(n uint64, mask Op, err error) {
 }
 
 // Fail latches a fault on every operation matching mask until Clear.
-func (in *Injector) Fail(mask Op, err error) {
+func (in *Injector) Fail(mask Op, err error) { in.FailWhileExists("", mask, err) }
+
+// FailWhileExists is Fail's latch, armed only while a file exists at
+// path on the host filesystem: `touch` it to pull the disk out from
+// under a running process, remove it to give the disk back. An empty
+// path arms the latch unconditionally, as Fail does.
+func (in *Injector) FailWhileExists(path string, mask Op, err error) {
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	if err == nil {
 		err = ErrInjected
 	}
-	in.latchMask, in.latchErr = mask, err
+	in.latchMask, in.latchErr, in.latchPath = mask, err, path
 }
 
 // Clear disarms every fault, including a latched crash.
@@ -109,7 +118,7 @@ func (in *Injector) Clear() {
 	defer in.mu.Unlock()
 	in.crashAt, in.crashed = 0, false
 	in.failAt, in.failSeen = 0, 0
-	in.latchMask, in.latchErr = 0, nil
+	in.latchMask, in.latchErr, in.latchPath = 0, nil, ""
 }
 
 // SetTorn makes a failing or crashing write land its first half before
@@ -147,7 +156,7 @@ func (in *Injector) step(op Op) (fail error, torn bool) {
 		in.crashed = true
 		return ErrCrashed, in.torn
 	}
-	if in.latchMask&op != 0 {
+	if in.latchMask&op != 0 && (in.latchPath == "" || exists(in.latchPath)) {
 		return in.latchErr, false
 	}
 	if in.failAt != 0 && in.failMask&op != 0 {
@@ -158,6 +167,11 @@ func (in *Injector) step(op Op) (fail error, torn bool) {
 		}
 	}
 	return nil, false
+}
+
+func exists(path string) bool {
+	_, err := os.Stat(path)
+	return err == nil
 }
 
 func injErr(op, path string, err error) error {
@@ -263,91 +277,3 @@ func (f *injFile) Close() error {
 	}
 	return f.f.Close()
 }
-
-// Trigger wraps an FS and fails every durable-state mutation with
-// ErrNoSpace while a sentinel file exists on the host filesystem. It is
-// the end-to-end chaos switch: `touch` the sentinel to pull the disk
-// out from under a running server, remove it to give the disk back.
-type Trigger struct {
-	inner FS
-	path  string
-}
-
-// NewTrigger wraps inner; faults are armed whenever path exists.
-func NewTrigger(inner FS, path string) *Trigger {
-	return &Trigger{inner: inner, path: path}
-}
-
-func (t *Trigger) armed() bool {
-	_, err := os.Stat(t.path)
-	return err == nil
-}
-
-func (t *Trigger) MkdirAll(path string, perm fs.FileMode) error { return t.inner.MkdirAll(path, perm) }
-func (t *Trigger) ReadDirNames(dir string) ([]string, error)    { return t.inner.ReadDirNames(dir) }
-func (t *Trigger) ReadFile(path string) ([]byte, error)         { return t.inner.ReadFile(path) }
-
-func (t *Trigger) OpenFile(path string, flag int, perm fs.FileMode) (File, error) {
-	if t.armed() {
-		return nil, injErr("open", path, ErrNoSpace)
-	}
-	f, err := t.inner.OpenFile(path, flag, perm)
-	if err != nil {
-		return nil, err
-	}
-	return &triggerFile{t: t, f: f, path: path}, nil
-}
-
-func (t *Trigger) Remove(path string) error {
-	if t.armed() {
-		return injErr("remove", path, ErrNoSpace)
-	}
-	return t.inner.Remove(path)
-}
-
-func (t *Trigger) Rename(oldpath, newpath string) error {
-	if t.armed() {
-		return injErr("rename", oldpath, ErrNoSpace)
-	}
-	return t.inner.Rename(oldpath, newpath)
-}
-
-func (t *Trigger) SyncDir(dir string) error {
-	if t.armed() {
-		return injErr("syncdir", dir, ErrNoSpace)
-	}
-	return t.inner.SyncDir(dir)
-}
-
-type triggerFile struct {
-	t    *Trigger
-	f    File
-	path string
-}
-
-func (f *triggerFile) Write(p []byte) (int, error) {
-	if f.t.armed() {
-		return 0, injErr("write", f.path, ErrNoSpace)
-	}
-	return f.f.Write(p)
-}
-
-func (f *triggerFile) Sync() error {
-	if f.t.armed() {
-		return injErr("sync", f.path, ErrNoSpace)
-	}
-	return f.f.Sync()
-}
-
-func (f *triggerFile) Truncate(size int64) error {
-	if f.t.armed() {
-		return injErr("truncate", f.path, ErrNoSpace)
-	}
-	return f.f.Truncate(size)
-}
-
-func (f *triggerFile) Seek(offset int64, whence int) (int64, error) {
-	return f.f.Seek(offset, whence)
-}
-
-func (f *triggerFile) Close() error { return f.f.Close() }

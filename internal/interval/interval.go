@@ -92,90 +92,6 @@ func (iv Interval) Compare(o Interval) int {
 // String renders the interval in the paper's [Ts,Te) notation.
 func (iv Interval) String() string { return fmt.Sprintf("[%d,%d)", iv.Ts, iv.Te) }
 
-// AllenRelation is one of the thirteen basic relations between two intervals
-// identified by Allen (CACM 1983). The TPDB baseline grounds TP set
-// intersection with one deduction rule per overlapping relation.
-type AllenRelation int
-
-// The thirteen Allen relations of iv with respect to o.
-const (
-	AllenBefore AllenRelation = iota
-	AllenMeets
-	AllenOverlaps
-	AllenFinishedBy
-	AllenContains
-	AllenStarts
-	AllenEquals
-	AllenStartedBy
-	AllenDuring
-	AllenFinishes
-	AllenOverlappedBy
-	AllenMetBy
-	AllenAfter
-)
-
-var allenNames = [...]string{
-	"before", "meets", "overlaps", "finishedBy", "contains", "starts",
-	"equals", "startedBy", "during", "finishes", "overlappedBy", "metBy",
-	"after",
-}
-
-// String returns the conventional name of the relation.
-func (r AllenRelation) String() string {
-	if r < 0 || int(r) >= len(allenNames) {
-		return fmt.Sprintf("AllenRelation(%d)", int(r))
-	}
-	return allenNames[r]
-}
-
-// SharesPoints reports whether the relation implies that the two intervals
-// have at least one time point in common. Exactly nine of the thirteen
-// relations do; these are the cases the TPDB grounding rules enumerate
-// (the paper uses six rules because equals/starts/finishes collapse under
-// its rule formulation; we keep all nine distinct for clarity).
-func (r AllenRelation) SharesPoints() bool {
-	switch r {
-	case AllenBefore, AllenMeets, AllenMetBy, AllenAfter:
-		return false
-	}
-	return true
-}
-
-// Allen classifies the relation of iv with respect to o.
-func Allen(iv, o Interval) AllenRelation {
-	switch {
-	case iv.Te < o.Ts:
-		return AllenBefore
-	case iv.Te == o.Ts:
-		return AllenMeets
-	case o.Te < iv.Ts:
-		return AllenAfter
-	case o.Te == iv.Ts:
-		return AllenMetBy
-	}
-	// The intervals overlap in at least one point.
-	switch {
-	case iv.Ts == o.Ts && iv.Te == o.Te:
-		return AllenEquals
-	case iv.Ts == o.Ts && iv.Te < o.Te:
-		return AllenStarts
-	case iv.Ts == o.Ts && iv.Te > o.Te:
-		return AllenStartedBy
-	case iv.Te == o.Te && iv.Ts > o.Ts:
-		return AllenFinishes
-	case iv.Te == o.Te && iv.Ts < o.Ts:
-		return AllenFinishedBy
-	case iv.Ts > o.Ts && iv.Te < o.Te:
-		return AllenDuring
-	case iv.Ts < o.Ts && iv.Te > o.Te:
-		return AllenContains
-	case iv.Ts < o.Ts:
-		return AllenOverlaps
-	default:
-		return AllenOverlappedBy
-	}
-}
-
 // SplitAt splits iv at time point t. When t lies strictly inside the
 // interval, both halves are returned; otherwise left holds iv and ok is
 // false.

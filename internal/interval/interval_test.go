@@ -1,7 +1,6 @@
 package interval
 
 import (
-	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -106,65 +105,6 @@ func TestCompare(t *testing.T) {
 	}
 }
 
-func TestAllenRelations(t *testing.T) {
-	b := New(10, 20)
-	cases := []struct {
-		a    Interval
-		want AllenRelation
-	}{
-		{New(1, 5), AllenBefore},
-		{New(1, 10), AllenMeets},
-		{New(5, 15), AllenOverlaps},
-		{New(5, 20), AllenFinishedBy},
-		{New(5, 25), AllenContains},
-		{New(10, 15), AllenStarts},
-		{New(10, 20), AllenEquals},
-		{New(10, 25), AllenStartedBy},
-		{New(12, 18), AllenDuring},
-		{New(15, 20), AllenFinishes},
-		{New(15, 25), AllenOverlappedBy},
-		{New(20, 25), AllenMetBy},
-		{New(25, 30), AllenAfter},
-	}
-	for _, c := range cases {
-		if got := Allen(c.a, b); got != c.want {
-			t.Errorf("Allen(%v, %v) = %v, want %v", c.a, b, got, c.want)
-		}
-	}
-}
-
-// TestAllenPartition: exactly one Allen relation holds for any pair, and
-// SharesPoints agrees with Overlaps.
-func TestAllenPartition(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	mk := func() Interval {
-		ts := Time(rng.Intn(20))
-		return New(ts, ts+1+Time(rng.Intn(10)))
-	}
-	for i := 0; i < 5000; i++ {
-		a, b := mk(), mk()
-		rel := Allen(a, b)
-		if rel.SharesPoints() != a.Overlaps(b) {
-			t.Fatalf("Allen(%v,%v)=%v: SharesPoints=%v but Overlaps=%v",
-				a, b, rel, rel.SharesPoints(), a.Overlaps(b))
-		}
-		// Inverse relation sanity: Allen(b,a) must be the converse.
-		conv := map[AllenRelation]AllenRelation{
-			AllenBefore: AllenAfter, AllenAfter: AllenBefore,
-			AllenMeets: AllenMetBy, AllenMetBy: AllenMeets,
-			AllenOverlaps: AllenOverlappedBy, AllenOverlappedBy: AllenOverlaps,
-			AllenStarts: AllenStartedBy, AllenStartedBy: AllenStarts,
-			AllenFinishes: AllenFinishedBy, AllenFinishedBy: AllenFinishes,
-			AllenDuring: AllenContains, AllenContains: AllenDuring,
-			AllenEquals: AllenEquals,
-		}
-		if got := Allen(b, a); got != conv[rel] {
-			t.Fatalf("Allen(%v,%v)=%v but Allen reversed = %v (want %v)",
-				a, b, rel, got, conv[rel])
-		}
-	}
-}
-
 // Property: Intersect is the set intersection of contained points.
 func TestIntersectPointwiseProperty(t *testing.T) {
 	f := func(a1, d1, a2, d2 uint8) bool {
@@ -182,14 +122,5 @@ func TestIntersectPointwiseProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestAllenString(t *testing.T) {
-	if AllenBefore.String() != "before" || AllenEquals.String() != "equals" {
-		t.Error("Allen names wrong")
-	}
-	if AllenRelation(99).String() == "" {
-		t.Error("out-of-range Allen name empty")
 	}
 }

@@ -28,7 +28,9 @@ import (
 // client learns the schema at µs-scale TTFT); the first batch is
 // deliberately small (streamRampBatch, so the first results reach the
 // client after a handful of sweep outputs; the engine's shard producers
-// ramp the same way), later ones are streamBatchTuples. A batch fill
+// fill full core.GetBatch blocks and need no ramp, because the
+// concatenation emits as soon as shard 0 has a block), later ones are
+// streamBatchTuples. A batch fill
 // itself runs at sweep speed, so between flushes the client waits on
 // computation, not on buffering. The server never materializes the
 // result relation. The trailer marks a complete stream: clients that do
