@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: lint fmt vet bench-check bench-sparse bench-lib test test-race
+.PHONY: lint fmt vet bench-check bench-dense bench-sparse bench-lib test test-race
 
 lint: fmt vet bench-check
 
@@ -19,6 +19,14 @@ vet:
 # benchmark/layers.go calls shows up here, not in tier-1.
 bench-check:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
+
+# The per-layer budget of the output-bound workload (lineage concat,
+# render and probability, the wire encoder, socket writes), one traced
+# run of the standing benchmark; the JSON line comes last. Its
+# server.encode_* layers still time the harness's own reflection loop
+# at 256-row batches, not the handler's encoder.
+bench-dense:
+	bash benchmark/run.sh --workload dense-stream --seed 1 --seconds 10 --trace 1
 
 # The per-layer budget of the workload the engine's sharding is judged
 # on (plan/drain/alloc per operation, shard count, HTTP residual), one

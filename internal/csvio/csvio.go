@@ -102,8 +102,9 @@ var utf8BOM = []byte{0xEF, 0xBB, 0xBF}
 // and LazyQuotes off: a leading UTF-8 BOM is stripped, CRLF line endings
 // read as LF inside and outside quotes, a final '\r' is dropped, blank
 // lines are skipped, and a bare or stray quote is an error. Every row's
-// leaf is built by one lineage.Vars batch. An error names the physical
-// line its record starts on.
+// leaf is built by one lineage.Vars batch, in canonical (fact, Ts, Te)
+// order — the rows themselves keep the file's order. An error names the
+// physical line its record starts on.
 func Read(rd io.Reader, name string) (*relation.Relation, error) {
 	data, err := io.ReadAll(rd)
 	if err != nil {
@@ -152,7 +153,6 @@ func parse(data []byte, name string) (*relation.Relation, error) {
 	rows := make([]relation.Tuple, 0, most)
 	facts := make([]string, most*nf)
 	names := make([]string, 0, most)
-	probs := make([]float64, 0, most)
 	row := make([]string, 0, len(header))
 	for {
 		row, line, err = sp.next(row[:0])
@@ -206,10 +206,6 @@ func parse(data []byte, name string) (*relation.Relation, error) {
 		copy(fact, row[:nf])
 		rows = append(rows, relation.Tuple{Fact: fact, T: interval.New(ts, te), Prob: p})
 		names = append(names, row[nf])
-		probs = append(probs, p)
-	}
-	for i, leaf := range lineage.Vars(names, probs) {
-		rows[i].Lineage = leaf
 	}
 	if len(rows) > 0 {
 		rel.Tuples = rows
@@ -217,10 +213,46 @@ func parse(data []byte, name string) (*relation.Relation, error) {
 	// Construct interned fact ids at ingest: the duplicate check below and
 	// every later sort/sweep over this relation run on integer compares.
 	rel.Intern()
-	if err := rel.ValidateDuplicateFree(); err != nil {
+	rank, err := rel.CanonicalRanks()
+	if err != nil {
 		return nil, fmt.Errorf("csvio: %w", err)
 	}
+	// The leaves are built in the order the duplicate check sorted the
+	// rows into, which is the order every sorted copy and every result
+	// lists them in: fresh variable ids, the arena's copies of their
+	// names and their marginal-text slots ascend along the output, not
+	// along the file. Interning reads the names in that order, so they
+	// are first packed back to back, where a read out of file order
+	// stays in cache; the rows are walked in file order.
+	pack(names)
+	sorted := make([]string, len(rank))
+	probs := make([]float64, len(rank))
+	for i, j := range rank {
+		sorted[j], probs[j] = names[i], rows[i].Prob
+	}
+	leaves := lineage.Vars(sorted, probs)
+	for i, j := range rank {
+		rows[i].Lineage = leaves[j]
+	}
 	return rel, nil
+}
+
+// pack points every string of ss into one allocation that holds them
+// back to back, in order.
+func pack(ss []string) {
+	n := 0
+	for _, s := range ss {
+		n += len(s)
+	}
+	var b strings.Builder
+	b.Grow(n)
+	for _, s := range ss {
+		b.WriteString(s)
+	}
+	all := b.String()
+	for i, s := range ss {
+		ss[i], all = all[:len(s)], all[len(s):]
+	}
 }
 
 // normalize returns the text the splitter reads — data without a leading

@@ -2,6 +2,7 @@ package csvio
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -226,5 +227,36 @@ func TestReadAllocations(t *testing.T) {
 	t.Logf("%.0f allocations for %d rows", allocs, r.Len())
 	if allocs > 256 {
 		t.Fatalf("ReadFile made %.0f allocations for %d rows, want at most 256", allocs, r.Len())
+	}
+}
+
+// TestReadNumbersVariablesInRowOrder pins the order leaves are built
+// in: a file written in generation order (the facts round-robin, as
+// datagen emits them) is read, sorted into canonical order, and the
+// fresh variable ids then ascend along the rows — the sort moves rows,
+// never ids, so they were assigned in canonical order at ingest. The
+// names are this test's own, so they are fresh to the arena.
+func TestReadNumbersVariablesInRowOrder(t *testing.T) {
+	const facts, perFact = 7, 40
+	var b strings.Builder
+	b.WriteString("Fact,lineage,ts,te,p\n")
+	for k := 0; k < perFact; k++ {
+		for f := 0; f < facts; f++ {
+			fmt.Fprintf(&b, "f%02d,csvio.order.g%d,%d,%d,0.5\n", f, k*facts+f, 10*k, 10*k+5)
+		}
+	}
+	r, err := Read(strings.NewReader(b.String()), "g")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Tuples[0].Lineage.ID() != "csvio.order.g0" || r.Tuples[1].Lineage.ID() != "csvio.order.g1" {
+		t.Fatalf("rows moved at ingest: %v, %v", r.Tuples[0].Lineage, r.Tuples[1].Lineage)
+	}
+	r.Sort()
+	for i := 1; i < len(r.Tuples); i++ {
+		if a, b := r.Tuples[i-1].Lineage, r.Tuples[i].Lineage; a.VarID() >= b.VarID() {
+			t.Fatalf("row %d: %s has id %d after %s's %d; want ids ascending along the sorted rows",
+				i, b, b.VarID(), a, a.VarID())
+		}
 	}
 }

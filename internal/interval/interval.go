@@ -25,9 +25,6 @@ func New(ts, te Time) Interval {
 	return Interval{Ts: ts, Te: te}
 }
 
-// Valid reports whether the interval is non-empty.
-func (iv Interval) Valid() bool { return iv.Ts < iv.Te }
-
 // Duration returns the number of time points in the interval.
 func (iv Interval) Duration() int64 { return iv.Te - iv.Ts }
 
@@ -40,9 +37,6 @@ func (iv Interval) Overlaps(o Interval) bool { return iv.Ts < o.Te && o.Ts < iv.
 // Adjacent reports whether the two intervals meet without overlapping,
 // i.e. one ends exactly where the other starts.
 func (iv Interval) Adjacent(o Interval) bool { return iv.Te == o.Ts || o.Te == iv.Ts }
-
-// ContainsInterval reports whether o lies fully within iv.
-func (iv Interval) ContainsInterval(o Interval) bool { return iv.Ts <= o.Ts && o.Te <= iv.Te }
 
 // Intersect returns the common subinterval of iv and o. The boolean result
 // is false when the intervals do not overlap, in which case the returned
@@ -70,10 +64,6 @@ func (iv Interval) Union(o Interval) (Interval, bool) {
 // Equal reports whether the two intervals cover exactly the same points.
 func (iv Interval) Equal(o Interval) bool { return iv == o }
 
-// Before reports whether iv lies strictly before o with a gap in between
-// (Allen's "before").
-func (iv Interval) Before(o Interval) bool { return iv.Te < o.Ts }
-
 // Compare orders intervals by (Ts, Te). It returns -1, 0 or +1.
 func (iv Interval) Compare(o Interval) int {
 	switch {
@@ -91,16 +81,6 @@ func (iv Interval) Compare(o Interval) int {
 
 // String renders the interval in the paper's [Ts,Te) notation.
 func (iv Interval) String() string { return fmt.Sprintf("[%d,%d)", iv.Ts, iv.Te) }
-
-// SplitAt splits iv at time point t. When t lies strictly inside the
-// interval, both halves are returned; otherwise left holds iv and ok is
-// false.
-func (iv Interval) SplitAt(t Time) (left, right Interval, ok bool) {
-	if t <= iv.Ts || t >= iv.Te {
-		return iv, Interval{}, false
-	}
-	return Interval{iv.Ts, t}, Interval{t, iv.Te}, true
-}
 
 func min64(a, b int64) int64 {
 	if a < b {

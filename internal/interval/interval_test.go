@@ -20,7 +20,7 @@ func TestNewPanicsOnEmpty(t *testing.T) {
 
 func TestBasicPredicates(t *testing.T) {
 	iv := New(2, 5) // {2,3,4}
-	if !iv.Valid() || iv.Duration() != 3 {
+	if iv.Duration() != 3 {
 		t.Fatalf("bad interval %v", iv)
 	}
 	for _, tc := range []struct {
@@ -79,19 +79,6 @@ func TestIntersectUnion(t *testing.T) {
 	}
 	if u, ok := New(1, 2).Union(New(2, 4)); !ok || u != New(1, 4) {
 		t.Errorf("adjacent union: %v %v", u, ok)
-	}
-}
-
-func TestSplitAt(t *testing.T) {
-	l, r, ok := New(1, 5).SplitAt(3)
-	if !ok || l != New(1, 3) || r != New(3, 5) {
-		t.Fatalf("split: %v %v %v", l, r, ok)
-	}
-	if _, _, ok := New(1, 5).SplitAt(1); ok {
-		t.Error("split at start must fail")
-	}
-	if _, _, ok := New(1, 5).SplitAt(5); ok {
-		t.Error("split at end must fail")
 	}
 }
 

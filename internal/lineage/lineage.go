@@ -221,7 +221,10 @@ func VarNames() []string { return vars.Names() }
 // AppendString appends the rendering of e — the bytes of String() — to
 // dst and returns the extended slice. names is a VarNames snapshot taken
 // after e was built, so rendering into a reused buffer neither allocates
-// nor touches the arena lock.
+// nor touches the arena lock; a table indexed the same way that holds
+// each name in another form — the query service's JSON-escaped view —
+// renders the formula in that form, with the connectives and
+// parentheses as they are.
 func (e *Expr) AppendString(dst []byte, names []string) []byte {
 	if e == nil {
 		return append(dst, "null"...)

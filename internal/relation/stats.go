@@ -2,6 +2,7 @@ package relation
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 
@@ -25,7 +26,9 @@ type Stats struct {
 
 // ComputeStats scans the relation once (plus an event sort) and fills a
 // Stats. The per-point densities are evaluated at event points, which is
-// where the maxima occur.
+// where the maxima occur. A span wider than math.MaxInt64 points — the
+// time domain is all of int64 — reads as math.MaxInt64, and the average
+// duration is summed in float64, so neither wraps.
 func ComputeStats(r *Relation) Stats {
 	var s Stats
 	s.Cardinality = len(r.Tuples)
@@ -33,7 +36,7 @@ func ComputeStats(r *Relation) Stats {
 		return s
 	}
 	dom, _ := r.TimeDomain()
-	s.TimeRange = dom.Duration()
+	s.TimeRange = span(dom)
 
 	facts := make(map[string]struct{})
 	type event struct {
@@ -41,12 +44,12 @@ func ComputeStats(r *Relation) Stats {
 		delta int
 	}
 	events := make([]event, 0, 2*len(r.Tuples))
-	var totalDur int64
-	s.MinDuration = r.Tuples[0].T.Duration()
+	var totalDur float64
+	s.MinDuration = span(r.Tuples[0].T)
 	for i := range r.Tuples {
 		t := &r.Tuples[i]
-		d := t.T.Duration()
-		totalDur += d
+		d := span(t.T)
+		totalDur += float64(d)
 		if d < s.MinDuration {
 			s.MinDuration = d
 		}
@@ -56,7 +59,7 @@ func ComputeStats(r *Relation) Stats {
 		facts[r.KeyAt(i)] = struct{}{}
 		events = append(events, event{t.T.Ts, 1}, event{t.T.Te, -1})
 	}
-	s.AvgDuration = float64(totalDur) / float64(s.Cardinality)
+	s.AvgDuration = totalDur / float64(s.Cardinality)
 	s.NumFacts = len(facts)
 
 	sort.Slice(events, func(i, j int) bool {
@@ -83,6 +86,12 @@ func ComputeStats(r *Relation) Stats {
 		s.AvgPerPoint = float64(sumActive) / float64(points)
 	}
 	return s
+}
+
+// span returns the number of time points in iv, saturated at
+// math.MaxInt64: Te − Ts of a valid interval is exact in uint64.
+func span(iv interval.Interval) int64 {
+	return int64(min(uint64(iv.Te)-uint64(iv.Ts), math.MaxInt64))
 }
 
 // String renders the stats in the layout of Table IV.

@@ -566,7 +566,7 @@ func TestStreamMetricsOnEarlyExits(t *testing.T) {
 		rec := httptest.NewRecorder()
 		streamDirect(srv, rec, QueryRequest{Query: "r | s"})
 		tuples, trailer := parseStream(t, rec.Body.Bytes())
-		if !trailer.Done || tuples <= streamRampBatch+streamBatchTuples {
+		if !trailer.Done || tuples <= streamRampBatch+core.BatchSize {
 			t.Fatalf("trailer %+v after %d tuples; want a complete multi-batch stream", trailer, tuples)
 		}
 		check(t, srv, tuples, int64(rec.Body.Len()))
@@ -610,7 +610,7 @@ func TestStreamMetricsOnEarlyExits(t *testing.T) {
 		srv, _ := newGovTestServer(t, Config{Workers: 1})
 		w := &droppingWriter{ok: 3} // meta line, ramp batch, one steady batch
 		streamDirect(srv, w, QueryRequest{Query: "r | s"})
-		check(t, srv, streamRampBatch+streamBatchTuples, w.accepted)
+		check(t, srv, streamRampBatch+core.BatchSize, w.accepted)
 	})
 }
 

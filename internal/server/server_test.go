@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -124,6 +125,47 @@ func TestHandlersTable(t *testing.T) {
 				t.Fatalf("Content-Type %q", got)
 			}
 		})
+	}
+}
+
+// TestStatsSaturateAtTheTimeDomainEdges pins GET /stats/{name} on
+// tuples at both ends of the int64 time domain: a span wider than
+// math.MaxInt64 points reads as math.MaxInt64 instead of wrapping
+// negative, and the average duration does not wrap either.
+func TestStatsSaturateAtTheTimeDomainEdges(t *testing.T) {
+	const lo, hi = math.MinInt64, math.MaxInt64
+	s, ts := newTestServer(t)
+	whole := relation.New(relation.NewSchema("whole", "F"))
+	whole.AddBase(relation.NewFact("x"), "whole1", lo, hi, 0.5)
+	ends := relation.New(relation.NewSchema("ends", "F"))
+	ends.AddBase(relation.NewFact("x"), "ends1", lo, lo+1, 0.5)
+	ends.AddBase(relation.NewFact("x"), "ends2", hi-1, hi, 0.5)
+	for _, r := range []*relation.Relation{whole, ends} {
+		if _, err := s.Load(r.Schema.Name, r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, c := range []struct {
+		name          string
+		rng, min, max int64
+		avg           float64
+	}{
+		{"whole", hi, hi, hi, hi},
+		{"ends", hi, 1, 1, 1},
+	} {
+		resp, body := do(t, "GET", ts.URL+"/stats/"+c.name, nil)
+		if resp.StatusCode != 200 {
+			t.Fatalf("%s: status %d: %s", c.name, resp.StatusCode, body)
+		}
+		var got struct{ Stats relation.Stats }
+		if err := json.Unmarshal(body, &got); err != nil {
+			t.Fatal(err)
+		}
+		st := got.Stats
+		if st.TimeRange != c.rng || st.MinDuration != c.min || st.MaxDuration != c.max || st.AvgDuration != c.avg {
+			t.Errorf("%s: time range %d, durations %d..%d avg %v; want %d, %d..%d avg %v",
+				c.name, st.TimeRange, st.MinDuration, st.MaxDuration, st.AvgDuration, c.rng, c.min, c.max, c.avg)
+		}
 	}
 }
 

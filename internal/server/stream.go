@@ -29,10 +29,13 @@ import (
 // deliberately small (streamRampBatch, so the first results reach the
 // client after a handful of sweep outputs; the engine's shard producers
 // fill full core.GetBatch blocks and need no ramp, because the
-// concatenation emits as soon as shard 0 has a block), later ones are
-// streamBatchTuples. A batch fill
-// itself runs at sweep speed, so between flushes the client waits on
-// computation, not on buffering. The server never materializes the
+// concatenation emits as soon as shard 0 has a block), and every later
+// one is a pooled engine block of core.BatchSize rows, the unit the
+// plan produces. That block is the flush cadence: a client sees at most
+// core.BatchSize rows go stale between flushes, and each flush costs a
+// few write(2) calls and a client wakeup whatever its size. A batch
+// fill itself runs at sweep speed, so between flushes the client waits
+// on computation, not on buffering. The server never materializes the
 // result relation. The trailer marks a complete stream: clients that do
 // not see it must treat the result as truncated (once streaming starts,
 // HTTP offers no other way to signal a broken transfer).
@@ -44,12 +47,8 @@ import (
 // streamRampBatch is the capacity of the first tuple batch of a
 // stream: small, so the first results ship after a few windows instead
 // of after a full core.BatchSize fill on highly selective queries.
+// Every later batch is a pooled core.BatchSize block.
 const streamRampBatch = 64
-
-// streamBatchTuples is the capacity of every later batch — the write
-// and flush cadence of the stream: at most this many tuples are encoded
-// before the client sees them.
-const streamBatchTuples = 256
 
 // StreamMeta is the first NDJSON line of a /query/stream response.
 type StreamMeta struct {
@@ -177,7 +176,12 @@ func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request) {
 		}
 
 		limit := s.cfg.MaxResultTuples
-		b := core.NewBatch(streamRampBatch) // unpooled: stream-local cadence sizes
+		b := core.NewBatch(streamRampBatch) // unpooled: the ramp is stream-local
+		defer func() {
+			if b.Cap() == core.BatchSize {
+				core.PutBatch(b) // the steady block; the ramp is garbage
+			}
+		}()
 		for cur.NextBatch(b) {
 			if testHookStreamBatch != nil {
 				testHookStreamBatch(count, b)
@@ -205,8 +209,8 @@ func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request) {
 			}
 			if b.Cap() == streamRampBatch {
 				// The ramp batch has shipped (time to first tuple); switch
-				// to the steady cadence size.
-				b = core.NewBatch(streamBatchTuples)
+				// to the engine's block.
+				b = core.GetBatch()
 			}
 		}
 		return nil

@@ -9,6 +9,7 @@ import (
 	"runtime"
 	"testing"
 
+	"github.com/tpset/tpset/internal/core"
 	"github.com/tpset/tpset/internal/datagen"
 	"github.com/tpset/tpset/internal/relation"
 )
@@ -99,37 +100,40 @@ func (w *countingResponseWriter) Write(p []byte) (int, error) {
 	return w.rec.Write(p)
 }
 
-// TestStreamWriteCount asserts the batched stream handler performs far
-// fewer ResponseWriter writes than tuples streamed: one per batch plus
-// the meta and trailer lines, not one per tuple.
+// TestStreamWriteCount pins the write cadence of the stream handler:
+// one ResponseWriter write for the meta line, one for the ramp batch,
+// one per engine block (core.BatchSize rows) after it and one for the
+// trailer — each one a syscall on a real connection and a wakeup of the
+// client. It runs sequential and sharded, because a sharded plan's
+// blocks reach the handler through the engine's concatenation.
 func TestStreamWriteCount(t *testing.T) {
-	s, _ := newTestServer(t)
-	big := datagen.Synthetic(datagen.SyntheticConfig{
-		Name: "big", NumTuples: 6000, NumFacts: 60, MaxLen: 3, MaxGap: 3, Seed: 6,
-	})
-	if _, err := s.Load("big", big); err != nil {
-		t.Fatal(err)
-	}
+	for _, workers := range []int{1, 2} {
+		s := New(Config{Workers: workers})
+		big := datagen.Synthetic(datagen.SyntheticConfig{
+			Name: "big", NumTuples: 6000, NumFacts: 60, MaxLen: 3, MaxGap: 3, Seed: 6,
+		})
+		if _, err := s.Load("big", big); err != nil {
+			t.Fatal(err)
+		}
 
-	body, _ := json.Marshal(QueryRequest{Query: "big | big"})
-	req := httptest.NewRequest("POST", "/query/stream", bytes.NewReader(body))
-	cw := &countingResponseWriter{rec: httptest.NewRecorder()}
-	s.Handler().ServeHTTP(cw, req)
+		body, _ := json.Marshal(QueryRequest{Query: "big | big"})
+		req := httptest.NewRequest("POST", "/query/stream", bytes.NewReader(body))
+		cw := &countingResponseWriter{rec: httptest.NewRecorder()}
+		s.Handler().ServeHTTP(cw, req)
 
-	if cw.rec.Code != 200 {
-		t.Fatalf("status %d: %s", cw.rec.Code, cw.rec.Body.Bytes())
-	}
-	lines := bytes.Count(cw.rec.Body.Bytes(), []byte("\n"))
-	tuples := lines - 2 // minus meta and trailer
-	if tuples < 2000 {
-		t.Fatalf("only %d tuples streamed; want a stream large enough to measure", tuples)
-	}
-	// The pre-batching handler issued one write per tuple (plus meta and
-	// trailer). Allow generous slack for buffer-boundary writes: even
-	// 1/20th would already fail the old write pattern.
-	if maxWrites := tuples / 20; cw.writes > maxWrites {
-		t.Fatalf("%d ResponseWriter writes for %d tuples; batched encoding should need at most %d",
-			cw.writes, tuples, maxWrites)
+		if cw.rec.Code != 200 {
+			t.Fatalf("status %d: %s", cw.rec.Code, cw.rec.Body.Bytes())
+		}
+		lines := bytes.Count(cw.rec.Body.Bytes(), []byte("\n"))
+		tuples := lines - 2 // minus meta and trailer
+		if tuples < 4*core.BatchSize {
+			t.Fatalf("only %d tuples streamed; want a stream of several blocks", tuples)
+		}
+		blocks := (tuples - streamRampBatch + core.BatchSize - 1) / core.BatchSize
+		if want := 1 + 1 + blocks + 1; cw.writes > want {
+			t.Fatalf("workers=%d: %d ResponseWriter writes for %d tuples; want at most %d (meta, ramp, %d blocks of %d, trailer)",
+				workers, cw.writes, tuples, want, blocks, core.BatchSize)
+		}
 	}
 }
 

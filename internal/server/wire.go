@@ -3,8 +3,10 @@ package server
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"unicode/utf8"
 
 	"github.com/tpset/tpset/internal/core"
@@ -22,23 +24,29 @@ import (
 // QueryResponse structs, which stay the decode side of the format;
 // FuzzWireEncode holds the two together.
 //
-// buf accumulates output until the caller writes it; lam and vps are
-// per-tuple scratch. A warmed encoder appends a tuple without
-// allocating.
+// buf accumulates output until the caller writes it; vps is per-tuple
+// scratch, and head is the opening of the last row up to its lineage
+// string — `{"fact":[…],"lineage":"` — kept with the fact it renders
+// until the next snapshot, so that a run of rows of one fact (output is
+// in fact order) escapes the fact once. A warmed encoder appends a tuple without allocating.
 //
-// names and texts are the encoder's view of the variable arena and of
-// the marginal-text table beside it, taken by snapshot once per batch
-// or relation so that neither is locked or counted per tuple: names
-// resolve every formula built before the snapshot, and texts holds the
-// bytes appendJSONFloat already produced for a base tuple's marginal —
-// the same probability is shipped with every output row that mentions
-// the tuple, and rendering it is the dearest thing on the row.
+// names, wire and texts are the encoder's view of the variable arena,
+// of its escaped form (escapedNames: the same table unless some name
+// needs escaping) and of the marginal-text table beside them, taken by
+// snapshot once per batch or relation so that none is locked or
+// counted per tuple: names and wire resolve every formula built before
+// the snapshot, and texts holds the bytes appendJSONFloat already
+// produced for a base tuple's marginal — the same probability is
+// shipped with every output row that mentions the tuple, and rendering
+// it is the dearest thing on the row.
 type wireEncoder struct {
-	buf []byte
-	lam []byte            // one rendered formula, before escaping
-	vps []lineage.VarProb // one formula's sorted marginals
+	buf  []byte
+	vps  []lineage.VarProb // one formula's sorted marginals
+	head []byte            // the last row's opening; empty: none rendered
+	fact relation.Fact     // the fact head renders
 
 	names []string
+	wire  []string
 	texts lineage.MarginalTexts
 }
 
@@ -50,14 +58,91 @@ func getWireEncoder() *wireEncoder {
 	return e
 }
 
-func (e *wireEncoder) release() { wireEncoderPool.Put(e) }
+// release returns the encoder to the pool; the pool holds no rows.
+func (e *wireEncoder) release() {
+	e.fact = nil
+	wireEncoderPool.Put(e)
+}
 
 // snapshot readies the encoder for tuples whose lineage was built
 // before the call; e.texts.Flush() afterwards hands the table the
 // counts of the tuples encoded since.
 func (e *wireEncoder) snapshot() {
+	// A row's opening is reused within one batch or relation body, whose
+	// rows are read-only while they are encoded.
+	e.head = e.head[:0]
 	e.names = lineage.VarNames()
+	e.wire = escapedNames(e.names)
 	e.texts = lineage.SnapshotMarginalTexts()
+}
+
+// wireView is the variable arena as a JSON string carries it: the
+// name of variable id escaped as appendJSONString escapes it, without
+// the quotes. Every name the CSV and PUT decoders admit reads as it is,
+// and as long as every name in the arena does, the view is the arena's
+// own snapshot — no second table, and one array for the encoder to
+// read per variable. The first name that needs escaping gives the view
+// a table of its own: one string header per variable, sharing the
+// name's string where nothing changed. Like the arena the view is
+// process-wide and append-only: a name is looked at once, by the first
+// snapshot that covers it, and a published state is never rewritten,
+// so it is read without a lock; growth appends past the length any
+// reader holds, or moves to a new array.
+var wireView struct {
+	mu  sync.Mutex // serializes growth
+	cur atomic.Pointer[nameView]
+}
+
+// nameView is one published state of wireView.
+type nameView struct {
+	esc     []string // nil while every name looked at reads as it is
+	checked int      // arena names looked at
+}
+
+// escapedNames returns the escaped view of the arena snapshot names: a
+// table that resolves every id names resolves. Formulas rendered
+// through it with lineage.Expr.AppendString are the inside of their
+// JSON string.
+func escapedNames(names []string) []string {
+	v := wireView.cur.Load()
+	if v == nil || v.checked < len(names) {
+		v = growWireView(names)
+	}
+	if v.esc == nil {
+		return names
+	}
+	return v.esc
+}
+
+// growWireView looks at the names the view has not covered yet and
+// publishes the state that covers names.
+func growWireView(names []string) *nameView {
+	wireView.mu.Lock()
+	defer wireView.mu.Unlock()
+	v := wireView.cur.Load()
+	if v == nil {
+		v = new(nameView)
+	}
+	if v.checked >= len(names) {
+		return v
+	}
+	esc := v.esc
+	var buf []byte
+	for i := v.checked; i < len(names); i++ {
+		name := names[i]
+		if buf = appendJSONString(buf[:0], name); len(buf) != len(name)+2 { // escaping only lengthens
+			if esc == nil {
+				esc = append(make([]string, 0, len(names)), names[:i]...)
+			}
+			name = string(buf[1 : len(buf)-1])
+		}
+		if esc != nil {
+			esc = append(esc, name)
+		}
+	}
+	v = &nameView{esc: esc, checked: len(names)}
+	wireView.cur.Store(v)
+	return v
 }
 
 // marginal appends the marginal p of variable id as appendJSONFloat
@@ -83,23 +168,11 @@ func (e *wireEncoder) marginal(b []byte, id keys.VarID, p float64) ([]byte, bool
 // valid. lam must have been built before the encoder's last snapshot.
 func (e *wireEncoder) tuple(fact relation.Fact, lam *lineage.Expr, ts, te int64, p float64) error {
 	start := len(e.buf)
-	b := e.buf
-	if fact == nil {
-		b = append(b, `{"fact":null`...)
-	} else {
-		b = append(b, `{"fact":[`...)
-		for i, v := range fact {
-			if i > 0 {
-				b = append(b, ',')
-			}
-			b = appendJSONString(b, v)
-		}
-		b = append(b, ']')
-	}
-	b = append(b, `,"lineage":`...)
-	e.lam = lam.AppendString(e.lam[:0], e.names)
-	b = appendJSONString(b, e.lam)
-	b = append(b, `,"ts":`...)
+	b := append(e.buf, e.factHead(fact)...)
+	// The view's names are escaped and the connectives and parentheses
+	// need no escaping, so the rendering is the string's content.
+	b = lam.AppendString(b, e.wire)
+	b = append(b, `","ts":`...)
 	b = strconv.AppendInt(b, ts, 10)
 	b = append(b, `,"te":`...)
 	b = strconv.AppendInt(b, te, 10)
@@ -120,14 +193,18 @@ func (e *wireEncoder) tuple(fact relation.Fact, lam *lineage.Expr, ts, te int64,
 		return fmt.Errorf("probability %v has no JSON encoding", p)
 	}
 	if lam != nil && !bare {
+		// Sorted by the raw name, as encoding/json orders the map's keys;
+		// only the output is escaped, because escaping can change the
+		// order (a" sorts before a#, its escaped form a\" after it).
 		e.vps = lam.AppendVarProbs(e.vps[:0], e.names)
 		b = append(b, `,"varProbs":{`...)
 		for i, vp := range e.vps {
 			if i > 0 {
 				b = append(b, ',')
 			}
-			b = appendJSONString(b, vp.Name)
-			b = append(b, ':')
+			b = append(b, '"')
+			b = append(b, e.wire[vp.ID]...)
+			b = append(b, '"', ':')
 			if b, ok = e.marginal(b, vp.ID, vp.Prob); !ok {
 				e.buf = b[:start]
 				return fmt.Errorf("marginal %v of variable %q has no JSON encoding", vp.Prob, vp.Name)
@@ -137,6 +214,30 @@ func (e *wireEncoder) tuple(fact relation.Fact, lam *lineage.Expr, ts, te int64,
 	}
 	e.buf = append(b, '}')
 	return nil
+}
+
+// factHead returns a row's opening up to its lineage string,
+// `{"fact":[…],"lineage":"` (`{"fact":null,…` for a nil fact),
+// rendering it only when fact differs from the previous row's.
+func (e *wireEncoder) factHead(fact relation.Fact) []byte {
+	if len(e.head) > 0 && (fact == nil) == (e.fact == nil) && slices.Equal(fact, e.fact) {
+		return e.head
+	}
+	h := e.head[:0]
+	if fact == nil {
+		h = append(h, `{"fact":null`...)
+	} else {
+		h = append(h, `{"fact":[`...)
+		for i, v := range fact {
+			if i > 0 {
+				h = append(h, ',')
+			}
+			h = appendJSONString(h, v)
+		}
+		h = append(h, ']')
+	}
+	e.head, e.fact = append(h, `,"lineage":"`...), fact
+	return e.head
 }
 
 // batchLines appends the rows of b as NDJSON lines. It returns the
@@ -276,7 +377,7 @@ var jsonSafe = func() (t [utf8.RuneSelf]bool) {
 // exactly as encoding/json does with HTML escaping off: quote and
 // backslash, \b \f \n \r \t, other control bytes as \u00XX, invalid
 // UTF-8 as the six bytes \ufffd, and U+2028/U+2029 as \u2028/\u2029.
-func appendJSONString[S string | []byte](dst []byte, src S) []byte {
+func appendJSONString(dst []byte, src string) []byte {
 	dst = append(dst, '"')
 	start := 0
 	for i := 0; i < len(src); {
@@ -307,8 +408,7 @@ func appendJSONString[S string | []byte](dst []byte, src S) []byte {
 			start = i
 			continue
 		}
-		// The conversion of at most UTFMax bytes stays on the stack.
-		r, size := utf8.DecodeRuneInString(string(src[i:min(i+utf8.UTFMax, len(src))]))
+		r, size := utf8.DecodeRuneInString(src[i:])
 		switch {
 		case r == utf8.RuneError && size == 1:
 			dst = append(dst, src[start:i]...)

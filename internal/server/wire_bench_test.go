@@ -1,15 +1,21 @@
 package server
 
 import (
+	"bytes"
 	"context"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 
 	"github.com/tpset/tpset/internal/core"
+	"github.com/tpset/tpset/internal/csvio"
 	"github.com/tpset/tpset/internal/datagen"
 	"github.com/tpset/tpset/internal/engine"
 	"github.com/tpset/tpset/internal/lineage"
@@ -18,19 +24,39 @@ import (
 
 // drainedBatches evaluates q over a pair of the Table III overlap-0.8
 // shape, n tuples per relation generated from seed, through the path
-// the stream handler drains (catalog admission, then evaluate at the
-// stream's batch size), and returns the batches it produced and
-// their tuple count. The pair's base tuples are named prefix+"r<i>" and
-// prefix+"s<i>": the marginal-text table is process-wide and keyed by
-// variable, so a caller that measures or counts what it holds names its
-// own.
+// the stream handler drains, and returns the batches it produced and
+// their tuple count. The pair is admitted as tpserve -rel admits it: a
+// CSV file in generation order (the facts round-robin), read by
+// csvio.ReadFile, then catalog admission; and it is drained at the
+// stream's cadence, the ramp batch and then engine blocks. The pair's
+// base tuples are named prefix+"r<i>" and prefix+"s<i>": the
+// marginal-text table is process-wide and keyed by variable, so a
+// caller that measures or counts what it holds names its own, and a
+// caller whose names are fresh gets them numbered as a fresh server
+// numbers them.
 func drainedBatches(tb testing.TB, q, prefix string, n int, seed int64) ([]*core.Batch, int) {
 	tb.Helper()
 	srv := New(Config{})
 	for i, name := range []string{"r", "s"} {
-		rel := datagen.Synthetic(datagen.SyntheticConfig{
-			Name: prefix + name, NumTuples: n, NumFacts: n / 100, MaxLen: 10, MaxGap: 3, Seed: seed + int64(i),
+		// The generator interns its own names; the file carries the
+		// caller's, so csvio is the first to see them.
+		gen := datagen.Synthetic(datagen.SyntheticConfig{
+			Name: "gen." + prefix + name, NumTuples: n, NumFacts: n / 100, MaxLen: 10, MaxGap: 3, Seed: seed + int64(i),
 		})
+		var csv bytes.Buffer
+		csv.WriteString("Fact,lineage,ts,te,p\n")
+		for j, t := range gen.Tuples {
+			fmt.Fprintf(&csv, "%s,%s%s%d,%d,%d,%s\n", t.Fact[0], prefix, name, j, t.T.Ts, t.T.Te,
+				strconv.FormatFloat(t.Prob, 'g', -1, 64))
+		}
+		path := filepath.Join(tb.TempDir(), name+".csv")
+		if err := os.WriteFile(path, csv.Bytes(), 0o644); err != nil {
+			tb.Fatal(err)
+		}
+		rel, err := csvio.ReadFile(path, name)
+		if err != nil {
+			tb.Fatal(err)
+		}
 		if _, err := srv.Load(name, rel); err != nil {
 			tb.Fatal(err)
 		}
@@ -43,7 +69,7 @@ func drainedBatches(tb testing.TB, q, prefix string, n int, seed int64) ([]*core
 	var batches []*core.Batch
 	tuples := 0
 	if err := srv.evaluate(context.Background(), req, pq, func(cur *engine.StreamCursor) error {
-		for b := core.NewBatch(streamBatchTuples); cur.NextBatch(b); b = core.NewBatch(streamBatchTuples) {
+		for b := core.NewBatch(streamRampBatch); cur.NextBatch(b); b = core.NewBatch(core.BatchSize) {
 			batches = append(batches, b)
 			tuples += len(b.Tuples)
 		}
@@ -130,7 +156,7 @@ func TestStreamEncodeDoesNotAllocate(t *testing.T) {
 			}
 		}
 	}
-	encodeAll() // warm buf, lam and vps
+	encodeAll() // warm buf, head and vps
 	if allocs := testing.AllocsPerRun(10, encodeAll); allocs != 0 {
 		t.Fatalf("%v allocations per run encoding %d warmed batches, want 0", allocs, len(batches))
 	}

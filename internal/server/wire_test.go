@@ -6,7 +6,9 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"github.com/tpset/tpset/internal/core"
@@ -57,7 +59,7 @@ type wireCase struct {
 // genWireCase builds a relation of n tuples from rng: half the cases
 // clean, the other half drawing on wireNames, names (the fuzzer's own
 // strings), ps (extra tuple probabilities), extreme and empty
-// intervals, nil facts and null lineage.
+// intervals, nil, empty and repeated facts and null lineage.
 func genWireCase(rng *rand.Rand, n int, names []string, ps []float64) wireCase {
 	clean := rng.Intn(2) == 0
 	pool := plainNames
@@ -126,6 +128,14 @@ func genWireCase(rng *rand.Rand, n int, names []string, ps []float64) wireCase {
 			case 2, 3, 4, 5:
 				t.T.Ts = wireTimes[rng.Intn(len(wireTimes))]
 				t.T.Te = wireTimes[rng.Intn(len(wireTimes))]
+			case 6:
+				t.Fact = relation.Fact{} // "fact":[], not null
+			case 7, 8:
+				// A run of one fact, equal by value: the encoder reuses
+				// the row's opening, and must tell nil from empty.
+				if i > 0 {
+					t.Fact = slices.Clone(rel.Tuples[i-1].Fact)
+				}
 			}
 		}
 		rel.Tuples = append(rel.Tuples, t)
@@ -368,4 +378,36 @@ func TestHTTPBodiesAreReflectionBytes(t *testing.T) {
 			t.Fatalf("POST /query %+v: empty result or missing trace: %s", req, body)
 		}
 	}
+}
+
+// TestEscapedNamesUnderConcurrentGrowth pins the escaped view while
+// goroutines intern fresh names, some of which need escaping, and read
+// it at once: every entry a snapshot resolves is its name as a JSON
+// string carries it. Run it under -race: the view is read without a
+// lock.
+func TestEscapedNamesUnderConcurrentGrowth(t *testing.T) {
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				name := fmt.Sprintf("esc.view.%d.%d", g, i)
+				if i%7 == 0 {
+					name += "\"\\\n"
+				}
+				lineage.Var(name, 0.5)
+				names := lineage.VarNames()
+				esc := escapedNames(names)
+				for _, id := range []int{0, len(names) / 2, len(names) - 1} {
+					want := appendJSONString(nil, names[id])
+					if got := esc[id]; got != string(want[1:len(want)-1]) {
+						t.Errorf("entry %d: %q, want %s", id, got, want)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
