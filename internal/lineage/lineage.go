@@ -178,10 +178,23 @@ func (e *Expr) Size() int {
 // (1OF): no tuple identifier occurs more than once. Per Theorem 1 of the
 // paper, every non-repeating TP set query over duplicate-free relations
 // yields 1OF lineage, and 1OF probabilities are computable in linear time.
-// It walks the leaves once and sorts their ids; the formula, which
-// concurrent readers may share, is only read.
+// Up to eight leaves — every formula one set operation builds from base
+// tuples — are compared pairwise on the stack; a larger formula's ids
+// are sorted. The formula, which concurrent readers may share, is only
+// read.
 func (e *Expr) IsOneOccurrence() bool {
 	if e == nil || e.kind == KindVar {
+		return true
+	}
+	var ids [8]keys.VarID
+	if n := e.leafIDs(&ids, 0); n >= 0 {
+		for i := 1; i < n; i++ {
+			for j := 0; j < i; j++ {
+				if ids[i] == ids[j] {
+					return false
+				}
+			}
+		}
 		return true
 	}
 	var buf [16]VarProb // typical formulas decide without allocating
@@ -514,6 +527,18 @@ func (e *Expr) AppendVarProbs(dst []VarProb, names []string) []VarProb {
 	if e == nil {
 		return dst
 	}
+	if l, r, ok := e.twoLeaves(); ok {
+		// What ∩, ∪ and − build from two base tuples: one compare
+		// orders them. Equal names take the general path, which keeps
+		// the last.
+		nl, nr := names[l.id], names[r.id]
+		if nr < nl {
+			return append(dst, VarProb{nr, r.prob, r.id}, VarProb{nl, l.prob, l.id})
+		}
+		if nl < nr {
+			return append(dst, VarProb{nl, l.prob, l.id}, VarProb{nr, r.prob, r.id})
+		}
+	}
 	start := len(dst)
 	dst = e.appendLeaves(dst)
 	vps := dst[start:]
@@ -532,6 +557,40 @@ func (e *Expr) AppendVarProbs(dst []VarProb, names []string) []VarProb {
 		n++
 	}
 	return dst[:start+n]
+}
+
+// leafIDs writes the leaf ids of e, repeats included, into ids from
+// position n on and returns the count written so far, or −1 once e has
+// more leaves than ids holds.
+func (e *Expr) leafIDs(ids *[8]keys.VarID, n int) int {
+	switch e.kind {
+	case KindVar:
+		if n == len(ids) {
+			return -1
+		}
+		ids[n] = e.id
+		return n + 1
+	case KindNot:
+		return e.left.leafIDs(ids, n)
+	default:
+		if n = e.left.leafIDs(ids, n); n < 0 {
+			return n
+		}
+		return e.right.leafIDs(ids, n)
+	}
+}
+
+// twoLeaves returns the leaves of a formula var ∘ var or var ∘ ¬var,
+// ∘ ∈ {∧, ∨}, left to right, and reports whether e has that shape.
+func (e *Expr) twoLeaves() (l, r *Expr, ok bool) {
+	if e.kind != KindAnd && e.kind != KindOr {
+		return nil, nil, false
+	}
+	l, r = e.left, e.right
+	if r.kind == KindNot {
+		r = r.left
+	}
+	return l, r, l.kind == KindVar && r.kind == KindVar
 }
 
 // appendLeaves appends every leaf of e in left-to-right order, repeats

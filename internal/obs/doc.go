@@ -40,8 +40,8 @@
 //
 // # Request logging
 //
-// WithRequestID / RequestID and WithLogger / Logger carry a request
-// identifier and a request-scoped *slog.Logger through context into the
-// engine's shard workers, so per-shard debug logs correlate with the
-// HTTP request that spawned them.
+// NewRequestID mints a request identifier, and WithLogger / Logger
+// carry a request-scoped *slog.Logger tagged with it through context
+// into the engine's shard workers, so per-shard debug logs correlate
+// with the HTTP request that spawned them.
 package obs

@@ -10,16 +10,13 @@ import (
 )
 
 // Request-scoped observability plumbing: a request ID minted per HTTP
-// request and a request-scoped structured logger, both carried through
-// context so the engine's shard workers can emit logs that correlate
-// with the request that spawned them.
+// request, and a request-scoped structured logger tagged with it and
+// carried through context, so the engine's shard workers can emit logs
+// that correlate with the request that spawned them.
 
 type ctxKey int
 
-const (
-	ctxKeyRequestID ctxKey = iota
-	ctxKeyLogger
-)
+const ctxKeyLogger ctxKey = 0
 
 // reqPrefix is a per-process random prefix so request IDs from
 // different server instances do not collide in aggregated logs.
@@ -39,17 +36,6 @@ var reqCounter atomic.Uint64
 // across interleaved JSON log lines.
 func NewRequestID() string {
 	return fmt.Sprintf("%s-%06d", reqPrefix, reqCounter.Add(1))
-}
-
-// WithRequestID returns a context carrying the request ID.
-func WithRequestID(ctx context.Context, id string) context.Context {
-	return context.WithValue(ctx, ctxKeyRequestID, id)
-}
-
-// RequestID returns the context's request ID, or "" when none is set.
-func RequestID(ctx context.Context) string {
-	id, _ := ctx.Value(ctxKeyRequestID).(string)
-	return id
 }
 
 // WithLogger returns a context carrying a request-scoped logger

@@ -88,8 +88,9 @@ func refSorted(rows []relation.Tuple) []relation.Tuple {
 // relation-owned binding: random sequences of every operation that
 // touches rows or binding keep "bound ⇒ the column mirrors the rows and
 // the fact-run index describes the column" (checkBinding), never lose or
-// reorder a row except where the operation says so, and
-// Sort ≡ the reference stable sort on key strings — for
+// reorder a row except where the operation says so, and Sort (and
+// SortDuplicateFree on a duplicate-free relation) ≡ the reference
+// stable sort on key strings — for
 // one- and three-attribute facts, including values that contain the key
 // codec's separator and escape bytes.
 func TestBindingSurvivesEveryMutator(t *testing.T) {
@@ -159,9 +160,18 @@ func TestBindingSurvivesEveryMutator(t *testing.T) {
 						t.Fatalf("%s: Intern did not bind", ctx)
 					}
 				case 5, 6: // Sort ≡ reference, on the relation and on a clone of it
+					// (SortDuplicateFree's when the check passes; a refused
+					// one moves nothing)
 					c := r.Clone()
+					dupErr := r.ValidateDuplicateFree()
 					r.Sort()
-					c.Sort()
+					if err := c.SortDuplicateFree(); (err != nil) != (dupErr != nil) {
+						t.Fatalf("%s: SortDuplicateFree reports %v, ValidateDuplicateFree %v", ctx, err, dupErr)
+					} else if err != nil {
+						sameRows(t, ctx+" (refused)", c.Tuples, model)
+						checkBinding(t, ctx+" (refused)", c)
+						c.Sort()
+					}
 					model = refSorted(model)
 					sameRows(t, ctx+" (clone)", c.Tuples, model)
 					checkBinding(t, ctx+" (clone)", c)

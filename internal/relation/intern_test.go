@@ -52,7 +52,7 @@ func TestFactKeyNoSeparatorAliasing(t *testing.T) {
 // TestFactKeyPlainValuesUnchanged pins the common case: separator-free
 // values keep the historical key form (plain join; identity for single
 // attributes), so on-disk key expectations and single-attribute lookups
-// like LineageAt("milk", ...) are unaffected by the escaping fix.
+// by key are unaffected by the escaping fix.
 func TestFactKeyPlainValuesUnchanged(t *testing.T) {
 	if got := NewFact("milk").Key(); got != "milk" {
 		t.Errorf("single-attribute key = %q, want %q", got, "milk")

@@ -522,18 +522,6 @@ func (r *Relation) Timeslice(t interval.Time) *Relation {
 	return out
 }
 
-// LineageAt returns the lineage λ_t^{r,f} of the (unique, by
-// duplicate-freeness) tuple with fact key factKey valid at t, or nil
-// ("null") when no such tuple exists.
-func (r *Relation) LineageAt(factKey string, t interval.Time) *lineage.Expr {
-	for i := range r.Tuples {
-		if tp := &r.Tuples[i]; tp.T.Contains(t) && r.KeyAt(i) == factKey {
-			return tp.Lineage
-		}
-	}
-	return nil
-}
-
 // Coalesce merges temporally adjacent tuples with equal facts and
 // syntactically equivalent lineage, enforcing the maximality half of change
 // preservation (Def. 2). The result is sorted. LAWA output never needs

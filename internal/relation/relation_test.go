@@ -110,7 +110,7 @@ func TestValidateDuplicateFree(t *testing.T) {
 	}
 }
 
-func TestTimesliceAndLineageAt(t *testing.T) {
+func TestTimeslice(t *testing.T) {
 	r := mk("r")
 	r.AddBase(NewFact("x"), "r1", 1, 5, 0.5)
 	r.AddBase(NewFact("y"), "r2", 3, 7, 0.5)
@@ -125,9 +125,6 @@ func TestTimesliceAndLineageAt(t *testing.T) {
 	}
 	if r.Timeslice(0).Len() != 0 || r.Timeslice(5).Len() != 1 {
 		t.Error("boundary slicing wrong")
-	}
-	if r.LineageAt("x", 2).String() != "r1" || r.LineageAt("x", 5) != nil || r.LineageAt("z", 2) != nil {
-		t.Error("LineageAt")
 	}
 }
 

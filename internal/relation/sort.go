@@ -99,14 +99,35 @@ func (r *Relation) Sort() {
 	if r.ordered(ids, true) {
 		return // nothing to move: no keys built
 	}
-	ks := r.sortedKeys(ids)
+	r.permute(r.sortedKeys(ids))
+}
+
+// SortDuplicateFree is ValidateDuplicateFree followed by Sort on one
+// sort of the keys: the check runs over the sorted keys and, when it
+// passes, they move the rows. On a violation it returns the check's
+// error and moves nothing. Admission calls it.
+func (r *Relation) SortDuplicateFree() error {
+	r.mutable("SortDuplicateFree")
+	ks, err := r.validatedKeys()
+	if err == nil {
+		r.permute(ks)
+	}
+	return err
+}
+
+// permute moves the rows, their ids and their leaves into the order of
+// ks, the output of sortedKeys, and leaves an ordered relation as it
+// is.
+func (r *Relation) permute(ks []sortKey) {
 	// Apply the permutation cycle by cycle: one move per row. A placed
 	// position is marked by pointing its key at itself.
 	rows := r.Tuples
+	moved := false
 	for i := range ks {
 		if ks[i].idx == i {
 			continue
 		}
+		moved = true
 		first := rows[i]
 		for j := i; ; {
 			src := ks[j].idx
@@ -118,6 +139,9 @@ func (r *Relation) Sort() {
 			rows[j] = rows[src]
 			j = src
 		}
+	}
+	if !moved {
+		return
 	}
 	if r.bound() {
 		for j := range ks {

@@ -161,7 +161,7 @@ func TestProjectSnapshotSemantics(t *testing.T) {
 				if lam != nil {
 					want = lam.ProbPossibleWorlds()
 				}
-				gotLam := got.LineageAt(fk, tp)
+				gotLam := lineageAt(got, fk, tp)
 				gotP := 0.0
 				if gotLam != nil {
 					gotP = gotLam.ProbPossibleWorlds()
@@ -230,4 +230,16 @@ func TestProjectionCanLeave1OF(t *testing.T) {
 	if !shared {
 		t.Error("expected shared variables across projected fragments")
 	}
+}
+
+// lineageAt returns the lineage λ_t^{r,f} of the tuple of r with fact
+// key factKey valid at t (unique, by duplicate-freeness), or nil
+// ("null") when there is none.
+func lineageAt(r *relation.Relation, factKey string, t interval.Time) *lineage.Expr {
+	for i := range r.Tuples {
+		if tp := &r.Tuples[i]; tp.T.Contains(t) && r.KeyAt(i) == factKey {
+			return tp.Lineage
+		}
+	}
+	return nil
 }

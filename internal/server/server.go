@@ -194,15 +194,15 @@ func (s *Server) logPanic(r *http.Request, p any, msg string) {
 }
 
 // requestLog is the logging middleware: it mints a request ID, attaches
-// it and a request-scoped logger to the context (obs.WithRequestID /
-// obs.WithLogger — the engine's shard workers pick the logger up from
-// there), and emits one structured record per request with method,
-// path, status, response bytes and latency.
+// a request-scoped logger tagged with it to the context (obs.WithLogger
+// — the engine's shard workers pick the logger up from there), and
+// emits one structured record per request with method, path, status,
+// response bytes and latency.
 func (s *Server) requestLog(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		id := obs.NewRequestID()
 		lg := s.cfg.Logger.With(slog.String("req", id))
-		ctx := obs.WithLogger(obs.WithRequestID(r.Context(), id), lg)
+		ctx := obs.WithLogger(r.Context(), lg)
 		rec := &statusRecorder{ResponseWriter: w}
 		start := time.Now()
 		next.ServeHTTP(rec, r.WithContext(ctx))
@@ -333,8 +333,9 @@ func (s *Server) Load(name string, rel *relation.Relation) (uint64, error) {
 // checks the name against the query grammar (400), interns a relation
 // that arrives unbound — csvio output arrives bound — so the duplicate
 // check groups by integer id and the sort runs on packed integer
-// compares, validates duplicate-freeness (Def. 1; 422), sorts (Sort
-// moves nothing on an ordered relation), and hands it to putRelation,
+// compares, validates duplicate-freeness (Def. 1; 422) and sorts on one
+// key sort (SortDuplicateFree; an ordered relation's rows do not
+// move), and hands it to putRelation,
 // which rebinds it to the catalog dictionary — preserving the order —
 // bumps the version, invalidates dependent cache entries and, with an
 // attached store, WAL-logs the admission before it counts.
@@ -346,10 +347,9 @@ func (s *Server) admitRelation(name string, rel *relation.Relation) (version uin
 	if rel.Dict() == nil {
 		rel.Intern()
 	}
-	if err := rel.ValidateDuplicateFree(); err != nil {
+	if err := rel.SortDuplicateFree(); err != nil {
 		return 0, false, &httpError{status: http.StatusUnprocessableEntity, msg: err.Error()}
 	}
-	rel.Sort()
 	if version, existed, err = s.putRelation(name, rel); err == nil {
 		s.metrics.admissions.Inc()
 		s.metrics.tuplesAdmitted.Add(uint64(rel.Len()))

@@ -2,7 +2,6 @@ package server
 
 import (
 	"fmt"
-	"math"
 	"slices"
 	"strconv"
 	"sync"
@@ -28,7 +27,10 @@ import (
 // scratch, and head is the opening of the last row up to its lineage
 // string — `{"fact":[…],"lineage":"` — kept with the fact it renders
 // until the next snapshot, so that a run of rows of one fact (output is
-// in fact order) escapes the fact once. A warmed encoder appends a tuple without allocating.
+// in fact order) escapes the fact once. Likewise the last te is kept
+// with its text: a fact's windows abut, so a row's ts is usually the
+// te just written, and is copied rather than formatted again. A warmed
+// encoder appends a tuple without allocating.
 //
 // names, wire and texts are the encoder's view of the variable arena,
 // of its escaped form (escapedNames: the same table unless some name
@@ -37,13 +39,19 @@ import (
 // counted per tuple: names and wire resolve every formula built before
 // the snapshot, and texts holds the bytes appendJSONFloat already
 // produced for a base tuple's marginal — the same probability is
-// shipped with every output row that mentions the tuple, and rendering
-// it is the dearest thing on the row.
+// shipped with every output row that mentions the tuple, and copying
+// those bytes costs a fraction of rendering it again.
 type wireEncoder struct {
 	buf  []byte
 	vps  []lineage.VarProb // one formula's sorted marginals
 	head []byte            // the last row's opening; empty: none rendered
 	fact relation.Fact     // the fact head renders
+
+	// te and teText[:teLen] are the last row's te and its text (an
+	// int64 is at most 20 bytes); teLen 0: no row yet.
+	te     int64
+	teText [20]byte
+	teLen  uint8
 
 	names []string
 	wire  []string
@@ -173,9 +181,15 @@ func (e *wireEncoder) tuple(fact relation.Fact, lam *lineage.Expr, ts, te int64,
 	// need no escaping, so the rendering is the string's content.
 	b = lam.AppendString(b, e.wire)
 	b = append(b, `","ts":`...)
-	b = strconv.AppendInt(b, ts, 10)
+	if e.teLen > 0 && ts == e.te {
+		b = append(b, e.teText[:e.teLen]...)
+	} else {
+		b = strconv.AppendInt(b, ts, 10)
+	}
 	b = append(b, `,"te":`...)
+	n := len(b)
 	b = strconv.AppendInt(b, te, 10)
+	e.te, e.teLen = te, uint8(copy(e.teText[:], b[n:]))
 	b = append(b, `,"p":`...)
 	// A bare variable whose marginal is the tuple's own p needs no
 	// varProbs, and its p is that marginal's text; anything else (a
@@ -423,24 +437,4 @@ func appendJSONString(dst []byte, src string) []byte {
 	}
 	dst = append(dst, src[start:]...)
 	return append(dst, '"')
-}
-
-// appendJSONFloat appends f as encoding/json formats a float64:
-// shortest round-trip digits, exponent form below 1e-6 and from 1e21,
-// with a two-digit exponent's leading zero dropped (e-07 → e-7). It
-// reports false, appending nothing, for NaN and ±Inf.
-func appendJSONFloat(dst []byte, f float64) ([]byte, bool) {
-	if math.IsNaN(f) || math.IsInf(f, 0) {
-		return dst, false
-	}
-	format := byte('f')
-	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	dst = strconv.AppendFloat(dst, f, format, -1, 64)
-	if n := len(dst); format == 'e' && dst[n-4] == 'e' && dst[n-2] == '0' {
-		dst[n-2] = dst[n-1]
-		dst = dst[:n-1]
-	}
-	return dst, true
 }

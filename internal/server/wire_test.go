@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"github.com/tpset/tpset/internal/core"
+	"github.com/tpset/tpset/internal/csvio"
 	"github.com/tpset/tpset/internal/lineage"
 	"github.com/tpset/tpset/internal/obs"
 	"github.com/tpset/tpset/internal/relation"
@@ -323,6 +324,44 @@ func TestWireEncodeMatchesReflection(t *testing.T) {
 		}
 		checkWireCase(t, rng, genWireCase(rng, 1+rng.Intn(8), nil, ps))
 	}
+}
+
+// TestEdgeTimestampsRoundTrip pins rows at the int64 edges of the time
+// domain through a CSV round trip, then the wire differential and the
+// JSON round trip. Where a row's ts is the previous row's te the
+// encoder copies that te's text; the rows take that path and the
+// formatting one at both edges, at 20-byte values (MinInt64+k) and
+// 19-byte ones (MaxInt64−k).
+func TestEdgeTimestampsRoundTrip(t *testing.T) {
+	const lo, hi = math.MinInt64, math.MaxInt64
+	rel := relation.New(relation.NewSchema("edges", "F"))
+	for i, r := range []struct {
+		fact   string
+		ts, te int64
+	}{
+		{"a", lo, lo + 2},
+		{"a", lo + 2, lo + 3}, // ts is the last te
+		{"a", lo + 5, 0},      // and is not
+		{"b", hi - 3, hi - 1},
+		{"b", hi - 1, hi},
+		{"c", lo, hi},
+		{"d", lo, lo + 1},
+		{"d", hi - 1, hi},
+	} {
+		rel.AddBase(relation.NewFact(r.fact), fmt.Sprintf("edge%d", i), r.ts, r.te, 0.25*float64(1+i%4))
+	}
+	var csv bytes.Buffer
+	if err := csvio.Write(&csv, rel); err != nil {
+		t.Fatal(err)
+	}
+	back, err := csvio.Read(&csv, "edges")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := relation.Diff(back, rel); d != "" {
+		t.Fatalf("CSV round trip: %s", d)
+	}
+	checkWireCase(t, rand.New(rand.NewSource(1)), wireCase{rel: back, clean: true})
 }
 
 // FuzzWireEncode drives the same differential with fuzzer-chosen names,
