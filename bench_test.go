@@ -187,8 +187,12 @@ func BenchmarkEvalLibShape(b *testing.B) {
 // library caller meets it (clone + sort + sweep); "catalog" is the
 // server's condition, leaves sorted, bound and projected once, so an
 // iteration is plan + sweep + materialize. "catalog-200K" is the same at
-// the standing workload's own scale (2×200K tuples, 2,000 facts) on a
-// fixed worker budget: sequential, and two shards' worth of workers.
+// the standing workload's own scale (2×200K tuples, 2,000 facts) at one
+// and at two workers, and both budgets run one plan, the sequential one:
+// the engine sizes shards by the rows the sweep can read, which the
+// leaves' run indexes bound to about 200 here, not by the 400K rows the
+// leaves hold. CI fails if workers=2 reports more allocs/op than
+// workers=1: an allocation count pins that decision without a clock.
 // windows/op, read from one more, traced, run, is the number to watch:
 // the candidate windows the sweep drew (≈180 with temporal run skipping
 // at 20K, 20,077 when only facts are skipped); gallops/op is what it

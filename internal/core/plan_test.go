@@ -238,12 +238,13 @@ func TestReleaseHalfDrainedPlanBalancesPool(t *testing.T) {
 	}
 }
 
-// TestPlanPoolGetsOnePerOperatorChild pins what building a plan takes
-// from the batch pool: one block per operator input whose rows are
-// computed — another set operation, or a selection, which copies the
-// rows it keeps — and none per scan, which hands out views of its leaf
-// in the source's own empty block. Traced plans take the same, and a
-// drain puts every block back.
+// TestPlanPoolGetsOnePerOperatorChild pins what a plan takes from the
+// batch pool, and when: nothing while it is built, and on its first
+// pull one block per operator input whose rows are computed — another
+// set operation, or a selection, which copies the rows it keeps and
+// takes one more for the blocks it filters — and none per scan, which
+// hands out views of its leaf in the source's own empty block. Traced
+// plans take the same, and a drain puts every block back.
 func TestPlanPoolGetsOnePerOperatorChild(t *testing.T) {
 	db := map[string]*relation.Relation{
 		"a": factRange("a", 0, 3000, 1),
@@ -257,7 +258,7 @@ func TestPlanPoolGetsOnePerOperatorChild(t *testing.T) {
 		{"a | b", 0},
 		{"(a & b) - c", 1},
 		{"a - (b | c)", 1},
-		{"sigma[F='f00006'](a) | b", 1},
+		{"sigma[F='f00006'](a) | b", 2},
 		{"(a & b) | (b - c)", 2},
 		{"((a | b) & (b | c)) - (a & c)", 4},
 	} {
@@ -271,10 +272,18 @@ func TestPlanPoolGetsOnePerOperatorChild(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if gets, _, _, _ := core.BatchPoolStats(); gets-gets0 != tc.gets {
-				t.Fatalf("%s (traced=%v): plan took %d pooled blocks, want %d", tc.q, traced, gets-gets0, tc.gets)
+			if gets, _, _, _ := core.BatchPoolStats(); gets != gets0 {
+				t.Fatalf("%s (traced=%v): building the plan took %d pooled blocks, want none", tc.q, traced, gets-gets0)
 			}
-			core.Materialize(plan)
+			b := core.NewBatch(64) // unpooled: leaves through the drop counter
+			if !plan.NextBatch(b) {
+				t.Fatalf("%s: plan produced nothing", tc.q)
+			}
+			if gets, _, _, _ := core.BatchPoolStats(); gets-gets0 != tc.gets {
+				t.Fatalf("%s (traced=%v): the first pull took %d pooled blocks, want %d", tc.q, traced, gets-gets0, tc.gets)
+			}
+			for plan.NextBatch(b) {
+			}
 			core.ReleaseCursor(plan)
 			poolBalanced(t, tc.q, gets0, puts0)
 		}

@@ -46,8 +46,10 @@ func (w Window) String() string {
 // batchSource is the advancer's view of one input: a one-tuple-lookahead
 // stream in (fact, Ts) order, pulled from a Cursor one block at a time —
 // one interface call per ~BatchSize tuples instead of one per tuple. A
-// computed input fills a pooled block; a scan fills the source's own
-// empty block by aliasing its leaf, so it takes nothing from the pool.
+// computed input fills a pooled block, taken on its first pull, so a
+// plan that is built and never read takes nothing from the pool; a scan
+// fills the source's own empty block by aliasing its leaf, so it never
+// takes one.
 // peek returns the next unconsumed tuple (nil when drained)
 // and is stable until pop, which consumes it; fid returns its packed
 // fact id from the block's fid column and is only valid while peek is
@@ -57,7 +59,7 @@ func (w Window) String() string {
 // they need beyond the next pop.
 type batchSource struct {
 	c    Cursor
-	b    *Batch // &blk, or a pooled block while a computed input is live
+	b    *Batch // &blk, or a pooled block from a computed input's first pull to its end
 	blk  Batch
 	i    int
 	done bool
@@ -68,11 +70,8 @@ type batchSource struct {
 
 func newBatchSource(c Cursor) *batchSource {
 	s := &batchSource{c: c}
-	if scan, ok := c.(*ScanCursor); ok {
-		s.scan, s.b = scan, &s.blk
-	} else {
-		s.b = GetBatch()
-	}
+	s.b = &s.blk
+	s.scan, _ = c.(*ScanCursor)
 	return s
 }
 
@@ -97,6 +96,9 @@ func (s *batchSource) pull() bool {
 	if s.done {
 		return false
 	}
+	if s.b == &s.blk && s.scan == nil {
+		s.b = GetBatch()
+	}
 	s.i = 0
 	if !s.c.NextBatch(s.b) {
 		s.end()
@@ -107,7 +109,8 @@ func (s *batchSource) pull() bool {
 
 // end hands a pooled block back and keeps the source's own empty block,
 // so later peeks stay cheap and nothing is put twice — or put at all
-// when it never came from the pool.
+// when it never came from the pool: a scan's, or a source that never
+// pulled.
 func (s *batchSource) end() {
 	s.done = true
 	if s.b != &s.blk {

@@ -110,7 +110,7 @@ func Read(rd io.Reader, name string) (*relation.Relation, error) {
 	if err != nil {
 		return nil, fmt.Errorf("csvio: reading: %w", err)
 	}
-	return parse(data, name)
+	return parse(data, name, false)
 }
 
 // ReadFile loads the relation stored at path; the relation is named after
@@ -120,10 +120,26 @@ func ReadFile(path, name string) (*relation.Relation, error) {
 	if err != nil {
 		return nil, err
 	}
-	return parse(data, name)
+	return parse(data, name, false)
 }
 
-func parse(data []byte, name string) (*relation.Relation, error) {
+// ReadFileSorted is ReadFile with the rows laid out in canonical
+// (fact, Ts, Te) order — the order the duplicate check already ranked
+// them in — their fact ids moved with them (relation.Arrange): a
+// catalog that admits the relation recognises the order in one pass
+// and sorts nothing (relation.SortDuplicateFree). tpserve loads its
+// -rel files with it.
+func ReadFileSorted(path, name string) (*relation.Relation, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	return parse(data, name, true)
+}
+
+// parse loads the relation, its rows in file order unless sorted asks
+// for canonical order.
+func parse(data []byte, name string, sorted bool) (*relation.Relation, error) {
 	sp := splitter{s: normalize(data), line: 1}
 	header, line, err := sp.next(nil)
 	if err == io.EOF {
@@ -225,14 +241,17 @@ func parse(data []byte, name string) (*relation.Relation, error) {
 	// are first packed back to back, where a read out of file order
 	// stays in cache; the rows are walked in file order.
 	pack(names)
-	sorted := make([]string, len(rank))
+	ranked := make([]string, len(rank))
 	probs := make([]float64, len(rank))
 	for i, j := range rank {
-		sorted[j], probs[j] = names[i], rows[i].Prob
+		ranked[j], probs[j] = names[i], rows[i].Prob
 	}
-	leaves := lineage.Vars(sorted, probs)
+	leaves := lineage.Vars(ranked, probs)
 	for i, j := range rank {
 		rows[i].Lineage = leaves[j]
+	}
+	if sorted {
+		rel.Arrange(rank)
 	}
 	return rel, nil
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"github.com/tpset/tpset/internal/datagen"
+	"github.com/tpset/tpset/internal/keys"
 	"github.com/tpset/tpset/internal/relation"
 )
 
@@ -258,5 +259,50 @@ func TestReadNumbersVariablesInRowOrder(t *testing.T) {
 			t.Fatalf("row %d: %s has id %d after %s's %d; want ids ascending along the sorted rows",
 				i, b, b.VarID(), a, a.VarID())
 		}
+	}
+}
+
+// TestReadFileSortedIsReadFileSorted pins the loader tpserve admits its
+// files through: ReadFileSorted returns what ReadFile followed by Sort
+// returns — the same rows, leaves and fact ids, in canonical order —
+// and admission's duplicate check then recognises the order in one pass:
+// SortDuplicateFree sorts nothing and allocates nothing. ReadFile keeps
+// the file's order (TestReadNumbersVariablesInRowOrder).
+func TestReadFileSortedIsReadFileSorted(t *testing.T) {
+	r := datagen.Synthetic(datagen.SyntheticConfig{
+		Name: "sorted", NumTuples: 5000, NumFacts: 50, MaxLen: 7, MaxGap: 2, Seed: 6,
+	})
+	path := filepath.Join(t.TempDir(), "r.csv")
+	if err := WriteFile(path, r); err != nil {
+		t.Fatal(err)
+	}
+	want, err := ReadFile(path, "sorted")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.InCanonicalOrder() {
+		t.Fatal("the file is already in canonical order: the test shows nothing")
+	}
+	want.Sort()
+	got, err := ReadFileSorted(path, "sorted")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !got.InCanonicalOrder() || got.Len() != want.Len() || got.Dict() == nil {
+		t.Fatalf("ReadFileSorted: %d rows, in order %v, bound %v", got.Len(), got.InCanonicalOrder(), got.Dict() != nil)
+	}
+	for i := range want.Tuples {
+		a, b := &got.Tuples[i], &want.Tuples[i]
+		if !a.Fact.Equal(b.Fact) || a.T != b.T || a.Prob != b.Prob || a.Lineage.VarID() != b.Lineage.VarID() ||
+			got.Dict().Key(keys.FactID(got.FidCol()[i])) != a.Fact.Key() {
+			t.Fatalf("row %d: %v (fid %d), want %v", i, a, got.FidCol()[i], b)
+		}
+	}
+	if allocs := testing.AllocsPerRun(5, func() {
+		if err := got.SortDuplicateFree(); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("admitting the sorted load allocated %v times, want no key sort", allocs)
 	}
 }

@@ -35,8 +35,15 @@
 // index order, each an independent query.BuildPrepared plan feeding a
 // bounded channel of blocks, and concatStream drains the channels one
 // after the other — no compare, no intermediate relations (see
-// DESIGN.md, "Streaming execution"). Inputs below the sharding threshold
-// and a worker budget of one run the sequential plan instead; the stream
+// DESIGN.md, "Streaming execution"). The shard count is sized by the
+// rows the plan's sweep can read, not the rows its leaves hold
+// (shardCount, sweepRows): counted from the leaves' fact-run indexes
+// without reading a row, a ∩Tp or −Tp of two leaves reads only the
+// rows of facts whose runs overlap in time (−Tp its left leaf whole),
+// since run skipping passes every other run. A plan that cannot fill
+// two shards of Config.MinPartitionSize such rows — sparse-stream's
+// r ∩Tp s, whose sweep reads a few hundred of its 400K rows — and a
+// worker budget of one run the sequential plan instead; the stream
 // is the same either way: a StreamCursor, which is a core.Cursor and is
 // pulled like every cursor below it, one bound block per NextBatch.
 // Apply is the two-leaf plan "r op s" on this path, and EvalCursor

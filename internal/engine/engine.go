@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"runtime"
 	"sort"
 
@@ -9,9 +10,10 @@ import (
 	"github.com/tpset/tpset/internal/relation"
 )
 
-// DefaultMinPartitionSize is the smallest average shard size worth the
-// goroutine and channel overhead; inputs that cannot fill at least
-// two shards of this size run the sequential cursor plan.
+// DefaultMinPartitionSize is the smallest average shard worth the
+// goroutine and channel overhead, counted in rows the plan's sweep can
+// read (sweepRows); a plan that cannot fill at least two shards of this
+// size runs the sequential cursor plan.
 const DefaultMinPartitionSize = 2048
 
 // shardsPerWorker over-partitions relative to the worker count: cuts fall
@@ -24,10 +26,12 @@ type Config struct {
 	// Workers bounds the number of concurrently executing shard tasks.
 	// Values below one select runtime.GOMAXPROCS(0).
 	Workers int
-	// MinPartitionSize is the minimum average number of input tuples per
-	// shard; it throttles the shard count for small inputs and forces the
-	// sequential path when the input cannot fill two shards. Values below
-	// one select DefaultMinPartitionSize.
+	// MinPartitionSize is the minimum average number of rows the plan's
+	// sweep can read per shard — a leaf's rows, and of the two leaves of
+	// a ∩Tp or −Tp only the rows in facts whose runs meet in time (see
+	// sweepRows). It throttles the shard count for small or skip-bound
+	// plans and forces the sequential path when the plan cannot fill two
+	// shards. Values below one select DefaultMinPartitionSize.
 	MinPartitionSize int
 }
 
@@ -67,23 +71,48 @@ func (e *Engine) Apply(op core.Op, r, s *relation.Relation, opts core.Options) (
 	return e.EvalCursor(plan, map[string]*relation.Relation{"r": r, "s": s}, opts)
 }
 
-// shardCount picks the number of shards for an input of total tuples:
-// enough to keep every worker busy with slack for skew, but never so many
-// that the average shard drops below the minimum partition size. A count
-// below two means the input is not worth sharding.
-func (e *Engine) shardCount(total int) int {
+// shardCount picks the number of shards for plan n over its prepared
+// leaves db: enough to keep every worker busy with slack for skew, but
+// never so many that the average shard's sweep reads fewer than the
+// minimum partition size of rows. A count below two means the plan is
+// not worth sharding.
+func (e *Engine) shardCount(n query.Node, db map[string]*relation.Relation) int {
 	workers := e.cfg.workers()
 	if workers <= 1 {
 		return 1
 	}
-	shards := workers * shardsPerWorker
-	if max := total / e.cfg.minPartitionSize(); shards > max {
-		shards = max
-	}
-	return shards
+	shards, size := workers*shardsPerWorker, e.cfg.minPartitionSize()
+	return min(shards, sweepRows(n, db, shards*size)/size)
 }
 
-// cut splits the plan's prepared leaves — sorted by (fid, Ts, Te), bound
+// sweepRows bounds the rows plan n's sweep can read, from the leaves'
+// fact-run indexes — no row is read, nothing is allocated — and stops
+// at limit, past which shardCount cannot use it: a leaf's rows; for a
+// ∩Tp or −Tp of two leaves, relation.SweepRows (the rows in facts whose
+// runs overlap in time, plus −Tp's left leaf whole); for any other node
+// the sum of its children.
+func sweepRows(n query.Node, db map[string]*relation.Relation, limit int) int {
+	switch q := n.(type) {
+	case *query.Rel:
+		return min(db[q.Name].Len(), limit)
+	case *query.Select:
+		return sweepRows(q.Input, db, limit)
+	case *query.SetOp:
+		l, lok := q.Left.(*query.Rel)
+		r, rok := q.Right.(*query.Rel)
+		if lok && rok && q.Op != core.OpUnion {
+			return relation.SweepRows(db[l.Name].Runs(), db[r.Name].Runs(), q.Op == core.OpExcept, limit)
+		}
+		left := sweepRows(q.Left, db, limit)
+		if left >= limit {
+			return limit
+		}
+		return left + sweepRows(q.Right, db, limit-left)
+	}
+	panic(fmt.Sprintf("engine: unknown plan node %T", n))
+}
+
+// cut splits plan n's prepared leaves — sorted by (fid, Ts, Te), bound
 // to one order-preserving dictionary, fid columns built — into
 // fact-range shards: shard i of the database holds, for every leaf, a
 // zero-copy view (relation.Slice) of the rows whose fact id lies in
@@ -99,17 +128,18 @@ func (e *Engine) shardCount(total int) int {
 // shard plans' outputs concatenate into canonical order. A fact heavier
 // than a quantile step makes consecutive cuts coincide; the all-empty
 // shards this yields are dropped. cut returns nil when the plan is not
-// worth sharding.
-func (e *Engine) cut(names []string, db map[string]*relation.Relation) []map[string]*relation.Relation {
+// worth sharding (shardCount), before it looks at a leaf.
+func (e *Engine) cut(n query.Node, db map[string]*relation.Relation) []map[string]*relation.Relation {
+	k := e.shardCount(n, db)
+	if k < 2 {
+		return nil
+	}
+	names := query.Relations(n)
 	rels := make([]*relation.Relation, len(names))
 	total := 0
 	for i, name := range names {
 		rels[i] = db[name]
 		total += rels[i].Len()
-	}
-	k := e.shardCount(total)
-	if k < 2 {
-		return nil
 	}
 	runs := make([]*relation.Runs, len(rels))
 	for i, r := range rels {

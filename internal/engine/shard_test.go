@@ -42,16 +42,18 @@ func TestCutCoversLeavesAtFactEdges(t *testing.T) {
 			r.BuildCols() // cut reads prepared leaves: it gallops their fid columns
 		}
 		names := query.DBKeys(db)
+		plan := query.MustParse("(r0 | r1) | r2") // a union's sweep reads every row
 		e := New(Config{Workers: 8, MinPartitionSize: 1})
-		shards := e.cut(names, db)
+		shards := e.cut(plan, db)
 		total := 0
 		for _, r := range db {
 			total += r.Len()
 		}
-		if len(shards) == 0 || len(shards) > e.shardCount(total) {
-			t.Fatalf("trial %d: %d shards for %d tuples (shard count %d)", trial, len(shards), total, e.shardCount(total))
+		k := e.shardCount(plan, db)
+		if len(shards) == 0 || len(shards) > k {
+			t.Fatalf("trial %d: %d shards for %d tuples (shard count %d)", trial, len(shards), total, k)
 		}
-		if sh.Skew == reftest.Heavy && len(shards) == e.shardCount(total) && total > 64 {
+		if sh.Skew == reftest.Heavy && len(shards) == k && total > 64 {
 			t.Fatalf("trial %d: a fact with most of the tuples dropped no shard (%d)", trial, len(shards))
 		}
 		next := map[string]int{} // rows of each leaf covered so far
@@ -106,7 +108,7 @@ func TestCutFallsBackToSequential(t *testing.T) {
 	for _, r := range db {
 		r.BuildCols()
 	}
-	names := []string{"r0", "r1"}
+	plan := query.MustParse("r0 | r1")
 	for _, tc := range []struct {
 		label string
 		cfg   Config
@@ -114,11 +116,11 @@ func TestCutFallsBackToSequential(t *testing.T) {
 		{"one worker", Config{Workers: 1, MinPartitionSize: 1}},
 		{"below threshold", Config{Workers: 4}},
 	} {
-		if shards := New(tc.cfg).cut(names, db); shards != nil {
+		if shards := New(tc.cfg).cut(plan, db); shards != nil {
 			t.Fatalf("%s: cut into %d shards, want the sequential plan", tc.label, len(shards))
 		}
 	}
-	if shards := New(Config{Workers: 4, MinPartitionSize: 1}).cut(names, db); len(shards) < 2 {
+	if shards := New(Config{Workers: 4, MinPartitionSize: 1}).cut(plan, db); len(shards) < 2 {
 		t.Fatalf("control: %d shards over a shared-dictionary catalog", len(shards))
 	}
 }
@@ -157,7 +159,7 @@ func TestShardedPlanScansTheInstalledColumn(t *testing.T) {
 	}
 	e := New(Config{Workers: 4, MinPartitionSize: 1})
 	names := query.DBKeys(db)
-	shards := e.cut(names, db)
+	shards := e.cut(query.MustParse("r0 | r1"), db)
 	if len(shards) < 2 {
 		t.Fatalf("cut into %d shards, want a sharded plan", len(shards))
 	}
@@ -228,7 +230,8 @@ func allocated(fn func()) uint64 {
 }
 
 // TestShardedPlanAllocs pins the cost the cut removed: planning and
-// draining a sparse ∩Tp over 2×200K sorted tuples allocates less than
+// draining a ∩Tp over 2×200K sorted tuples whose runs overlap in time
+// — the sweep reads every row, so the plan shards — allocates less than
 // 1 MiB however many shards run it (the hash partition copied ~57 MB
 // per query), and the plan step alone does not grow with the input.
 func TestShardedPlanAllocs(t *testing.T) {
@@ -237,11 +240,14 @@ func TestShardedPlanAllocs(t *testing.T) {
 	}
 	tree := query.MustParse("r & s")
 	opts := core.Options{AssumeSorted: true}
-	small, large := sparsePair(20000), sparsePair(200000)
+	small, large := meetingPair(20000, 200, false), meetingPair(200000, 2000, false)
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, workers := range []int{2, 8} {
 		e := New(Config{Workers: workers, MinPartitionSize: 1024})
+		if k := e.shardCount(tree, large); k != workers*shardsPerWorker {
+			t.Fatalf("workers=%d: %d shards, want %d", workers, k, workers*shardsPerWorker)
+		}
 		drain := func() {
 			got, err := e.EvalCursor(tree, large, opts)
 			if err != nil || got.Len() == 0 {
@@ -274,19 +280,61 @@ func TestShardedPlanAllocs(t *testing.T) {
 	}
 }
 
-// apartPair returns, catalog style, r and s of n tuples each spread over
-// facts facts that both relations hold at different times — every r
-// tuple of a fact ends before the fact's s tuples start — plus one s
-// tuple that meets r's first, so r ∩Tp s has exactly one row whatever
-// the fact count, and the sweep is two run skips per fact.
-func apartPair(n, facts int) map[string]*relation.Relation {
+// TestSequentialPlanAllocs is TestShardedPlanAllocs' twin on the
+// sparse-stream shape (Table III overlap 0.03, 2×200K tuples), whose
+// ∩Tp the run index bounds to a few hundred rows: at two and eight
+// workers, even at a 1,024-row minimum partition, the engine runs the
+// sequential plan, so planning and draining it allocates exactly what
+// it does at one worker.
+func TestSequentialPlanAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops puts at random under -race, so pooled blocks are reallocated")
+	}
+	tree := query.MustParse("r & s")
+	opts := core.Options{AssumeSorted: true}
+	db := sparsePair(200000)
+	var allocs, bytes [3]float64
+	for i, workers := range []int{1, 2, 8} {
+		e := New(Config{Workers: workers, MinPartitionSize: 1024})
+		if k := e.shardCount(tree, db); k > 1 {
+			t.Fatalf("workers=%d: %d shards, want the sequential plan", workers, k)
+		}
+		drain := func() {
+			got, err := e.EvalCursor(tree, db, opts)
+			if err != nil || got.Len() == 0 {
+				t.Fatalf("workers=%d: %d tuples, err %v", workers, got.Len(), err)
+			}
+		}
+		drain() // warm the batch pool
+		allocs[i], bytes[i] = testing.AllocsPerRun(20, drain), float64(allocated(drain))
+	}
+	if allocs[1] != allocs[0] || allocs[2] != allocs[0] || bytes[1] != bytes[0] || bytes[2] != bytes[0] {
+		t.Fatalf("plan + drain at workers 1, 2, 8: %v allocations, %v B; want the same at every budget", allocs, bytes)
+	}
+	t.Logf("plan + drain at every budget: %v allocations, %v B", allocs[0], bytes[0])
+}
+
+// meetingPair returns, catalog style, r and s of n tuples each spread
+// over facts facts that both relations hold, plus one s tuple that
+// meets r's first, so r ∩Tp s has exactly one row whatever the fact
+// count. Apart, every r tuple of a fact ends before the fact's s tuples
+// start, and the sweep is two run skips per fact: only the first fact's
+// runs overlap in time, so the plan has almost no rows to share and
+// runs sequentially. Otherwise the s tuples fill the gaps between the r
+// tuples: no two meet, but every fact's runs overlap in time, so the
+// sweep reads every row and the plan shards.
+func meetingPair(n, facts int, apart bool) map[string]*relation.Relation {
 	r, s := relation.New(relation.NewSchema("r", "F")), relation.New(relation.NewSchema("s", "F"))
 	per := int64(n / facts)
+	at := int64(1) // s's first start
+	if apart {
+		at = 2 * per
+	}
 	for f := 0; f < facts; f++ {
 		fact := relation.NewFact(fmt.Sprintf("f%05d", f))
 		for j := int64(0); j < per; j++ {
 			r.AddBase(fact, fmt.Sprintf("r%d.%d", f, j), 2*j, 2*j+1, 0.5)
-			s.AddBase(fact, fmt.Sprintf("s%d.%d", f, j), 2*per+2*j, 2*per+2*j+1, 0.5)
+			s.AddBase(fact, fmt.Sprintf("s%d.%d", f, j), at+2*j, at+2*j+1, 0.5)
 		}
 	}
 	s.AddBase(r.Tuples[0].Fact, "s.meet", 0, 1, 0.5)
@@ -301,38 +349,45 @@ func apartPair(n, facts int) map[string]*relation.Relation {
 // the same bytes, whether the tuples spread over 200 facts or 2,000 —
 // an index built per query, or one that grows, would add bytes in
 // proportion to the facts — and the leaves keep the index the first
-// query published.
+// query published. It holds for a pair held apart in time, which runs
+// sequentially at every budget, and for one whose runs overlap, which
+// two workers shard.
 func TestRunIndexBuiltOncePerRelation(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops puts at random under -race, so pooled blocks are reallocated")
 	}
 	tree := query.MustParse("r & s")
 	opts := core.Options{AssumeSorted: true}
-	for _, workers := range []int{1, 2} {
-		e := New(Config{Workers: workers})
-		var allocs [2]float64
-		var bytes [2]uint64
-		for i, facts := range []int{200, 2000} {
-			db := apartPair(20000, facts)
-			drain := func() {
-				got, err := e.EvalCursor(tree, db, opts)
-				if err != nil || got.Len() != 1 {
-					t.Fatalf("workers=%d, %d facts: %d tuples, err %v; want the one meeting", workers, facts, got.Len(), err)
+	for _, apart := range []bool{true, false} {
+		for _, workers := range []int{1, 2} {
+			e := New(Config{Workers: workers})
+			var allocs [2]float64
+			var bytes [2]uint64
+			for i, facts := range []int{200, 2000} {
+				db := meetingPair(20000, facts, apart)
+				if sharded := e.shardCount(tree, db) >= 2; sharded != (!apart && workers > 1) {
+					t.Fatalf("apart=%v, workers=%d, %d facts: sharded %v", apart, workers, facts, sharded)
+				}
+				drain := func() {
+					got, err := e.EvalCursor(tree, db, opts)
+					if err != nil || got.Len() != 1 {
+						t.Fatalf("apart=%v, workers=%d, %d facts: %d tuples, err %v; want the one meeting", apart, workers, facts, got.Len(), err)
+					}
+				}
+				drain() // builds the indexes and warms the batch pool
+				built := [2]*relation.Runs{db["r"].Runs(), db["s"].Runs()}
+				allocs[i] = testing.AllocsPerRun(20, drain)
+				bytes[i] = allocated(drain)
+				if db["r"].Runs() != built[0] || db["s"].Runs() != built[1] || built[0].Len() != facts {
+					t.Fatalf("apart=%v, workers=%d, %d facts: the queries replaced the index the first one published", apart, workers, facts)
 				}
 			}
-			drain() // builds the indexes and warms the batch pool
-			built := [2]*relation.Runs{db["r"].Runs(), db["s"].Runs()}
-			allocs[i] = testing.AllocsPerRun(20, drain)
-			bytes[i] = allocated(drain)
-			if db["r"].Runs() != built[0] || db["s"].Runs() != built[1] || built[0].Len() != facts {
-				t.Fatalf("workers=%d, %d facts: the queries replaced the index the first one published", workers, facts)
+			if d := float64(bytes[1]) / float64(bytes[0]); allocs[0] != allocs[1] || d < 0.95 || d > 1.05 {
+				t.Fatalf("apart=%v, workers=%d: plan + drain made %v allocations (%d B) at 200 facts and %v (%d B) at 2,000; want the same count and bytes within 5%%",
+					apart, workers, allocs[0], bytes[0], allocs[1], bytes[1])
 			}
+			t.Logf("apart=%v, workers=%d: plan + drain %v allocations, %d B at 200 facts, %d B at 2,000", apart, workers, allocs[0], bytes[0], bytes[1])
 		}
-		if d := float64(bytes[1]) / float64(bytes[0]); allocs[0] != allocs[1] || d < 0.95 || d > 1.05 {
-			t.Fatalf("workers=%d: plan + drain made %v allocations (%d B) at 200 facts and %v (%d B) at 2,000; want the same count and bytes within 5%%",
-				workers, allocs[0], bytes[0], allocs[1], bytes[1])
-		}
-		t.Logf("workers=%d: plan + drain %v allocations, %d B at 200 facts, %d B at 2,000", workers, allocs[0], bytes[0], bytes[1])
 	}
 }
 

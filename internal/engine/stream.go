@@ -31,8 +31,9 @@ import (
 // caller's relations; nothing is O(input) for catalog relations.
 // Anything else is prepared once (core.PrepareLeaves: a private copy
 // where a leaf needs binding or sorting, shared dictionary, sort unless
-// AssumeSorted, fid column) and then cut the same way. Inputs below the sharding threshold run the purely
-// sequential plan.
+// AssumeSorted, fid column) and then cut the same way. A plan whose
+// sweep can read too few rows to fill two shards (shardCount) runs the
+// purely sequential plan.
 
 // reorderBlocks is the plan-wide reorder window, in blocks, split evenly
 // over the shard channels of the producers that can run at once. Shard
@@ -83,8 +84,9 @@ func (c *StreamCursor) Close() {
 	}
 }
 
-// Cursor compiles the query into a streaming plan over db. With an input
-// large enough to shard and a worker budget above one, the plan
+// Cursor compiles the query into a streaming plan over db. With a plan
+// whose sweep can read enough rows to shard (shardCount) and a worker
+// budget above one, the plan
 // evaluates fact-range shards of the query concurrently and concatenates
 // their ordered outputs; otherwise it is the sequential cursor plan.
 // Either way the stream is the same — Def. 3's result in canonical order
@@ -118,7 +120,7 @@ func (e *Engine) CursorCtx(ctx context.Context, n query.Node, db map[string]*rel
 		return nil, err
 	}
 	cutStart := time.Now()
-	shards := e.cut(query.Relations(n), db)
+	shards := e.cut(n, db)
 	if len(shards) < 2 {
 		c, err := query.BuildPrepared(n, db, opts)
 		if err != nil {

@@ -120,7 +120,7 @@ func TestBindingSurvivesEveryMutator(t *testing.T) {
 				model = append(model, tu)
 			}
 			for step := 0; step < 60; step++ {
-				op := rng.Intn(13)
+				op := rng.Intn(14)
 				ctx := fmt.Sprintf("attrs=%d seed=%d step=%d op=%d", attrs, seed, step, op)
 				wasBound := r.Dict() != nil
 				switch op {
@@ -255,6 +255,17 @@ func TestBindingSurvivesEveryMutator(t *testing.T) {
 					model = append(model, tu)
 					if r.Dict() != nil || r.FidCol() != nil {
 						t.Fatalf("%s: a relation resized behind its back still reads as bound", ctx)
+					}
+				case 13: // Arrange: every row and its id move to the rank given
+					rank := rng.Perm(len(model))
+					moved := make([]relation.Tuple, len(model))
+					for i, j := range rank {
+						moved[j] = model[i]
+					}
+					r.Arrange(rank)
+					model = moved
+					if (r.Dict() != nil) != wasBound {
+						t.Fatalf("%s: Arrange changed the binding state", ctx)
 					}
 				}
 				sameRows(t, ctx, r.Tuples, model)

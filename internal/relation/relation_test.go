@@ -1,7 +1,9 @@
 package relation
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"unsafe"
@@ -107,6 +109,52 @@ func TestValidateDuplicateFree(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "x") {
 		t.Errorf("error should name the fact: %v", err)
+	}
+}
+
+// TestSortDuplicateFreeOrderedPass pins admission's one-pass path: a
+// bound relation already in canonical order without an overlap is
+// admitted as it is, while one in order that overlaps, one out of order
+// and one with an overlap out of order all go through the sort and get
+// the error ValidateDuplicateFree gives, word for word, or are sorted.
+func TestSortDuplicateFreeOrderedPass(t *testing.T) {
+	build := func(ivs ...[2]int64) *Relation {
+		r := mk("r")
+		for i, iv := range ivs {
+			f := "x"
+			if i%2 == 1 && len(ivs) > 3 {
+				f = "y"
+			}
+			r.AddBase(NewFact(f), fmt.Sprintf("r%d", i), iv[0], iv[1], 0.5)
+		}
+		r.Intern()
+		return r
+	}
+	for _, tc := range []struct {
+		name   string
+		r      *Relation
+		refuse bool
+	}{
+		{"ordered", build([2]int64{1, 5}, [2]int64{5, 8}, [2]int64{9, 10}), false},
+		{"ordered, overlapping", build([2]int64{1, 5}, [2]int64{3, 8}), true},
+		{"ordered, equal", build([2]int64{1, 5}, [2]int64{1, 5}), true},
+		{"out of order", build([2]int64{5, 8}, [2]int64{1, 5}), false},
+		{"out of order, overlapping", build([2]int64{3, 8}, [2]int64{1, 5}), true},
+		{"two facts interleaved", build([2]int64{1, 2}, [2]int64{1, 2}, [2]int64{2, 3}, [2]int64{2, 3}), false},
+	} {
+		want := tc.r.ValidateDuplicateFree()
+		before := slices.Clone(tc.r.Tuples)
+		err := tc.r.SortDuplicateFree()
+		switch {
+		case (want != nil) != tc.refuse:
+			t.Fatalf("%s: ValidateDuplicateFree says %v", tc.name, want)
+		case tc.refuse && (err == nil || err.Error() != want.Error()):
+			t.Fatalf("%s: SortDuplicateFree says %v, want %v", tc.name, err, want)
+		case tc.refuse && !slices.EqualFunc(tc.r.Tuples, before, func(a, b Tuple) bool { return a.T == b.T && a.Lineage == b.Lineage }):
+			t.Fatalf("%s: a refused relation's rows moved", tc.name)
+		case !tc.refuse && (err != nil || !tc.r.InCanonicalOrder()):
+			t.Fatalf("%s: SortDuplicateFree: %v, in order %v", tc.name, err, tc.r.InCanonicalOrder())
+		}
 	}
 }
 

@@ -193,3 +193,38 @@ func (x *Runs) Seek(rows []Tuple, from, hint int, target int64, te interval.Time
 	// cuts the run may hold none of it past lo: the answer is in (lo, hi].
 	return lo + 1 + skipEnded(rows[lo+1:hi], te), k
 }
+
+// SweepRows bounds, from two indexes alone, the rows a LAWA sweep of a
+// two-leaf ∩Tp or −Tp can read. Only in a fact both leaves hold, over
+// run spans that overlap, can a window be valid on both sides; past
+// every other run the sweep skips. So the bound is the rows of x and of
+// y in those facts — and, with left (−Tp, which outputs the left side's
+// windows whatever y holds), every row of x plus y's rows in those
+// facts. Both relations must be sorted, so that a fact is one run and
+// the ids ascend. The walk merges the two id arrays once, reads no row
+// and allocates nothing, and it stops as soon as the count reaches
+// limit: the result is the bound, or limit when the bound is at least
+// that.
+func SweepRows(x, y *Runs, left bool, limit int) int {
+	n := 0
+	if left {
+		n = x.rows
+	}
+	for i, j := 0, 0; n < limit && i < len(x.fid) && j < len(y.fid); {
+		switch a, b := x.fid[i], y.fid[j]; {
+		case a < b:
+			i++
+		case a > b:
+			j++
+		default:
+			if x.span[i].Overlaps(y.span[j]) {
+				if !left {
+					n += x.Row(i+1) - x.Row(i)
+				}
+				n += y.Row(j+1) - y.Row(j)
+			}
+			i, j = i+1, j+1
+		}
+	}
+	return min(n, limit)
+}

@@ -2,6 +2,7 @@ package relation
 
 import (
 	"cmp"
+	"fmt"
 	"slices"
 
 	"github.com/tpset/tpset/internal/interval"
@@ -105,14 +106,68 @@ func (r *Relation) Sort() {
 // SortDuplicateFree is ValidateDuplicateFree followed by Sort on one
 // sort of the keys: the check runs over the sorted keys and, when it
 // passes, they move the rows. On a violation it returns the check's
-// error and moves nothing. Admission calls it.
+// error and moves nothing. Admission calls it. A bound relation whose
+// rows already lie in canonical order without an overlap — a loader
+// that ranked them lays them out so (csvio.ReadFileSorted) — is
+// recognised in one pass over its ids and rows, and pays no sort; any
+// other falls back to the sort, whatever it claims, so the duplicate
+// check and its error never depend on where the rows came from.
 func (r *Relation) SortDuplicateFree() error {
 	r.mutable("SortDuplicateFree")
+	if r.bound() && r.orderedDuplicateFree() {
+		return nil
+	}
 	ks, err := r.validatedKeys()
 	if err == nil {
 		r.permute(ks)
 	}
 	return err
+}
+
+// orderedDuplicateFree reports, in one pass over a bound relation, that
+// its rows ascend in the full (fid, Ts, Te) order and that no row of a
+// fact overlaps the next: exactly when the sorted keys' check passes
+// and the sort would move nothing.
+func (r *Relation) orderedDuplicateFree() bool {
+	for i := 1; i < len(r.fid); i++ {
+		if a, b := r.Tuples[i-1].T, r.Tuples[i].T; r.fid[i-1] > r.fid[i] ||
+			r.fid[i-1] == r.fid[i] && (b.Ts < a.Te || a.Ts > b.Ts || a.Ts == b.Ts && a.Te > b.Te) {
+			return false
+		}
+	}
+	return true
+}
+
+// Arrange moves every row i, its id with it, to position rank[i], in
+// place: one swap per row out of place. rank must be a permutation of
+// the rows — CanonicalRanks returns one, and csvio lays a file out in
+// canonical order with it — and is left as the identity. Arrange only
+// moves rows: it checks no order, and the leaves move as they are.
+func (r *Relation) Arrange(rank []int) {
+	r.mutable("Arrange")
+	if len(rank) != len(r.Tuples) {
+		panic(fmt.Sprintf("relation: Arrange of %d rows by %d ranks", len(r.Tuples), len(rank)))
+	}
+	rows, fid := r.Tuples, []int64(nil)
+	if r.bound() {
+		fid = r.fid
+	}
+	swaps := 0
+	for i := range rank {
+		for j := rank[i]; j != i; j = rank[i] {
+			if swaps++; swaps > len(rank) {
+				panic("relation: Arrange by ranks that are not a permutation")
+			}
+			rows[i], rows[j] = rows[j], rows[i]
+			if fid != nil {
+				fid[i], fid[j] = fid[j], fid[i]
+			}
+			rank[i], rank[j] = rank[j], rank[i]
+		}
+	}
+	if swaps > 0 {
+		r.runs.Store(nil)
+	}
 }
 
 // permute moves the rows, their ids and their leaves into the order of

@@ -111,6 +111,13 @@ func TestHandlersTable(t *testing.T) {
 				{Fact: []string{"m"}, Lineage: "x2", Ts: 3, Te: 8, Prob: 0.5},
 			},
 		}, 422, "duplicate fact"},
+		{"put duplicate tuples out of order", "PUT", "/relations/x", RelationJSON{
+			Attrs: []string{"P"},
+			Tuples: []TupleJSON{
+				{Fact: []string{"m"}, Lineage: "x3", Ts: 3, Te: 8, Prob: 0.5},
+				{Fact: []string{"m"}, Lineage: "x4", Ts: 1, Te: 5, Prob: 0.5},
+			},
+		}, 422, `duplicate fact \"m\" over overlapping intervals [1,5) and [3,8)`},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

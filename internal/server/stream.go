@@ -193,7 +193,7 @@ func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request) {
 				return errStreamEnded
 			}
 			t0 := time.Now()
-			enc.buf = enc.buf[:0]
+			enc.reset()
 			n, encErr := enc.batchLines(b)
 			encoding += time.Since(t0)
 			if _, err := cw.Write(enc.buf); err != nil {

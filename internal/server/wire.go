@@ -28,9 +28,9 @@ import (
 // string — `{"fact":[…],"lineage":"` — kept with the fact it renders
 // until the next snapshot, so that a run of rows of one fact (output is
 // in fact order) escapes the fact once. Likewise the last te is kept
-// with its text: a fact's windows abut, so a row's ts is usually the
-// te just written, and is copied rather than formatted again. A warmed
-// encoder appends a tuple without allocating.
+// with where its text lies in buf: a fact's windows abut, so a row's ts
+// is usually the te just written, and is copied from there rather than
+// formatted again. A warmed encoder appends a tuple without allocating.
 //
 // names, wire and texts are the encoder's view of the variable arena,
 // of its escaped form (escapedNames: the same table unless some name
@@ -47,11 +47,10 @@ type wireEncoder struct {
 	head []byte            // the last row's opening; empty: none rendered
 	fact relation.Fact     // the fact head renders
 
-	// te and teText[:teLen] are the last row's te and its text (an
-	// int64 is at most 20 bytes); teLen 0: no row yet.
-	te     int64
-	teText [20]byte
-	teLen  uint8
+	// te is the last row's te and buf[teAt:teEnd] its text; teEnd 0:
+	// none since the last reset, which is the only way buf is emptied.
+	te          int64
+	teAt, teEnd int
 
 	names []string
 	wire  []string
@@ -62,8 +61,15 @@ var wireEncoderPool = sync.Pool{New: func() any { return new(wireEncoder) }}
 
 func getWireEncoder() *wireEncoder {
 	e := wireEncoderPool.Get().(*wireEncoder)
-	e.buf = e.buf[:0]
+	e.reset()
 	return e
+}
+
+// reset empties buf, and with it drops the position of the last te's
+// text: every truncation of buf goes through it.
+func (e *wireEncoder) reset() {
+	e.buf = e.buf[:0]
+	e.teEnd = 0
 }
 
 // release returns the encoder to the pool; the pool holds no rows.
@@ -181,15 +187,15 @@ func (e *wireEncoder) tuple(fact relation.Fact, lam *lineage.Expr, ts, te int64,
 	// need no escaping, so the rendering is the string's content.
 	b = lam.AppendString(b, e.wire)
 	b = append(b, `","ts":`...)
-	if e.teLen > 0 && ts == e.te {
-		b = append(b, e.teText[:e.teLen]...)
+	if e.teEnd > 0 && ts == e.te {
+		b = append(b, b[e.teAt:e.teEnd]...)
 	} else {
 		b = strconv.AppendInt(b, ts, 10)
 	}
 	b = append(b, `,"te":`...)
-	n := len(b)
+	teAt := len(b)
 	b = strconv.AppendInt(b, te, 10)
-	e.te, e.teLen = te, uint8(copy(e.teText[:], b[n:]))
+	teEnd := len(b)
 	b = append(b, `,"p":`...)
 	// A bare variable whose marginal is the tuple's own p needs no
 	// varProbs, and its p is that marginal's text; anything else (a
@@ -226,7 +232,11 @@ func (e *wireEncoder) tuple(fact relation.Fact, lam *lineage.Expr, ts, te int64,
 		}
 		b = append(b, '}')
 	}
+	// Only a row that stays in buf leaves its te behind: a refused one
+	// is cut off above and keeps the previous row's, whose text lies
+	// before the cut.
 	e.buf = append(b, '}')
+	e.te, e.teAt, e.teEnd = te, teAt, teEnd
 	return nil
 }
 

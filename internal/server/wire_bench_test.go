@@ -100,7 +100,7 @@ func BenchmarkStreamEncode(b *testing.B) {
 	defer enc.release()
 	encodeAll := func(batches []*core.Batch) {
 		for _, batch := range batches {
-			enc.buf = enc.buf[:0]
+			enc.reset()
 			if _, err := enc.batchLines(batch); err != nil {
 				b.Fatal(err)
 			}
@@ -150,7 +150,7 @@ func TestStreamEncodeDoesNotAllocate(t *testing.T) {
 	defer enc.release()
 	encodeAll := func() {
 		for _, b := range batches {
-			enc.buf = enc.buf[:0]
+			enc.reset()
 			if _, err := enc.batchLines(b); err != nil {
 				t.Fatal(err)
 			}

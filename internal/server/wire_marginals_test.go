@@ -49,7 +49,7 @@ func encodeBatches(t *testing.T, batches []*core.Batch) string {
 	defer enc.release()
 	var out []byte
 	for _, b := range batches {
-		enc.buf = enc.buf[:0]
+		enc.reset()
 		if n, err := enc.batchLines(b); err != nil || n != len(b.Tuples) {
 			t.Fatalf("batchLines = %d, %v on a batch of %d", n, err, len(b.Tuples))
 		}
@@ -204,7 +204,7 @@ func TestMarginalTextsConcurrentEncoders(t *testing.T) {
 			for pass := 0; pass < 2; pass++ {
 				var out []byte
 				for _, b := range batches {
-					enc.buf = enc.buf[:0]
+					enc.reset()
 					if _, err := enc.batchLines(b); err != nil {
 						t.Error(err)
 						return

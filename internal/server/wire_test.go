@@ -182,7 +182,8 @@ func checkWireCaseOnce(t *testing.T, rng *rand.Rand, wc wireCase) {
 		var tj TupleJSON
 		EncodeTupleInto(&tj, tup, nil)
 		want, wantErr := reflectLine(&tj)
-		enc.buf = append(enc.buf[:0], "prefix"...)
+		enc.reset()
+		enc.buf = append(enc.buf, "prefix"...)
 		enc.snapshot()
 		gotErr := enc.tuple(tup.Fact, tup.Lineage, tup.T.Ts, tup.T.Te, tup.Prob)
 		if (wantErr != nil) != (gotErr != nil) {
@@ -203,7 +204,7 @@ func checkWireCaseOnce(t *testing.T, rng *rand.Rand, wc wireCase) {
 
 	version := uint64(rng.Intn(3))
 	wantRel, wantErr := reflectLine(EncodeRelation(rel, version))
-	enc.buf = enc.buf[:0]
+	enc.reset()
 	gotErr := enc.relation(rel, version)
 	if (wantErr != nil) != (gotErr != nil) || (gotErr != nil) == encodable {
 		t.Fatalf("relation: encoding/json error %v, appender error %v, tuples encodable %v", wantErr, gotErr, encodable)
@@ -215,7 +216,7 @@ func checkWireCaseOnce(t *testing.T, rng *rand.Rand, wc wireCase) {
 		t.Fatalf("relation:\n got %s\nwant %s", got, wantRel)
 	}
 
-	enc.buf = enc.buf[:0]
+	enc.reset()
 	if err := enc.relation(rel, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +239,7 @@ func checkWireCaseOnce(t *testing.T, rng *rand.Rand, wc wireCase) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	enc.buf = enc.buf[:0]
+	enc.reset()
 	if err := enc.queryHead(res); err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +273,7 @@ func checkWireCaseOnce(t *testing.T, rng *rand.Rand, wc wireCase) {
 	blockLines := func(next func(*core.Batch) bool) string {
 		var out []byte
 		for b := core.NewBatch(3); next(b); {
-			enc.buf = enc.buf[:0]
+			enc.reset()
 			if n, err := enc.batchLines(b); err != nil || n != len(b.Tuples) {
 				t.Fatalf("batchLines = %d, %v on an encodable batch of %d", n, err, len(b.Tuples))
 			}
@@ -300,7 +301,7 @@ func checkWireCaseOnce(t *testing.T, rng *rand.Rand, wc wireCase) {
 	var want []byte
 	for i := range sorted.Tuples {
 		tup := &sorted.Tuples[i]
-		enc.buf = enc.buf[:0]
+		enc.reset()
 		enc.snapshot()
 		if err := enc.tuple(tup.Fact, tup.Lineage, tup.T.Ts, tup.T.Te, tup.Prob); err != nil {
 			t.Fatal(err)
