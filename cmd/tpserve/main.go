@@ -29,7 +29,9 @@
 //	POST   /query                {"query":"c - (a | b)", "workers":8}
 //	POST   /query/stream         same body; NDJSON stream (meta line,
 //	                             one tuple per line, {"done":true} trailer),
-//	                             flushed incrementally, result cache bypassed
+//	                             flushed a 1,024-row block at a time; a
+//	                             shorter result is one sized response;
+//	                             result cache bypassed
 //	POST   /query/explain        same body; runs the plan and returns the
 //	                             per-operator trace, no result payload
 //

@@ -16,8 +16,10 @@ import (
 // protocol of the module: a stream crosses an operator boundary as bound
 // blocks and in no other form. NextBatch fills b (after resetting it)
 // with up to b.Cap() tuples and reports whether it produced any; after
-// the first false it keeps returning false. Cursors are single-use and
-// not safe for concurrent pulls.
+// the first false it keeps returning false. A block may come back short
+// before the stream ends (the engine's shard concatenation hands a
+// shard's last block over as it is): only false ends a stream. Cursors
+// are single-use and not safe for concurrent pulls.
 //
 // The ordering invariant is the contract that makes cursors compose: the
 // window advancer requires (fact, Ts)-sorted inputs, and every operator
@@ -320,11 +322,13 @@ func (c *OpCursor) emit(t *relation.Tuple, fid *int64) bool {
 // place and hands the blocks back: two allocations and one copy per
 // result, where appending block by block reallocates the array dozens
 // of times (1.25× a step) and clears and copies about five times its
-// final size on the way. Every cursor fills a block to Cap() until its
-// stream ends, so the kept blocks hold the result's rows once over (a
-// kept view of a leaf pins its unused pooled storage instead): the drain
-// pins at most twice the result plus one block. It only reads the rows —
-// a scan's block is the leaf itself.
+// final size on the way. The kept blocks hold the result's rows once
+// over (a kept view of a leaf pins its unused pooled storage instead),
+// plus the unused tail of every block that came back short: the last,
+// and on a sharded plan each shard's last, which the engine's
+// concatenation hands over as the shard left it. So the drain pins at
+// most twice the result plus one block per shard and one more. It only
+// reads the rows — a scan's block is the leaf itself.
 func Materialize(c Cursor) *relation.Relation {
 	var kept []*Batch
 	// Deferred, not inline: a pull may panic (the engine re-raises a shard

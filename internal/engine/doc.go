@@ -34,13 +34,15 @@
 // global canonical order. A Workers-sized pool claims the shards in
 // index order, each an independent query.BuildPrepared plan feeding a
 // bounded channel of blocks, and concatStream drains the channels one
-// after the other — no compare, no intermediate relations (see
-// DESIGN.md, "Streaming execution"). The shard count is sized by the
+// after the other — no compare, no intermediate relations, and a
+// consumer block of the producers' capacity takes each shard block whole,
+// without a row copy (see DESIGN.md, "Streaming execution"). The shard count is sized by the
 // rows the plan's sweep can read, not the rows its leaves hold
 // (shardCount, sweepRows): counted from the leaves' fact-run indexes
 // without reading a row, a ∩Tp or −Tp of two leaves reads only the
 // rows of facts whose runs overlap in time (−Tp its left leaf whole),
-// since run skipping passes every other run. A plan that cannot fill
+// since run skipping passes every other run; the left index keeps the
+// last such bound, so a catalog pair queried again walks nothing. A plan that cannot fill
 // two shards of Config.MinPartitionSize such rows — sparse-stream's
 // r ∩Tp s, whose sweep reads a few hundred of its 400K rows — and a
 // worker budget of one run the sequential plan instead; the stream

@@ -537,13 +537,18 @@ type cancelAfter struct {
 	core.Cursor
 	n      int
 	cancel context.CancelFunc
+	rows   int // rows the pulls before the n-th delivered
 }
 
 func (c *cancelAfter) NextBatch(b *core.Batch) bool {
 	if c.n--; c.n == 0 {
 		c.cancel()
 	}
-	return c.Cursor.NextBatch(b)
+	ok := c.Cursor.NextBatch(b)
+	if ok && c.n > 0 {
+		c.rows += len(b.Tuples)
+	}
+	return ok
 }
 
 // TestMaterializeCancelledMidDrain cancels the request while the
@@ -562,10 +567,13 @@ func TestMaterializeCancelledMidDrain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := core.Materialize(&cancelAfter{Cursor: cur, n: 8, cancel: cancel})
+	c := &cancelAfter{Cursor: cur, n: 8, cancel: cancel}
+	out := core.Materialize(c)
 	cur.Close()
-	if ctx.Err() == nil || out.Len() != 7*core.BatchSize || cap(out.Tuples) != len(out.Tuples) {
-		t.Fatalf("ctx.Err()=%v, %d rows in an array of %d; want the 7 blocks drained before the cancellation", ctx.Err(), out.Len(), cap(out.Tuples))
+	// A shard's last block arrives as short as its producer left it, so
+	// the 7 blocks hold up to 7 × core.BatchSize rows.
+	if ctx.Err() == nil || c.rows == 0 || out.Len() != c.rows || cap(out.Tuples) != len(out.Tuples) {
+		t.Fatalf("ctx.Err()=%v, %d rows in an array of %d; want the %d rows of the 7 blocks drained before the cancellation", ctx.Err(), out.Len(), cap(out.Tuples), c.rows)
 	}
 	if gets, puts, _, _ := core.BatchPoolStats(); gets-gets0 != puts-puts0 {
 		t.Fatalf("pool unbalanced after the cancelled drain: %d gets vs %d puts", gets-gets0, puts-puts0)
@@ -629,6 +637,63 @@ func TestProduceStopsWithoutAReader(t *testing.T) {
 		cancel()
 		if gets, puts, _, _ := core.BatchPoolStats(); gets-gets0 != puts-puts0 {
 			t.Fatalf("%s: pool unbalanced after the producer returned: %d gets vs %d puts", stop, gets-gets0, puts-puts0)
+		}
+	}
+}
+
+// TestConcatHandsShardBlocksOver pins the concatenation's handover. A
+// consumer block of the producers' capacity takes each shard block
+// whole: its rows are the ones the producer wrote, not a copy, and a
+// shard's short last block arrives as it is. A block of another capacity
+// is filled by copies, across block and shard boundaries. Either way the
+// rows come out in shard order and every pooled block goes back.
+func TestConcatHandsShardBlocksOver(t *testing.T) {
+	shards := [][]int{{core.BatchSize, 10}, {5}} // rows of each block, per shard
+	total := core.BatchSize + 10 + 5
+	for _, capacity := range []int{core.BatchSize, 7} {
+		gets0, puts0, _, _ := core.BatchPoolStats()
+		var chans []chan *core.Batch
+		var data []*relation.Tuple // each block's row storage, as the producer filled it
+		fid := int64(0)
+		for _, blocks := range shards {
+			ch := make(chan *core.Batch, len(blocks))
+			for _, n := range blocks {
+				b := core.GetBatch()
+				for range n {
+					b.Append(relation.Tuple{}, fid)
+					fid++
+				}
+				data = append(data, unsafe.SliceData(b.Tuples))
+				ch <- b
+			}
+			close(ch)
+			chans = append(chans, ch)
+		}
+		cs := &concatStream{chans: chans, relay: new(core.PanicRelay)}
+		out := core.NewBatch(capacity)
+		if capacity == core.BatchSize {
+			out = core.GetBatch()
+		}
+		var got []int64
+		for pull := 0; cs.nextBatch(out); pull++ {
+			got = append(got, out.Fid...)
+			switch handed := unsafe.SliceData(out.Tuples) == data[min(pull, len(data)-1)]; {
+			case capacity == core.BatchSize && (!handed || len(out.Tuples) != []int{core.BatchSize, 10, 5}[pull]):
+				t.Fatalf("pull %d: %d rows, handed over %v; want shard block %d whole, not copied", pull, len(out.Tuples), handed, pull)
+			case capacity != core.BatchSize && (handed || len(out.Tuples) != min(capacity, total-len(got)+len(out.Tuples))):
+				t.Fatalf("cap %d, pull %d: %d rows; want the block filled across boundaries", capacity, pull, len(out.Tuples))
+			}
+		}
+		core.PutBatch(out)
+		want := make([]int64, total)
+		for i := range want {
+			want[i] = int64(i)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("cap %d: %d rows out of order or missing; want ids 0..%d", capacity, len(got), total-1)
+		}
+		if gets, puts, _, _ := core.BatchPoolStats(); gets-gets0 != puts-puts0 {
+			t.Fatalf("cap %d: pool unbalanced: %d gets vs %d puts", capacity, gets-gets0, puts-puts0)
 		}
 	}
 }

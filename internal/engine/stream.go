@@ -313,8 +313,12 @@ func logShardDrained(ctx context.Context, shard int, sdb map[string]*relation.Re
 // the one place shard outputs are joined. Each shard stream is in
 // canonical order and shard i's facts all precede shard i+1's, so
 // draining the channels one after the other is the global canonical
-// order: no compare, one bulk copy per block (or per output batch, when
-// that is smaller).
+// order, with no compare. A consumer block of the producers' capacity
+// (core.BatchSize: every pooled block) takes each shard block whole, by
+// swapping storage with it — no row is copied, and a shard's last block
+// reaches the consumer as short as the producer left it; a block of any
+// other capacity is filled by bulk copies, across block and shard
+// boundaries.
 type concatStream struct {
 	chans []chan *core.Batch // shards not yet exhausted, current first
 	cur   *core.Batch        // current block of chans[0], nil between blocks
@@ -365,6 +369,13 @@ func (s *concatStream) nextBatch(out *core.Batch) bool {
 				s.relay.Reraise() // the shard ended: drained, or a producer panicked
 				s.chans = s.chans[1:]
 				continue
+			}
+			if len(out.Tuples) == 0 && b.Cap() == max {
+				// The whole block is the consumer's: out takes its rows and
+				// storage, b takes out's empty storage back to the pool.
+				*out, *b = *b, *out
+				core.PutBatch(b)
+				return true
 			}
 			s.cur, s.i = b, 0
 		}

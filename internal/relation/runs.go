@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync/atomic"
 
 	"github.com/tpset/tpset/internal/interval"
 )
@@ -27,17 +28,33 @@ import (
 // own from its parent's without copying — a run the view cuts keeps the
 // parent run's span, which still covers every row the view holds of it.
 // An index is never written after it is built, so any number of readers
-// may share one.
+// may share one; only its SweepRows memo changes, atomically.
 type Runs struct {
 	fid   []int64             // fid[k]: the fact id of run k
 	start []int32             // start[k]: the first row of run k, counted in the relation the index was built over
 	span  []interval.Interval // span[k]: run k's first Ts and last Te in that relation
 	base  int                 // the row of that relation at which this relation's row 0 lies (a view's offset)
 	rows  int                 // this relation's row count: where the last run ends
+
+	id   uint64                    // unique in the process, given at birth: how a memo names this index
+	memo atomic.Pointer[sweepMemo] // the last SweepRows answer with this index on the left
 }
+
+// runsBorn numbers the indexes as they are made; 0 is noRuns.
+var runsBorn atomic.Uint64
 
 // noRuns is the index of every zero-row relation, bound or not.
 var noRuns = &Runs{}
+
+// sweepMemo is one SweepRows answer, kept on the left index and keyed by
+// the right index's id, not by a pointer to it: a memo never keeps a
+// replaced relation's index alive.
+type sweepMemo struct {
+	right uint64
+	left  bool
+	limit int
+	rows  int
+}
 
 // Runs returns the relation's fact-run index, or nil when the relation is
 // unbound and not empty. The first call builds it in two sequential
@@ -75,7 +92,7 @@ func buildRuns(fid []int64, rows []Tuple) *Runs {
 			n++
 		}
 	}
-	x := &Runs{fid: make([]int64, 0, n), start: make([]int32, 0, n), span: make([]interval.Interval, 0, n), rows: len(fid)}
+	x := &Runs{fid: make([]int64, 0, n), start: make([]int32, 0, n), span: make([]interval.Interval, 0, n), rows: len(fid), id: runsBorn.Add(1)}
 	for i := range fid {
 		if i == 0 || fid[i] != fid[i-1] {
 			if i > 0 {
@@ -114,7 +131,7 @@ func (x *Runs) slice(lo, hi int) *Runs {
 	}
 	k0 := sort.Search(len(x.fid), func(k int) bool { return x.Row(k) > lo }) - 1
 	k1 := sort.Search(len(x.fid), func(k int) bool { return x.Row(k) >= hi })
-	return &Runs{fid: x.fid[k0:k1:k1], start: x.start[k0:k1:k1], span: x.span[k0:k1:k1], base: x.base + lo, rows: hi - lo}
+	return &Runs{fid: x.fid[k0:k1:k1], start: x.start[k0:k1:k1], span: x.span[k0:k1:k1], base: x.base + lo, rows: hi - lo, id: runsBorn.Add(1)}
 }
 
 // At returns the run that holds row — searched forward from hint, a run
@@ -205,7 +222,22 @@ func (x *Runs) Seek(rows []Tuple, from, hint int, target int64, te interval.Time
 // and allocates nothing, and it stops as soon as the count reaches
 // limit: the result is the bound, or limit when the bound is at least
 // that.
+//
+// Neither index changes once built, so the answer is kept on x, one
+// entry for the last (y, left, limit) asked: a catalog pair queried
+// again walks nothing and allocates nothing until one of its relations
+// is replaced or mutated, which gives it a new index.
 func SweepRows(x, y *Runs, left bool, limit int) int {
+	if m := x.memo.Load(); m != nil && m.right == y.id && m.left == left && m.limit == limit {
+		return m.rows
+	}
+	n := sweepRows(x, y, left, limit)
+	x.memo.Store(&sweepMemo{right: y.id, left: left, limit: limit, rows: n})
+	return n
+}
+
+// sweepRows is SweepRows' walk.
+func sweepRows(x, y *Runs, left bool, limit int) int {
 	n := 0
 	if left {
 		n = x.rows

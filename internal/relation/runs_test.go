@@ -2,6 +2,7 @@ package relation
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"github.com/tpset/tpset/internal/interval"
@@ -86,5 +87,75 @@ func TestSweepRowsCountsFromTheIndex(t *testing.T) {
 	rx, ry := x.Runs(), y.Runs()
 	if allocs := testing.AllocsPerRun(100, func() { SweepRows(rx, ry, false, 1<<30) }); allocs != 0 {
 		t.Fatalf("SweepRows allocated %v times, want none", allocs)
+	}
+}
+
+// TestSweepRowsMemo pins the bound kept on the left index: a repeat of
+// the last question is answered without a walk or an allocation, any
+// other question — another right index, another operator or limit, a
+// right relation mutated in place — is walked again, and the memo keeps
+// no right index alive.
+func TestSweepRowsMemo(t *testing.T) {
+	rng := rand.New(rand.NewSource(45))
+	x := randomRel(rng, 2000, 100, 3)
+	y := randomRel(rng, 2000, 100, 3)
+	z := randomRel(rng, 2000, 100, 3)
+	InternAll(x, y, z)
+	x.Sort()
+	y.Sort()
+	z.Sort()
+	check := func(what string, y *Relation, left bool, limit int) {
+		t.Helper()
+		if got, want := SweepRows(x.Runs(), y.Runs(), left, limit), min(sweepRowsFromRows(x, y, left), limit); got != want {
+			t.Fatalf("%s: SweepRows = %d, the rows say %d", what, got, want)
+		}
+	}
+	check("first", y, false, 1<<30)
+	rx, ry := x.Runs(), y.Runs()
+	if allocs := testing.AllocsPerRun(100, func() { SweepRows(rx, ry, false, 1<<30) }); allocs != 0 {
+		t.Fatalf("a repeated SweepRows allocated %v times, want none", allocs)
+	}
+	check("another right index", z, false, 1<<30)
+	check("back", y, false, 1<<30)
+	check("another operator", y, true, 1<<30)
+	check("another limit", y, true, 100)
+	// Move every row of y later in time and install its column again: y's
+	// index is dropped, x's memo stays, and the new index meets x nowhere.
+	before, memo := SweepRows(x.Runs(), y.Runs(), false, 1<<30), x.Runs()
+	for i := range y.Tuples {
+		y.Tuples[i].T.Ts += 1 << 20
+		y.Tuples[i].T.Te += 1 << 20
+	}
+	if err := y.SetBinding(y.Dict(), y.FidCol()); err != nil {
+		t.Fatal(err)
+	}
+	if x.Runs() != memo {
+		t.Fatal("x lost its index")
+	}
+	check("mutated right relation", y, false, 1<<30)
+	if before == 0 || SweepRows(x.Runs(), y.Runs(), false, 1<<30) != 0 {
+		t.Fatalf("bound %d before the move, %d after; want overlap, then none", before, SweepRows(x.Runs(), y.Runs(), false, 1<<30))
+	}
+
+	// A right index the memo names is collected with its relation.
+	collected := make(chan struct{})
+	func() {
+		w := randomRel(rng, 500, 20, 3)
+		InternAll(x, w)
+		x.Sort()
+		w.Sort()
+		runtime.SetFinalizer(w.Runs(), func(*Runs) { close(collected) })
+		SweepRows(x.Runs(), w.Runs(), false, 1<<30)
+	}()
+	for i := 0; ; i++ {
+		runtime.GC()
+		select {
+		case <-collected:
+			return
+		default:
+		}
+		if i == 100 {
+			t.Fatal("the right index outlived its relation: the memo keeps it")
+		}
 	}
 }

@@ -1,11 +1,17 @@
 package server
 
 import (
+	"encoding/json"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 
 	"github.com/tpset/tpset/internal/core"
+	"github.com/tpset/tpset/internal/datagen"
+	"github.com/tpset/tpset/internal/interval"
 	"github.com/tpset/tpset/internal/relation"
 )
 
@@ -137,6 +143,51 @@ func TestFreshCatalogRelationPublishesOneRunIndex(t *testing.T) {
 		}
 		if want := int64(target)<<32 | 4; landed[i] != want {
 			t.Fatalf("reader %d landed on %#x, want fact p040 at time 4 (%#x)", i, landed[i], want)
+		}
+	}
+}
+
+// TestPutFlipsTheShardDecision pins that the sweep bound the engine
+// sizes a plan by — kept on the left relation's run index between
+// queries — follows the catalog: a PUT that replaces s moves r & s
+// between the sequential and the sharded plan on the very next query.
+// s "apart" holds r's facts at other times, so the sweep skips every
+// run; s "meeting" holds them at the same times.
+func TestPutFlipsTheShardDecision(t *testing.T) {
+	srv := New(Config{Workers: 2})
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
+	gen := func(name string, seed int64, shift interval.Time) RelationJSON {
+		rel := datagen.Synthetic(datagen.SyntheticConfig{
+			Name: name, NumTuples: 6000, NumFacts: 60, MaxLen: 3, MaxGap: 3, Seed: seed,
+		})
+		for i := range rel.Tuples {
+			rel.Tuples[i].T.Ts += shift
+			rel.Tuples[i].T.Te += shift
+		}
+		return EncodeRelation(rel, 0)
+	}
+	put := func(name string, body RelationJSON) {
+		if resp, msg := do(t, "PUT", ts.URL+"/relations/"+name, body); resp.StatusCode/100 != 2 {
+			t.Fatalf("PUT %s: status %d: %s", name, resp.StatusCode, msg)
+		}
+	}
+	root := func() string {
+		resp, body := do(t, "POST", ts.URL+"/query/explain", QueryRequest{Query: "r & s"})
+		var er ExplainResponse
+		if err := json.Unmarshal(body, &er); err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("explain: status %d, %v: %s", resp.StatusCode, err, body)
+		}
+		return er.Trace.Op
+	}
+	put("r", gen("put.r", 1, 0))
+	apart, meeting := gen("put.apart", 2, 1<<20), gen("put.meeting", 2, 0)
+	for i, s := range []RelationJSON{apart, meeting, apart, meeting} {
+		put("s", s)
+		for range 2 { // the second query is answered from the kept bound
+			if got, sharded := root(), i%2 == 1; strings.HasPrefix(got, "concat[") != sharded {
+				t.Fatalf("PUT %d (sharded %v): root op %q", i, sharded, got)
+			}
 		}
 	}
 }

@@ -31,8 +31,10 @@
 //     round-tripping lineage through the lineage parser),
 //     POST /query (with per-request workers and lazyProb knobs; workers
 //     outside [0, MaxWorkers] are rejected with 400),
-//     POST /query/stream (NDJSON: meta line, one tuple per line flushed
-//     incrementally, done trailer; result cache bypassed),
+//     POST /query/stream (NDJSON: meta line, one tuple per line, done
+//     trailer; flushed a 1,024-row block at a time once the first block
+//     is full, and sent whole with Content-Length when the stream ends
+//     before that; result cache bypassed),
 //     GET /stats/{name} (Table IV statistics), GET /relations,
 //     GET /healthz and GET /metrics.
 //

@@ -12,6 +12,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -566,7 +567,7 @@ func TestStreamMetricsOnEarlyExits(t *testing.T) {
 		rec := httptest.NewRecorder()
 		streamDirect(srv, rec, QueryRequest{Query: "r | s"})
 		tuples, trailer := parseStream(t, rec.Body.Bytes())
-		if !trailer.Done || tuples <= streamRampBatch+core.BatchSize {
+		if !trailer.Done || tuples <= 2*core.BatchSize {
 			t.Fatalf("trailer %+v after %d tuples; want a complete multi-batch stream", trailer, tuples)
 		}
 		check(t, srv, tuples, int64(rec.Body.Len()))
@@ -579,8 +580,13 @@ func TestStreamMetricsOnEarlyExits(t *testing.T) {
 		rec := httptest.NewRecorder()
 		streamDirect(srv, rec, QueryRequest{Query: "r"})
 		tuples, trailer := parseStream(t, rec.Body.Bytes())
-		if trailer.Done || trailer.Tuples != tuples || tuples != streamRampBatch {
-			t.Fatalf("trailer %+v after %d tuples; want the ramp batch, then the abort", trailer, tuples)
+		// The first block exceeds the budget: nothing ships before the
+		// abort, and the response is sized.
+		if trailer.Done || trailer.Tuples != tuples || tuples != 0 {
+			t.Fatalf("trailer %+v after %d tuples; want the abort alone", trailer, tuples)
+		}
+		if got, want := rec.Header().Get("Content-Length"), strconv.Itoa(rec.Body.Len()); got != want {
+			t.Fatalf("Content-Length %q, want %s", got, want)
 		}
 		check(t, srv, tuples, int64(rec.Body.Len()))
 	})
@@ -608,9 +614,9 @@ func TestStreamMetricsOnEarlyExits(t *testing.T) {
 	})
 	t.Run("client disconnect", func(t *testing.T) {
 		srv, _ := newGovTestServer(t, Config{Workers: 1})
-		w := &droppingWriter{ok: 3} // meta line, ramp batch, one steady batch
+		w := &droppingWriter{ok: 2} // meta line with the first block, one more block
 		streamDirect(srv, w, QueryRequest{Query: "r | s"})
-		check(t, srv, streamRampBatch+core.BatchSize, w.accepted)
+		check(t, srv, 2*core.BatchSize, w.accepted)
 	})
 }
 
@@ -623,8 +629,8 @@ func TestNonFiniteProbabilityIsRefused(t *testing.T) {
 	t.Run("mid-stream", func(t *testing.T) {
 		_, ts := newGovTestServer(t, Config{Workers: 1})
 		const bad = 5 // row of the second batch
-		testHookStreamBatch = func(shipped int, b *core.Batch) {
-			if shipped == streamRampBatch {
+		testHookStreamBatch = func(encoded int, b *core.Batch) {
+			if encoded == core.BatchSize {
 				// "r | s" batches are operator output the stream owns.
 				b.Tuples[bad].Prob = math.NaN()
 			}
@@ -635,7 +641,7 @@ func TestNonFiniteProbabilityIsRefused(t *testing.T) {
 			t.Fatalf("status %d", resp.StatusCode)
 		}
 		tuples, trailer := parseStream(t, body)
-		want := streamRampBatch + bad
+		want := core.BatchSize + bad
 		if tuples != want || trailer.Done || trailer.Tuples != want ||
 			!strings.Contains(trailer.Error, fmt.Sprintf("result tuple %d: probability NaN", want)) {
 			t.Fatalf("%d tuple lines, trailer %+v; want %d lines and the refused tuple named", tuples, trailer, want)

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"io"
 	"net/http"
 	"runtime"
 	"strings"
@@ -255,19 +254,4 @@ func (s *Server) writeMetricsProm(w http.ResponseWriter) {
 	obs.WriteGaugeProm(w, "tpset_relations", "Catalog relations.", float64(s.catalog.Len()))
 	obs.WriteGaugeProm(w, "tpset_catalog_clock", "Catalog version clock.", float64(s.catalog.Clock()))
 	obs.WriteGaugeProm(w, "tpset_uptime_seconds", "Seconds since the server started.", time.Since(s.started).Seconds())
-}
-
-// countingWriter counts payload bytes on their way to the client — the
-// bytes-streamed instrument of the NDJSON path. It deliberately does
-// not implement http.Flusher: flushing stays on the ResponseWriter the
-// stream handler holds.
-type countingWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (cw *countingWriter) Write(p []byte) (int, error) {
-	n, err := cw.w.Write(p)
-	cw.n += int64(n)
-	return n, err
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"strconv"
 	"time"
 
 	"github.com/tpset/tpset/internal/core"
@@ -19,36 +20,35 @@ import (
 //	lines 2..n+1: TupleJSON   — one result tuple per line, canonical order
 //	last line:   StreamTrailer — {"done":true, tuples, elapsedMicros}
 //
-// Tuples are written as the cursor plan produces them, a batch at a
-// time: the wire encoder (wire.go) appends the whole batch into one
-// pooled buffer and the handler issues one Write and one Flush per
-// batch — no per-tuple write, no reflection, and in steady state no
-// allocation. The meta and trailer lines, written once per stream,
-// go through encoding/json. The meta line is flushed on its own (so the
-// client learns the schema at µs-scale TTFT); the first batch is
-// deliberately small (streamRampBatch, so the first results reach the
-// client after a handful of sweep outputs; the engine's shard producers
-// fill full core.GetBatch blocks and need no ramp, because the
-// concatenation emits as soon as shard 0 has a block), and every later
-// one is a pooled engine block of core.BatchSize rows, the unit the
-// plan produces. That block is the flush cadence: a client sees at most
-// core.BatchSize rows go stale between flushes, and each flush costs a
-// few write(2) calls and a client wakeup whatever its size. A batch
-// fill itself runs at sweep speed, so between flushes the client waits
-// on computation, not on buffering. The server never materializes the
-// result relation. The trailer marks a complete stream: clients that do
-// not see it must treat the result as truncated (once streaming starts,
-// HTTP offers no other way to signal a broken transfer).
+// Tuples are encoded as the cursor plan produces them, a block at a
+// time: the wire encoder (wire.go) appends every line — meta, rows and
+// trailer; the two reflected ones through encoding/json — into one
+// pooled buffer, with no per-tuple write, no reflection on a row, and
+// in steady state no allocation. The handler pulls pooled engine blocks
+// of core.BatchSize rows, the unit the plan produces, and holds what it
+// has encoded until it holds a block's worth of rows: then it writes
+// the buffer and flushes. Nothing, not even the status line, goes out
+// before that first block, so a stream that ends first — fewer than
+// core.BatchSize rows, or none, or an abort — is sent whole, sized by
+// Content-Length, in one Write of about two write(2) calls: on a short,
+// selective result, flushing its lines in pieces costs more than its
+// sweep. A longer stream is chunked, and from its first flush on a
+// client sees at most a block's worth of rows go stale between flushes.
+// The price is time to first tuple on a sequential plan: its first
+// rows, and the meta line with them, ship after a full block or at the
+// end. A sharded plan pays little for it, because its shard producers
+// already fill whole blocks before the handler sees a row. A short
+// block — the concatenation hands a shard's last block over as it is —
+// is held and the next one pulled. A block fill runs at sweep speed, so
+// between flushes the client waits on computation, not on buffering.
+// The server never materializes the result relation. The trailer marks
+// a complete stream: clients that do not see it must treat the result
+// as truncated (once chunked streaming starts, HTTP offers no other way
+// to signal a broken transfer).
 //
 // The result cache is bypassed in both directions — no lookup, no store:
 // a stream never holds its whole body, and caching it would defeat its
 // O(tree depth) memory bound.
-
-// streamRampBatch is the capacity of the first tuple batch of a
-// stream: small, so the first results ship after a few windows instead
-// of after a full core.BatchSize fill on highly selective queries.
-// Every later batch is a pooled core.BatchSize block.
-const streamRampBatch = 64
 
 // StreamMeta is the first NDJSON line of a /query/stream response.
 type StreamMeta struct {
@@ -94,70 +94,71 @@ func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request) {
 	}
 
 	var (
-		cw       *countingWriter // nil until the 200 is out
-		start    time.Time
-		count    int
-		encoding time.Duration
+		enc       *wireEncoder // the bytes not yet sent; nil until the drain starts
+		streaming bool         // the 200 is out without a Content-Length
+		start     time.Time
+		count     int   // tuple lines encoded
+		shipped   int   // tuple lines the client was sent
+		sent      int64 // bytes the client was sent
+		encoding  time.Duration
 	)
-	// Every stream that sent its 200 — complete, aborted, client gone,
+	// Every stream whose drain started — complete, aborted, client gone,
 	// panic — is accounted once, after its last line: bytes and tuples
 	// the client was sent, the drain time, and the encode time summed over
-	// its batches.
+	// its blocks.
 	defer func() {
-		if cw != nil {
-			s.metrics.bytesStreamed.Add(uint64(cw.n))
-			s.metrics.tuplesStreamed.Add(uint64(count))
+		if enc != nil {
+			s.metrics.bytesStreamed.Add(uint64(sent))
+			s.metrics.tuplesStreamed.Add(uint64(shipped))
 			s.metrics.streamHist.Observe(time.Since(start))
 			s.metrics.encodeHist.Observe(encoding)
+			enc.release()
 		}
 	}()
 	flusher, _ := w.(http.Flusher)
-	flush := func() {
-		if flusher != nil {
+	// send writes what enc holds and empties it; false means the Write
+	// failed — the client is gone. The first send writes the status line
+	// too: sized when it is also the last, so the whole response is one
+	// Write, chunked otherwise. Every send but the last is flushed; the
+	// last leaves the connection's buffer to the handler's return, which
+	// ends a chunked body in the same write(2).
+	send := func(last bool) bool {
+		if !streaming {
+			if last {
+				w.Header().Set("Content-Length", strconv.Itoa(len(enc.buf)))
+			}
+			w.WriteHeader(http.StatusOK)
+			streaming = !last
+		}
+		n, err := w.Write(enc.buf)
+		sent += int64(n)
+		enc.reset()
+		if err != nil {
+			return false
+		}
+		shipped = count
+		if !last && flusher != nil {
 			flusher.Flush()
 		}
+		return true
 	}
-	// writeLine sends one reflected value (meta, trailer) as its own
-	// NDJSON line and flushes it; false means the Write failed — the
-	// client is gone.
-	writeLine := func(v any) bool {
-		err := encodeJSON(cw, v)
-		flush()
-		return err == nil
+	// finish appends the trailer to the lines not yet sent and sends them:
+	// the one way a started stream ends, held or streaming.
+	finish := func(t StreamTrailer) {
+		t.Tuples, t.ElapsedMicros = count, time.Since(start).Microseconds()
+		_ = encodeJSON(enc, t) // appends to the buffer; cannot fail
+		send(true)
 	}
-	abort := func(reason string) {
-		writeLine(StreamTrailer{
-			Tuples:        count,
-			ElapsedMicros: time.Since(start).Microseconds(),
-			Error:         reason,
-		})
-	}
+	abort := func(reason string) { finish(StreamTrailer{Error: reason}) }
 
-	// Admission, deadline and plan errors come back before any byte is
-	// written, so they are ordinary status codes; once the 200 is out,
-	// failures can only be reported through the trailer.
+	// Admission, deadline and plan errors come back before the drain
+	// starts, so they are ordinary status codes; once it has started, the
+	// response is a 200 whatever happens, and failures are reported
+	// through the trailer.
 	err = s.evaluate(r.Context(), req, pq, func(cur *engine.StreamCursor) (err error) {
 		s.metrics.streams.Inc()
 		w.Header().Set("Content-Type", "application/x-ndjson")
-		w.WriteHeader(http.StatusOK)
-		cw, start = &countingWriter{w: w}, time.Now()
-		enc := getWireEncoder()
-		defer enc.release()
-		// Mid-stream panic net: the 200 and part of the body are already
-		// on the wire, so the outer recoverPanics middleware could not keep
-		// the framing valid. Recovering here can — lines reach the client
-		// only in whole-batch writes, so whatever was being encoded is
-		// still in the buffer and is dropped, and the error trailer lands
-		// on a fresh line: the stream terminates as valid NDJSON with
-		// done:false.
-		defer func() {
-			if p := recover(); p != nil {
-				s.logPanic(r, p, "panic recovered mid-stream")
-				abort("internal error: evaluation panicked mid-stream")
-				err = errStreamEnded
-			}
-		}()
-
+		enc, start = getWireEncoder(), time.Now()
 		schema := cur.Schema()
 		meta := StreamMeta{
 			Query:      pq.canonical,
@@ -169,70 +170,78 @@ func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request) {
 		if meta.Attrs == nil {
 			meta.Attrs = []string{}
 		}
-		// Flushed on its own — time-to-first-byte: the client learns the
-		// schema immediately.
-		if !writeLine(meta) {
-			return errStreamEnded // client gone
-		}
+		// The meta line opens the buffer the first rows are encoded into
+		// and reaches the client with them.
+		_ = encodeJSON(enc, meta)
 
-		limit := s.cfg.MaxResultTuples
-		b := core.NewBatch(streamRampBatch) // unpooled: the ramp is stream-local
+		// Panic net: the 200 and part of the body may be on the wire, so
+		// the outer recoverPanics middleware could not keep the framing
+		// valid. Recovering here can — lines reach the client only in
+		// whole-block writes, so the rows of the block being encoded are
+		// still in the buffer and are dropped, and the error trailer lands
+		// on a fresh line after the lines counted: the stream terminates
+		// as valid NDJSON with done:false, its meta line first whether or
+		// not anything had been sent.
+		encodingFrom := -1 // where the block being encoded starts in enc.buf; -1: none is
 		defer func() {
-			if b.Cap() == core.BatchSize {
-				core.PutBatch(b) // the steady block; the ramp is garbage
+			if p := recover(); p != nil {
+				s.logPanic(r, p, "panic recovered mid-stream")
+				if encodingFrom >= 0 {
+					enc.truncate(encodingFrom)
+				}
+				abort("internal error: evaluation panicked mid-stream")
+				err = errStreamEnded
 			}
 		}()
+
+		limit := s.cfg.MaxResultTuples
+		b := core.GetBatch()
+		defer core.PutBatch(b)
 		for cur.NextBatch(b) {
 			if testHookStreamBatch != nil {
 				testHookStreamBatch(count, b)
 			}
 			if limit > 0 && count+len(b.Tuples) > limit {
-				// The batch in hand proves the result exceeds the budget;
+				// The block in hand proves the result exceeds the budget;
 				// abort without shipping the overflow. Done stays false.
 				abort(fmt.Sprintf("result exceeds the server's maxResultTuples budget (%d); stream aborted", limit))
 				return errStreamEnded
 			}
 			t0 := time.Now()
-			enc.reset()
+			encodingFrom = len(enc.buf)
 			n, encErr := enc.batchLines(b)
+			encodingFrom = -1
 			encoding += time.Since(t0)
-			if _, err := cw.Write(enc.buf); err != nil {
-				return errStreamEnded // client gone; evaluate's Close releases the producers
-			}
-			flush()
 			count += n
 			if encErr != nil {
-				// The rows before the bad one are on the wire; the stream
-				// ends here with a reason instead of an invalid line.
+				// The rows before the bad one are encoded; the stream ends
+				// after them with a reason instead of an invalid line.
 				abort(fmt.Sprintf("result tuple %d: %v; stream truncated", count, encErr))
 				return errStreamEnded
 			}
-			if b.Cap() == streamRampBatch {
-				// The ramp batch has shipped (time to first tuple); switch
-				// to the engine's block.
-				b = core.GetBatch()
+			// Hold a short block and pull once more: a write carries at
+			// least a block's worth of rows, or the end of the stream.
+			if count-shipped >= core.BatchSize && !send(false) {
+				return errStreamEnded // client gone; evaluate's Close releases the producers
 			}
 		}
 		return nil
 	})
 	switch {
-	case cw == nil:
+	case enc == nil:
 		writeErrStatus(w, err)
 	case err == nil:
-		trailer := StreamTrailer{
-			Done:          true,
-			Tuples:        count,
-			ElapsedMicros: time.Since(start).Microseconds(),
-		}
+		trailer := StreamTrailer{Done: true}
 		if pq.span != nil {
 			trailer.Trace = pq.span.Snapshot()
 		}
-		writeLine(trailer)
+		finish(trailer)
 	case err != errStreamEnded:
 		// The drain ended because the deadline fired (or the client
-		// vanished), not because the stream completed: the trailer says
-		// so instead of claiming done ("query deadline exceeded" or
-		// "request cancelled", from evalContextError).
+		// vanished), not because the stream completed — a cursor reports
+		// both as its end: the trailer says so instead of claiming done
+		// ("query deadline exceeded" or "request cancelled", from
+		// evalContextError).
 		abort(err.Error() + "; stream truncated")
 	}
 }
@@ -242,8 +251,8 @@ func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request) {
 // gone — so nothing more is written to it.
 var errStreamEnded = errors.New("stream ended")
 
-// testHookStreamBatch, when non-nil, runs once per drained batch with
-// the tuple count shipped so far and the batch about to be encoded —
+// testHookStreamBatch, when non-nil, runs once per drained block with
+// the tuple count encoded so far and the block about to be encoded —
 // the seam the mid-stream tests use to blow up after framing has
 // started or to plant a value the encoder must refuse.
-var testHookStreamBatch func(shipped int, b *core.Batch)
+var testHookStreamBatch func(encoded int, b *core.Batch)

@@ -7,6 +7,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"strconv"
+	"strings"
 	"testing"
 
 	"github.com/tpset/tpset/internal/core"
@@ -101,38 +103,57 @@ func (w *countingResponseWriter) Write(p []byte) (int, error) {
 }
 
 // TestStreamWriteCount pins the write cadence of the stream handler:
-// one ResponseWriter write for the meta line, one for the ramp batch,
-// one per engine block (core.BatchSize rows) after it and one for the
-// trailer — each one a syscall on a real connection and a wakeup of the
-// client. It runs sequential and sharded, because a sharded plan's
-// blocks reach the handler through the engine's concatenation.
+// nothing is written until a block's worth of rows (core.BatchSize) is
+// encoded — then one ResponseWriter write carries the meta line and the
+// first block, one write each later block, and one last write whatever
+// rows are left with the trailer. A stream that ends before its first
+// block is one write, sized. Each write is a syscall or more on a real
+// connection and a wakeup of the client. It runs sequential and
+// sharded, because a sharded plan's blocks reach the handler through
+// the engine's concatenation, which may hand a shard's last block over
+// short: the handler holds it and pulls once more, so every write but
+// the last still carries a block's worth or more.
 func TestStreamWriteCount(t *testing.T) {
 	for _, workers := range []int{1, 2} {
 		s := New(Config{Workers: workers})
 		big := datagen.Synthetic(datagen.SyntheticConfig{
 			Name: "big", NumTuples: 6000, NumFacts: 60, MaxLen: 3, MaxGap: 3, Seed: 6,
 		})
-		if _, err := s.Load("big", big); err != nil {
-			t.Fatal(err)
+		small := datagen.Synthetic(datagen.SyntheticConfig{
+			Name: "small", NumTuples: 600, NumFacts: 6, MaxLen: 3, MaxGap: 3, Seed: 7,
+		})
+		for name, r := range map[string]*relation.Relation{"big": big, "small": small} {
+			if _, err := s.Load(name, r); err != nil {
+				t.Fatal(err)
+			}
 		}
 
-		body, _ := json.Marshal(QueryRequest{Query: "big | big"})
-		req := httptest.NewRequest("POST", "/query/stream", bytes.NewReader(body))
-		cw := &countingResponseWriter{rec: httptest.NewRecorder()}
-		s.Handler().ServeHTTP(cw, req)
+		for _, q := range []string{"big | big", "small | small"} {
+			body, _ := json.Marshal(QueryRequest{Query: q})
+			req := httptest.NewRequest("POST", "/query/stream", bytes.NewReader(body))
+			cw := &countingResponseWriter{rec: httptest.NewRecorder()}
+			s.Handler().ServeHTTP(cw, req)
 
-		if cw.rec.Code != 200 {
-			t.Fatalf("status %d: %s", cw.rec.Code, cw.rec.Body.Bytes())
-		}
-		lines := bytes.Count(cw.rec.Body.Bytes(), []byte("\n"))
-		tuples := lines - 2 // minus meta and trailer
-		if tuples < 4*core.BatchSize {
-			t.Fatalf("only %d tuples streamed; want a stream of several blocks", tuples)
-		}
-		blocks := (tuples - streamRampBatch + core.BatchSize - 1) / core.BatchSize
-		if want := 1 + 1 + blocks + 1; cw.writes > want {
-			t.Fatalf("workers=%d: %d ResponseWriter writes for %d tuples; want at most %d (meta, ramp, %d blocks of %d, trailer)",
-				workers, cw.writes, tuples, want, blocks, core.BatchSize)
+			if cw.rec.Code != 200 {
+				t.Fatalf("status %d: %s", cw.rec.Code, cw.rec.Body.Bytes())
+			}
+			lines := bytes.Count(cw.rec.Body.Bytes(), []byte("\n"))
+			tuples := lines - 2 // minus meta and trailer
+			want := tuples/core.BatchSize + 1
+			switch {
+			case q == "big | big" && tuples < 4*core.BatchSize:
+				t.Fatalf("only %d tuples streamed; want a stream of several blocks", tuples)
+			case q == "small | small" && (tuples == 0 || tuples >= core.BatchSize):
+				t.Fatalf("%d tuples streamed; want a stream shorter than a block", tuples)
+			case cw.writes > want || workers == 1 && cw.writes != want:
+				t.Fatalf("workers=%d %s: %d ResponseWriter writes for %d tuples; want %d (%d blocks of %d, then the rest with the trailer)",
+					workers, q, cw.writes, tuples, want, want-1, core.BatchSize)
+			}
+			sized := cw.rec.Header().Get("Content-Length")
+			if short := tuples < core.BatchSize; short != (sized == strconv.Itoa(cw.rec.Body.Len())) || !short && sized != "" {
+				t.Fatalf("workers=%d %s: %d tuples sent with Content-Length %q; want it on a stream shorter than a block only",
+					workers, q, tuples, sized)
+			}
 		}
 	}
 }
@@ -154,7 +175,7 @@ func TestStreamSurvivesBrokenClient(t *testing.T) {
 	// Enough broken streams to cycle the pool entries.
 	for i := 0; i < 8; i++ {
 		req := httptest.NewRequest("POST", "/query/stream", bytes.NewReader(body))
-		s.Handler().ServeHTTP(&droppingWriter{ok: 1}, req) // the meta line lands, then the client is gone
+		s.Handler().ServeHTTP(&droppingWriter{ok: 1}, req) // the meta line and the first block land, then the client is gone
 	}
 
 	req := httptest.NewRequest("POST", "/query/stream", bytes.NewReader(body))
@@ -206,4 +227,81 @@ func TestPrepareWorkersResolution(t *testing.T) {
 				tc.server, tc.request, pq.workers, tc.want)
 		}
 	}
+}
+
+// heldStream checks that rec holds a stream sent whole, never flushed —
+// a 200 sized by Content-Length whose first line is the meta line — and
+// parses it.
+func heldStream(t *testing.T, rec *httptest.ResponseRecorder) (tuples int, trailer StreamTrailer) {
+	t.Helper()
+	if rec.Code != http.StatusOK || rec.Flushed {
+		t.Fatalf("status %d, flushed %v; want a 200 sent whole", rec.Code, rec.Flushed)
+	}
+	if got, want := rec.Header().Get("Content-Length"), strconv.Itoa(rec.Body.Len()); got != want {
+		t.Fatalf("Content-Length %q, want %s", got, want)
+	}
+	first, _, _ := bytes.Cut(rec.Body.Bytes(), []byte("\n"))
+	var meta StreamMeta
+	if err := json.Unmarshal(first, &meta); err != nil || meta.Query == "" {
+		t.Fatalf("first line %s is not the meta line (%v)", first, err)
+	}
+	return parseStream(t, rec.Body.Bytes())
+}
+
+// A stream that ends before its first block — empty, or aborted while
+// its first block is held — is sent whole and sized, and frames like any
+// other: the meta line first, the trailer last, done only where the plan
+// ran to its end. A cursor's end does not say which: a deadline or a
+// cancelled request ends it too.
+func TestStreamHeldUntilFirstBlock(t *testing.T) {
+	t.Cleanup(func() { testHookEvalStart, testHookStreamBatch = nil, nil })
+	t.Run("empty", func(t *testing.T) {
+		srv, _ := newGovTestServer(t, Config{Workers: 1})
+		if _, err := srv.Load("e", relation.New(relation.NewSchema("e", "F"))); err != nil {
+			t.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		streamDirect(srv, rec, QueryRequest{Query: "e"})
+		if tuples, trailer := heldStream(t, rec); tuples != 0 || !trailer.Done || trailer.Tuples != 0 {
+			t.Fatalf("%d tuples, trailer %+v; want meta and a done trailer", tuples, trailer)
+		}
+	})
+	// "s" is 500 rows, one block shorter than core.BatchSize: the hook
+	// runs once, on the block the handler then holds.
+	t.Run("deadline", func(t *testing.T) {
+		srv, _ := newGovTestServer(t, Config{Workers: 1})
+		var qctx context.Context
+		testHookEvalStart = func(ctx context.Context) { qctx = ctx }
+		testHookStreamBatch = func(int, *core.Batch) { <-qctx.Done() }
+		rec := httptest.NewRecorder()
+		streamDirect(srv, rec, QueryRequest{Query: "s", TimeoutMillis: 30})
+		tuples, trailer := heldStream(t, rec)
+		if trailer.Done || trailer.Error != "query deadline exceeded; stream truncated" || tuples != 500 || trailer.Tuples != tuples {
+			t.Fatalf("%d tuples, trailer %+v; want the held block, then the deadline", tuples, trailer)
+		}
+	})
+	t.Run("cancel", func(t *testing.T) {
+		srv, _ := newGovTestServer(t, Config{Workers: 1})
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		testHookEvalStart = nil
+		testHookStreamBatch = func(int, *core.Batch) { cancel() }
+		blob, _ := json.Marshal(QueryRequest{Query: "s"})
+		rec := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rec, httptest.NewRequest("POST", "/query/stream", bytes.NewReader(blob)).WithContext(ctx))
+		tuples, trailer := heldStream(t, rec)
+		if trailer.Done || trailer.Error != "request cancelled; stream truncated" || tuples != 500 || trailer.Tuples != tuples {
+			t.Fatalf("%d tuples, trailer %+v; want the held block, then the cancellation", tuples, trailer)
+		}
+	})
+	t.Run("panic", func(t *testing.T) {
+		srv, _ := newGovTestServer(t, Config{Workers: 1})
+		testHookStreamBatch = func(int, *core.Batch) { panic("kaboom before the first flush") }
+		rec := httptest.NewRecorder()
+		streamDirect(srv, rec, QueryRequest{Query: "r"})
+		tuples, trailer := heldStream(t, rec)
+		if tuples != 0 || trailer.Done || trailer.Tuples != 0 || !strings.Contains(trailer.Error, "panicked") {
+			t.Fatalf("%d tuples, trailer %+v; want meta and a panic trailer", tuples, trailer)
+		}
+	})
 }

@@ -121,6 +121,11 @@ func TestStreamTrailerTrace(t *testing.T) {
 	if tr.Trace.TuplesOut != int64(tr.Tuples) {
 		t.Fatalf("trace root tuplesOut = %d, want streamed count %d", tr.Trace.TuplesOut, tr.Tuples)
 	}
+	// The result is shorter than a block: it was held, and sent sized.
+	if resp.ContentLength != int64(len(body)) || len(resp.TransferEncoding) != 0 {
+		t.Fatalf("Content-Length %d, Transfer-Encoding %v for a %d-byte body; want it sent sized",
+			resp.ContentLength, resp.TransferEncoding, len(body))
+	}
 }
 
 func TestQueryExplain(t *testing.T) {

@@ -65,11 +65,24 @@ func getWireEncoder() *wireEncoder {
 	return e
 }
 
-// reset empties buf, and with it drops the position of the last te's
-// text: every truncation of buf goes through it.
-func (e *wireEncoder) reset() {
-	e.buf = e.buf[:0]
-	e.teEnd = 0
+// reset empties buf.
+func (e *wireEncoder) reset() { e.truncate(0) }
+
+// truncate cuts buf back to its first n bytes, and drops the position of
+// the last te's text when the cut takes the text with it: every
+// truncation of buf goes through it.
+func (e *wireEncoder) truncate(n int) {
+	e.buf = e.buf[:n]
+	if e.teEnd > n {
+		e.teEnd = 0
+	}
+}
+
+// Write appends p to buf: encodeJSON puts the stream's meta and trailer
+// lines into the buffer its rows are encoded into.
+func (e *wireEncoder) Write(p []byte) (int, error) {
+	e.buf = append(e.buf, p...)
+	return len(p), nil
 }
 
 // release returns the encoder to the pool; the pool holds no rows.

@@ -28,7 +28,7 @@ import (
 // their tuple count. The pair is admitted as tpserve -rel admits it: a
 // CSV file in generation order (the facts round-robin), read by
 // csvio.ReadFile, then catalog admission; and it is drained at the
-// stream's cadence, the ramp batch and then engine blocks. The pair's
+// stream's cadence, in core.BatchSize blocks. The pair's
 // base tuples are named prefix+"r<i>" and prefix+"s<i>": the
 // marginal-text table is process-wide and keyed by variable, so a
 // caller that measures or counts what it holds names its own, and a
@@ -69,7 +69,7 @@ func drainedBatches(tb testing.TB, q, prefix string, n int, seed int64) ([]*core
 	var batches []*core.Batch
 	tuples := 0
 	if err := srv.evaluate(context.Background(), req, pq, func(cur *engine.StreamCursor) error {
-		for b := core.NewBatch(streamRampBatch); cur.NextBatch(b); b = core.NewBatch(core.BatchSize) {
+		for b := core.NewBatch(core.BatchSize); cur.NextBatch(b); b = core.NewBatch(core.BatchSize) {
 			batches = append(batches, b)
 			tuples += len(b.Tuples)
 		}
