@@ -27,7 +27,7 @@ func BenchmarkAblationFusedFilter(b *testing.B) {
 	r, s := datagen.FixedOverlapPair(100000, 1, 1)
 	b.Run("fused", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := core.Intersect(r, s, core.Options{LazyProb: true}); err != nil {
+			if _, err := core.Apply(core.OpIntersect, r, s, core.Options{LazyProb: true}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -52,14 +52,14 @@ func BenchmarkAblationProbEval(b *testing.B) {
 	r, s := datagen.FixedOverlapPair(100000, 1, 1)
 	b.Run("eager1OF", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := core.Union(r, s, core.Options{}); err != nil {
+			if _, err := core.Apply(core.OpUnion, r, s, core.Options{}); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("lazy", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := core.Union(r, s, core.Options{LazyProb: true}); err != nil {
+			if _, err := core.Apply(core.OpUnion, r, s, core.Options{LazyProb: true}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -75,14 +75,14 @@ func BenchmarkAblationPresorted(b *testing.B) {
 	ss.Sort()
 	b.Run("sortIncluded", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := core.Intersect(r, s, core.Options{LazyProb: true}); err != nil {
+			if _, err := core.Apply(core.OpIntersect, r, s, core.Options{LazyProb: true}); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("presorted", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := core.Intersect(rs, ss, core.Options{AssumeSorted: true, LazyProb: true}); err != nil {
+			if _, err := core.Apply(core.OpIntersect, rs, ss, core.Options{AssumeSorted: true, LazyProb: true}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -103,7 +103,7 @@ func BenchmarkAblationPresorted(b *testing.B) {
 	b.Run("sortIncluded-2attr-unbound", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := core.Intersect(r2, s2, core.Options{LazyProb: true}); err != nil {
+			if _, err := core.Apply(core.OpIntersect, r2, s2, core.Options{LazyProb: true}); err != nil {
 				b.Fatal(err)
 			}
 		}

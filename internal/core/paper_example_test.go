@@ -66,11 +66,11 @@ func checkRelation(t *testing.T, got *relation.Relation, wants []want) {
 // Q = c −Tp (a ∪Tp b), with the result table of Fig. 1c.
 func TestPaperFig1Query(t *testing.T) {
 	a, b, c := paperRelations()
-	ab, err := core.Union(a, b, core.Options{})
+	ab, err := core.Apply(core.OpUnion, a, b, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	q, err := core.Except(c, ab, core.Options{})
+	q, err := core.Apply(core.OpExcept, c, ab, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestPaperFig1Query(t *testing.T) {
 // TestPaperFig3Union reproduces a ∪Tp c of Fig. 3.
 func TestPaperFig3Union(t *testing.T) {
 	a, _, c := paperRelations()
-	got, err := core.Union(a, c, core.Options{})
+	got, err := core.Apply(core.OpUnion, a, c, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestPaperFig3Union(t *testing.T) {
 // TestPaperFig3Except reproduces a −Tp c of Fig. 3.
 func TestPaperFig3Except(t *testing.T) {
 	a, _, c := paperRelations()
-	got, err := core.Except(a, c, core.Options{})
+	got, err := core.Apply(core.OpExcept, a, c, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestPaperFig3Except(t *testing.T) {
 // TestPaperFig3Intersect reproduces a ∩Tp c of Fig. 3.
 func TestPaperFig3Intersect(t *testing.T) {
 	a, _, c := paperRelations()
-	got, err := core.Intersect(a, c, core.Options{})
+	got, err := core.Apply(core.OpIntersect, a, c, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +185,7 @@ func TestPaperFig6ExceptMilk(t *testing.T) {
 		}
 		return out
 	}
-	got, err := core.Except(milkOnly(c), milkOnly(a), core.Options{})
+	got, err := core.Apply(core.OpExcept, milkOnly(c), milkOnly(a), core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +200,7 @@ func TestPaperFig6ExceptMilk(t *testing.T) {
 // Example 2 / Fig. 2 within a −Tp c.
 func TestExample2SelectedOutputs(t *testing.T) {
 	a, _, c := paperRelations()
-	got, err := core.Except(a, c, core.Options{})
+	got, err := core.Apply(core.OpExcept, a, c, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -160,7 +160,7 @@ func TestDeepChainStaysLinear(t *testing.T) {
 		next := relation.New(relation.NewSchema("n", "F"))
 		ts := int64(rng.Intn(80))
 		next.AddBase(relation.NewFact("x"), string(rune('a'+i)), ts, ts+1+int64(rng.Intn(20)), 0.3)
-		out, err := core.Union(acc, next, core.Options{})
+		out, err := core.Apply(core.OpUnion, acc, next, core.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -216,7 +216,7 @@ func TestEdgeCases(t *testing.T) {
 
 	// r −Tp r keeps the interval with lineage r1∧¬r1 ≡ false (prob 0):
 	// Def. 3's filter is λr ≠ null; the probabilistic dimension zeroes it.
-	selfExcept, err := core.Except(r, r, core.Options{})
+	selfExcept, err := core.Apply(core.OpExcept, r, r, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +229,7 @@ func TestEdgeCases(t *testing.T) {
 	p1.AddBase(relation.NewFact("x"), "p1", 5, 6, 0.5)
 	p2 := relation.New(relation.NewSchema("p2", "F"))
 	p2.AddBase(relation.NewFact("x"), "p2", 5, 6, 0.5)
-	got, err := core.Intersect(p1, p2, core.Options{})
+	got, err := core.Apply(core.OpIntersect, p1, p2, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +241,7 @@ func TestEdgeCases(t *testing.T) {
 	q1.AddBase(relation.NewFact("x"), "q1", 1, 5, 0.5)
 	q2 := relation.New(relation.NewSchema("q2", "F"))
 	q2.AddBase(relation.NewFact("x"), "q2", 5, 9, 0.5)
-	got, err = core.Intersect(q1, q2, core.Options{})
+	got, err = core.Apply(core.OpIntersect, q1, q2, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,13 +256,13 @@ func TestValidateOption(t *testing.T) {
 	bad.AddBase(relation.NewFact("x"), "b1", 1, 5, 0.5)
 	bad.AddBase(relation.NewFact("x"), "b2", 3, 7, 0.5) // overlap!
 	ok := relation.New(relation.NewSchema("ok", "F"))
-	if _, err := core.Union(bad, ok, core.Options{Validate: true}); err == nil {
+	if _, err := core.Apply(core.OpUnion, bad, ok, core.Options{Validate: true}); err == nil {
 		t.Error("duplicate input accepted with Validate")
 	}
-	if _, err := core.Union(ok, bad, core.Options{Validate: true}); err == nil {
+	if _, err := core.Apply(core.OpUnion, ok, bad, core.Options{Validate: true}); err == nil {
 		t.Error("duplicate right input accepted with Validate")
 	}
-	if _, err := core.Union(bad, ok, core.Options{}); err != nil {
+	if _, err := core.Apply(core.OpUnion, bad, ok, core.Options{}); err != nil {
 		t.Error("without Validate the driver must not check")
 	}
 }
@@ -273,7 +273,7 @@ func TestLazyProbOption(t *testing.T) {
 	r.AddBase(relation.NewFact("x"), "r1", 1, 4, 0.5)
 	s := relation.New(relation.NewSchema("s", "F"))
 	s.AddBase(relation.NewFact("x"), "s1", 2, 6, 0.5)
-	got, err := core.Intersect(r, s, core.Options{LazyProb: true})
+	got, err := core.Apply(core.OpIntersect, r, s, core.Options{LazyProb: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,11 +294,11 @@ func TestAssumeSorted(t *testing.T) {
 	s.AddBase(relation.NewFact("x"), "s1", 2, 6, 0.5)
 	r.Sort()
 	s.Sort()
-	want, err := core.Union(r, s, core.Options{})
+	want, err := core.Apply(core.OpUnion, r, s, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := core.Union(r, s, core.Options{AssumeSorted: true})
+	got, err := core.Apply(core.OpUnion, r, s, core.Options{AssumeSorted: true})
 	if err != nil {
 		t.Fatal(err)
 	}

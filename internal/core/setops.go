@@ -66,10 +66,21 @@ func (o Options) Workers() int {
 // Op identifies a TP set operation.
 type Op int
 
-// The three TP set operations of Def. 3.
+// The three TP set operations of Def. 3. At each time point, the
+// result holds the facts with non-zero probability to be:
 const (
+	// in r or in s, with lineage or(λr, λs) (Algorithm 3). Every
+	// candidate window passes the λ-filter, so the sweep drains both
+	// inputs.
 	OpUnion Op = iota
+	// in r and in s, with lineage and(λr, λs) (Algorithm 2). The sweep
+	// stops when either input is exhausted: no later window can pass
+	// the filter λr ≠ null ∧ λs ≠ null.
 	OpIntersect
+	// in r and not in s, with lineage andNot(λr, λs): λr alone where no
+	// s tuple is valid, λr ∧ ¬λs otherwise, which keeps facts that s
+	// holds with probability < 1 (Algorithm 4). The sweep stops when r
+	// is exhausted.
 	OpExcept
 )
 
@@ -175,33 +186,6 @@ func fanOut(n, workers int, f func(i int)) {
 	}
 	wg.Wait()
 	relay.Reraise()
-}
-
-// Intersect computes r ∩Tp s (Algorithm 2): at each time point, the facts
-// with non-zero probability to be in r and in s, with lineage
-// and(λr, λs). Windows are consumed until either input is exhausted — once
-// one side can no longer contribute a valid tuple, no further window can
-// pass the λ-filter λr ≠ null ∧ λs ≠ null.
-func Intersect(r, s *relation.Relation, opts Options) (*relation.Relation, error) {
-	return Apply(OpIntersect, r, s, opts)
-}
-
-// Union computes r ∪Tp s (Algorithm 3): at each time point, the facts with
-// non-zero probability to be in r or in s, with lineage or(λr, λs). Every
-// candidate window passes the filter (the advancer never emits a window
-// without a valid tuple), so the loop drains both inputs.
-func Union(r, s *relation.Relation, opts Options) (*relation.Relation, error) {
-	return Apply(OpUnion, r, s, opts)
-}
-
-// Except computes r −Tp s (Algorithm 4): at each time point, the facts with
-// non-zero probability to be in r and not in s, with lineage
-// andNot(λr, λs) — which is λr alone when no s tuple is valid, and
-// λr ∧ ¬λs otherwise (the probabilistic dimension keeps facts that s holds
-// with probability < 1). Windows are consumed until the left input is
-// exhausted.
-func Except(r, s *relation.Relation, opts Options) (*relation.Relation, error) {
-	return Apply(OpExcept, r, s, opts)
 }
 
 // Windows runs the advancer to completion and returns every candidate

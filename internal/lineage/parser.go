@@ -69,16 +69,6 @@ func isIdentRune(r rune) bool {
 	return unicode.IsLetter(r) || unicode.IsDigit(r)
 }
 
-// MustParse is Parse panicking on error, with a constant probability for
-// every variable; intended for tests.
-func MustParse(input string, p float64) *Expr {
-	e, err := Parse(input, func(string) (float64, error) { return p, nil })
-	if err != nil {
-		panic(err)
-	}
-	return e
-}
-
 // maxDepth bounds how deep a parsed formula nests: parentheses open at
 // once, and the height of the tree built, where each negation and each
 // operator of a chain adds a level (a chain folds left, so a1∧…∧an is n−1

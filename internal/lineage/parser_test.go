@@ -91,18 +91,6 @@ func TestParseRoundTrip(t *testing.T) {
 	}
 }
 
-func TestMustParse(t *testing.T) {
-	if MustParse("a∧b", 0.5).String() != "a∧b" {
-		t.Error("MustParse")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("MustParse on bad input must panic")
-		}
-	}()
-	MustParse("a∧", 0.5)
-}
-
 // TestIsVarNameMatchesParse pins IsVarName to its definition: true
 // exactly when Parse(s) returns the single variable named s. Parse and
 // IsVarName share the identifier rule, so the rule itself is checked

@@ -214,7 +214,7 @@ func TestRepeatingQueryProbabilities(t *testing.T) {
 func TestSetOpErrIncompatibleSchemas(t *testing.T) {
 	a := relation.New(relation.NewSchema("a", "X"))
 	b := relation.New(relation.NewSchema("b", "X", "Y"))
-	if _, err := core.Union(a, b, core.Options{}); err == nil {
+	if _, err := core.Apply(core.OpUnion, a, b, core.Options{}); err == nil {
 		t.Error("incompatible schemas must be rejected")
 	}
 }

@@ -10,8 +10,10 @@ package query
 //
 // (For −Tp, restricting the right side is sound because tuples of s with
 // facts filtered out of r can never contribute to an output anyway.)
-// Pushing selections below the set operations shrinks the inputs the
-// O(n log n) sweep sorts, which is the classic selection-pushdown win.
+// Pushing selections below the set operations means every sweep reads
+// only the selected rows of its inputs. (The leaves are still prepared
+// whole — copied and sorted where they need it — before the selection
+// over them filters.)
 //
 // The rewriter is conservative: it only transforms nodes where equivalence
 // is guaranteed by the equations above and leaves everything else intact.
@@ -52,25 +54,4 @@ func pushSelect(sel *Select, input Node) Node {
 	default:
 		return &Select{Attr: sel.Attr, Value: sel.Value, Input: input}
 	}
-}
-
-// CountSelections reports how many Select nodes the tree contains and how
-// many of them sit directly above a base relation — a rewrite-quality
-// metric used by tests and by EXPLAIN output.
-func CountSelections(n Node) (total, onBase int) {
-	switch q := n.(type) {
-	case *Rel:
-		return 0, 0
-	case *SetOp:
-		lt, lb := CountSelections(q.Left)
-		rt, rb := CountSelections(q.Right)
-		return lt + rt, lb + rb
-	case *Select:
-		t, b := CountSelections(q.Input)
-		if _, isRel := q.Input.(*Rel); isRel {
-			b++
-		}
-		return t + 1, b
-	}
-	return 0, 0
 }

@@ -37,16 +37,3 @@ func TestPushDownSelections(t *testing.T) {
 		}
 	}
 }
-
-func TestCountSelections(t *testing.T) {
-	n := MustParse("sigma[P='x'](a - b) | sigma[P='y'](c)")
-	total, onBase := CountSelections(n)
-	if total != 2 || onBase != 1 {
-		t.Fatalf("total=%d onBase=%d", total, onBase)
-	}
-	p := PushDownSelections(n)
-	total, onBase = CountSelections(p)
-	if total != 3 || onBase != 3 {
-		t.Fatalf("after pushdown: total=%d onBase=%d (%s)", total, onBase, p)
-	}
-}

@@ -305,7 +305,7 @@ func Check(tb testing.TB, ctx string, got *relation.Relation, n query.Node, db m
 
 // CheckBinding fails the test unless rel is bound and its fid column
 // names, row for row, the row's fact in rel's dictionary: the binding a
-// scan hands out with every block. relation.Equal compares rows only, so
+// scan hands out with every block. relation.Diff compares rows only, so
 // a restore or admission that scrambles the column passes it and is
 // caught here.
 func CheckBinding(tb testing.TB, ctx string, rel *relation.Relation) {

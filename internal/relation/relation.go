@@ -554,15 +554,10 @@ func (r *Relation) Coalesce() *Relation {
 	return out
 }
 
-// Equal reports whether two relations contain the same tuples (same fact,
-// interval, syntactically equivalent lineage and probability within 1e-9),
-// ignoring order. It is used heavily by the cross-validation test suite.
-func Equal(a, b *Relation) bool {
-	return Diff(a, b) == ""
-}
-
 // Diff returns a human-readable description of the first difference between
-// the two relations, or "" when they are equal up to order.
+// the two relations, or "" when they contain the same tuples (same fact,
+// interval, syntactically equivalent lineage and probability within 1e-9),
+// ignoring order.
 func Diff(a, b *Relation) string {
 	as, bs := a.Clone(), b.Clone()
 	as.Sort()

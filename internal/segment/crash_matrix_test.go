@@ -17,7 +17,7 @@ import (
 // disk — rendered under both the pessimistic fsync-only durability
 // model and the optimistic everything-flushed model — is reopened, and
 // the restored catalog must be bit-identical to an acknowledged state
-// (relation.Equal on every relation, and every fid column naming its
+// (relation.Diff on every relation, and every fid column naming its
 // rows' facts in the restored dictionary): everything the workload was told
 // was durable, plus at most the one mutation that was in flight when
 // the power died. Any other outcome is silent corruption and fails the
@@ -108,7 +108,7 @@ func sameCatalog(t *testing.T, ctx string, got, want map[string]*relation.Relati
 	}
 	for name, w := range want {
 		g, ok := got[name]
-		if !ok || !relation.Equal(g, w) {
+		if !ok || relation.Diff(g, w) != "" {
 			return false
 		}
 	}

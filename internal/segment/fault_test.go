@@ -122,7 +122,7 @@ func TestRecoverAfterTornAppend(t *testing.T) {
 		t.Fatal(err)
 	}
 	got, ok := rels["good"]
-	if !ok || !relation.Equal(good, got) {
+	if !ok || relation.Diff(good, got) != "" {
 		t.Fatalf("post-recovery acked put lost after crash (ok=%v, rels=%d)", ok, len(rels))
 	}
 	if _, ok := rels["torn"]; ok {
@@ -161,7 +161,7 @@ func TestApplyFailureKeepsAcknowledgement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, ok := rels["kept"]; !ok || !relation.Equal(r, got) {
+	if got, ok := rels["kept"]; !ok || relation.Diff(r, got) != "" {
 		t.Fatalf("acked put lost after apply failure + crash (ok=%v)", ok)
 	}
 	s2.Close()
@@ -185,7 +185,7 @@ func TestApplyFailureKeepsAcknowledgement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, ok := rels["kept"]; !ok || !relation.Equal(r, got) {
+	if got, ok := rels["kept"]; !ok || relation.Diff(r, got) != "" {
 		t.Fatalf("acked put lost after in-place recovery (ok=%v)", ok)
 	}
 }
@@ -232,7 +232,7 @@ func TestRecoverProbeRetriesUntilDiskReturns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, ok := rels["x"]; !ok || !relation.Equal(r, got) {
+	if got, ok := rels["x"]; !ok || relation.Diff(r, got) != "" {
 		t.Fatalf("put after noop probe lost at replay (ok=%v)", ok)
 	}
 }

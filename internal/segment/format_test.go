@@ -58,7 +58,7 @@ func TestRoundTripByteIdentical(t *testing.T) {
 		if f.N != n || rel.Len() != n {
 			t.Fatalf("n=%d: decoded %d rows, materialized %d", n, f.N, rel.Len())
 		}
-		if !relation.Equal(r, rel) {
+		if relation.Diff(r, rel) != "" {
 			t.Fatalf("n=%d: restored relation differs: %s", n, relation.Diff(r, rel))
 		}
 		if !rel.Frozen() {
@@ -276,10 +276,10 @@ func TestMixedDictionaryGenerationsHeal(t *testing.T) {
 	if err != nil {
 		t.Fatalf("restore r2: %v", err)
 	}
-	if !relation.Equal(r1, got1) {
+	if relation.Diff(r1, got1) != "" {
 		t.Fatalf("healed relation differs: %s", relation.Diff(r1, got1))
 	}
-	if !relation.Equal(r2, got2) {
+	if relation.Diff(r2, got2) != "" {
 		t.Fatalf("same-generation relation differs: %s", relation.Diff(r2, got2))
 	}
 	reftest.CheckBinding(t, "healed", got1)
@@ -316,7 +316,7 @@ func TestDecodeIgnoresAlignment(t *testing.T) {
 			!slices.Equal(f.Prob, want.Prob) || !slices.Equal(f.Keys, want.Keys) {
 			t.Fatalf("offset %d: decoded columns differ from the aligned decode", off)
 		}
-		if !relation.Equal(rel, wantRel) {
+		if relation.Diff(rel, wantRel) != "" {
 			t.Fatalf("offset %d: relation differs from the aligned decode: %s", off, relation.Diff(wantRel, rel))
 		}
 		again, err := Encode(rel)

@@ -86,12 +86,7 @@ type pendingOp struct {
 // data dir.
 func segFileName(name string) string { return url.PathEscape(name) + ".seg" }
 
-// OpenFile reads and decodes one segment file.
-func OpenFile(path string) (*File, error) {
-	return OpenFileFS(faultfs.OS{}, path)
-}
-
-// OpenFileFS is OpenFile against an explicit filesystem. The decoded
+// OpenFileFS reads and decodes one segment file of fsys. The decoded
 // File keeps nothing of the bytes read, so they are garbage on return.
 func OpenFileFS(fsys faultfs.FS, path string) (*File, error) {
 	data, err := fsys.ReadFile(path)

@@ -55,7 +55,7 @@ func TestStorePutFlushRestore(t *testing.T) {
 	if !ok {
 		t.Fatalf("restore lost the relation; have %v", rels)
 	}
-	if !relation.Equal(r, got) {
+	if relation.Diff(r, got) != "" {
 		t.Fatalf("restored relation differs: %s", relation.Diff(r, got))
 	}
 	if !got.Frozen() || got.FidCol() == nil {
@@ -83,7 +83,7 @@ func TestWALReplayRestoresUnflushedPut(t *testing.T) {
 	defer s2.Close()
 	rels := restore(t, s2)
 	got, ok := rels["pending"]
-	if !ok || !relation.Equal(r, got) {
+	if !ok || relation.Diff(r, got) != "" {
 		t.Fatalf("WAL replay did not restore the acknowledged put (ok=%v)", ok)
 	}
 	// Replay truncates: a third open sees a clean WAL and the same data.
@@ -144,7 +144,7 @@ func TestCrashMidGenerationRewriteHeals(t *testing.T) {
 	if dict == nil {
 		t.Fatalf("no union dictionary")
 	}
-	if !relation.Equal(r1, rels["old"]) || !relation.Equal(r2, rels["new"]) {
+	if relation.Diff(r1, rels["old"]) != "" || relation.Diff(r2, rels["new"]) != "" {
 		t.Fatalf("mixed-generation restore diverged")
 	}
 	if rels["old"].Dict() != dict || rels["new"].Dict() != dict {
@@ -201,7 +201,7 @@ func TestTornWALTailDiscarded(t *testing.T) {
 	s2 := openStore(t, dir)
 	defer s2.Close()
 	rels := restore(t, s2)
-	if got, ok := rels["keep"]; !ok || !relation.Equal(r, got) {
+	if got, ok := rels["keep"]; !ok || relation.Diff(r, got) != "" {
 		t.Fatalf("valid WAL prefix lost with the torn tail (ok=%v)", ok)
 	}
 }
@@ -290,7 +290,7 @@ func TestRestoredRelationOutlivesStoreClose(t *testing.T) {
 	if err := s2.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if after := query(); !relation.Equal(before, after) {
+	if after := query(); relation.Diff(before, after) != "" {
 		t.Fatalf("query after Close differs: %s", relation.Diff(before, after))
 	}
 	if !slices.Equal(rels["r"].FidCol(), fid) {

@@ -46,11 +46,11 @@ func TestCodecRoundTripDerivedLineage(t *testing.T) {
 	c := relation.New(relation.NewSchema("c", "P"))
 	c.AddBase(relation.NewFact("milk"), "c1", 1, 14, 0.6)
 
-	ab, err := core.Union(a, b, core.Options{})
+	ab, err := core.Apply(core.OpUnion, a, b, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := core.Except(c, ab, core.Options{})
+	out, err := core.Apply(core.OpExcept, c, ab, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

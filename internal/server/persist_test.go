@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"github.com/tpset/tpset/internal/datagen"
+	"github.com/tpset/tpset/internal/faultfs"
 	"github.com/tpset/tpset/internal/query"
 	"github.com/tpset/tpset/internal/ref/reftest"
 	"github.com/tpset/tpset/internal/relation"
@@ -142,7 +143,7 @@ func TestHandlerMutationsPersistAcrossRestart(t *testing.T) {
 	if !ok {
 		t.Fatalf("keep missing after restart")
 	}
-	if !relation.Equal(want, got) {
+	if relation.Diff(want, got) != "" {
 		t.Fatalf("restored relation differs: %s", relation.Diff(want, got))
 	}
 	if !got.Frozen() {
@@ -172,7 +173,7 @@ func TestDictionaryRebuildPersists(t *testing.T) {
 	for _, name := range []string{"olddict", "newdict"} {
 		want, _, _ := srv.Relation(name)
 		got, _, ok := restarted.Relation(name)
-		if !ok || !relation.Equal(want, got) {
+		if !ok || relation.Diff(want, got) != "" {
 			t.Fatalf("relation %s lost or diverged across dictionary rebuild (ok=%v)", name, ok)
 		}
 		reftest.CheckBinding(t, "restored "+name, got)
@@ -200,7 +201,7 @@ func TestDictionaryRebuildPersists(t *testing.T) {
 	}
 	var files []*segment.File
 	for _, path := range paths {
-		f, err := segment.OpenFile(path)
+		f, err := segment.OpenFileFS(faultfs.OS{}, path)
 		if err != nil {
 			t.Fatal(err)
 		}

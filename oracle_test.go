@@ -3,6 +3,7 @@ package tpset_test
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/tpset/tpset"
@@ -25,15 +26,38 @@ func leafOp(tree query.Node) (op tpset.Op, left, right string, ok bool) {
 	return so.Op, l.Name, r.Name, true
 }
 
+// selectAbove returns n with a selection σ[F='f…'] over its root set
+// operation and over about a third of the inner ones, or nil when n has
+// no set operation. reftest.Tree puts selections over leaves only, so
+// these are the selections Eval's push-down has to move.
+func selectAbove(rng *rand.Rand, n query.Node, root bool) query.Node {
+	so, ok := n.(*query.SetOp)
+	if !ok {
+		if root {
+			return nil
+		}
+		return n
+	}
+	var out query.Node = &query.SetOp{Op: so.Op, Left: selectAbove(rng, so.Left, false), Right: selectAbove(rng, so.Right, false)}
+	if root || rng.Intn(3) == 0 {
+		out = &query.Select{Attr: "F", Value: fmt.Sprintf("f%03d", rng.Intn(24)), Input: out}
+	}
+	return out
+}
+
 // TestPublicAPIMatchesOracle drives the differential harness through the
 // public entry points: random query trees over random catalogs — interned
 // or not, in generation order, as a library user assembles them — through
-// Eval, EvalOptimized and EvalParallel at several budgets, each compared
-// with the Def. 3 oracle (every third catalog holds its relations' facts
-// at different times, the temporal run-skipping case); and Apply, sequential and partitioned, on the
-// two-relation trees.
+// Eval and EvalParallel at several budgets, each compared with the Def. 3
+// oracle (every third catalog holds its relations' facts at different
+// times, the temporal run-skipping case); the same trees with selections
+// above set operations, which Eval pushes down before it plans (drawn
+// from a second rng, so the trees and catalogs stay those of the first);
+// and Apply, sequential and partitioned, on the two-relation trees.
 func TestPublicAPIMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(95))
+	srng := rand.New(rand.NewSource(9501))
+	pushed := 0
 	for trial := 0; trial < 60; trial++ {
 		sh := reftest.Shape{Relations: 2 + rng.Intn(3), MaxTuples: 120, Facts: 24,
 			OffsetFacts: trial%2 == 0, OffsetTime: trial%3 == 1, Binding: reftest.Binding(trial % 3)}
@@ -44,7 +68,6 @@ func TestPublicAPIMatchesOracle(t *testing.T) {
 		tree := reftest.Tree(rng, query.DBKeys(db), 1+rng.Intn(4))
 		evals := map[string]func() (*tpset.Relation, error){
 			"Eval":            func() (*tpset.Relation, error) { return tpset.Eval(tree, db) },
-			"EvalOptimized":   func() (*tpset.Relation, error) { return tpset.EvalOptimized(tree, db) },
 			"EvalParallel(1)": func() (*tpset.Relation, error) { return tpset.EvalParallel(tree, db, 1) },
 			"EvalParallel(8)": func() (*tpset.Relation, error) { return tpset.EvalParallel(tree, db, 8) },
 		}
@@ -62,6 +85,75 @@ func TestPublicAPIMatchesOracle(t *testing.T) {
 				t.Fatalf("trial %d (%s) %s: %v", trial, tree, name, err)
 			}
 			reftest.Check(t, fmt.Sprintf("trial %d (%s) %s", trial, tree, name), got, tree, db)
+		}
+		sel := selectAbove(srng, tree, true)
+		if sel == nil {
+			continue
+		}
+		if query.PushDownSelections(sel).String() != sel.String() {
+			pushed++
+		}
+		for name, eval := range map[string]func() (*tpset.Relation, error){
+			"Eval":            func() (*tpset.Relation, error) { return tpset.Eval(sel, db) },
+			"EvalParallel(1)": func() (*tpset.Relation, error) { return tpset.EvalParallel(sel, db, 1) },
+			"EvalParallel(8)": func() (*tpset.Relation, error) { return tpset.EvalParallel(sel, db, 8) },
+		} {
+			got, err := eval()
+			if err != nil {
+				t.Fatalf("trial %d (%s) %s: %v", trial, sel, name, err)
+			}
+			reftest.Check(t, fmt.Sprintf("trial %d (%s) %s", trial, sel, name), got, sel, db)
+		}
+	}
+	if pushed < 20 {
+		t.Fatalf("push-down moved a selection in %d trials; the σ-above trees do not reach it", pushed)
+	}
+}
+
+// rows renders r's tuples in the order r holds them.
+func rows(r *tpset.Relation) []string {
+	out := make([]string, r.Len())
+	for i := range r.Tuples {
+		out[i] = r.Tuples[i].String()
+	}
+	return out
+}
+
+// TestSelectEqIsTheSelectPlan: SelectEq over a relation in generation
+// order and bound to no dictionary returns, tuple for tuple, what Eval
+// returns for sigma[F='v'](r) — the oracle's answer, bound, under r's
+// name — and leaves r as it was. (TestPublicAPISelectEq pins the
+// unknown-attribute error.)
+func TestSelectEqIsTheSelectPlan(t *testing.T) {
+	rng := rand.New(rand.NewSource(97))
+	for trial := 0; trial < 8; trial++ {
+		sh := reftest.Shape{Relations: 1, MaxTuples: 200, Facts: 12}
+		if trial == 7 {
+			sh.MaxTuples, sh.Facts = 6000, 64 // large enough to partition at the default thresholds
+		}
+		db := reftest.DB(rng, sh)
+		r := db["r0"]
+		before := rows(r)
+		v := fmt.Sprintf("f%03d", rng.Intn(sh.Facts))
+		q := tpset.MustParseQuery("sigma[F='" + v + "'](r0)")
+		ctx := fmt.Sprintf("trial %d %s", trial, q)
+		got, err := tpset.SelectEq(r, "F", v)
+		if err != nil {
+			t.Fatalf("%s: %v", ctx, err)
+		}
+		want, err := tpset.Eval(q, db)
+		if err != nil {
+			t.Fatalf("%s: %v", ctx, err)
+		}
+		reftest.Check(t, ctx, got, q, db)
+		if g, w := rows(got), rows(want); got.Schema.Name != want.Schema.Name || !slices.Equal(g, w) {
+			t.Fatalf("%s: SelectEq %s %q, Eval %s %q", ctx, got.Schema.Name, g, want.Schema.Name, w)
+		}
+		if got.Len() > 0 && (got.Dict() == nil || len(got.FidCol()) != got.Len()) {
+			t.Fatalf("%s: result of %d tuples is not bound to a dictionary", ctx, got.Len())
+		}
+		if r.Dict() != nil || !slices.Equal(rows(r), before) {
+			t.Fatalf("%s: SelectEq changed its input", ctx)
 		}
 	}
 }

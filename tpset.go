@@ -11,7 +11,6 @@ import (
 	"github.com/tpset/tpset/internal/lineage"
 	"github.com/tpset/tpset/internal/query"
 	"github.com/tpset/tpset/internal/relation"
-	"github.com/tpset/tpset/internal/relops"
 	"github.com/tpset/tpset/internal/server"
 )
 
@@ -135,10 +134,13 @@ func MustParseQuery(input string) Query { return query.MustParse(input) }
 
 // Eval evaluates a parsed query over named relations with LAWA, on the
 // execution engine with a worker budget of runtime.GOMAXPROCS(0) — the
-// default Apply resolves too. The result is in canonical (fact, Ts, Te)
-// order, in a tuple array allocated once at its exact length
-// (cap(Tuples) == len(Tuples)). The input relations are not modified;
-// they need not be sorted.
+// default Apply resolves too. It runs the plan the query service runs:
+// selections are first pushed below the set operations (they commute
+// with ∪Tp, ∩Tp and −Tp, Fig. 6), so each filters a leaf before the
+// sweep reads it. The result is in canonical (fact, Ts, Te) order, in a
+// tuple array allocated once at its exact length
+// (cap(Tuples) == len(Tuples)). Neither q nor the input relations are
+// modified; the relations need not be sorted.
 func Eval(q Query, db map[string]*Relation) (*Relation, error) {
 	return EvalParallel(q, db, Options{}.Workers())
 }
@@ -153,7 +155,7 @@ func Eval(q Query, db map[string]*Relation) (*Relation, error) {
 // workers below one selects runtime.GOMAXPROCS(0). The result is the
 // same at every budget.
 func EvalParallel(q Query, db map[string]*Relation, workers int) (*Relation, error) {
-	return engine.New(engine.Config{Workers: workers}).EvalCursor(q, db, core.Options{})
+	return engine.New(engine.Config{Workers: workers}).EvalCursor(query.PushDownSelections(q), db, core.Options{})
 }
 
 // IsNonRepeating reports whether every relation occurs at most once in q;
@@ -167,30 +169,13 @@ func ComputeStats(r *Relation) Stats { return relation.ComputeStats(r) }
 func OverlapFactor(r, s *Relation) float64 { return relation.OverlapFactor(r, s) }
 
 // SelectEq computes σ[attr = value](r): the tuples whose attribute equals
-// the value. Selections preserve duplicate-freeness and commute with the
-// set operations (see OptimizeQuery).
+// the value. It runs the plan Eval runs for sigma[attr='value'](r), so
+// the result is in canonical (fact, Ts, Te) order and bound to a fact
+// dictionary like every Eval result, and an unknown attribute is the
+// plan's error. r is not modified and need not be sorted.
 func SelectEq(r *Relation, attr, value string) (*Relation, error) {
-	return relops.SelectEq(r, attr, value)
-}
-
-// Project computes the TP projection of r onto the named attributes —
-// an extension toward the full relational algebra the paper lists as
-// future work. Facts that coincide after projection are merged per time
-// point by or()-ing their lineages, keeping the result duplicate-free and
-// change-preserved. Downstream combinations of projected relations may
-// leave the tractable 1OF class; probability valuation then switches to
-// exact Shannon expansion automatically.
-func Project(r *Relation, attrs ...string) (*Relation, error) {
-	return relops.Project(r, attrs...)
-}
-
-// OptimizeQuery pushes selections below set operations (a semantics-
-// preserving rewrite; selections commute with ∪Tp, ∩Tp and −Tp).
-func OptimizeQuery(q Query) Query { return query.PushDownSelections(q) }
-
-// EvalOptimized rewrites and evaluates the query with LAWA.
-func EvalOptimized(q Query, db map[string]*Relation) (*Relation, error) {
-	return Eval(query.PushDownSelections(q), db)
+	return Eval(&query.Select{Attr: attr, Value: value, Input: &query.Rel{Name: r.Schema.Name}},
+		map[string]*Relation{r.Schema.Name: r})
 }
 
 // SimplifyLineage applies sound syntactic rewrites (double negation,

@@ -38,13 +38,6 @@ func TestPublicAPIFig1(t *testing.T) {
 	if out.Len() != 5 {
 		t.Fatalf("Fig. 1c: %d tuples\n%s", out.Len(), out)
 	}
-	opt, err := tpset.EvalOptimized(q, map[string]*tpset.Relation{"a": a, "b": b, "c": c})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if opt.Len() != out.Len() {
-		t.Fatal("optimizer changed the result")
-	}
 }
 
 func TestPublicAPISetOps(t *testing.T) {
@@ -120,23 +113,25 @@ func TestMarginalOutsideUnitIntervalIsRefused(t *testing.T) {
 	}
 }
 
-func TestPublicAPIProjectAndSelect(t *testing.T) {
+// TestPublicAPISelectEq: σ keeps the tuples whose attribute holds the
+// value, in canonical order and under the relation's name, and an
+// unknown attribute is the plan's error, naming the attributes there are.
+func TestPublicAPISelectEq(t *testing.T) {
 	r := tpset.NewRelation("sales", "Product", "City")
 	r.AddBase(tpset.F("milk", "zurich"), "t1", 1, 5, 0.5)
 	r.AddBase(tpset.F("milk", "basel"), "t2", 3, 8, 0.4)
+	r.AddBase(tpset.F("chips", "zurich"), "t3", 2, 6, 0.9)
 	sel, err := tpset.SelectEq(r, "City", "zurich")
-	if err != nil || sel.Len() != 1 {
-		t.Fatalf("select: %v %v", sel, err)
-	}
-	proj, err := tpset.Project(r, "Product")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if proj.Len() != 3 {
-		t.Fatalf("projection fragments: %s", proj)
+	if sel.Len() != 2 || sel.Schema.Name != "sales" ||
+		sel.Tuples[0].Lineage.String() != "t3" || sel.Tuples[1].Lineage.String() != "t1" {
+		t.Fatalf("σ[City=zurich](sales): want t3 then t1 in relation sales, got %s", sel)
 	}
-	if err := proj.ValidateDuplicateFree(); err != nil {
-		t.Fatal(err)
+	_, err = tpset.SelectEq(r, "Nope", "x")
+	if want := `query: relation "sales" has no attribute "Nope" (have Product, City)`; err == nil || err.Error() != want {
+		t.Fatalf("unknown attribute: got %v, want %s", err, want)
 	}
 }
 
@@ -189,58 +184,86 @@ func TestPublicAPICoalesce(t *testing.T) {
 }
 
 // TestMultiAttributePipeline runs a realistic end-to-end flow over a
-// two-attribute schema: select → project → set operation → probabilities,
-// verifying the pieces compose.
+// two-attribute schema: select → set operation → probabilities, once
+// non-repeating (1OF lineage) and once repeating, where the lineage
+// leaves 1OF and the probability must still be exact.
 func TestMultiAttributePipeline(t *testing.T) {
 	sales := tpset.NewRelation("sales", "Product", "City")
 	sales.AddBase(tpset.F("milk", "zurich"), "s1", 1, 6, 0.6)
 	sales.AddBase(tpset.F("milk", "basel"), "s2", 4, 9, 0.5)
 	sales.AddBase(tpset.F("chips", "zurich"), "s3", 2, 5, 0.9)
 
-	stock := tpset.NewRelation("stock", "Product")
-	stock.AddBase(tpset.F("milk"), "t1", 0, 12, 0.8)
-	stock.AddBase(tpset.F("chips"), "t2", 3, 4, 0.7)
+	stock := tpset.NewRelation("stock", "Product", "City")
+	stock.AddBase(tpset.F("milk", "zurich"), "t1", 0, 12, 0.8)
+	stock.AddBase(tpset.F("milk", "basel"), "t3", 2, 7, 0.4)
+	stock.AddBase(tpset.F("chips", "zurich"), "t2", 3, 4, 0.7)
+	db := map[string]*tpset.Relation{"sales": sales, "stock": stock}
 
-	// Demand per product regardless of city: projection merges cities.
-	demand, err := tpset.Project(sales, "Product")
-	if err != nil {
-		t.Fatal(err)
+	exact := func(q string, out *tpset.Relation) {
+		t.Helper()
+		for i := range out.Tuples {
+			tu := &out.Tuples[i]
+			if diff := tu.Prob - tu.Lineage.ProbPossibleWorlds(); diff > 1e-9 || diff < -1e-9 {
+				t.Errorf("%s: tuple %v: prob diverges from possible worlds", q, tu)
+			}
+		}
 	}
-	// Stocked but (possibly) not demanded.
-	idle, err := tpset.Except(stock, demand)
+
+	// Stocked in Zurich but (possibly) not sold there.
+	q := "sigma[City='zurich'](stock - sales)"
+	idle, err := tpset.Eval(tpset.MustParseQuery(q), db)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := idle.ValidateDuplicateFree(); err != nil {
 		t.Fatal(err)
 	}
-	idle.Sort()
-	// Expected milk windows: [0,1) t1; [1,4) t1∧¬s1; [4,6) t1∧¬(s1∨s2);
-	// [6,9) t1∧¬s2; [9,12) t1. Chips: [3,4) t2∧¬s3.
-	if idle.Len() != 6 {
-		t.Fatalf("idle stock: %s", idle)
+	// chips,zurich: [3,4) t2∧¬s3. milk,zurich: [0,1) t1; [1,6) t1∧¬s1;
+	// [6,12) t1.
+	want := []struct {
+		fact   string
+		ts, te tpset.Time
+		lam    string
+		p      float64
+	}{
+		{"chips,zurich", 3, 4, "t2∧¬s3", 0.7 * (1 - 0.9)},
+		{"milk,zurich", 0, 1, "t1", 0.8},
+		{"milk,zurich", 1, 6, "t1∧¬s1", 0.8 * (1 - 0.6)},
+		{"milk,zurich", 6, 12, "t1", 0.8},
 	}
-	var milk46 *tpset.Tuple
-	for i := range idle.Tuples {
-		if idle.Tuples[i].Fact.Key() == "milk" && idle.Tuples[i].T.Ts == 4 {
-			milk46 = &idle.Tuples[i]
+	if idle.Len() != len(want) {
+		t.Fatalf("%s: %s", q, idle)
+	}
+	for i, w := range want {
+		tu := idle.Tuples[i]
+		if strings.Join(tu.Fact, ",") != w.fact || tu.T != tpset.NewInterval(w.ts, w.te) ||
+			tu.Lineage.String() != w.lam || math.Abs(tu.Prob-w.p) > 1e-9 {
+			t.Errorf("%s: tuple %d is %v, want %+v", q, i, tu, w)
 		}
 	}
-	if milk46 == nil || milk46.T.Te != 6 {
-		t.Fatalf("missing milk [4,6): %s", idle)
+	exact(q, idle)
+
+	// Held in Zurich whether sold or not: the lineage repeats t1 (t2),
+	// which is exactly where it leaves 1OF; each fragment is worth its
+	// stock variable alone.
+	q = "sigma[City='zurich']((stock - sales) | (stock & sales))"
+	if tpset.IsNonRepeating(tpset.MustParseQuery(q)) {
+		t.Fatalf("%s reads as non-repeating", q)
 	}
-	if got, want := milk46.Prob, 0.8*(1-(1-(1-0.6)*(1-0.5))); math.Abs(got-want) > 1e-9 {
-		t.Errorf("milk [4,6) prob %v, want %v", got, want)
+	held, err := tpset.Eval(tpset.MustParseQuery(q), db)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// The projected lineage repeats across fragments, so this is exactly
-	// a place where downstream lineage can leave 1OF — the probability
-	// must still be exact (Shannon fallback).
-	for i := range idle.Tuples {
-		tu := &idle.Tuples[i]
-		if diff := tu.Prob - tu.Lineage.ProbPossibleWorlds(); diff > 1e-9 || diff < -1e-9 {
-			t.Errorf("tuple %v: prob diverges from possible worlds", tu)
+	if held.Len() != 4 {
+		t.Fatalf("%s: %s", q, held)
+	}
+	for i := range held.Tuples {
+		tu := &held.Tuples[i]
+		if p := map[string]float64{"chips": 0.7, "milk": 0.8}[tu.Fact[0]]; math.Abs(tu.Prob-p) > 1e-9 {
+			t.Errorf("%s: tuple %v: prob %v, want %v", q, tu, tu.Prob, p)
 		}
 	}
+	exact(q, held)
 }
 
 // TestSimplifyIntegration: a repeating query's lineage shrinks back to 1OF
