@@ -122,7 +122,7 @@ func rows(r *tpset.Relation) []string {
 // TestSelectEqIsTheSelectPlan: SelectEq over a relation in generation
 // order and bound to no dictionary returns, tuple for tuple, what Eval
 // returns for sigma[F='v'](r) — the oracle's answer, bound, under r's
-// name — and leaves r as it was. (TestPublicAPISelectEq pins the
+// name — and leaves r as it was. (TestPublicAPIProjectAndSelect pins the
 // unknown-attribute error.)
 func TestSelectEqIsTheSelectPlan(t *testing.T) {
 	rng := rand.New(rand.NewSource(97))

@@ -113,10 +113,12 @@ func TestMarginalOutsideUnitIntervalIsRefused(t *testing.T) {
 	}
 }
 
-// TestPublicAPISelectEq: σ keeps the tuples whose attribute holds the
-// value, in canonical order and under the relation's name, and an
-// unknown attribute is the plan's error, naming the attributes there are.
-func TestPublicAPISelectEq(t *testing.T) {
+// TestPublicAPIProjectAndSelect keeps the name it had while the API also
+// offered projection, which is gone; it checks the selection: σ keeps the
+// tuples whose attribute holds the value, in canonical order and under
+// the relation's name, and an unknown attribute is the plan's error,
+// naming the attributes there are.
+func TestPublicAPIProjectAndSelect(t *testing.T) {
 	r := tpset.NewRelation("sales", "Product", "City")
 	r.AddBase(tpset.F("milk", "zurich"), "t1", 1, 5, 0.5)
 	r.AddBase(tpset.F("milk", "basel"), "t2", 3, 8, 0.4)
