@@ -94,7 +94,7 @@ func main() {
 	if *trace {
 		opts.Span = obs.NewSpan("")
 	}
-	cur, err := engine.New(engine.Config{Workers: *workers}).Cursor(query.PushDownSelections(node), db, opts)
+	cur, err := engine.New(engine.Config{Workers: *workers}).Cursor(query.PushDown(node, db), db, opts)
 	if err != nil {
 		fatal("%v", err)
 	}

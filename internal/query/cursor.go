@@ -2,6 +2,7 @@ package query
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -58,16 +59,33 @@ func lookup(db map[string]*relation.Relation, name string) (*relation.Relation, 
 // them through core.PrepareLeaves (validated, sorted, bound to one
 // dictionary, on up to workers goroutines); the
 // result is the database BuildPrepared reads. The engine calls it once
-// per plan, before it cuts the prepared leaves into shards.
+// per plan, before it cuts the prepared leaves into shards. A leaf read
+// only through selections, which core.PrepareLeaves would copy anyway,
+// is first cut down to the rows they keep (not under Validate).
 func PrepareLeaves(n Node, db map[string]*relation.Relation, opts core.Options, workers int) (map[string]*relation.Relation, error) {
 	names := Relations(n)
 	rels := make([]*relation.Relation, len(names))
+	sels := make(map[string][]*Select)
+	leafSelections(n, nil, sels)
 	for i, name := range names {
 		r, err := lookup(db, name)
 		if err != nil {
 			return nil, err
 		}
 		rels[i] = r
+	}
+	shared := relation.SharedDict(rels...) != nil
+	for i, r := range rels {
+		s := sels[names[i]]
+		if opts.Validate || slices.Contains(s, nil) || shared && (opts.AssumeSorted || r.InCanonicalOrder()) {
+			continue
+		}
+		rels[i] = relation.Where(r, func(t *relation.Tuple) bool {
+			return slices.ContainsFunc(s, func(sel *Select) bool {
+				at := slices.Index(r.Schema.Attrs, sel.Attr)
+				return at >= 0 && at < len(t.Fact) && t.Fact[at] == sel.Value
+			})
+		})
 	}
 	rels, err := core.PrepareLeaves(rels, opts, workers)
 	if err != nil {
@@ -78,6 +96,20 @@ func PrepareLeaves(n Node, db map[string]*relation.Relation, opts core.Options, 
 		leaves[name] = rels[i]
 	}
 	return leaves, nil
+}
+
+// leafSelections appends to sels[name] the selection directly over each
+// occurrence of the relation in n, nil for a bare one.
+func leafSelections(n Node, over *Select, sels map[string][]*Select) {
+	switch q := n.(type) {
+	case *Rel:
+		sels[q.Name] = append(sels[q.Name], over)
+	case *Select:
+		leafSelections(q.Input, q, sels)
+	case *SetOp:
+		leafSelections(q.Left, nil, sels)
+		leafSelections(q.Right, nil, sels)
+	}
 }
 
 // BuildPrepared is BuildCursor over a database PrepareLeaves returned,

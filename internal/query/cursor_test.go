@@ -122,6 +122,66 @@ func TestPrepareLeavesFansOutAcrossWorkers(t *testing.T) {
 	}
 }
 
+// TestPrepareLeavesFiltersSelectedLeaves pins which leaves PrepareLeaves
+// cuts down before it copies them: one that every occurrence reads
+// through a selection, to the rows the selection directly over some
+// occurrence keeps, unless it would be read in place or the plan
+// validates; one read bare is prepared whole. The plan's result is the
+// oracle's either way, and a selection naming an attribute the leaf
+// lacks is still the plan's error.
+func TestPrepareLeavesFiltersSelectedLeaves(t *testing.T) {
+	count := func(r *relation.Relation, values ...string) int {
+		n := 0
+		for i := range r.Tuples {
+			for _, v := range values {
+				if r.Tuples[i].Fact[0] == v {
+					n++
+				}
+			}
+		}
+		return n
+	}
+	for _, binding := range []reftest.Binding{reftest.Unbound, reftest.Mixed, reftest.Shared} {
+		db := reftest.DB(rand.New(rand.NewSource(51)),
+			reftest.Shape{Relations: 3, MaxTuples: 300, Facts: 8, Binding: binding})
+		for _, tc := range []struct {
+			src  string
+			want map[string]int // leaf rows prepared; -1 for the whole leaf
+		}{
+			{"sigma[F='f001'](r0) - sigma[F='f002'](sigma[F='f002'](r1))", map[string]int{"r0": count(db["r0"], "f001"), "r1": count(db["r1"], "f002")}},
+			{"(sigma[F='f001'](r0) | sigma[F='f003'](r0)) & r1", map[string]int{"r0": count(db["r0"], "f001", "f003"), "r1": -1}},
+			{"sigma[F='f001'](r0) | r0", map[string]int{"r0": -1}},
+			{"sigma[F='f001'](sigma[F='f002'](r0)) - r2", map[string]int{"r0": count(db["r0"], "f002"), "r2": -1}},
+		} {
+			q := query.MustParse(tc.src)
+			for _, opts := range []core.Options{{}, {Validate: true}} {
+				leaves, err := query.PrepareLeaves(q, db, opts, 2)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for name, want := range tc.want {
+					if want < 0 || opts.Validate || binding == reftest.Shared && db[name].InCanonicalOrder() {
+						want = db[name].Len()
+					}
+					if got := leaves[name].Len(); got != want {
+						t.Fatalf("binding %d, %s, %+v: leaf %s prepared with %d rows, want %d", binding, tc.src, opts, name, got, want)
+					}
+				}
+				c, err := query.BuildPrepared(q, leaves, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				reftest.Check(t, tc.src, core.Materialize(c), q, db)
+			}
+		}
+	}
+	db := reftest.DB(rand.New(rand.NewSource(52)), reftest.Shape{Relations: 1, MaxTuples: 50, Facts: 4})
+	if _, err := query.BuildCursor(query.MustParse("sigma[Nope='x'](r0)"), db, core.Options{}); err == nil ||
+		!strings.Contains(err.Error(), `no attribute "Nope"`) {
+		t.Fatalf("unknown attribute over a filtered leaf: err %v", err)
+	}
+}
+
 // TestPushDownComputesTheOriginalQuery: the rewritten plan's result is
 // the oracle's answer for the query as written, on the paper's data, for
 // every operation shape.
@@ -136,7 +196,7 @@ func TestPushDownComputesTheOriginalQuery(t *testing.T) {
 		"sigma[Product='nonexistent'](a | c)",
 	} {
 		orig := query.MustParse(src)
-		rewritten := query.PushDownSelections(orig)
+		rewritten := query.PushDown(orig, db)
 		c, err := query.BuildCursor(rewritten, db, core.Options{})
 		if err != nil {
 			t.Fatalf("%s rewritten to %s: %v", src, rewritten, err)
@@ -184,7 +244,7 @@ func concatName(n query.Node, db map[string]*relation.Relation) string {
 // TestResultNameIsTheConcatenation pins the name a plan gives its result,
 // built once from the tree, to the old per-operator concatenation, on the
 // oracle harness's random trees and on a selection over an operator (which
-// reftest.Tree never generates and PushDownSelections would move).
+// reftest.Tree never generates and PushDown would move).
 func TestResultNameIsTheConcatenation(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	db := reftest.DB(rng, reftest.Shape{Relations: 3, MaxTuples: 40, Facts: 8})

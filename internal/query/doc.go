@@ -14,7 +14,7 @@
 //     lineage and PTIME data complexity, Theorem 1 and Corollary 1) or
 //     repeating (#P-hard in general);
 //   - the selection push-down rewriter (selections commute with all three
-//     TP set operations);
+//     TP set operations, as far as the schemas tell);
 //   - the cursor plan builder, BuildCursor: a query tree compiles into
 //     a tree of core.Cursor values that evaluates in O(tree depth)
 //     memory with no intermediate relations. It is the only code in the

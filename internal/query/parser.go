@@ -35,7 +35,7 @@ func Parse(input string) (Node, error) {
 
 // MaxNodes bounds a query before any plan is built: the nodes of its
 // plan — operators, relation references, and each selection once per
-// relation reference below it, as PushDownSelections distributes it —
+// relation reference below it, as PushDown distributes it —
 // and, separately, how deep its parentheses nest. Building a plan costs
 // about 125 KB per operator (one pooled block per advancer side), so a
 // plan at the bound allocates at most 64 MB, and every result's lineage

@@ -75,7 +75,7 @@ func TestParseErrors(t *testing.T) {
 }
 
 // TestParseBoundsThePlan stacks k selections over a union chain sized so
-// that the plan PushDownSelections makes of it — every selection copied
+// that the plan PushDown makes of it — every selection copied
 // onto every leaf — has exactly MaxNodes nodes: Parse accepts it, and
 // refuses it with one more selection.
 func TestParseBoundsThePlan(t *testing.T) {
@@ -89,6 +89,7 @@ func TestParseBoundsThePlan(t *testing.T) {
 		}
 		return 1
 	}
+	pdb := map[string]*relation.Relation{"a": relation.New(relation.NewSchema("a", "P")), "b": relation.New(relation.NewSchema("b", "P"))}
 	for _, k := range []int{1, 3, 7} {
 		// k selections over a chain of m leaves plan as 2m-1 + k·m nodes.
 		m := (MaxNodes + 1) / (k + 2)
@@ -101,7 +102,7 @@ func TestParseBoundsThePlan(t *testing.T) {
 		if err != nil {
 			t.Fatalf("k=%d: %v", k, err)
 		}
-		if got := size(PushDownSelections(n)); got > MaxNodes || got < MaxNodes-1 {
+		if got := size(PushDown(n, pdb)); got > MaxNodes || got < MaxNodes-1 {
 			t.Fatalf("k=%d: pushed-down plan has %d nodes, want the bound %d", k, got, MaxNodes)
 		}
 		if _, err := Parse("sigma[P='v'](" + q + ")"); err == nil {

@@ -1,57 +1,67 @@
 package query
 
-// Query rewriting. Selections commute with the three TP set operations on
-// the left input and — for union and intersection — on the right input as
-// well:
+import (
+	"slices"
+
+	"github.com/tpset/tpset/internal/core"
+	"github.com/tpset/tpset/internal/relation"
+)
+
+// PushDown returns an equivalent query with every selection pushed as
+// close to the base relations as db's schemas allow. Selections commute
+// with the set operations (Fig. 6):
 //
 //	σ(q1 ∪Tp q2) ≡ σ(q1) ∪Tp σ(q2)
-//	σ(q1 ∩Tp q2) ≡ σ(q1) ∩Tp σ(q2)
-//	σ(q1 −Tp q2) ≡ σ(q1) −Tp σ(q2)
+//	σ(q1 ∩Tp q2) ≡ σ(q1) ∩Tp σ(q2) ≡ σ(q1) ∩Tp q2
+//	σ(q1 −Tp q2) ≡ σ(q1) −Tp σ(q2) ≡ σ(q1) −Tp q2
 //
-// (For −Tp, restricting the right side is sound because tuples of s with
-// facts filtered out of r can never contribute to an output anyway.)
-// Pushing selections below the set operations means every sweep reads
-// only the selected rows of its inputs. (The leaves are still prepared
-// whole — copied and sorted where they need it — before the selection
-// over them filters.)
-//
-// The rewriter is conservative: it only transforms nodes where equivalence
-// is guaranteed by the equations above and leaves everything else intact.
-
-// PushDownSelections returns an equivalent query with every selection
-// pushed as close to the base relations as possible. Stacked selections
-// are reordered freely (they commute with each other).
-func PushDownSelections(n Node) Node {
+// A set operation matches facts by position and names its output after
+// q1, so σ reaches q2 under the name q2's schema gives that position;
+// without that schema, σ goes into q1 alone of ∩Tp and −Tp and stops
+// above ∪Tp.
+func PushDown(n Node, db map[string]*relation.Relation) Node {
 	switch q := n.(type) {
-	case *Rel:
-		return q
 	case *SetOp:
-		return &SetOp{
-			Op:    q.Op,
-			Left:  PushDownSelections(q.Left),
-			Right: PushDownSelections(q.Right),
-		}
+		return &SetOp{Op: q.Op, Left: PushDown(q.Left, db), Right: PushDown(q.Right, db)}
 	case *Select:
-		inner := PushDownSelections(q.Input)
-		return pushSelect(q, inner)
+		return pushSelect(q, PushDown(q.Input, db), db)
 	}
 	return n
 }
 
+// PushDownSelections is PushDown without schemas.
+func PushDownSelections(n Node) Node { return PushDown(n, nil) }
+
 // pushSelect distributes one selection over an already-rewritten subtree.
-func pushSelect(sel *Select, input Node) Node {
+func pushSelect(sel *Select, input Node, db map[string]*relation.Relation) Node {
 	switch q := input.(type) {
 	case *SetOp:
-		return &SetOp{
-			Op:    q.Op,
-			Left:  pushSelect(sel, q.Left),
-			Right: pushSelect(sel, q.Right),
+		at, right := slices.Index(attrs(q.Left, db), sel.Attr), attrs(q.Right, db)
+		if at >= 0 && at < len(right) {
+			return &SetOp{Op: q.Op, Left: pushSelect(sel, q.Left, db),
+				Right: pushSelect(&Select{Attr: right[at], Value: sel.Value}, q.Right, db)}
+		}
+		if q.Op != core.OpUnion {
+			return &SetOp{Op: q.Op, Left: pushSelect(sel, q.Left, db), Right: q.Right}
 		}
 	case *Select:
-		// Commute and keep pushing; the inner selection has already been
-		// pushed, so only descend through it.
-		return &Select{Attr: q.Attr, Value: q.Value, Input: pushSelect(sel, q.Input)}
-	default:
-		return &Select{Attr: sel.Attr, Value: sel.Value, Input: input}
+		return &Select{Attr: q.Attr, Value: q.Value, Input: pushSelect(sel, q.Input, db)}
 	}
+	return &Select{Attr: sel.Attr, Value: sel.Value, Input: input}
+}
+
+// attrs is the attribute list of n's output — its leftmost relation's —
+// or nil when db does not hold that relation.
+func attrs(n Node, db map[string]*relation.Relation) []string {
+	switch q := n.(type) {
+	case *Select:
+		return attrs(q.Input, db)
+	case *SetOp:
+		return attrs(q.Left, db)
+	case *Rel:
+		if r, ok := db[q.Name]; ok {
+			return r.Schema.Attrs
+		}
+	}
+	return nil
 }

@@ -503,14 +503,20 @@ func (r *Relation) TimeDomain() (interval.Interval, bool) {
 // snapshot of r at time point t. Every tuple valid at t is returned with the
 // degenerate interval [t, t+1).
 func (r *Relation) Timeslice(t interval.Time) *Relation {
-	out := New(r.Schema)
-	fid := r.FidCol()
+	out := Where(r, func(tp *Tuple) bool { return tp.T.Contains(t) })
+	for i := range out.Tuples {
+		out.Tuples[i].T = interval.Interval{Ts: t, Te: t + 1}
+	}
+	return out
+}
+
+// Where returns a new relation of r's tuples that pass keep, in order,
+// with their ids when r is bound; r is only read.
+func Where(r *Relation, keep func(*Tuple) bool) *Relation {
+	out, fid := New(r.Schema), r.FidCol()
 	for i := range r.Tuples {
-		tp := &r.Tuples[i]
-		if tp.T.Contains(t) {
-			c := *tp
-			c.T = interval.Interval{Ts: t, Te: t + 1}
-			out.Tuples = append(out.Tuples, c)
+		if keep(&r.Tuples[i]) {
+			out.Tuples = append(out.Tuples, r.Tuples[i])
 			if fid != nil {
 				out.fid = append(out.fid, fid[i])
 			}

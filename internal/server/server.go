@@ -464,9 +464,9 @@ type preparedQuery struct {
 }
 
 // prepare runs the request prologue shared by the three query verbs:
-// validate the request knobs, parse, push down selections, snapshot the
-// catalog, resolve the worker budget. Its latency lands in the
-// parse-phase histogram.
+// validate the request knobs, parse, snapshot the catalog, push down
+// selections by its schemas, resolve the worker budget. Its latency
+// lands in the parse-phase histogram.
 func (s *Server) prepare(req QueryRequest) (*preparedQuery, error) {
 	defer func(t0 time.Time) { s.metrics.parseHist.Observe(time.Since(t0)) }(time.Now())
 	if req.Workers < 0 || req.Workers > MaxWorkers {
@@ -481,12 +481,12 @@ func (s *Server) prepare(req QueryRequest) (*preparedQuery, error) {
 	if err != nil {
 		return nil, &httpError{status: http.StatusBadRequest, msg: err.Error()}
 	}
-	optimized := query.PushDownSelections(node)
-	names := query.Relations(optimized)
+	names := query.Relations(node)
 	db, versions, err := s.catalog.Snapshot(names)
 	if err != nil {
 		return nil, &httpError{status: http.StatusNotFound, msg: err.Error()}
 	}
+	optimized := query.PushDown(node, db)
 	workers := req.Workers
 	if workers == 0 {
 		workers = s.cfg.Workers
@@ -509,7 +509,7 @@ func (s *Server) prepare(req QueryRequest) (*preparedQuery, error) {
 }
 
 // RunQueryCtx is the evaluation path of POST /query, exposed for tests:
-// parse → push down selections → snapshot catalog versions → cache
+// parse → snapshot catalog versions → push down selections → cache
 // lookup → evaluation, encoded block by block → cache store. A hit does
 // no work per tuple: the cache holds the encoded result. With req.Trace
 // the evaluation runs under a span tree and the response carries its

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"github.com/tpset/tpset/internal/core"
+	"github.com/tpset/tpset/internal/query"
 	"github.com/tpset/tpset/internal/relation"
 )
 
@@ -422,6 +423,43 @@ func TestHandlersBalanceThePool(t *testing.T) {
 		gets, puts, _, _ := core.BatchPoolStats()
 		if gets-gets0 != puts-puts0 {
 			t.Fatalf("%s: %d gets vs %d puts", path, gets-gets0, puts-puts0)
+		}
+	}
+}
+
+// TestQueryPushesDownBySchema: the service pushes a selection into a set
+// operation's right input under the name that input's schema gives the
+// selected position — b(Y,X) is matched to a(X,Y) by position — so the
+// answer is the query's as written, and the cache key (the optimized
+// query) follows a schema change with the version.
+func TestQueryPushesDownBySchema(t *testing.T) {
+	s := New(Config{Workers: 2})
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+	a := relation.New(relation.NewSchema("a", "X", "Y"))
+	a.AddBase(relation.NewFact("v", "w"), "a1", 1, 5, 0.5)
+	if _, err := s.Load("a", a); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct{ battrs, plan string }{
+		{"Y,X", "sigma[X='v'](a) | sigma[Y='v'](b)"},
+		{"P,Q", "sigma[X='v'](a) | sigma[P='v'](b)"},
+	} {
+		b := relation.New(relation.NewSchema("b", strings.Split(tc.battrs, ",")...))
+		b.AddBase(relation.NewFact("v", "w"), "b1", 1, 5, 0.4)
+		if _, err := s.Load("b", b); err != nil {
+			t.Fatal(err)
+		}
+		qr := queryOnce(t, ts, QueryRequest{Query: "sigma[X='v'](a | b)"})
+		if want := query.Canonical(query.MustParse(tc.plan)); qr.Query != want || qr.Cached {
+			t.Fatalf("b(%s): query %q (cached %v), want %q uncached", tc.battrs, qr.Query, qr.Cached, want)
+		}
+		got, err := DecodeRelation(qr.Result, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Len() != 1 || got.Tuples[0].Lineage.String() != "a1∨b1" {
+			t.Fatalf("b(%s): result %v, want (v,w) with lineage a1∨b1", tc.battrs, got)
 		}
 	}
 }

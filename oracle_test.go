@@ -2,13 +2,16 @@ package tpset_test
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
 
 	"github.com/tpset/tpset"
 	"github.com/tpset/tpset/internal/query"
+	"github.com/tpset/tpset/internal/ref"
 	"github.com/tpset/tpset/internal/ref/reftest"
+	"github.com/tpset/tpset/internal/relation"
 )
 
 // leafOp reports whether tree is one set operation over two named
@@ -90,7 +93,7 @@ func TestPublicAPIMatchesOracle(t *testing.T) {
 		if sel == nil {
 			continue
 		}
-		if query.PushDownSelections(sel).String() != sel.String() {
+		if query.PushDown(sel, db).String() != sel.String() {
 			pushed++
 		}
 		for name, eval := range map[string]func() (*tpset.Relation, error){
@@ -108,6 +111,127 @@ func TestPublicAPIMatchesOracle(t *testing.T) {
 	if pushed < 20 {
 		t.Fatalf("push-down moved a selection in %d trials; the σ-above trees do not reach it", pushed)
 	}
+}
+
+// twoAttrDB is a catalog of two-attribute relations built from a
+// reftest catalog: fact fNNN becomes (uA, uB) with A = NNN mod 4 and
+// B = NNN div 4, one value alphabet for both positions, and relation ri
+// names its attributes (X, Y), (Y, X) or (P, Q) by i mod 3 — the same
+// position named alike, swapped, or otherwise.
+func twoAttrDB(rng *rand.Rand, relations int) map[string]*tpset.Relation {
+	names := [][]string{{"X", "Y"}, {"Y", "X"}, {"P", "Q"}}
+	db := reftest.DB(rng, reftest.Shape{Relations: relations, MaxTuples: 120, Facts: 12})
+	out := make(map[string]*tpset.Relation, len(db))
+	for name, r := range db {
+		var i int
+		fmt.Sscanf(name, "r%d", &i)
+		w := tpset.NewRelation(name, names[i%3]...)
+		for _, tp := range r.Tuples {
+			var f int
+			fmt.Sscanf(tp.Fact[0], "f%d", &f)
+			tp.Fact = tpset.F(fmt.Sprintf("u%d", f%4), fmt.Sprintf("u%d", f/4))
+			w.Add(tp)
+		}
+		out[name] = w
+	}
+	return out
+}
+
+// attrTree is a random query over db in which every node may carry a
+// selection on either attribute of its output — its leftmost relation's.
+func attrTree(rng *rand.Rand, db map[string]*tpset.Relation, leaves int) (query.Node, string) {
+	var n query.Node
+	var first string
+	if leaves <= 1 {
+		names := query.DBKeys(db)
+		first = names[rng.Intn(len(names))]
+		n = &query.Rel{Name: first}
+	} else {
+		l := 1 + rng.Intn(leaves-1)
+		left, f := attrTree(rng, db, l)
+		right, _ := attrTree(rng, db, leaves-l)
+		n, first = &query.SetOp{Op: tpset.Op(rng.Intn(3)), Left: left, Right: right}, f
+	}
+	if rng.Intn(2) == 0 {
+		attrs := db[first].Schema.Attrs
+		n = &query.Select{Attr: attrs[rng.Intn(len(attrs))], Value: fmt.Sprintf("u%d", rng.Intn(3)), Input: n}
+	}
+	return n, first
+}
+
+// TestPublicAPIPushDownAcrossAttributeNames: a set operation matches
+// facts by position and names its output after its left input, while a
+// selection names an attribute; Eval's push-down must select the same
+// position in every input however the inputs name it. The paper-sized
+// case first — a(X,Y) and b(Y,X) both hold (v,w), so σ[X='v'](a ∪Tp b)
+// is (v,w) with lineage a1∨b1, and b named (P,Q) changes nothing — then
+// random trees over relations named alike, swapped and otherwise,
+// through Eval and EvalParallel(1) and (8), against the oracle.
+func TestPublicAPIPushDownAcrossAttributeNames(t *testing.T) {
+	a := tpset.NewRelation("a", "X", "Y")
+	a.AddBase(tpset.F("v", "w"), "a1", 1, 5, 0.5)
+	for _, battrs := range [][]string{{"Y", "X"}, {"P", "Q"}} {
+		b := tpset.NewRelation("b", battrs...)
+		b.AddBase(tpset.F("v", "w"), "b1", 1, 5, 0.4)
+		db := map[string]*tpset.Relation{"a": a, "b": b}
+		q := tpset.MustParseQuery("sigma[X='v'](a | b)")
+		got, err := tpset.Eval(q, db)
+		if err != nil {
+			t.Fatalf("b%v: %v", battrs, err)
+		}
+		if got.Len() != 1 || got.Tuples[0].Lineage.String() != "a1∨b1" || math.Abs(got.Tuples[0].Prob-0.7) > 1e-12 {
+			t.Fatalf("b%v: %s = %v, want (v,w) with lineage a1∨b1, p 0.7", battrs, q, got)
+		}
+		reftest.Check(t, fmt.Sprintf("b%v: %s", battrs, q), got, q, db)
+	}
+
+	rng := rand.New(rand.NewSource(96))
+	caught := 0
+	for trial := 0; trial < 80; trial++ {
+		db := twoAttrDB(rng, 2+rng.Intn(3))
+		tree, _ := attrTree(rng, db, 2+rng.Intn(4))
+		pushed := query.PushDown(tree, db).String()
+		if byName, err := tpset.Eval(pushByName(tree), db); err != nil {
+			caught++
+		} else if want, _ := ref.Eval(tree, db); relation.Diff(byName, want) != "" {
+			caught++
+		}
+		for name, eval := range map[string]func() (*tpset.Relation, error){
+			"Eval":            func() (*tpset.Relation, error) { return tpset.Eval(tree, db) },
+			"EvalParallel(1)": func() (*tpset.Relation, error) { return tpset.EvalParallel(tree, db, 1) },
+			"EvalParallel(8)": func() (*tpset.Relation, error) { return tpset.EvalParallel(tree, db, 8) },
+		} {
+			ctx := fmt.Sprintf("trial %d (%s, planned as %s) %s", trial, tree, pushed, name)
+			got, err := eval()
+			if err != nil {
+				t.Fatalf("%s: %v", ctx, err)
+			}
+			reftest.Check(t, ctx, got, tree, db)
+		}
+	}
+	if caught < 10 {
+		t.Fatalf("pushing selections down by name went wrong in only %d trials; the trees do not reach the case", caught)
+	}
+}
+
+// pushByName pushes every selection to the leaves under its own name,
+// whatever each leaf calls that position: the rewrite that is wrong when
+// set-operation inputs name their attributes differently.
+func pushByName(n query.Node) query.Node {
+	var push func(n query.Node, sels []*query.Select) query.Node
+	push = func(n query.Node, sels []*query.Select) query.Node {
+		switch q := n.(type) {
+		case *query.Select:
+			return push(q.Input, append(sels[:len(sels):len(sels)], q))
+		case *query.SetOp:
+			return &query.SetOp{Op: q.Op, Left: push(q.Left, sels), Right: push(q.Right, sels)}
+		}
+		for _, s := range sels {
+			n = &query.Select{Attr: s.Attr, Value: s.Value, Input: n}
+		}
+		return n
+	}
+	return push(n, nil)
 }
 
 // rows renders r's tuples in the order r holds them.

@@ -135,9 +135,9 @@ func MustParseQuery(input string) Query { return query.MustParse(input) }
 // Eval evaluates a parsed query over named relations with LAWA, on the
 // execution engine with a worker budget of runtime.GOMAXPROCS(0) — the
 // default Apply resolves too. It runs the plan the query service runs:
-// selections are first pushed below the set operations (they commute
-// with ∪Tp, ∩Tp and −Tp, Fig. 6), so each filters a leaf before the
-// sweep reads it. The result is in canonical (fact, Ts, Te) order, in a
+// selections are pushed below the set operations as far as db's schemas
+// allow (Fig. 6), and a leaf read only through them is cut down before
+// it is sorted. The result is in canonical (fact, Ts, Te) order, in a
 // tuple array allocated once at its exact length
 // (cap(Tuples) == len(Tuples)). Neither q nor the input relations are
 // modified; the relations need not be sorted.
@@ -155,7 +155,7 @@ func Eval(q Query, db map[string]*Relation) (*Relation, error) {
 // workers below one selects runtime.GOMAXPROCS(0). The result is the
 // same at every budget.
 func EvalParallel(q Query, db map[string]*Relation, workers int) (*Relation, error) {
-	return engine.New(engine.Config{Workers: workers}).EvalCursor(query.PushDownSelections(q), db, core.Options{})
+	return engine.New(engine.Config{Workers: workers}).EvalCursor(query.PushDown(q, db), db, core.Options{})
 }
 
 // IsNonRepeating reports whether every relation occurs at most once in q;
@@ -172,7 +172,8 @@ func OverlapFactor(r, s *Relation) float64 { return relation.OverlapFactor(r, s)
 // the value. It runs the plan Eval runs for sigma[attr='value'](r), so
 // the result is in canonical (fact, Ts, Te) order and bound to a fact
 // dictionary like every Eval result, and an unknown attribute is the
-// plan's error. r is not modified and need not be sorted.
+// plan's error. r is not modified and need not be sorted; only the
+// selected rows are copied and sorted.
 func SelectEq(r *Relation, attr, value string) (*Relation, error) {
 	return Eval(&query.Select{Attr: attr, Value: value, Input: &query.Rel{Name: r.Schema.Name}},
 		map[string]*Relation{r.Schema.Name: r})
