@@ -205,7 +205,7 @@ func BenchmarkEvalLibShape(b *testing.B) {
 func BenchmarkIntersectSparseShape(b *testing.B) {
 	sparse := func(tuples, facts int) (r, s *relation.Relation, leaves []*relation.Relation) {
 		r, s = datagen.Pair(datagen.PairConfig{NumTuples: tuples, NumFacts: facts, MaxLenR: 100, MaxLenS: 3, MaxGap: 3, Seed: 1000})
-		leaves, err := core.PrepareLeaves([]*relation.Relation{r, s}, core.Options{}, 2)
+		leaves, err := core.PrepareLeaves([]*relation.Relation{r, s}, nil, core.Options{}, 2)
 		if err != nil {
 			b.Fatal(err)
 		}

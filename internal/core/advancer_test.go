@@ -154,7 +154,7 @@ func TestAdvancerEmptySides(t *testing.T) {
 func TestAdvancerExhaustion(t *testing.T) {
 	r := mkRel("r", [3]interface{}{"x", 1, 10})
 	s := mkRel("s", [3]interface{}{"x", 2, 3})
-	leaves, err := core.PrepareLeaves([]*relation.Relation{r, s}, core.Options{}, 1)
+	leaves, err := core.PrepareLeaves([]*relation.Relation{r, s}, nil, core.Options{}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

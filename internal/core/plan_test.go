@@ -39,7 +39,7 @@ func prepared(t *testing.T, db map[string]*relation.Relation) map[string]*relati
 	for i, name := range names {
 		rels[i] = db[name]
 	}
-	rels, err := core.PrepareLeaves(rels, core.Options{Validate: true}, 2)
+	rels, err := core.PrepareLeaves(rels, nil, core.Options{Validate: true}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -381,7 +381,7 @@ func TestPrepareLeavesReadsOrderedLeavesInPlace(t *testing.T) {
 	rBefore := append([]relation.Tuple(nil), r.Tuples...)
 	sBefore := append([]relation.Tuple(nil), s.Tuples...)
 
-	leaves, err := core.PrepareLeaves([]*relation.Relation{r, s}, core.Options{Validate: true}, 2)
+	leaves, err := core.PrepareLeaves([]*relation.Relation{r, s}, nil, core.Options{Validate: true}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

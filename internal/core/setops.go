@@ -103,7 +103,7 @@ func (op Op) String() string {
 // It therefore shares its λ-filter/λ-function implementation with every
 // cursor plan and cannot diverge from them.
 func Apply(op Op, r, s *relation.Relation, opts Options) (*relation.Relation, error) {
-	leaves, err := PrepareLeaves([]*relation.Relation{r, s}, opts, 1)
+	leaves, err := PrepareLeaves([]*relation.Relation{r, s}, nil, opts, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -136,7 +136,13 @@ func Apply(op Op, r, s *relation.Relation, opts Options) (*relation.Relation, er
 // out over up to workers goroutines. A caller that holds the plan's
 // cursor must therefore leave the inputs alone until it is drained, as
 // the catalog does.
-func PrepareLeaves(leaves []*relation.Relation, opts Options, workers int) ([]*relation.Relation, error) {
+//
+// keep[i], when keep has it and it is not nil, is a filter the plan
+// applies above every scan of leaf i anyway (the selections over a leaf
+// read only through them): a leaf that is copied is copied with only the
+// rows keep passes (relation.Where), and that copy is the one it binds
+// and sorts in place. A leaf read where it stands is read whole.
+func PrepareLeaves(leaves []*relation.Relation, keep []func(*relation.Tuple) bool, opts Options, workers int) ([]*relation.Relation, error) {
 	if opts.Validate {
 		for _, r := range leaves {
 			if err := r.ValidateDuplicateFree(); err != nil {
@@ -148,10 +154,17 @@ func PrepareLeaves(leaves []*relation.Relation, opts Options, workers int) ([]*r
 	if shared && opts.AssumeSorted {
 		return leaves, nil
 	}
+	filtered := func(i int) bool { return i < len(keep) && keep[i] != nil }
+	own := func(i int) *relation.Relation {
+		if filtered(i) {
+			return relation.Where(leaves[i], keep[i])
+		}
+		return leaves[i].Clone()
+	}
 	private := make([]*relation.Relation, len(leaves))
 	if !shared {
-		for i, r := range leaves {
-			private[i] = r.Clone()
+		for i := range leaves {
+			private[i] = own(i)
 		}
 		relation.InternAll(private...)
 	}
@@ -159,6 +172,9 @@ func PrepareLeaves(leaves []*relation.Relation, opts Options, workers int) ([]*r
 		switch {
 		case shared && leaves[i].InCanonicalOrder():
 			private[i] = leaves[i]
+		case shared && filtered(i):
+			private[i] = own(i)
+			private[i].Sort()
 		case shared:
 			private[i] = leaves[i].SortedCopy()
 		case !opts.AssumeSorted:
@@ -192,7 +208,7 @@ func fanOut(n, workers int, f func(i int)) {
 // window, in order. It exists for tests (Example 3, Proposition 1) and for
 // the ablation benchmark that decouples window production from filtering.
 func Windows(r, s *relation.Relation) []Window {
-	leaves, _ := PrepareLeaves([]*relation.Relation{r, s}, Options{}, 1) // no Validate: cannot fail
+	leaves, _ := PrepareLeaves([]*relation.Relation{r, s}, nil, Options{}, 1) // no Validate: cannot fail
 	a := NewAdvancer(leaves[0], leaves[1])
 	var ws []Window
 	for {

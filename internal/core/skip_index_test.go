@@ -17,11 +17,12 @@ import (
 // other side's starts is skipped whole, and the next fact is reached by
 // a fact-only skip. On a dense pair, where the runs' spans meet, the
 // counts are unchanged too and the index decides no more skips than
-// there are.
+// there are. The same shape at 2×200K tuples over 2,000 facts — the
+// standing benchmark's sparse-stream pair — is pinned beside it.
 func TestRunIndexDecidesTheSparseSweep(t *testing.T) {
 	sweep := func(op Op, r, s *relation.Relation) (a *Advancer, out int) {
 		t.Helper()
-		leaves, err := PrepareLeaves([]*relation.Relation{r, s}, Options{}, 1)
+		leaves, err := PrepareLeaves([]*relation.Relation{r, s}, nil, Options{}, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -35,6 +36,7 @@ func TestRunIndexDecidesTheSparseSweep(t *testing.T) {
 	}
 
 	r, s := datagen.Pair(datagen.PairConfig{NumTuples: 20000, NumFacts: 200, MaxLenR: 100, MaxLenS: 3, MaxGap: 3, Seed: 1000})
+	lr, ls := datagen.Pair(datagen.PairConfig{NumTuples: 200000, NumFacts: 2000, MaxLenR: 100, MaxLenS: 3, MaxGap: 3, Seed: 1000})
 	dr, ds := datagen.FixedOverlapPair(20000, 200, 7)
 	for _, tc := range []struct {
 		name             string
@@ -45,6 +47,10 @@ func TestRunIndexDecidesTheSparseSweep(t *testing.T) {
 	}{
 		{"sparse r ∩Tp s", OpIntersect, r, s, 175, 401, 397},
 		{"sparse r −Tp s", OpExcept, r, s, 20168, 202, 199},
+		// BenchmarkIntersectSparseShape's catalog-200K pair, the standing
+		// benchmark's sparse-stream scale.
+		{"sparse-200K r ∩Tp s", OpIntersect, lr, ls, 182, 3999, 3997},
+		{"sparse-200K r −Tp s", OpExcept, lr, ls, 200174, 2000, 1999},
 		{"dense r ∩Tp s", OpIntersect, dr, ds, 32632, 9073, 0},
 		{"dense r −Tp s", OpExcept, dr, ds, 37740, 4519, 0},
 	} {

@@ -211,12 +211,14 @@ func (s *batchSource) head(h *head, rows bool) bool {
 
 // skip moves *h, the source's head, past every tuple below the point
 // (fid, te), and reports whether the source holds anything from there
-// on. A row's head skips the source (skipTo) and reads the next head. A
-// run's head only steps along the scan's index — to the run of the first
-// fact at or above fid, or, for a time point, past itself (skipRuns skips
-// a run in time only when its span is over by te) — and leaves the
-// source where it is for land, so a chain of index-decided skips moves
-// the source once; stepping off the index's end lands it there.
+// on. It serves skipRuns when at most one head is a run; two run heads
+// are walked together (relation.WalkApart) instead. A row's head skips
+// the source (skipTo) and reads the next head. A run's head only steps
+// along the scan's index — to the run of the first fact at or above
+// fid, or, for a time point, past itself (skipRuns skips a run in time
+// only when its span is over by te) — and leaves the source where it is
+// for land, so a chain of index-decided skips moves the source once;
+// stepping off the index's end lands it there.
 func (s *batchSource) skip(h *head, fid int64, te interval.Time) bool {
 	if h.row {
 		s.skipTo(fid, te)
@@ -236,8 +238,8 @@ func (s *batchSource) skip(h *head, fid int64, te interval.Time) bool {
 	return true
 }
 
-// land moves the source to *h, the head skipRuns stepped to along the
-// index; a head it did not step leaves the source as it is.
+// land moves the source to *h, the head skipRuns stepped or walked to
+// along the index; a head it did not move leaves the source as it is.
 func (s *batchSource) land(h *head) {
 	if h.skips > 0 {
 		s.landRun(h.run, h.skips)
@@ -500,20 +502,35 @@ func (a *Advancer) Next() (Window, bool) {
 // child's block.
 //
 // A scan that sits at a run's first row is decided from its run index:
-// the run's fact, its first start and its last end (head). A smaller
-// fact is skipped by galloping the index's fact ids, and a run whose
-// span ends at or before the other side's start is skipped whole; such
-// skips step along the index without moving the source, which lands
-// once, on the first row of the run the steps reached. Only when the
-// spans meet are the rows read: the peeked rows decide exactly as they
-// would have, so the windows, the gallops and their landings are the
-// same either way; the index only spares the reads and the moves.
+// the run's fact, its first start and its last end (head). When both
+// heads are such runs, the two indexes are walked in one tight loop
+// (relation.WalkApart: a smaller fact gallops the index's fact ids, a
+// run whose span ends at or before the other side's start steps one
+// run), and each source lands once, on the first row of the run the walk
+// reached; each step is a gallop decided from the index alone. When only
+// one head is a run, a skip of it steps along its index the same way
+// (batchSource.skip). Only when the spans meet are the rows read: the
+// peeked rows decide exactly as they would have, so the windows, the
+// gallops and their landings are the same either way; the index only
+// spares the reads and the moves.
 func (a *Advancer) skipRuns() {
 	var r, s head
 	rok, sok := a.r.head(&r, false), a.s.head(&s, false)
 loop:
 	for rok && sok {
-		indexed := !r.row && !s.row
+		if !r.row && !s.row {
+			i, j, ni, nj := relation.WalkApart(a.r.scan.runs, r.run, a.s.scan.runs, s.run, a.skipR, a.skipS)
+			a.gallops += ni + nj
+			a.indexed += ni + nj
+			r.run, r.skips = i, ni
+			s.run, s.skips = j, nj
+			// The spans meet, the rule that would skip is off, or a side
+			// ran off its index: decide from the rows.
+			a.r.land(&r)
+			a.s.land(&s)
+			rok, sok = a.r.head(&r, true), a.s.head(&s, true)
+			continue
+		}
 		switch {
 		case r.fid < s.fid && a.skipR:
 			rok = a.r.skip(&r, s.fid, relation.MinTime)
@@ -531,9 +548,6 @@ loop:
 			continue
 		default:
 			break loop
-		}
-		if indexed {
-			a.indexed++
 		}
 		a.gallops++
 	}

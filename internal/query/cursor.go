@@ -60,11 +60,12 @@ func lookup(db map[string]*relation.Relation, name string) (*relation.Relation, 
 // dictionary, on up to workers goroutines); the
 // result is the database BuildPrepared reads. The engine calls it once
 // per plan, before it cuts the prepared leaves into shards. A leaf read
-// only through selections, which core.PrepareLeaves would copy anyway,
-// is first cut down to the rows they keep (not under Validate).
+// only through selections goes with their filter, so that a copy of it
+// holds only the rows some selection directly over it keeps.
 func PrepareLeaves(n Node, db map[string]*relation.Relation, opts core.Options, workers int) (map[string]*relation.Relation, error) {
 	names := Relations(n)
 	rels := make([]*relation.Relation, len(names))
+	var keep []func(*relation.Tuple) bool // made on the first leaf read only through selections
 	sels := make(map[string][]*Select)
 	leafSelections(n, nil, sels)
 	for i, name := range names {
@@ -73,21 +74,14 @@ func PrepareLeaves(n Node, db map[string]*relation.Relation, opts core.Options, 
 			return nil, err
 		}
 		rels[i] = r
-	}
-	shared := relation.SharedDict(rels...) != nil
-	for i, r := range rels {
-		s := sels[names[i]]
-		if opts.Validate || slices.Contains(s, nil) || shared && (opts.AssumeSorted || r.InCanonicalOrder()) {
-			continue
+		if s := sels[name]; !slices.Contains(s, nil) {
+			if keep == nil {
+				keep = make([]func(*relation.Tuple) bool, len(names))
+			}
+			keep[i] = selects(r.Schema, s)
 		}
-		rels[i] = relation.Where(r, func(t *relation.Tuple) bool {
-			return slices.ContainsFunc(s, func(sel *Select) bool {
-				at := slices.Index(r.Schema.Attrs, sel.Attr)
-				return at >= 0 && at < len(t.Fact) && t.Fact[at] == sel.Value
-			})
-		})
 	}
-	rels, err := core.PrepareLeaves(rels, opts, workers)
+	rels, err := core.PrepareLeaves(rels, keep, opts, workers)
 	if err != nil {
 		return nil, err
 	}
@@ -96,6 +90,24 @@ func PrepareLeaves(n Node, db map[string]*relation.Relation, opts core.Options, 
 		leaves[name] = rels[i]
 	}
 	return leaves, nil
+}
+
+// selects returns the filter that passes a tuple of schema's relation
+// when one of the selections keeps it; a selection of an attribute the
+// schema lacks keeps nothing (the plan reports it when it is built).
+func selects(schema relation.Schema, sels []*Select) func(*relation.Tuple) bool {
+	at := make([]int, len(sels))
+	for k, sel := range sels {
+		at[k] = slices.Index(schema.Attrs, sel.Attr)
+	}
+	return func(t *relation.Tuple) bool {
+		for k, sel := range sels {
+			if at[k] >= 0 && at[k] < len(t.Fact) && t.Fact[at[k]] == sel.Value {
+				return true
+			}
+		}
+		return false
+	}
 }
 
 // leafSelections appends to sels[name] the selection directly over each

@@ -123,11 +123,12 @@ func TestPrepareLeavesFansOutAcrossWorkers(t *testing.T) {
 }
 
 // TestPrepareLeavesFiltersSelectedLeaves pins which leaves PrepareLeaves
-// cuts down before it copies them: one that every occurrence reads
-// through a selection, to the rows the selection directly over some
-// occurrence keeps, unless it would be read in place or the plan
-// validates; one read bare is prepared whole. The plan's result is the
-// oracle's either way, and a selection naming an attribute the leaf
+// cuts down as it copies them: one that every occurrence reads through
+// a selection, to the rows the selection directly over some occurrence
+// keeps, unless it is read in place; one read bare is prepared whole.
+// Validate checks a leaf whole before it is cut, so a duplicate among
+// the rows the selection drops is still reported. The plan's result is
+// the oracle's either way, and a selection naming an attribute the leaf
 // lacks is still the plan's error.
 func TestPrepareLeavesFiltersSelectedLeaves(t *testing.T) {
 	count := func(r *relation.Relation, values ...string) int {
@@ -160,7 +161,7 @@ func TestPrepareLeavesFiltersSelectedLeaves(t *testing.T) {
 					t.Fatal(err)
 				}
 				for name, want := range tc.want {
-					if want < 0 || opts.Validate || binding == reftest.Shared && db[name].InCanonicalOrder() {
+					if want < 0 || binding == reftest.Shared && db[name].InCanonicalOrder() {
 						want = db[name].Len()
 					}
 					if got := leaves[name].Len(); got != want {
@@ -176,6 +177,12 @@ func TestPrepareLeavesFiltersSelectedLeaves(t *testing.T) {
 		}
 	}
 	db := reftest.DB(rand.New(rand.NewSource(52)), reftest.Shape{Relations: 1, MaxTuples: 50, Facts: 4})
+	dup := db["r0"].Clone()
+	dup.Tuples = append(dup.Tuples, dup.Tuples[0]) // unbinds it: the copy of a row overlaps the row
+	q := query.MustParse("sigma[F='none'](r0)")    // keeps no row, the duplicate's least of all
+	if _, err := query.PrepareLeaves(q, map[string]*relation.Relation{"r0": dup}, core.Options{Validate: true}, 1); err == nil {
+		t.Fatalf("Validate over a leaf cut to none of its rows missed the duplicate of %s", dup.Tuples[0].String())
+	}
 	if _, err := query.BuildCursor(query.MustParse("sigma[Nope='x'](r0)"), db, core.Options{}); err == nil ||
 		!strings.Contains(err.Error(), `no attribute "Nope"`) {
 		t.Fatalf("unknown attribute over a filtered leaf: err %v", err)

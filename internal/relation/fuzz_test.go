@@ -207,3 +207,114 @@ func FuzzSkipToIndexed(f *testing.F) {
 		check(fmt.Sprintf("view [%d, %d) after its parent changed", a, b), v, false, cut, int(from), int(hint))
 	})
 }
+
+// walkStepwise is the reference WalkApart is checked against: the four
+// rules of the sweep's run skipping, one at a time, each fact skip a
+// linear scan to the first run not below the other side's fact.
+func walkStepwise(x *Runs, i int, y *Runs, j int, skipX, skipY bool) (int, int, int64, int64) {
+	var nx, ny int64
+	for i < x.Len() && j < y.Len() {
+		a, sa := x.Run(i)
+		b, sb := y.Run(j)
+		switch {
+		case a < b && skipX:
+			for i < x.Len() && x.fid[i] < b {
+				i++
+			}
+			nx++
+		case b < a && skipY:
+			for j < y.Len() && y.fid[j] < a {
+				j++
+			}
+			ny++
+		case a == b && skipY && sb.Te <= sa.Ts:
+			j, ny = j+1, ny+1
+		case a == b && skipX && sa.Te <= sb.Ts:
+			i, nx = i+1, nx+1
+		default:
+			return i, j, nx, ny
+		}
+	}
+	return i, j, nx, ny
+}
+
+// sweepRowsMerge is SweepRows' count as one merge of the two id arrays
+// of its own: a fact both hold with overlapping spans counts its rows.
+func sweepRowsMerge(x, y *Runs, left bool, limit int) int {
+	n := 0
+	if left {
+		n = x.rows
+	}
+	for i, j := 0, 0; n < limit && i < len(x.fid) && j < len(y.fid); {
+		switch a, b := x.fid[i], y.fid[j]; {
+		case a < b:
+			i++
+		case a > b:
+			j++
+		default:
+			if x.span[i].Overlaps(y.span[j]) {
+				if !left {
+					n += x.Row(i+1) - x.Row(i)
+				}
+				n += y.Row(j+1) - y.Row(j)
+			}
+			i, j = i+1, j+1
+		}
+	}
+	return min(n, limit)
+}
+
+// FuzzWalkApart is the differential pin on the walk the sweep's run
+// skipping and the shard decision share. Two sorted relations are built
+// from fuzzBlocks over one dictionary — the second shifted in time, so
+// that the runs of a fact both hold meet or lie apart — and each is read
+// whole or as a Slice view, which may start inside a run. From any pair
+// of start runs and under any skip flags, WalkApart must stop on the
+// runs the stepwise reference stops on, after as many steps on each
+// side; SweepRows must count, at any limit, what one merge of the two
+// id arrays counts.
+func FuzzWalkApart(f *testing.F) {
+	f.Add([]byte{0x00, 0x15, 0x26, 0x00, 0x37}, []byte{0x00, 0x15, 0x00, 0x41}, uint8(0), uint16(0), uint16(0), uint16(0), uint16(0), uint8(3), uint16(1<<15))
+	f.Add([]byte{0x00, 0x11, 0x11, 0x00, 0x11, 0x00}, []byte{0x00, 0x11, 0x00, 0x11, 0x11}, uint8(40), uint16(1), uint16(9), uint16(0), uint16(1), uint8(1), uint16(7)) // s apart in time, only x skips
+	f.Add([]byte{0x00, 0x00, 0x00, 0x00}, []byte{0x00, 0x00}, uint8(1), uint16(2), uint16(2), uint16(1), uint16(0), uint8(2), uint16(3))                                // one row per fact, views cut mid-relation
+	f.Add([]byte{}, []byte{0x00, 0x75}, uint8(0), uint16(0), uint16(0), uint16(0), uint16(0), uint8(3), uint16(0))                                                      // an empty side
+	f.Fuzz(func(t *testing.T, dx, dy []byte, shift uint8, cutX, cutY, startX, startY uint16, skips uint8, limit uint16) {
+		build := func(name string, data []byte, shift int64) *Relation {
+			fid, rows, _, _ := fuzzBlock(data)
+			r := New(NewSchema(name, "F"))
+			for i := range rows {
+				rows[i].Fact = NewFact(fmt.Sprintf("f%05d", fid[i]))
+				rows[i].T.Ts += shift
+				rows[i].T.Te += shift
+			}
+			r.Tuples = rows
+			return r
+		}
+		rx, ry := build("x", dx, 0), build("y", dy, int64(shift))
+		InternAll(rx, ry)
+		view := func(r *Relation, cut uint16) *Relation {
+			if cut == 0 {
+				return r
+			}
+			n := r.Len()
+			a, b := int(cut)%(n+1), int(cut>>8)%(n+1)
+			return r.Slice(min(a, b), max(a, b))
+		}
+		vx, vy := view(rx, cutX), view(ry, cutY)
+		x, y := vx.Runs(), vy.Runs()
+		i, j := int(startX)%(x.Len()+1), int(startY)%(y.Len()+1)
+		skipX, skipY := skips&1 != 0, skips&2 != 0
+		gi, gj, gx, gy := WalkApart(x, i, y, j, skipX, skipY)
+		wi, wj, wx, wy := walkStepwise(x, i, y, j, skipX, skipY)
+		if gi != wi || gj != wj || gx != wx || gy != wy {
+			t.Fatalf("WalkApart from runs (%d, %d), skips (%v, %v) = runs (%d, %d) after (%d, %d) steps; the stepwise rules reach (%d, %d) after (%d, %d)",
+				i, j, skipX, skipY, gi, gj, gx, gy, wi, wj, wx, wy)
+		}
+		for _, left := range []bool{false, true} {
+			lim := int(limit) % (vx.Len() + vy.Len() + 2)
+			if got, want := sweepRows(x, y, left, lim), sweepRowsMerge(x, y, left, lim); got != want {
+				t.Fatalf("sweepRows(left %v, limit %d) = %d, the merge counts %d", left, lim, got, want)
+			}
+		}
+	})
+}

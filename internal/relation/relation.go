@@ -511,9 +511,21 @@ func (r *Relation) Timeslice(t interval.Time) *Relation {
 }
 
 // Where returns a new relation of r's tuples that pass keep, in order,
-// with their ids when r is bound; r is only read.
+// with their ids when r is bound; r is only read. It counts the tuples
+// keep passes before it copies them, so the copy is allocated once at
+// its size: keep is called twice per tuple and must answer alike.
 func Where(r *Relation, keep func(*Tuple) bool) *Relation {
+	n := 0
+	for i := range r.Tuples {
+		if keep(&r.Tuples[i]) {
+			n++
+		}
+	}
 	out, fid := New(r.Schema), r.FidCol()
+	out.Tuples = make([]Tuple, 0, n)
+	if fid != nil {
+		out.dict, out.fid = r.dict, make([]int64, 0, n)
+	}
 	for i := range r.Tuples {
 		if keep(&r.Tuples[i]) {
 			out.Tuples = append(out.Tuples, r.Tuples[i])
@@ -521,9 +533,6 @@ func Where(r *Relation, keep func(*Tuple) bool) *Relation {
 				out.fid = append(out.fid, fid[i])
 			}
 		}
-	}
-	if fid != nil {
-		out.dict = r.dict
 	}
 	return out
 }

@@ -216,8 +216,7 @@ func (s *Server) requestLog(next http.Handler) http.Handler {
 }
 
 // statusRecorder captures the response status and byte count for the
-// request log. Flush forwards to the underlying writer so the NDJSON
-// stream's per-batch flushes keep working through the middleware.
+// request log.
 type statusRecorder struct {
 	http.ResponseWriter
 	code  int
@@ -235,12 +234,6 @@ func (r *statusRecorder) Write(p []byte) (int, error) {
 	n, err := r.ResponseWriter.Write(p)
 	r.bytes += int64(n)
 	return n, err
-}
-
-func (r *statusRecorder) Flush() {
-	if f, ok := r.ResponseWriter.(http.Flusher); ok {
-		f.Flush()
-	}
 }
 
 // status returns the response code, defaulting to 200 when the handler
@@ -853,11 +846,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	e := getWireEncoder()
 	defer e.release()
 	t0 := time.Now()
-	err = e.queryHead(res)
+	e.queryHead(res)
 	head := len(e.buf)
-	if err == nil {
-		err = e.queryTail(res)
-	}
+	err = e.queryTail(res)
 	s.metrics.encodeHist.Observe(res.encoding + time.Since(t0))
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, err.Error())

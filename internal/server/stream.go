@@ -22,25 +22,25 @@ import (
 //
 // Tuples are encoded as the cursor plan produces them, a block at a
 // time: the wire encoder (wire.go) appends every line — meta, rows and
-// trailer; the two reflected ones through encoding/json — into one
+// trailer, with reflection only for a requested trace — into one
 // pooled buffer, with no per-tuple write, no reflection on a row, and
 // in steady state no allocation. The handler pulls pooled engine blocks
 // of core.BatchSize rows, the unit the plan produces, and holds what it
 // has encoded until it holds a block's worth of rows: then it writes
-// the buffer and flushes. Nothing, not even the status line, goes out
+// the buffer, without a flush. Nothing, not even the status line, goes out
 // before that first block, so a stream that ends first — fewer than
 // core.BatchSize rows, or none, or an abort — is sent whole, sized by
 // Content-Length, in one Write of about two write(2) calls: on a short,
 // selective result, flushing its lines in pieces costs more than its
-// sweep. A longer stream is chunked, and from its first flush on a
-// client sees at most a block's worth of rows go stale between flushes.
+// sweep. A longer stream is chunked, and from its first write on a
+// client sees at most a block's worth of rows go stale between writes.
 // The price is time to first tuple on a sequential plan: its first
 // rows, and the meta line with them, ship after a full block or at the
 // end. A sharded plan pays little for it, because its shard producers
 // already fill whole blocks before the handler sees a row. A short
 // block — the concatenation hands a shard's last block over as it is —
 // is held and the next one pulled. A block fill runs at sweep speed, so
-// between flushes the client waits on computation, not on buffering.
+// between writes the client waits on computation, not on buffering.
 // The server never materializes the result relation. The trailer marks
 // a complete stream: clients that do not see it must treat the result
 // as truncated (once chunked streaming starts, HTTP offers no other way
@@ -115,13 +115,14 @@ func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request) {
 			enc.release()
 		}
 	}()
-	flusher, _ := w.(http.Flusher)
 	// send writes what enc holds and empties it; false means the Write
 	// failed — the client is gone. The first send writes the status line
 	// too: sized when it is also the last, so the whole response is one
-	// Write, chunked otherwise. Every send but the last is flushed; the
-	// last leaves the connection's buffer to the handler's return, which
-	// ends a chunked body in the same write(2).
+	// Write, chunked otherwise. Nothing is flushed: a block is far larger
+	// than the connection's 4 KB buffer, so its Write reaches the socket
+	// on its own, all but the chunk's closing CRLF, which waits in the
+	// buffer for the next block's write — a flush would spend a write(2)
+	// on those two bytes alone. The handler's return ends the body.
 	send := func(last bool) bool {
 		if !streaming {
 			if last {
@@ -137,16 +138,13 @@ func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request) {
 			return false
 		}
 		shipped = count
-		if !last && flusher != nil {
-			flusher.Flush()
-		}
 		return true
 	}
 	// finish appends the trailer to the lines not yet sent and sends them:
 	// the one way a started stream ends, held or streaming.
 	finish := func(t StreamTrailer) {
 		t.Tuples, t.ElapsedMicros = count, time.Since(start).Microseconds()
-		_ = encodeJSON(enc, t) // appends to the buffer; cannot fail
+		_ = enc.streamTrailer(&t) // appends nothing when the trace cannot be encoded
 		send(true)
 	}
 	abort := func(reason string) { finish(StreamTrailer{Error: reason}) }
@@ -172,7 +170,7 @@ func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request) {
 		}
 		// The meta line opens the buffer the first rows are encoded into
 		// and reaches the client with them.
-		_ = encodeJSON(enc, meta)
+		enc.streamMeta(&meta)
 
 		// Panic net: the 200 and part of the body may be on the wire, so
 		// the outer recoverPanics middleware could not keep the framing

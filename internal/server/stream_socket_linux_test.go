@@ -44,11 +44,14 @@ func syscw(t *testing.T) int {
 // client's request is one write(2) and the response at most two (the
 // status line and the body's first bytes fill net/http's 4 KB
 // connection buffer, the rest is written directly). A longer stream
-// pays net/http's chunk framing per flushed block — the chunk header and
-// the block's first bytes, the rest of the block, the chunk's CRLF on
-// the flush — and a constant: the request, the last rows with the
-// trailer (two), the end of the body, and one of slack for the
-// runtime's own wakeups of its network poller, which count as writes.
+// pays two per written block — the previous chunk's CRLF, the chunk
+// header and the block's first bytes, then the rest of the block; the
+// handler flushes nothing, so no write(2) carries a CRLF alone — and a
+// constant: the request, the last rows with the trailer (two), the end
+// of the body, and one of slack for the runtime's own wakeups of its
+// network poller, which count as writes. The 2,502-row stream (two
+// written blocks) reads 8.00–8.08 a stream, against its ceiling of 9; it
+// read 10.0 when each block was flushed.
 func TestStreamSocketWrites(t *testing.T) {
 	_, ts := newGovTestServer(t, Config{Workers: 1})
 	client := ts.Client()
@@ -76,7 +79,7 @@ func TestStreamSocketWrites(t *testing.T) {
 		writes func(tuples int) int // per stream, at most
 	}{
 		{"s", true, func(int) int { return 4 }},
-		{"r | s", false, func(tuples int) int { return 3*(tuples/core.BatchSize) + 5 }},
+		{"r | s", false, func(tuples int) int { return 2*(tuples/core.BatchSize) + 5 }},
 	} {
 		tuples := stream(c.query) // warm: the connection is open and every buffer grown
 		if short := tuples < core.BatchSize; short != c.sized {

@@ -346,24 +346,91 @@ func (e *wireEncoder) rows(ts []relation.Tuple, n int) error {
 func (e *wireEncoder) relationTail() { e.buf = append(e.buf, "]}"...) }
 
 // queryHead appends the POST /query body up to its result: the
-// QueryResponse envelope fields before it. Inputs are small and written
-// once per response, so they go through encoding/json.
-func (e *wireEncoder) queryHead(res *QueryResult) error {
+// QueryResponse envelope fields before it.
+func (e *wireEncoder) queryHead(res *QueryResult) {
 	b := append(e.buf, `{"query":`...)
 	b = appendJSONString(b, res.Query)
 	b = append(b, `,"complexity":`...)
 	b = appendJSONString(b, res.Complexity)
 	b = append(b, `,"inputs":`...)
-	b, err := appendJSONValue(b, res.Inputs)
-	if err != nil {
-		return err
-	}
+	b = appendInputs(b, res.Inputs)
 	b = append(b, `,"cached":`...)
 	b = strconv.AppendBool(b, res.Cached)
 	b = append(b, `,"elapsedMicros":`...)
 	b = strconv.AppendInt(b, res.ElapsedMicros, 10)
 	e.buf = append(b, `,"result":`...)
+}
+
+// streamMeta appends m as the /query/stream meta line, byte for byte
+// what encodeJSON writes for it.
+func (e *wireEncoder) streamMeta(m *StreamMeta) {
+	b := append(e.buf, `{"query":`...)
+	b = appendJSONString(b, m.Query)
+	b = append(b, `,"complexity":`...)
+	b = appendJSONString(b, m.Complexity)
+	b = append(b, `,"inputs":`...)
+	b = appendInputs(b, m.Inputs)
+	b = append(b, `,"name":`...)
+	b = appendJSONString(b, m.Name)
+	b = append(b, `,"attrs":`...)
+	if m.Attrs == nil {
+		b = append(b, "null"...)
+	} else {
+		b = append(b, '[')
+		for i, a := range m.Attrs {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = appendJSONString(b, a)
+		}
+		b = append(b, ']')
+	}
+	e.buf = append(b, "}\n"...)
+}
+
+// streamTrailer appends t as the /query/stream trailer line, byte for
+// byte what encodeJSON writes for it; a trace, when there is one, goes
+// through encoding/json. When the trace cannot be encoded it appends
+// nothing and returns the error, as encodeJSON writes nothing then.
+func (e *wireEncoder) streamTrailer(t *StreamTrailer) error {
+	b := append(e.buf, `{"done":`...)
+	b = strconv.AppendBool(b, t.Done)
+	b = append(b, `,"tuples":`...)
+	b = strconv.AppendInt(b, int64(t.Tuples), 10)
+	b = append(b, `,"elapsedMicros":`...)
+	b = strconv.AppendInt(b, t.ElapsedMicros, 10)
+	if t.Error != "" {
+		b = append(b, `,"error":`...)
+		b = appendJSONString(b, t.Error)
+	}
+	if t.Trace != nil {
+		b = append(b, `,"trace":`...)
+		var err error
+		if b, err = appendJSONValue(b, t.Trace); err != nil {
+			return err
+		}
+	}
+	e.buf = append(b, "}\n"...)
 	return nil
+}
+
+// appendInputs appends a version vector as encoding/json renders it.
+func appendInputs(b []byte, in []RelVersion) []byte {
+	if in == nil {
+		return append(b, "null"...)
+	}
+	b = append(b, '[')
+	for i, v := range in {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, `{"name":`...)
+		b = appendJSONString(b, v.Name)
+		b = append(b, `,"version":`...)
+		b = strconv.AppendUint(b, v.Version, 10)
+		b = append(b, '}')
+	}
+	return append(b, ']')
 }
 
 // queryTail appends what follows the result in the POST /query body:

@@ -240,9 +240,7 @@ func checkWireCaseOnce(t *testing.T, rng *rand.Rand, wc wireCase) {
 		t.Fatal(err)
 	}
 	enc.reset()
-	if err := enc.queryHead(res); err != nil {
-		t.Fatal(err)
-	}
+	enc.queryHead(res)
 	enc.buf = append(enc.buf, res.Result...)
 	if err := enc.queryTail(res); err != nil {
 		t.Fatal(err)
@@ -324,6 +322,52 @@ func TestWireEncodeMatchesReflection(t *testing.T) {
 			ps = extra
 		}
 		checkWireCase(t, rng, genWireCase(rng, 1+rng.Intn(8), nil, ps))
+	}
+}
+
+// TestStreamLinesMatchEncodeJSON is the differential pin on the stream's
+// meta line and trailer, which the wire encoder appends without
+// reflection: on query strings, relation names, attributes and error
+// texts that need every kind of JSON escaping — quotes, backslashes,
+// control bytes, <>& (left as they are: HTML escaping is off), U+2028
+// and U+2029, invalid UTF-8 — on nil and empty version vectors and
+// attribute lists, and with and without a trace, its bytes must equal
+// encodeJSON's.
+func TestStreamLinesMatchEncodeJSON(t *testing.T) {
+	texts := []string{"", "r & s", `sigma[F='a"b'](r)`, `back\slash`, "ctl\x00\x01\x1f\b\f\n\r\t\x7f",
+		"<b>&amp;</b>", "sep\u2028par\u2029", "bad\xff\xfe utf8 \xe2\x82", "é变量 (r | s) - t"}
+	inputs := [][]RelVersion{nil, {}, {{Name: "r", Version: 1}}, {{Name: `"q"\`, Version: 1<<64 - 1}, {Name: "\u2028<>", Version: 0}}}
+	attrs := [][]string{nil, {}, {"F"}, {"a\"b", "\x00", "<&>", "\u2029\xff"}}
+	trace := &obs.SpanStats{Op: "a & <b>\u2028", TuplesOut: 4, Children: []*obs.SpanStats{{Op: "scan\x01"}}}
+	enc := getWireEncoder()
+	defer enc.release()
+	check := func(what string, v any, appendLine func()) {
+		t.Helper()
+		want, err := reflectLine(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		enc.reset()
+		appendLine()
+		if got := string(enc.buf); got != want {
+			t.Fatalf("%s:\n got %q\nwant %q", what, got, want)
+		}
+	}
+	for i, text := range texts {
+		for j, in := range inputs {
+			m := StreamMeta{Query: text, Complexity: texts[(i+j)%len(texts)], Inputs: in, Name: texts[(i+2*j)%len(texts)], Attrs: attrs[(i+j)%len(attrs)]}
+			check(fmt.Sprintf("meta %+v", m), m, func() { enc.streamMeta(&m) })
+		}
+		for _, tr := range []*obs.SpanStats{nil, trace} {
+			for _, done := range []bool{false, true} {
+				st := StreamTrailer{Done: done, Tuples: i * 1000, ElapsedMicros: int64(i) - 3, Error: text, Trace: tr}
+				check(fmt.Sprintf("trailer %+v", st), st, func() {
+					if err := enc.streamTrailer(&st); err != nil {
+						t.Fatal(err)
+					}
+				})
+			}
+		}
 	}
 }
 
