@@ -74,9 +74,6 @@ func main() {
 		if err != nil {
 			fatal("loading %s: %v", name, err)
 		}
-		if err := r.ValidateDuplicateFree(); err != nil {
-			fatal("%v", err)
-		}
 		db[name] = r
 	}
 	// Rebind all loaded relations onto one shared fact dictionary (each

@@ -185,7 +185,7 @@ func main() {
 		if !ok || name == "" || path == "" {
 			fatalf("-rel %q: want name=path.csv", spec)
 		}
-		rel, err := csvio.ReadFileSorted(path, name)
+		rel, err := csvio.ReadFile(path, name)
 		if err != nil {
 			fatalf("loading %s: %v", spec, err)
 		}

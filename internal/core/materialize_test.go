@@ -156,8 +156,8 @@ func TestBenchmarkHarnessCallShapes(t *testing.T) {
 
 	sorted := r.Clone()
 	sorted.Sort()
-	if sorted.Dict() != r.Dict() || !sorted.IsSorted() || len(sorted.BuildCols()) != r.Len() {
-		t.Fatalf("Clone()+Sort() of a bound relation: dict %p (source %p), sorted %v, %d ids", sorted.Dict(), r.Dict(), sorted.IsSorted(), len(sorted.BuildCols()))
+	if sorted.Dict() != r.Dict() || !sorted.InCanonicalOrder() || len(sorted.BuildCols()) != r.Len() {
+		t.Fatalf("Clone()+Sort() of a bound relation: dict %p (source %p), sorted %v, %d ids", sorted.Dict(), r.Dict(), sorted.InCanonicalOrder(), len(sorted.BuildCols()))
 	}
 	if head := datagen.Subset(sorted, 10); head.Dict() != sorted.Dict() || len(head.FidCol()) != 10 || head.Frozen() {
 		t.Fatal("Subset of a bound relation did not carry the binding onto an unfrozen copy")

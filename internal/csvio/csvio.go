@@ -91,9 +91,10 @@ var utf8BOM = []byte{0xEF, 0xBB, 0xBF}
 // formula; see lineage.Parse) — a malformed formula is rejected rather
 // than silently becoming an opaque variable. A bare name
 // (lineage.IsVarName) is taken as it is; anything else is parsed to be
-// checked. The loaded relation is checked for the model's
-// duplicate-freeness invariant: two rows with the same fact over
-// overlapping intervals are an error.
+// checked. The loaded relation is admitted (relation.Relation.Admit):
+// interned, checked for the model's duplicate-freeness invariant — two
+// rows with the same fact over overlapping intervals are an error — and
+// laid out in canonical (fact, Ts, Te) order, not the file's.
 //
 // The input is read into memory whole and copied once into one string;
 // fact values and header names are substrings of it (a quoted field with
@@ -102,44 +103,26 @@ var utf8BOM = []byte{0xEF, 0xBB, 0xBF}
 // and LazyQuotes off: a leading UTF-8 BOM is stripped, CRLF line endings
 // read as LF inside and outside quotes, a final '\r' is dropped, blank
 // lines are skipped, and a bare or stray quote is an error. Every row's
-// leaf is built by one lineage.Vars batch, in canonical (fact, Ts, Te)
-// order — the rows themselves keep the file's order. An error names the
-// physical line its record starts on.
+// leaf is built by one lineage.Vars batch, in row order. An error names
+// the physical line its record starts on.
 func Read(rd io.Reader, name string) (*relation.Relation, error) {
 	data, err := io.ReadAll(rd)
 	if err != nil {
 		return nil, fmt.Errorf("csvio: reading: %w", err)
 	}
-	return parse(data, name, false)
+	return parse(data, name)
 }
 
-// ReadFile loads the relation stored at path; the relation is named after
-// the file.
+// ReadFile loads the relation stored at path, as Read does.
 func ReadFile(path, name string) (*relation.Relation, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	return parse(data, name, false)
+	return parse(data, name)
 }
 
-// ReadFileSorted is ReadFile with the rows laid out in canonical
-// (fact, Ts, Te) order — the order the duplicate check already ranked
-// them in — their fact ids moved with them (relation.Arrange): a
-// catalog that admits the relation recognises the order in one pass
-// and sorts nothing (relation.SortDuplicateFree). tpserve loads its
-// -rel files with it.
-func ReadFileSorted(path, name string) (*relation.Relation, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return parse(data, name, true)
-}
-
-// parse loads the relation, its rows in file order unless sorted asks
-// for canonical order.
-func parse(data []byte, name string, sorted bool) (*relation.Relation, error) {
+func parse(data []byte, name string) (*relation.Relation, error) {
 	sp := splitter{s: normalize(data), line: 1}
 	header, line, err := sp.next(nil)
 	if err == io.EOF {
@@ -226,32 +209,33 @@ func parse(data []byte, name string, sorted bool) (*relation.Relation, error) {
 	if len(rows) > 0 {
 		rel.Tuples = rows
 	}
-	// Construct interned fact ids at ingest: the duplicate check below and
-	// every later sort/sweep over this relation run on integer compares.
-	rel.Intern()
-	rank, err := rel.CanonicalRanks()
+	// One key sort interns, checks and orders the rows: every later sort
+	// and sweep over this relation runs on integer compares, and a
+	// catalog or a plan reads it where it stands.
+	moved, err := rel.Admit()
 	if err != nil {
 		return nil, fmt.Errorf("csvio: %w", err)
 	}
-	// The leaves are built in the order the duplicate check sorted the
-	// rows into, which is the order every sorted copy and every result
-	// lists them in: fresh variable ids, the arena's copies of their
-	// names and their marginal-text slots ascend along the output, not
-	// along the file. Interning reads the names in that order, so they
-	// are first packed back to back, where a read out of file order
-	// stays in cache; the rows are walked in file order.
+	// The leaves are built in row order, which is canonical order, so
+	// fresh variable ids, the arena's copies of their names and their
+	// marginal-text slots ascend along every scan and every result.
+	// Interning reads the names in that order, which jumps across the
+	// file: they are first packed back to back, where those reads stay
+	// in cache.
 	pack(names)
-	ranked := make([]string, len(rank))
-	probs := make([]float64, len(rank))
-	for i, j := range rank {
-		ranked[j], probs[j] = names[i], rows[i].Prob
+	if moved != nil {
+		ranked := make([]string, len(moved))
+		for i, j := range moved {
+			ranked[j] = names[i]
+		}
+		names = ranked
 	}
-	leaves := lineage.Vars(ranked, probs)
-	for i, j := range rank {
-		rows[i].Lineage = leaves[j]
+	probs := make([]float64, len(rows))
+	for i := range rows {
+		probs[i] = rows[i].Prob
 	}
-	if sorted {
-		rel.Arrange(rank)
+	for i, leaf := range lineage.Vars(names, probs) {
+		rows[i].Lineage = leaf
 	}
 	return rel, nil
 }

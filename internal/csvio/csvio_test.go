@@ -233,10 +233,10 @@ func TestReadAllocations(t *testing.T) {
 
 // TestReadNumbersVariablesInRowOrder pins the order leaves are built
 // in: a file written in generation order (the facts round-robin, as
-// datagen emits them) is read, sorted into canonical order, and the
-// fresh variable ids then ascend along the rows — the sort moves rows,
-// never ids, so they were assigned in canonical order at ingest. The
-// names are this test's own, so they are fresh to the arena.
+// datagen emits them) is read into canonical order, and the fresh
+// variable ids ascend along the rows as read — they were assigned in
+// row order at ingest, not in file order. The names are this test's
+// own, so they are fresh to the arena.
 func TestReadNumbersVariablesInRowOrder(t *testing.T) {
 	const facts, perFact = 7, 40
 	var b strings.Builder
@@ -250,59 +250,53 @@ func TestReadNumbersVariablesInRowOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Tuples[0].Lineage.ID() != "csvio.order.g0" || r.Tuples[1].Lineage.ID() != "csvio.order.g1" {
-		t.Fatalf("rows moved at ingest: %v, %v", r.Tuples[0].Lineage, r.Tuples[1].Lineage)
+	if r.Tuples[0].Lineage.ID() != "csvio.order.g0" || r.Tuples[1].Lineage.ID() != fmt.Sprintf("csvio.order.g%d", facts) {
+		t.Fatalf("rows not in canonical order: %v, %v", r.Tuples[0].Lineage, r.Tuples[1].Lineage)
 	}
-	r.Sort()
 	for i := 1; i < len(r.Tuples); i++ {
 		if a, b := r.Tuples[i-1].Lineage, r.Tuples[i].Lineage; a.VarID() >= b.VarID() {
-			t.Fatalf("row %d: %s has id %d after %s's %d; want ids ascending along the sorted rows",
+			t.Fatalf("row %d: %s has id %d after %s's %d; want ids ascending along the rows",
 				i, b, b.VarID(), a, a.VarID())
 		}
 	}
 }
 
-// TestReadFileSortedIsReadFileSorted pins the loader tpserve admits its
-// files through: ReadFileSorted returns what ReadFile followed by Sort
-// returns — the same rows, leaves and fact ids, in canonical order —
-// and admission's duplicate check then recognises the order in one pass:
-// SortDuplicateFree sorts nothing and allocates nothing. ReadFile keeps
-// the file's order (TestReadNumbersVariablesInRowOrder).
-func TestReadFileSortedIsReadFileSorted(t *testing.T) {
+// TestReadLaysRowsInCanonicalOrder pins the one reader's row order: Read returns
+// what the file's rows give after Sort — the same rows, leaves and fact
+// ids, in canonical order — and admission then recognises the order in
+// one pass: a second Admit sorts nothing and allocates nothing.
+func TestReadLaysRowsInCanonicalOrder(t *testing.T) {
 	r := datagen.Synthetic(datagen.SyntheticConfig{
 		Name: "sorted", NumTuples: 5000, NumFacts: 50, MaxLen: 7, MaxGap: 2, Seed: 6,
 	})
-	path := filepath.Join(t.TempDir(), "r.csv")
-	if err := WriteFile(path, r); err != nil {
+	if r.InCanonicalOrder() {
+		t.Fatal("the relation is already in canonical order: the test shows nothing")
+	}
+	var file bytes.Buffer
+	if err := Write(&file, r); err != nil {
 		t.Fatal(err)
 	}
-	want, err := ReadFile(path, "sorted")
+	got, err := Read(&file, "sorted")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want.InCanonicalOrder() {
-		t.Fatal("the file is already in canonical order: the test shows nothing")
+	if !got.InCanonicalOrder() || got.Len() != r.Len() || got.Dict() == nil {
+		t.Fatalf("Read: %d rows, in order %v, bound %v", got.Len(), got.InCanonicalOrder(), got.Dict() != nil)
 	}
+	want := r.Clone()
 	want.Sort()
-	got, err := ReadFileSorted(path, "sorted")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.InCanonicalOrder() || got.Len() != want.Len() || got.Dict() == nil {
-		t.Fatalf("ReadFileSorted: %d rows, in order %v, bound %v", got.Len(), got.InCanonicalOrder(), got.Dict() != nil)
-	}
 	for i := range want.Tuples {
 		a, b := &got.Tuples[i], &want.Tuples[i]
-		if !a.Fact.Equal(b.Fact) || a.T != b.T || a.Prob != b.Prob || a.Lineage.VarID() != b.Lineage.VarID() ||
+		if !a.Fact.Equal(b.Fact) || a.T != b.T || a.Prob != b.Prob || a.Lineage.ID() != b.Lineage.ID() ||
 			got.Dict().Key(keys.FactID(got.FidCol()[i])) != a.Fact.Key() {
 			t.Fatalf("row %d: %v (fid %d), want %v", i, a, got.FidCol()[i], b)
 		}
 	}
 	if allocs := testing.AllocsPerRun(5, func() {
-		if err := got.SortDuplicateFree(); err != nil {
-			t.Fatal(err)
+		if moved, err := got.Admit(); err != nil || moved != nil {
+			t.Fatalf("re-admitting the load: moved %v, %v", moved, err)
 		}
 	}); allocs != 0 {
-		t.Fatalf("admitting the sorted load allocated %v times, want no key sort", allocs)
+		t.Fatalf("re-admitting the load allocated %v times, want no key sort", allocs)
 	}
 }

@@ -17,7 +17,9 @@
 // interval must be non-empty [ts, te), probabilities must lie in (0, 1],
 // the lineage column must be non-empty syntactically valid lineage, and
 // the loaded relation must be duplicate-free (Def. 1) — two rows with the
-// same fact over overlapping intervals are rejected. Windows-exported
+// same fact over overlapping intervals are rejected. The relation comes
+// back admitted (relation.Admit): bound and in canonical (fact, Ts, Te)
+// order, not the file's. Windows-exported
 // files are accepted as-is: a leading UTF-8 BOM is stripped and CRLF line
 // endings are handled. An error names the physical line its record
 // starts on.
@@ -28,8 +30,8 @@
 // substrings of that string. A lineage column that is a bare variable
 // name (lineage.IsVarName) is taken as it is; any other is checked by
 // lineage.Parse. Every row's leaf is then built by one lineage.Vars
-// batch, and each row's Fact is cut from one backing array, so a load
-// allocates per file, not per row. encoding/csv is used only to write:
+// batch, in row order, and each row's Fact is cut from one backing
+// array, so a load allocates per file, not per row. encoding/csv is used only to write:
 // StreamWriter writes rows one tuple at a time, so a streaming cursor
 // plan can be persisted without materializing its result.
 //

@@ -79,7 +79,7 @@ func TestPrepareLeavesFansOutAcrossWorkers(t *testing.T) {
 		}
 		var prepared []*relation.Relation
 		for name, r := range leaves {
-			if r == db[name] || !r.IsSorted() || r.FidCol() == nil || r.Len() != db[name].Len() {
+			if r == db[name] || !r.InCanonicalOrder() || r.FidCol() == nil || r.Len() != db[name].Len() {
 				t.Fatalf("workers=%d: leaf %s is not a sorted private clone with its fid column", workers, name)
 			}
 			prepared = append(prepared, r)

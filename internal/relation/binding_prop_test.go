@@ -29,7 +29,7 @@ func checkBinding(t *testing.T, ctx string, r *relation.Relation) {
 	if len(fid) != len(r.Tuples) || (len(fid) > 0 && &fid[0] != &r.BuildCols()[0]) {
 		t.Fatalf("%s: bound relation of %d rows carries %d ids", ctx, len(r.Tuples), len(fid))
 	}
-	runs, sorted := 0, r.IsSorted()
+	runs, sorted := 0, r.InCanonicalOrder()
 	for i, id := range fid {
 		if id < 0 || id >= int64(d.Len()) || d.Key(keys.FactID(id)) != r.Tuples[i].Fact.Key() || r.KeyAt(i) != r.Tuples[i].Fact.Key() {
 			t.Fatalf("%s: row %d holds fact %s, its id %d names another", ctx, i, r.Tuples[i].Fact, id)
@@ -89,8 +89,8 @@ func refSorted(rows []relation.Tuple) []relation.Tuple {
 // touches rows or binding keep "bound ⇒ the column mirrors the rows and
 // the fact-run index describes the column" (checkBinding), never lose or
 // reorder a row except where the operation says so, and Sort (and
-// SortDuplicateFree on a duplicate-free relation) ≡ the reference
-// stable sort on key strings — for
+// Admit on a duplicate-free relation) ≡ the reference stable sort on
+// key strings — for
 // one- and three-attribute facts, including values that contain the key
 // codec's separator and escape bytes.
 func TestBindingSurvivesEveryMutator(t *testing.T) {
@@ -160,23 +160,30 @@ func TestBindingSurvivesEveryMutator(t *testing.T) {
 						t.Fatalf("%s: Intern did not bind", ctx)
 					}
 				case 5, 6: // Sort ≡ reference, on the relation and on a clone of it
-					// (SortDuplicateFree's when the check passes; a refused
-					// one moves nothing)
+					// (Admit's when the check passes, which binds the clone and
+					// says where each row went; a refused one moves nothing)
 					c := r.Clone()
 					dupErr := r.ValidateDuplicateFree()
 					r.Sort()
-					if err := c.SortDuplicateFree(); (err != nil) != (dupErr != nil) {
-						t.Fatalf("%s: SortDuplicateFree reports %v, ValidateDuplicateFree %v", ctx, err, dupErr)
+					moved, err := c.Admit()
+					if (err != nil) != (dupErr != nil) {
+						t.Fatalf("%s: Admit reports %v, ValidateDuplicateFree %v", ctx, err, dupErr)
 					} else if err != nil {
 						sameRows(t, ctx+" (refused)", c.Tuples, model)
 						checkBinding(t, ctx+" (refused)", c)
 						c.Sort()
+					} else if moved != nil {
+						admitted := make([]relation.Tuple, len(model))
+						for i, j := range moved {
+							admitted[j] = model[i]
+						}
+						sameRows(t, ctx+" (moved)", c.Tuples, admitted)
 					}
 					model = refSorted(model)
 					sameRows(t, ctx+" (clone)", c.Tuples, model)
 					checkBinding(t, ctx+" (clone)", c)
-					if !r.IsSorted() || !c.IsSorted() || (c.Dict() != nil) != wasBound {
-						t.Fatalf("%s: sorted relation reads unsorted, or sorting the clone changed the binding state", ctx)
+					if !r.InCanonicalOrder() || !c.InCanonicalOrder() || c.Dict() == nil {
+						t.Fatalf("%s: sorted relation reads unsorted, or admitting the clone left it unbound", ctx)
 					}
 					if op == 6 {
 						r = c
@@ -256,17 +263,14 @@ func TestBindingSurvivesEveryMutator(t *testing.T) {
 					if r.Dict() != nil || r.FidCol() != nil {
 						t.Fatalf("%s: a relation resized behind its back still reads as bound", ctx)
 					}
-				case 13: // Arrange: every row and its id move to the rank given
-					rank := rng.Perm(len(model))
-					moved := make([]relation.Tuple, len(model))
-					for i, j := range rank {
-						moved[j] = model[i]
+				case 13: // the rows in another order, in a new unbound relation
+					perm := rng.Perm(len(model))
+					shuffled, next := relation.New(r.Schema), make([]relation.Tuple, len(model))
+					for i, j := range perm {
+						shuffled.Tuples = append(shuffled.Tuples, r.Tuples[j])
+						next[i] = model[j]
 					}
-					r.Arrange(rank)
-					model = moved
-					if (r.Dict() != nil) != wasBound {
-						t.Fatalf("%s: Arrange changed the binding state", ctx)
-					}
+					r, model = shuffled, next
 				}
 				sameRows(t, ctx, r.Tuples, model)
 				checkBinding(t, ctx, r)

@@ -6,16 +6,18 @@
 //
 // The package provides construction and validation, the timeslice
 // operator τ_t^p used to define snapshot reducibility, change-preservation
-// coalescing, sorting by (fact, Ts) as required by the LAWA sweep, and the
-// dataset statistics reported in Table IV of the paper.
+// coalescing, sorting by (fact, Ts, Te) as required by the LAWA sweep,
+// admission (Admit: bind, check and sort in one step), and the dataset
+// statistics reported in Table IV of the paper.
 //
 // Invariants:
 //
 //   - Duplicate-freeness (Def. 1): no two distinct tuples share a fact
 //     over overlapping intervals. Construction does not enforce it (bulk
-//     loads would pay twice); ValidateDuplicateFree checks it, and every
-//     admission path of unknown provenance (CSV reader, query service
-//     PUT) calls it.
+//     loads would pay twice); Admit checks it on the same key sort that
+//     binds and orders the relation, and every route of unknown
+//     provenance (the CSV reader, the query service's PUT and Load, its
+//     JSON decoder) calls it.
 //   - The canonical tuple order is (fact key, Ts, Te) — Less, which Sort
 //     establishes (on packed ids). Dictionary ids are ranks of the sorted key set, so the
 //     parallel engine shards a sorted relation by cutting it at fact

@@ -198,7 +198,7 @@ func FuzzSkipToIndexed(f *testing.F) {
 			return
 		}
 		r.Add(NewBase(r.Tuples[0].Fact, "late", maxTe+1, maxTe+2, 0.5))
-		if r.Dict() == nil || r.IsSorted() == (n > 0 && fid[0] != fid[n-1]) {
+		if r.Dict() == nil || r.InCanonicalOrder() == (n > 0 && fid[0] != fid[n-1]) {
 			t.Fatalf("the added row of the first fact should keep the binding and break the order only when there is a later fact")
 		}
 		describes("relation after Add", r, true, false) // out of order when the first fact is not the last: describes, cannot answer

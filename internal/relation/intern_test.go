@@ -99,8 +99,8 @@ func TestInternedSortMatchesStringSort(t *testing.T) {
 				t.Fatalf("trial %d: sorted order diverges at %d: %v vs %v", trial, i, x, y)
 			}
 		}
-		if !a.IsSorted() || !b.IsSorted() {
-			t.Fatal("IsSorted disagrees after Sort")
+		if !a.InCanonicalOrder() || !b.InCanonicalOrder() {
+			t.Fatal("InCanonicalOrder disagrees after Sort")
 		}
 	}
 }

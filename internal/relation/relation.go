@@ -199,8 +199,9 @@ func (t Tuple) String() string {
 }
 
 // Relation is a finite set of TP tuples over a schema. The tuple order is
-// not semantically meaningful; Sort establishes the (fact, Ts) order the
-// sweep algorithms require.
+// not semantically meaningful; Sort establishes the (fact, Ts, Te) order
+// the sweep algorithms require, and Admit establishes it together with
+// the binding and the duplicate check.
 //
 // The relation is the one owner of its fact binding: it is bound exactly
 // when it holds a dictionary and a fid column with fid[i] the packed id
@@ -363,8 +364,8 @@ func (r *Relation) Unbind() {
 }
 
 // Intern builds a dictionary over the relation's own facts, binds the
-// relation to it and returns it — the ingest-time entry point (csvio,
-// datagen, catalog admission).
+// relation to it and returns it (Admit interns a relation that arrives
+// unbound).
 func (r *Relation) Intern() *keys.Dict { return InternAll(r) }
 
 // InternAll builds one shared dictionary over the facts of all given
@@ -451,24 +452,6 @@ func Less(a, b *Tuple) bool {
 func (r *Relation) ValidateDuplicateFree() error {
 	_, err := r.validatedKeys()
 	return err
-}
-
-// CanonicalRanks checks the duplicate-freeness invariant as
-// ValidateDuplicateFree does and returns the order it checked it in:
-// rank[i] is the position of row i in the canonical (fact, Ts, Te)
-// order. One sort serves both; the rows do not move. csvio numbers a
-// file's lineage variables in this order, so that ids ascend along the
-// sorted relation.
-func (r *Relation) CanonicalRanks() ([]int, error) {
-	ks, err := r.validatedKeys()
-	if err != nil {
-		return nil, err
-	}
-	rank := make([]int, len(ks))
-	for j := range ks {
-		rank[ks[j].idx] = j
-	}
-	return rank, nil
 }
 
 // validatedKeys returns the rows' sort keys in canonical order, or the

@@ -74,16 +74,16 @@ func TestAddBaseAndProb(t *testing.T) {
 	}
 }
 
-func TestSortAndIsSorted(t *testing.T) {
+func TestSortAndInCanonicalOrder(t *testing.T) {
 	r := mk("r")
 	r.AddBase(NewFact("b"), "r1", 5, 6, 0.5)
 	r.AddBase(NewFact("a"), "r2", 7, 9, 0.5)
 	r.AddBase(NewFact("a"), "r3", 1, 3, 0.5)
-	if r.IsSorted() {
+	if r.InCanonicalOrder() {
 		t.Error("not sorted yet")
 	}
 	r.Sort()
-	if !r.IsSorted() {
+	if !r.InCanonicalOrder() {
 		t.Error("sorted now")
 	}
 	order := []string{"r3", "r2", "r1"}
@@ -112,12 +112,13 @@ func TestValidateDuplicateFree(t *testing.T) {
 	}
 }
 
-// TestSortDuplicateFreeOrderedPass pins admission's one-pass path: a
-// bound relation already in canonical order without an overlap is
-// admitted as it is, while one in order that overlaps, one out of order
-// and one with an overlap out of order all go through the sort and get
-// the error ValidateDuplicateFree gives, word for word, or are sorted.
-func TestSortDuplicateFreeOrderedPass(t *testing.T) {
+// TestAdmitOrderedPass pins admission's one-pass path: a relation
+// already in canonical order without an overlap is admitted as it is,
+// and bound when it arrived unbound, while one in order that overlaps,
+// one out of order and one with an overlap out of order all go through
+// the sort and get the error ValidateDuplicateFree gives, word for word,
+// or are sorted, with moved naming where each row went.
+func TestAdmitOrderedPass(t *testing.T) {
 	build := func(ivs ...[2]int64) *Relation {
 		r := mk("r")
 		for i, iv := range ivs {
@@ -127,7 +128,6 @@ func TestSortDuplicateFreeOrderedPass(t *testing.T) {
 			}
 			r.AddBase(NewFact(f), fmt.Sprintf("r%d", i), iv[0], iv[1], 0.5)
 		}
-		r.Intern()
 		return r
 	}
 	for _, tc := range []struct {
@@ -144,16 +144,24 @@ func TestSortDuplicateFreeOrderedPass(t *testing.T) {
 	} {
 		want := tc.r.ValidateDuplicateFree()
 		before := slices.Clone(tc.r.Tuples)
-		err := tc.r.SortDuplicateFree()
+		ordered := tc.r.InCanonicalOrder()
+		moved, err := tc.r.Admit()
 		switch {
 		case (want != nil) != tc.refuse:
 			t.Fatalf("%s: ValidateDuplicateFree says %v", tc.name, want)
-		case tc.refuse && (err == nil || err.Error() != want.Error()):
-			t.Fatalf("%s: SortDuplicateFree says %v, want %v", tc.name, err, want)
+		case tc.r.Dict() == nil:
+			t.Fatalf("%s: Admit left the relation unbound", tc.name)
+		case tc.refuse && (err == nil || err.Error() != want.Error() || moved != nil):
+			t.Fatalf("%s: Admit says %v, want %v", tc.name, err, want)
 		case tc.refuse && !slices.EqualFunc(tc.r.Tuples, before, func(a, b Tuple) bool { return a.T == b.T && a.Lineage == b.Lineage }):
 			t.Fatalf("%s: a refused relation's rows moved", tc.name)
-		case !tc.refuse && (err != nil || !tc.r.InCanonicalOrder()):
-			t.Fatalf("%s: SortDuplicateFree: %v, in order %v", tc.name, err, tc.r.InCanonicalOrder())
+		case !tc.refuse && (err != nil || !tc.r.InCanonicalOrder() || (moved == nil) != ordered):
+			t.Fatalf("%s: Admit: %v, in order %v, moved %v", tc.name, err, tc.r.InCanonicalOrder(), moved)
+		}
+		for i, j := range moved {
+			if tc.r.Tuples[j].T != before[i].T || tc.r.Tuples[j].Lineage.String() != before[i].Lineage.String() {
+				t.Fatalf("%s: row %d moved to %d, which holds %v", tc.name, i, j, tc.r.Tuples[j])
+			}
 		}
 	}
 }

@@ -2,7 +2,6 @@ package relation
 
 import (
 	"cmp"
-	"fmt"
 	"slices"
 
 	"github.com/tpset/tpset/internal/interval"
@@ -97,31 +96,44 @@ func compareKeys(a, b sortKey) int {
 func (r *Relation) Sort() {
 	r.mutable("Sort")
 	ids, _ := r.ids()
-	if r.ordered(ids, true) {
+	if r.ordered(ids) {
 		return // nothing to move: no keys built
 	}
 	r.permute(r.sortedKeys(ids))
 }
 
-// SortDuplicateFree is ValidateDuplicateFree followed by Sort on one
-// sort of the keys: the check runs over the sorted keys and, when it
-// passes, they move the rows. On a violation it returns the check's
-// error and moves nothing. Admission calls it. A bound relation whose
-// rows already lie in canonical order without an overlap — a loader
-// that ranked them lays them out so (csvio.ReadFileSorted) — is
-// recognised in one pass over its ids and rows, and pays no sort; any
-// other falls back to the sort, whatever it claims, so the duplicate
-// check and its error never depend on where the rows came from.
-func (r *Relation) SortDuplicateFree() error {
-	r.mutable("SortDuplicateFree")
-	if r.bound() && r.orderedDuplicateFree() {
-		return nil
+// Admit makes r an input every plan reads as it stands: bound (to a
+// dictionary over its own facts when it arrives unbound), checked for
+// Def. 1's duplicate-freeness and in canonical (fact, Ts, Te) order,
+// the check and the order on one sort of the keys. It returns where the
+// rows went — moved[i] is the position row i now holds, nil when no row
+// moved — and, on a violation, the check's error, having moved no row.
+// A relation already in that order without an overlap is recognised in
+// one pass over its ids and rows and pays no sort; any other goes
+// through the sort, whatever order it claims, so the check and its
+// error never depend on where the rows came from. Every route into a
+// plan admits through it: csvio's reader, the server's admission and
+// its JSON decoder.
+func (r *Relation) Admit() (moved []int, err error) {
+	r.mutable("Admit")
+	if !r.bound() {
+		InternAll(r)
+	}
+	if r.orderedDuplicateFree() {
+		return nil, nil
 	}
 	ks, err := r.validatedKeys()
-	if err == nil {
-		r.permute(ks)
+	if err != nil {
+		return nil, err
 	}
-	return err
+	// Past the one-pass check, a relation that passes the duplicate check
+	// is out of order: some row moves.
+	moved = make([]int, len(ks))
+	for j, k := range ks {
+		moved[k.idx] = j
+	}
+	r.permute(ks)
+	return moved, nil
 }
 
 // orderedDuplicateFree reports, in one pass over a bound relation, that
@@ -136,38 +148,6 @@ func (r *Relation) orderedDuplicateFree() bool {
 		}
 	}
 	return true
-}
-
-// Arrange moves every row i, its id with it, to position rank[i], in
-// place: one swap per row out of place. rank must be a permutation of
-// the rows — CanonicalRanks returns one, and csvio lays a file out in
-// canonical order with it — and is left as the identity. Arrange only
-// moves rows: it checks no order, and the leaves move as they are.
-func (r *Relation) Arrange(rank []int) {
-	r.mutable("Arrange")
-	if len(rank) != len(r.Tuples) {
-		panic(fmt.Sprintf("relation: Arrange of %d rows by %d ranks", len(r.Tuples), len(rank)))
-	}
-	rows, fid := r.Tuples, []int64(nil)
-	if r.bound() {
-		fid = r.fid
-	}
-	swaps := 0
-	for i := range rank {
-		for j := rank[i]; j != i; j = rank[i] {
-			if swaps++; swaps > len(rank) {
-				panic("relation: Arrange by ranks that are not a permutation")
-			}
-			rows[i], rows[j] = rows[j], rows[i]
-			if fid != nil {
-				fid[i], fid[j] = fid[j], fid[i]
-			}
-			rank[i], rank[j] = rank[j], rank[i]
-		}
-	}
-	if swaps > 0 {
-		r.runs.Store(nil)
-	}
 }
 
 // permute moves the rows, their ids and their leaves into the order of
@@ -218,15 +198,14 @@ func (r *Relation) permute(ks []sortKey) {
 // sort). A relation that carries a formula or a null lineage anywhere
 // is left alone.
 func relayLeaves(rows []Tuple) {
-	slab := make([]lineage.Expr, len(rows))
 	for i := range rows {
-		e := rows[i].Lineage
-		if e == nil || e.Kind() != lineage.KindVar {
+		if e := rows[i].Lineage; e == nil || e.Kind() != lineage.KindVar {
 			return
 		}
-		slab[i] = *e
 	}
+	slab := make([]lineage.Expr, len(rows))
 	for i := range rows {
+		slab[i] = *rows[i].Lineage
 		rows[i].Lineage = &slab[i]
 	}
 }
@@ -279,7 +258,7 @@ func (c *countingScratch) sort(b []sortKey) bool {
 // core.PrepareLeaves builds a plan's private leaves with it.
 func (r *Relation) SortedCopy() *Relation {
 	ids, _ := r.ids()
-	if r.ordered(ids, true) {
+	if r.ordered(ids) {
 		return r.Clone()
 	}
 	ks := r.sortedKeys(ids)
@@ -296,26 +275,19 @@ func (r *Relation) SortedCopy() *Relation {
 	return out
 }
 
-// IsSorted reports whether the relation is in (fact, Ts) order.
-func (r *Relation) IsSorted() bool {
-	ids, _ := r.ids()
-	return r.ordered(ids, false)
-}
-
 // InCanonicalOrder reports whether the rows are in the full
-// (fact, Ts, Te) order Sort leaves them in: IsSorted, and ascending Te
-// among rows of equal (fact, Ts).
+// (fact, Ts, Te) order Sort leaves them in.
 func (r *Relation) InCanonicalOrder() bool {
 	ids, _ := r.ids()
-	return r.ordered(ids, true)
+	return r.ordered(ids)
 }
 
-// ordered reports whether the rows ascend by (ids, Ts) and, with te, by
-// Te among equal (id, Ts) — the full order Sort establishes.
-func (r *Relation) ordered(ids []int64, te bool) bool {
+// ordered reports whether the rows ascend by (ids, Ts, Te), the order
+// Sort establishes.
+func (r *Relation) ordered(ids []int64) bool {
 	for i := 1; i < len(ids); i++ {
 		a, b := r.Tuples[i-1].T, r.Tuples[i].T
-		if ids[i-1] > ids[i] || (ids[i-1] == ids[i] && (a.Ts > b.Ts || (te && a.Ts == b.Ts && a.Te > b.Te))) {
+		if ids[i-1] > ids[i] || (ids[i-1] == ids[i] && (a.Ts > b.Ts || (a.Ts == b.Ts && a.Te > b.Te))) {
 			return false
 		}
 	}

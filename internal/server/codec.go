@@ -119,25 +119,25 @@ func encodeVarProbs(tj *TupleJSON, lam *lineage.Expr, probs map[string]float64) 
 // non-empty, overrides rj.Name (the URL path segment wins over the body).
 // Every lineage string runs through the lineage parser; variable marginals
 // resolve through the tuple's varProbs map, falling back to the tuple's p
-// for a single bare variable. The decoded relation is sorted into
-// canonical (fact, Ts) order but NOT validated for duplicate-freeness —
-// callers admitting data of unknown provenance must call
-// ValidateDuplicateFree themselves.
+// for a single bare variable. The decoded relation is admitted
+// (relation.Relation.Admit): bound, in canonical (fact, Ts, Te) order and
+// checked for duplicate-freeness, whose error is the text a PUT of the
+// same body answers with 422.
 func DecodeRelation(rj RelationJSON, name string) (*relation.Relation, error) {
 	rel, err := decodeRows(rj, name)
 	if err != nil {
 		return nil, err
 	}
-	// Intern before sorting: ids are constructed once at the wire
-	// boundary and the sort runs on integer compares.
-	rel.Intern()
-	rel.Sort()
+	if _, err := rel.Admit(); err != nil {
+		return nil, err
+	}
 	return rel, nil
 }
 
-// decodeRows is DecodeRelation without the intern and the sort: the
-// rows in body order, unbound. The PUT handler hands them to
-// admitRelation, which interns, validates and sorts in one place.
+// decodeRows is DecodeRelation without the admission: the rows in body
+// order, unbound. The PUT handler hands them to admitRelation, which
+// admits them after its own checks, so a decode error (400) and a
+// Def. 1 error (422) keep their statuses.
 func decodeRows(rj RelationJSON, name string) (*relation.Relation, error) {
 	if name == "" {
 		name = rj.Name

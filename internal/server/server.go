@@ -323,12 +323,10 @@ func (s *Server) Load(name string, rel *relation.Relation) (uint64, error) {
 }
 
 // admitRelation is the one admission path, behind Load and PUT. It
-// checks the name against the query grammar (400), interns a relation
-// that arrives unbound — csvio output arrives bound — so the duplicate
-// check groups by integer id and the sort runs on packed integer
-// compares, validates duplicate-freeness (Def. 1; 422) and sorts on one
-// key sort (SortDuplicateFree; an ordered relation's rows do not
-// move), and hands it to putRelation,
+// checks the name against the query grammar (400), admits the relation
+// (relation.Relation.Admit: interned when it arrives unbound, checked
+// for duplicate-freeness, Def. 1, 422, and sorted, on one key sort; an
+// ordered relation's rows do not move), and hands it to putRelation,
 // which rebinds it to the catalog dictionary — preserving the order —
 // bumps the version, invalidates dependent cache entries and, with an
 // attached store, WAL-logs the admission before it counts.
@@ -337,10 +335,7 @@ func (s *Server) admitRelation(name string, rel *relation.Relation) (version uin
 		return 0, false, &httpError{status: http.StatusBadRequest,
 			msg: fmt.Sprintf("invalid relation name %q: must be an identifier of the query grammar (letters, digits, _, non-leading dots; not a reserved word)", name)}
 	}
-	if rel.Dict() == nil {
-		rel.Intern()
-	}
-	if err := rel.SortDuplicateFree(); err != nil {
+	if _, err := rel.Admit(); err != nil {
 		return 0, false, &httpError{status: http.StatusUnprocessableEntity, msg: err.Error()}
 	}
 	if version, existed, err = s.putRelation(name, rel); err == nil {

@@ -211,9 +211,10 @@ func MarshalRelationJSON(r *Relation) ([]byte, error) {
 
 // UnmarshalRelationJSON reconstructs a relation from the JSON wire format,
 // re-parsing every lineage formula. name, when non-empty, overrides the
-// name stored in the payload. The result is sorted; duplicate-freeness is
-// NOT validated (call ValidateDuplicateFree on data of unknown
-// provenance).
+// name stored in the payload. The result is in canonical (fact, Ts, Te)
+// order and bound to a fact dictionary; a payload that breaks
+// duplicate-freeness (Def. 1) is refused with the text the query
+// service's PUT answers with 422.
 func UnmarshalRelationJSON(data []byte, name string) (*Relation, error) {
 	var rj server.RelationJSON
 	if err := json.Unmarshal(data, &rj); err != nil {
@@ -223,13 +224,15 @@ func UnmarshalRelationJSON(data []byte, name string) (*Relation, error) {
 }
 
 // ReadCSV loads a base relation from CSV (columns: facts..., lineage id,
-// ts, te, p).
+// ts, te, p). The rows come back in canonical (fact, Ts, Te) order, not
+// the file's, bound to a fact dictionary and checked for
+// duplicate-freeness (Def. 1).
 func ReadCSV(rd io.Reader, name string) (*Relation, error) { return csvio.Read(rd, name) }
 
 // WriteCSV stores a relation as CSV.
 func WriteCSV(w io.Writer, r *Relation) error { return csvio.Write(w, r) }
 
-// ReadCSVFile loads a relation from the file at path.
+// ReadCSVFile loads a relation from the file at path, as ReadCSV does.
 func ReadCSVFile(path, name string) (*Relation, error) { return csvio.ReadFile(path, name) }
 
 // WriteCSVFile stores a relation at path.
